@@ -44,7 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, help="sample budget (see scenario docs)"
     )
     parser.add_argument(
-        "--workers", type=int, help="worker threads (does not affect results)"
+        "--workers",
+        type=int,
+        help="recorded in the report meta; changes neither results nor threading",
     )
     parser.add_argument(
         "--out", metavar="DIR", help="output directory for the report bundle"

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 
 from .detection import DetectorConfig
 from .node import NodeConfig
@@ -92,12 +93,14 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown scenario {self.scenario!r}; choose from {SCENARIO_IDS}"
             )
-        if not self.seed >= 0:
-            raise ValueError("seed must be a non-negative integer")
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
+            raise ValueError(
+                f"seed must be an integer in [0, 2**64), not {self.seed!r}"
+            )
+        if not _is_int(self.samples) or self.samples < 1:
+            raise ValueError(f"samples must be an integer >= 1, not {self.samples!r}")
+        if not _is_int(self.workers) or self.workers < 1:
+            raise ValueError(f"workers must be an integer >= 1, not {self.workers!r}")
         if self.read_delay_us < 0.0:
             raise ValueError("read_delay_us must be non-negative")
         if not 0.0 <= self.interference_visibility <= 1.0:
@@ -164,6 +167,11 @@ class ExperimentConfig:
         version = data.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema version {version}")
+        _check_keys("config", data, cls, extra=("schema_version",))
+        for nd in data["nodes"]:
+            _check_keys("node", nd, NodeConfig)
+        _check_keys("detector", data.get("detector", {}), DetectorConfig)
+        _check_keys("timing", data.get("timing", {}), TimingConfig)
         nodes = tuple(
             NodeConfig(
                 **{
@@ -178,22 +186,8 @@ class ExperimentConfig:
             )
             for nd in data["nodes"]
         )
-        kwargs = {
-            key: data[key]
-            for key in (
-                "scenario",
-                "seed",
-                "samples",
-                "workers",
-                "read_delay_us",
-                "interference_visibility",
-                "envelopes",
-                "calibration_weights",
-                "out_dir",
-                "calibration",
-            )
-            if key in data
-        }
+        nested = ("schema_version", "nodes", "detector", "timing", "scenario_params")
+        kwargs = {key: val for key, val in data.items() if key not in nested}
         return cls(
             nodes=nodes,
             detector=DetectorConfig(**data.get("detector", {})),
@@ -213,6 +207,20 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_keys(section: str, data: dict, cls, extra=()) -> None:
+    """Reject keys of ``data`` that are neither fields of ``cls`` nor ``extra``."""
+    allowed = {f.name for f in fields(cls)} | set(extra)
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        raise ValueError(
+            f"unknown {section} key(s) {unknown}; allowed: {sorted(allowed)}"
+        )
 
 
 def envelope_from_spec(spec) -> Envelope:

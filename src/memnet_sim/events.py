@@ -20,11 +20,12 @@ Instead it enumerates the finite set of event classes exactly:
 
 Each event class contributes (probability, outcome distribution over the
 64 click patterns).  Summing gives the herald probability per trial, the
-importance weight attached to every conditionally drawn sample; two-stage
-multinomial sampling from the table is exact conditional sampling.  The
-brute-force path (`raw_trial_counts`) simulates unconditional trials with
-per-trial Bernoulli draws and exists to validate the table at excitation
-probabilities high enough for six-folds to show up in reasonable time.
+importance weight attached to every conditionally drawn sample; one
+multinomial over the table's mixed outcome distribution is exact
+conditional sampling.  The brute-force path (`raw_trial_counts`) simulates
+unconditional trials with per-trial Bernoulli draws and exists to validate
+the table at excitation probabilities high enough for six-folds to show up
+in reasonable time.
 """
 
 from __future__ import annotations
@@ -352,17 +353,14 @@ class EventTable:
     def sample(self, n_heralds: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n_heralds`` heralded outcomes; returns 64 pattern counts.
 
-        Two-stage multinomial: first the event class, then the pattern
-        within the class.  This is exact sampling from the conditional
-        distribution, not an approximation.
+        One multinomial over ``outcome_distribution()``.  Drawing the event
+        class first and then the pattern within it is a mixture whose
+        marginal over the 64 patterns is exactly that distribution, so this
+        is exact sampling from the conditional distribution, not an
+        approximation.
         """
-        weights = self.probabilities / self.p_sixfold
-        per_class = rng.multinomial(n_heralds, weights / weights.sum())
-        counts = np.zeros(_N_OUTCOMES, dtype=np.int64)
-        for i in np.nonzero(per_class)[0]:
-            dist = self.distributions[i]
-            counts += rng.multinomial(per_class[i], dist / dist.sum())
-        return counts
+        dist = self.outcome_distribution()
+        return rng.multinomial(n_heralds, dist / dist.sum())
 
 
 def build_event_tables(

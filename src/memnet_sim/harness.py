@@ -6,11 +6,15 @@ into count tables and derived estimates and serializes them.
 
 Two contracts shape the code:
 
-* Determinism.  Every random draw comes from a counter-based Philox stream
-  keyed by ``(master seed, chunk index)``, chunk indices are allocated in a
-  fixed code order, and partial tallies merge in chunk order.  The report
-  body is therefore a pure function of (config, seed), independent of the
-  worker count; wall time and worker count live in the report meta block.
+* Determinism.  Each sampled table (a pair table or a heralded event
+  table) draws all its counts with one multinomial from its own
+  counter-based Philox stream, keyed by ``(master seed, table index)``;
+  table indices are allocated in a fixed code order.  A sum of independent
+  multinomials over one probability vector is itself that multinomial, so
+  one draw per table has the statistics of any split into smaller draws.
+  The report body is therefore a pure function of (config, seed); wall time
+  and the ``workers`` setting, which changes neither results nor threading,
+  live in the report meta block.
 * Conditional sampling.  Six-fold coincidences occur at ~1e-8 per trial, so
   the heralded scenarios draw events directly from the enumerated
   conditional distribution (events module) and carry the herald probability
@@ -26,14 +30,16 @@ samplers here ignore ``DetectorConfig.efficiency``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
+from scipy.optimize import OptimizeWarning, curve_fit
 
 from . import __version__
 from . import config as cf
@@ -44,7 +50,8 @@ from . import optics as op
 from . import quantum as q
 from . import witness as w
 
-CHUNK_SIZE = 512
+# per-table random streams, see _table_streams
+_Streams = Iterator[np.random.Generator]
 
 # Spin analyzer bases, columns ordered so that channel 0 corresponds to the
 # read photon's R channel (up -> R, down -> L under retrieval). With this
@@ -52,33 +59,29 @@ CHUNK_SIZE = 512
 # matching the sign convention of detection.visibility_raw.
 _SPIN_RL = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
+# standard errors by which the fitted decay rate must exceed zero before
+# lifetime_sweep reports a memory lifetime
+_DECAY_Z = 3.0
+
 
 def _spin_super_basis(theta: float) -> np.ndarray:
     """Equatorial spin analyzer aligned for positive visibility at ``theta``."""
     return q.equatorial_basis(theta + math.pi)
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    key = np.array([seed, chunk_index], dtype=np.uint64)
+def _table_rng(seed: int, table_index: int) -> np.random.Generator:
+    key = np.array([seed, table_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _chunk_sizes(n: int) -> list[int]:
-    full, rest = divmod(int(n), CHUNK_SIZE)
-    return [CHUNK_SIZE] * full + ([rest] if rest else [])
+def _table_streams(seed: int) -> _Streams:
+    """One stream per sampled table, indexed in the order tables take them."""
+    return (_table_rng(seed, index) for index in itertools.count())
 
 
 def _split_budget(n: int, k: int) -> list[int]:
     base, rest = divmod(int(n), k)
     return [base + (1 if i < rest else 0) for i in range(k)]
-
-
-def _run_tasks(tasks, workers: int) -> list:
-    """Execute callables, preserving submission order in the results."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: t(), tasks))
 
 
 def _plain(obj):
@@ -101,7 +104,7 @@ def _plain(obj):
 # lifetime_sweep). One write-read pair per trial; the full joint click
 # pattern over the four detectors is enumerated exactly, including dark
 # counts, double excitations and retrieval failures, and then sampled with
-# one multinomial per chunk.
+# one multinomial per table.
 
 
 def _real_click_joint(channel: int, dark: float) -> np.ndarray:
@@ -237,34 +240,10 @@ def _counts_to_table(counts16: np.ndarray) -> det.CoincidenceTable:
     )
 
 
-class _ChunkCounter:
-    """Sequential chunk-id allocator; allocation order is code order."""
-
-    def __init__(self) -> None:
-        self.next_id = 0
-
-    def take(self, n_chunks: int) -> int:
-        base = self.next_id
-        self.next_id += n_chunks
-        return base
-
-
 def _sample_pair_table(
-    dist16: np.ndarray, n: int, seed: int, alloc: _ChunkCounter, workers: int
+    dist16: np.ndarray, n: int, streams: _Streams
 ) -> det.CoincidenceTable:
-    sizes = _chunk_sizes(n)
-    base = alloc.take(len(sizes))
-
-    def make_task(k: int, size: int):
-        def task():
-            rng = _chunk_rng(seed, base + k)
-            return rng.multinomial(size, dist16)
-
-        return task
-
-    tallies = _run_tasks([make_task(k, s) for k, s in enumerate(sizes)], workers)
-    total = np.sum(tallies, axis=0) if tallies else np.zeros(16, dtype=np.int64)
-    return _counts_to_table(np.asarray(total, dtype=np.int64))
+    return _counts_to_table(next(streams).multinomial(n, dist16))
 
 
 def _visibility_sigma(v: float, n_coinc: float) -> float:
@@ -336,7 +315,7 @@ def _scenario_params(cfg: cf.ExperimentConfig, allowed: tuple[str, ...]) -> dict
     return params
 
 
-def _run_pair_tomography(cfg: cf.ExperimentConfig, alloc: _ChunkCounter):
+def _run_pair_tomography(cfg: cf.ExperimentConfig, streams: _Streams):
     params = _scenario_params(cfg, ("node",))
     node_cfg = cfg.node(params.get("node", "I"))
     dt = cfg.read_delay_us
@@ -351,7 +330,7 @@ def _run_pair_tomography(cfg: cf.ExperimentConfig, alloc: _ChunkCounter):
     csv_tables = {}
     for name, (wb, rb) in bases.items():
         dist = _pair_trial_distribution(node_cfg, cfg.detector, wb, rb, dt)
-        table = _sample_pair_table(dist, cfg.samples, cfg.seed, alloc, cfg.workers)
+        table = _sample_pair_table(dist, cfg.samples, streams)
         corrected, clamped = det.subtract_accidentals(table)
         v_raw = det.visibility_raw(table)
         v_corr = det.visibility_raw(corrected)
@@ -388,7 +367,7 @@ def _run_pair_tomography(cfg: cf.ExperimentConfig, alloc: _ChunkCounter):
     return body, artifacts
 
 
-def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, alloc: _ChunkCounter):
+def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _Streams):
     params = _scenario_params(cfg, ("node", "delays_us"))
     node_cfg = cfg.node(params.get("node", "I"))
     period = node_cfg.zeeman_period_us
@@ -406,7 +385,7 @@ def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, alloc: _ChunkCounter):
         dist = _pair_trial_distribution(
             node_cfg, cfg.detector, write_basis, read_basis, float(dt)
         )
-        table = _sample_pair_table(dist, cfg.samples, cfg.seed, alloc, cfg.workers)
+        table = _sample_pair_table(dist, cfg.samples, streams)
         tables.append(table)
         n = table.N
         rows.append(
@@ -453,7 +432,7 @@ def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, alloc: _ChunkCounter):
     return body, artifacts
 
 
-def _run_lifetime_sweep(cfg: cf.ExperimentConfig, alloc: _ChunkCounter):
+def _run_lifetime_sweep(cfg: cf.ExperimentConfig, streams: _Streams):
     params = _scenario_params(cfg, ("node", "delays_us"))
     node_cfg = cfg.node(params.get("node", "I"))
     period = node_cfg.zeeman_period_us
@@ -471,12 +450,12 @@ def _run_lifetime_sweep(cfg: cf.ExperimentConfig, alloc: _ChunkCounter):
         dist_e = _pair_trial_distribution(
             node_cfg, cfg.detector, q.BASIS_RL, _SPIN_RL, dt
         )
-        t_eigen = _sample_pair_table(dist_e, cfg.samples, cfg.seed, alloc, cfg.workers)
+        t_eigen = _sample_pair_table(dist_e, cfg.samples, streams)
         theta = nd.zeeman_phase(node_cfg, dt)
         dist_s = _pair_trial_distribution(
             node_cfg, cfg.detector, q.BASIS_Z, _spin_super_basis(theta), dt
         )
-        t_super = _sample_pair_table(dist_s, cfg.samples, cfg.seed, alloc, cfg.workers)
+        t_super = _sample_pair_table(dist_s, cfg.samples, streams)
         eigen_tables.append(t_eigen)
         super_tables.append(t_super)
 
@@ -504,36 +483,9 @@ def _run_lifetime_sweep(cfg: cf.ExperimentConfig, alloc: _ChunkCounter):
 
     t_arr = delays
     eta_arr = np.array([r["eta_corrected"] for r in rows])
-    mean_eta = float(np.mean(eta_arr))
-    # fit an exponential only when the data actually resolves a decay:
-    # log-efficiency must correlate clearly with storage time, otherwise
-    # the decay constant is unconstrained (e.g. an ideal memory)
-    ok = eta_arr > 0.0
-    resolves_decay = False
-    if np.count_nonzero(ok) >= 3 and np.ptp(t_arr[ok]) > 0.0:
-        r = float(np.corrcoef(t_arr[ok], np.log(eta_arr[ok]))[0, 1])
-        resolves_decay = r < -0.5
-    if resolves_decay:
-        tau_guess = (
-            node_cfg.tau_mem_us
-            if math.isfinite(node_cfg.tau_mem_us)
-            else float(t_arr[-1])
-        )
-        popt, pcov = curve_fit(
-            lambda t, eta0, tau: eta0 * np.exp(-t / tau),
-            t_arr,
-            eta_arr,
-            p0=[max(eta_arr[0], 1e-3), tau_guess],
-            maxfev=20000,
-        )
-        eta0_fit = float(popt[0])
-        tau_fit = float(popt[1])
-        tau_sigma = float(math.sqrt(max(pcov[1, 1], 0.0)))
-    else:
-        # no resolvable decay over the scanned window (e.g. ideal memory)
-        eta0_fit = mean_eta
-        tau_fit = None
-        tau_sigma = None
+    eta0_fit, tau_fit, tau_sigma = _fit_lifetime(
+        t_arr, eta_arr, np.array([r["n_write_heralds"] for r in rows])
+    )
 
     # single-parameter amplitude fit of the visibility envelope; the decay
     # constant is the calibrated tau_vis of the node
@@ -591,7 +543,45 @@ def _run_lifetime_sweep(cfg: cf.ExperimentConfig, alloc: _ChunkCounter):
     return body, artifacts
 
 
-def _run_two_node_swap(cfg: cf.ExperimentConfig, alloc: _ChunkCounter):
+def _fit_lifetime(t_arr, eta_arr, n_writes):
+    """Fit ``eta0 * exp(-k t)`` and return ``(eta0, tau, tau_sigma)``.
+
+    Each point carries its binomial error ``sqrt(eta (1 - eta) / n)`` over
+    its ``n`` write heralds, with ``eta`` kept ``1/(2n)`` from 0 and 1 so
+    that a point of exact efficiency still has a nonzero error.  The
+    lifetime ``tau = 1/k`` is reported only when the data resolves a decay,
+    that is when ``k`` lies at least ``_DECAY_Z`` standard errors above
+    zero; otherwise (e.g. an ideal memory) ``tau`` and its sigma are None
+    and ``eta0`` is the mean efficiency.
+    """
+    ok = n_writes > 0
+    t, eta, n = t_arr[ok], eta_arr[ok], n_writes[ok]
+    unresolved = (float(np.mean(eta_arr)), None, None)
+    if t.size < 3 or np.ptp(t) <= 0.0:
+        return unresolved
+    p = np.clip(eta, 0.5 / n, 1.0 - 0.5 / n)
+    sigma = np.sqrt(p * (1.0 - p) / n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)
+        try:
+            popt, pcov = curve_fit(
+                lambda t, eta0, k: eta0 * np.exp(-k * t),
+                t,
+                eta,
+                p0=[max(eta[0], 1e-3), 1.0 / np.ptp(t)],
+                sigma=sigma,
+                absolute_sigma=True,
+                maxfev=20000,
+            )
+        except RuntimeError:
+            return unresolved
+    k, k_sigma = float(popt[1]), float(math.sqrt(max(pcov[1, 1], 0.0)))
+    if not (math.isfinite(k_sigma) and k_sigma > 0.0 and k >= _DECAY_Z * k_sigma):
+        return unresolved
+    return float(popt[0]), 1.0 / k, k_sigma / (k * k)
+
+
+def _run_two_node_swap(cfg: cf.ExperimentConfig, streams: _Streams):
     params = _scenario_params(
         cfg, ("delta_omega_rad_per_us", "width_us", "point_width_us")
     )
@@ -679,28 +669,9 @@ def _exact_setting_counts(tables, n_bits: int, reducer=None) -> dict:
     return out
 
 
-def _sample_event_tables(cfg, tables, alloc: _ChunkCounter) -> list[np.ndarray]:
+def _sample_event_tables(cfg, tables, streams: _Streams) -> list[np.ndarray]:
     budgets = _split_budget(cfg.samples, len(tables))
-    plans = []
-    for table, budget in zip(tables, budgets):
-        sizes = _chunk_sizes(budget)
-        base = alloc.take(len(sizes))
-        plans.append((table, sizes, base))
-
-    tasks = []
-    for ti, (table, sizes, base) in enumerate(plans):
-        for k, size in enumerate(sizes):
-            def task(table=table, size=size, chunk=base + k):
-                rng = _chunk_rng(cfg.seed, chunk)
-                return table.sample(size, rng)
-
-            tasks.append((ti, task))
-
-    results = _run_tasks([t for _, t in tasks], cfg.workers)
-    counts = [np.zeros(64, dtype=np.int64) for _ in tables]
-    for (ti, _), tally in zip(tasks, results):
-        counts[ti] += tally
-    return counts
+    return [table.sample(n, next(streams)) for table, n in zip(tables, budgets)]
 
 
 def _ghz_common_body(cfg, tables) -> dict:
@@ -718,11 +689,11 @@ def _ghz_common_body(cfg, tables) -> dict:
     }
 
 
-def _run_ghz6(cfg: cf.ExperimentConfig, alloc: _ChunkCounter):
+def _run_ghz6(cfg: cf.ExperimentConfig, streams: _Streams):
     _scenario_params(cfg, ())
     settings = ev.ghz6_settings()
     tables = ev.build_event_tables(cfg, settings)
-    counts = _sample_event_tables(cfg, tables, alloc)
+    counts = _sample_event_tables(cfg, tables, streams)
 
     sampled = _setting_counts(settings, counts, 6)
     fid, sigma = w.fidelity_from_counts(
@@ -749,11 +720,11 @@ def _run_ghz6(cfg: cf.ExperimentConfig, alloc: _ChunkCounter):
     return body, artifacts
 
 
-def _run_ghz3(cfg: cf.ExperimentConfig, alloc: _ChunkCounter):
+def _run_ghz3(cfg: cf.ExperimentConfig, streams: _Streams):
     _scenario_params(cfg, ())
     settings = ev.ghz3_settings()
     tables = ev.build_event_tables(cfg, settings)
-    counts = _sample_event_tables(cfg, tables, alloc)
+    counts = _sample_event_tables(cfg, tables, streams)
 
     mem_counts = [arr.reshape(8, 8).sum(axis=0) for arr in counts]
     herald_counts = np.sum([arr.reshape(8, 8).sum(axis=1) for arr in counts], axis=0)
@@ -829,8 +800,7 @@ def run_scenario(cfg: cf.ExperimentConfig) -> RunReport:
     if cfg.scenario not in _RUNNERS:
         raise ValueError(f"unknown scenario {cfg.scenario!r}")
     started = time.perf_counter()
-    alloc = _ChunkCounter()
-    body, artifacts = _RUNNERS[cfg.scenario](cfg, alloc)
+    body, artifacts = _RUNNERS[cfg.scenario](cfg, _table_streams(cfg.seed))
 
     config_echo = cfg.to_dict()
     # execution details must not influence the deterministic body

@@ -60,6 +60,19 @@ class TestExperimentConfigValidation:
         with pytest.raises(ValueError):
             cf.ExperimentConfig(seed=-1)
 
+    def test_seed_range_and_type(self):
+        assert cf.ExperimentConfig(seed=2**64 - 1).seed == 2**64 - 1
+        for bad in (2**64, 1.0, "3", True):
+            with pytest.raises(ValueError, match="seed"):
+                cf.ExperimentConfig(seed=bad)
+
+    def test_counts_must_be_integers(self):
+        assert cf.ExperimentConfig(samples=np.int64(5)).samples == 5
+        with pytest.raises(ValueError, match="samples"):
+            cf.ExperimentConfig(samples=1000.5)
+        with pytest.raises(ValueError, match="workers"):
+            cf.ExperimentConfig(workers=2.0)
+
     def test_bad_read_delay(self):
         with pytest.raises(ValueError):
             cf.ExperimentConfig(read_delay_us=-0.1)
@@ -120,6 +133,13 @@ class TestSerialization:
         d = cf.ExperimentConfig().to_dict()
         d["schema_version"] = 99
         with pytest.raises(ValueError, match="schema"):
+            cf.ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("section", ["detector", "timing"])
+    def test_unknown_section_key_named(self, section):
+        d = cf.ExperimentConfig().to_dict()
+        d[section]["bogus"] = 1
+        with pytest.raises(ValueError, match=f"unknown {section} key.*'bogus'"):
             cf.ExperimentConfig.from_dict(d)
 
 

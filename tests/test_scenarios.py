@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,21 +102,27 @@ class TestPairTrialDistribution:
 
 
 # ---------------------------------------------------------------------------
-# deterministic chunked sampling
+# deterministic per-table sampling
 
 
 class TestDeterminism:
-    def test_chunk_rng_streams_are_stable(self):
-        a = h._chunk_rng(7, 3).random(4)
-        b = h._chunk_rng(7, 3).random(4)
-        c = h._chunk_rng(7, 4).random(4)
+    def test_table_rng_stream_is_stable(self):
+        a = h._table_rng(7, 3).random(4)
+        b = h._table_rng(7, 3).random(4)
         np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, c)
 
-    def test_chunk_sizes_partition_budget(self):
-        sizes = h._chunk_sizes(2 * h.CHUNK_SIZE + 17)
-        assert sum(sizes) == 2 * h.CHUNK_SIZE + 17
-        assert sizes[:-1] == [h.CHUNK_SIZE, h.CHUNK_SIZE]
+    def test_distinct_tables_get_distinct_streams(self):
+        streams = h._table_streams(7)
+        draws = [next(streams).random(4) for _ in range(3)]
+        np.testing.assert_array_equal(draws[1], h._table_rng(7, 1).random(4))
+        assert not np.array_equal(draws[0], draws[1])
+        assert not np.array_equal(draws[1], draws[2])
+        assert not np.array_equal(draws[0], h._table_rng(8, 0).random(4))
+
+    def test_pair_table_holds_odd_budget(self):
+        rep = h.run_scenario(paper_cfg(scenario="pair_tomography", samples=1041))
+        for table in rep.body["tables"].values():
+            assert table["N"] == 1041
 
     def test_split_budget_is_balanced(self):
         parts = h._split_budget(10, 3)
@@ -225,6 +232,33 @@ class TestLifetimeSweep:
         assert fit["visibility_crossing_us"] is None
         assert fit["tau_vis_us"] is None
         assert fit["lifetime_us"] is None
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ideal_memory_reports_no_lifetime(self, seed):
+        # an ideal memory does not decay; noise alone must not resolve one
+        rep = h.run_scenario(
+            ideal_cfg(
+                scenario="lifetime_sweep",
+                samples=50_000,
+                seed=seed,
+                scenario_params={"delays_us": [0.0, 10.0, 20.0, 30.0, 40.0]},
+            )
+        )
+        fit = rep.body["fit"]
+        assert fit["lifetime_us"] is None
+        assert fit["lifetime_sigma_us"] is None
+
+    @pytest.mark.parametrize("samples", [5, 20])
+    def test_sparse_sweep_fit_failure_reports_no_lifetime(self, samples):
+        # a handful of trials per point can stall or degenerate the decay fit
+        for seed in range(20):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = h.run_scenario(
+                    paper_cfg(scenario="lifetime_sweep", samples=samples, seed=seed)
+                )
+            fit = rep.body["fit"]
+            assert fit["lifetime_us"] is None or fit["lifetime_us"] > 0.0
 
 
 class TestTwoNodeSwap:
@@ -447,6 +481,34 @@ class TestCli:
         rc = cli.main(["--config", str(bad)])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+    def test_out_of_range_seed_errors(self, seed, capsys):
+        rc = cli.main(
+            ["--preset", "ideal", "--scenario", "two_node_swap", "--seed", seed]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("memnet-sim: error: seed must be an integer in [0, 2**64)")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda d: d["nodes"][1].update(pw=0.01), "'pw'"),
+            (lambda d: d.update(sampels=10), "'sampels'"),
+        ],
+    )
+    def test_unknown_config_key_errors(self, edit, named, tmp_path, capsys):
+        data = paper_cfg(scenario="two_node_swap").to_dict()
+        edit(data)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        rc = cli.main(["--config", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("memnet-sim: error: unknown")
+        assert named in err
 
     def test_module_execution_path(self, tmp_path):
         proc = subprocess.run(
