@@ -92,6 +92,7 @@ def main(argv=None) -> int:
                     },
                     sort_keys=True,
                     indent=2,
+                    allow_nan=False,
                 )
             )
     except (OSError, ValueError, KeyError) as exc:

@@ -137,11 +137,7 @@ class ExperimentConfig:
                 }
                 for n in self.nodes
             ],
-            "detector": {
-                "efficiency": self.detector.efficiency,
-                "dark_count_prob": self.detector.dark_count_prob,
-                "window_us": self.detector.window_us,
-            },
+            "detector": {"dark_count_prob": self.detector.dark_count_prob},
             "timing": {
                 "cycle_ms": self.timing.cycle_ms,
                 "loading_ms": self.timing.loading_ms,
@@ -164,34 +160,29 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        _check_section("config", data, cls, extra=("schema_version",))
         version = data.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema version {version}")
-        _check_keys("config", data, cls, extra=("schema_version",))
-        for nd in data["nodes"]:
-            _check_keys("node", nd, NodeConfig)
-        _check_keys("detector", data.get("detector", {}), DetectorConfig)
-        _check_keys("timing", data.get("timing", {}), TimingConfig)
-        nodes = tuple(
-            NodeConfig(
-                **{
-                    **nd,
-                    "tau_mem_us": math.inf
-                    if nd.get("tau_mem_us") is None
-                    else nd["tau_mem_us"],
-                    "tau_vis_us": math.inf
-                    if nd.get("tau_vis_us") is None
-                    else nd["tau_vis_us"],
-                }
-            )
-            for nd in data["nodes"]
-        )
+        nodes = data.get("nodes")
+        if not isinstance(nodes, list):
+            raise ValueError(f"config key 'nodes' must be a list, not {nodes!r}")
+        # a null lifetime is an infinite one
+        nodes = [
+            {
+                key: math.inf if key in _INF_IF_NULL and val is None else val
+                for key, val in _check_section("node", nd, NodeConfig).items()
+            }
+            for nd in nodes
+        ]
+        detector = _check_section("detector", data.get("detector", {}), DetectorConfig)
+        timing = _check_section("timing", data.get("timing", {}), TimingConfig)
         nested = ("schema_version", "nodes", "detector", "timing", "scenario_params")
         kwargs = {key: val for key, val in data.items() if key not in nested}
         return cls(
-            nodes=nodes,
-            detector=DetectorConfig(**data.get("detector", {})),
-            timing=TimingConfig(**data.get("timing", {})),
+            nodes=tuple(NodeConfig(**nd) for nd in nodes),
+            detector=DetectorConfig(**detector),
+            timing=TimingConfig(**timing),
             scenario_params=dict(data.get("scenario_params", {})),
             **kwargs,
         )
@@ -213,14 +204,45 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _check_keys(section: str, data: dict, cls, extra=()) -> None:
-    """Reject keys of ``data`` that are neither fields of ``cls`` nor ``extra``."""
+_INF_IF_NULL = ("tau_mem_us", "tau_vis_us")
+
+# JSON type each field annotation's leading type accepts; a bool is none
+_JSON_TYPES = {
+    "float": (numbers.Real, "a number"),
+    "int": (numbers.Integral, "an integer"),
+    "str": (str, "a string"),
+    "dict": (dict, "an object"),
+}
+
+
+def _check_section(section: str, data, cls, extra=()) -> dict:
+    """Return ``data`` once it is a JSON object whose keys are fields of
+    ``cls`` (or ``extra``) and whose values have the fields' JSON types.
+
+    A field annotated ``X | None`` also takes null; a lifetime takes null
+    as infinity.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{section} must be a JSON object, not {data!r}")
     allowed = {f.name for f in fields(cls)} | set(extra)
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ValueError(
             f"unknown {section} key(s) {unknown}; allowed: {sorted(allowed)}"
         )
+    for f in fields(cls):
+        kind, _, rest = f.type.partition(" | ")
+        if f.name not in data or kind not in _JSON_TYPES:
+            continue
+        value = data[f.name]
+        if value is None and (rest == "None" or f.name in _INF_IF_NULL):
+            continue
+        types, what = _JSON_TYPES[kind]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(
+                f"{section} key {f.name!r} must be {what}, not {value!r}"
+            )
+    return data
 
 
 def envelope_from_spec(spec) -> Envelope:

@@ -8,10 +8,14 @@ between uncorrelated singles are estimated as ``n_woI * n_roJ / N`` and
 subtracted cell by cell; corrected counts stay fractional on purpose since
 every downstream quantity is a count ratio.
 
-``p_w`` and ``eta_r0`` in the node model are detected probabilities, so
-``DetectorConfig.efficiency`` defaults to 1 and exists for sensitivity
-studies only; setting it below 1 on top of the node defaults would double
-count losses.
+Every analyzer in the network (the write and read arms of a pair, each
+station port, each memory analyzer) uses one exact click model.  A
+distribution ``hits[i, j]`` over whether photons reached channel 0
+(``i``) and channel 1 (``j``) becomes the click distribution
+``clicks[i, j]`` once each channel's dark count is OR-ed in; an analyzer
+counts as heralding only in the exactly-one-click cells ``[1, 0]`` and
+``[0, 1]``.  Retrieval failures enter as a photon that arrives with less
+than unit probability.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from . import quantum as q
 
 _TOL = 1e-9
 
@@ -30,17 +32,13 @@ _FIELDS = CSV_HEADER.split(",")
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    efficiency: float = 1.0
+    """Per-channel dark-count probability in one detection window."""
+
     dark_count_prob: float = 0.0
-    window_us: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError(f"efficiency {self.efficiency} outside [0, 1]")
         if not 0.0 <= self.dark_count_prob <= 1.0:
             raise ValueError(f"dark_count_prob {self.dark_count_prob} outside [0, 1]")
-        if self.window_us <= 0.0:
-            raise ValueError("window_us must be positive")
 
 
 @dataclass(frozen=True)
@@ -86,39 +84,40 @@ class CoincidenceTable:
         return self.n_RL + self.n_LR + self.n_LL + self.n_RR
 
 
-def detect(
-    polarization,
-    cfg: DetectorConfig,
-    rng: np.random.Generator,
-    basis: np.ndarray | None = None,
-    n: int | None = None,
-):
-    """Click pattern of a two-channel analyzer for one photonic mode.
+# no photon reaches either channel
+NO_HITS = np.array([[1.0, 0.0], [0.0, 0.0]])
+NO_HITS.setflags(write=False)
 
-    ``polarization`` is a two-amplitude H/V state or None for vacuum.  The
-    photon is routed to one analyzer output by the Born rule in ``basis``
-    (circular R/L by default, channel 0 = first basis column) and produces a
-    click there with probability ``cfg.efficiency``; each channel fires on
-    its own with ``cfg.dark_count_prob`` per window.  Returns a boolean pair
-    for a single window, or an ``(n, 2)`` array when ``n`` is given.
+
+def photon_hits(arrival: float, born) -> np.ndarray:
+    """Hit distribution of one photon that arrives with probability ``arrival``.
+
+    ``born`` holds the photon's outcome probabilities in the analyzer basis
+    (channel 0 first).
     """
-    scalar = n is None
-    count = 1 if scalar else int(n)
-    dark = rng.random((count, 2)) < cfg.dark_count_prob
-    if polarization is None:
-        clicks = dark
-    else:
-        if basis is None:
-            basis = q.BASIS_RL
-        pol = np.asarray(polarization, dtype=complex).reshape(2)
-        p0 = abs(np.vdot(basis[:, 0], pol)) ** 2
-        channel = (rng.random(count) >= p0).astype(int)
-        fires = rng.random(count) < cfg.efficiency
-        clicks = dark.copy()
-        clicks[np.arange(count), channel] |= fires
-    if scalar:
-        return bool(clicks[0, 0]), bool(clicks[0, 1])
-    return clicks
+    b0, b1 = born
+    return np.array([[1.0 - arrival, arrival * b1], [arrival * b0, 0.0]])
+
+
+def bunched_hits(born_h, born_v) -> np.ndarray:
+    """Hit distribution of an H and a V photon sharing one analyzer.
+
+    The two photons are routed independently by their Born probabilities;
+    only when both take the same channel does a single channel fire.
+    """
+    both0 = born_h[0] * born_v[0]
+    both1 = born_h[1] * born_v[1]
+    return np.array([[0.0, both1], [both0, 1.0 - both0 - both1]])
+
+
+def analyzer_clicks(hits: np.ndarray, dark: float) -> np.ndarray:
+    """2x2 click distribution: photon hits OR independent dark counts.
+
+    ``T[h, c]`` is the chance that a channel with hit bit ``h`` shows click
+    bit ``c``, so ``clicks = T.T @ hits @ T``.
+    """
+    t = np.array([[1.0 - dark, dark], [0.0, 1.0]])
+    return t.T @ hits @ t
 
 
 def visibility_raw(table: CoincidenceTable) -> float:

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import detection as det
 from . import node as nd
 from . import optics as op
 from . import quantum as q
@@ -99,6 +100,7 @@ def _born2(basis: np.ndarray, state) -> np.ndarray:
 class _NodeTerms:
     """Per-node ingredients shared by the table builder and the raw path."""
 
+    pair: q.DensityMatrix  # photon-spin pair, photon mapped to H/V
     write_probs: tuple[float, float, float]
     p_pol: np.ndarray  # (2,) chance the write photon leaves as H / V
     mem_given_pol: tuple[np.ndarray, np.ndarray]  # spin dm after storage
@@ -122,6 +124,7 @@ def _node_terms(cfg: ExperimentConfig, idx: int) -> _NodeTerms:
         conds.append(spin.matrix)
     eta = nd.retrieval_efficiency(ncfg, cfg.read_delay_us)
     return _NodeTerms(
+        pair=pair,
         write_probs=nd.write_probabilities(ncfg),
         p_pol=p_pol,
         mem_given_pol=(conds[0], conds[1]),
@@ -139,18 +142,6 @@ class _CoherentSector:
     state_flipped: q.DensityMatrix  # same with the spin-I feed-forward flip
 
 
-def _mapped_pairs(cfg: ExperimentConfig) -> list[q.DensityMatrix]:
-    pairs = []
-    for ncfg in cfg.nodes:
-        pair = nd.entangled_pair_state(ncfg)
-        pairs.append(
-            q.apply_unitary(
-                pair, op.polarization_map(ncfg.node_id), [q.photon(ncfg.node_id)]
-            )
-        )
-    return pairs
-
-
 def _coherent_sector(cfg: ExperimentConfig, terms: list[_NodeTerms]) -> _CoherentSector:
     kwargs: dict = {"extra_coherence": cfg.interference_visibility}
     if cfg.envelopes:
@@ -160,7 +151,7 @@ def _coherent_sector(cfg: ExperimentConfig, terms: list[_NodeTerms]) -> _Coheren
         kwargs["delta_omega_rad_per_us"] = (
             2.0 * math.pi / cfg.nodes[0].zeeman_period_us
         )
-    state, success = op.connect_three(_mapped_pairs(cfg), **kwargs)
+    state, success = op.connect_three([t.pair for t in terms], **kwargs)
     for ncfg in cfg.nodes:
         state = nd.storage_channel(ncfg, state, cfg.read_delay_us)
     p_all_single = math.prod(t.write_probs[SINGLE] for t in terms)
@@ -168,48 +159,63 @@ def _coherent_sector(cfg: ExperimentConfig, terms: list[_NodeTerms]) -> _Coheren
     return _CoherentSector(p_all_single * success, state, flipped)
 
 
-def _port_click(pols: tuple[int, ...], basis: np.ndarray, dark: float):
-    """(probability of exactly one click, outcome distribution) for one port.
-
-    ``pols`` lists the H(0)/V(1) photons arriving at the port.  Colliding
-    photons always carry opposite polarizations, so a bunched port fires a
-    single channel only when both Born draws coincide, which is impossible
-    in the H/V basis and a coin flip in any equatorial basis.
-    """
-    if len(pols) == 0:
-        return 2.0 * dark * (1.0 - dark), _UNIFORM2
-    if len(pols) == 1:
-        ket = np.eye(2)[pols[0]]
-        return (1.0 - dark), _born2(basis, ket)
-    same = _born2(basis, np.eye(2)[0]) * _born2(basis, np.eye(2)[1])
-    total = float(same.sum())
+def _single_click(hits: np.ndarray, dark: float):
+    """(probability of exactly one click, outcome distribution given that)."""
+    clicks = det.analyzer_clicks(hits, dark)
+    one = np.array([clicks[1, 0], clicks[0, 1]])
+    total = float(one.sum())
     if total <= 0.0:
         return 0.0, _UNIFORM2
-    return (1.0 - dark) * total, same / total
+    return total, one / total
 
 
-def _memory_click(kind, term: _NodeTerms, basis: np.ndarray, dark: float):
-    """Combined (click probability, outcome distribution) for one analyzer.
+def _port_outcomes(port_bases, dark: float) -> dict:
+    """``_single_click`` of each station port per load, keyed ``(port, pols)``.
+
+    A load lists the H(0)/V(1) photons routed to the port in node order.
+    Colliding photons always carry opposite polarizations, so a bunched
+    port fires a single channel only when both Born draws coincide, which
+    is impossible in the H/V basis and a coin flip in any equatorial basis.
+    """
+    out = {}
+    for port, basis in enumerate(port_bases):
+        born_h, born_v = (_born2(basis, ket) for ket in np.eye(2))
+        hits = {
+            (): det.NO_HITS,
+            (0,): det.photon_hits(1.0, born_h),
+            (1,): det.photon_hits(1.0, born_v),
+            (0, 1): det.bunched_hits(born_h, born_v),
+            (1, 0): det.bunched_hits(born_h, born_v),
+        }
+        out.update({(port, pols): _single_click(h, dark) for pols, h in hits.items()})
+    return out
+
+
+def _memory_outcomes(memory_bases, terms: list[_NodeTerms], dark: float) -> dict:
+    """``_single_click`` of each memory analyzer per kind, keyed ``(k, kind)``.
 
     ``kind`` is VACUUM, DOUBLE, or ``("single", pol)`` for a clean memory
-    collapsed by its photon's routing.  Real retrievals and dark-count
-    fills are folded into a single mixed distribution.
+    collapsed by its photon's routing; a spoiled memory reads out uniformly.
     """
-    fill = 2.0 * dark * (1.0 - dark)
-    if kind == VACUUM:
-        return fill, _UNIFORM2
-    if kind == DOUBLE:
-        real = term.eta_dbl * (1.0 - dark)
-        total = real + (1.0 - term.eta_dbl) * fill
-        return total, _UNIFORM2
-    _, pol = kind
-    real = term.eta * (1.0 - dark)
-    miss = (1.0 - term.eta) * fill
-    total = real + miss
-    if total <= 0.0:
-        return 0.0, _UNIFORM2
-    dist = (real * _born2(basis, term.mem_given_pol[pol]) + miss * _UNIFORM2) / total
-    return total, dist
+    out = {}
+    for k, (term, basis) in enumerate(zip(terms, memory_bases)):
+        hits = {
+            VACUUM: det.NO_HITS,
+            DOUBLE: det.photon_hits(term.eta_dbl, _UNIFORM2),
+        }
+        for pol in (0, 1):
+            born = _born2(basis, term.mem_given_pol[pol])
+            hits["single", pol] = det.photon_hits(term.eta, born)
+        out.update({(k, kind): _single_click(h, dark) for kind, h in hits.items()})
+    return out
+
+
+def _hit_and_fill(dark: float) -> tuple[float, float]:
+    """Exactly-one-click chances of a surely hit analyzer and of an empty one,
+    the coherent sector's factors (its outcomes come from the joint state)."""
+    hit_one, _ = _single_click(det.photon_hits(1.0, _UNIFORM2), dark)
+    fill, _ = _single_click(det.NO_HITS, dark)
+    return hit_one, fill
 
 
 def _write_branches(terms: list[_NodeTerms]):
@@ -370,36 +376,36 @@ def build_event_tables(
     terms = [_node_terms(cfg, k) for k in range(3)]
     sector = _coherent_sector(cfg, terms)
     dark = cfg.detector.dark_count_prob
-    fill = 2.0 * dark * (1.0 - dark)
+    hit_one, fill = _hit_and_fill(dark)
     branches = list(_write_branches(terms))
     tables = []
     for setting in settings:
         probs: list[float] = []
         dists: list[np.ndarray] = []
+        ports = _port_outcomes(setting.port_bases, dark)
+        memories = _memory_outcomes(setting.memory_bases, terms, dark)
         for prob, photon_pol, kinds in branches:
             factors = []
             for port, pols in enumerate(_ports_from_pols(photon_pol)):
-                p_click, dist = _port_click(pols, setting.port_bases[port], dark)
+                p_click, dist = ports[port, pols]
                 prob = prob * p_click
                 factors.append(dist)
             if prob <= 0.0:
                 continue
             for k, kind in enumerate(kinds):
-                p_click, dist = _memory_click(
-                    kind, terms[k], setting.memory_bases[k], dark
-                )
+                p_click, dist = memories[k, kind]
                 prob = prob * p_click
                 factors.append(dist)
             if prob > 0.0:
                 probs.append(prob)
                 dists.append(_kron6(factors))
         clean = 0.0
-        port_factor = (1.0 - dark) ** 3
+        port_factor = hit_one**3
         for real in _memory_subsets():
             prob = sector.probability * port_factor
             for k in range(3):
                 if k in real:
-                    prob *= terms[k].eta * (1.0 - dark)
+                    prob *= terms[k].eta * hit_one
                 else:
                     prob *= (1.0 - terms[k].eta) * fill
             if prob <= 0.0:
@@ -434,17 +440,17 @@ def conditional_success_estimate(cfg: ExperimentConfig) -> float:
     """
     terms = [_node_terms(cfg, k) for k in range(3)]
     dark = cfg.detector.dark_count_prob
-    bases = (q.BASIS_DA, q.BASIS_DA, q.BASIS_DA)
+    hit_one, _ = _hit_and_fill(dark)
     p_all_single = math.prod(t.write_probs[SINGLE] for t in terms)
     success = math.prod(t.p_pol[0] for t in terms) + math.prod(
         t.p_pol[1] for t in terms
     )
-    numerator = p_all_single * success * (1.0 - dark) ** 3
+    numerator = p_all_single * success * hit_one**3
     denom = numerator
+    ports = _port_outcomes((q.BASIS_DA, q.BASIS_DA, q.BASIS_DA), dark)
     for prob, photon_pol, _ in _write_branches(terms):
         for port, pols in enumerate(_ports_from_pols(photon_pol)):
-            p_click, _ = _port_click(pols, bases[port], dark)
-            prob = prob * p_click
+            prob = prob * ports[port, pols][0]
         denom += prob
     return numerator / denom
 

@@ -23,13 +23,12 @@ Two contracts shape the code:
 Sample budgets: the heralded scenarios (ghz6, ghz3) split ``cfg.samples``
 heralded events round-robin over the witness settings; the sweep scenarios
 use ``cfg.samples`` raw trials per sweep point; pair_tomography uses
-``cfg.samples`` raw trials per basis.  Detector efficiency is treated as
-already folded into ``p_w`` and ``eta_r0`` (see the node module), so the
-samplers here ignore ``DetectorConfig.efficiency``.
+``cfg.samples`` raw trials per basis.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -102,45 +101,9 @@ def _plain(obj):
 # ---------------------------------------------------------------------------
 # Pair coincidence machinery (pair_tomography, raman_delay_sweep,
 # lifetime_sweep). One write-read pair per trial; the full joint click
-# pattern over the four detectors is enumerated exactly, including dark
-# counts, double excitations and retrieval failures, and then sampled with
-# one multinomial per table.
-
-
-def _real_click_joint(channel: int, dark: float) -> np.ndarray:
-    """Joint (ch0, ch1) click pattern when a photon fires ``channel``."""
-    j = np.zeros((2, 2))
-    other = dark
-    if channel == 0:
-        j[1, 0] = 1.0 - other
-        j[1, 1] = other
-    else:
-        j[0, 1] = 1.0 - other
-        j[1, 1] = other
-    return j
-
-
-def _dark_click_joint(dark: float) -> np.ndarray:
-    j = np.array(
-        [
-            [(1.0 - dark) ** 2, (1.0 - dark) * dark],
-            [dark * (1.0 - dark), dark**2],
-        ]
-    )
-    return j
-
-
-def _read_click_joint(
-    r_probs: np.ndarray | None, eta: float, dark: float
-) -> np.ndarray:
-    """Analyzer joint for the read arm: retrieval then Born, darks always."""
-    j = (1.0 - eta) * _dark_click_joint(dark)
-    if eta > 0.0:
-        if r_probs is None:
-            r_probs = np.array([0.5, 0.5])
-        for ch in (0, 1):
-            j = j + eta * float(r_probs[ch]) * _real_click_joint(ch, dark)
-    return j
+# pattern over the four detectors is enumerated exactly with the detection
+# click model, including dark counts, double excitations and retrieval
+# failures, and then sampled with one multinomial per table.
 
 
 def _conditional_spins(pair: q.DensityMatrix, write_basis: np.ndarray):
@@ -185,26 +148,23 @@ def _pair_trial_distribution(
     eta = nd.retrieval_efficiency(node_cfg, dt_us)
     eta_dbl = 1.0 - (1.0 - eta) ** 2
 
-    cases = []  # (weight, write joint, read joint)
-    darks_w = _dark_click_joint(dark)
-    darks_r = _dark_click_joint(dark)
-    cases.append((p_vac, darks_w, darks_r))
+    def clicks(hits):
+        return det.analyzer_clicks(hits, dark)
+
+    no_photon = clicks(det.NO_HITS)
+    write_fires = [clicks(det.photon_hits(1.0, np.eye(2)[ch])) for ch in (0, 1)]
+    cases = [(p_vac, no_photon, no_photon)]  # (weight, write joint, read joint)
 
     pair = nd.entangled_pair_state(node_cfg)
     for ch, (prob, spin) in enumerate(_conditional_spins(pair, write_basis)):
         r_probs = _aged_born(node_cfg, spin, read_basis, dt_us)
-        cases.append(
-            (
-                p_sng * prob,
-                _real_click_joint(ch, dark),
-                _read_click_joint(r_probs, eta, dark),
-            )
-        )
+        read = clicks(det.photon_hits(eta, r_probs))
+        cases.append((p_sng * prob, write_fires[ch], read))
 
     if p_dbl > 0.0:
-        read_dbl = _read_click_joint(None, eta_dbl, dark)
+        read_dbl = clicks(det.photon_hits(eta_dbl, (0.5, 0.5)))
         for ch in (0, 1):
-            cases.append((p_dbl * 0.5, _real_click_joint(ch, dark), read_dbl))
+            cases.append((p_dbl * 0.5, write_fires[ch], read_dbl))
 
     dist = np.zeros((2, 2, 2, 2))
     for weight, jw, jr in cases:
@@ -216,26 +176,17 @@ def _pair_trial_distribution(
     return dist / total
 
 
-_IDX = {
-    (wr, wl, rr, rl): 8 * wr + 4 * wl + 2 * rr + rl
-    for wr in (0, 1)
-    for wl in (0, 1)
-    for rr in (0, 1)
-    for rl in (0, 1)
-}
-
-
 def _counts_to_table(counts16: np.ndarray) -> det.CoincidenceTable:
-    c = counts16
+    c = counts16.reshape(2, 2, 2, 2)  # click bits (w0, w1, r0, r1)
     return det.CoincidenceTable(
-        n_RL=float(c[_IDX[1, 0, 0, 1]]),
-        n_LR=float(c[_IDX[0, 1, 1, 0]]),
-        n_LL=float(c[_IDX[0, 1, 0, 1]]),
-        n_RR=float(c[_IDX[1, 0, 1, 0]]),
-        n_woR=float(sum(c[i] for bits, i in _IDX.items() if bits[0])),
-        n_woL=float(sum(c[i] for bits, i in _IDX.items() if bits[1])),
-        n_roR=float(sum(c[i] for bits, i in _IDX.items() if bits[2])),
-        n_roL=float(sum(c[i] for bits, i in _IDX.items() if bits[3])),
+        n_RL=float(c[1, 0, 0, 1]),
+        n_LR=float(c[0, 1, 1, 0]),
+        n_LL=float(c[0, 1, 0, 1]),
+        n_RR=float(c[1, 0, 1, 0]),
+        n_woR=float(c[1].sum()),
+        n_woL=float(c[:, 1].sum()),
+        n_roR=float(c[:, :, 1].sum()),
+        n_roL=float(c[..., 1].sum()),
         N=float(c.sum()),
     )
 
@@ -246,10 +197,13 @@ def _sample_pair_table(
     return _counts_to_table(next(streams).multinomial(n, dist16))
 
 
-def _visibility_sigma(v: float, n_coinc: float) -> float:
+def _visibility(table: det.CoincidenceTable):
+    """Visibility and its binomial sigma, or ``(None, None)`` without coincidences."""
+    n_coinc = table.coincidence_sum()
     if n_coinc <= 0.0:
-        return float("inf")
-    return math.sqrt(max(1.0 - v * v, 0.0) / n_coinc) or 1.0 / n_coinc
+        return None, None
+    v = det.visibility_raw(table)
+    return v, math.sqrt(max(1.0 - v * v, 0.0) / n_coinc) or 1.0 / n_coinc
 
 
 def _table_dict(t: det.CoincidenceTable) -> dict:
@@ -332,27 +286,29 @@ def _run_pair_tomography(cfg: cf.ExperimentConfig, streams: _Streams):
         dist = _pair_trial_distribution(node_cfg, cfg.detector, wb, rb, dt)
         table = _sample_pair_table(dist, cfg.samples, streams)
         corrected, clamped = det.subtract_accidentals(table)
-        v_raw = det.visibility_raw(table)
-        v_corr = det.visibility_raw(corrected)
+        v_raw, raw_sigma = _visibility(table)
+        v_corr, corr_sigma = _visibility(corrected)
         visibilities[name] = {
             "raw": v_raw,
-            "raw_sigma": _visibility_sigma(v_raw, table.coincidence_sum()),
+            "raw_sigma": raw_sigma,
             "corrected": v_corr,
-            "corrected_sigma": _visibility_sigma(
-                v_corr, corrected.coincidence_sum()
-            ),
+            "corrected_sigma": corr_sigma,
             "accidentals_clamped": clamped,
+            "no_coincidences": v_raw is None,
         }
         body_tables[name] = _table_dict(table)
         csv_tables[name] = table
 
     clip = lambda v: min(max(v, -1.0), 1.0)
-    fidelities = {
-        kind: w.bell_fidelity_from_visibilities(
-            clip(visibilities["eigen"][kind]), clip(visibilities["super"][kind])
+    fidelities = {}
+    for kind in ("raw", "corrected"):
+        v_e, v_s = visibilities["eigen"][kind], visibilities["super"][kind]
+        # a basis without coincidences leaves the fidelity undefined
+        fidelities[kind] = (
+            None
+            if v_e is None or v_s is None
+            else w.bell_fidelity_from_visibilities(clip(v_e), clip(v_s))
         )
-        for kind in ("raw", "corrected")
-    }
     body = {
         "node": node_cfg.node_id,
         "trials_per_basis": cfg.samples,
@@ -407,22 +363,31 @@ def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _Streams):
         return amp * envelope * np.cos(2.0 * np.pi * t / period_fit + phase) + floor
 
     p0 = [0.5 * (ncop.max() - ncop.min()), period, 0.0, float(ncop.mean())]
-    popt, pcov = curve_fit(model, delays, ncop, p0=p0, maxfev=20000)
-    period_fit = float(abs(popt[1]))
-    period_sigma = float(math.sqrt(max(pcov[1, 1], 0.0)))
+    fit = dict.fromkeys(
+        ("period_us", "period_sigma_us", "amplitude", "phase_rad", "floor")
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)
+        try:
+            popt, pcov = curve_fit(model, delays, ncop, p0=p0, maxfev=20000)
+        except RuntimeError:
+            popt, pcov = None, None
+    # too few counts leave the oscillation unresolved: report nulls, not noise
+    resolved = pcov is not None and bool(np.all(np.isfinite(pcov)))
+    if resolved:
+        fit.update(
+            period_us=float(abs(popt[1])),
+            period_sigma_us=float(math.sqrt(max(pcov[1, 1], 0.0))),
+            amplitude=float(popt[0]),
+            phase_rad=float(popt[2]),
+            floor=float(popt[3]),
+        )
 
     body = {
         "node": node_cfg.node_id,
         "samples_per_point": cfg.samples,
         "points": rows,
-        "fit": {
-            "period_us": period_fit,
-            "period_sigma_us": period_sigma,
-            "amplitude": float(popt[0]),
-            "phase_rad": float(popt[2]),
-            "floor": float(popt[3]),
-            "configured_period_us": period,
-        },
+        "fit": {**fit, "resolved": resolved, "configured_period_us": period},
     }
     header = ["delay_us", "ncop_parallel", "ncop_cross", "n_parallel", "n_cross", "n_trials"]
     artifacts = {
@@ -464,10 +429,8 @@ def _run_lifetime_sweep(cfg: cf.ExperimentConfig, streams: _Streams):
         writes = corr_e.n_woR + corr_e.n_woL
         eta_raw = t_eigen.coincidence_sum() / max(t_eigen.n_woR + t_eigen.n_woL, 1.0)
         eta_corr = corr_e.coincidence_sum() / max(writes, 1.0)
-        v_raw = det.visibility_raw(t_super) if t_super.coincidence_sum() else 0.0
-        v_corr = (
-            det.visibility_raw(corr_s) if corr_s.coincidence_sum() else 0.0
-        )
+        v_raw = _visibility(t_super)[0] or 0.0
+        v_corr = _visibility(corr_s)[0] or 0.0
         rows.append(
             {
                 "delay_us": dt,
@@ -674,8 +637,45 @@ def _sample_event_tables(cfg, tables, streams: _Streams) -> list[np.ndarray]:
     return [table.sample(n, next(streams)) for table, n in zip(tables, budgets)]
 
 
-def _ghz_common_body(cfg, tables) -> dict:
-    return {
+def _memory_marginal(counts: np.ndarray) -> np.ndarray:
+    """Sum 64 port+memory pattern counts over the three station port bits."""
+    return counts.reshape(8, 8).sum(axis=0)
+
+
+def _run_ghz(
+    cfg: cf.ExperimentConfig,
+    streams: _Streams,
+    spec: w.GhzSpec,
+    make_settings,
+    reducer=None,
+):
+    """Heralded GHZ witness: sample each setting's event table, then estimate.
+
+    ``make_settings`` builds the witness settings.  ``reducer`` maps each
+    setting's 64 pattern counts onto the qubits of ``spec``; when it drops
+    the station ports (ghz3), their herald patterns are reported as well.
+    """
+    _scenario_params(cfg, ())
+    settings = make_settings()
+    tables = ev.build_event_tables(cfg, settings)
+    counts = _sample_event_tables(cfg, tables, streams)
+
+    kept = counts if reducer is None else [reducer(arr) for arr in counts]
+    sampled = _setting_counts(settings, kept, spec.n_qubits)
+    fid, sigma = w.fidelity_from_counts(
+        spec, sampled, weights=cfg.calibration_weights
+    )
+    exact = _exact_setting_counts(tables, spec.n_qubits, reducer)
+    fid_exact, _ = w.fidelity_from_counts(spec, exact)
+    p0, p1 = w.populations_from_counts(
+        spec, sampled["population"], weights=cfg.calibration_weights
+    )
+
+    body = {
+        "heralded_samples": cfg.samples,
+        "setting_counts": {sid: dict(sc.counts) for sid, sc in sampled.items()},
+        "fidelity": {"estimate": fid, "sigma": sigma, "exact": fid_exact},
+        "populations": {"pattern0": p0, "pattern1": p1},
         "event_tables": {
             t.setting_id: {
                 "p_sixfold": t.p_sixfold,
@@ -687,76 +687,20 @@ def _ghz_common_body(cfg, tables) -> dict:
         "conditional_success_estimate": ev.conditional_success_estimate(cfg),
         "rate": rate_arithmetic(cfg),
     }
-
-
-def _run_ghz6(cfg: cf.ExperimentConfig, streams: _Streams):
-    _scenario_params(cfg, ())
-    settings = ev.ghz6_settings()
-    tables = ev.build_event_tables(cfg, settings)
-    counts = _sample_event_tables(cfg, tables, streams)
-
-    sampled = _setting_counts(settings, counts, 6)
-    fid, sigma = w.fidelity_from_counts(
-        ev.GHZ6_SPEC, sampled, weights=cfg.calibration_weights
-    )
-    exact = _exact_setting_counts(tables, 6)
-    fid_exact, _ = w.fidelity_from_counts(ev.GHZ6_SPEC, exact)
-    p0, p1 = w.populations_from_counts(
-        ev.GHZ6_SPEC, sampled["population"], weights=cfg.calibration_weights
-    )
-
-    body = {
-        "heralded_samples": cfg.samples,
-        "setting_counts": {
-            sid: dict(sc.counts) for sid, sc in sampled.items()
-        },
-        "fidelity": {"estimate": fid, "sigma": sigma, "exact": fid_exact},
-        "populations": {"pattern0": p0, "pattern1": p1},
-    }
-    body.update(_ghz_common_body(cfg, tables))
     artifacts = {
-        "counts/ghz6_settings.csv": ("settings", list(sampled.values())),
+        f"counts/{cfg.scenario}_settings.csv": ("settings", list(sampled.values())),
     }
-    return body, artifacts
-
-
-def _run_ghz3(cfg: cf.ExperimentConfig, streams: _Streams):
-    _scenario_params(cfg, ())
-    settings = ev.ghz3_settings()
-    tables = ev.build_event_tables(cfg, settings)
-    counts = _sample_event_tables(cfg, tables, streams)
-
-    mem_counts = [arr.reshape(8, 8).sum(axis=0) for arr in counts]
-    herald_counts = np.sum([arr.reshape(8, 8).sum(axis=1) for arr in counts], axis=0)
-    sampled = _setting_counts(settings, mem_counts, 3)
-    fid, sigma = w.fidelity_from_counts(
-        ev.GHZ3_SPEC, sampled, weights=cfg.calibration_weights
-    )
-    exact = _exact_setting_counts(
-        tables, 3, reducer=lambda d: d.reshape(8, 8).sum(axis=0)
-    )
-    fid_exact, _ = w.fidelity_from_counts(ev.GHZ3_SPEC, exact)
-    p0, p1 = w.populations_from_counts(
-        ev.GHZ3_SPEC, sampled["population"], weights=cfg.calibration_weights
-    )
-
-    heralds = w.SettingCounts(
-        "herald_patterns",
-        {np.binary_repr(i, 3): int(c) for i, c in enumerate(herald_counts)},
-        total=float(herald_counts.sum()),
-    )
-    body = {
-        "heralded_samples": cfg.samples,
-        "setting_counts": {sid: dict(sc.counts) for sid, sc in sampled.items()},
-        "herald_pattern_counts": dict(heralds.counts),
-        "fidelity": {"estimate": fid, "sigma": sigma, "exact": fid_exact},
-        "populations": {"pattern0": p0, "pattern1": p1},
-    }
-    body.update(_ghz_common_body(cfg, tables))
-    artifacts = {
-        "counts/ghz3_settings.csv": ("settings", list(sampled.values())),
-        "counts/ghz3_heralds.csv": ("settings", [heralds]),
-    }
+    if reducer is not None:
+        herald_counts = np.sum(
+            [arr.reshape(8, 8).sum(axis=1) for arr in counts], axis=0
+        )
+        heralds = w.SettingCounts(
+            "herald_patterns",
+            {np.binary_repr(i, 3): int(c) for i, c in enumerate(herald_counts)},
+            total=float(herald_counts.sum()),
+        )
+        body["herald_pattern_counts"] = dict(heralds.counts)
+        artifacts[f"counts/{cfg.scenario}_heralds.csv"] = ("settings", [heralds])
     return body, artifacts
 
 
@@ -765,8 +709,15 @@ _RUNNERS = {
     "raman_delay_sweep": _run_raman_delay_sweep,
     "lifetime_sweep": _run_lifetime_sweep,
     "two_node_swap": _run_two_node_swap,
-    "ghz6": _run_ghz6,
-    "ghz3": _run_ghz3,
+    "ghz6": functools.partial(
+        _run_ghz, spec=ev.GHZ6_SPEC, make_settings=ev.ghz6_settings
+    ),
+    "ghz3": functools.partial(
+        _run_ghz,
+        spec=ev.GHZ3_SPEC,
+        make_settings=ev.ghz3_settings,
+        reducer=_memory_marginal,
+    ),
 }
 
 
@@ -787,7 +738,7 @@ class RunReport:
     artifacts: dict = field(default_factory=dict, repr=False)
 
     def body_json(self) -> str:
-        return json.dumps(self.body, sort_keys=True, indent=2)
+        return json.dumps(self.body, sort_keys=True, indent=2, allow_nan=False)
 
 
 def run_scenario(cfg: cf.ExperimentConfig) -> RunReport:
@@ -844,7 +795,7 @@ def emit_report(report: RunReport, out_dir) -> list[str]:
         "meta": report.meta,
     }
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
     written.append(str(report_path))
 

@@ -34,10 +34,6 @@ import numpy as np
 
 from . import quantum as q
 
-VACUUM = "vacuum"
-SINGLE = "single"
-DOUBLE = "double"
-WRITE_OUTCOMES = (VACUUM, SINGLE, DOUBLE)
 
 # spin -> read photon polarization, columns are images of |down>, |up>
 _READ_MAP = np.column_stack([q.KET_L, q.KET_R])
@@ -89,11 +85,6 @@ def write_probabilities(cfg: NodeConfig) -> tuple[float, float, float]:
     return (1.0 - cfg.p_w - p_dbl, cfg.p_w, p_dbl)
 
 
-def write_trial(cfg: NodeConfig, rng: np.random.Generator) -> str:
-    """Sample one write attempt outcome."""
-    return WRITE_OUTCOMES[rng.choice(3, p=write_probabilities(cfg))]
-
-
 def zeeman_phase(cfg: NodeConfig, dt_us: float) -> float:
     """Accumulated pair phase ``phi0 + 2 pi dt / zeeman_period_us``."""
     return cfg.phi0 + 2.0 * math.pi * dt_us / cfg.zeeman_period_us
@@ -122,22 +113,6 @@ def entangled_pair_state(cfg: NodeConfig, dt_us: float = 0.0) -> q.DensityMatrix
     if w > 0.0:
         rho = (1.0 - w) * rho + w * np.eye(4) / 4.0
     return q.DensityMatrix(register, rho)
-
-
-def raman_rotation(theta: float, phi: float = 0.0) -> np.ndarray:
-    """Spin rotation driven by a Raman pulse of area ``theta``.
-
-    The rotation axis lies in the equatorial plane at azimuth ``phi``:
-    ``R = exp(-i theta/2 (cos(phi) sigma_y - sin(phi) sigma_x))``.  Measuring
-    sigma_z after ``R`` is the same as projecting onto the basis
-    ``{cos(theta/2)|down> - e^{i phi} sin(theta/2)|up>, ...}``, i.e. the
-    columns of ``R`` conjugate transposed.  ``theta = pi/2, phi = 0`` gives
-    the standard y-rotation onto the superposition basis.
-    """
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array(
-        [[c, -s * np.exp(-1j * phi)], [s * np.exp(1j * phi), c]], dtype=complex
-    )
 
 
 def retrieval_efficiency(cfg: NodeConfig, dt_us: float = 0.0) -> float:

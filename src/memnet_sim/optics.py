@@ -185,61 +185,6 @@ class Envelope:
         return cls(float(t[0]), float(steps.mean()), rows[:, 1] + 1j * rows[:, 2])
 
 
-@dataclass(frozen=True)
-class PhotonMode:
-    """One photonic mode: polarization amplitudes plus optional tags.
-
-    ``polarization`` holds (H, V) amplitudes.  ``freq_tag`` marks the Zeeman
-    sideband ("+" or "-") and ``envelope`` the temporal profile; both default
-    to None for a mode where the distinction does not matter.
-    """
-
-    polarization: np.ndarray
-    freq_tag: str | None = None
-    envelope: Envelope | None = None
-
-    def __post_init__(self) -> None:
-        pol = np.asarray(self.polarization, dtype=complex).reshape(-1)
-        if pol.size != 2:
-            raise ValueError("polarization must have two amplitudes")
-        if abs(np.linalg.norm(pol) - 1.0) > q.TOL:
-            raise ValueError("polarization amplitudes must be normalized")
-        if self.freq_tag not in (None, "+", "-"):
-            raise ValueError(f"freq_tag must be '+', '-' or None, got {self.freq_tag!r}")
-        pol.setflags(write=False)
-        object.__setattr__(self, "polarization", pol)
-
-
-def pbs_transform(in_a: PhotonMode, in_b: PhotonMode) -> dict:
-    """Two photons through one polarizing beamsplitter.
-
-    Input a transmits to port 0 and reflects to port 1; input b transmits to
-    port 1 and reflects to port 0 (H transmits, V reflects).  Returns a map
-    from the sorted pair ``((port, pol), (port, pol))`` to its amplitude.
-    Opposite polarizations never share a creation operator, so no bunching
-    factors appear.
-    """
-    routes = {(0, "H"): 0, (0, "V"): 1, (1, "H"): 1, (1, "V"): 0}
-    joint: dict[tuple, complex] = {}
-    for pol_a, amp_a in zip("HV", in_a.polarization):
-        for pol_b, amp_b in zip("HV", in_b.polarization):
-            amp = amp_a * amp_b
-            if amp == 0:
-                continue
-            key = tuple(
-                sorted([(routes[(0, pol_a)], pol_a), (routes[(1, pol_b)], pol_b)])
-            )
-            joint[key] = joint.get(key, 0.0) + amp
-    return joint
-
-
-def post_select_one_per_port(joint: dict) -> tuple[dict, float]:
-    """Keep only terms with the two photons in distinct ports."""
-    kept = {k: v for k, v in joint.items() if k[0][0] != k[1][0]}
-    prob = sum(abs(v) ** 2 for v in kept.values())
-    return kept, float(prob)
-
-
 def _branch_coherence(envelopes, delta_omega_rad_per_us: float) -> complex:
     """Temporal-mode overlap factor between the all-H and all-V branches.
 

@@ -142,6 +142,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"unknown {section} key.*'bogus'"):
             cf.ExperimentConfig.from_dict(d)
 
+    @pytest.mark.parametrize("key", ["efficiency", "window_us"])
+    def test_removed_detector_keys_rejected(self, key):
+        d = cf.ExperimentConfig().to_dict()
+        d["detector"][key] = 1.0
+        with pytest.raises(ValueError, match=f"unknown detector key.*'{key}'"):
+            cf.ExperimentConfig.from_dict(d)
+
+    def test_detector_has_only_dark_count_prob(self):
+        assert cf.ExperimentConfig().to_dict()["detector"] == {"dark_count_prob": 0.0}
+
 
 class TestPresets:
     def test_ideal_is_noiseless(self):

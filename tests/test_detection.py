@@ -1,7 +1,12 @@
 """Clicks, coincidence bookkeeping and accidental subtraction."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from memnet_sim import detection as det
 from memnet_sim import quantum as q
@@ -33,11 +38,7 @@ class TestConfigAndTable:
     def test_detector_config_validation(self):
         det.DetectorConfig()
         with pytest.raises(ValueError):
-            det.DetectorConfig(efficiency=1.5)
-        with pytest.raises(ValueError):
             det.DetectorConfig(dark_count_prob=-0.1)
-        with pytest.raises(ValueError):
-            det.DetectorConfig(window_us=0.0)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -73,48 +74,123 @@ class TestConfigAndTable:
         assert a + b == b + a
 
 
+def born(basis, ket):
+    return np.abs(basis.conj().T @ ket) ** 2
+
+
+def photon_clicks(arrival, basis, ket, dark=0.0):
+    return det.analyzer_clicks(det.photon_hits(arrival, born(basis, ket)), dark)
+
+
+def enumerated_clicks(photons, dark):
+    """Brute-force 2x2 click distribution of one two-channel analyzer.
+
+    ``photons`` lists ``(arrival, born)`` per photon.  Every photon's fate
+    (lost, channel 0, channel 1) and every channel's dark bit are
+    enumerated; a channel clicks when a photon or a dark count fires it.
+    """
+    fates = [
+        [(None, 1.0 - arrival), (0, arrival * b[0]), (1, arrival * b[1])]
+        for arrival, b in photons
+    ]
+    out = np.zeros((2, 2))
+    for combo in itertools.product(*fates):
+        p_fate = math.prod(p for _, p in combo)
+        hit = [any(ch == c for c, _ in combo) for ch in (0, 1)]
+        for darks in itertools.product((0, 1), repeat=2):
+            p_dark = math.prod(dark if d else 1.0 - dark for d in darks)
+            click = tuple(int(hit[ch] or darks[ch]) for ch in (0, 1))
+            out[click] += p_fate * p_dark
+    return out
+
+
+ELLIPTICAL = np.array([np.cos(0.3), np.sin(0.3) * np.exp(0.7j)])
+CLICK_CASES = {
+    "vacuum": ([], det.NO_HITS),
+    "partial_arrival": (
+        [(0.37, born(q.BASIS_RL, ELLIPTICAL))],
+        det.photon_hits(0.37, born(q.BASIS_RL, ELLIPTICAL)),
+    ),
+    "bunched_hv_basis": (
+        [(1.0, born(q.BASIS_Z, q.KET_H)), (1.0, born(q.BASIS_Z, q.KET_V))],
+        det.bunched_hits(born(q.BASIS_Z, q.KET_H), born(q.BASIS_Z, q.KET_V)),
+    ),
+    "bunched_da_basis": (
+        [(1.0, born(q.BASIS_DA, q.KET_H)), (1.0, born(q.BASIS_DA, q.KET_V))],
+        det.bunched_hits(born(q.BASIS_DA, q.KET_H), born(q.BASIS_DA, q.KET_V)),
+    ),
+}
+
+
 class TestDetect:
+    """The exact analyzer click model shared by every analyzer."""
+
     def test_circular_photon_hits_its_channel(self):
-        rng = np.random.default_rng(0)
-        cfg = det.DetectorConfig()
-        assert det.detect(q.KET_R, cfg, rng) == (True, False)
-        assert det.detect(q.KET_L, cfg, rng) == (False, True)
+        r = photon_clicks(1.0, q.BASIS_RL, q.KET_R)
+        l = photon_clicks(1.0, q.BASIS_RL, q.KET_L)
+        np.testing.assert_allclose(r, [[0, 0], [1, 0]], atol=1e-15)
+        np.testing.assert_allclose(l, [[0, 1], [0, 0]], atol=1e-15)
 
     def test_dead_detector_never_clicks(self):
-        rng = np.random.default_rng(0)
-        cfg = det.DetectorConfig(efficiency=0.0)
-        clicks = det.detect(q.KET_R, cfg, rng, n=1000)
-        assert not clicks.any()
+        clicks = photon_clicks(0.0, q.BASIS_RL, q.KET_R)
+        np.testing.assert_array_equal(clicks, [[1, 0], [0, 0]])
 
     def test_vacuum_dark_rate(self):
-        rng = np.random.default_rng(1)
-        cfg = det.DetectorConfig(dark_count_prob=1e-3)
-        n = 2_000_000
-        clicks = det.detect(None, cfg, rng, n=n)
-        for ch in range(2):
-            rate = clicks[:, ch].mean()
-            sigma = np.sqrt(1e-3 * (1 - 1e-3) / n)
-            assert abs(rate - 1e-3) < 5 * sigma
+        d = 1e-3
+        clicks = det.analyzer_clicks(det.NO_HITS, d)
+        expect = np.outer([1 - d, d], [1 - d, d])
+        np.testing.assert_allclose(clicks, expect, rtol=1e-15)
+        # each channel fires on its own with the dark-count probability
+        assert clicks[1].sum() == pytest.approx(d, rel=1e-15)
+        assert clicks[:, 1].sum() == pytest.approx(d, rel=1e-15)
 
     def test_efficiency_and_born_rule(self):
-        rng = np.random.default_rng(2)
-        cfg = det.DetectorConfig(efficiency=0.6)
-        n = 1_000_000
-        clicks = det.detect(q.KET_H, cfg, rng, n=n)
-        # |H> splits evenly between R and L channels
-        for ch in range(2):
-            rate = clicks[:, ch].mean()
-            expect = 0.5 * 0.6
-            sigma = np.sqrt(expect * (1 - expect) / n)
-            assert abs(rate - expect) < 5 * sigma
-        # never both channels at once without dark counts
-        assert not (clicks[:, 0] & clicks[:, 1]).any()
+        # |H> arriving with probability 0.6 splits evenly between R and L
+        clicks = photon_clicks(0.6, q.BASIS_RL, q.KET_H)
+        np.testing.assert_allclose(clicks, [[0.4, 0.3], [0.3, 0.0]], atol=1e-15)
 
     def test_custom_basis(self):
-        rng = np.random.default_rng(3)
-        cfg = det.DetectorConfig()
-        assert det.detect(q.KET_D, cfg, rng, basis=q.BASIS_DA) == (True, False)
-        assert det.detect(q.KET_A, cfg, rng, basis=q.BASIS_DA) == (False, True)
+        d = photon_clicks(1.0, q.BASIS_DA, q.KET_D)
+        a = photon_clicks(1.0, q.BASIS_DA, q.KET_A)
+        np.testing.assert_allclose(d, [[0, 0], [1, 0]], atol=1e-15)
+        np.testing.assert_allclose(a, [[0, 1], [0, 0]], atol=1e-15)
+
+    @pytest.mark.parametrize("dark", [0.0, 1e-3, 0.3, 1.0])
+    @pytest.mark.parametrize("case", sorted(CLICK_CASES))
+    def test_matches_enumeration(self, case, dark):
+        photons, hits = CLICK_CASES[case]
+        np.testing.assert_allclose(
+            det.analyzer_clicks(hits, dark),
+            enumerated_clicks(photons, dark),
+            rtol=0.0,
+            atol=1e-15,
+        )
+
+    def test_bunched_pair_single_click_only_off_the_hv_basis(self):
+        _, hv = CLICK_CASES["bunched_hv_basis"]
+        _, da = CLICK_CASES["bunched_da_basis"]
+        clicks_hv = det.analyzer_clicks(hv, 0.0)
+        clicks_da = det.analyzer_clicks(da, 0.0)
+        assert clicks_hv[1, 0] == clicks_hv[0, 1] == 0.0
+        assert clicks_da[1, 0] == pytest.approx(0.25)
+        assert clicks_da[0, 1] == pytest.approx(0.25)
+
+    @given(
+        arrival=st.floats(0.0, 1.0),
+        b0=st.floats(0.0, 1.0),
+        c0=st.floats(0.0, 1.0),
+        dark=st.floats(0.0, 1.0),
+        bunched=st.booleans(),
+    )
+    def test_output_is_normalized_distribution(self, arrival, b0, c0, dark, bunched):
+        if bunched:
+            hits = det.bunched_hits((b0, 1.0 - b0), (c0, 1.0 - c0))
+        else:
+            hits = det.photon_hits(arrival, (b0, 1.0 - b0))
+        clicks = det.analyzer_clicks(hits, dark)
+        assert clicks.shape == (2, 2)
+        assert np.all(clicks >= -1e-15)
+        assert clicks.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestVisibility:

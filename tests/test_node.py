@@ -64,15 +64,6 @@ class TestWriteProcess:
         cfg = node.NodeConfig(p_w=0.3, excitation_order=1)
         assert node.write_probabilities(cfg) == pytest.approx((0.7, 0.3, 0.0))
 
-    def test_trial_frequencies(self):
-        rng = np.random.default_rng(7)
-        cfg = node.NodeConfig(p_w=0.2)
-        draws = [node.write_trial(cfg, rng) for _ in range(20_000)]
-        frac_single = draws.count(node.SINGLE) / len(draws)
-        frac_double = draws.count(node.DOUBLE) / len(draws)
-        assert frac_single == pytest.approx(0.2, abs=0.01)
-        assert frac_double == pytest.approx(0.04, abs=0.006)
-
 
 class TestPairState:
     def test_reduced_states_maximally_mixed(self):
@@ -140,28 +131,6 @@ class TestPairState:
         state = node.entangled_pair_state(node.NodeConfig())
         evals = np.linalg.eigvalsh(state.matrix)
         assert evals.max() == pytest.approx(1.0, abs=1e-12)
-
-
-class TestRamanRotation:
-    def test_unitary(self):
-        r = node.raman_rotation(1.1, 0.4)
-        np.testing.assert_allclose(r @ r.conj().T, np.eye(2), atol=1e-12)
-
-    def test_half_pi_is_y_rotation(self):
-        r = node.raman_rotation(np.pi / 2, 0.0)
-        np.testing.assert_allclose(r @ q.KET_DOWN, [1, 1] / np.sqrt(2), atol=1e-12)
-        np.testing.assert_allclose(r @ q.KET_UP, [-1, 1] / np.sqrt(2), atol=1e-12)
-
-    def test_rotation_then_z_equals_tilted_basis(self):
-        theta, phi = 0.9, 1.7
-        rng = np.random.default_rng(3)
-        amp = rng.normal(size=2) + 1j * rng.normal(size=2)
-        state = q.StateVector((q.spin("II"),), amp / np.linalg.norm(amp))
-        r = node.raman_rotation(theta, phi)
-        rotated = q.apply_unitary(state, r, [q.spin("II")])
-        p_rot = q.measurement_probabilities(rotated, q.BASIS_Z, [q.spin("II")])
-        p_dir = q.measurement_probabilities(state, r.conj().T, [q.spin("II")])
-        np.testing.assert_allclose(p_rot, p_dir, atol=1e-12)
 
 
 class TestStorageAndRetrieval:

@@ -78,55 +78,13 @@ class TestPolarizationMap:
             optics.polarization_map("IV")
 
 
-class TestPbsTransform:
-    def test_h_and_v_bunch_in_one_port(self):
-        joint = optics.pbs_transform(
-            optics.PhotonMode(q.KET_H), optics.PhotonMode(q.KET_V)
-        )
-        assert joint == {((0, "H"), (0, "V")): pytest.approx(1.0)}
-
-    def test_both_h_stay_separate(self):
-        joint = optics.pbs_transform(
-            optics.PhotonMode(q.KET_H), optics.PhotonMode(q.KET_H)
-        )
-        assert joint == {((0, "H"), (1, "H")): pytest.approx(1.0)}
-
-    def test_diagonal_inputs_standard_coincidences(self):
-        joint = optics.pbs_transform(
-            optics.PhotonMode(q.KET_D), optics.PhotonMode(q.KET_D)
-        )
-        kept, prob = optics.post_select_one_per_port(joint)
-        assert prob == pytest.approx(0.5)
-        assert kept[((0, "H"), (1, "H"))] == pytest.approx(0.5)
-        assert kept[((0, "V"), (1, "V"))] == pytest.approx(0.5)
-
-    def test_against_mode_matrix_oracle(self):
-        # independent bookkeeping: 4x4 permutation on (input, polarization)
-        modes_in = [(0, "H"), (0, "V"), (1, "H"), (1, "V")]
-        modes_out = [(0, "H"), (0, "V"), (1, "H"), (1, "V")]
-        u = np.zeros((4, 4))
-        sends = {(0, "H"): (0, "H"), (0, "V"): (1, "V"),
-                 (1, "H"): (1, "H"), (1, "V"): (0, "V")}
-        for j, m_in in enumerate(modes_in):
-            u[modes_out.index(sends[m_in]), j] = 1.0
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            pa = rng.normal(size=2) + 1j * rng.normal(size=2)
-            pb = rng.normal(size=2) + 1j * rng.normal(size=2)
-            pa, pb = pa / np.linalg.norm(pa), pb / np.linalg.norm(pb)
-            expected: dict = {}
-            for i, amp_a in enumerate(pa):
-                for j, amp_b in enumerate(pb):
-                    out_a = modes_out[np.argmax(u[:, i])]
-                    out_b = modes_out[np.argmax(u[:, 2 + j])]
-                    key = tuple(sorted([out_a, out_b]))
-                    expected[key] = expected.get(key, 0.0) + amp_a * amp_b
-            got = optics.pbs_transform(
-                optics.PhotonMode(pa), optics.PhotonMode(pb)
-            )
-            assert set(got) == {k for k, v in expected.items() if abs(v) > 0}
-            for key, val in got.items():
-                assert val == pytest.approx(expected[key], abs=1e-12)
+class TestStationRouting:
+    def test_each_port_takes_one_h_and_one_v(self):
+        # photons sharing a port always carry opposite polarizations, the
+        # premise of detection.bunched_hits
+        for port in range(3):
+            pols = sorted(pol for (_, pol), p in optics.ROUTE.items() if p == port)
+            assert pols == ["H", "V"]
 
 
 class TestConnectThree:

@@ -28,6 +28,28 @@ def ideal_cfg(**kw):
     return cf.preset("ideal").with_overrides(**kw)
 
 
+def strict_json(text):
+    """Parse JSON, rejecting the non-standard Infinity and NaN constants."""
+
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def set_key(path, value):
+    """Config-dict edit that puts ``value`` at the nested key ``path``."""
+
+    def edit(data):
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return data
+
+    return edit
+
+
 # ---------------------------------------------------------------------------
 # pair trial distribution
 
@@ -174,6 +196,19 @@ class TestPairTomography:
         )
         assert rep.body["bell_fidelity"]["raw"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_empty_tables_report_null_visibilities(self, capsys):
+        rc = cli.main(
+            ["--preset", "paper", "--scenario", "pair_tomography", "--samples", "1"]
+        )
+        assert rc == 0
+        body = strict_json(capsys.readouterr().out)["body"]
+        for basis in ("eigen", "super"):
+            vis = body["visibilities"][basis]
+            assert vis["no_coincidences"] is True
+            for key in ("raw", "raw_sigma", "corrected", "corrected_sigma"):
+                assert vis[key] is None
+        assert body["bell_fidelity"] == {"raw": None, "corrected": None}
+
     def test_unknown_scenario_param_rejected(self):
         cfg = paper_cfg(scenario="pair_tomography", scenario_params={"nope": 1})
         with pytest.raises(ValueError, match="unknown scenario_params"):
@@ -187,8 +222,33 @@ class TestRamanDelaySweep:
         )
         fit = rep.body["fit"]
         period = paper_cfg().node("I").zeeman_period_us
+        assert fit["resolved"] is True
         assert fit["period_us"] == pytest.approx(period, rel=0.02)
         assert fit["configured_period_us"] == period
+
+    def test_unresolved_fit_reports_null(self):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "memnet_sim.cli",
+                "--preset",
+                "paper",
+                "--scenario",
+                "raman_delay_sweep",
+                "--samples",
+                "5",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        fit = strict_json(proc.stdout)["body"]["fit"]
+        assert fit["resolved"] is False
+        for key in ("period_us", "period_sigma_us", "amplitude", "phase_rad", "floor"):
+            assert fit[key] is None
+        assert fit["configured_period_us"] == paper_cfg().node("I").zeeman_period_us
 
     def test_ncop_columns_oscillate_in_antiphase(self):
         rep = h.run_scenario(
@@ -509,6 +569,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("memnet-sim: error: unknown")
         assert named in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (set_key(("nodes", 0, "p_w"), "0.1"), "node key 'p_w' must be a number"),
+            (
+                set_key(("detector", "dark_count_prob"), None),
+                "detector key 'dark_count_prob' must be a number",
+            ),
+            (lambda d: [], "config must be a JSON object"),
+            (lambda d: {"nodes": 5}, "config key 'nodes' must be a list"),
+            (
+                set_key(("calibration_weights",), [1]),
+                "config key 'calibration_weights' must be an object",
+            ),
+        ],
+        ids=["p_w_string", "dark_null", "top_level_list", "nodes_number", "weights_list"],
+    )
+    def test_mistyped_config_errors(self, edit, message, tmp_path, capsys):
+        data = edit(paper_cfg(scenario="two_node_swap").to_dict())
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        rc = cli.main(["--config", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"memnet-sim: error: {message}")
+        assert err.count("\n") == 1
 
     def test_module_execution_path(self, tmp_path):
         proc = subprocess.run(
