@@ -105,10 +105,14 @@ class ExperimentConfig:
             raise ValueError("read_delay_us must be non-negative")
         if not 0.0 <= self.interference_visibility <= 1.0:
             raise ValueError("interference_visibility must lie in [0, 1]")
+        if self.envelopes is not None:
+            _check_envelopes(self.envelopes)
         if self.calibration_weights is not None:
             for key, val in self.calibration_weights.items():
-                if not (isinstance(val, (int, float)) and val > 0):
-                    raise ValueError(f"calibration weight {key!r} must be positive")
+                if isinstance(val, bool) or not (isinstance(val, numbers.Real) and val > 0):
+                    raise ValueError(
+                        f"calibration weight {key!r} must be a positive number, not {val!r}"
+                    )
         object.__setattr__(self, "nodes", tuple(self.nodes))
 
     def node(self, node_id: str) -> NodeConfig:
@@ -245,6 +249,14 @@ def _check_section(section: str, data, cls, extra=()) -> dict:
     return data
 
 
+# envelope shape -> (constructor, the spec keys it takes in argument order)
+_ENVELOPE_SHAPES = {
+    "gaussian": (Envelope.gaussian, ("center_us", "width_us")),
+    "square": (Envelope.square, ("start_us", "width_us")),
+    "exponential-decay": (Envelope.exponential_decay, ("start_us", "tau_us")),
+}
+
+
 def envelope_from_spec(spec) -> Envelope:
     """Build a temporal envelope from its inline config description.
 
@@ -256,15 +268,48 @@ def envelope_from_spec(spec) -> Envelope:
     """
     if "csv" in spec:
         return Envelope.from_csv(spec["csv"])
-    shape = spec.get("shape")
+    if spec.get("shape") not in _ENVELOPE_SHAPES:
+        raise ValueError(f"unknown envelope spec {spec!r}")
+    build, keys = _ENVELOPE_SHAPES[spec["shape"]]
     extra = {"n": spec["n"]} if "n" in spec else {}
-    if shape == "gaussian":
-        return Envelope.gaussian(spec["center_us"], spec["width_us"], **extra)
-    if shape == "square":
-        return Envelope.square(spec["start_us"], spec["width_us"], **extra)
-    if shape == "exponential-decay":
-        return Envelope.exponential_decay(spec["start_us"], spec["tau_us"], **extra)
-    raise ValueError(f"unknown envelope spec {spec!r}")
+    return build(*(spec[key] for key in keys), **extra)
+
+
+def _check_envelopes(envelopes: dict) -> None:
+    """Check one envelope spec per node without reading any CSV file.
+
+    A named shape is built once here, so a bad value fails at load with its
+    node instead of when (or whether) a scenario uses it.
+    """
+    if sorted(envelopes) != list(NODE_ORDER):
+        raise ValueError(
+            f"envelopes keys must be exactly {list(NODE_ORDER)}, not {sorted(envelopes)}"
+        )
+    for nid, spec in envelopes.items():
+        where = f"envelope for node {nid!r}"
+        if not isinstance(spec, dict):
+            raise ValueError(f"{where} must be an object, not {spec!r}")
+        if "csv" in spec:
+            types = {"csv": str}
+        elif spec.get("shape") in _ENVELOPE_SHAPES:
+            keys = _ENVELOPE_SHAPES[spec["shape"]][1]
+            types = {"shape": str, "n": numbers.Integral, **dict.fromkeys(keys, numbers.Real)}
+        else:
+            raise ValueError(
+                f"{where} needs a 'csv' path or a 'shape' among {sorted(_ENVELOPE_SHAPES)}"
+            )
+        missing = sorted(set(types) - set(spec) - {"n"})
+        unknown = sorted(set(spec) - set(types))
+        if missing or unknown:
+            raise ValueError(f"{where}: missing key(s) {missing}, unknown key(s) {unknown}")
+        for key, val in spec.items():
+            if isinstance(val, bool) or not isinstance(val, types[key]) or (key == "n" and val < 2):
+                raise ValueError(f"{where} key {key!r} has a wrong type or value: {val!r}")
+        if "shape" in spec:
+            try:
+                envelope_from_spec(spec)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
 
 
 def _nodes(**kwargs) -> tuple[NodeConfig, NodeConfig, NodeConfig]:

@@ -46,7 +46,7 @@ class CoincidenceTable:
     """Pair coincidences, channel singles and the trial count.
 
     Fields are reals: raw tables hold integer values, corrected tables
-    fractional ones.  Tables merge by field-wise addition.
+    fractional ones.
     """
 
     n_RL: float = 0.0
@@ -74,11 +74,6 @@ class CoincidenceTable:
                 raise ValueError(
                     f"{name} smaller than the coincidences it participates in"
                 )
-
-    def __add__(self, other: "CoincidenceTable") -> "CoincidenceTable":
-        return CoincidenceTable(
-            **{name: getattr(self, name) + getattr(other, name) for name in _FIELDS}
-        )
 
     def coincidence_sum(self) -> float:
         return self.n_RL + self.n_LR + self.n_LL + self.n_RR

@@ -662,20 +662,28 @@ def _run_ghz(
 
     kept = counts if reducer is None else [reducer(arr) for arr in counts]
     sampled = _setting_counts(settings, kept, spec.n_qubits)
-    fid, sigma = w.fidelity_from_counts(
-        spec, sampled, weights=cfg.calibration_weights
-    )
+    # a budget below the setting count leaves tables empty, and an empty
+    # table leaves its ratio estimate undefined: report null, not an error
+    empty = [sid for sid, sc in sampled.items() if sc.sum() == 0]
+    fid = sigma = populations = None
+    if not empty:
+        fid, sigma = w.fidelity_from_counts(
+            spec, sampled, weights=cfg.calibration_weights
+        )
+    if w.POPULATION_SETTING not in empty:
+        p0, p1 = w.populations_from_counts(
+            spec, sampled[w.POPULATION_SETTING], weights=cfg.calibration_weights
+        )
+        populations = {"pattern0": p0, "pattern1": p1}
     exact = _exact_setting_counts(tables, spec.n_qubits, reducer)
     fid_exact, _ = w.fidelity_from_counts(spec, exact)
-    p0, p1 = w.populations_from_counts(
-        spec, sampled["population"], weights=cfg.calibration_weights
-    )
 
     body = {
         "heralded_samples": cfg.samples,
         "setting_counts": {sid: dict(sc.counts) for sid, sc in sampled.items()},
+        "empty_settings": empty,
         "fidelity": {"estimate": fid, "sigma": sigma, "exact": fid_exact},
-        "populations": {"pattern0": p0, "pattern1": p1},
+        "populations": populations,
         "event_tables": {
             t.setting_id: {
                 "p_sixfold": t.p_sixfold,

@@ -21,8 +21,8 @@ Retrieval converts the spin back to a photon (``down -> L``, ``up -> R``) with
 efficiency ``eta_r0 * exp(-dt / tau_mem_us)``; the stored coherence decays as
 ``exp(-dt / tau_vis_us)`` on top of the deterministic Zeeman rotation.
 Creation bakes in ``phi0`` only; all time evolution between write and read is
-applied by ``storage_channel`` (used by ``retrieve``), so a pipeline never
-double counts the precession.
+applied by ``storage_channel``, so a pipeline never double counts the
+precession.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import quantum as q
-
-
-# spin -> read photon polarization, columns are images of |down>, |up>
-_READ_MAP = np.column_stack([q.KET_L, q.KET_R])
 
 
 @dataclass(frozen=True)
@@ -129,7 +125,9 @@ def memory_coherence(cfg: NodeConfig, dt_us: float = 0.0) -> float:
     return math.exp(-dt_us / cfg.tau_vis_us)
 
 
-def storage_channel(cfg: NodeConfig, state: q.State, dt_us: float) -> q.State:
+def storage_channel(
+    cfg: NodeConfig, state: q.DensityMatrix, dt_us: float
+) -> q.DensityMatrix:
     """Evolve the stored spin of this node for ``dt_us`` of storage time.
 
     Applies the deterministic Zeeman rotation ``diag(1, e^{i 2 pi dt / T})``
@@ -141,26 +139,6 @@ def storage_channel(cfg: NodeConfig, state: q.State, dt_us: float) -> q.State:
     out = q.apply_unitary(state, np.diag([1.0, np.exp(1j * angle)]), [target])
     coherence = memory_coherence(cfg, dt_us)
     if coherence < 1.0:
-        if isinstance(out, q.StateVector):
-            out = out.density()
         out = q.dephase(out, target, coherence)
     return out
 
-
-def retrieve(
-    cfg: NodeConfig, state: q.State, dt_us: float = 0.0, *, read_mode_id: int = 1
-) -> tuple[float, q.State]:
-    """Convert this node's spin into a read photon after ``dt_us`` storage.
-
-    Returns ``(success_probability, state)`` where the success probability is
-    ``retrieval_efficiency(cfg, dt_us)`` and the state has the spin qubit
-    replaced by ``photon(node, read_mode_id)`` in the H/V basis via
-    ``down -> L, up -> R``.  The returned state is conditioned on success;
-    the caller decides what a failed retrieval costs.
-    """
-    spin_label = q.spin(cfg.node_id)
-    out = storage_channel(cfg, state, dt_us)
-    photon_label = q.photon(cfg.node_id, read_mode_id)
-    out = q.relabel(out, {spin_label: photon_label})
-    out = q.apply_unitary(out, _READ_MAP, [photon_label])
-    return retrieval_efficiency(cfg, dt_us), out

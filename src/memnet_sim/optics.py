@@ -194,12 +194,7 @@ def _branch_coherence(envelopes, delta_omega_rad_per_us: float) -> complex:
     """
     if envelopes is None:
         return 1.0
-    if hasattr(envelopes, "keys"):
-        env = [envelopes[nid] for nid in NODE_IDS]
-    else:
-        env = list(envelopes)
-    if len(env) != 3:
-        raise ValueError("need one envelope per node")
+    env = [envelopes[nid] for nid in NODE_IDS]
     kappa0 = env[0].overlap(env[1], delta_omega_rad_per_us)
     kappa1 = env[1].overlap(env[2])
     kappa2 = env[2].overlap(env[0])
@@ -212,7 +207,6 @@ def connect_three(
     envelopes=None,
     delta_omega_rad_per_us: float = 0.0,
     extra_coherence: float = 1.0,
-    rng: np.random.Generator | None = None,
 ) -> tuple[q.DensityMatrix, float]:
     """Herald station: three photon-spin pairs in, six-qubit state out.
 
@@ -223,13 +217,11 @@ def connect_three(
     ``(port photons 0..2, spins I..III)`` and the success probability; the
     discarded probability is its complement by construction.
 
-    ``envelopes`` (optional, one per node) and ``delta_omega_rad_per_us``
+    ``envelopes`` (optional, node id -> Envelope) and ``delta_omega_rad_per_us``
     set the temporal-mode overlap of the two branches; ``extra_coherence``
     multiplies the branch coherence on top of that, as a catch-all for
-    interference imperfections.  The transformation itself is deterministic;
-    ``rng`` is accepted for interface uniformity and never drawn from.
+    interference imperfections.
     """
-    del rng
     pairs = tuple(pairs)
     if len(pairs) != 3:
         raise ValueError(f"connect_three needs exactly three pairs, got {len(pairs)}")
@@ -244,8 +236,6 @@ def connect_three(
                 f"got {pair.register}"
             )
         rho = pair if rho is None else q.tensor_product(rho, pair)
-    if isinstance(rho, q.StateVector):
-        rho = rho.density()
 
     # branch blocks over the three spins: photons pinned to all-H or all-V
     t = rho.matrix.reshape([2] * 12)
@@ -269,126 +259,6 @@ def connect_three(
     out[7, :, 0, :] = np.conj(xi) * blocks[(1, 0)]
     register = STATION_PORTS + MEMORY_SPINS
     return q.DensityMatrix(register, out.reshape(64, 64) / success), success
-
-
-@dataclass(frozen=True)
-class HeraldPattern:
-    """Diagonal-basis outcomes of the three station ports."""
-
-    outcomes: tuple[str, str, str]
-
-    def __post_init__(self) -> None:
-        if len(self.outcomes) != 3 or any(o not in ("D", "A") for o in self.outcomes):
-            raise ValueError(f"outcomes must be three of D/A, got {self.outcomes!r}")
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
-
-    @classmethod
-    def from_bits(cls, bits) -> "HeraldPattern":
-        return cls(tuple("DA"[b] for b in bits))
-
-    @classmethod
-    def from_string(cls, s: str) -> "HeraldPattern":
-        return cls(tuple(s))
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple(0 if o == "D" else 1 for o in self.outcomes)
-
-    @property
-    def string(self) -> str:
-        return "".join(self.outcomes)
-
-    @property
-    def needs_feedforward(self) -> bool:
-        """True when the number of A outcomes is odd (negative-phase branch)."""
-        return sum(self.bits) % 2 == 1
-
-
-ALL_HERALD_PATTERNS = tuple(
-    HeraldPattern.from_bits(q.index_to_bits(i, 3)) for i in range(8)
-)
-
-
-def herald_probabilities(state6: q.State) -> np.ndarray:
-    """Probabilities of the 8 diagonal-basis port patterns, index = bits."""
-    probs = q.measurement_probabilities(state6, q.BASIS_DA, list(STATION_PORTS))
-    return probs.reshape(-1)
-
-
-def project_and_feedforward(
-    state6: q.State,
-    rng: np.random.Generator | None = None,
-    outcome: HeraldPattern | str | None = None,
-) -> tuple[HeraldPattern, q.DensityMatrix]:
-    """Measure the port photons in D/A and correct the memory phase.
-
-    Half of the patterns (odd number of A clicks) herald the negative-phase
-    branch; those get a phase flip on node I's memory so every pattern
-    leaves the memories in the same state.  Pass ``outcome`` to force a
-    pattern instead of sampling it with ``rng``.
-    """
-    if isinstance(outcome, str):
-        outcome = HeraldPattern.from_string(outcome)
-    forced = None if outcome is None else outcome.bits
-    bits, _prob, post = q.measure_projective(
-        state6, q.BASIS_DA, list(STATION_PORTS), rng=rng, outcome=forced
-    )
-    pattern = HeraldPattern.from_bits(bits)
-    memories = q.partial_trace(post, STATION_PORTS)
-    if pattern.needs_feedforward:
-        memories = q.apply_unitary(memories, q.PAULI_Z, [q.spin("I")])
-    return pattern, memories
-
-
-def _require_in_span(t_us: float, f: Envelope, g: Envelope, name: str) -> None:
-    lo = min(f.start_us, g.start_us)
-    hi = max(f.end_us, g.end_us)
-    if not lo <= t_us <= hi:
-        raise ValueError(f"{name} = {t_us} outside the envelope grids [{lo}, {hi}]")
-
-
-def swap_two_node(
-    flip: bool,
-    t3_us: float,
-    t4_us: float,
-    f: Envelope,
-    g: Envelope,
-    delta_omega_rad_per_us: float,
-    branch: int = 1,
-) -> q.StateVector:
-    """Conditional two-memory state after a two-node swap herald.
-
-    Two read photons, one per node, interfere at a central beamsplitter and
-    are detected at times ``t3_us`` and ``t4_us``.  A spin in ``down`` emits
-    into envelope ``f`` on the upper Zeeman sideband; ``up`` emits into
-    ``g`` detuned by ``-delta_omega``.  Without the conditional spin flip
-    the herald leaves the memories in
-
-        f(t3) f(t4) |down,down> + branch * exp(-i dw (t3+t4)) g(t3) g(t4) |up,up>
-
-    normalized, so the detection times set both the amplitude ratio and the
-    relative phase.  With the flip protocol the two branches share one
-    detection amplitude and the state is a fixed Bell state, independent of
-    times, envelopes and detuning.  ``branch`` (+1 or -1) selects which
-    detector combination fired.
-    """
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    _require_in_span(t3_us, f, g, "t3_us")
-    _require_in_span(t4_us, f, g, "t4_us")
-    register = (q.spin("I"), q.spin("II"))
-    if flip:
-        amp = np.array([0.0, 1.0, branch, 0.0], dtype=complex) / math.sqrt(2)
-        return q.StateVector(register, amp)
-    a_down = complex(f.values_at(t3_us)) * complex(f.values_at(t4_us))
-    if a_down == 0:
-        raise ValueError(
-            "conditional state undefined: f vanishes at a detection time"
-        )
-    phase = np.exp(-1j * delta_omega_rad_per_us * (t3_us + t4_us))
-    a_up = branch * phase * complex(g.values_at(t3_us)) * complex(g.values_at(t4_us))
-    amp = np.array([a_down, 0.0, 0.0, a_up], dtype=complex)
-    return q.StateVector(register, amp / np.linalg.norm(amp))
 
 
 def averaged_swap_fidelity(

@@ -1,4 +1,4 @@
-"""Dense state-vector / density-matrix algebra for small labeled qubit registers.
+"""Dense density-matrix algebra for small labeled qubit registers.
 
 Conventions, fixed once here and relied on everywhere else:
 
@@ -17,13 +17,15 @@ Conventions, fixed once here and relied on everywhere else:
   ``equatorial_basis(n pi/N)``.
 
 Registers never exceed 6 qubits in this package, so everything is dense
-complex128 and validated eagerly (tolerance ``TOL``).
+complex128.  Every ``DensityMatrix`` is validated when it is built
+(tolerance ``TOL``); measurement reads outcome probabilities without
+building intermediate states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -124,40 +126,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Pure state over a labeled register; amplitudes indexed big-endian."""
-
-    register: tuple[QubitLabel, ...]
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        reg = _check_register(self.register)
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.shape != (2 ** len(reg),):
-            raise ValueError(
-                f"amplitude length {amps.shape[0]} does not match register of {len(reg)} qubits"
-            )
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > TOL:
-            raise ValueError(f"state vector norm {norm} deviates from 1 beyond {TOL}")
-        object.__setattr__(self, "register", reg)
-        object.__setattr__(self, "amplitudes", _frozen(amps))
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.register)
-
-    def index_of(self, label: QubitLabel) -> int:
-        try:
-            return self.register.index(label)
-        except ValueError:
-            raise ValueError(f"label {label} not in register") from None
-
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(self.register, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-@dataclass(frozen=True)
 class DensityMatrix:
     """Mixed state over a labeled register: trace-1, Hermitian, PSD within TOL."""
 
@@ -191,9 +159,6 @@ class DensityMatrix:
             raise ValueError(f"label {label} not in register") from None
 
 
-State = StateVector | DensityMatrix
-
-
 @dataclass(frozen=True)
 class Observable:
     """Tensor product of per-qubit 2x2 Hermitian factors over part of a register."""
@@ -222,7 +187,7 @@ def ghz_state(
     pattern0: Sequence[int] | None = None,
     pattern1: Sequence[int] | None = None,
     phase: complex = 1.0,
-) -> StateVector:
+) -> DensityMatrix:
     """(|pattern0> + phase |pattern1>)/sqrt2; defaults to |0..0>, |1..1>."""
     reg = _check_register(register)
     n = len(reg)
@@ -235,7 +200,7 @@ def ghz_state(
     amps = np.zeros(2**n, dtype=complex)
     amps[bits_to_index(p0)] = 1 / np.sqrt(2)
     amps[bits_to_index(p1)] += phase / np.sqrt(2)
-    return StateVector(reg, amps)
+    return DensityMatrix(reg, np.outer(amps, amps.conj()))
 
 
 def bits_to_index(bits: Sequence[int]) -> int:
@@ -251,19 +216,15 @@ def index_to_bits(idx: int, n_qubits: int) -> tuple[int, ...]:
     return tuple((idx >> (n_qubits - 1 - i)) & 1 for i in range(n_qubits))
 
 
-def tensor_product(a: State, b: State) -> State:
-    """Combine registers; vectors kron to a vector, anything mixed to a matrix."""
+def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
+    """Combine registers: the matrix is ``kron(a, b)`` over ``a + b``."""
     overlap = set(a.register) & set(b.register)
     if overlap:
         raise ValueError(f"registers share labels {sorted(str(q) for q in overlap)}")
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(a.register + b.register, np.kron(a.amplitudes, b.amplitudes))
-    da = a if isinstance(a, DensityMatrix) else a.density()
-    db = b if isinstance(b, DensityMatrix) else b.density()
-    return DensityMatrix(da.register + db.register, np.kron(da.matrix, db.matrix))
+    return DensityMatrix(a.register + b.register, np.kron(a.matrix, b.matrix))
 
 
-def _target_positions(state: State, targets: Sequence[QubitLabel]) -> list[int]:
+def _target_positions(state: DensityMatrix, targets: Sequence[QubitLabel]) -> list[int]:
     pos = [state.index_of(t) for t in targets]
     if len(set(pos)) != len(pos):
         raise ValueError("duplicate target labels")
@@ -278,7 +239,9 @@ def _apply_on_axes(tensor: np.ndarray, m: np.ndarray, axes: Sequence[int]) -> np
     return np.moveaxis(out, range(k), axes)
 
 
-def apply_unitary(state: State, u: np.ndarray, targets: Sequence[QubitLabel]) -> State:
+def apply_unitary(
+    state: DensityMatrix, u: np.ndarray, targets: Sequence[QubitLabel]
+) -> DensityMatrix:
     """Apply u to the listed qubits (in the given order); register unchanged."""
     pos = _target_positions(state, targets)
     k = len(pos)
@@ -288,10 +251,6 @@ def apply_unitary(state: State, u: np.ndarray, targets: Sequence[QubitLabel]) ->
     if np.max(np.abs(u @ u.conj().T - np.eye(2**k))) > TOL:
         raise ValueError("matrix is not unitary within tolerance")
     n = state.n_qubits
-    if isinstance(state, StateVector):
-        t = state.amplitudes.reshape([2] * n)
-        t = _apply_on_axes(t, u, pos)
-        return StateVector(state.register, t.reshape(-1))
     t = state.matrix.reshape([2] * (2 * n))
     t = _apply_on_axes(t, u, pos)
     t = _apply_on_axes(t, u.conj(), [n + p for p in pos])
@@ -314,20 +273,21 @@ def _resolve_bases(basis, k: int) -> list[np.ndarray]:
 
 
 def measurement_probabilities(
-    state: State, basis, targets: Sequence[QubitLabel]
+    state: DensityMatrix, basis, targets: Sequence[QubitLabel]
 ) -> np.ndarray:
-    """Joint outcome probabilities (length 2^k, big-endian in target order)."""
+    """Joint outcome probabilities (length 2^k, big-endian in target order).
+
+    Contracts each basis into the row and column axes (``B^dagger rho B``)
+    and reads the diagonal; no intermediate state is built or re-validated.
+    """
     pos = _target_positions(state, targets)
-    k = len(pos)
-    mats = _resolve_bases(basis, k)
+    mats = _resolve_bases(basis, len(pos))
     n = state.n_qubits
-    rotated = state
-    for m, t in zip(mats, targets):
-        rotated = apply_unitary(rotated, m.conj().T, [t])
-    if isinstance(rotated, StateVector):
-        weights = np.abs(rotated.amplitudes.reshape([2] * n)) ** 2
-    else:
-        weights = np.real(np.diagonal(rotated.matrix)).reshape([2] * n)
+    t = state.matrix.reshape([2] * (2 * n))
+    for m, p in zip(mats, pos):
+        t = _apply_on_axes(t, m.conj().T, [p])
+        t = _apply_on_axes(t, m.T, [n + p])
+    weights = np.real(np.diagonal(t.reshape(2**n, 2**n))).reshape([2] * n)
     other = tuple(ax for ax in range(n) if ax not in pos)
     probs = weights.sum(axis=other) if other else weights
     # after the sum the surviving axes follow ascending register position;
@@ -337,66 +297,7 @@ def measurement_probabilities(
     return np.clip(probs.reshape(-1).real, 0.0, None)
 
 
-def measure_projective(
-    state: State,
-    basis,
-    targets: Sequence[QubitLabel],
-    rng: np.random.Generator | None = None,
-    outcome: Sequence[int] | None = None,
-):
-    """Projective measurement of the targets in the given basis.
-
-    Returns (pattern, probability, post_state).  ``basis`` is a 2x2 matrix
-    whose columns are the measurement kets (or one such matrix per target);
-    outcome bit j = 0 means column 0 of the j-th target's basis.  Pass
-    ``outcome`` to force a branch (error if its probability is ~0); otherwise
-    the branch is sampled with ``rng``.
-    """
-    pos = _target_positions(state, targets)
-    k = len(pos)
-    mats = _resolve_bases(basis, k)
-    n = state.n_qubits
-
-    rotated = state
-    for m, t in zip(mats, targets):
-        rotated = apply_unitary(rotated, m.conj().T, [t])
-    probs = measurement_probabilities(rotated, BASIS_Z, targets)
-
-    if outcome is not None:
-        pattern = tuple(int(b) for b in outcome)
-        if len(pattern) != k:
-            raise ValueError("outcome length does not match targets")
-        idx = bits_to_index(pattern)
-        p = float(probs[idx])
-        if p < 1e-12:
-            raise ValueError(f"requested outcome {pattern} has probability ~0 ({p})")
-    else:
-        if rng is None:
-            raise ValueError("rng required when outcome is not forced")
-        total = probs.sum()
-        idx = int(rng.choice(2**k, p=probs / total))
-        pattern = index_to_bits(idx, k)
-        p = float(probs[idx])
-
-    # collapse in the rotated (computational) frame, then rotate back
-    keep = np.ones([2] * n, dtype=bool)
-    for axis, bit in zip(pos, pattern):
-        sel = [slice(None)] * n
-        sel[axis] = 1 - bit
-        keep[tuple(sel)] = False
-    keep_flat = keep.reshape(-1)
-    if isinstance(rotated, StateVector):
-        amps = np.where(keep_flat, rotated.amplitudes, 0.0)
-        post: State = StateVector(state.register, amps / np.linalg.norm(amps))
-    else:
-        m2 = np.where(np.outer(keep_flat, keep_flat), rotated.matrix, 0.0)
-        post = DensityMatrix(state.register, m2 / np.trace(m2).real)
-    for m, t in zip(mats, targets):
-        post = apply_unitary(post, m, [t])
-    return pattern, p, post
-
-
-def expectation(state: State, observable: Observable) -> float:
+def expectation(state: DensityMatrix, observable: Observable) -> float:
     """<O> for a tensor-product observable embedded in the register."""
     by_label = {lab: f for lab, f in observable.factors}
     missing = [lab for lab in by_label if lab not in state.register]
@@ -405,64 +306,40 @@ def expectation(state: State, observable: Observable) -> float:
     op = np.array([[1.0 + 0j]])
     for q in state.register:
         op = np.kron(op, by_label.get(q, ID2))
-    if isinstance(state, StateVector):
-        val = np.vdot(state.amplitudes, op @ state.amplitudes)
-    else:
-        val = np.trace(state.matrix @ op)
+    val = np.trace(state.matrix @ op)
     if abs(val.imag) > 1e-7:
         raise ValueError(f"expectation has residual imaginary part {val.imag}")
     return float(val.real)
 
 
-def pure_state_fidelity(a: State, b: State) -> float:
-    """Fidelity against a pure reference: |<a|b>|^2 or <psi|rho|psi>."""
+def pure_state_fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
+    """Fidelity ``Re Tr(a b)`` against a pure reference (either argument)."""
     if a.register != b.register:
         raise ValueError("registers differ (same labels in the same order required)")
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-    if isinstance(a, StateVector):
-        psi, rho = a, b
-    elif isinstance(b, StateVector):
-        psi, rho = b, a
-    else:
-        raise ValueError("at least one argument must be a pure StateVector")
-    return float(np.real(np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes)))
+    # Tr rho^2 is the squared Frobenius norm of a Hermitian rho
+    if max(np.sum(np.abs(s.matrix) ** 2) for s in (a, b)) < 1.0 - TOL:
+        raise ValueError("at least one argument must be a pure state (Tr rho^2 = 1)")
+    return float(np.real(np.sum(a.matrix * b.matrix.T)))
 
 
-def partial_trace(state: State, drop: Iterable[QubitLabel]) -> DensityMatrix:
+def partial_trace(state: DensityMatrix, drop: Iterable[QubitLabel]) -> DensityMatrix:
     """Trace out the listed qubits, keeping the rest in register order."""
-    rho = state if isinstance(state, DensityMatrix) else state.density()
     drop_set = set(drop)
     for lab in drop_set:
-        rho.index_of(lab)
-    keep = [q for q in rho.register if q not in drop_set]
+        state.index_of(lab)
+    keep = [q for q in state.register if q not in drop_set]
     if not keep:
         raise ValueError("cannot trace out the whole register")
-    n = rho.n_qubits
-    t = rho.matrix.reshape([2] * (2 * n))
-    remaining = list(rho.register)
-    for lab in sorted(drop_set, key=rho.register.index, reverse=True):
+    n = state.n_qubits
+    t = state.matrix.reshape([2] * (2 * n))
+    remaining = list(state.register)
+    for lab in sorted(drop_set, key=state.register.index, reverse=True):
         ax = remaining.index(lab)
         r = len(remaining)
         t = np.trace(t, axis1=ax, axis2=ax + r)
         remaining.pop(ax)
     dim = 2 ** len(keep)
     return DensityMatrix(tuple(keep), t.reshape(dim, dim))
-
-
-def relabel(state: State, mapping: Mapping[QubitLabel, QubitLabel]) -> State:
-    """Rename register qubits without touching amplitudes.
-
-    ``mapping`` sends old labels to new ones; labels not mentioned are kept.
-    The result must still be a duplicate-free register.
-    """
-    missing = [lab for lab in mapping if lab not in state.register]
-    if missing:
-        raise ValueError(f"labels not in register: {missing}")
-    new_register = tuple(mapping.get(lab, lab) for lab in state.register)
-    if isinstance(state, StateVector):
-        return StateVector(new_register, state.amplitudes)
-    return DensityMatrix(new_register, state.matrix)
 
 
 def dephase(state: DensityMatrix, target: QubitLabel, coherence: float) -> DensityMatrix:

@@ -204,6 +204,12 @@ class TestEnvelopeSpecs:
         with pytest.raises(ValueError, match="envelope"):
             cf.envelope_from_spec({"shape": "triangle"})
 
+    def test_csv_spec_not_read_at_load(self, tmp_path):
+        missing = {"csv": str(tmp_path / "absent.csv")}
+        cfg = cf.ExperimentConfig(envelopes={nid: missing for nid in cf.NODE_ORDER})
+        with pytest.raises(OSError):
+            cf.envelope_from_spec(cfg.envelopes["I"])
+
 
 def test_detector_config_reexport_compatible():
     cfg = cf.ExperimentConfig(detector=DetectorConfig(dark_count_prob=0.01))

@@ -48,31 +48,6 @@ class TestConfigAndTable:
         with pytest.raises(ValueError, match="n_woR"):
             det.CoincidenceTable(n_RL=5, n_RR=5, n_woR=8, n_roL=5, n_roR=5, N=10)
 
-    def test_merge_is_fieldwise_addition(self):
-        a = det.CoincidenceTable(n_RL=3, n_woR=5, n_roL=4, N=100)
-        b = det.CoincidenceTable(n_LR=2, n_woL=2, n_roR=2, n_woR=1, N=50)
-        c = a + b
-        assert (c.n_RL, c.n_LR, c.n_woR, c.N) == (3, 2, 6, 150)
-
-    def test_merge_associative_commutative(self):
-        rng = np.random.default_rng(4)
-        tables = []
-        for _ in range(3):
-            coinc = rng.integers(0, 10, size=4)
-            tables.append(
-                det.CoincidenceTable(
-                    *coinc,
-                    n_woR=coinc[0] + coinc[3] + rng.integers(0, 5),
-                    n_woL=coinc[2] + coinc[1] + rng.integers(0, 5),
-                    n_roR=coinc[3] + coinc[1] + rng.integers(0, 5),
-                    n_roL=coinc[0] + coinc[2] + rng.integers(0, 5),
-                    N=100,
-                )
-            )
-        a, b, c = tables
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-
 
 def born(basis, ket):
     return np.abs(basis.conj().T @ ket) ** 2

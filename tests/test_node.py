@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from memnet_sim import node
+from memnet_sim import harness, node
 from memnet_sim import quantum as q
 
 # converts a photon qubit from the H/V frame to the circular frame (R -> 0)
@@ -165,30 +165,24 @@ class TestStorageAndRetrieval:
         )
         assert e == pytest.approx(math.exp(-41.0 / 169.2), abs=1e-12)
 
-    def test_retrieve_success_and_register(self):
-        cfg = node.NodeConfig(eta_r0=0.4, tau_mem_us=75.0)
-        success, out = node.retrieve(cfg, node.entangled_pair_state(cfg), 30.0)
-        assert success == pytest.approx(0.4 * math.exp(-30 / 75))
-        assert out.register == (q.photon("I", 0), q.photon("I", 1))
-
     def test_read_photon_anticorrelated_circular(self):
+        # write R goes with spin down, which reads out as L, and vice versa;
+        # the harness analyzes the spin in that read-photon frame
         cfg = node.NodeConfig()
-        _, out = node.retrieve(cfg, node.entangled_pair_state(cfg), 0.0)
-        for lab in out.register:
-            out = q.apply_unitary(out, TO_CIRCULAR, [lab])
-        probs = q.measurement_probabilities(out, [q.BASIS_Z] * 2, list(out.register))
-        # write R goes with spin down which reads out as L, and vice versa
+        state = pair_in_circular_frame(cfg)
+        probs = q.measurement_probabilities(
+            state, [q.BASIS_Z, harness._SPIN_RL], [q.photon("I"), q.spin("I")]
+        )
         np.testing.assert_allclose(probs, [0, 0.5, 0.5, 0], atol=1e-12)
 
     def test_half_period_storage_flips_phase(self):
         cfg = node.NodeConfig(zeeman_period_us=5.28)
         pair = node.entangled_pair_state(cfg)
-        _, out0 = node.retrieve(cfg, pair, 0.0)
-        _, out1 = node.retrieve(cfg, pair, 2.64)
-        labels = list(out0.register)
-        for lab in labels:
-            out0 = q.apply_unitary(out0, TO_CIRCULAR, [lab])
-            out1 = q.apply_unitary(out1, TO_CIRCULAR, [lab])
+        labels = [q.photon("I"), q.spin("I")]
+        out0, out1 = (
+            q.apply_unitary(node.storage_channel(cfg, pair, dt), TO_CIRCULAR, labels[:1])
+            for dt in (0.0, 2.64)
+        )
         e0 = equatorial_correlation(out0, labels, [0.0, 0.0])
         e1 = equatorial_correlation(out1, labels, [0.0, 0.0])
         assert e0 == pytest.approx(-e1, abs=1e-12)

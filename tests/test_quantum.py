@@ -15,6 +15,15 @@ def random_density(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
     return m / np.trace(m)
 
 
+def pure(register, ket) -> q.DensityMatrix:
+    ket = np.asarray(ket, dtype=complex)
+    return q.DensityMatrix(tuple(register), np.outer(ket, ket.conj()))
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    return np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+
+
 REG2 = (q.photon("I"), q.spin("I"))
 REG3 = (q.spin("I"), q.spin("II"), q.spin("III"))
 
@@ -31,11 +40,12 @@ class TestLabelsAndStates:
     def test_duplicate_labels_rejected(self):
         lab = q.photon("I")
         with pytest.raises(ValueError, match="duplicate"):
-            q.StateVector((lab, lab), np.array([1, 0, 0, 0]))
+            pure((lab, lab), [1, 0, 0, 0])
 
     def test_norm_validation(self):
-        with pytest.raises(ValueError, match="norm"):
-            q.StateVector((q.photon("I"),), np.array([1.0, 1.0]))
+        # an unnormalized ket gives a projector of trace 2
+        with pytest.raises(ValueError, match="trace"):
+            pure((q.photon("I"),), [1.0, 1.0])
 
     def test_density_validation(self):
         reg = (q.photon("I"),)
@@ -48,10 +58,8 @@ class TestLabelsAndStates:
 
     def test_big_endian_indexing(self):
         # |0>|1> must sit at index 0b01 = 1
-        sv = q.tensor_product(
-            q.StateVector((REG2[0],), q.KET_H), q.StateVector((REG2[1],), q.KET_UP)
-        )
-        np.testing.assert_allclose(sv.amplitudes, [0, 1, 0, 0], atol=1e-12)
+        rho = q.tensor_product(pure((REG2[0],), q.KET_H), pure((REG2[1],), q.KET_UP))
+        np.testing.assert_allclose(np.diag(rho.matrix), [0, 1, 0, 0], atol=1e-12)
         assert q.bits_to_index((0, 1)) == 1
         assert q.index_to_bits(1, 2) == (0, 1)
 
@@ -63,7 +71,7 @@ class TestLabelsAndStates:
         np.testing.assert_allclose(ab.matrix, np.kron(a.matrix, b.matrix), atol=1e-12)
 
     def test_tensor_product_rejects_shared_labels(self):
-        a = q.StateVector((q.photon("I"),), q.KET_H)
+        a = pure((q.photon("I"),), q.KET_H)
         with pytest.raises(ValueError, match="share"):
             q.tensor_product(a, a)
 
@@ -72,14 +80,14 @@ class TestUnitaries:
     def test_circular_to_linear_map(self):
         # the node-I convention: R -> H, and H -> (H+V)/sqrt2
         u = np.array([[1, -1j], [1, 1j]]) / np.sqrt(2)
-        s = q.StateVector((q.photon("I"),), q.KET_R)
-        out = q.apply_unitary(s, u, [q.photon("I")])
-        np.testing.assert_allclose(out.amplitudes, q.KET_H, atol=1e-12)
-        s2 = q.apply_unitary(q.StateVector((q.photon("I"),), q.KET_H), u, [q.photon("I")])
-        np.testing.assert_allclose(s2.amplitudes, q.KET_D, atol=1e-12)
+        reg = (q.photon("I"),)
+        out = q.apply_unitary(pure(reg, q.KET_R), u, [q.photon("I")])
+        np.testing.assert_allclose(out.matrix, pure(reg, q.KET_H).matrix, atol=1e-12)
+        s2 = q.apply_unitary(pure(reg, q.KET_H), u, [q.photon("I")])
+        np.testing.assert_allclose(s2.matrix, pure(reg, q.KET_D).matrix, atol=1e-12)
 
     def test_non_unitary_rejected(self):
-        s = q.StateVector((q.photon("I"),), q.KET_H)
+        s = pure((q.photon("I"),), q.KET_H)
         with pytest.raises(ValueError, match="unitary"):
             q.apply_unitary(s, np.array([[1, 0], [0, 0.5]]), [q.photon("I")])
 
@@ -87,22 +95,24 @@ class TestUnitaries:
         # CNOT-like map applied on (a, b) vs (b, a)
         reg = (q.spin("I"), q.spin("II"))
         cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-        s = q.StateVector(reg, np.array([0, 0, 1, 0], dtype=complex))  # |10>
+        s = pure(reg, [0, 0, 1, 0])  # |10>
         out1 = q.apply_unitary(s, cnot, [reg[0], reg[1]])
-        np.testing.assert_allclose(out1.amplitudes, [0, 0, 0, 1], atol=1e-12)  # |11>
+        np.testing.assert_allclose(np.diag(out1.matrix), [0, 0, 0, 1], atol=1e-12)  # |11>
         out2 = q.apply_unitary(s, cnot, [reg[1], reg[0]])
-        np.testing.assert_allclose(out2.amplitudes, [0, 0, 1, 0], atol=1e-12)  # control=qubit b=0
+        # control = qubit b = 0
+        np.testing.assert_allclose(np.diag(out2.matrix), [0, 0, 1, 0], atol=1e-12)
 
     def test_unitary_on_density_matches_vector(self):
         rng = np.random.default_rng(3)
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         amps /= np.linalg.norm(amps)
-        sv = q.StateVector(REG3, amps)
-        u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        u = random_unitary(4, rng)
         targets = [REG3[2], REG3[0]]
-        out_v = q.apply_unitary(sv, u, targets).density()
-        out_m = q.apply_unitary(sv.density(), u, targets)
-        np.testing.assert_allclose(out_v.matrix, out_m.matrix, atol=1e-9)
+        # the vector route: u acts on (qubit 2, qubit 0), identity on qubit 1
+        t = np.moveaxis(amps.reshape(2, 2, 2), (2, 0), (0, 1)).reshape(4, 2)
+        t = np.moveaxis((u @ t).reshape(2, 2, 2), (0, 1), (2, 0)).reshape(8)
+        out_m = q.apply_unitary(pure(REG3, amps), u, targets)
+        np.testing.assert_allclose(out_m.matrix, np.outer(t, t.conj()), atol=1e-9)
 
 
 class TestMeasurement:
@@ -112,20 +122,6 @@ class TestMeasurement:
         p = q.measurement_probabilities(rho, q.BASIS_X, list(REG3))
         assert p.shape == (8,)
         np.testing.assert_allclose(p.sum(), 1.0, atol=1e-9)
-
-    def test_collapse_is_projective(self):
-        # measuring twice in the same basis gives the same outcome with p=1
-        rng = np.random.default_rng(5)
-        rho = q.DensityMatrix(REG3, random_density(3, rng))
-        pat, p, post = q.measure_projective(rho, q.BASIS_X, [REG3[1]], rng=rng)
-        pat2, p2, _ = q.measure_projective(post, q.BASIS_X, [REG3[1]], rng=rng)
-        assert pat2 == pat
-        np.testing.assert_allclose(p2, 1.0, atol=1e-9)
-
-    def test_forced_zero_probability_branch_errors(self):
-        s = q.StateVector((q.photon("I"),), q.KET_H)
-        with pytest.raises(ValueError, match="probability ~0"):
-            q.measure_projective(s, q.BASIS_Z, [q.photon("I")], outcome=(1,))
 
     def test_ghz_equatorial_correlation(self):
         # <M(theta)^{x3}> on (|000>+|111>)/sqrt2 equals cos(3 theta)
@@ -140,8 +136,7 @@ class TestMeasurement:
     def test_measurement_marginal_order(self):
         # asymmetric product state distinguishes target ordering
         s = q.tensor_product(
-            q.StateVector((q.spin("I"),), q.KET_DOWN),
-            q.StateVector((q.spin("II"),), q.KET_UP),
+            pure((q.spin("I"),), q.KET_DOWN), pure((q.spin("II"),), q.KET_UP)
         )
         p_fwd = q.measurement_probabilities(s, q.BASIS_Z, [q.spin("I"), q.spin("II")])
         np.testing.assert_allclose(p_fwd, [0, 1, 0, 0], atol=1e-12)
@@ -166,24 +161,26 @@ class TestMeasurement:
 
 class TestExpectationFidelity:
     def test_fidelity_of_orthogonal_states(self):
-        a = q.StateVector((q.spin("I"),), q.KET_DOWN)
-        b = q.StateVector((q.spin("I"),), q.KET_UP)
+        a = pure((q.spin("I"),), q.KET_DOWN)
+        b = pure((q.spin("I"),), q.KET_UP)
         assert q.pure_state_fidelity(a, b) == pytest.approx(0.0, abs=1e-12)
         assert q.pure_state_fidelity(a, a) == pytest.approx(1.0, abs=1e-12)
 
     def test_fidelity_mixed_vs_pure(self):
         rng = np.random.default_rng(2)
         rho = q.DensityMatrix(REG3, random_density(3, rng))
-        psi = q.ghz_state(REG3)
+        psi = q.ghz_state(REG3, phase=1j)
         f = q.pure_state_fidelity(psi, rho)
-        direct = np.real(np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes))
+        ket = np.zeros(8, dtype=complex)
+        ket[[0, 7]] = np.array([1, 1j]) / np.sqrt(2)
+        direct = np.real(np.vdot(ket, rho.matrix @ ket))
         np.testing.assert_allclose(f, direct, atol=1e-12)
         with pytest.raises(ValueError, match="pure"):
             q.pure_state_fidelity(rho, rho)
 
     def test_register_mismatch_errors(self):
-        a = q.StateVector((q.spin("I"),), q.KET_DOWN)
-        b = q.StateVector((q.spin("II"),), q.KET_DOWN)
+        a = pure((q.spin("I"),), q.KET_DOWN)
+        b = pure((q.spin("II"),), q.KET_DOWN)
         with pytest.raises(ValueError, match="register"):
             q.pure_state_fidelity(a, b)
 
@@ -201,7 +198,7 @@ class TestExpectationFidelity:
         np.testing.assert_allclose(np.trace(red.matrix), 1.0, atol=1e-9)
 
     def test_dephase_kills_coherence(self):
-        bell = q.ghz_state(REG2).density()
+        bell = q.ghz_state(REG2)
         out = q.dephase(bell, REG2[1], 0.0)
         np.testing.assert_allclose(out.matrix, np.diag([0.5, 0, 0, 0.5]), atol=1e-12)
         half = q.dephase(bell, REG2[1], 0.5)
@@ -232,6 +229,19 @@ def test_unitary_preserves_trace_and_spectrum(seed, theta, phi):
     )
 
 
+def projector_probabilities(rho, bases, targets) -> np.ndarray:
+    """Oracle: Tr(rho P) for the embedded product projector of every pattern."""
+    probs = []
+    for idx in range(2 ** len(targets)):
+        bits = q.index_to_bits(idx, len(targets))
+        factors = tuple(
+            (lab, np.outer(basis[:, b], basis[:, b].conj()))
+            for lab, basis, b in zip(targets, bases, bits)
+        )
+        probs.append(q.expectation(rho, q.Observable(factors)))
+    return np.array(probs)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_measurement_probabilities_match_projector_expectations(seed):
@@ -245,3 +255,14 @@ def test_measurement_probabilities_match_projector_expectations(seed):
             ket = q.BASIS_RL[:, b]
             proj = np.kron(proj, np.outer(ket, ket.conj()))
         np.testing.assert_allclose(probs[idx], np.real(np.trace(rho.matrix @ proj)), atol=1e-9)
+
+    # three qubits, one random basis per target, a random subset of the
+    # targets in a random order: covers the marginal sum and the axis reorder
+    rho3 = q.DensityMatrix(REG3, random_density(3, rng))
+    k = int(rng.integers(1, 4))
+    targets = [REG3[i] for i in rng.permutation(3)[:k]]
+    bases = [random_unitary(2, rng) for _ in targets]
+    probs3 = q.measurement_probabilities(rho3, bases, targets)
+    np.testing.assert_allclose(
+        probs3, projector_probabilities(rho3, bases, targets), atol=1e-9
+    )

@@ -37,6 +37,9 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+GAUSSIAN = {"shape": "gaussian", "center_us": 0.0, "width_us": 0.05}
+
+
 def set_key(path, value):
     """Config-dict edit that puts ``value`` at the nested key ``path``."""
 
@@ -48,6 +51,11 @@ def set_key(path, value):
         return data
 
     return edit
+
+
+def envelope_for_node_i(spec):
+    """Config-dict edit giving node I ``spec`` and nodes II, III ``GAUSSIAN``."""
+    return set_key(("envelopes",), {"I": spec, "II": GAUSSIAN, "III": GAUSSIAN})
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +389,38 @@ class TestGhzScenarios:
         assert 0.0 < b["conditional_success_estimate"] < 1.0
         assert b["rate"]["sixfold_probability"] < b["rate"]["joint_write_read"]
 
+    @pytest.mark.parametrize(
+        "scenario, samples, empty",
+        [
+            ("ghz6", 1, ["m0", "m1", "m2", "m3", "m4", "m5"]),
+            ("ghz3", 3, ["m2"]),
+            ("ghz6", 7, []),  # one event per setting keeps an estimate
+        ],
+    )
+    def test_small_budgets_flag_empty_settings(self, scenario, samples, empty, capsys):
+        argv = ["--preset", "paper", "--scenario", scenario, "--samples", str(samples)]
+        assert cli.main(argv) == 0
+        body = strict_json(capsys.readouterr().out)["body"]
+        assert body["empty_settings"] == empty
+        fid = body["fidelity"]
+        assert (fid["estimate"] is None, fid["sigma"] is None) == (bool(empty),) * 2
+        assert 0.0 < fid["exact"] < 1.0
+        assert body["populations"] is not None
+
+    def test_empty_population_setting_reports_null_populations(self):
+        # the budget split fills the population table first, so list it last
+        runner = h._RUNNERS["ghz3"].func
+        body, _ = runner(
+            paper_cfg(scenario="ghz3", samples=3),
+            h._table_streams(0),
+            spec=ev.GHZ3_SPEC,
+            make_settings=lambda: ev.ghz3_settings()[::-1],
+            reducer=h._memory_marginal,
+        )
+        assert body["empty_settings"] == [w.POPULATION_SETTING]
+        assert body["populations"] is None
+        assert body["fidelity"]["estimate"] is None
+
 
 # ---------------------------------------------------------------------------
 # rate arithmetic
@@ -584,8 +624,47 @@ class TestCli:
                 set_key(("calibration_weights",), [1]),
                 "config key 'calibration_weights' must be an object",
             ),
+            (
+                set_key(("calibration_weights",), {"population": True}),
+                "calibration weight 'population' must be a positive number",
+            ),
+            (envelope_for_node_i(5), "envelope for node 'I' must be an object"),
+            (
+                set_key(("envelopes",), dict.fromkeys(("I", "II", "III", "IV"), GAUSSIAN)),
+                "envelopes keys must be exactly ['I', 'II', 'III'], not "
+                "['I', 'II', 'III', 'IV']",
+            ),
+            (
+                set_key(("envelopes",), {"I": GAUSSIAN}),
+                "envelopes keys must be exactly ['I', 'II', 'III'], not ['I']",
+            ),
+            (
+                envelope_for_node_i({"shape": "gaussian", "width_us": 0.05}),
+                "envelope for node 'I': missing key(s) ['center_us']",
+            ),
+            (
+                envelope_for_node_i({"shape": "triangle"}),
+                "envelope for node 'I' needs a 'csv' path or a 'shape'",
+            ),
+            (
+                envelope_for_node_i({**GAUSSIAN, "width_us": -1.0}),
+                "envelope for node 'I': width_us must be positive",
+            ),
         ],
-        ids=["p_w_string", "dark_null", "top_level_list", "nodes_number", "weights_list"],
+        ids=[
+            "p_w_string",
+            "dark_null",
+            "top_level_list",
+            "nodes_number",
+            "weights_list",
+            "weight_bool",
+            "envelope_number",
+            "envelope_extra_node",
+            "envelope_missing_node",
+            "envelope_missing_key",
+            "envelope_unknown_shape",
+            "envelope_negative_width",
+        ],
     )
     def test_mistyped_config_errors(self, edit, message, tmp_path, capsys):
         data = edit(paper_cfg(scenario="two_node_swap").to_dict())

@@ -111,7 +111,7 @@ class TestFidelityFromExpectations:
         target = np.zeros(8, dtype=complex)
         target[q.bits_to_index(SPEC3.pattern0)] = 1 / np.sqrt(2)
         target[q.bits_to_index(SPEC3.pattern1)] = 1 / np.sqrt(2)
-        psi = q.StateVector(reg, target)
+        psi = q.DensityMatrix(reg, np.outer(target, target.conj()))
         for _ in range(25):
             a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
             m = a @ a.conj().T
