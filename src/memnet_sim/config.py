@@ -34,6 +34,16 @@ SCENARIO_IDS = (
 
 NODE_ORDER = ("I", "II", "III")
 
+# scenario -> the scenario_params keys it takes
+SCENARIO_PARAMS = {
+    "pair_tomography": ("node",),
+    "raman_delay_sweep": ("node", "delays_us"),
+    "lifetime_sweep": ("node", "delays_us"),
+    "two_node_swap": ("delta_omega_rad_per_us", "width_us", "point_width_us"),
+    "ghz6": (),
+    "ghz3": (),
+}
+
 SCHEMA_VERSION = 1
 
 
@@ -107,6 +117,7 @@ class ExperimentConfig:
             raise ValueError("interference_visibility must lie in [0, 1]")
         if self.envelopes is not None:
             _check_envelopes(self.envelopes)
+        _check_scenario_params(self.scenario_params)
         if self.calibration_weights is not None:
             for key, val in self.calibration_weights.items():
                 if isinstance(val, bool) or not (isinstance(val, numbers.Real) and val > 0):
@@ -247,6 +258,55 @@ def _check_section(section: str, data, cls, extra=()) -> dict:
                 f"{section} key {f.name!r} must be {what}, not {value!r}"
             )
     return data
+
+
+def _is_number(value, positive: bool = False) -> bool:
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and (value > 0.0 or not positive)
+    )
+
+
+def _is_number_list(value, positive: bool = False) -> bool:
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) > 0
+        and all(_is_number(x, positive) for x in value)
+    )
+
+
+# scenario_params key -> (check of its value, what the value must be)
+_PARAM_CHECKS = {
+    "node": (lambda v: isinstance(v, str) and v in NODE_ORDER, f"one of {list(NODE_ORDER)}"),
+    # delays are storage times
+    "delays_us": (
+        lambda v: _is_number_list(v) and min(v) >= 0.0,
+        "a non-empty list of non-negative finite numbers",
+    ),
+    "delta_omega_rad_per_us": (_is_number_list, "a non-empty list of finite numbers"),
+    "width_us": (
+        lambda v: _is_number_list(v, positive=True),
+        "a non-empty list of positive finite numbers",
+    ),
+    "point_width_us": (lambda v: _is_number(v, positive=True), "a positive finite number"),
+}
+
+
+def _check_scenario_params(params) -> None:
+    """Check the type and range of every scenario parameter a scenario knows.
+
+    Which keys the configured scenario takes, and how many delay points a
+    sweep needs, is checked when the scenario starts.
+    """
+    if not isinstance(params, dict):
+        raise ValueError(f"scenario_params must be an object, not {params!r}")
+    for key, value in params.items():
+        if key in _PARAM_CHECKS:
+            valid, what = _PARAM_CHECKS[key]
+            if not valid(value):
+                raise ValueError(f"scenario_params key {key!r} must be {what}, not {value!r}")
 
 
 # envelope shape -> (constructor, the spec keys it takes in argument order)

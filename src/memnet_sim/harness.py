@@ -258,8 +258,11 @@ def rate_arithmetic(cfg: cf.ExperimentConfig, duty_factor: float = 1.0) -> dict:
 # a relative output path to a payload emit_report knows how to write.
 
 
-def _scenario_params(cfg: cf.ExperimentConfig, allowed: tuple[str, ...]) -> dict:
+def _scenario_params(cfg: cf.ExperimentConfig) -> dict:
+    """The scenario's parameters, after rejecting keys it does not take;
+    the config has already checked each value."""
     params = dict(cfg.scenario_params)
+    allowed = cf.SCENARIO_PARAMS[cfg.scenario]
     unknown = set(params) - set(allowed)
     if unknown:
         raise ValueError(
@@ -270,7 +273,7 @@ def _scenario_params(cfg: cf.ExperimentConfig, allowed: tuple[str, ...]) -> dict
 
 
 def _run_pair_tomography(cfg: cf.ExperimentConfig, streams: _Streams):
-    params = _scenario_params(cfg, ("node",))
+    params = _scenario_params(cfg)
     node_cfg = cfg.node(params.get("node", "I"))
     dt = cfg.read_delay_us
     theta = nd.zeeman_phase(node_cfg, dt)
@@ -324,14 +327,16 @@ def _run_pair_tomography(cfg: cf.ExperimentConfig, streams: _Streams):
 
 
 def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _Streams):
-    params = _scenario_params(cfg, ("node", "delays_us"))
+    params = _scenario_params(cfg)
     node_cfg = cfg.node(params.get("node", "I"))
     period = node_cfg.zeeman_period_us
     delays = np.asarray(
         params.get("delays_us", np.linspace(0.0, 3.0 * period, 33)), dtype=float
     )
     if delays.size < 5:
-        raise ValueError("raman_delay_sweep needs at least 5 delay points")
+        raise ValueError(
+            "raman_delay_sweep needs at least 5 points in scenario_params key 'delays_us'"
+        )
 
     write_basis = q.BASIS_Z
     read_basis = _spin_super_basis(node_cfg.phi0)
@@ -398,14 +403,16 @@ def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _Streams):
 
 
 def _run_lifetime_sweep(cfg: cf.ExperimentConfig, streams: _Streams):
-    params = _scenario_params(cfg, ("node", "delays_us"))
+    params = _scenario_params(cfg)
     node_cfg = cfg.node(params.get("node", "I"))
     period = node_cfg.zeeman_period_us
     delays = np.asarray(
         params.get("delays_us", period * np.arange(23)), dtype=float
     )
     if delays.size < 4:
-        raise ValueError("lifetime_sweep needs at least 4 delay points")
+        raise ValueError(
+            "lifetime_sweep needs at least 4 points in scenario_params key 'delays_us'"
+        )
 
     rows = []
     eigen_tables = []
@@ -545,9 +552,7 @@ def _fit_lifetime(t_arr, eta_arr, n_writes):
 
 
 def _run_two_node_swap(cfg: cf.ExperimentConfig, streams: _Streams):
-    params = _scenario_params(
-        cfg, ("delta_omega_rad_per_us", "width_us", "point_width_us")
-    )
+    params = _scenario_params(cfg)
     node_cfg = cfg.node("I")
     dw0 = 2.0 * math.pi / node_cfg.zeeman_period_us
     dws = np.asarray(
@@ -655,7 +660,7 @@ def _run_ghz(
     setting's 64 pattern counts onto the qubits of ``spec``; when it drops
     the station ports (ghz3), their herald patterns are reported as well.
     """
-    _scenario_params(cfg, ())
+    _scenario_params(cfg)
     settings = make_settings()
     tables = ev.build_event_tables(cfg, settings)
     counts = _sample_event_tables(cfg, tables, streams)

@@ -56,6 +56,34 @@ def herald_memories(rho6, pattern):
     return memories
 
 
+def nested_trapezoid_swap_fidelity(flip, f, g, dw, branch=1):
+    """Swap fidelity from the full 2-D detection-time grid: build the
+    conditional amplitudes on the union grid of both envelopes, then
+    integrate numerator and density with a nested trapezoidal rule."""
+    t = np.union1d(f.times_us, g.times_us)
+    fa = f.values_at(t)
+    ga = g.values_at(t) * np.exp(-1j * dw * t)
+    if flip:
+        common = np.outer(fa, ga)
+        amps = {1: common, 2: branch * common}
+        target = {1: 1.0 / math.sqrt(2), 2: branch / math.sqrt(2)}
+    else:
+        amps = {0: np.outer(fa, fa), 3: branch * np.outer(ga, ga)}
+        target = {0: 1.0 / math.sqrt(2), 3: branch / math.sqrt(2)}
+    overlap = sum(np.conj(target[j]) * amps[j] for j in amps)
+    density = sum(np.abs(c) ** 2 for c in amps.values())
+
+    def integrate(grid2d):
+        return np.trapezoid(np.trapezoid(grid2d, t, axis=1), t)
+
+    return float(integrate(np.abs(overlap) ** 2) / integrate(density))
+
+
+def random_envelope(rng, n):
+    values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return optics.Envelope(rng.uniform(-1.0, 1.0), rng.uniform(0.01, 0.5), values)
+
+
 def station_enumeration_oracle(coeffs):
     """Walk every routed term of the product state and keep one-per-port."""
     amp6 = np.zeros(64, dtype=complex)
@@ -317,3 +345,40 @@ class TestAveragedSwapFidelity:
         for flip in (True, False):
             got = optics.averaged_swap_fidelity(flip, env, env, 0.0)
             assert got == pytest.approx(1.0, abs=1e-9)
+
+    def test_matches_nested_trapezoid_oracle(self):
+        # different starts, steps and lengths make the union grid non-uniform
+        rng = np.random.default_rng(2024)
+        sizes = (2, 3, 7, 16, 33)
+        for k in range(40):
+            f = random_envelope(rng, sizes[k % len(sizes)])
+            g = random_envelope(rng, sizes[(k // len(sizes)) % len(sizes)])
+            dw = rng.uniform(0.0, 10.0)
+            for flip in (True, False):
+                for branch in (1, -1):
+                    want = nested_trapezoid_swap_fidelity(flip, f, g, dw, branch)
+                    got = optics.averaged_swap_fidelity(flip, f, g, dw, branch)
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_matches_oracle_on_default_gaussians(self):
+        f = optics.Envelope.gaussian(0.0, 0.05)
+        g = optics.Envelope.gaussian(0.01, 0.07)
+        for flip in (True, False):
+            for dw in (0.0, 2 * math.pi / 5.28, 7.5):
+                want = nested_trapezoid_swap_fidelity(flip, f, g, dw)
+                got = optics.averaged_swap_fidelity(flip, f, g, dw)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_branch_sign_cancels(self):
+        rng = np.random.default_rng(7)
+        f, g = random_envelope(rng, 9), random_envelope(rng, 12)
+        for flip in (True, False):
+            plus = optics.averaged_swap_fidelity(flip, f, g, 1.3, branch=1)
+            minus = optics.averaged_swap_fidelity(flip, f, g, 1.3, branch=-1)
+            assert minus == pytest.approx(plus, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("branch", [0, 2, 1j])
+    def test_branch_must_be_a_sign(self, branch):
+        env = optics.Envelope.gaussian(0.0, 0.05, n=16)
+        with pytest.raises(ValueError, match="branch"):
+            optics.averaged_swap_fidelity(False, env, env, 1.0, branch=branch)

@@ -53,6 +53,20 @@ def set_key(path, value):
     return edit
 
 
+def swap_params(params):
+    """Config-dict edit giving the two_node_swap scenario ``params``."""
+    return set_key(("scenario_params",), params)
+
+
+def raman_params(params):
+    """Config-dict edit switching to raman_delay_sweep with ``params``."""
+
+    def edit(data):
+        return {**data, "scenario": "raman_delay_sweep", "scenario_params": params}
+
+    return edit
+
+
 def envelope_for_node_i(spec):
     """Config-dict edit giving node I ``spec`` and nodes II, III ``GAUSSIAN``."""
     return set_key(("envelopes",), {"I": spec, "II": GAUSSIAN, "III": GAUSSIAN})
@@ -348,6 +362,21 @@ class TestTwoNodeSwap:
         )
         rep = h.run_scenario(cfg)
         assert len(rep.body["grid"]) == 6
+
+    def test_paper_body_matches_gaussian_closed_form(self):
+        # no flip: the beat exp(-i dw t) between Gaussian photons of width
+        # sigma leaves the averaged coherence exp(-(dw sigma)^2)
+        body = h.run_scenario(paper_cfg(scenario="two_node_swap", seed=0)).body
+        point = body["point"]
+        dw, sigma = point["delta_omega_rad_per_us"], point["width_us"]
+        want = 0.5 * (1.0 + math.exp(-((dw * sigma) ** 2)))
+        assert point["fidelity_noflip"] == pytest.approx(want, abs=1e-4)
+        for flip in (point["fidelity_flip"], body["flip_min"], body["flip_max"]):
+            assert flip == pytest.approx(1.0, abs=1e-9)
+        # the 4-sigma envelope cut leaves the widest grid rows ~7e-5 off
+        for dw, sigma, flip, noflip in body["grid"]:
+            assert noflip == pytest.approx(0.5 * (1.0 + math.exp(-((dw * sigma) ** 2))), abs=1e-4)
+            assert flip == pytest.approx(1.0, abs=1e-9)
 
 
 class TestGhzScenarios:
@@ -650,6 +679,62 @@ class TestCli:
                 envelope_for_node_i({**GAUSSIAN, "width_us": -1.0}),
                 "envelope for node 'I': width_us must be positive",
             ),
+            (
+                swap_params({"width_us": 0.05}),
+                "scenario_params key 'width_us' must be a non-empty list of positive",
+            ),
+            (
+                swap_params({"width_us": []}),
+                "scenario_params key 'width_us' must be a non-empty list",
+            ),
+            (
+                swap_params({"width_us": [float("nan")]}),
+                "scenario_params key 'width_us' must be a non-empty list",
+            ),
+            (
+                swap_params({"width_us": [0.05, 0.0]}),
+                "scenario_params key 'width_us' must be a non-empty list of positive",
+            ),
+            (
+                swap_params({"delta_omega_rad_per_us": {"a": 1}}),
+                "scenario_params key 'delta_omega_rad_per_us' must be a non-empty list",
+            ),
+            (
+                swap_params({"delta_omega_rad_per_us": [1.0, True]}),
+                "scenario_params key 'delta_omega_rad_per_us' must be a non-empty list",
+            ),
+            (
+                swap_params({"point_width_us": -0.05}),
+                "scenario_params key 'point_width_us' must be a positive finite number",
+            ),
+            (
+                swap_params({"point_width_us": "0.05"}),
+                "scenario_params key 'point_width_us' must be a positive finite number",
+            ),
+            (
+                swap_params({"delays_us": [0.0, 1.0, 2.0, 3.0, 4.0]}),
+                "unknown scenario_params ['delays_us'] for two_node_swap",
+            ),
+            (
+                raman_params({"delays_us": [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]}),
+                "scenario_params key 'delays_us' must be a non-empty list",
+            ),
+            (
+                raman_params({"delays_us": [0.0, 1.0, float("inf"), 3.0, 4.0]}),
+                "scenario_params key 'delays_us' must be a non-empty list",
+            ),
+            (
+                raman_params({"delays_us": [-1.0, 0.0, 1.0, 2.0, 3.0]}),
+                "scenario_params key 'delays_us' must be a non-empty list of non-negative",
+            ),
+            (
+                raman_params({"delays_us": [0.0, 1.0, 2.0, 3.0]}),
+                "raman_delay_sweep needs at least 5 points in scenario_params key 'delays_us'",
+            ),
+            (
+                raman_params({"node": "IV"}),
+                "scenario_params key 'node' must be one of ['I', 'II', 'III']",
+            ),
         ],
         ids=[
             "p_w_string",
@@ -664,6 +749,20 @@ class TestCli:
             "envelope_missing_key",
             "envelope_unknown_shape",
             "envelope_negative_width",
+            "swap_width_scalar",
+            "swap_width_empty",
+            "swap_width_nan",
+            "swap_width_zero",
+            "swap_dw_object",
+            "swap_dw_bool",
+            "swap_point_width_negative",
+            "swap_point_width_string",
+            "swap_delays",
+            "raman_delays_2d",
+            "raman_delays_inf",
+            "raman_delays_negative",
+            "raman_delays_four",
+            "raman_node_unknown",
         ],
     )
     def test_mistyped_config_errors(self, edit, message, tmp_path, capsys):
