@@ -22,10 +22,14 @@ Each event class contributes (probability, outcome distribution over the
 64 click patterns).  Summing gives the herald probability per trial, the
 importance weight attached to every conditionally drawn sample; one
 multinomial over the table's mixed outcome distribution is exact
-conditional sampling.  The brute-force path (`raw_trial_counts`) simulates
-unconditional trials with per-trial Bernoulli draws and exists to validate
-the table at excitation probabilities high enough for six-folds to show up
-in reasonable time.
+conditional sampling.  The table build enumerates the write branches once
+per config as index arrays, gathers per-port and per-memory click tables
+onto them, and takes one outer product over the ``(B, 6, 2)`` factor stack;
+the coherent sector is measured once per state and marginalized over the
+memories whose retrieval failed.  The brute-force path (`raw_trial_counts`)
+simulates unconditional trials with per-trial Bernoulli draws and exists to
+validate the table at excitation probabilities high enough for six-folds to
+show up in reasonable time.
 """
 
 from __future__ import annotations
@@ -160,54 +164,52 @@ def _coherent_sector(cfg: ExperimentConfig, terms: list[_NodeTerms]) -> _Coheren
 
 
 def _single_click(hits: np.ndarray, dark: float):
-    """(probability of exactly one click, outcome distribution given that)."""
+    """(probability of exactly one click, outcome distribution given that)
+    of one 2x2 hit distribution, or of each in a ``(..., 2, 2)`` stack."""
     clicks = det.analyzer_clicks(hits, dark)
-    one = np.array([clicks[1, 0], clicks[0, 1]])
-    total = float(one.sum())
-    if total <= 0.0:
-        return 0.0, _UNIFORM2
-    return total, one / total
+    one = np.stack([clicks[..., 1, 0], clicks[..., 0, 1]], axis=-1)
+    total = one.sum(axis=-1, keepdims=True)
+    fired = total > 0.0
+    return total[..., 0], np.where(fired, one / np.where(fired, total, 1.0), 0.5)
 
 
-def _port_outcomes(port_bases, dark: float) -> dict:
-    """``_single_click`` of each station port per load, keyed ``(port, pols)``.
+# port loads: the H(0)/V(1) photons routed to one station port, in node order
+_PORT_LOADS = ((), (0,), (1,), (0, 1), (1, 0))
+# memory kinds: vacuum, spoiled (double), then a clean memory collapsed by
+# its photon's H or V routing at _SINGLE_KIND + pol
+_VACUUM_KIND, _DOUBLE_KIND, _SINGLE_KIND = 0, 1, 2
 
-    A load lists the H(0)/V(1) photons routed to the port in node order.
+
+def _port_outcomes(port_bases, dark: float):
+    """``_single_click`` of each station port under each of ``_PORT_LOADS``.
+
     Colliding photons always carry opposite polarizations, so a bunched
     port fires a single channel only when both Born draws coincide, which
     is impossible in the H/V basis and a coin flip in any equatorial basis.
     """
-    out = {}
-    for port, basis in enumerate(port_bases):
+    hits = []
+    for basis in port_bases:
         born_h, born_v = (_born2(basis, ket) for ket in np.eye(2))
-        hits = {
-            (): det.NO_HITS,
-            (0,): det.photon_hits(1.0, born_h),
-            (1,): det.photon_hits(1.0, born_v),
-            (0, 1): det.bunched_hits(born_h, born_v),
-            (1, 0): det.bunched_hits(born_h, born_v),
-        }
-        out.update({(port, pols): _single_click(h, dark) for pols, h in hits.items()})
-    return out
+        bunched = det.bunched_hits(born_h, born_v)
+        singles = [det.photon_hits(1.0, born) for born in (born_h, born_v)]
+        hits.append([det.NO_HITS, *singles, bunched, bunched])
+    return _single_click(np.array(hits), dark)
 
 
-def _memory_outcomes(memory_bases, terms: list[_NodeTerms], dark: float) -> dict:
-    """``_single_click`` of each memory analyzer per kind, keyed ``(k, kind)``.
+def _memory_outcomes(memory_bases, terms: list[_NodeTerms], dark: float):
+    """``_single_click`` of each memory analyzer under each memory kind.
 
-    ``kind`` is VACUUM, DOUBLE, or ``("single", pol)`` for a clean memory
-    collapsed by its photon's routing; a spoiled memory reads out uniformly.
+    A clean memory is read in the state its photon's routing collapsed it
+    to; a spoiled memory reads out uniformly.
     """
-    out = {}
-    for k, (term, basis) in enumerate(zip(terms, memory_bases)):
-        hits = {
-            VACUUM: det.NO_HITS,
-            DOUBLE: det.photon_hits(term.eta_dbl, _UNIFORM2),
-        }
-        for pol in (0, 1):
-            born = _born2(basis, term.mem_given_pol[pol])
-            hits["single", pol] = det.photon_hits(term.eta, born)
-        out.update({(k, kind): _single_click(h, dark) for kind, h in hits.items()})
-    return out
+    hits = []
+    for term, basis in zip(terms, memory_bases):
+        clean = [
+            det.photon_hits(term.eta, _born2(basis, term.mem_given_pol[pol]))
+            for pol in (0, 1)
+        ]
+        hits.append([det.NO_HITS, det.photon_hits(term.eta_dbl, _UNIFORM2), *clean])
+    return _single_click(np.array(hits), dark)
 
 
 def _hit_and_fill(dark: float) -> tuple[float, float]:
@@ -215,16 +217,33 @@ def _hit_and_fill(dark: float) -> tuple[float, float]:
     the coherent sector's factors (its outcomes come from the joint state)."""
     hit_one, _ = _single_click(det.photon_hits(1.0, _UNIFORM2), dark)
     fill, _ = _single_click(det.NO_HITS, dark)
-    return hit_one, fill
+    return float(hit_one), float(fill)
 
 
-def _write_branches(terms: list[_NodeTerms]):
-    """Yield (probability, photon pols by node or None, memory kinds).
+_POL_NAME = ("H", "V")
+_ROUTE_H = np.array([op.ROUTE[(k, "H")] for k in range(3)])
+_ROUTE_V = np.array([op.ROUTE[(k, "V")] for k in range(3)])
 
-    Enumerates write outcomes for the three nodes and the polarization
+
+@dataclass(frozen=True)
+class _Branches:
+    """The incoherent write branches of one config, one row per branch:
+    its probability, its ``_PORT_LOADS`` index per port and its memory kind
+    per node, with the node terms they came from."""
+
+    terms: list[_NodeTerms]
+    probability: np.ndarray  # (B,)
+    port_load: np.ndarray  # (B, 3)
+    memory_kind: np.ndarray  # (B, 3)
+
+
+def _write_branches(cfg: ExperimentConfig) -> _Branches:
+    """Enumerate write outcomes for the three nodes and the polarization
     collapse of every photon, skipping the two all-single assignments that
     route one photon per port; those stay coherent and are handled jointly.
     """
+    terms = [_node_terms(cfg, k) for k in range(3)]
+    probs, loads, kinds = [], [], []
     for combo in itertools.product((VACUUM, SINGLE, DOUBLE), repeat=3):
         base = math.prod(t.write_probs[c] for t, c in zip(terms, combo))
         if base <= 0.0:
@@ -234,85 +253,59 @@ def _write_branches(terms: list[_NodeTerms]):
             if combo == (SINGLE, SINGLE, SINGLE) and pols in ((0, 0, 0), (1, 1, 1)):
                 continue
             prob = base
-            photon_pol: list[int | None] = [None, None, None]
-            kinds: list = [VACUUM, VACUUM, VACUUM]
+            ports: list[list[int]] = [[], [], []]
+            kind = [_VACUUM_KIND] * 3
             for k, pol in zip(photon_nodes, pols):
-                photon_pol[k] = pol
+                ports[op.ROUTE[(k, _POL_NAME[pol])]].append(pol)
                 if combo[k] == SINGLE:
                     prob *= terms[k].p_pol[pol]
-                    kinds[k] = ("single", pol)
+                    kind[k] = _SINGLE_KIND + pol
                 else:
                     prob *= 0.5
-                    kinds[k] = DOUBLE
-            yield prob, photon_pol, tuple(kinds)
+                    kind[k] = _DOUBLE_KIND
+            probs.append(prob)
+            loads.append([_PORT_LOADS.index(tuple(p)) for p in ports])
+            kinds.append(kind)
+    return _Branches(terms, np.array(probs), np.array(loads), np.array(kinds))
 
 
-_POL_NAME = ("H", "V")
-_ROUTE_H = np.array([op.ROUTE[(k, "H")] for k in range(3)])
-_ROUTE_V = np.array([op.ROUTE[(k, "V")] for k in range(3)])
+def _times_clicks(prob: np.ndarray, clicks: np.ndarray, index) -> np.ndarray:
+    """Multiply each branch by the click probability of units 0, 1, 2 in turn."""
+    for unit in range(3):
+        prob = prob * clicks[unit, index[:, unit]]
+    return prob
 
 
-def _ports_from_pols(photon_pol) -> list[tuple[int, ...]]:
-    ports: list[list[int]] = [[], [], []]
-    for k, pol in enumerate(photon_pol):
-        if pol is not None:
-            ports[op.ROUTE[(k, _POL_NAME[pol])]].append(pol)
-    return [tuple(p) for p in ports]
-
-
-def _kron6(factors) -> np.ndarray:
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
-
-
-def _memory_subsets():
-    return [frozenset(k for k in range(3) if mask >> k & 1) for mask in range(8)]
-
-
-def _coherent_subset_dist(
-    sector: _CoherentSector, setting: SettingSpec, real: frozenset
+def _coherent_subset_dists(
+    sector: _CoherentSector, setting: SettingSpec
 ) -> np.ndarray:
-    """Joint click distribution over ports plus the retrieved memories.
+    """``(8, 64)`` click distributions of the coherent sector by retrieval
+    mask (bit ``k`` set when memory ``k`` returned its photon).  A memory
+    that returned none is summed out and its dark-count click filled in
+    uniformly.
 
-    Memories outside ``real`` returned no photon; the joint state is
-    marginalized over them.  With feed-forward on, herald patterns with an
-    odd number of outcome-1 port clicks are drawn from the flipped state;
-    port marginals agree between the two variants, so the spliced
-    distribution stays normalized.
+    One measurement of all six qubits serves every mask, since measuring a
+    qubit and discarding the result is a partial trace.  With feed-forward
+    on, herald patterns with an odd number of outcome-1 port clicks are
+    drawn from the flipped state; port marginals agree between the two
+    variants, so the spliced distribution stays normalized, and the splice,
+    which reads only port bits, commutes with the memory sums.
     """
-    targets = list(op.STATION_PORTS) + [
-        q.spin(nid) for k, nid in enumerate(op.NODE_IDS) if k in real
-    ]
-    bases = list(setting.port_bases) + [
-        setting.memory_bases[k] for k in range(3) if k in real
-    ]
+    targets = list(op.STATION_PORTS) + list(op.MEMORY_SPINS)
+    bases = list(setting.port_bases) + list(setting.memory_bases)
     dist = q.measurement_probabilities(sector.state, bases, targets)
     if setting.feedforward:
         flipped = q.measurement_probabilities(sector.state_flipped, bases, targets)
-        idx = np.arange(dist.size)
-        herald = idx >> len(real)
-        parity = (
-            ((herald >> 2) & 1) + ((herald >> 1) & 1) + (herald & 1)
-        ) % 2
+        herald = np.arange(dist.size) >> 3
+        parity = (((herald >> 2) & 1) + ((herald >> 1) & 1) + (herald & 1)) % 2
         dist = np.where(parity == 1, flipped, dist)
-    return dist
-
-
-def _expand_with_uniform(dist: np.ndarray, real: frozenset) -> np.ndarray:
-    """Insert uniform axes for the dark-filled memories and flatten to 64.
-
-    The retrieved memories appear in the small distribution in ascending
-    node order, so expanding at axis ``3 + k`` as ``k`` ascends keeps every
-    axis aligned with its node.
-    """
-    arr = dist.reshape([2] * (3 + len(real)))
-    for k in range(3):
-        if k not in real:
-            arr = np.expand_dims(arr, axis=3 + k)
-    scale = 0.5 ** (3 - len(real))
-    return (np.broadcast_to(arr, [2] * 6) * scale).reshape(-1)
+    joint = dist.reshape([2] * 6)
+    rows = []
+    for mask in range(8):
+        lost = tuple(3 + k for k in range(3) if not mask >> k & 1)
+        marginal = joint.sum(axis=lost, keepdims=True) * 0.5 ** len(lost)
+        rows.append(np.broadcast_to(marginal, joint.shape).reshape(-1))
+    return np.array(rows)
 
 
 @dataclass(frozen=True)
@@ -370,57 +363,59 @@ class EventTable:
 
 
 def build_event_tables(
-    cfg: ExperimentConfig, settings: tuple[SettingSpec, ...] | list[SettingSpec]
+    cfg: ExperimentConfig,
+    settings: tuple[SettingSpec, ...] | list[SettingSpec],
+    _branches: _Branches | None = None,
 ) -> list[EventTable]:
-    """Build the exact event table for each setting, sharing node terms."""
-    terms = [_node_terms(cfg, k) for k in range(3)]
+    """Build the exact event table for each setting, sharing node terms.
+
+    The write branches are enumerated once per config as index arrays.  Per
+    setting, each port's and memory's click probability and distribution
+    is tabulated once, gathered onto the branches by fancy indexing, and
+    the ``(B, 6, 2)`` factor stack becomes the class distributions in one
+    outer product.  The coherent sector is measured once per state and
+    marginalized over the memories that returned no photon.  Class order:
+    incoherent branches, then the coherent sector by retrieval subset.
+    """
+    branches = _write_branches(cfg) if _branches is None else _branches
+    terms = branches.terms
     sector = _coherent_sector(cfg, terms)
     dark = cfg.detector.dark_count_prob
     hit_one, fill = _hit_and_fill(dark)
-    branches = list(_write_branches(terms))
+    units = np.arange(3)
+    # the coherent sector by retrieval mask, as in _coherent_subset_dists
+    retrieved = (np.arange(8)[:, None] >> units) & 1 == 1
+    coherent = np.full(8, sector.probability * hit_one**3)
+    for k, term in enumerate(terms):
+        real, lost = term.eta * hit_one, (1.0 - term.eta) * fill
+        coherent = coherent * np.where(retrieved[:, k], real, lost)
+    live = coherent > 0.0
     tables = []
     for setting in settings:
-        probs: list[float] = []
-        dists: list[np.ndarray] = []
-        ports = _port_outcomes(setting.port_bases, dark)
-        memories = _memory_outcomes(setting.memory_bases, terms, dark)
-        for prob, photon_pol, kinds in branches:
-            factors = []
-            for port, pols in enumerate(_ports_from_pols(photon_pol)):
-                p_click, dist = ports[port, pols]
-                prob = prob * p_click
-                factors.append(dist)
-            if prob <= 0.0:
-                continue
-            for k, kind in enumerate(kinds):
-                p_click, dist = memories[k, kind]
-                prob = prob * p_click
-                factors.append(dist)
-            if prob > 0.0:
-                probs.append(prob)
-                dists.append(_kron6(factors))
-        clean = 0.0
-        port_factor = hit_one**3
-        for real in _memory_subsets():
-            prob = sector.probability * port_factor
-            for k in range(3):
-                if k in real:
-                    prob *= terms[k].eta * hit_one
-                else:
-                    prob *= (1.0 - terms[k].eta) * fill
-            if prob <= 0.0:
-                continue
-            small = _coherent_subset_dist(sector, setting, real)
-            probs.append(prob)
-            dists.append(_expand_with_uniform(small, real))
-            if len(real) == 3:
-                clean = prob
-        if not probs or sum(probs) <= 0.0:
+        port_p, port_d = _port_outcomes(setting.port_bases, dark)
+        mem_p, mem_d = _memory_outcomes(setting.memory_bases, terms, dark)
+        prob = _times_clicks(branches.probability, port_p, branches.port_load)
+        prob = _times_clicks(prob, mem_p, branches.memory_kind)
+        keep = prob > 0.0
+        factors = np.concatenate(
+            [
+                port_d[units, branches.port_load[keep]],
+                mem_d[units, branches.memory_kind[keep]],
+            ],
+            axis=1,
+        )
+        dists = factors[:, 0]
+        for j in range(1, 6):
+            dists = dists[:, :, None] * factors[:, j, None, :]
+            dists = dists.reshape(-1, 2 ** (j + 1))
+        probs = np.concatenate([prob[keep], coherent[live]])
+        if probs.size == 0:
             raise ValueError(
                 f"no six-fold coincidences possible for setting {setting.setting_id}"
             )
+        dists = np.concatenate([dists, _coherent_subset_dists(sector, setting)[live]])
         tables.append(
-            EventTable(setting.setting_id, np.array(probs), np.array(dists), clean)
+            EventTable(setting.setting_id, probs, dists, float(coherent[-1]))
         )
     return tables
 
@@ -429,16 +424,20 @@ def build_event_table(cfg: ExperimentConfig, setting: SettingSpec) -> EventTable
     return build_event_tables(cfg, [setting])[0]
 
 
-def conditional_success_estimate(cfg: ExperimentConfig) -> float:
+def conditional_success_estimate(
+    cfg: ExperimentConfig, _branches: _Branches | None = None
+) -> float:
     """Chance that a station herald left all three memories truly entangled.
 
     Conditioned on exactly one click per station port under D/A analysis,
     this is the probability that every node holds a single excitation and
     the photons interfered one-per-port, excluding double-excitation and
     dark-count false heralds.  Computed in closed form from the event
-    classes; no sampling error.
+    classes; no sampling error.  ``_branches`` reuses the write branches a
+    table build already enumerated.
     """
-    terms = [_node_terms(cfg, k) for k in range(3)]
+    branches = _write_branches(cfg) if _branches is None else _branches
+    terms = branches.terms
     dark = cfg.detector.dark_count_prob
     hit_one, _ = _hit_and_fill(dark)
     p_all_single = math.prod(t.write_probs[SINGLE] for t in terms)
@@ -446,12 +445,10 @@ def conditional_success_estimate(cfg: ExperimentConfig) -> float:
         t.p_pol[1] for t in terms
     )
     numerator = p_all_single * success * hit_one**3
-    denom = numerator
-    ports = _port_outcomes((q.BASIS_DA, q.BASIS_DA, q.BASIS_DA), dark)
-    for prob, photon_pol, _ in _write_branches(terms):
-        for port, pols in enumerate(_ports_from_pols(photon_pol)):
-            prob = prob * ports[port, pols][0]
-        denom += prob
+    port_p, _ = _port_outcomes((q.BASIS_DA, q.BASIS_DA, q.BASIS_DA), dark)
+    false = _times_clicks(branches.probability, port_p, branches.port_load)
+    # accumulate left to right, branch by branch after the numerator
+    denom = np.add.accumulate(np.concatenate([[numerator], false]))[-1]
     return numerator / denom
 
 
@@ -490,10 +487,7 @@ def raw_trial_counts(
     )
     etas = np.array([t.eta for t in terms])
     etas_dbl = np.array([t.eta_dbl for t in terms])
-    subsets = _memory_subsets()
-    subset_dists = {
-        real: _coherent_subset_dist(sector, setting, real) for real in subsets
-    }
+    coherent_dists = _coherent_subset_dists(sector, setting)
 
     counts = np.zeros(_N_OUTCOMES, dtype=np.int64)
     remaining = n_trials
@@ -542,26 +536,17 @@ def raw_trial_counts(
             mem_hits[rows[mask], k, ch[mask]] = True
 
         # coherent trials: port channels and real-memory outcomes are drawn
-        # jointly from the station state, grouped by which retrievals fired
-        idx_coh = np.nonzero(coherent)[0]
-        if idx_coh.size:
-            for real in subsets:
-                sel = idx_coh
-                for k in range(3):
-                    want = k in real
-                    sel = sel[real_mask[sel, k] == want]
-                if sel.size == 0:
-                    continue
-                dist = subset_dists[real]
-                draws = rng.choice(dist.size, size=sel.size, p=dist / dist.sum())
-                n_mem = len(real)
-                port_bits = draws >> n_mem
-                photon_hits[sel, 0, (port_bits >> 2) & 1] = True
-                photon_hits[sel, 1, (port_bits >> 1) & 1] = True
-                photon_hits[sel, 2, port_bits & 1] = True
-                for j, k in enumerate(sorted(real)):
-                    bit = (draws >> (n_mem - 1 - j)) & 1
-                    mem_hits[sel, k, bit] = True
+        # jointly from the station state, grouped by which retrievals fired;
+        # a memory that returned no photon leaves its analyzer to dark counts
+        retrieved = real_mask @ (1 << np.arange(3))
+        for mask in np.unique(retrieved[coherent]):
+            sel = np.nonzero(coherent & (retrieved == mask))[0]
+            dist = coherent_dists[mask]
+            draws = rng.choice(_N_OUTCOMES, size=sel.size, p=dist / dist.sum())
+            for k in range(3):
+                photon_hits[sel, k, (draws >> (5 - k)) & 1] = True
+                if mask >> k & 1:
+                    mem_hits[sel, k, (draws >> (2 - k)) & 1] = True
 
         clicks_w = photon_hits | (rng.random((n, 3, 2)) < dark)
         clicks_r = mem_hits | (rng.random((n, 3, 2)) < dark)
@@ -569,15 +554,8 @@ def raw_trial_counts(
         ok &= (clicks_r.sum(axis=2) == 1).all(axis=1)
         if not ok.any():
             continue
-        wbits = clicks_w[ok][:, :, 1].astype(np.int64)
-        rbits = clicks_r[ok][:, :, 1].astype(np.int64)
-        pattern = (
-            wbits[:, 0] * 32
-            + wbits[:, 1] * 16
-            + wbits[:, 2] * 8
-            + rbits[:, 0] * 4
-            + rbits[:, 1] * 2
-            + rbits[:, 2]
-        )
+        # channel-1 bits of ports 0-2 then memories 0-2, big-endian
+        bits = np.concatenate([clicks_w[ok], clicks_r[ok]], axis=1)[:, :, 1]
+        pattern = bits @ (1 << np.arange(5, -1, -1))
         counts += np.bincount(pattern, minlength=_N_OUTCOMES)
     return counts

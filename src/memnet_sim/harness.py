@@ -653,17 +653,23 @@ def _run_ghz(
     spec: w.GhzSpec,
     make_settings,
     reducer=None,
+    telemetry: dict | None = None,
 ):
     """Heralded GHZ witness: sample each setting's event table, then estimate.
 
     ``make_settings`` builds the witness settings.  ``reducer`` maps each
     setting's 64 pattern counts onto the qubits of ``spec``; when it drops
     the station ports (ghz3), their herald patterns are reported as well.
+    ``telemetry``, when given, receives the stage wall times and counters.
     """
     _scenario_params(cfg)
     settings = make_settings()
-    tables = ev.build_event_tables(cfg, settings)
+    started = time.perf_counter()
+    branches = ev._write_branches(cfg)
+    tables = ev.build_event_tables(cfg, settings, _branches=branches)
+    built = time.perf_counter()
     counts = _sample_event_tables(cfg, tables, streams)
+    sampled_at = time.perf_counter()
 
     kept = counts if reducer is None else [reducer(arr) for arr in counts]
     sampled = _setting_counts(settings, kept, spec.n_qubits)
@@ -697,9 +703,21 @@ def _run_ghz(
             }
             for t in tables
         },
-        "conditional_success_estimate": ev.conditional_success_estimate(cfg),
+        "conditional_success_estimate": ev.conditional_success_estimate(
+            cfg, _branches=branches
+        ),
         "rate": rate_arithmetic(cfg),
     }
+    if telemetry is not None:
+        telemetry["stage_s"] = {
+            "table_build": built - started,
+            "sampling": sampled_at - built,
+            "estimate": time.perf_counter() - sampled_at,
+        }
+        telemetry["counters"] = {
+            "event_classes": sum(t.probabilities.size for t in tables),
+            "rng_streams": len(counts),
+        }
     artifacts = {
         f"counts/{cfg.scenario}_settings.csv": ("settings", list(sampled.values())),
     }
@@ -740,8 +758,9 @@ class RunReport:
 
     ``body`` is a pure function of (config, seed); ``body_json()`` is the
     byte-exact serialization the determinism contract applies to.  Wall
-    time, worker count and software version live in ``meta``.  ``artifacts``
-    maps relative output paths to payloads for ``emit_report``.
+    time, worker count and software version live in ``meta``, as do the
+    ghz6/ghz3 stage times (``stage_s``) and counters (``counters``).
+    ``artifacts`` maps relative output paths to payloads for ``emit_report``.
     """
 
     scenario: str
@@ -764,7 +783,9 @@ def run_scenario(cfg: cf.ExperimentConfig) -> RunReport:
     if cfg.scenario not in _RUNNERS:
         raise ValueError(f"unknown scenario {cfg.scenario!r}")
     started = time.perf_counter()
-    body, artifacts = _RUNNERS[cfg.scenario](cfg, _table_streams(cfg.seed))
+    telemetry: dict = {}  # stage times and counters of the heralded runner
+    extra = {"telemetry": telemetry} if cfg.scenario in ("ghz6", "ghz3") else {}
+    body, artifacts = _RUNNERS[cfg.scenario](cfg, _table_streams(cfg.seed), **extra)
 
     config_echo = cfg.to_dict()
     # execution details must not influence the deterministic body
@@ -781,6 +802,7 @@ def run_scenario(cfg: cf.ExperimentConfig) -> RunReport:
         "version": __version__,
         "wall_time_s": time.perf_counter() - started,
         "workers": cfg.workers,
+        **telemetry,
     }
     return RunReport(
         scenario=cfg.scenario,

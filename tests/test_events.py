@@ -1,10 +1,16 @@
 """Tests for heralded-event enumeration, conditional sampling, raw trials."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from memnet_sim import config as cf
+from memnet_sim import detection as det
 from memnet_sim import events as ev
+from memnet_sim import optics as op
+from memnet_sim import quantum as q
 from memnet_sim import witness as w
 from memnet_sim.detection import DetectorConfig
 from memnet_sim.node import NodeConfig
@@ -27,6 +33,211 @@ def noisy_config(p_w=0.3, dark=0.05, **node_kwargs):
         read_delay_us=5.0,
         interference_visibility=0.9,
     )
+
+
+def random_config(rng, p_w=(0.02, 0.45), dark=(0.0, 0.1)):
+    """A valid config with independently drawn node parameters."""
+    nodes = tuple(
+        NodeConfig(
+            nid,
+            p_w=rng.uniform(*p_w),
+            eta_r0=rng.uniform(0.2, 1.0),
+            tau_mem_us=rng.uniform(20.0, 500.0),
+            tau_vis_us=rng.uniform(20.0, 500.0),
+            zeeman_period_us=rng.uniform(3.0, 8.0),
+            phi0=rng.uniform(0.0, 2 * math.pi),
+            excitation_order=int(rng.integers(1, 3)),
+            depol_weight=rng.uniform(0.0, 0.3),
+            branch_weight_down=rng.uniform(0.3, 0.7),
+        )
+        for nid in ("I", "II", "III")
+    )
+    return cf.ExperimentConfig(
+        nodes=nodes,
+        detector=DetectorConfig(dark_count_prob=rng.uniform(*dark)),
+        read_delay_us=rng.uniform(0.0, 10.0),
+        interference_visibility=rng.uniform(0.5, 1.0),
+    )
+
+
+def loop_write_branches(terms):
+    """Yield (probability, photon pol per node or None, memory kind per node)
+    for every incoherent write branch, one at a time."""
+    for combo in itertools.product((ev.VACUUM, ev.SINGLE, ev.DOUBLE), repeat=3):
+        base = math.prod(t.write_probs[c] for t, c in zip(terms, combo))
+        if base <= 0.0:
+            continue
+        photon_nodes = [k for k in range(3) if combo[k] != ev.VACUUM]
+        for pols in itertools.product((0, 1), repeat=len(photon_nodes)):
+            if combo == (ev.SINGLE,) * 3 and pols in ((0, 0, 0), (1, 1, 1)):
+                continue
+            prob = base
+            photon_pol = [None, None, None]
+            kinds = [ev.VACUUM, ev.VACUUM, ev.VACUUM]
+            for k, pol in zip(photon_nodes, pols):
+                photon_pol[k] = pol
+                if combo[k] == ev.SINGLE:
+                    prob *= terms[k].p_pol[pol]
+                    kinds[k] = ("single", pol)
+                else:
+                    prob *= 0.5
+                    kinds[k] = ev.DOUBLE
+            yield prob, photon_pol, kinds
+
+
+def loop_port_loads(photon_pol):
+    ports = [[], [], []]
+    for k, pol in enumerate(photon_pol):
+        if pol is not None:
+            ports[op.ROUTE[(k, "HV"[pol])]].append(pol)
+    return [tuple(p) for p in ports]
+
+
+def loop_single_click(hits, dark):
+    clicks = det.analyzer_clicks(hits, dark)
+    one = np.array([clicks[1, 0], clicks[0, 1]])
+    total = float(one.sum())
+    if total <= 0.0:
+        return 0.0, np.array([0.5, 0.5])
+    return total, one / total
+
+
+def loop_port_outcomes(port_bases, dark):
+    out = {}
+    for port, basis in enumerate(port_bases):
+        born_h, born_v = (ev._born2(basis, ket) for ket in np.eye(2))
+        hits = {
+            (): det.NO_HITS,
+            (0,): det.photon_hits(1.0, born_h),
+            (1,): det.photon_hits(1.0, born_v),
+            (0, 1): det.bunched_hits(born_h, born_v),
+            (1, 0): det.bunched_hits(born_h, born_v),
+        }
+        out.update({(port, k): loop_single_click(h, dark) for k, h in hits.items()})
+    return out
+
+
+def loop_memory_outcomes(memory_bases, terms, dark):
+    out = {}
+    for k, (term, basis) in enumerate(zip(terms, memory_bases)):
+        hits = {
+            ev.VACUUM: det.NO_HITS,
+            ev.DOUBLE: det.photon_hits(term.eta_dbl, (0.5, 0.5)),
+        }
+        for pol in (0, 1):
+            born = ev._born2(basis, term.mem_given_pol[pol])
+            hits["single", pol] = det.photon_hits(term.eta, born)
+        out.update({(k, kind): loop_single_click(h, dark) for kind, h in hits.items()})
+    return out
+
+
+def loop_coherent_dist(sector, setting, real):
+    """Ports plus the retrieved memories, measured directly, with uniform
+    dark-count axes inserted for the others; flattened to 64."""
+    targets = list(op.STATION_PORTS) + [op.MEMORY_SPINS[k] for k in sorted(real)]
+    bases = list(setting.port_bases) + [setting.memory_bases[k] for k in sorted(real)]
+    dist = q.measurement_probabilities(sector.state, bases, targets)
+    if setting.feedforward:
+        flipped = q.measurement_probabilities(sector.state_flipped, bases, targets)
+        herald = np.arange(dist.size) >> len(real)
+        parity = ((herald >> 2) + (herald >> 1) + herald) & 1
+        dist = np.where(parity == 1, flipped, dist)
+    arr = dist.reshape([2] * (3 + len(real)))
+    for k in range(3):
+        if k not in real:
+            arr = np.expand_dims(arr, axis=3 + k)
+    return (np.broadcast_to(arr, [2] * 6) * 0.5 ** (3 - len(real))).reshape(-1)
+
+
+def loop_event_tables(cfg, settings):
+    """Reference tables: one event class at a time, its distribution the
+    Kronecker product of its six factors, and one measurement of the
+    coherent sector per retrieval subset."""
+    terms = [ev._node_terms(cfg, k) for k in range(3)]
+    sector = ev._coherent_sector(cfg, terms)
+    dark = cfg.detector.dark_count_prob
+    hit_one, _ = loop_single_click(det.photon_hits(1.0, (0.5, 0.5)), dark)
+    fill, _ = loop_single_click(det.NO_HITS, dark)
+    branches = list(loop_write_branches(terms))
+    tables = []
+    for setting in settings:
+        probs, dists = [], []
+        ports = loop_port_outcomes(setting.port_bases, dark)
+        memories = loop_memory_outcomes(setting.memory_bases, terms, dark)
+        for prob, photon_pol, kinds in branches:
+            factors = []
+            for port, load in enumerate(loop_port_loads(photon_pol)):
+                p_click, dist = ports[port, load]
+                prob = prob * p_click
+                factors.append(dist)
+            for k, kind in enumerate(kinds):
+                p_click, dist = memories[k, kind]
+                prob = prob * p_click
+                factors.append(dist)
+            if prob > 0.0:
+                probs.append(prob)
+                out = factors[0]
+                for f in factors[1:]:
+                    out = np.kron(out, f)
+                dists.append(out)
+        clean = 0.0
+        for mask in range(8):
+            real = frozenset(k for k in range(3) if mask >> k & 1)
+            prob = sector.probability * hit_one**3
+            for k in range(3):
+                if k in real:
+                    prob *= terms[k].eta * hit_one
+                else:
+                    prob *= (1.0 - terms[k].eta) * fill
+            if prob <= 0.0:
+                continue
+            probs.append(prob)
+            dists.append(loop_coherent_dist(sector, setting, real))
+            if len(real) == 3:
+                clean = prob
+        tables.append((setting.setting_id, np.array(probs), np.array(dists), clean))
+    return tables
+
+
+def loop_conditional_success(cfg):
+    """Reference: the false-herald sum accumulated branch by branch."""
+    terms = [ev._node_terms(cfg, k) for k in range(3)]
+    dark = cfg.detector.dark_count_prob
+    hit_one, _ = loop_single_click(det.photon_hits(1.0, (0.5, 0.5)), dark)
+    p_all_single = math.prod(t.write_probs[ev.SINGLE] for t in terms)
+    success = math.prod(t.p_pol[0] for t in terms) + math.prod(
+        t.p_pol[1] for t in terms
+    )
+    numerator = p_all_single * success * hit_one**3
+    denom = numerator
+    ports = loop_port_outcomes((q.BASIS_DA,) * 3, dark)
+    for prob, photon_pol, _ in loop_write_branches(terms):
+        for port, load in enumerate(loop_port_loads(photon_pol)):
+            prob = prob * ports[port, load][0]
+        denom += prob
+    return numerator / denom
+
+
+def displaced_envelopes(cfg):
+    return cfg.with_overrides(
+        envelopes={
+            "I": {"shape": "gaussian", "center_us": 0.0, "width_us": 0.05},
+            "II": {"shape": "gaussian", "center_us": 0.0, "width_us": 0.05},
+            "III": {"shape": "gaussian", "center_us": 0.08, "width_us": 0.05},
+        }
+    )
+
+
+ORACLE_CONFIGS = {
+    "ideal": lambda: cf.preset("ideal"),
+    "paper": lambda: cf.preset("paper"),
+    "noisy": lambda: noisy_config(),
+    "envelopes": lambda: displaced_envelopes(noisy_config()),
+    **{
+        f"random{seed}": (lambda seed=seed: random_config(np.random.default_rng(seed)))
+        for seed in (101, 102, 103)
+    },
+}
 
 
 def table_setting_counts(tables, scale=1e6):
@@ -229,6 +440,30 @@ class TestConditionalSuccess:
         )
 
 
+class TestLoopOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+    @pytest.mark.parametrize("make_settings", [ev.ghz6_settings, ev.ghz3_settings])
+    def test_tables_match_loop_reference(self, name, make_settings):
+        cfg = ORACLE_CONFIGS[name]()
+        settings = make_settings()
+        got = ev.build_event_tables(cfg, settings)
+        want = loop_event_tables(cfg, settings)
+        assert [t.setting_id for t in got] == [sid for sid, *_ in want]
+        for table, (_, probs, dists, clean) in zip(got, want):
+            # same multiplication order, so the class probabilities are equal
+            np.testing.assert_array_equal(table.probabilities, probs)
+            np.testing.assert_allclose(table.distributions, dists, rtol=0, atol=1e-15)
+            assert table.clean_probability == clean
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+    def test_conditional_success_matches_loop(self, name):
+        cfg = ORACLE_CONFIGS[name]()
+        want = loop_conditional_success(cfg)
+        assert ev.conditional_success_estimate(cfg) == want
+        shared = ev._write_branches(cfg)
+        assert ev.conditional_success_estimate(cfg, _branches=shared) == want
+
+
 class TestRawAgainstTable:
     @pytest.mark.parametrize(
         "setting_factory, index",
@@ -245,3 +480,24 @@ class TestRawAgainstTable:
         assert np.all(np.abs(raw - mu) <= 5.0 * sd + 1.0)
         total_sd = np.sqrt(mu.sum())
         assert abs(raw.sum() - mu.sum()) <= 5.0 * total_sd
+
+    @pytest.mark.parametrize("seed", [201, 202, 203])
+    def test_random_configs_within_5_sigma(self, seed):
+        # high excitation and dark-count probabilities, so that 1e5 raw
+        # trials hold enough six-folds to test every populated cell
+        rng = np.random.default_rng(seed)
+        cfg = random_config(rng, p_w=(0.2, 0.45), dark=(0.02, 0.1))
+        n = 100_000
+        ghz6 = ev.ghz6_settings()
+        # H/V ports (routing), equatorial ports (bunching), feed-forward
+        for setting in (
+            ghz6[0],
+            ghz6[rng.integers(1, 7)],
+            ev.ghz3_settings()[rng.integers(4)],
+        ):
+            table = ev.build_event_table(cfg, setting)
+            raw = ev.raw_trial_counts(cfg, setting, n, rng)
+            mu = table.expected_counts(n)
+            sd = np.sqrt(np.maximum(mu * (1 - mu / n), 1e-12))
+            assert np.all(np.abs(raw - mu) <= 5.0 * sd + 1.0)
+            assert abs(raw.sum() - mu.sum()) <= 5.0 * np.sqrt(mu.sum())

@@ -450,6 +450,48 @@ class TestGhzScenarios:
         assert body["populations"] is None
         assert body["fidelity"]["estimate"] is None
 
+    @pytest.mark.parametrize(
+        "scenario, make_settings",
+        [("ghz6", ev.ghz6_settings), ("ghz3", ev.ghz3_settings)],
+    )
+    def test_meta_telemetry_leaves_body_unchanged(
+        self, scenario, make_settings, monkeypatch
+    ):
+        cfg = paper_cfg(scenario=scenario, samples=20_000, seed=4)
+        streams = []
+        table_rng = h._table_rng
+
+        def counted(seed, index):
+            streams.append(index)
+            return table_rng(seed, index)
+
+        monkeypatch.setattr(h, "_table_rng", counted)
+        report = h.run_scenario(cfg)
+        n_streams = len(streams)
+        # the runner alone, without the telemetry path, gives the same body
+        body, _ = h._RUNNERS[scenario](cfg, h._table_streams(cfg.seed))
+        plain = h.RunReport(
+            scenario, cfg.seed, {**report.body, **h._plain(body)}, meta={}
+        )
+        assert report.body_json() == plain.body_json()
+        envelope = {"scenario", "seed", "samples", "config"}
+        assert set(report.body) == set(body) | envelope
+        assert set(report.meta) == {
+            "version", "wall_time_s", "workers", "stage_s", "counters"
+        }
+        assert set(report.meta["stage_s"]) == {"table_build", "sampling", "estimate"}
+        assert all(v >= 0.0 for v in report.meta["stage_s"].values())
+        tables = ev.build_event_tables(cfg, make_settings())
+        assert report.meta["counters"] == {
+            "event_classes": sum(t.probabilities.size for t in tables),
+            "rng_streams": n_streams,
+        }
+        assert n_streams == len(tables)
+
+    def test_pair_scenarios_record_no_telemetry(self):
+        report = h.run_scenario(paper_cfg(scenario="pair_tomography", samples=1000))
+        assert set(report.meta) == {"version", "wall_time_s", "workers"}
+
 
 # ---------------------------------------------------------------------------
 # rate arithmetic
