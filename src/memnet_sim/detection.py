@@ -144,8 +144,10 @@ def subtract_accidentals(table: CoincidenceTable) -> tuple[CoincidenceTable, boo
     return replace(table, **corrected), clamped
 
 
-def _fmt(value: float) -> str:
-    return str(int(value)) if float(value).is_integer() else repr(float(value))
+def csv_number(value: float) -> str:
+    """CSV text of a count or measurement: integral values without a point."""
+    value = float(value)
+    return str(int(value)) if value.is_integer() else repr(value)
 
 
 def write_coincidence_csv(path, tables) -> None:
@@ -153,7 +155,7 @@ def write_coincidence_csv(path, tables) -> None:
         tables = [tables]
     lines = [CSV_HEADER]
     for t in tables:
-        lines.append(",".join(_fmt(getattr(t, name)) for name in _FIELDS))
+        lines.append(",".join(csv_number(getattr(t, name)) for name in _FIELDS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

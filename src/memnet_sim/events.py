@@ -9,12 +9,14 @@ Instead it enumerates the finite set of event classes exactly:
 
 * per node, the write attempt leaves vacuum, a single excitation with its
   photon, or a double excitation (one stray photon, a spoiled memory);
+  ``node.node_terms`` supplies each node's pair, already aged by the read
+  delay, with its H/V routing probabilities and conditional spins;
 * photons route through the polarization network by their H/V component,
   which collapses every branch except the all-single HHH/VVV sector, the
   only pair of polarization triples that land one photon on each port;
-* the surviving coherent sector carries the six-qubit state produced by
-  the station, while every other class is a product of per-port and
-  per-memory outcome distributions;
+* the surviving coherent sector carries the six-qubit state the station
+  makes from the aged pairs, while every other class is a product of
+  per-port and per-memory outcome distributions;
 * detector dark counts fill empty ports and empty analyzers, and bunched
   ports fake single clicks in equatorial analysis bases.
 
@@ -100,41 +102,20 @@ def _born2(basis: np.ndarray, state) -> np.ndarray:
     return np.real(np.diag(basis.conj().T @ mat @ basis))
 
 
-@dataclass(frozen=True)
-class _NodeTerms:
-    """Per-node ingredients shared by the table builder and the raw path."""
-
-    pair: q.DensityMatrix  # photon-spin pair, photon mapped to H/V
-    write_probs: tuple[float, float, float]
-    p_pol: np.ndarray  # (2,) chance the write photon leaves as H / V
-    mem_given_pol: tuple[np.ndarray, np.ndarray]  # spin dm after storage
-    eta: float  # clean retrieval probability at the read delay
-    eta_dbl: float  # spoiled-memory retrieval probability
+def _station_terms(cfg: ExperimentConfig) -> list[nd.NodeTerms]:
+    """Node terms at the read delay, each write photon measured in the H/V
+    frame it leaves its waveplate in (``born[0]`` routes as H, ``born[1]``
+    as V)."""
+    return [
+        nd.node_terms(n, op.polarization_map(n.node_id).conj().T, cfg.read_delay_us)
+        for n in cfg.nodes
+    ]
 
 
-def _node_terms(cfg: ExperimentConfig, idx: int) -> _NodeTerms:
-    ncfg = cfg.nodes[idx]
-    pair = nd.entangled_pair_state(ncfg)
-    pair = q.apply_unitary(
-        pair, op.polarization_map(ncfg.node_id), [q.photon(ncfg.node_id)]
-    )
-    blocks = pair.matrix.reshape(2, 2, 2, 2)
-    p_pol = np.array([np.real(np.trace(blocks[p, :, p, :])) for p in (0, 1)])
-    conds = []
-    for p in (0, 1):
-        sigma = blocks[p, :, p, :] / p_pol[p]
-        spin = q.DensityMatrix((q.spin(ncfg.node_id),), sigma)
-        spin = nd.storage_channel(ncfg, spin, cfg.read_delay_us)
-        conds.append(spin.matrix)
-    eta = nd.retrieval_efficiency(ncfg, cfg.read_delay_us)
-    return _NodeTerms(
-        pair=pair,
-        write_probs=nd.write_probabilities(ncfg),
-        p_pol=p_pol,
-        mem_given_pol=(conds[0], conds[1]),
-        eta=eta,
-        eta_dbl=1.0 - (1.0 - eta) ** 2,
-    )
+def _routing_acceptance(terms: list[nd.NodeTerms]) -> float:
+    """Chance that three single photons leave one per station port: all H
+    or all V."""
+    return math.prod(t.born[0] for t in terms) + math.prod(t.born[1] for t in terms)
 
 
 @dataclass(frozen=True)
@@ -146,7 +127,9 @@ class _CoherentSector:
     state_flipped: q.DensityMatrix  # same with the spin-I feed-forward flip
 
 
-def _coherent_sector(cfg: ExperimentConfig, terms: list[_NodeTerms]) -> _CoherentSector:
+def _coherent_sector(
+    cfg: ExperimentConfig, terms: list[nd.NodeTerms]
+) -> _CoherentSector:
     kwargs: dict = {"extra_coherence": cfg.interference_visibility}
     if cfg.envelopes:
         kwargs["envelopes"] = {
@@ -155,10 +138,12 @@ def _coherent_sector(cfg: ExperimentConfig, terms: list[_NodeTerms]) -> _Coheren
         kwargs["delta_omega_rad_per_us"] = (
             2.0 * math.pi / cfg.nodes[0].zeeman_period_us
         )
-    state, success = op.connect_three([t.pair for t in terms], **kwargs)
-    for ncfg in cfg.nodes:
-        state = nd.storage_channel(ncfg, state, cfg.read_delay_us)
-    p_all_single = math.prod(t.write_probs[SINGLE] for t in terms)
+    pairs = [
+        q.apply_unitary(t.pair, op.polarization_map(n.node_id), [q.photon(n.node_id)])
+        for t, n in zip(terms, cfg.nodes)
+    ]
+    state, success = op.connect_three(pairs, **kwargs)
+    p_all_single = math.prod(t.write_probabilities[SINGLE] for t in terms)
     flipped = q.apply_unitary(state, q.PAULI_Z, [q.spin("I")])
     return _CoherentSector(p_all_single * success, state, flipped)
 
@@ -196,7 +181,7 @@ def _port_outcomes(port_bases, dark: float):
     return _single_click(np.array(hits), dark)
 
 
-def _memory_outcomes(memory_bases, terms: list[_NodeTerms], dark: float):
+def _memory_outcomes(memory_bases, terms: list[nd.NodeTerms], dark: float):
     """``_single_click`` of each memory analyzer under each memory kind.
 
     A clean memory is read in the state its photon's routing collapsed it
@@ -205,7 +190,7 @@ def _memory_outcomes(memory_bases, terms: list[_NodeTerms], dark: float):
     hits = []
     for term, basis in zip(terms, memory_bases):
         clean = [
-            det.photon_hits(term.eta, _born2(basis, term.mem_given_pol[pol]))
+            det.photon_hits(term.eta, _born2(basis, term.spins[pol]))
             for pol in (0, 1)
         ]
         hits.append([det.NO_HITS, det.photon_hits(term.eta_dbl, _UNIFORM2), *clean])
@@ -231,7 +216,7 @@ class _Branches:
     its probability, its ``_PORT_LOADS`` index per port and its memory kind
     per node, with the node terms they came from."""
 
-    terms: list[_NodeTerms]
+    terms: list[nd.NodeTerms]
     probability: np.ndarray  # (B,)
     port_load: np.ndarray  # (B, 3)
     memory_kind: np.ndarray  # (B, 3)
@@ -242,10 +227,10 @@ def _write_branches(cfg: ExperimentConfig) -> _Branches:
     collapse of every photon, skipping the two all-single assignments that
     route one photon per port; those stay coherent and are handled jointly.
     """
-    terms = [_node_terms(cfg, k) for k in range(3)]
+    terms = _station_terms(cfg)
     probs, loads, kinds = [], [], []
     for combo in itertools.product((VACUUM, SINGLE, DOUBLE), repeat=3):
-        base = math.prod(t.write_probs[c] for t, c in zip(terms, combo))
+        base = math.prod(t.write_probabilities[c] for t, c in zip(terms, combo))
         if base <= 0.0:
             continue
         photon_nodes = [k for k in range(3) if combo[k] != VACUUM]
@@ -258,7 +243,7 @@ def _write_branches(cfg: ExperimentConfig) -> _Branches:
             for k, pol in zip(photon_nodes, pols):
                 ports[op.ROUTE[(k, _POL_NAME[pol])]].append(pol)
                 if combo[k] == SINGLE:
-                    prob *= terms[k].p_pol[pol]
+                    prob *= terms[k].born[pol]
                     kind[k] = _SINGLE_KIND + pol
                 else:
                     prob *= 0.5
@@ -434,21 +419,21 @@ def conditional_success_estimate(
     the photons interfered one-per-port, excluding double-excitation and
     dark-count false heralds.  Computed in closed form from the event
     classes; no sampling error.  ``_branches`` reuses the write branches a
-    table build already enumerated.
+    table build already enumerated.  Raises ValueError when no station
+    herald is possible at all.
     """
     branches = _write_branches(cfg) if _branches is None else _branches
     terms = branches.terms
     dark = cfg.detector.dark_count_prob
     hit_one, _ = _hit_and_fill(dark)
-    p_all_single = math.prod(t.write_probs[SINGLE] for t in terms)
-    success = math.prod(t.p_pol[0] for t in terms) + math.prod(
-        t.p_pol[1] for t in terms
-    )
-    numerator = p_all_single * success * hit_one**3
+    p_all_single = math.prod(t.write_probabilities[SINGLE] for t in terms)
+    numerator = p_all_single * _routing_acceptance(terms) * hit_one**3
     port_p, _ = _port_outcomes((q.BASIS_DA, q.BASIS_DA, q.BASIS_DA), dark)
     false = _times_clicks(branches.probability, port_p, branches.port_load)
     # accumulate left to right, branch by branch after the numerator
     denom = np.add.accumulate(np.concatenate([[numerator], false]))[-1]
+    if denom <= 0.0:
+        raise ValueError("no station heralds possible for the success estimate")
     return numerator / denom
 
 
@@ -469,15 +454,15 @@ def raw_trial_counts(
     what makes this a meaningful cross-check of `build_event_tables`.
     Single-threaded; intended for validation, not production sampling.
     """
-    terms = [_node_terms(cfg, k) for k in range(3)]
+    terms = _station_terms(cfg)
     sector = _coherent_sector(cfg, terms)
     dark = cfg.detector.dark_count_prob
-    write_p = np.array([t.write_probs for t in terms])  # (3, 3)
-    pol_p1 = np.array([t.p_pol[1] for t in terms])
+    write_p = np.array([t.write_probabilities for t in terms])  # (3, 3)
+    pol_p1 = np.array([t.born[1] for t in terms])
     # chance a collapsed clean memory reads out as channel 1, by node and pol
     mem_p1 = np.array(
         [
-            [_born2(setting.memory_bases[k], t.mem_given_pol[p])[1] for p in (0, 1)]
+            [_born2(setting.memory_bases[k], t.spins[p])[1] for p in (0, 1)]
             for k, t in enumerate(terms)
         ]
     )

@@ -106,28 +106,6 @@ def _plain(obj):
 # failures, and then sampled with one multinomial per table.
 
 
-def _conditional_spins(pair: q.DensityMatrix, write_basis: np.ndarray):
-    """Write-photon Born probabilities and conditional spin states."""
-    rho = pair.matrix.reshape(2, 2, 2, 2)
-    rot = np.einsum("ai,asbt,bj->isjt", write_basis.conj(), rho, write_basis)
-    out = []
-    for i in (0, 1):
-        block = rot[i, :, i, :]
-        prob = float(np.real(np.trace(block)))
-        state = block / prob if prob > 1e-300 else np.eye(2, dtype=complex) / 2.0
-        out.append((prob, state))
-    return out
-
-
-def _aged_born(
-    node_cfg: nd.NodeConfig, spin: np.ndarray, basis: np.ndarray, dt_us: float
-) -> np.ndarray:
-    label = q.spin(node_cfg.node_id)
-    aged = nd.storage_channel(node_cfg, q.DensityMatrix((label,), spin), dt_us)
-    rot = basis.conj().T @ aged.matrix @ basis
-    return np.clip(np.real(np.diag(rot)), 0.0, 1.0)
-
-
 def _pair_trial_distribution(
     node_cfg: nd.NodeConfig,
     detector: det.DetectorConfig,
@@ -144,9 +122,8 @@ def _pair_trial_distribution(
     with ``1 - (1 - eta)^2`` and a uniform outcome.
     """
     dark = detector.dark_count_prob
-    p_vac, p_sng, p_dbl = nd.write_probabilities(node_cfg)
-    eta = nd.retrieval_efficiency(node_cfg, dt_us)
-    eta_dbl = 1.0 - (1.0 - eta) ** 2
+    terms = nd.node_terms(node_cfg, write_basis, dt_us)
+    p_vac, p_sng, p_dbl = terms.write_probabilities
 
     def clicks(hits):
         return det.analyzer_clicks(hits, dark)
@@ -155,14 +132,13 @@ def _pair_trial_distribution(
     write_fires = [clicks(det.photon_hits(1.0, np.eye(2)[ch])) for ch in (0, 1)]
     cases = [(p_vac, no_photon, no_photon)]  # (weight, write joint, read joint)
 
-    pair = nd.entangled_pair_state(node_cfg)
-    for ch, (prob, spin) in enumerate(_conditional_spins(pair, write_basis)):
-        r_probs = _aged_born(node_cfg, spin, read_basis, dt_us)
-        read = clicks(det.photon_hits(eta, r_probs))
+    for ch, (prob, spin) in enumerate(zip(terms.born, terms.spins)):
+        r_probs = np.clip(ev._born2(read_basis, spin), 0.0, 1.0)
+        read = clicks(det.photon_hits(terms.eta, r_probs))
         cases.append((p_sng * prob, write_fires[ch], read))
 
     if p_dbl > 0.0:
-        read_dbl = clicks(det.photon_hits(eta_dbl, (0.5, 0.5)))
+        read_dbl = clicks(det.photon_hits(terms.eta_dbl, (0.5, 0.5)))
         for ch in (0, 1):
             cases.append((p_dbl * 0.5, write_fires[ch], read_dbl))
 
@@ -214,7 +190,7 @@ def _table_dict(t: det.CoincidenceTable) -> dict:
 # Rate arithmetic
 
 
-def rate_arithmetic(cfg: cf.ExperimentConfig, duty_factor: float = 1.0) -> dict:
+def rate_arithmetic(cfg: cf.ExperimentConfig) -> dict:
     """Closed-form efficiency budget for the six-fold coincidence rate.
 
     ``joint_write_read`` is the bare product of the per-node overall
@@ -223,22 +199,10 @@ def rate_arithmetic(cfg: cf.ExperimentConfig, duty_factor: float = 1.0) -> dict:
     photons leave one per station port: 1/4 for balanced pairs), which is
     the per-trial probability of a six-fold coincidence with ideal
     detectors; the published counting rate corresponds to this value.
-    ``duty_factor`` scales the wall-clock rate for measurement-time
-    bookkeeping (basis switching and similar overheads) and defaults to 1.
     """
-    if duty_factor < 0.0:
-        raise ValueError("duty_factor must be non-negative")
     p_nodes = [node.p_w * node.eta_r0 for node in cfg.nodes]
     joint = float(np.prod(p_nodes))
-    ph, pv = [], []
-    for idx, node in enumerate(cfg.nodes):
-        a_eff = (1.0 - node.depol_weight) * node.branch_weight_down
-        a_eff += node.depol_weight * 0.5
-        # nodes I and II map the down-branch photon to H, node III to V
-        p_h = a_eff if idx < 2 else 1.0 - a_eff
-        ph.append(p_h)
-        pv.append(1.0 - p_h)
-    acceptance = float(np.prod(ph) + np.prod(pv))
+    acceptance = float(ev._routing_acceptance(ev._station_terms(cfg)))
     sixfold = joint * acceptance
     tps = cfg.timing.trials_per_second
     return {
@@ -248,8 +212,7 @@ def rate_arithmetic(cfg: cf.ExperimentConfig, duty_factor: float = 1.0) -> dict:
         "pattern_acceptance": acceptance,
         "sixfold_probability": sixfold,
         "trials_per_second": float(tps),
-        "duty_factor": float(duty_factor),
-        "rate_per_hour": sixfold * tps * 3600.0 * duty_factor,
+        "rate_per_hour": sixfold * tps * 3600.0,
     }
 
 
@@ -846,7 +809,7 @@ def emit_report(report: RunReport, out_dir) -> list[str]:
             _, header, rows = payload
             lines = [",".join(header)]
             for row in rows:
-                lines.append(",".join(_csv_cell(v) for v in row))
+                lines.append(",".join(det.csv_number(v) for v in row))
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("\n".join(lines) + "\n")
         else:
@@ -854,8 +817,3 @@ def emit_report(report: RunReport, out_dir) -> list[str]:
         written.append(str(path))
     return written
 
-
-def _csv_cell(v) -> str:
-    if isinstance(v, float) and v.is_integer():
-        return str(int(v))
-    return repr(v) if isinstance(v, float) else str(v)

@@ -23,6 +23,12 @@ efficiency ``eta_r0 * exp(-dt / tau_mem_us)``; the stored coherence decays as
 Creation bakes in ``phi0`` only; all time evolution between write and read is
 applied by ``storage_channel``, so a pipeline never double counts the
 precession.
+
+``node_terms`` is the one place a node's trial is derived: it ages the pair
+at the node, conditions the spin on the write photon's outcome and gathers
+the write and retrieval probabilities.  The pair scenarios, the heralded
+event tables and the rate budget all read from it, so storage runs once per
+node, on the two-qubit pair, and never on the joint station state.
 """
 
 from __future__ import annotations
@@ -142,3 +148,42 @@ def storage_channel(
         out = q.dephase(out, target, coherence)
     return out
 
+
+@dataclass(frozen=True)
+class NodeTerms:
+    """One node's share of a trial, its spin aged by the storage time.
+
+    ``born`` holds the write photon's outcome probabilities in the write
+    basis and ``spins`` the spin conditioned on each outcome, maximally
+    mixed when that outcome cannot occur.  ``eta_dbl`` is the retrieval
+    probability of a spoiled memory holding two excitations.
+    """
+
+    pair: q.DensityMatrix  # aged photon-spin pair, photon before any waveplate
+    born: np.ndarray
+    spins: tuple[np.ndarray, np.ndarray]
+    write_probabilities: tuple[float, float, float]
+    eta: float
+    eta_dbl: float
+
+
+def node_terms(cfg: NodeConfig, write_basis: np.ndarray, dt_us: float) -> NodeTerms:
+    """Age the pair by ``dt_us``, then condition its spin on the write photon
+    measured in ``write_basis`` (columns are the outcome kets).
+
+    Storage acts on the spin alone, so it commutes with any measurement or
+    post-selection of the photon: aging the pair first is exact.
+    """
+    pair = storage_channel(cfg, entangled_pair_state(cfg), dt_us)
+    rho = pair.matrix.reshape(2, 2, 2, 2)
+    rot = np.einsum("ai,asbt,bj->isjt", write_basis.conj(), rho, write_basis)
+    blocks = [rot[i, :, i, :] for i in (0, 1)]
+    born = np.array([np.real(np.trace(block)) for block in blocks])
+    spins = tuple(
+        block / p if p > 1e-300 else np.eye(2, dtype=complex) / 2.0
+        for block, p in zip(blocks, born)
+    )
+    eta = retrieval_efficiency(cfg, dt_us)
+    return NodeTerms(
+        pair, born, spins, write_probabilities(cfg), eta, 1.0 - (1.0 - eta) ** 2
+    )

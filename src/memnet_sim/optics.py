@@ -211,11 +211,14 @@ def connect_three(
     """Herald station: three photon-spin pairs in, six-qubit state out.
 
     ``pairs`` are the three pair states for nodes I, II, III with the
-    polarization maps already applied (photons in the H/V frame).  The
-    station post-selects one photon per output port, which keeps exactly the
-    all-H and all-V routing branches.  Returns the heralded state over
-    ``(port photons 0..2, spins I..III)`` and the success probability; the
-    discarded probability is its complement by construction.
+    polarization maps already applied (photons in the H/V frame), their
+    spins already aged at the nodes: storage acts on the spins alone, so it
+    commutes with this post-selection and need not touch the joint state.
+    The station post-selects one photon per output port, which keeps
+    exactly the all-H and all-V routing branches.  Returns the heralded
+    state over ``(port photons 0..2, spins I..III)`` and the success
+    probability; the discarded probability is its complement by
+    construction.
 
     ``envelopes`` (optional, node id -> Envelope) and ``delta_omega_rad_per_us``
     set the temporal-mode overlap of the two branches; ``extra_coherence``

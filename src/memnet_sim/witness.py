@@ -27,6 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .detection import csv_number
 from .quantum import PAULI_X, bits_to_index, equatorial_basis, m_observable
 
 _BIT0 = {"0", "H", "h", "d", "↓"}  # down arrow
@@ -277,11 +278,7 @@ def write_setting_counts_csv(path, tables: Iterable[SettingCounts]) -> None:
         w.writerow(["setting_id", "outcome_pattern", "count"])
         for table in tables:
             for pat in sorted(table.counts):
-                w.writerow([table.setting_id, pat, _fmt_count(table.counts[pat])])
-
-
-def _fmt_count(c: float) -> str:
-    return str(int(c)) if float(c).is_integer() else repr(float(c))
+                w.writerow([table.setting_id, pat, csv_number(table.counts[pat])])
 
 
 def read_setting_counts_csv(path) -> dict[str, SettingCounts]:

@@ -9,6 +9,7 @@ import pytest
 from memnet_sim import config as cf
 from memnet_sim import detection as det
 from memnet_sim import events as ev
+from memnet_sim import node as nd
 from memnet_sim import optics as op
 from memnet_sim import quantum as q
 from memnet_sim import witness as w
@@ -64,7 +65,7 @@ def loop_write_branches(terms):
     """Yield (probability, photon pol per node or None, memory kind per node)
     for every incoherent write branch, one at a time."""
     for combo in itertools.product((ev.VACUUM, ev.SINGLE, ev.DOUBLE), repeat=3):
-        base = math.prod(t.write_probs[c] for t, c in zip(terms, combo))
+        base = math.prod(t.write_probabilities[c] for t, c in zip(terms, combo))
         if base <= 0.0:
             continue
         photon_nodes = [k for k in range(3) if combo[k] != ev.VACUUM]
@@ -77,7 +78,7 @@ def loop_write_branches(terms):
             for k, pol in zip(photon_nodes, pols):
                 photon_pol[k] = pol
                 if combo[k] == ev.SINGLE:
-                    prob *= terms[k].p_pol[pol]
+                    prob *= terms[k].born[pol]
                     kinds[k] = ("single", pol)
                 else:
                     prob *= 0.5
@@ -125,7 +126,7 @@ def loop_memory_outcomes(memory_bases, terms, dark):
             ev.DOUBLE: det.photon_hits(term.eta_dbl, (0.5, 0.5)),
         }
         for pol in (0, 1):
-            born = ev._born2(basis, term.mem_given_pol[pol])
+            born = ev._born2(basis, term.spins[pol])
             hits["single", pol] = det.photon_hits(term.eta, born)
         out.update({(k, kind): loop_single_click(h, dark) for kind, h in hits.items()})
     return out
@@ -153,7 +154,7 @@ def loop_event_tables(cfg, settings):
     """Reference tables: one event class at a time, its distribution the
     Kronecker product of its six factors, and one measurement of the
     coherent sector per retrieval subset."""
-    terms = [ev._node_terms(cfg, k) for k in range(3)]
+    terms = ev._station_terms(cfg)
     sector = ev._coherent_sector(cfg, terms)
     dark = cfg.detector.dark_count_prob
     hit_one, _ = loop_single_click(det.photon_hits(1.0, (0.5, 0.5)), dark)
@@ -201,12 +202,12 @@ def loop_event_tables(cfg, settings):
 
 def loop_conditional_success(cfg):
     """Reference: the false-herald sum accumulated branch by branch."""
-    terms = [ev._node_terms(cfg, k) for k in range(3)]
+    terms = ev._station_terms(cfg)
     dark = cfg.detector.dark_count_prob
     hit_one, _ = loop_single_click(det.photon_hits(1.0, (0.5, 0.5)), dark)
-    p_all_single = math.prod(t.write_probs[ev.SINGLE] for t in terms)
-    success = math.prod(t.p_pol[0] for t in terms) + math.prod(
-        t.p_pol[1] for t in terms
+    p_all_single = math.prod(t.write_probabilities[ev.SINGLE] for t in terms)
+    success = math.prod(t.born[0] for t in terms) + math.prod(
+        t.born[1] for t in terms
     )
     numerator = p_all_single * success * hit_one**3
     denom = numerator
@@ -438,6 +439,35 @@ class TestConditionalSuccess:
         assert ev.conditional_success_estimate(dark) < ev.conditional_success_estimate(
             base
         )
+
+    def test_saturated_darks_raise(self):
+        # every channel always clicks, so no port shows exactly one click
+        cfg = cf.preset("paper").with_overrides(
+            detector=DetectorConfig(dark_count_prob=1.0)
+        )
+        with pytest.raises(ValueError, match="no station heralds possible"):
+            ev.conditional_success_estimate(cfg)
+
+
+class TestCoherentSector:
+    @pytest.mark.parametrize("name", ["noisy", "random101", "random102"])
+    def test_state_aged_by_read_delay(self, name):
+        # reference order: the station on fresh pairs, then storage on the
+        # six-qubit state; the sector ages each pair before the station
+        cfg = ORACLE_CONFIGS[name]()
+        sector = ev._coherent_sector(cfg, ev._station_terms(cfg))
+        pairs = [
+            q.apply_unitary(
+                nd.entangled_pair_state(n),
+                op.polarization_map(n.node_id),
+                [q.photon(n.node_id)],
+            )
+            for n in cfg.nodes
+        ]
+        state, _ = op.connect_three(pairs, extra_coherence=cfg.interference_visibility)
+        for n in cfg.nodes:
+            state = nd.storage_channel(n, state, cfg.read_delay_us)
+        np.testing.assert_allclose(sector.state.matrix, state.matrix, rtol=0, atol=1e-12)
 
 
 class TestLoopOracle:

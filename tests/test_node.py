@@ -1,11 +1,12 @@
 """Node model: write statistics, pair state, storage evolution, retrieval."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from memnet_sim import harness, node
+from memnet_sim import config, harness, node, optics
 from memnet_sim import quantum as q
 
 # converts a photon qubit from the H/V frame to the circular frame (R -> 0)
@@ -187,3 +188,148 @@ class TestStorageAndRetrieval:
         e1 = equatorial_correlation(out1, labels, [0.0, 0.0])
         assert e0 == pytest.approx(-e1, abs=1e-12)
         assert abs(e0) == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# node_terms against the two derivations it replaced
+
+
+def random_node(rng, node_id="I"):
+    return node.NodeConfig(
+        node_id,
+        p_w=rng.uniform(0.01, 0.45),
+        eta_r0=rng.uniform(0.2, 1.0),
+        tau_mem_us=rng.uniform(20.0, 500.0),
+        tau_vis_us=rng.uniform(20.0, 500.0),
+        zeeman_period_us=rng.uniform(3.0, 8.0),
+        phi0=rng.uniform(0.0, 2 * math.pi),
+        excitation_order=int(rng.integers(1, 3)),
+        depol_weight=rng.uniform(0.0, 0.3),
+        branch_weight_down=rng.uniform(0.05, 0.95),
+    )
+
+
+def random_basis(rng):
+    """Haar-like random 2x2 unitary: QR of a complex Gaussian matrix."""
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    u, r = np.linalg.qr(z)
+    return u * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def condition_then_age(cfg, write_basis, dt_us):
+    """Reference: condition the fresh pair's spin on the write outcome in
+    ``write_basis``, then age each conditional spin on its own."""
+    rho = node.entangled_pair_state(cfg).matrix.reshape(2, 2, 2, 2)
+    rot = np.einsum("ai,asbt,bj->isjt", write_basis.conj(), rho, write_basis)
+    born, spins = [], []
+    for i in (0, 1):
+        block = rot[i, :, i, :]
+        prob = float(np.real(np.trace(block)))
+        state = block / prob if prob > 1e-300 else np.eye(2, dtype=complex) / 2.0
+        spin = q.DensityMatrix((q.spin(cfg.node_id),), state)
+        born.append(prob)
+        spins.append(node.storage_channel(cfg, spin, dt_us).matrix)
+    return np.array(born), spins
+
+
+def map_then_age(cfg, write_basis, dt_us):
+    """Reference: map the photon so the write outcomes become H/V, slice the
+    H and V blocks of the pair, then age each conditional spin."""
+    pair = q.apply_unitary(
+        node.entangled_pair_state(cfg), write_basis.conj().T, [q.photon(cfg.node_id)]
+    )
+    blocks = pair.matrix.reshape(2, 2, 2, 2)
+    p_pol = np.array([np.real(np.trace(blocks[p, :, p, :])) for p in (0, 1)])
+    spins = []
+    for p in (0, 1):
+        spin = q.DensityMatrix((q.spin(cfg.node_id),), blocks[p, :, p, :] / p_pol[p])
+        spins.append(node.storage_channel(cfg, spin, dt_us).matrix)
+    return p_pol, spins
+
+
+class TestNodeTerms:
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("reference", [condition_then_age, map_then_age])
+    def test_matches_reference_derivation(self, seed, reference):
+        rng = np.random.default_rng(seed)
+        cfg = random_node(rng, ("I", "II", "III")[seed % 3])
+        basis = random_basis(rng)
+        dt = rng.uniform(0.1, 50.0)
+        terms = node.node_terms(cfg, basis, dt)
+        born, spins = reference(cfg, basis, dt)
+        np.testing.assert_allclose(terms.born, born, rtol=0, atol=1e-15)
+        for got, want in zip(terms.spins, spins):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        aged = node.storage_channel(cfg, node.entangled_pair_state(cfg), dt)
+        np.testing.assert_array_equal(terms.pair.matrix, aged.matrix)
+        assert terms.write_probabilities == node.write_probabilities(cfg)
+        assert terms.eta == node.retrieval_efficiency(cfg, dt)
+        assert terms.eta_dbl == pytest.approx(1.0 - (1.0 - terms.eta) ** 2, abs=0)
+
+    @pytest.mark.parametrize("weight", [0.0, 1.0])
+    def test_impossible_outcome_leaves_spin_maximally_mixed(self, weight):
+        cfg = node.NodeConfig(branch_weight_down=weight)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            terms = node.node_terms(cfg, q.BASIS_RL, 2.0)
+        never = int(np.argmin(terms.born))
+        assert terms.born[never] == 0.0
+        np.testing.assert_array_equal(terms.spins[never], np.eye(2) / 2)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_station_commutes_with_storage(self, seed):
+        # storage acts on the spins alone, so aging each pair before the
+        # station equals aging the six-qubit state after it
+        rng = np.random.default_rng(100 + seed)
+        cfgs = [random_node(rng, nid) for nid in optics.NODE_IDS]
+        dt = rng.uniform(0.1, 50.0)
+        xi = rng.uniform(0.5, 1.0)
+
+        def mapped(cfg, pair):
+            return q.apply_unitary(
+                pair, optics.polarization_map(cfg.node_id), [q.photon(cfg.node_id)]
+            )
+
+        fresh = [node.entangled_pair_state(c) for c in cfgs]
+        before, p_before = optics.connect_three(
+            [mapped(c, node.storage_channel(c, p, dt)) for c, p in zip(cfgs, fresh)],
+            extra_coherence=xi,
+        )
+        after, p_after = optics.connect_three(
+            [mapped(c, p) for c, p in zip(cfgs, fresh)], extra_coherence=xi
+        )
+        for c in cfgs:
+            after = node.storage_channel(c, after, dt)
+        np.testing.assert_allclose(before.matrix, after.matrix, rtol=0, atol=1e-12)
+        assert p_before == pytest.approx(p_after, rel=1e-12)
+
+
+def a_eff_acceptance(cfg):
+    """Reference: the routing acceptance from each node's effective down-branch
+    weight, with nodes I and II mapping the down-branch photon to H and node
+    III to V."""
+    ph, pv = [], []
+    for idx, n in enumerate(cfg.nodes):
+        a_eff = (1.0 - n.depol_weight) * n.branch_weight_down + n.depol_weight * 0.5
+        p_h = a_eff if idx < 2 else 1.0 - a_eff
+        ph.append(p_h)
+        pv.append(1.0 - p_h)
+    return float(np.prod(ph) + np.prod(pv))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_pattern_acceptance_matches_branch_weights(seed):
+    # a few ulps apart: the two products round differently
+    rng = np.random.default_rng(200 + seed)
+    cfg = config.preset("paper").with_overrides(
+        nodes=tuple(random_node(rng, nid) for nid in optics.NODE_IDS),
+        read_delay_us=rng.uniform(0.0, 10.0),
+    )
+    got = harness.rate_arithmetic(cfg)["pattern_acceptance"]
+    assert got == pytest.approx(a_eff_acceptance(cfg), rel=1e-14, abs=0)
+
+
+def test_paper_pattern_acceptance_within_1e15():
+    cfg = config.preset("paper")
+    got = harness.rate_arithmetic(cfg)["pattern_acceptance"]
+    assert got == pytest.approx(a_eff_acceptance(cfg), rel=1e-15, abs=0)

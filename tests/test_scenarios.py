@@ -509,17 +509,6 @@ class TestRateArithmetic:
         r = h.rate_arithmetic(cfg)
         assert r["pattern_acceptance"] == pytest.approx(0.25, rel=1e-12)
 
-    def test_duty_factor_scales_rate_only(self):
-        cfg = paper_cfg()
-        r1 = h.rate_arithmetic(cfg, duty_factor=1.0)
-        r2 = h.rate_arithmetic(cfg, duty_factor=0.5)
-        assert r2["rate_per_hour"] == pytest.approx(0.5 * r1["rate_per_hour"])
-        assert r2["sixfold_probability"] == r1["sixfold_probability"]
-
-    def test_rejects_negative_duty_factor(self):
-        with pytest.raises(ValueError):
-            h.rate_arithmetic(paper_cfg(), duty_factor=-0.1)
-
     def test_sixfold_matches_event_table_probability(self):
         # the closed-form rate budget counts only first-order events, so it
         # must match the enumerated event tables exactly when double
@@ -815,6 +804,22 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"memnet-sim: error: {message}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("scenario", ["ghz6", "ghz3"])
+    @pytest.mark.parametrize("weight", [0.0, 1.0])
+    def test_single_branch_pairs_error_once(self, scenario, weight, tmp_path, capsys):
+        # one write outcome never occurs: its conditional spin is left
+        # maximally mixed, and the station can never herald
+        data = paper_cfg(scenario=scenario).to_dict()
+        for n in data["nodes"]:
+            n.update(branch_weight_down=weight, depol_weight=0.0)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        rc = cli.main(["--config", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("memnet-sim: error: ")
         assert err.count("\n") == 1
 
     def test_module_execution_path(self, tmp_path):
