@@ -38,7 +38,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from . import __version__
 from . import config as cf
@@ -61,6 +60,9 @@ _SPIN_RL = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 # standard errors by which the fitted decay rate must exceed zero before
 # lifetime_sweep reports a memory lifetime
 _DECAY_Z = 3.0
+# standard errors by which the fitted oscillation amplitude must exceed zero
+# before raman_delay_sweep reports its period
+_AMPLITUDE_Z = 5.0
 
 
 def _spin_super_basis(theta: float) -> np.ndarray:
@@ -76,6 +78,27 @@ def _table_rng(seed: int, table_index: int) -> np.random.Generator:
 def _table_streams(seed: int) -> _Streams:
     """One stream per sampled table, indexed in the order tables take them."""
     return (_table_rng(seed, index) for index in itertools.count())
+
+
+def curve_fit(*args, **kwargs):
+    """``scipy.optimize.curve_fit`` with ``OptimizeWarning`` ignored.
+
+    scipy is imported on the first call, so only the scenarios that fit a
+    curve pay for loading it.  A fit without a covariance estimate comes
+    back with an infinite one, which the callers treat as unresolved.
+    """
+    from scipy.optimize import OptimizeWarning, curve_fit as scipy_curve_fit
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)
+        return scipy_curve_fit(*args, **kwargs)
+
+
+def _record(telemetry: dict | None, stage_s: dict, **counters) -> None:
+    """Put a run's stage wall times and counters into ``telemetry``, if given."""
+    if telemetry is not None:
+        telemetry["stage_s"] = stage_s
+        telemetry["counters"] = counters
 
 
 def _split_budget(n: int, k: int) -> list[int]:
@@ -190,7 +213,9 @@ def _table_dict(t: det.CoincidenceTable) -> dict:
 # Rate arithmetic
 
 
-def rate_arithmetic(cfg: cf.ExperimentConfig) -> dict:
+def rate_arithmetic(
+    cfg: cf.ExperimentConfig, _terms: list[nd.NodeTerms] | None = None
+) -> dict:
     """Closed-form efficiency budget for the six-fold coincidence rate.
 
     ``joint_write_read`` is the bare product of the per-node overall
@@ -199,10 +224,12 @@ def rate_arithmetic(cfg: cf.ExperimentConfig) -> dict:
     photons leave one per station port: 1/4 for balanced pairs), which is
     the per-trial probability of a six-fold coincidence with ideal
     detectors; the published counting rate corresponds to this value.
+    ``_terms`` reuses the station node terms a table build already derived.
     """
+    terms = ev._station_terms(cfg) if _terms is None else _terms
     p_nodes = [node.p_w * node.eta_r0 for node in cfg.nodes]
     joint = float(np.prod(p_nodes))
-    acceptance = float(ev._routing_acceptance(ev._station_terms(cfg)))
+    acceptance = float(ev._routing_acceptance(terms))
     sixfold = joint * acceptance
     tps = cfg.timing.trials_per_second
     return {
@@ -235,7 +262,9 @@ def _scenario_params(cfg: cf.ExperimentConfig) -> dict:
     return params
 
 
-def _run_pair_tomography(cfg: cf.ExperimentConfig, streams: _Streams):
+def _run_pair_tomography(
+    cfg: cf.ExperimentConfig, streams: _Streams, telemetry: dict | None = None
+):
     params = _scenario_params(cfg)
     node_cfg = cfg.node(params.get("node", "I"))
     dt = cfg.read_delay_us
@@ -248,6 +277,7 @@ def _run_pair_tomography(cfg: cf.ExperimentConfig, streams: _Streams):
     body_tables = {}
     visibilities = {}
     csv_tables = {}
+    started = time.perf_counter()
     for name, (wb, rb) in bases.items():
         dist = _pair_trial_distribution(node_cfg, cfg.detector, wb, rb, dt)
         table = _sample_pair_table(dist, cfg.samples, streams)
@@ -264,6 +294,11 @@ def _run_pair_tomography(cfg: cf.ExperimentConfig, streams: _Streams):
         }
         body_tables[name] = _table_dict(table)
         csv_tables[name] = table
+    _record(
+        telemetry,
+        {"tables": time.perf_counter() - started},
+        rng_streams=len(csv_tables),
+    )
 
     clip = lambda v: min(max(v, -1.0), 1.0)
     fidelities = {}
@@ -289,7 +324,9 @@ def _run_pair_tomography(cfg: cf.ExperimentConfig, streams: _Streams):
     return body, artifacts
 
 
-def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _Streams):
+def _run_raman_delay_sweep(
+    cfg: cf.ExperimentConfig, streams: _Streams, telemetry: dict | None = None
+):
     params = _scenario_params(cfg)
     node_cfg = cfg.node(params.get("node", "I"))
     period = node_cfg.zeeman_period_us
@@ -305,6 +342,7 @@ def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _Streams):
     read_basis = _spin_super_basis(node_cfg.phi0)
     rows = []
     tables = []
+    started = time.perf_counter()
     for dt in delays:
         dist = _pair_trial_distribution(
             node_cfg, cfg.detector, write_basis, read_basis, float(dt)
@@ -323,6 +361,7 @@ def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _Streams):
             }
         )
 
+    built = time.perf_counter()
     ncop = np.array([r["ncop_parallel"] for r in rows])
     tau_vis = node_cfg.tau_vis_us
 
@@ -334,14 +373,17 @@ def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _Streams):
     fit = dict.fromkeys(
         ("period_us", "period_sigma_us", "amplitude", "phase_rad", "floor")
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OptimizeWarning)
-        try:
-            popt, pcov = curve_fit(model, delays, ncop, p0=p0, maxfev=20000)
-        except RuntimeError:
-            popt, pcov = None, None
-    # too few counts leave the oscillation unresolved: report nulls, not noise
-    resolved = pcov is not None and bool(np.all(np.isfinite(pcov)))
+    try:
+        popt, pcov = curve_fit(model, delays, ncop, p0=p0, maxfev=20000)
+    except RuntimeError:
+        popt, pcov = None, None
+    # too few counts, or no spin coherence, leave the oscillation
+    # unresolved: report nulls, not a period fitted to noise
+    resolved = (
+        pcov is not None
+        and bool(np.all(np.isfinite(pcov)))
+        and abs(float(popt[0])) >= _AMPLITUDE_Z * math.sqrt(max(pcov[0, 0], 0.0))
+    )
     if resolved:
         fit.update(
             period_us=float(abs(popt[1])),
@@ -350,6 +392,11 @@ def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _Streams):
             phase_rad=float(popt[2]),
             floor=float(popt[3]),
         )
+    _record(
+        telemetry,
+        {"tables": built - started, "fit": time.perf_counter() - built},
+        rng_streams=len(tables),
+    )
 
     body = {
         "node": node_cfg.node_id,
@@ -365,7 +412,9 @@ def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _Streams):
     return body, artifacts
 
 
-def _run_lifetime_sweep(cfg: cf.ExperimentConfig, streams: _Streams):
+def _run_lifetime_sweep(
+    cfg: cf.ExperimentConfig, streams: _Streams, telemetry: dict | None = None
+):
     params = _scenario_params(cfg)
     node_cfg = cfg.node(params.get("node", "I"))
     period = node_cfg.zeeman_period_us
@@ -380,6 +429,7 @@ def _run_lifetime_sweep(cfg: cf.ExperimentConfig, streams: _Streams):
     rows = []
     eigen_tables = []
     super_tables = []
+    started = time.perf_counter()
     for dt in delays:
         dt = float(dt)
         dist_e = _pair_trial_distribution(
@@ -414,6 +464,7 @@ def _run_lifetime_sweep(cfg: cf.ExperimentConfig, streams: _Streams):
             }
         )
 
+    built = time.perf_counter()
     t_arr = delays
     eta_arr = np.array([r["eta_corrected"] for r in rows])
     eta0_fit, tau_fit, tau_sigma = _fit_lifetime(
@@ -443,6 +494,11 @@ def _run_lifetime_sweep(cfg: cf.ExperimentConfig, streams: _Streams):
     else:
         crossing = None
         crossing_sigma = None
+    _record(
+        telemetry,
+        {"tables": built - started, "fit": time.perf_counter() - built},
+        rng_streams=len(eigen_tables) + len(super_tables),
+    )
 
     body = {
         "node": node_cfg.node_id,
@@ -494,27 +550,27 @@ def _fit_lifetime(t_arr, eta_arr, n_writes):
         return unresolved
     p = np.clip(eta, 0.5 / n, 1.0 - 0.5 / n)
     sigma = np.sqrt(p * (1.0 - p) / n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OptimizeWarning)
-        try:
-            popt, pcov = curve_fit(
-                lambda t, eta0, k: eta0 * np.exp(-k * t),
-                t,
-                eta,
-                p0=[max(eta[0], 1e-3), 1.0 / np.ptp(t)],
-                sigma=sigma,
-                absolute_sigma=True,
-                maxfev=20000,
-            )
-        except RuntimeError:
-            return unresolved
+    try:
+        popt, pcov = curve_fit(
+            lambda t, eta0, k: eta0 * np.exp(-k * t),
+            t,
+            eta,
+            p0=[max(eta[0], 1e-3), 1.0 / np.ptp(t)],
+            sigma=sigma,
+            absolute_sigma=True,
+            maxfev=20000,
+        )
+    except RuntimeError:
+        return unresolved
     k, k_sigma = float(popt[1]), float(math.sqrt(max(pcov[1, 1], 0.0)))
     if not (math.isfinite(k_sigma) and k_sigma > 0.0 and k >= _DECAY_Z * k_sigma):
         return unresolved
     return float(popt[0]), 1.0 / k, k_sigma / (k * k)
 
 
-def _run_two_node_swap(cfg: cf.ExperimentConfig, streams: _Streams):
+def _run_two_node_swap(
+    cfg: cf.ExperimentConfig, streams: _Streams, telemetry: dict | None = None
+):
     params = _scenario_params(cfg)
     node_cfg = cfg.node("I")
     dw0 = 2.0 * math.pi / node_cfg.zeeman_period_us
@@ -533,6 +589,7 @@ def _run_two_node_swap(cfg: cf.ExperimentConfig, streams: _Streams):
         f = op.Envelope.gaussian(0.0, width)
         return f, f
 
+    started = time.perf_counter()
     f, g = envelopes(point_width)
     point = {
         "delta_omega_rad_per_us": dw0,
@@ -554,6 +611,8 @@ def _run_two_node_swap(cfg: cf.ExperimentConfig, streams: _Streams):
                 ]
             )
 
+    # swap fidelities are closed-form integrals: no random stream is drawn
+    _record(telemetry, {"integrals": time.perf_counter() - started}, rng_streams=0)
     flips = np.array([r[2] for r in grid_rows])
     noflips = np.array([r[3] for r in grid_rows])
     body = {
@@ -669,18 +728,18 @@ def _run_ghz(
         "conditional_success_estimate": ev.conditional_success_estimate(
             cfg, _branches=branches
         ),
-        "rate": rate_arithmetic(cfg),
+        "rate": rate_arithmetic(cfg, _terms=branches.terms),
     }
-    if telemetry is not None:
-        telemetry["stage_s"] = {
+    _record(
+        telemetry,
+        {
             "table_build": built - started,
             "sampling": sampled_at - built,
             "estimate": time.perf_counter() - sampled_at,
-        }
-        telemetry["counters"] = {
-            "event_classes": sum(t.probabilities.size for t in tables),
-            "rng_streams": len(counts),
-        }
+        },
+        event_classes=sum(t.probabilities.size for t in tables),
+        rng_streams=len(counts),
+    )
     artifacts = {
         f"counts/{cfg.scenario}_settings.csv": ("settings", list(sampled.values())),
     }
@@ -721,8 +780,13 @@ class RunReport:
 
     ``body`` is a pure function of (config, seed); ``body_json()`` is the
     byte-exact serialization the determinism contract applies to.  Wall
-    time, worker count and software version live in ``meta``, as do the
-    ghz6/ghz3 stage times (``stage_s``) and counters (``counters``).
+    time, worker count and software version live in ``meta``, as do every
+    scenario's stage wall times (``stage_s``) and counters (``counters``):
+    ``tables`` plus ``fit`` for the pair scenarios (the first fit of a
+    process includes loading scipy), ``integrals`` for two_node_swap, and
+    ``table_build``, ``sampling`` and ``estimate`` for ghz6/ghz3;
+    ``counters.rng_streams`` counts the streams drawn, and ghz6/ghz3 add
+    ``counters.event_classes``.
     ``artifacts`` maps relative output paths to payloads for ``emit_report``.
     """
 
@@ -746,9 +810,10 @@ def run_scenario(cfg: cf.ExperimentConfig) -> RunReport:
     if cfg.scenario not in _RUNNERS:
         raise ValueError(f"unknown scenario {cfg.scenario!r}")
     started = time.perf_counter()
-    telemetry: dict = {}  # stage times and counters of the heralded runner
-    extra = {"telemetry": telemetry} if cfg.scenario in ("ghz6", "ghz3") else {}
-    body, artifacts = _RUNNERS[cfg.scenario](cfg, _table_streams(cfg.seed), **extra)
+    telemetry: dict = {}  # the runner's stage times and counters
+    body, artifacts = _RUNNERS[cfg.scenario](
+        cfg, _table_streams(cfg.seed), telemetry=telemetry
+    )
 
     config_echo = cfg.to_dict()
     # execution details must not influence the deterministic body
