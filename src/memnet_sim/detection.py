@@ -84,14 +84,19 @@ NO_HITS = np.array([[1.0, 0.0], [0.0, 0.0]])
 NO_HITS.setflags(write=False)
 
 
-def photon_hits(arrival: float, born) -> np.ndarray:
+def photon_hits(arrival, born) -> np.ndarray:
     """Hit distribution of one photon that arrives with probability ``arrival``.
 
     ``born`` holds the photon's outcome probabilities in the analyzer basis
-    (channel 0 first).
+    (channel 0 first, last axis); arrays give a ``(..., 2, 2)`` stack.
     """
-    b0, b1 = born
-    return np.array([[1.0 - arrival, arrival * b1], [arrival * b0, 0.0]])
+    arrival = np.asarray(arrival, dtype=float)
+    into = arrival[..., None] * np.asarray(born, dtype=float)  # reaches channel 0, 1
+    hits = np.zeros(into.shape[:-1] + (2, 2))
+    hits[..., 0, 0] = 1.0 - arrival
+    hits[..., 0, 1] = into[..., 1]
+    hits[..., 1, 0] = into[..., 0]
+    return hits
 
 
 def bunched_hits(born_h, born_v) -> np.ndarray:
@@ -109,7 +114,8 @@ def analyzer_clicks(hits: np.ndarray, dark: float) -> np.ndarray:
     """2x2 click distribution: photon hits OR independent dark counts.
 
     ``T[h, c]`` is the chance that a channel with hit bit ``h`` shows click
-    bit ``c``, so ``clicks = T.T @ hits @ T``.
+    bit ``c``, so ``clicks = T.T @ hits @ T``, for one hit distribution or
+    each of a ``(..., 2, 2)`` stack.
     """
     t = np.array([[1.0 - dark, dark], [0.0, 1.0]])
     return t.T @ hits @ t

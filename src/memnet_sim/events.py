@@ -95,11 +95,12 @@ def ghz3_settings() -> tuple[SettingSpec, ...]:
 
 
 def _born2(basis: np.ndarray, state) -> np.ndarray:
-    """Outcome probabilities of one qubit in ``basis`` (columns = kets)."""
+    """Outcome probabilities of one qubit, or of a stack, in ``basis`` (columns = kets)."""
     mat = np.asarray(state)
     if mat.ndim == 1:
         return np.abs(basis.conj().T @ mat) ** 2
-    return np.real(np.diag(basis.conj().T @ mat @ basis))
+    rotated = basis.conj().swapaxes(-1, -2) @ mat @ basis
+    return np.real(rotated.diagonal(0, -2, -1))
 
 
 def _station_terms(cfg: ExperimentConfig) -> list[nd.NodeTerms]:

@@ -134,7 +134,7 @@ def _pair_trial_distribution(
     detector: det.DetectorConfig,
     write_basis: np.ndarray,
     read_basis: np.ndarray,
-    dt_us: float,
+    dt_us,
 ) -> np.ndarray:
     """Exact 16-cell click distribution of one write-read trial.
 
@@ -142,7 +142,8 @@ def _pair_trial_distribution(
     Write branches: vacuum (dark-only), single excitation (pair state,
     write-conditioned memory aged by ``dt_us``), double excitation reduced
     to one unpolarized write photon plus a contaminated memory retrieved
-    with ``1 - (1 - eta)^2`` and a uniform outcome.
+    with ``1 - (1 - eta)^2`` and a uniform outcome.  A delay array gives
+    one row per delay, read in ``read_basis`` or in a ``(D, 2, 2)`` stack.
     """
     dark = detector.dark_count_prob
     terms = nd.node_terms(node_cfg, write_basis, dt_us)
@@ -155,24 +156,27 @@ def _pair_trial_distribution(
     write_fires = [clicks(det.photon_hits(1.0, np.eye(2)[ch])) for ch in (0, 1)]
     cases = [(p_vac, no_photon, no_photon)]  # (weight, write joint, read joint)
 
-    for ch, (prob, spin) in enumerate(zip(terms.born, terms.spins)):
+    for ch, spin in enumerate(terms.spins):
         r_probs = np.clip(ev._born2(read_basis, spin), 0.0, 1.0)
         read = clicks(det.photon_hits(terms.eta, r_probs))
-        cases.append((p_sng * prob, write_fires[ch], read))
+        cases.append((p_sng * terms.born[..., ch], write_fires[ch], read))
 
     if p_dbl > 0.0:
         read_dbl = clicks(det.photon_hits(terms.eta_dbl, (0.5, 0.5)))
         for ch in (0, 1):
             cases.append((p_dbl * 0.5, write_fires[ch], read_dbl))
 
-    dist = np.zeros((2, 2, 2, 2))
+    rows = np.shape(dt_us)
+    dist = np.zeros(rows + (2, 2, 2, 2))
     for weight, jw, jr in cases:
-        dist += weight * np.einsum("ab,cd->abcd", jw, jr)
-    dist = dist.reshape(16)
-    total = dist.sum()
-    if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
-        raise AssertionError(f"pair trial distribution sums to {total}")
-    return dist / total
+        weight = np.reshape(weight, np.shape(weight) + (1, 1, 1, 1))
+        dist += weight * np.einsum("ab,...cd->...abcd", jw, jr)
+    dist = dist.reshape(rows + (16,))
+    total = dist.sum(axis=-1)
+    bad = np.flatnonzero(~(np.abs(total - 1.0) <= 1e-9))
+    if bad.size:
+        raise AssertionError(f"pair trial distribution row {bad[0]} sums to {total.flat[bad[0]]}")
+    return dist / total[..., None]
 
 
 def _counts_to_table(counts16: np.ndarray) -> det.CoincidenceTable:
@@ -298,6 +302,7 @@ def _run_pair_tomography(
         telemetry,
         {"tables": time.perf_counter() - started},
         rng_streams=len(csv_tables),
+        draws=int(sum(t.N for t in csv_tables.values())),
     )
 
     clip = lambda v: min(max(v, -1.0), 1.0)
@@ -338,17 +343,13 @@ def _run_raman_delay_sweep(
             "raman_delay_sweep needs at least 5 points in scenario_params key 'delays_us'"
         )
 
-    write_basis = q.BASIS_Z
-    read_basis = _spin_super_basis(node_cfg.phi0)
     rows = []
-    tables = []
     started = time.perf_counter()
-    for dt in delays:
-        dist = _pair_trial_distribution(
-            node_cfg, cfg.detector, write_basis, read_basis, float(dt)
-        )
-        table = _sample_pair_table(dist, cfg.samples, streams)
-        tables.append(table)
+    dists = _pair_trial_distribution(
+        node_cfg, cfg.detector, q.BASIS_Z, _spin_super_basis(node_cfg.phi0), delays
+    )
+    tables = [_sample_pair_table(dist, cfg.samples, streams) for dist in dists]
+    for dt, table in zip(delays, tables):
         n = table.N
         rows.append(
             {
@@ -396,6 +397,7 @@ def _run_raman_delay_sweep(
         telemetry,
         {"tables": built - started, "fit": time.perf_counter() - built},
         rng_streams=len(tables),
+        draws=int(sum(t.N for t in tables)),
     )
 
     body = {
@@ -427,23 +429,18 @@ def _run_lifetime_sweep(
         )
 
     rows = []
-    eigen_tables = []
-    super_tables = []
     started = time.perf_counter()
-    for dt in delays:
-        dt = float(dt)
-        dist_e = _pair_trial_distribution(
-            node_cfg, cfg.detector, q.BASIS_RL, _SPIN_RL, dt
-        )
+    dists_e = _pair_trial_distribution(node_cfg, cfg.detector, q.BASIS_RL, _SPIN_RL, delays)
+    # the superposition analyzer follows each delay's Zeeman phase
+    super_bases = _spin_super_basis(nd.zeeman_phase(node_cfg, delays))
+    dists_s = _pair_trial_distribution(node_cfg, cfg.detector, q.BASIS_Z, super_bases, delays)
+    eigen_tables, super_tables = [], []
+    for dt, dist_e, dist_s in zip(delays.tolist(), dists_e, dists_s):
+        # the eigen and the super table of each delay take consecutive streams
         t_eigen = _sample_pair_table(dist_e, cfg.samples, streams)
-        theta = nd.zeeman_phase(node_cfg, dt)
-        dist_s = _pair_trial_distribution(
-            node_cfg, cfg.detector, q.BASIS_Z, _spin_super_basis(theta), dt
-        )
         t_super = _sample_pair_table(dist_s, cfg.samples, streams)
         eigen_tables.append(t_eigen)
         super_tables.append(t_super)
-
         corr_e, _ = det.subtract_accidentals(t_eigen)
         corr_s, _ = det.subtract_accidentals(t_super)
         writes = corr_e.n_woR + corr_e.n_woL
@@ -498,6 +495,7 @@ def _run_lifetime_sweep(
         telemetry,
         {"tables": built - started, "fit": time.perf_counter() - built},
         rng_streams=len(eigen_tables) + len(super_tables),
+        draws=int(sum(t.N for t in eigen_tables + super_tables)),
     )
 
     body = {
@@ -612,7 +610,7 @@ def _run_two_node_swap(
             )
 
     # swap fidelities are closed-form integrals: no random stream is drawn
-    _record(telemetry, {"integrals": time.perf_counter() - started}, rng_streams=0)
+    _record(telemetry, {"integrals": time.perf_counter() - started}, rng_streams=0, draws=0)
     flips = np.array([r[2] for r in grid_rows])
     noflips = np.array([r[3] for r in grid_rows])
     body = {
@@ -739,6 +737,7 @@ def _run_ghz(
         },
         event_classes=sum(t.probabilities.size for t in tables),
         rng_streams=len(counts),
+        draws=int(sum(arr.sum() for arr in counts)),
     )
     artifacts = {
         f"counts/{cfg.scenario}_settings.csv": ("settings", list(sampled.values())),
@@ -785,7 +784,8 @@ class RunReport:
     ``tables`` plus ``fit`` for the pair scenarios (the first fit of a
     process includes loading scipy), ``integrals`` for two_node_swap, and
     ``table_build``, ``sampling`` and ``estimate`` for ghz6/ghz3;
-    ``counters.rng_streams`` counts the streams drawn, and ghz6/ghz3 add
+    ``counters.rng_streams`` counts the streams drawn, ``counters.draws``
+    the trials or heralded events drawn from them, and ghz6/ghz3 add
     ``counters.event_classes``.
     ``artifacts`` maps relative output paths to payloads for ``emit_report``.
     """

@@ -21,14 +21,18 @@ Retrieval converts the spin back to a photon (``down -> L``, ``up -> R``) with
 efficiency ``eta_r0 * exp(-dt / tau_mem_us)``; the stored coherence decays as
 ``exp(-dt / tau_vis_us)`` on top of the deterministic Zeeman rotation.
 Creation bakes in ``phi0`` only; all time evolution between write and read is
-applied by ``storage_channel``, so a pipeline never double counts the
-precession.
+storage, so a pipeline never double counts the precession.  In the spin's
+computational basis storage is one elementwise spin factor ``M(dt)``: 1 on
+the diagonal, ``coherence * e^{i 2 pi dt / T}`` at ``[up, down]`` and its
+conjugate at ``[down, up]``, both from ``_storage``.
 
 ``node_terms`` is the one place a node's trial is derived: it ages the pair
 at the node, conditions the spin on the write photon's outcome and gathers
-the write and retrieval probabilities.  The pair scenarios, the heralded
-event tables and the rate budget all read from it, so storage runs once per
-node, on the two-qubit pair, and never on the joint station state.
+the write and retrieval probabilities.  Given an array of delays it ages
+the pair for all of them at once, ``rho_0 * M(dt)``, and every later step
+runs over that leading delay axis.  The pair scenarios, the heralded event
+tables and the rate budget all read from it, so storage runs once per node,
+on the two-qubit pair, and never on the joint station state.
 """
 
 from __future__ import annotations
@@ -87,22 +91,19 @@ def write_probabilities(cfg: NodeConfig) -> tuple[float, float, float]:
     return (1.0 - cfg.p_w - p_dbl, cfg.p_w, p_dbl)
 
 
-def zeeman_phase(cfg: NodeConfig, dt_us: float) -> float:
+def zeeman_phase(cfg: NodeConfig, dt_us):
     """Accumulated pair phase ``phi0 + 2 pi dt / zeeman_period_us``."""
     return cfg.phi0 + 2.0 * math.pi * dt_us / cfg.zeeman_period_us
 
 
-def entangled_pair_state(cfg: NodeConfig, dt_us: float = 0.0) -> q.DensityMatrix:
-    """Photon-spin pair emitted by a single write-out, at age ``dt_us``.
+def entangled_pair_state(cfg: NodeConfig) -> q.DensityMatrix:
+    """Photon-spin pair emitted by a single write-out, before any storage.
 
     Register order is ``(photon(node), spin(node))`` with the photon in the
-    H/V basis.  The optional age parameter applies the Zeeman phase only
-    (no amplitude or coherence decay); it exists for closed-form phase
-    scans.  Pipelines should create the pair at ``dt_us = 0`` and let
-    ``storage_channel`` do the time evolution.
+    H/V basis.
     """
     a = cfg.branch_weight_down
-    phase = np.exp(1j * zeeman_phase(cfg, dt_us))
+    phase = np.exp(1j * cfg.phi0)
     register = (q.photon(cfg.node_id), q.spin(cfg.node_id))
     # |R down> and |L up> branches written out in the H/V photon basis
     amp = np.zeros(4, dtype=complex)
@@ -117,18 +118,31 @@ def entangled_pair_state(cfg: NodeConfig, dt_us: float = 0.0) -> q.DensityMatrix
     return q.DensityMatrix(register, rho)
 
 
-def retrieval_efficiency(cfg: NodeConfig, dt_us: float = 0.0) -> float:
+def _storage_time(dt_us) -> np.ndarray:
+    """Storage times as a float array, refusing any negative or NaN entry."""
+    dt = np.asarray(dt_us, dtype=float)
+    if not np.all(dt >= 0.0):
+        raise ValueError("storage time must be non-negative")
+    return dt
+
+
+def retrieval_efficiency(cfg: NodeConfig, dt_us=0.0):
     """Probability that a read pulse at storage time ``dt_us`` yields a photon."""
-    if dt_us < 0.0:
-        raise ValueError("storage time must be non-negative")
-    return cfg.eta_r0 * math.exp(-dt_us / cfg.tau_mem_us)
+    return cfg.eta_r0 * np.exp(-_storage_time(dt_us) / cfg.tau_mem_us)
 
 
-def memory_coherence(cfg: NodeConfig, dt_us: float = 0.0) -> float:
+def memory_coherence(cfg: NodeConfig, dt_us=0.0):
     """Residual spin coherence factor after ``dt_us`` of storage."""
-    if dt_us < 0.0:
-        raise ValueError("storage time must be non-negative")
-    return math.exp(-dt_us / cfg.tau_vis_us)
+    return np.exp(-_storage_time(dt_us) / cfg.tau_vis_us)
+
+
+def _storage(cfg: NodeConfig, dt_us):
+    """The ``up`` amplitude's Zeeman phase factor and the coherence factor."""
+    coherence = memory_coherence(cfg, dt_us)
+    if not np.all((coherence >= 0.0) & (coherence <= 1.0)):
+        raise ValueError(f"coherence factor {coherence} outside [0, 1]")
+    dt = np.asarray(dt_us, dtype=float)
+    return np.exp(1j * (2.0 * math.pi * dt / cfg.zeeman_period_us)), coherence
 
 
 def storage_channel(
@@ -141,11 +155,10 @@ def storage_channel(
     any state whose register contains ``spin(cfg.node_id)``.
     """
     target = q.spin(cfg.node_id)
-    angle = 2.0 * math.pi * dt_us / cfg.zeeman_period_us
-    out = q.apply_unitary(state, np.diag([1.0, np.exp(1j * angle)]), [target])
-    coherence = memory_coherence(cfg, dt_us)
+    phase, coherence = _storage(cfg, dt_us)
+    out = q.apply_unitary(state, np.diag([1.0, phase]), [target])
     if coherence < 1.0:
-        out = q.dephase(out, target, coherence)
+        out = q.dephase(out, target, float(coherence))
     return out
 
 
@@ -154,35 +167,46 @@ class NodeTerms:
     """One node's share of a trial, its spin aged by the storage time.
 
     ``born`` holds the write photon's outcome probabilities in the write
-    basis and ``spins`` the spin conditioned on each outcome, maximally
-    mixed when that outcome cannot occur.  ``eta_dbl`` is the retrieval
-    probability of a spoiled memory holding two excitations.
+    basis (last axis) and ``spins`` the spin conditioned on each outcome,
+    maximally mixed when that outcome cannot occur.  ``eta_dbl`` is the
+    retrieval probability of a spoiled memory holding two excitations.  A
+    delay array adds a leading delay axis; ``pair`` is then a matrix stack.
     """
 
-    pair: q.DensityMatrix  # aged photon-spin pair, photon before any waveplate
+    pair: q.DensityMatrix | np.ndarray  # aged pair, photon before any waveplate
     born: np.ndarray
     spins: tuple[np.ndarray, np.ndarray]
     write_probabilities: tuple[float, float, float]
-    eta: float
-    eta_dbl: float
+    eta: float | np.ndarray
+    eta_dbl: float | np.ndarray
 
 
-def node_terms(cfg: NodeConfig, write_basis: np.ndarray, dt_us: float) -> NodeTerms:
+def node_terms(cfg: NodeConfig, write_basis: np.ndarray, dt_us) -> NodeTerms:
     """Age the pair by ``dt_us``, then condition its spin on the write photon
     measured in ``write_basis`` (columns are the outcome kets).
 
-    Storage acts on the spin alone, so it commutes with any measurement or
-    post-selection of the photon: aging the pair first is exact.
+    ``dt_us`` is one storage time or a 1-D array of them.  Storage acts on
+    the spin alone, so it commutes with any measurement or post-selection
+    of the photon: aging the pair first is exact.
     """
-    pair = storage_channel(cfg, entangled_pair_state(cfg), dt_us)
-    rho = pair.matrix.reshape(2, 2, 2, 2)
-    rot = np.einsum("ai,asbt,bj->isjt", write_basis.conj(), rho, write_basis)
-    blocks = [rot[i, :, i, :] for i in (0, 1)]
-    born = np.array([np.real(np.trace(block)) for block in blocks])
-    spins = tuple(
-        block / p if p > 1e-300 else np.eye(2, dtype=complex) / 2.0
-        for block, p in zip(blocks, born)
-    )
+    fresh = entangled_pair_state(cfg)
+    if np.ndim(dt_us) == 0:  # the station's input, exactly as storage_channel ages it
+        pair = storage_channel(cfg, fresh, dt_us)
+        rho = pair.matrix.reshape(2, 2, 2, 2)
+    else:
+        phase, coherence = _storage(cfg, dt_us)
+        factor = np.ones((len(phase), 2, 2), dtype=complex)
+        factor[:, 1, 0] = coherence * phase
+        factor[:, 0, 1] = np.conj(factor[:, 1, 0])
+        rho = fresh.matrix.reshape(2, 2, 2, 2) * factor[:, None, :, None, :]
+        pair = rho.reshape(-1, 4, 4)
+        q.check_density(pair)
+    rot = np.einsum("ai,...asbt,bj->...isjt", write_basis.conj(), rho, write_basis)
+    blocks = np.stack([rot[..., i, :, i, :] for i in (0, 1)], axis=-3)
+    born = np.real(np.trace(blocks, axis1=-2, axis2=-1))
+    occurs = (born > 1e-300)[..., None, None]
+    spins = np.where(occurs, blocks / np.where(occurs, born[..., None, None], 1.0), np.eye(2) / 2)
+    spins = (spins[..., 0, :, :], spins[..., 1, :, :])
     eta = retrieval_efficiency(cfg, dt_us)
     return NodeTerms(
         pair, born, spins, write_probabilities(cfg), eta, 1.0 - (1.0 - eta) ** 2

@@ -58,19 +58,19 @@ BASIS_DA = BASIS_X  # alias: D/A analysis of a polarization qubit
 BASIS_RL = np.column_stack([KET_R, KET_L])
 
 
-def equatorial_basis(theta: float) -> np.ndarray:
+def equatorial_basis(theta) -> np.ndarray:
     """Basis diagonalizing cos(theta) sigma_x + sin(theta) sigma_y.
 
     Column 0 is the +1 eigenvector (|0> + e^{i theta}|1>)/sqrt2, column 1 the
     -1 eigenvector, so an outcome pattern's eigenvalue product is
-    (-1)**popcount(pattern).
+    (-1)**popcount(pattern).  An array of angles gives a ``(..., 2, 2)``
+    stack of bases.
     """
-    return np.column_stack(
-        [
-            np.array([1, np.exp(1j * theta)], dtype=complex) / np.sqrt(2),
-            np.array([1, -np.exp(1j * theta)], dtype=complex) / np.sqrt(2),
-        ]
-    )
+    phase = np.exp(1j * np.asarray(theta))
+    basis = np.ones(phase.shape + (2, 2), dtype=complex)
+    basis[..., 1, 0] = phase
+    basis[..., 1, 1] = -phase
+    return basis / np.sqrt(2)
 
 
 def m_observable(n: int, n_qubits: int) -> np.ndarray:
@@ -125,6 +125,19 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_density(m: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``m``, or each matrix of a ``(..., d, d)``
+    stack, is trace-1, Hermitian and PSD within TOL."""
+    trace, adjoint = m.trace(0, -2, -1), m.conj().swapaxes(-1, -2)
+    if (abs(trace - 1.0) > TOL).any():
+        raise ValueError(f"trace {trace} deviates from 1 beyond {TOL}")
+    if abs(m - adjoint).max() > TOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    eigmin = float(np.linalg.eigvalsh((m + adjoint) / 2).min())
+    if eigmin < -TOL:
+        raise ValueError(f"matrix has negative eigenvalue {eigmin}")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Mixed state over a labeled register: trace-1, Hermitian, PSD within TOL."""
@@ -138,13 +151,7 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} does not match register of {len(reg)} qubits")
-        if abs(np.trace(m) - 1.0) > TOL:
-            raise ValueError(f"trace {np.trace(m)} deviates from 1 beyond {TOL}")
-        if np.max(np.abs(m - m.conj().T)) > TOL:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        eigmin = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
-        if eigmin < -TOL:
-            raise ValueError(f"matrix has negative eigenvalue {eigmin}")
+        check_density(m)
         object.__setattr__(self, "register", reg)
         object.__setattr__(self, "matrix", _frozen(m))
 

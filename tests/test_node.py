@@ -25,7 +25,7 @@ def equatorial_correlation(state, labels, thetas):
 
 
 def pair_in_circular_frame(cfg, dt_us=0.0):
-    state = node.entangled_pair_state(cfg, dt_us)
+    state = node.storage_channel(cfg, node.entangled_pair_state(cfg), dt_us)
     return q.apply_unitary(state, TO_CIRCULAR, [q.photon(cfg.node_id)])
 
 
@@ -148,12 +148,15 @@ class TestStorageAndRetrieval:
         assert node.memory_coherence(cfg, 1e6) == pytest.approx(1.0)
 
     def test_storage_matches_aged_creation(self):
-        # evolving a fresh pair must equal creating it with the phase baked in
-        cfg = node.NodeConfig(phi0=0.2)
+        # evolving a fresh pair must equal the pure pair created with the
+        # precessed phase phi0 + 2 pi dt / T baked in
+        cfg = node.NodeConfig(phi0=0.2, branch_weight_down=0.4)
         dt = 1.37
         evolved = node.storage_channel(cfg, node.entangled_pair_state(cfg), dt)
-        baked = node.entangled_pair_state(cfg, dt)
-        np.testing.assert_allclose(evolved.matrix, baked.matrix, atol=1e-12)
+        down = np.sqrt(0.4) * np.kron(q.KET_R, q.KET_DOWN)
+        up = np.sqrt(0.6) * np.kron(q.KET_L, q.KET_UP)
+        ket = down + np.exp(1j * node.zeeman_phase(cfg, dt)) * up
+        np.testing.assert_allclose(evolved.matrix, np.outer(ket, ket.conj()), atol=1e-12)
 
     def test_storage_dephasing(self):
         cfg = node.NodeConfig(tau_vis_us=169.2)

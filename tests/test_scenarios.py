@@ -489,15 +489,26 @@ class TestGhzScenarios:
     ):
         cfg = paper_cfg(scenario=scenario, samples=20_000, seed=4)
         streams = []
+        draws = []
         table_rng = h._table_rng
+
+        class CountedStream:
+            """A table stream that records the size of every multinomial."""
+
+            def __init__(self, rng):
+                self.rng = rng
+
+            def multinomial(self, n, pvals):
+                draws.append(n)
+                return self.rng.multinomial(n, pvals)
 
         def counted(seed, index):
             streams.append(index)
-            return table_rng(seed, index)
+            return CountedStream(table_rng(seed, index))
 
         monkeypatch.setattr(h, "_table_rng", counted)
         report = h.run_scenario(cfg)
-        n_streams = len(streams)
+        n_streams, n_draws = len(streams), sum(draws)
         # the runner alone, without the telemetry path, gives the same body
         body, _ = h._RUNNERS[scenario](cfg, h._table_streams(cfg.seed))
         plain = h.RunReport(
@@ -511,7 +522,7 @@ class TestGhzScenarios:
         }
         assert set(report.meta["stage_s"]) == TELEMETRY_STAGES[scenario]
         assert all(v >= 0.0 for v in report.meta["stage_s"].values())
-        counters = {"rng_streams": n_streams}
+        counters = {"rng_streams": n_streams, "draws": n_draws}
         if make_settings is not None:
             tables = ev.build_event_tables(cfg, make_settings())
             counters["event_classes"] = sum(t.probabilities.size for t in tables)
