@@ -1,0 +1,59 @@
+"""Golden report bodies: every scenario's body and CSVs, byte for byte.
+
+The goldens in ``tests/golden`` are made by ``tests/golden/regen.py``.  A
+change that means to move a body regenerates them and names the moved keys
+in CHANGES.md; any other difference is a regression.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+_spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN_DIR / "regen.py")
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
+
+MANIFEST = json.loads(regen.MANIFEST.read_text(encoding="utf-8"))
+
+
+def first_difference(want, got, path="body"):
+    """Key path of the first place two parsed JSON values differ, or None."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        for key in sorted(set(want) | set(got)):
+            if key not in want or key not in got:
+                return f"{path}.{key} ({'missing' if key not in got else 'unexpected'})"
+            found = first_difference(want[key], got[key], f"{path}.{key}")
+            if found:
+                return found
+        return None
+    if isinstance(want, list) and isinstance(got, list):
+        if len(want) != len(got):
+            return f"{path} (length {len(want)} != {len(got)})"
+        for i, (a, b) in enumerate(zip(want, got)):
+            found = first_difference(a, b, f"{path}[{i}]")
+            if found:
+                return found
+        return None
+    if type(want) is not type(got) or want != got:
+        return f"{path}: golden {want!r}, now {got!r}"
+    return None
+
+
+@pytest.mark.parametrize("scenario", sorted(regen.SAMPLES))
+def test_body_and_csvs_match_golden(scenario, tmp_path):
+    if MANIFEST["numpy"] != np.__version__:
+        pytest.skip(
+            f"goldens were made with numpy {MANIFEST['numpy']}, this is numpy "
+            f"{np.__version__}; draws agree only within one numpy build"
+        )
+    body, digests = regen.golden_run(scenario, tmp_path)
+    golden = (GOLDEN_DIR / f"{scenario}.json").read_text(encoding="utf-8")
+    if body + "\n" != golden:
+        where = first_difference(json.loads(golden), json.loads(body))
+        pytest.fail(f"{scenario} body differs from its golden at {where or 'serialization'}")
+    assert digests == MANIFEST["csv_sha256"][scenario], f"{scenario} CSV bytes differ"
