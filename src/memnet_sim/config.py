@@ -124,6 +124,10 @@ class ExperimentConfig:
                     raise ValueError(
                         f"calibration weight {key!r} must be a positive number, not {val!r}"
                     )
+                if not (isinstance(key, str) and key and set(key) <= {"0", "1"}):
+                    raise ValueError(
+                        f"calibration weight key {key!r} must be an outcome pattern of 0s and 1s"
+                    )
         object.__setattr__(self, "nodes", tuple(self.nodes))
 
     def node(self, node_id: str) -> NodeConfig:

@@ -627,36 +627,6 @@ def _run_two_node_swap(
     return body, artifacts
 
 
-def _setting_counts(
-    settings, counts: list[np.ndarray], n_bits: int
-) -> dict[str, w.SettingCounts]:
-    out = {}
-    for spec, arr in zip(settings, counts):
-        table = {
-            np.binary_repr(i, n_bits): int(c) for i, c in enumerate(arr) if c
-        }
-        out[spec.setting_id] = w.SettingCounts(
-            spec.setting_id, table, total=float(arr.sum())
-        )
-    return out
-
-
-def _exact_setting_counts(tables, n_bits: int, reducer=None) -> dict:
-    scale = 1e12
-    out = {}
-    for table in tables:
-        dist = table.outcome_distribution()
-        if reducer is not None:
-            dist = reducer(dist)
-        counts = {
-            np.binary_repr(i, n_bits): scale * p
-            for i, p in enumerate(dist)
-            if p > 1e-15
-        }
-        out[table.setting_id] = w.SettingCounts(table.setting_id, counts)
-    return out
-
-
 def _sample_event_tables(cfg, tables, streams: _Streams) -> list[np.ndarray]:
     budgets = _split_budget(cfg.samples, len(tables))
     return [table.sample(n, next(streams)) for table, n in zip(tables, budgets)]
@@ -683,6 +653,7 @@ def _run_ghz(
     ``telemetry``, when given, receives the stage wall times and counters.
     """
     _scenario_params(cfg)
+    weights = w.weight_array(spec, cfg.calibration_weights)
     settings = make_settings()
     started = time.perf_counter()
     branches = ev._write_branches(cfg)
@@ -691,27 +662,29 @@ def _run_ghz(
     counts = _sample_event_tables(cfg, tables, streams)
     sampled_at = time.perf_counter()
 
-    kept = counts if reducer is None else [reducer(arr) for arr in counts]
-    sampled = _setting_counts(settings, kept, spec.n_qubits)
+    keep = reducer if reducer is not None else (lambda arr: arr)
+    sampled = {s.setting_id: keep(arr) for s, arr in zip(settings, counts)}
     # a budget below the setting count leaves tables empty, and an empty
     # table leaves its ratio estimate undefined: report null, not an error
-    empty = [sid for sid, sc in sampled.items() if sc.sum() == 0]
+    empty = [sid for sid, arr in sampled.items() if not arr.any()]
     fid = sigma = populations = None
     if not empty:
-        fid, sigma = w.fidelity_from_counts(
-            spec, sampled, weights=cfg.calibration_weights
-        )
+        fid, sigma = w.fidelity_from_counts(spec, sampled, weights)
     if w.POPULATION_SETTING not in empty:
         p0, p1 = w.populations_from_counts(
-            spec, sampled[w.POPULATION_SETTING], weights=cfg.calibration_weights
+            spec, sampled[w.POPULATION_SETTING], weights
         )
         populations = {"pattern0": p0, "pattern1": p1}
-    exact = _exact_setting_counts(tables, spec.n_qubits, reducer)
-    fid_exact, _ = w.fidelity_from_counts(spec, exact)
+    fid_exact = w.fidelity_from_distributions(
+        spec, {t.setting_id: keep(t.outcome_distribution()) for t in tables}
+    )
+    setting_counts = {
+        sid: w.pattern_table(arr, spec.n_qubits) for sid, arr in sampled.items()
+    }
 
     body = {
         "heralded_samples": cfg.samples,
-        "setting_counts": {sid: dict(sc.counts) for sid, sc in sampled.items()},
+        "setting_counts": setting_counts,
         "empty_settings": empty,
         "fidelity": {"estimate": fid, "sigma": sigma, "exact": fid_exact},
         "populations": populations,
@@ -739,20 +712,17 @@ def _run_ghz(
         rng_streams=len(counts),
         draws=int(sum(arr.sum() for arr in counts)),
     )
-    artifacts = {
-        f"counts/{cfg.scenario}_settings.csv": ("settings", list(sampled.values())),
-    }
+    artifacts = {f"counts/{cfg.scenario}_settings.csv": ("settings", setting_counts)}
     if reducer is not None:
         herald_counts = np.sum(
             [arr.reshape(8, 8).sum(axis=1) for arr in counts], axis=0
         )
-        heralds = w.SettingCounts(
-            "herald_patterns",
-            {np.binary_repr(i, 3): int(c) for i, c in enumerate(herald_counts)},
-            total=float(herald_counts.sum()),
+        heralds = w.pattern_table(herald_counts, 3, zeros=True)
+        body["herald_pattern_counts"] = heralds
+        artifacts[f"counts/{cfg.scenario}_heralds.csv"] = (
+            "settings",
+            {"herald_patterns": heralds},
         )
-        body["herald_pattern_counts"] = dict(heralds.counts)
-        artifacts[f"counts/{cfg.scenario}_heralds.csv"] = ("settings", [heralds])
     return body, artifacts
 
 

@@ -12,6 +12,12 @@ identity behind the coherence sum is
 sum_n (-1)^n M_n^{(x)N} = N (|0..0><1..1| + h.c.), so the fidelity of any
 state against the target is 1/2 (P_p0 + P_p1) + phase/(2N) sum (-1)^n <M_n>.
 
+Count tables are arrays indexed big-endian by outcome pattern, one per
+setting id; each estimate dots a coefficient vector (1/2 on the two branch
+patterns, or (-1)**popcount) with a setting's weighted counts.  Pattern
+strings exist only at the edge: calibration-weight keys, `pattern_table`
+for the report body, and counts CSVs.
+
 Count tables are normalized per setting by their own sum (the populations of
 interest are coincidence probabilities that sum to 1 within a setting).  The
 statistical sigma treats every raw count as an independent Poisson variable
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -34,6 +40,7 @@ _BIT0 = {"0", "H", "h", "d", "↓"}  # down arrow
 _BIT1 = {"1", "V", "v", "u", "↑"}  # up arrow
 
 POPULATION_SETTING = "population"
+_CSV_HEADER = ["setting_id", "outcome_pattern", "count"]
 
 
 def _parse_pattern(pattern: Sequence[int] | str) -> tuple[int, ...]:
@@ -48,10 +55,6 @@ def _parse_pattern(pattern: Sequence[int] | str) -> tuple[int, ...]:
                 raise ValueError(f"cannot read pattern symbol {ch!r}")
         return tuple(bits)
     return tuple(int(b) for b in pattern)
-
-
-def pattern_string(bits: Sequence[int]) -> str:
-    return "".join(str(int(b)) for b in bits)
 
 
 def coherence_setting_id(n: int) -> str:
@@ -134,7 +137,7 @@ def setting_bases(spec: GhzSpec) -> dict[str, list[np.ndarray]]:
     """Per-setting, per-qubit measurement bases (columns = kets, +1 outcome first).
 
     Within a coherence setting, an outcome pattern's eigenvalue product is
-    (-1)**popcount(pattern), matching the sign rule in fidelity_from_counts.
+    (-1)**popcount(pattern), the sign vector fidelity_from_counts applies.
     """
     n = spec.n_qubits
     bases: dict[str, list[np.ndarray]] = {
@@ -161,90 +164,93 @@ def fidelity_from_expectations(
     return 0.5 * (p0 + p1) + spec.phase * coh / (2 * spec.n_qubits)
 
 
-@dataclass(frozen=True)
-class SettingCounts:
-    """Raw coincidence counts for one measurement setting.
+def fidelity_from_distributions(
+    spec: GhzSpec, distributions: Mapping[str, np.ndarray]
+) -> float:
+    """The fidelity of exact outcome distributions, one per setting, indexed
+    by pattern and each normalized by its own sum: the value the count
+    estimate tends to."""
+    pop = distributions[POPULATION_SETTING] / distributions[POPULATION_SETTING].sum()
+    p0, p1 = (float(pop[bits_to_index(p)]) for p in (spec.pattern0, spec.pattern1))
+    signs = _parity_signs(spec.n_qubits)
+    dists = [distributions[coherence_setting_id(k)] for k in range(spec.n_qubits)]
+    coherences = [float(signs @ dist / dist.sum()) for dist in dists]
+    return fidelity_from_expectations(spec, p0, p1, coherences)
 
-    ``counts`` maps outcome pattern strings ("0"/"1" chars, one per qubit) to
-    non-negative counts.  ``total`` is the number of trials behind the table
-    (metadata; normalization always uses the sum of counts).
-    """
 
-    setting_id: str
-    counts: Mapping[str, float]
-    total: float | None = None
+def weight_array(spec: GhzSpec, weights: Mapping[str, float] | None) -> np.ndarray:
+    """Calibration weights, ``{0/1 pattern string: weight}``, as one array
+    indexed by pattern; patterns left out weigh 1."""
+    n = spec.n_qubits
+    weights = weights or {}
+    bad = sorted(key for key in weights if len(key) != n or set(key) - {"0", "1"})
+    if bad:
+        raise ValueError(f"calibration_weights keys {bad} are not {n}-bit patterns of 0 and 1")
+    out = np.ones(2**n)
+    for key, value in weights.items():
+        out[int(key, 2)] = value
+    return out
 
-    def __post_init__(self) -> None:
-        cleaned: dict[str, float] = {}
-        length = None
-        for pat, c in self.counts.items():
-            key = pattern_string(_parse_pattern(pat))
-            if length is None:
-                length = len(key)
-            elif len(key) != length:
-                raise ValueError("outcome patterns have inconsistent lengths")
-            if c < 0:
-                raise ValueError(f"negative count for {key}")
-            cleaned[key] = cleaned.get(key, 0.0) + float(c)
-        object.__setattr__(self, "counts", cleaned)
-        if self.total is not None and sum(cleaned.values()) > self.total + 1e-9:
-            raise ValueError("counts sum exceeds total trials")
 
-    def sum(self) -> float:
-        return float(sum(self.counts.values()))
+def _indicator(spec: GhzSpec, patterns, value: float) -> np.ndarray:
+    coefficients = np.zeros(2**spec.n_qubits)
+    coefficients[[bits_to_index(p) for p in patterns]] = value
+    return coefficients
+
+
+def _parity_signs(n_qubits: int) -> np.ndarray:
+    """(-1)**popcount(pattern) over all patterns: a coherence setting's
+    eigenvalue product (see setting_bases)."""
+    index = np.arange(2**n_qubits)
+    ones = sum((index >> bit) & 1 for bit in range(n_qubits))
+    return np.where(ones % 2, -1.0, 1.0)
 
 
 def _ratio_estimate(
-    counts: Mapping[str, float],
-    coefficient: dict[str, float],
-    weights: Mapping[str, float] | None,
+    counts: np.ndarray, coefficients: np.ndarray, weights: np.ndarray | None
 ) -> tuple[float, float]:
-    """Estimate R = sum a_x w_x n_x / sum w_x n_x with Poisson first-order sigma."""
-    w = {pat: (weights or {}).get(pat, 1.0) for pat in counts}
-    wn = {pat: w[pat] * n for pat, n in counts.items()}
-    total = sum(wn.values())
+    """R = sum a_x w_x n_x / sum w_x n_x over one setting's pattern-indexed
+    counts, with its first-order Poisson variance.
+
+    Sums run left to right over the patterns and squares use libm ``pow``,
+    as Python's float ``**`` does, so results repeat the per-pattern dict
+    formula (tests/test_witness_oracle.py) to the bit.
+    """
+    if weights is None:
+        weights = np.ones(coefficients.shape)
+    wn = weights * counts
+    total = float(np.add.accumulate(wn)[-1])
     if total <= 0:
         raise ValueError("setting has zero total counts")
-    r = sum(coefficient.get(pat, 0.0) * x for pat, x in wn.items()) / total
-    var = sum(
-        (w[pat] ** 2) * n * (coefficient.get(pat, 0.0) - r) ** 2
-        for pat, n in counts.items()
-    ) / total**2
-    return r, var
+    r = float(np.add.accumulate(coefficients * wn)[-1]) / total
+    spread = np.float_power(weights, 2) * counts * np.float_power(coefficients - r, 2)
+    return r, float(np.add.accumulate(spread)[-1]) / total**2
 
 
 def fidelity_from_counts(
     spec: GhzSpec,
-    settings: Mapping[str, SettingCounts],
-    weights: Mapping[str, float] | None = None,
+    counts: Mapping[str, np.ndarray],
+    weights: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """(fidelity, sigma) from one population table and N coherence tables.
 
-    ``weights`` are optional per-outcome multiplicative calibration weights
-    (e.g. for retrieval-efficiency unbalance), applied to the counts before
-    normalization in every setting.
+    ``counts`` maps each setting id to its counts indexed by pattern
+    (big-endian, as ``quantum.bits_to_index``).  ``weights`` (see
+    ``weight_array``) multiply the counts of every setting before
+    normalization, e.g. for retrieval-efficiency unbalance.
     """
-    needed = spec.setting_ids()
-    missing = [s for s in needed if s not in settings]
+    missing = [s for s in spec.setting_ids() if s not in counts]
     if missing:
         raise ValueError(f"missing settings {missing}")
-
-    key0 = pattern_string(spec.pattern0)
-    key1 = pattern_string(spec.pattern1)
-    pop = settings[POPULATION_SETTING]
-    r_pop, var_pop = _ratio_estimate(
-        pop.counts, {key0: 0.5, key1: 0.5}, weights
-    )
-
-    fidelity = r_pop
-    variance = var_pop
     n = spec.n_qubits
+    fidelity, variance = _ratio_estimate(
+        counts[POPULATION_SETTING],
+        _indicator(spec, (spec.pattern0, spec.pattern1), 0.5),
+        weights,
+    )
+    signs = _parity_signs(n)
     for k in range(n):
-        table = settings[coherence_setting_id(k)]
-        signs = {
-            pat: float((-1) ** sum(int(c) for c in pat)) for pat in table.counts
-        }
-        r_k, var_k = _ratio_estimate(table.counts, signs, weights)
+        r_k, var_k = _ratio_estimate(counts[coherence_setting_id(k)], signs, weights)
         fidelity += spec.phase * (-1) ** k * r_k / (2 * n)
         variance += var_k / (2 * n) ** 2
     return float(fidelity), float(np.sqrt(variance))
@@ -252,14 +258,12 @@ def fidelity_from_counts(
 
 def populations_from_counts(
     spec: GhzSpec,
-    table: SettingCounts,
-    weights: Mapping[str, float] | None = None,
+    counts: np.ndarray,
+    weights: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Normalized populations of the two branch patterns in a population table."""
-    key0 = pattern_string(spec.pattern0)
-    key1 = pattern_string(spec.pattern1)
-    p0, _ = _ratio_estimate(table.counts, {key0: 1.0}, weights)
-    p1, _ = _ratio_estimate(table.counts, {key1: 1.0}, weights)
+    p0, _ = _ratio_estimate(counts, _indicator(spec, (spec.pattern0,), 1.0), weights)
+    p1, _ = _ratio_estimate(counts, _indicator(spec, (spec.pattern1,), 1.0), weights)
     return p0, p1
 
 
@@ -271,31 +275,49 @@ def bell_fidelity_from_visibilities(v_eigen: float, v_super: float) -> float:
     return (1.0 + v_eigen + 2.0 * v_super) / 4.0
 
 
-def write_setting_counts_csv(path, tables: Iterable[SettingCounts]) -> None:
-    """CSV with header setting_id,outcome_pattern,count."""
+def pattern_table(counts: np.ndarray, n_bits: int, zeros: bool = False) -> dict[str, float]:
+    """Report form of a pattern-indexed count array, ``{pattern string:
+    count}``, listing zero cells only when ``zeros``."""
+    return {
+        np.binary_repr(i, n_bits): float(c) for i, c in enumerate(counts.tolist()) if c or zeros
+    }
+
+
+def write_setting_counts_csv(path, tables: Mapping[str, Mapping[str, float]]) -> None:
+    """CSV with header setting_id,outcome_pattern,count: one row per pattern
+    of each setting's ``{pattern string: count}`` table, patterns sorted."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["setting_id", "outcome_pattern", "count"])
-        for table in tables:
-            for pat in sorted(table.counts):
-                w.writerow([table.setting_id, pat, csv_number(table.counts[pat])])
+        w.writerow(_CSV_HEADER)
+        for sid, table in tables.items():
+            for pat in sorted(table):
+                w.writerow([sid, pat, csv_number(table[pat])])
 
 
-def read_setting_counts_csv(path) -> dict[str, SettingCounts]:
+def read_setting_counts_csv(path) -> dict[str, np.ndarray]:
+    """Each setting's counts, summed over repeated rows, as an array indexed
+    by pattern.  All patterns must have one length; a malformed row raises a
+    one-line ValueError naming its line."""
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header] != [
-            "setting_id",
-            "outcome_pattern",
-            "count",
-        ]:
+        if header is None or [h.strip() for h in header] != _CSV_HEADER:
             raise ValueError(f"bad counts CSV header in {path}: {header}")
-        acc: dict[str, dict[str, float]] = {}
-        for row in reader:
-            if not row:
-                continue
-            sid, pat, c = row[0], row[1], float(row[2])
-            acc.setdefault(sid, {})
-            acc[sid][pat] = acc[sid].get(pat, 0.0) + c
-    return {sid: SettingCounts(sid, counts) for sid, counts in acc.items()}
+        for row in filter(None, reader):
+            try:
+                if len(row) != 3:
+                    raise ValueError(f"expected {','.join(_CSV_HEADER)}, got {row}")
+                sid, pat, text = row
+                bits, count = _parse_pattern(pat), float(text)
+                if rows and len(bits) != len(rows[0][1]):
+                    raise ValueError("outcome patterns have inconsistent lengths")
+                if not (np.isfinite(count) and count >= 0):
+                    raise ValueError(f"count for {pat} must be finite and non-negative")
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+            rows.append((sid, bits, count))
+    out: dict[str, np.ndarray] = {}
+    for sid, bits, count in rows:
+        out.setdefault(sid, np.zeros(2 ** len(bits)))[bits_to_index(bits)] += count
+    return out

@@ -241,19 +241,9 @@ ORACLE_CONFIGS = {
 }
 
 
-def table_setting_counts(tables, scale=1e6):
-    out = {}
-    for t in tables:
-        dist = t.outcome_distribution()
-        out[t.setting_id] = w.SettingCounts(
-            t.setting_id,
-            {
-                np.binary_repr(i, width=6): scale * p
-                for i, p in enumerate(dist)
-                if p > 1e-15
-            },
-        )
-    return out
+def table_distributions(tables):
+    """Each setting's exact 64-pattern distribution, as witness counts."""
+    return {t.setting_id: t.outcome_distribution() for t in tables}
 
 
 class TestSettings:
@@ -304,7 +294,7 @@ class TestIdealTables:
     def test_ghz6_fidelity_is_one(self):
         cfg = cf.preset("ideal")
         tables = ev.build_event_tables(cfg, ev.ghz6_settings())
-        f, _ = w.fidelity_from_counts(ev.GHZ6_SPEC, table_setting_counts(tables))
+        f, _ = w.fidelity_from_counts(ev.GHZ6_SPEC, table_distributions(tables))
         assert f == pytest.approx(1.0, abs=1e-9)
 
     def test_ghz3_fidelity_is_one_and_heralds_uniform(self):
@@ -314,11 +304,7 @@ class TestIdealTables:
         for t in tables:
             dist = t.outcome_distribution().reshape(8, 8)
             np.testing.assert_allclose(dist.sum(axis=1), 0.125, atol=1e-12)
-            mem = dist.sum(axis=0)
-            settings[t.setting_id] = w.SettingCounts(
-                t.setting_id,
-                {np.binary_repr(i, width=3): 1e6 * p for i, p in enumerate(mem)},
-            )
+            settings[t.setting_id] = dist.sum(axis=0)
         f, _ = w.fidelity_from_counts(ev.GHZ3_SPEC, settings)
         assert f == pytest.approx(1.0, abs=1e-9)
 
@@ -334,11 +320,7 @@ class TestIdealTables:
         tables = ev.build_event_tables(cfg, no_ff)
         settings = {}
         for t in tables:
-            mem = t.outcome_distribution().reshape(8, 8).sum(axis=0)
-            settings[t.setting_id] = w.SettingCounts(
-                t.setting_id,
-                {np.binary_repr(i, width=3): 1e6 * p for i, p in enumerate(mem)},
-            )
+            settings[t.setting_id] = t.outcome_distribution().reshape(8, 8).sum(axis=0)
         f, _ = w.fidelity_from_counts(ev.GHZ3_SPEC, settings)
         assert f == pytest.approx(0.5, abs=1e-9)
 
@@ -384,8 +366,8 @@ class TestNoisyTables:
             ev.build_event_tables(c, ev.ghz6_settings())
             for c in (base, displaced)
         )
-        f0, _ = w.fidelity_from_counts(ev.GHZ6_SPEC, table_setting_counts(m0))
-        fd, _ = w.fidelity_from_counts(ev.GHZ6_SPEC, table_setting_counts(md))
+        f0, _ = w.fidelity_from_counts(ev.GHZ6_SPEC, table_distributions(m0))
+        fd, _ = w.fidelity_from_counts(ev.GHZ6_SPEC, table_distributions(md))
         assert fd < f0 - 0.01
 
 

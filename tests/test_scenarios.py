@@ -660,7 +660,12 @@ class TestReports:
         by_id = w.read_setting_counts_csv(tmp_path / "counts" / "ghz6_settings.csv")
         assert set(by_id) == set(rep.body["setting_counts"])
         for sid, counts in rep.body["setting_counts"].items():
-            assert {k: float(v) for k, v in counts.items()} == dict(by_id[sid].counts)
+            expected = np.zeros(64)
+            for pat, c in counts.items():
+                expected[int(pat, 2)] = c
+            np.testing.assert_array_equal(by_id[sid], expected)
+        fid, _ = w.fidelity_from_counts(ev.GHZ6_SPEC, by_id)
+        assert fid == rep.body["fidelity"]["estimate"]
 
     def test_emitted_sweep_csv_has_header_and_rows(self, tmp_path):
         cfg = paper_cfg(scenario="raman_delay_sweep", samples=5_000, seed=0)
@@ -788,6 +793,17 @@ class TestCli:
                 set_key(("calibration_weights",), {"population": True}),
                 "calibration weight 'population' must be a positive number",
             ),
+            (
+                set_key(
+                    ("calibration_weights",),
+                    {"HHV": 5.0, "0101": 3.0, "population": 2.0},
+                ),
+                "calibration weight key 'HHV' must be an outcome pattern of 0s and 1s",
+            ),
+            (
+                set_key(("calibration_weights",), {"": 2.0}),
+                "calibration weight key '' must be an outcome pattern of 0s and 1s",
+            ),
             (envelope_for_node_i(5), "envelope for node 'I' must be an object"),
             (
                 set_key(("envelopes",), dict.fromkeys(("I", "II", "III", "IV"), GAUSSIAN)),
@@ -874,6 +890,8 @@ class TestCli:
             "nodes_number",
             "weights_list",
             "weight_bool",
+            "weight_key_symbols",
+            "weight_key_empty",
             "envelope_number",
             "envelope_extra_node",
             "envelope_missing_node",
@@ -905,6 +923,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"memnet-sim: error: {message}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "scenario, key, bits", [("ghz3", "0101", 3), ("ghz6", "001", 6)]
+    )
+    def test_calibration_weight_keys_must_fit_the_scenario(
+        self, scenario, key, bits, tmp_path, capsys
+    ):
+        data = paper_cfg(scenario=scenario, samples=100).to_dict()
+        data["calibration_weights"] = {key: 3.0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        rc = cli.main(["--config", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"memnet-sim: error: calibration_weights keys ['{key}'] are not "
+            f"{bits}-bit patterns of 0 and 1\n"
+        )
+
+    def test_calibration_weights_move_the_ghz3_estimate(self):
+        cfg = paper_cfg(scenario="ghz3", samples=20_000)
+        plain = h.run_scenario(cfg).body
+        weighted = h.run_scenario(cfg.with_overrides(calibration_weights={"001": 2.0})).body
+        assert weighted["setting_counts"] == plain["setting_counts"]
+        assert weighted["fidelity"]["exact"] == plain["fidelity"]["exact"]
+        assert weighted["populations"]["pattern0"] > plain["populations"]["pattern0"]
+        assert weighted["fidelity"]["estimate"] != plain["fidelity"]["estimate"]
 
     @pytest.mark.parametrize("scenario", ["ghz6", "ghz3"])
     @pytest.mark.parametrize("weight", [0.0, 1.0])

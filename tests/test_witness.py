@@ -142,17 +142,16 @@ def multinomial_tables(spec, rng, shots, rho):
     tables = {}
     for sid, basis in bases.items():
         probs = q.measurement_probabilities(dm, basis, list(reg))
-        counts = rng.multinomial(shots, probs / probs.sum())
-        tables[sid] = w.SettingCounts(
-            sid,
-            {
-                w.pattern_string(q.index_to_bits(i, 3)): int(c)
-                for i, c in enumerate(counts)
-                if c
-            },
-            total=shots,
-        )
+        tables[sid] = rng.multinomial(shots, probs / probs.sum())
     return tables
+
+
+def pattern_array(counts, n_bits=3):
+    """A {pattern string: count} table as an array indexed by pattern."""
+    arr = np.zeros(2**n_bits)
+    for pat, c in counts.items():
+        arr[int(pat, 2)] = c
+    return arr
 
 
 class TestFidelityFromCounts:
@@ -168,18 +167,13 @@ class TestFidelityFromCounts:
         assert 0 < sigma < 0.01
 
     def test_sigma_scales_inverse_sqrt(self):
-        counts = {"000": 300, "011": 40, "110": 500, "101": 60}
-        coh = {
-            w.pattern_string(q.index_to_bits(i, 3)): 50 + 10 * i for i in range(8)
-        }
-        tables = {w.POPULATION_SETTING: w.SettingCounts(w.POPULATION_SETTING, counts)}
+        counts = pattern_array({"000": 300, "011": 40, "110": 500, "101": 60})
+        coh = 50.0 + 10.0 * np.arange(8)
+        tables = {w.POPULATION_SETTING: counts}
         for k in range(3):
-            tables[f"m{k}"] = w.SettingCounts(f"m{k}", coh)
+            tables[f"m{k}"] = coh
         f1, s1 = w.fidelity_from_counts(SPEC3, tables)
-        doubled = {
-            sid: w.SettingCounts(sid, {p: 2 * c for p, c in t.counts.items()})
-            for sid, t in tables.items()
-        }
+        doubled = {sid: 2 * t for sid, t in tables.items()}
         f2, s2 = w.fidelity_from_counts(SPEC3, doubled)
         assert f2 == pytest.approx(f1, abs=1e-12)
         assert s2 == pytest.approx(s1 / np.sqrt(2), rel=1e-9)
@@ -194,12 +188,7 @@ class TestFidelityFromCounts:
         _, sigma = w.fidelity_from_counts(SPEC3, tables)
         boot = []
         for _ in range(2_000):
-            resampled = {
-                sid: w.SettingCounts(
-                    sid, {p: rng.poisson(c) for p, c in t.counts.items()}
-                )
-                for sid, t in tables.items()
-            }
+            resampled = {sid: rng.poisson(t) for sid, t in tables.items()}
             try:
                 fb, _ = w.fidelity_from_counts(SPEC3, resampled)
             except ValueError:
@@ -212,10 +201,12 @@ class TestFidelityFromCounts:
         pop = {"001": 40.0, "110": 30.0, "000": 20.0, "111": 10.0}
         coh = {"000": 50.0, "011": 10.0, "001": 25.0, "111": 15.0}
         weights = {"001": 2.0, "110": 0.5, "000": 1.0, "111": 4.0, "011": 1.0}
-        tables = {w.POPULATION_SETTING: w.SettingCounts(w.POPULATION_SETTING, pop)}
+        tables = {w.POPULATION_SETTING: pattern_array(pop)}
         for k in range(3):
-            tables[f"m{k}"] = w.SettingCounts(f"m{k}", coh)
-        f, _ = w.fidelity_from_counts(SPEC3, tables, weights=weights)
+            tables[f"m{k}"] = pattern_array(coh)
+        f, _ = w.fidelity_from_counts(
+            SPEC3, tables, weights=w.weight_array(SPEC3, weights)
+        )
         wpop = {p: weights[p] * c for p, c in pop.items()}
         wcoh = {p: weights[p] * c for p, c in coh.items()}
         p0 = wpop["001"] / sum(wpop.values())
@@ -234,30 +225,35 @@ class TestFidelityFromCounts:
         ket[q.bits_to_index(SPEC3.pattern1)] = 1 / np.sqrt(2)
         rho = 0.75 * np.outer(ket, ket.conj()) + 0.25 * np.eye(8) / 8
         tables = multinomial_tables(SPEC3, rng, 10_000, rho)
-        unit = {w.pattern_string(q.index_to_bits(i, 3)): 1.0 for i in range(8)}
+        unit = w.weight_array(SPEC3, {format(i, "03b"): 1.0 for i in range(8)})
         f0, s0 = w.fidelity_from_counts(SPEC3, tables)
         f1, s1 = w.fidelity_from_counts(SPEC3, tables, weights=unit)
         assert f1 == pytest.approx(f0, abs=1e-12)
         assert s1 == pytest.approx(s0, rel=1e-9)
 
     def test_missing_setting_errors(self):
-        tables = {
-            w.POPULATION_SETTING: w.SettingCounts(w.POPULATION_SETTING, {"001": 5})
-        }
+        tables = {w.POPULATION_SETTING: pattern_array({"001": 5})}
         with pytest.raises(ValueError, match="missing settings"):
             w.fidelity_from_counts(SPEC3, tables)
 
     def test_zero_total_errors(self):
-        tables = {
-            sid: w.SettingCounts(sid, {"001": 0})
-            for sid in SPEC3.setting_ids()
-        }
+        tables = {sid: np.zeros(8) for sid in SPEC3.setting_ids()}
         with pytest.raises(ValueError, match="zero total"):
             w.fidelity_from_counts(SPEC3, tables)
 
-    def test_counts_exceeding_total_rejected(self):
-        with pytest.raises(ValueError, match="exceeds total"):
-            w.SettingCounts("population", {"00": 10, "11": 10}, total=5)
+
+class TestWeightArray:
+    def test_unset_patterns_weigh_one(self):
+        arr = w.weight_array(SPEC3, {"001": 2.0, "110": 0.5})
+        expected = np.ones(8)
+        expected[[0b001, 0b110]] = [2.0, 0.5]
+        np.testing.assert_array_equal(arr, expected)
+        np.testing.assert_array_equal(w.weight_array(SPEC3, None), np.ones(8))
+
+    @pytest.mark.parametrize("key", ["0101", "01", "HHV", "population"])
+    def test_keys_must_be_patterns_of_the_spec(self, key):
+        with pytest.raises(ValueError, match=r"are not 3-bit patterns of 0 and 1"):
+            w.weight_array(SPEC3, {"000": 1.0, key: 2.0})
 
 
 class TestBellFidelity:
@@ -276,20 +272,43 @@ class TestBellFidelity:
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
-        tables = [
-            w.SettingCounts("population", {"000": 12, "111": 30}),
-            w.SettingCounts("m0", {"010": 7, "101": 1}),
-        ]
+        tables = {"population": {"000": 12, "111": 30}, "m0": {"010": 7, "101": 1}}
         path = tmp_path / "counts.csv"
         w.write_setting_counts_csv(path, tables)
         back = w.read_setting_counts_csv(path)
-        assert back["population"].counts == {"000": 12, "111": 30}
-        assert back["m0"].counts == {"010": 7, "101": 1}
+        assert set(back) == set(tables)
+        for sid, counts in tables.items():
+            np.testing.assert_array_equal(back[sid], pattern_array(counts))
         header = path.read_text().splitlines()[0]
         assert header == "setting_id,outcome_pattern,count"
+
+    def test_repeated_rows_add_and_symbols_read_as_bits(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("setting_id,outcome_pattern,count\nm0,HV↑,3\nm0,011,2.5\n")
+        back = w.read_setting_counts_csv(path)
+        np.testing.assert_array_equal(back["m0"], pattern_array({"011": 5.5}))
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,pattern,n\npopulation,000,3\n")
         with pytest.raises(ValueError, match="header"):
             w.read_setting_counts_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("m0,001,-3", "line 2: count for 001 must be finite and non-negative"),
+            ("m0,001,nan", "line 2: count for 001 must be finite and non-negative"),
+            ("m0,0x1,3", "line 2: cannot read pattern symbol 'x'"),
+            ("m0,001,3\nm1,0011,3", "line 3: outcome patterns have inconsistent lengths"),
+            ("m0,001", "line 2: expected setting_id,outcome_pattern,count, got"),
+        ],
+        ids=["negative", "nan", "unknown_symbol", "mixed_lengths", "short_row"],
+    )
+    def test_malformed_rows_rejected_on_one_line(self, rows, message, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("setting_id,outcome_pattern,count\n" + rows + "\n")
+        with pytest.raises(ValueError) as err:
+            w.read_setting_counts_csv(path)
+        assert message in str(err.value)
+        assert "\n" not in str(err.value)
