@@ -82,19 +82,7 @@ def main(argv=None) -> int:
             for path in written:
                 print(path)
         else:
-            print(
-                json.dumps(
-                    {
-                        "scenario": report.scenario,
-                        "seed": report.seed,
-                        "body": report.body,
-                        "meta": report.meta,
-                    },
-                    sort_keys=True,
-                    indent=2,
-                    allow_nan=False,
-                )
-            )
+            print(json.dumps(report.payload(), sort_keys=True, indent=2, allow_nan=False))
     except (OSError, ValueError, KeyError) as exc:
         print(f"memnet-sim: error: {exc}", file=sys.stderr)
         return 1

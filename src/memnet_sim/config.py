@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .detection import DetectorConfig
 from .node import NodeConfig
@@ -139,43 +139,17 @@ class ExperimentConfig:
         return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "nodes": [
-                {
-                    "node_id": n.node_id,
-                    "p_w": n.p_w,
-                    "eta_r0": n.eta_r0,
-                    "tau_mem_us": None if math.isinf(n.tau_mem_us) else n.tau_mem_us,
-                    "tau_vis_us": None if math.isinf(n.tau_vis_us) else n.tau_vis_us,
-                    "zeeman_period_us": n.zeeman_period_us,
-                    "phi0": n.phi0,
-                    "excitation_order": n.excitation_order,
-                    "depol_weight": n.depol_weight,
-                    "branch_weight_down": n.branch_weight_down,
-                }
-                for n in self.nodes
-            ],
-            "detector": {"dark_count_prob": self.detector.dark_count_prob},
-            "timing": {
-                "cycle_ms": self.timing.cycle_ms,
-                "loading_ms": self.timing.loading_ms,
-                "memory_window_ms": self.timing.memory_window_ms,
-                "trial_us": self.timing.trial_us,
-                "max_trials_per_load": self.timing.max_trials_per_load,
-            },
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "samples": self.samples,
-            "workers": self.workers,
-            "read_delay_us": self.read_delay_us,
-            "interference_visibility": self.interference_visibility,
-            "envelopes": self.envelopes,
-            "calibration_weights": self.calibration_weights,
-            "scenario_params": self.scenario_params,
-            "out_dir": self.out_dir,
-            "calibration": self.calibration,
-        }
+        """Every field as a JSON value, nested configs as objects and an
+        infinite lifetime as null, under the schema version."""
+        data = asdict(self)
+        data["nodes"] = [
+            {
+                key: None if key in _INF_IF_NULL and math.isinf(val) else val
+                for key, val in nd.items()
+            }
+            for nd in data["nodes"]
+        ]
+        return {"schema_version": SCHEMA_VERSION, **data}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

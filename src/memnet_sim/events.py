@@ -14,9 +14,10 @@ Instead it enumerates the finite set of event classes exactly:
 * photons route through the polarization network by their H/V component,
   which collapses every branch except the all-single HHH/VVV sector, the
   only pair of polarization triples that land one photon on each port;
-* the surviving coherent sector carries the six-qubit state the station
-  makes from the aged pairs, while every other class is a product of
-  per-port and per-memory outcome distributions;
+* the surviving coherent sector is the station's heralded state in
+  factored form (``optics.station_branches``): four branch terms, each a
+  product of three spin blocks of the aged pairs, while every other class
+  is a product of per-port and per-memory outcome distributions;
 * detector dark counts fill empty ports and empty analyzers, and bunched
   ports fake single clicks in equatorial analysis bases.
 
@@ -27,11 +28,12 @@ multinomial over the table's mixed outcome distribution is exact
 conditional sampling.  The table build enumerates the write branches once
 per config as index arrays, gathers per-port and per-memory click tables
 onto them, and takes one outer product over the ``(B, 6, 2)`` factor stack;
-the coherent sector is measured once per state and marginalized over the
-memories whose retrieval failed.  The brute-force path (`raw_trial_counts`)
-simulates unconditional trials with per-trial Bernoulli draws and exists to
-validate the table at excitation probabilities high enough for six-folds to
-show up in reasonable time.
+the coherent sector is measured term by term, each term an outer product
+of six per-qubit factors, so no six-qubit state is ever built, and then
+marginalized over the memories whose retrieval failed.  The brute-force
+path (`raw_trial_counts`) simulates unconditional trials with per-trial
+Bernoulli draws and exists to validate the table at excitation
+probabilities high enough for six-folds to show up in reasonable time.
 """
 
 from __future__ import annotations
@@ -113,40 +115,21 @@ def _station_terms(cfg: ExperimentConfig) -> list[nd.NodeTerms]:
     ]
 
 
-def _routing_acceptance(terms: list[nd.NodeTerms]) -> float:
-    """Chance that three single photons leave one per station port: all H
-    or all V."""
-    return math.prod(t.born[0] for t in terms) + math.prod(t.born[1] for t in terms)
-
-
-@dataclass(frozen=True)
-class _CoherentSector:
-    """All-single HHH/VVV sector: the only piece kept as a joint state."""
-
-    probability: float  # P(all nodes single) * P(one photon per port)
-    state: q.DensityMatrix  # station output, memories already aged
-    state_flipped: q.DensityMatrix  # same with the spin-I feed-forward flip
-
-
 def _coherent_sector(
     cfg: ExperimentConfig, terms: list[nd.NodeTerms]
-) -> _CoherentSector:
-    kwargs: dict = {"extra_coherence": cfg.interference_visibility}
-    if cfg.envelopes:
-        kwargs["envelopes"] = {
-            nid: envelope_from_spec(spec) for nid, spec in cfg.envelopes.items()
-        }
-        kwargs["delta_omega_rad_per_us"] = (
-            2.0 * math.pi / cfg.nodes[0].zeeman_period_us
-        )
-    pairs = [
-        q.apply_unitary(t.pair, op.polarization_map(n.node_id), [q.photon(n.node_id)])
-        for t, n in zip(terms, cfg.nodes)
-    ]
-    state, success = op.connect_three(pairs, **kwargs)
+) -> tuple[float, tuple[op.BranchTerm, ...]]:
+    """The all-single HHH/VVV sector: its probability, P(all nodes single)
+    times P(one photon per port), and the station's branch terms of the
+    heralded state, memories already aged."""
+    envelopes = {nid: envelope_from_spec(s) for nid, s in (cfg.envelopes or {}).items()}
+    success, branch_terms = op.station_branches(
+        [t.pair for t in terms],
+        envelopes=envelopes or None,
+        delta_omega_rad_per_us=2.0 * math.pi / cfg.nodes[0].zeeman_period_us,
+        extra_coherence=cfg.interference_visibility,
+    )
     p_all_single = math.prod(t.write_probabilities[SINGLE] for t in terms)
-    flipped = q.apply_unitary(state, q.PAULI_Z, [q.spin("I")])
-    return _CoherentSector(p_all_single * success, state, flipped)
+    return p_all_single * success, branch_terms
 
 
 def _single_click(hits: np.ndarray, dark: float):
@@ -200,7 +183,7 @@ def _memory_outcomes(memory_bases, terms: list[nd.NodeTerms], dark: float):
 
 def _hit_and_fill(dark: float) -> tuple[float, float]:
     """Exactly-one-click chances of a surely hit analyzer and of an empty one,
-    the coherent sector's factors (its outcomes come from the joint state)."""
+    the coherent sector's factors (its outcomes come from the branch terms)."""
     hit_one, _ = _single_click(det.photon_hits(1.0, _UNIFORM2), dark)
     fill, _ = _single_click(det.NO_HITS, dark)
     return float(hit_one), float(fill)
@@ -262,8 +245,29 @@ def _times_clicks(prob: np.ndarray, clicks: np.ndarray, index) -> np.ndarray:
     return prob
 
 
+def _coherent_dist(
+    branch_terms: tuple[op.BranchTerm, ...], setting: SettingSpec, flip: bool
+) -> np.ndarray:
+    """``(64,)`` distribution of the coherent sector with every memory read:
+    each term is the outer product of ``conj(P[b]) * P[b']`` per port basis
+    ``P`` and ``diag(M^dagger s M)`` per memory block ``s`` and basis ``M``.
+    ``flip`` applies the feed-forward Z to spin I's block."""
+    dist = 0.0
+    for term in branch_terms:
+        factors = [np.conj(p[term.row]) * p[term.col] for p in setting.port_bases]
+        for k, (block, m) in enumerate(zip(term.blocks, setting.memory_bases)):
+            if flip and k == 0:  # Z s Z flips the signs of the coherences
+                block = block * np.array([[1.0, -1.0], [-1.0, 1.0]])
+            factors.append(np.sum(m.conj() * (block @ m), axis=0))
+        out = term.weight
+        for factor in factors:
+            out = np.multiply.outer(out, factor)
+        dist = dist + out
+    return np.real(dist).reshape(-1)
+
+
 def _coherent_subset_dists(
-    sector: _CoherentSector, setting: SettingSpec
+    branch_terms: tuple[op.BranchTerm, ...], setting: SettingSpec
 ) -> np.ndarray:
     """``(8, 64)`` click distributions of the coherent sector by retrieval
     mask (bit ``k`` set when memory ``k`` returned its photon).  A memory
@@ -273,15 +277,13 @@ def _coherent_subset_dists(
     One measurement of all six qubits serves every mask, since measuring a
     qubit and discarding the result is a partial trace.  With feed-forward
     on, herald patterns with an odd number of outcome-1 port clicks are
-    drawn from the flipped state; port marginals agree between the two
+    drawn from the flipped terms; port marginals agree between the two
     variants, so the spliced distribution stays normalized, and the splice,
     which reads only port bits, commutes with the memory sums.
     """
-    targets = list(op.STATION_PORTS) + list(op.MEMORY_SPINS)
-    bases = list(setting.port_bases) + list(setting.memory_bases)
-    dist = q.measurement_probabilities(sector.state, bases, targets)
+    dist = _coherent_dist(branch_terms, setting, flip=False)
     if setting.feedforward:
-        flipped = q.measurement_probabilities(sector.state_flipped, bases, targets)
+        flipped = _coherent_dist(branch_terms, setting, flip=True)
         herald = np.arange(dist.size) >> 3
         parity = (((herald >> 2) & 1) + ((herald >> 1) & 1) + (herald & 1)) % 2
         dist = np.where(parity == 1, flipped, dist)
@@ -359,19 +361,20 @@ def build_event_tables(
     setting, each port's and memory's click probability and distribution
     is tabulated once, gathered onto the branches by fancy indexing, and
     the ``(B, 6, 2)`` factor stack becomes the class distributions in one
-    outer product.  The coherent sector is measured once per state and
-    marginalized over the memories that returned no photon.  Class order:
+    outer product.  The coherent sector's branch terms are measured once per
+    setting, as outer products of per-qubit factors, and marginalized over
+    the memories that returned no photon.  Class order:
     incoherent branches, then the coherent sector by retrieval subset.
     """
     branches = _write_branches(cfg) if _branches is None else _branches
     terms = branches.terms
-    sector = _coherent_sector(cfg, terms)
+    p_coherent, branch_terms = _coherent_sector(cfg, terms)
     dark = cfg.detector.dark_count_prob
     hit_one, fill = _hit_and_fill(dark)
     units = np.arange(3)
     # the coherent sector by retrieval mask, as in _coherent_subset_dists
     retrieved = (np.arange(8)[:, None] >> units) & 1 == 1
-    coherent = np.full(8, sector.probability * hit_one**3)
+    coherent = np.full(8, p_coherent * hit_one**3)
     for k, term in enumerate(terms):
         real, lost = term.eta * hit_one, (1.0 - term.eta) * fill
         coherent = coherent * np.where(retrieved[:, k], real, lost)
@@ -399,7 +402,9 @@ def build_event_tables(
             raise ValueError(
                 f"no six-fold coincidences possible for setting {setting.setting_id}"
             )
-        dists = np.concatenate([dists, _coherent_subset_dists(sector, setting)[live]])
+        dists = np.concatenate(
+            [dists, _coherent_subset_dists(branch_terms, setting)[live]]
+        )
         tables.append(
             EventTable(setting.setting_id, probs, dists, float(coherent[-1]))
         )
@@ -428,7 +433,8 @@ def conditional_success_estimate(
     dark = cfg.detector.dark_count_prob
     hit_one, _ = _hit_and_fill(dark)
     p_all_single = math.prod(t.write_probabilities[SINGLE] for t in terms)
-    numerator = p_all_single * _routing_acceptance(terms) * hit_one**3
+    acceptance = op.routing_acceptance([t.pair for t in terms])
+    numerator = p_all_single * acceptance * hit_one**3
     port_p, _ = _port_outcomes((q.BASIS_DA, q.BASIS_DA, q.BASIS_DA), dark)
     false = _times_clicks(branches.probability, port_p, branches.port_load)
     # accumulate left to right, branch by branch after the numerator
@@ -456,7 +462,7 @@ def raw_trial_counts(
     Single-threaded; intended for validation, not production sampling.
     """
     terms = _station_terms(cfg)
-    sector = _coherent_sector(cfg, terms)
+    _, branch_terms = _coherent_sector(cfg, terms)
     dark = cfg.detector.dark_count_prob
     write_p = np.array([t.write_probabilities for t in terms])  # (3, 3)
     pol_p1 = np.array([t.born[1] for t in terms])
@@ -473,7 +479,7 @@ def raw_trial_counts(
     )
     etas = np.array([t.eta for t in terms])
     etas_dbl = np.array([t.eta_dbl for t in terms])
-    coherent_dists = _coherent_subset_dists(sector, setting)
+    coherent_dists = _coherent_subset_dists(branch_terms, setting)
 
     counts = np.zeros(_N_OUTCOMES, dtype=np.int64)
     remaining = n_trials

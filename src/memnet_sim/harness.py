@@ -233,7 +233,7 @@ def rate_arithmetic(
     terms = ev._station_terms(cfg) if _terms is None else _terms
     p_nodes = [node.p_w * node.eta_r0 for node in cfg.nodes]
     joint = float(np.prod(p_nodes))
-    acceptance = float(ev._routing_acceptance(terms))
+    acceptance = float(op.routing_acceptance([t.pair for t in terms]))
     sixfold = joint * acceptance
     tps = cfg.timing.trials_per_second
     return {
@@ -476,9 +476,16 @@ def _run_lifetime_sweep(
     )
     v_arr = np.array([r["visibility_corrected"] for r in rows])
     n_coinc = np.array([max(r["n_super_coincidences"], 1.0) for r in rows])
-    weights = n_coinc / np.clip(1.0 - v_arr**2, 1e-6, 1.0)
-    denom = float(np.sum(weights * decay * decay))
-    v0 = float(np.sum(weights * decay * v_arr) / denom)
+    # each point's binomial variance (1 - v^2) / n at the model value
+    # v = v0 * decay, not at its own noisy visibility, which would weigh
+    # upward fluctuations more; start n-weighted, refit until v0 settles
+    weights, v0 = n_coinc, None
+    for _ in range(50):
+        denom = float(np.sum(weights * decay * decay))
+        v0, previous = float(np.sum(weights * decay * v_arr) / denom), v0
+        if previous is not None and abs(v0 - previous) <= 1e-12 * abs(v0):
+            break
+        weights = n_coinc / np.clip(1.0 - (v0 * decay) ** 2, 1e-6, 1.0)
     v0_sigma = float(1.0 / math.sqrt(denom))
     # accidental subtraction adds noise beyond the binomial term the weights
     # assume, so calibrate the quoted sigma against the residual scatter
@@ -769,6 +776,16 @@ class RunReport:
     def body_json(self) -> str:
         return json.dumps(self.body, sort_keys=True, indent=2, allow_nan=False)
 
+    def payload(self) -> dict:
+        """The report as report.json and stdout carry it."""
+        return {
+            "schema_version": cf.SCHEMA_VERSION,
+            "scenario": self.scenario,
+            "seed": self.seed,
+            "body": self.body,
+            "meta": self.meta,
+        }
+
 
 def run_scenario(cfg: cf.ExperimentConfig) -> RunReport:
     """Execute the configured scenario and assemble its report.
@@ -820,15 +837,8 @@ def emit_report(report: RunReport, out_dir) -> list[str]:
 
     written = []
     report_path = out / "report.json"
-    payload = {
-        "schema_version": cf.SCHEMA_VERSION,
-        "scenario": report.scenario,
-        "seed": report.seed,
-        "body": report.body,
-        "meta": report.meta,
-    }
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
+        json.dump(report.payload(), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
     written.append(str(report_path))
 

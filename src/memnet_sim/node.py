@@ -38,7 +38,7 @@ on the two-qubit pair, and never on the joint station state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,9 +80,6 @@ class NodeConfig:
             raise ValueError("excitation_order must be 1 or 2")
         if self.p_w + self.p_w**2 > 1.0:
             raise ValueError("p_w too large: outcome probabilities exceed 1")
-
-    def with_node_id(self, node_id: str) -> "NodeConfig":
-        return replace(self, node_id=node_id)
 
 
 def write_probabilities(cfg: NodeConfig) -> tuple[float, float, float]:
@@ -169,11 +166,13 @@ class NodeTerms:
     ``born`` holds the write photon's outcome probabilities in the write
     basis (last axis) and ``spins`` the spin conditioned on each outcome,
     maximally mixed when that outcome cannot occur.  ``eta_dbl`` is the
-    retrieval probability of a spoiled memory holding two excitations.  A
-    delay array adds a leading delay axis; ``pair`` is then a matrix stack.
+    retrieval probability of a spoiled memory holding two excitations.
+    ``pair`` is the aged pair with its photon in the write basis, indexed
+    ``(photon, spin, photon, spin)``.  A delay array adds a leading delay
+    axis to every array.
     """
 
-    pair: q.DensityMatrix | np.ndarray  # aged pair, photon before any waveplate
+    pair: np.ndarray  # (..., 2, 2, 2, 2)
     born: np.ndarray
     spins: tuple[np.ndarray, np.ndarray]
     write_probabilities: tuple[float, float, float]
@@ -190,17 +189,15 @@ def node_terms(cfg: NodeConfig, write_basis: np.ndarray, dt_us) -> NodeTerms:
     of the photon: aging the pair first is exact.
     """
     fresh = entangled_pair_state(cfg)
-    if np.ndim(dt_us) == 0:  # the station's input, exactly as storage_channel ages it
-        pair = storage_channel(cfg, fresh, dt_us)
-        rho = pair.matrix.reshape(2, 2, 2, 2)
+    if np.ndim(dt_us) == 0:
+        rho = storage_channel(cfg, fresh, dt_us).matrix.reshape(2, 2, 2, 2)
     else:
         phase, coherence = _storage(cfg, dt_us)
         factor = np.ones((len(phase), 2, 2), dtype=complex)
         factor[:, 1, 0] = coherence * phase
         factor[:, 0, 1] = np.conj(factor[:, 1, 0])
         rho = fresh.matrix.reshape(2, 2, 2, 2) * factor[:, None, :, None, :]
-        pair = rho.reshape(-1, 4, 4)
-        q.check_density(pair)
+        q.check_density(rho.reshape(-1, 4, 4))
     rot = np.einsum("ai,...asbt,bj->...isjt", write_basis.conj(), rho, write_basis)
     blocks = np.stack([rot[..., i, :, i, :] for i in (0, 1)], axis=-3)
     born = np.real(np.trace(blocks, axis1=-2, axis2=-1))
@@ -209,5 +206,5 @@ def node_terms(cfg: NodeConfig, write_basis: np.ndarray, dt_us) -> NodeTerms:
     spins = (spins[..., 0, :, :], spins[..., 1, :, :])
     eta = retrieval_efficiency(cfg, dt_us)
     return NodeTerms(
-        pair, born, spins, write_probabilities(cfg), eta, 1.0 - (1.0 - eta) ** 2
+        rot, born, spins, write_probabilities(cfg), eta, 1.0 - (1.0 - eta) ** 2
     )

@@ -26,14 +26,20 @@ Station layout and conventions, pinned once here:
   node only port 0 mixes different frequencies and contributes a beat factor
   ``integral(conj(e_II) e_I exp(i dw t) dt)``.
 
-Register order of the heralded six-qubit state: port photons
-``photon("S", 0..2)`` then memory spins of nodes I, II, III.
+``station_branches`` is the one statement of this post-selection.  It
+keeps the heralded state in factored form: four ``(b, b')`` branch terms,
+each a weight times the port photons' ``|b b b><b' b' b'|`` times a
+product of three 2x2 spin blocks, so no six-qubit state is needed to
+measure it.  ``connect_three`` assembles the six-qubit state from the same
+terms; its register order is port photons ``photon("S", 0..2)`` then memory
+spins of nodes I, II, III.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,10 +106,6 @@ class Envelope:
     @property
     def times_us(self) -> np.ndarray:
         return self.start_us + self.step_us * np.arange(self.values.size)
-
-    @property
-    def end_us(self) -> float:
-        return self.start_us + self.step_us * (self.values.size - 1)
 
     def values_at(self, t_us) -> np.ndarray:
         """Amplitude at arbitrary times, zero outside the grid."""
@@ -201,6 +203,57 @@ def _branch_coherence(envelopes, delta_omega_rad_per_us: float) -> complex:
     return kappa0 * kappa1 * kappa2
 
 
+class BranchTerm(NamedTuple):
+    """``weight`` times the ports' ``|b b b><b' b' b'|`` (0 all-H, 1 all-V)
+    times the spin blocks ``pair[b, :, b', :]`` of nodes I, II, III."""
+
+    row: int  # b
+    col: int  # b'
+    weight: complex
+    blocks: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def routing_acceptance(pairs) -> float:
+    """Chance that the photons of three ``(2, 2, 2, 2)`` pairs (H/V frame)
+    leave one per station port: all H or all V."""
+    born = [[np.real(np.trace(p[b, :, b, :])) for b in (0, 1)] for p in pairs]
+    return math.prod(h for h, _ in born) + math.prod(v for _, v in born)
+
+
+def station_branches(
+    pairs,
+    *,
+    envelopes=None,
+    delta_omega_rad_per_us: float = 0.0,
+    extra_coherence: float = 1.0,
+) -> tuple[float, tuple[BranchTerm, ...]]:
+    """Herald station in factored form: success probability and branch terms.
+
+    ``pairs`` are the ``(2, 2, 2, 2)`` photon-spin pairs (photon, spin,
+    photon, spin) of nodes I, II, III, photons in the H/V frame, spins
+    already aged at the nodes: storage acts on the spins alone, so it
+    commutes with this post-selection.  One photon per output port keeps
+    exactly the all-H and all-V routing branches, so the heralded state is
+    the sum of four terms: weight 1 on the diagonal and the branch
+    coherence ``xi`` or ``conj(xi)`` off it, divided by the success
+    probability.  ``envelopes`` (optional, node id -> Envelope) and
+    ``delta_omega_rad_per_us`` set the temporal-mode overlap in ``xi``;
+    ``extra_coherence`` multiplies it, as a catch-all for interference
+    imperfections.
+    """
+    if not 0.0 <= extra_coherence <= 1.0:
+        raise ValueError("extra_coherence must lie in [0, 1]")
+    success = float(routing_acceptance(pairs))
+    if success < 1e-15:
+        raise ValueError("post-selection has zero probability for these pairs")
+    xi = extra_coherence * _branch_coherence(envelopes, delta_omega_rad_per_us)
+    weights = {(0, 0): 1.0, (1, 1): 1.0, (0, 1): xi, (1, 0): np.conj(xi)}
+    return success, tuple(
+        BranchTerm(b, b2, weight / success, tuple(p[b, :, b2, :] for p in pairs))
+        for (b, b2), weight in weights.items()
+    )
+
+
 def connect_three(
     pairs,
     *,
@@ -208,29 +261,12 @@ def connect_three(
     delta_omega_rad_per_us: float = 0.0,
     extra_coherence: float = 1.0,
 ) -> tuple[q.DensityMatrix, float]:
-    """Herald station: three photon-spin pairs in, six-qubit state out.
-
-    ``pairs`` are the three pair states for nodes I, II, III with the
-    polarization maps already applied (photons in the H/V frame), their
-    spins already aged at the nodes: storage acts on the spins alone, so it
-    commutes with this post-selection and need not touch the joint state.
-    The station post-selects one photon per output port, which keeps
-    exactly the all-H and all-V routing branches.  Returns the heralded
-    state over ``(port photons 0..2, spins I..III)`` and the success
-    probability; the discarded probability is its complement by
-    construction.
-
-    ``envelopes`` (optional, node id -> Envelope) and ``delta_omega_rad_per_us``
-    set the temporal-mode overlap of the two branches; ``extra_coherence``
-    multiplies the branch coherence on top of that, as a catch-all for
-    interference imperfections.
-    """
+    """``station_branches`` on three two-qubit states, assembled into the
+    heralded state over ``(port photons 0..2, spins I..III)``; returns it
+    with the success probability, whose complement is discarded."""
     pairs = tuple(pairs)
     if len(pairs) != 3:
         raise ValueError(f"connect_three needs exactly three pairs, got {len(pairs)}")
-    if not 0.0 <= extra_coherence <= 1.0:
-        raise ValueError("extra_coherence must lie in [0, 1]")
-    rho = None
     for nid, pair in zip(NODE_IDS, pairs):
         expected = (q.photon(nid), q.spin(nid))
         if pair.register != expected:
@@ -238,30 +274,18 @@ def connect_three(
                 f"pair for node {nid} must have register {expected}, "
                 f"got {pair.register}"
             )
-        rho = pair if rho is None else q.tensor_product(rho, pair)
-
-    # branch blocks over the three spins: photons pinned to all-H or all-V
-    t = rho.matrix.reshape([2] * 12)
-    blocks = {}
-    for b_row in (0, 1):
-        for b_col in (0, 1):
-            sel: list = [slice(None)] * 12
-            sel[0] = sel[2] = sel[4] = b_row
-            sel[6] = sel[8] = sel[10] = b_col
-            blocks[(b_row, b_col)] = t[tuple(sel)].reshape(8, 8)
-
-    success = float(np.real(np.trace(blocks[(0, 0)]) + np.trace(blocks[(1, 1)])))
-    if success < 1e-15:
-        raise ValueError("post-selection has zero probability for these pairs")
-
-    xi = extra_coherence * _branch_coherence(envelopes, delta_omega_rad_per_us)
+    success, terms = station_branches(
+        [p.matrix.reshape(2, 2, 2, 2) for p in pairs],
+        envelopes=envelopes,
+        delta_omega_rad_per_us=delta_omega_rad_per_us,
+        extra_coherence=extra_coherence,
+    )
     out = np.zeros((8, 8, 8, 8), dtype=complex)
-    out[0, :, 0, :] = blocks[(0, 0)]
-    out[7, :, 7, :] = blocks[(1, 1)]
-    out[0, :, 7, :] = xi * blocks[(0, 1)]
-    out[7, :, 0, :] = np.conj(xi) * blocks[(1, 0)]
+    for t in terms:  # all-H ports sit at index 0, all-V at 7
+        spins = np.kron(np.kron(t.blocks[0], t.blocks[1]), t.blocks[2])
+        out[7 * t.row, :, 7 * t.col, :] = t.weight * spins
     register = STATION_PORTS + MEMORY_SPINS
-    return q.DensityMatrix(register, out.reshape(64, 64) / success), success
+    return q.DensityMatrix(register, out.reshape(64, 64)), success
 
 
 def averaged_swap_fidelity(

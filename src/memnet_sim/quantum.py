@@ -5,8 +5,8 @@ Conventions, fixed once here and relied on everywhere else:
 * A register is an ordered tuple of ``QubitLabel``s.  Indexing is big-endian
   in register order: qubit 0 is the most significant bit, so a basis state
   with per-qubit bits ``b_0 .. b_{n-1}`` sits at index ``sum(b_i << (n-1-i))``.
-  Consequently ``tensor_product(a, b)`` is ``numpy.kron(a, b)`` with register
-  ``a.register + b.register``.
+  Consequently the state of two registers side by side is ``numpy.kron(a, b)``
+  over ``a.register + b.register``.
 * Photon-polarization qubits: index 0 = |H>, index 1 = |V>.  The circular
   components are |R> = (|H> + i|V>)/sqrt2 and |L> = (|H> - i|V>)/sqrt2,
   and the diagonal ones |D> = (|H> + |V>)/sqrt2, |A> = (|H> - |V>)/sqrt2.
@@ -17,9 +17,11 @@ Conventions, fixed once here and relied on everywhere else:
   ``equatorial_basis(n pi/N)``.
 
 Registers never exceed 6 qubits in this package, so everything is dense
-complex128.  Every ``DensityMatrix`` is validated when it is built
-(tolerance ``TOL``); measurement reads outcome probabilities without
-building intermediate states.
+complex128; the heralded scenarios build only two-qubit states, since the
+station keeps its output in factored form (``optics``).  Every
+``DensityMatrix`` is validated when it is built (tolerance ``TOL``);
+measurement reads outcome probabilities without building intermediate
+states.
 """
 
 from __future__ import annotations
@@ -221,14 +223,6 @@ def bits_to_index(bits: Sequence[int]) -> int:
 
 def index_to_bits(idx: int, n_qubits: int) -> tuple[int, ...]:
     return tuple((idx >> (n_qubits - 1 - i)) & 1 for i in range(n_qubits))
-
-
-def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Combine registers: the matrix is ``kron(a, b)`` over ``a + b``."""
-    overlap = set(a.register) & set(b.register)
-    if overlap:
-        raise ValueError(f"registers share labels {sorted(str(q) for q in overlap)}")
-    return DensityMatrix(a.register + b.register, np.kron(a.matrix, b.matrix))
 
 
 def _target_positions(state: DensityMatrix, targets: Sequence[QubitLabel]) -> list[int]:

@@ -10,7 +10,9 @@ Run from the repository root after a change that means to move a body:
 
     PYTHONPATH=src python tests/golden/regen.py
 
-and name every moved key and its largest change in CHANGES.md.
+Before it overwrites anything it prints every moved body key path with its
+old value, new value and relative change, and every CSV whose digest
+changed; name each moved key and its largest change in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -57,13 +59,51 @@ def golden_run(scenario: str, out_dir) -> tuple[str, dict[str, str]]:
     return report.body_json(), digests
 
 
+def differences(old, new, path="body"):
+    """Yield ``(key path, old value, new value)`` for every place two parsed
+    JSON values differ; a missing key or list entry reads as ``None``."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(set(old) | set(new)):
+            yield from differences(old.get(key), new.get(key), f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list):
+        for i in range(max(len(old), len(new))):
+            a = old[i] if i < len(old) else None
+            b = new[i] if i < len(new) else None
+            yield from differences(a, b, f"{path}[{i}]")
+    elif type(old) is not type(new) or old != new:
+        yield path, old, new
+
+
+def _relative(old, new) -> str:
+    numbers = (int, float)
+    if isinstance(old, numbers) and isinstance(new, numbers) and old != 0:
+        return f"{(new - old) / abs(old):+.3g}"
+    return "n/a"
+
+
+def report_moves(scenario: str, body: str, digests: dict[str, str], manifest) -> None:
+    """Print what regenerating ``scenario`` would move against the golden."""
+    path = GOLDEN_DIR / f"{scenario}.json"
+    old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    for key, a, b in differences(old, json.loads(body)):
+        print(f"{scenario}: {key}: {a!r} -> {b!r} (relative {_relative(a, b)})")
+    old_digests = manifest.get("csv_sha256", {}).get(scenario, {})
+    for rel in sorted(set(old_digests) | set(digests)):
+        if old_digests.get(rel) != digests.get(rel):
+            print(f"{scenario}: {rel}: digest changed")
+
+
 def main() -> int:
-    csv_sha256 = {}
+    manifest = json.loads(MANIFEST.read_text(encoding="utf-8")) if MANIFEST.exists() else {}
+    runs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for scenario in SAMPLES:
-            body, digests = golden_run(scenario, Path(tmp) / scenario)
-            (GOLDEN_DIR / f"{scenario}.json").write_text(body + "\n", encoding="utf-8")
-            csv_sha256[scenario] = digests
+            runs[scenario] = golden_run(scenario, Path(tmp) / scenario)
+            report_moves(scenario, *runs[scenario], manifest)
+    csv_sha256 = {}
+    for scenario, (body, digests) in runs.items():
+        (GOLDEN_DIR / f"{scenario}.json").write_text(body + "\n", encoding="utf-8")
+        csv_sha256[scenario] = digests
     manifest = {
         "numpy": np.__version__,
         "preset": "paper",

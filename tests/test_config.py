@@ -187,7 +187,7 @@ class TestEnvelopeSpecs:
 
     def test_square_and_decay_specs(self):
         sq = cf.envelope_from_spec({"shape": "square", "start_us": 0.0, "width_us": 2.0})
-        assert sq.end_us == pytest.approx(2.0)
+        assert sq.times_us[-1] == pytest.approx(2.0)
         ex = cf.envelope_from_spec(
             {"shape": "exponential-decay", "start_us": 0.0, "tau_us": 0.3, "n": 256}
         )

@@ -9,6 +9,7 @@ import pytest
 from memnet_sim import config as cf
 from memnet_sim import detection as det
 from memnet_sim import events as ev
+from memnet_sim import harness as h
 from memnet_sim import node as nd
 from memnet_sim import optics as op
 from memnet_sim import quantum as q
@@ -132,14 +133,37 @@ def loop_memory_outcomes(memory_bases, terms, dark):
     return out
 
 
-def loop_coherent_dist(sector, setting, real):
+def reference_station_state(cfg):
+    """The coherent sector's six-qubit state and its flipped twin, built
+    apart from the tables: each fresh pair aged by ``storage_channel`` and
+    mapped by its waveplate, then ``connect_three``."""
+    kwargs = {"extra_coherence": cfg.interference_visibility}
+    if cfg.envelopes:
+        kwargs["envelopes"] = {
+            nid: cf.envelope_from_spec(spec) for nid, spec in cfg.envelopes.items()
+        }
+        kwargs["delta_omega_rad_per_us"] = 2 * math.pi / cfg.nodes[0].zeeman_period_us
+    pairs = [
+        q.apply_unitary(
+            nd.storage_channel(n, nd.entangled_pair_state(n), cfg.read_delay_us),
+            op.polarization_map(n.node_id),
+            [q.photon(n.node_id)],
+        )
+        for n in cfg.nodes
+    ]
+    state, _ = op.connect_three(pairs, **kwargs)
+    return state, q.apply_unitary(state, q.PAULI_Z, [q.spin("I")])
+
+
+def loop_coherent_dist(states, setting, real):
     """Ports plus the retrieved memories, measured directly, with uniform
     dark-count axes inserted for the others; flattened to 64."""
+    state, flipped_state = states
     targets = list(op.STATION_PORTS) + [op.MEMORY_SPINS[k] for k in sorted(real)]
     bases = list(setting.port_bases) + [setting.memory_bases[k] for k in sorted(real)]
-    dist = q.measurement_probabilities(sector.state, bases, targets)
+    dist = q.measurement_probabilities(state, bases, targets)
     if setting.feedforward:
-        flipped = q.measurement_probabilities(sector.state_flipped, bases, targets)
+        flipped = q.measurement_probabilities(flipped_state, bases, targets)
         herald = np.arange(dist.size) >> len(real)
         parity = ((herald >> 2) + (herald >> 1) + herald) & 1
         dist = np.where(parity == 1, flipped, dist)
@@ -153,9 +177,12 @@ def loop_coherent_dist(sector, setting, real):
 def loop_event_tables(cfg, settings):
     """Reference tables: one event class at a time, its distribution the
     Kronecker product of its six factors, and one measurement of the
-    coherent sector per retrieval subset."""
+    coherent sector's six-qubit state per retrieval subset."""
     terms = ev._station_terms(cfg)
-    sector = ev._coherent_sector(cfg, terms)
+    states = reference_station_state(cfg)
+    p_coherent = math.prod(t.write_probabilities[ev.SINGLE] for t in terms) * (
+        math.prod(t.born[0] for t in terms) + math.prod(t.born[1] for t in terms)
+    )
     dark = cfg.detector.dark_count_prob
     hit_one, _ = loop_single_click(det.photon_hits(1.0, (0.5, 0.5)), dark)
     fill, _ = loop_single_click(det.NO_HITS, dark)
@@ -184,7 +211,7 @@ def loop_event_tables(cfg, settings):
         clean = 0.0
         for mask in range(8):
             real = frozenset(k for k in range(3) if mask >> k & 1)
-            prob = sector.probability * hit_one**3
+            prob = p_coherent * hit_one**3
             for k in range(3):
                 if k in real:
                     prob *= terms[k].eta * hit_one
@@ -193,7 +220,7 @@ def loop_event_tables(cfg, settings):
             if prob <= 0.0:
                 continue
             probs.append(prob)
-            dists.append(loop_coherent_dist(sector, setting, real))
+            dists.append(loop_coherent_dist(states, setting, real))
             if len(real) == 3:
                 clean = prob
         tables.append((setting.setting_id, np.array(probs), np.array(dists), clean))
@@ -437,7 +464,11 @@ class TestCoherentSector:
         # reference order: the station on fresh pairs, then storage on the
         # six-qubit state; the sector ages each pair before the station
         cfg = ORACLE_CONFIGS[name]()
-        sector = ev._coherent_sector(cfg, ev._station_terms(cfg))
+        aged = [
+            q.DensityMatrix((q.photon(n.node_id), q.spin(n.node_id)), t.pair.reshape(4, 4))
+            for n, t in zip(cfg.nodes, ev._station_terms(cfg))
+        ]
+        got, _ = op.connect_three(aged, extra_coherence=cfg.interference_visibility)
         pairs = [
             q.apply_unitary(
                 nd.entangled_pair_state(n),
@@ -449,7 +480,31 @@ class TestCoherentSector:
         state, _ = op.connect_three(pairs, extra_coherence=cfg.interference_visibility)
         for n in cfg.nodes:
             state = nd.storage_channel(n, state, cfg.read_delay_us)
-        np.testing.assert_allclose(sector.state.matrix, state.matrix, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.matrix, state.matrix, rtol=0, atol=1e-12)
+
+
+class TestNoSixQubitState:
+    @pytest.mark.parametrize("scenario", ["ghz6", "ghz3"])
+    def test_heralded_scenarios_build_only_pair_states(self, scenario, monkeypatch):
+        # the station's output stays factored: the six-qubit path is the
+        # tests' reference only
+        def refuse(*args, **kwargs):
+            raise AssertionError("six-qubit state path called")
+
+        monkeypatch.setattr(op, "connect_three", refuse)
+        monkeypatch.setattr(q, "measurement_probabilities", refuse)
+        sizes = []
+        validate = q.DensityMatrix.__post_init__
+
+        def recorded(state):
+            sizes.append(len(state.register))
+            validate(state)
+
+        monkeypatch.setattr(q.DensityMatrix, "__post_init__", recorded)
+        cfg = cf.preset("paper").with_overrides(scenario=scenario, samples=2_000)
+        report = h.run_scenario(cfg)
+        assert report.body["fidelity"]["estimate"] is not None
+        assert sizes and set(sizes) == {2}
 
 
 class TestLoopOracle:

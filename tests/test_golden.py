@@ -21,26 +21,10 @@ _spec.loader.exec_module(regen)
 MANIFEST = json.loads(regen.MANIFEST.read_text(encoding="utf-8"))
 
 
-def first_difference(want, got, path="body"):
-    """Key path of the first place two parsed JSON values differ, or None."""
-    if isinstance(want, dict) and isinstance(got, dict):
-        for key in sorted(set(want) | set(got)):
-            if key not in want or key not in got:
-                return f"{path}.{key} ({'missing' if key not in got else 'unexpected'})"
-            found = first_difference(want[key], got[key], f"{path}.{key}")
-            if found:
-                return found
-        return None
-    if isinstance(want, list) and isinstance(got, list):
-        if len(want) != len(got):
-            return f"{path} (length {len(want)} != {len(got)})"
-        for i, (a, b) in enumerate(zip(want, got)):
-            found = first_difference(a, b, f"{path}[{i}]")
-            if found:
-                return found
-        return None
-    if type(want) is not type(got) or want != got:
-        return f"{path}: golden {want!r}, now {got!r}"
+def first_difference(want, got):
+    """Key path of the first place two parsed JSON bodies differ, or None."""
+    for path, a, b in regen.differences(want, got):
+        return f"{path}: golden {a!r}, now {b!r}"
     return None
 
 

@@ -49,10 +49,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             node.NodeConfig(**kwargs)
 
-    def test_with_node_id(self):
-        cfg = node.NodeConfig(p_w=0.02).with_node_id("III")
-        assert cfg.node_id == "III" and cfg.p_w == 0.02
-
 
 class TestWriteProcess:
     def test_second_order_probabilities(self):
@@ -264,7 +260,10 @@ class TestNodeTerms:
         for got, want in zip(terms.spins, spins):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
         aged = node.storage_channel(cfg, node.entangled_pair_state(cfg), dt)
-        np.testing.assert_array_equal(terms.pair.matrix, aged.matrix)
+        rot = np.einsum(
+            "ai,asbt,bj->isjt", basis.conj(), aged.matrix.reshape(2, 2, 2, 2), basis
+        )
+        np.testing.assert_array_equal(terms.pair, rot)
         assert terms.write_probabilities == node.write_probabilities(cfg)
         assert terms.eta == node.retrieval_efficiency(cfg, dt)
         assert terms.eta_dbl == pytest.approx(1.0 - (1.0 - terms.eta) ** 2, abs=0)

@@ -26,7 +26,8 @@ LIFETIME_TRIALS = 2_000_000
 
 
 def reference_terms(cfg, write_basis, dt):
-    """Born probabilities, conditional spins and retrieval of one delay."""
+    """Pair in the write basis, Born probabilities, conditional spins and
+    retrieval of one delay."""
     target = q.spin(cfg.node_id)
     angle = 2.0 * math.pi * dt / cfg.zeeman_period_us
     pair = q.apply_unitary(
@@ -44,7 +45,7 @@ def reference_terms(cfg, write_basis, dt):
         for block, p in zip(blocks, born)
     ]
     eta = cfg.eta_r0 * math.exp(-dt / cfg.tau_mem_us)
-    return pair.matrix, born, spins, eta, 1.0 - (1.0 - eta) ** 2
+    return rot, born, spins, eta, 1.0 - (1.0 - eta) ** 2
 
 
 def photon_hits(arrival, born):

@@ -58,22 +58,11 @@ class TestLabelsAndStates:
 
     def test_big_endian_indexing(self):
         # |0>|1> must sit at index 0b01 = 1
-        rho = q.tensor_product(pure((REG2[0],), q.KET_H), pure((REG2[1],), q.KET_UP))
+        rho = pure(REG2, np.kron(q.KET_H, q.KET_UP))
         np.testing.assert_allclose(np.diag(rho.matrix), [0, 1, 0, 0], atol=1e-12)
         assert q.bits_to_index((0, 1)) == 1
         assert q.index_to_bits(1, 2) == (0, 1)
 
-    def test_tensor_product_is_kron(self):
-        rng = np.random.default_rng(7)
-        a = q.DensityMatrix((q.photon("I"),), random_density(1, rng))
-        b = q.DensityMatrix((q.spin("II"),), random_density(1, rng))
-        ab = q.tensor_product(a, b)
-        np.testing.assert_allclose(ab.matrix, np.kron(a.matrix, b.matrix), atol=1e-12)
-
-    def test_tensor_product_rejects_shared_labels(self):
-        a = pure((q.photon("I"),), q.KET_H)
-        with pytest.raises(ValueError, match="share"):
-            q.tensor_product(a, a)
 
 
 class TestUnitaries:
@@ -135,9 +124,7 @@ class TestMeasurement:
 
     def test_measurement_marginal_order(self):
         # asymmetric product state distinguishes target ordering
-        s = q.tensor_product(
-            pure((q.spin("I"),), q.KET_DOWN), pure((q.spin("II"),), q.KET_UP)
-        )
+        s = pure((q.spin("I"), q.spin("II")), np.kron(q.KET_DOWN, q.KET_UP))
         p_fwd = q.measurement_probabilities(s, q.BASIS_Z, [q.spin("I"), q.spin("II")])
         np.testing.assert_allclose(p_fwd, [0, 1, 0, 0], atol=1e-12)
         p_rev = q.measurement_probabilities(s, q.BASIS_Z, [q.spin("II"), q.spin("I")])

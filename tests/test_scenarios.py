@@ -323,6 +323,23 @@ class TestLifetimeSweep:
         assert fit["visibility_crossing_us"] == pytest.approx(41.0, abs=3.0)
         assert fit["tau_vis_us"] == pytest.approx(169.2)
 
+    def test_visibility0_mean_matches_large_budget(self):
+        # a point weighted by its own noisy visibility counts for more the
+        # higher it fluctuates, so small budgets pulled visibility0 above 1
+        reference = h.run_scenario(
+            paper_cfg(scenario="lifetime_sweep", samples=2_000_000, seed=0)
+        ).body["fit"]["visibility0"]
+        values = np.array(
+            [
+                h.run_scenario(
+                    paper_cfg(scenario="lifetime_sweep", samples=2_000, seed=seed)
+                ).body["fit"]["visibility0"]
+                for seed in range(16)
+            ]
+        )
+        stderr = values.std(ddof=1) / math.sqrt(values.size)
+        assert abs(values.mean() - reference) <= 3.0 * stderr
+
     def test_ideal_memory_has_no_crossing(self):
         # infinite coherence time: visibility never decays through 1/sqrt(2)
         rep = h.run_scenario(
@@ -734,6 +751,16 @@ class TestCli:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["scenario"] == "two_node_swap"
+
+    def test_stdout_carries_the_report_json_payload(self, tmp_path, capsys):
+        argv = ["--preset", "paper", "--scenario", "ghz3", "--samples", "400"]
+        assert cli.main(argv) == 0
+        printed = strict_json(capsys.readouterr().out)
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        written = strict_json((tmp_path / "report.json").read_text())
+        assert printed["schema_version"] == cf.SCHEMA_VERSION
+        assert printed["body"] == written["body"]
+        assert set(printed) == set(written)
 
     def test_missing_config_file_errors(self, capsys):
         rc = cli.main(["--config", "/nonexistent/cfg.json", "--scenario", "ghz6"])
