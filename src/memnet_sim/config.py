@@ -57,8 +57,9 @@ class TimingConfig:
 
     def __post_init__(self) -> None:
         for name in ("cycle_ms", "loading_ms", "memory_window_ms", "trial_us"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            val = getattr(self, name)
+            if not (math.isfinite(val) and val > 0.0):
+                raise ValueError(f"{name} must be positive and finite, not {val}")
         if self.loading_ms + self.memory_window_ms > self.cycle_ms + 1e-9:
             raise ValueError("loading plus memory window exceeds the cycle")
         limit = math.floor(self.memory_window_ms * 1000.0 / self.trial_us)
@@ -111,8 +112,10 @@ class ExperimentConfig:
             raise ValueError(f"samples must be an integer >= 1, not {self.samples!r}")
         if not _is_int(self.workers) or self.workers < 1:
             raise ValueError(f"workers must be an integer >= 1, not {self.workers!r}")
-        if self.read_delay_us < 0.0:
-            raise ValueError("read_delay_us must be non-negative")
+        if not (math.isfinite(self.read_delay_us) and self.read_delay_us >= 0.0):
+            raise ValueError(
+                f"read_delay_us must be non-negative and finite, not {self.read_delay_us}"
+            )
         if not 0.0 <= self.interference_visibility <= 1.0:
             raise ValueError("interference_visibility must lie in [0, 1]")
         if self.envelopes is not None:
@@ -341,7 +344,12 @@ def _check_envelopes(envelopes: dict) -> None:
         if missing or unknown:
             raise ValueError(f"{where}: missing key(s) {missing}, unknown key(s) {unknown}")
         for key, val in spec.items():
-            if isinstance(val, bool) or not isinstance(val, types[key]) or (key == "n" and val < 2):
+            if (
+                isinstance(val, bool)
+                or not isinstance(val, types[key])
+                or (key == "n" and val < 2)
+                or (isinstance(val, numbers.Real) and not math.isfinite(val))
+            ):
                 raise ValueError(f"{where} key {key!r} has a wrong type or value: {val!r}")
         if "shape" in spec:
             try:

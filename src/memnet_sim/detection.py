@@ -104,10 +104,16 @@ def bunched_hits(born_h, born_v) -> np.ndarray:
 
     The two photons are routed independently by their Born probabilities;
     only when both take the same channel does a single channel fire.
+    Stacked Born probabilities (last axis) give a ``(..., 2, 2)`` stack.
     """
-    both0 = born_h[0] * born_v[0]
-    both1 = born_h[1] * born_v[1]
-    return np.array([[0.0, both1], [both0, 1.0 - both0 - both1]])
+    born_h, born_v = np.asarray(born_h, dtype=float), np.asarray(born_v, dtype=float)
+    both0 = born_h[..., 0] * born_v[..., 0]
+    both1 = born_h[..., 1] * born_v[..., 1]
+    hits = np.zeros(both0.shape + (2, 2))
+    hits[..., 0, 1] = both1
+    hits[..., 1, 0] = both0
+    hits[..., 1, 1] = 1.0 - both0 - both1
+    return hits
 
 
 def analyzer_clicks(hits: np.ndarray, dark: float) -> np.ndarray:

@@ -25,12 +25,17 @@ Each event class contributes (probability, outcome distribution over the
 64 click patterns).  Summing gives the herald probability per trial, the
 importance weight attached to every conditionally drawn sample; one
 multinomial over the table's mixed outcome distribution is exact
-conditional sampling.  The table build enumerates the write branches once
-per config as index arrays, gathers per-port and per-memory click tables
-onto them, and takes one outer product over the ``(B, 6, 2)`` factor stack;
-the coherent sector is measured term by term, each term an outer product
-of six per-qubit factors, so no six-qubit state is ever built, and then
-marginalized over the memories whose retrieval failed.  The brute-force
+conditional sampling.  The structure of the write branches (which ports
+each branch loads, which kind of memory it leaves) is enumerated once at
+import as index arrays; per config only their probabilities are formed.
+All settings of one build are handled together: their bases are stacked
+into ``(S, 3, 2, 2)`` port and memory arrays, per-port and per-memory click
+tables are computed for every setting at once and gathered onto the
+branches, and one outer product over the ``(S, B, 6, 2)`` factor stack
+gives every class distribution.  The coherent sector is measured term by
+term for the whole stack, each term an outer product of six per-qubit
+factors, so no six-qubit state is ever built, and then marginalized over
+the memories whose retrieval failed.  The brute-force
 path (`raw_trial_counts`) simulates unconditional trials with per-trial
 Bernoulli draws and exists to validate the table at excitation
 probabilities high enough for six-folds to show up in reasonable time.
@@ -97,10 +102,11 @@ def ghz3_settings() -> tuple[SettingSpec, ...]:
 
 
 def _born2(basis: np.ndarray, state) -> np.ndarray:
-    """Outcome probabilities of one qubit, or of a stack, in ``basis`` (columns = kets)."""
+    """Outcome probabilities of one qubit, or of a stack, in ``basis`` (columns
+    = kets), itself one basis or a stack."""
     mat = np.asarray(state)
     if mat.ndim == 1:
-        return np.abs(basis.conj().T @ mat) ** 2
+        return np.abs(basis.conj().swapaxes(-1, -2) @ mat) ** 2
     rotated = basis.conj().swapaxes(-1, -2) @ mat @ basis
     return np.real(rotated.diagonal(0, -2, -1))
 
@@ -142,6 +148,16 @@ def _single_click(hits: np.ndarray, dark: float):
     return total[..., 0], np.where(fired, one / np.where(fired, total, 1.0), 0.5)
 
 
+def _stack_bases(settings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The settings' ``(S, 3, 2, 2)`` port and memory basis stacks and their
+    ``(S,)`` feed-forward flags."""
+    return (
+        np.array([s.port_bases for s in settings], dtype=complex),
+        np.array([s.memory_bases for s in settings], dtype=complex),
+        np.array([s.feedforward for s in settings], dtype=bool),
+    )
+
+
 # port loads: the H(0)/V(1) photons routed to one station port, in node order
 _PORT_LOADS = ((), (0,), (1,), (0, 1), (1, 0))
 # memory kinds: vacuum, spoiled (double), then a clean memory collapsed by
@@ -149,36 +165,45 @@ _PORT_LOADS = ((), (0,), (1,), (0, 1), (1, 0))
 _VACUUM_KIND, _DOUBLE_KIND, _SINGLE_KIND = 0, 1, 2
 
 
-def _port_outcomes(port_bases, dark: float):
-    """``_single_click`` of each station port under each of ``_PORT_LOADS``.
+def _port_outcomes(port_bases: np.ndarray, dark: float):
+    """``_single_click`` of each station port of a ``(..., 3, 2, 2)`` basis
+    stack under each of ``_PORT_LOADS``: ``(..., 3, 5)`` click chances and
+    ``(..., 3, 5, 2)`` distributions.
 
     Colliding photons always carry opposite polarizations, so a bunched
     port fires a single channel only when both Born draws coincide, which
     is impossible in the H/V basis and a coin flip in any equatorial basis.
     """
-    hits = []
-    for basis in port_bases:
-        born_h, born_v = (_born2(basis, ket) for ket in np.eye(2))
-        bunched = det.bunched_hits(born_h, born_v)
-        singles = [det.photon_hits(1.0, born) for born in (born_h, born_v)]
-        hits.append([det.NO_HITS, *singles, bunched, bunched])
-    return _single_click(np.array(hits), dark)
+    born_h, born_v = (_born2(port_bases, ket) for ket in np.eye(2))
+    bunched = det.bunched_hits(born_h, born_v)
+    single_h, single_v = det.photon_hits(1.0, born_h), det.photon_hits(1.0, born_v)
+    empty = np.broadcast_to(det.NO_HITS, bunched.shape)
+    hits = np.stack([empty, single_h, single_v, bunched, bunched], axis=-3)
+    return _single_click(hits, dark)
 
 
-def _memory_outcomes(memory_bases, terms: list[nd.NodeTerms], dark: float):
-    """``_single_click`` of each memory analyzer under each memory kind.
+def _memory_outcomes(memory_bases: np.ndarray, terms: list[nd.NodeTerms], dark: float):
+    """``_single_click`` of each memory analyzer of a ``(..., 3, 2, 2)``
+    basis stack under each memory kind: ``(..., 3, 4)`` click chances and
+    ``(..., 3, 4, 2)`` distributions.
 
     A clean memory is read in the state its photon's routing collapsed it
     to; a spoiled memory reads out uniformly.
     """
-    hits = []
-    for term, basis in zip(terms, memory_bases):
-        clean = [
-            det.photon_hits(term.eta, _born2(basis, term.spins[pol]))
-            for pol in (0, 1)
-        ]
-        hits.append([det.NO_HITS, det.photon_hits(term.eta_dbl, _UNIFORM2), *clean])
-    return _single_click(np.array(hits), dark)
+    spins = np.array([t.spins for t in terms])  # (node, pol, 2, 2)
+    born = _born2(memory_bases[..., None, :, :], spins)  # (..., node, pol, outcome)
+    clean = det.photon_hits(np.array([t.eta for t in terms])[:, None], born)
+    spoiled = det.photon_hits(np.array([t.eta_dbl for t in terms]), _UNIFORM2)
+    shape = clean.shape[:-3]
+    hits = np.concatenate(
+        [
+            np.broadcast_to(det.NO_HITS, shape + (1, 2, 2)),
+            np.broadcast_to(spoiled[:, None], shape + (1, 2, 2)),
+            clean,
+        ],
+        axis=-3,
+    )
+    return _single_click(hits, dark)
 
 
 def _hit_and_fill(dark: float) -> tuple[float, float]:
@@ -194,6 +219,33 @@ _ROUTE_H = np.array([op.ROUTE[(k, "H")] for k in range(3)])
 _ROUTE_V = np.array([op.ROUTE[(k, "V")] for k in range(3)])
 
 
+def _branch_structure() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every incoherent write branch of three nodes, one row each: the write
+    outcome per node, the ``_PORT_LOADS`` index per port and the memory kind
+    per node, which also picks the node's factor in the branch probability.
+    The two all-single assignments that route one photon per port are
+    skipped; they stay coherent and are handled jointly.
+    """
+    combos, loads, kinds = [], [], []
+    for combo in itertools.product((VACUUM, SINGLE, DOUBLE), repeat=3):
+        photon_nodes = [k for k in range(3) if combo[k] != VACUUM]
+        for pols in itertools.product((0, 1), repeat=len(photon_nodes)):
+            if combo == (SINGLE, SINGLE, SINGLE) and pols in ((0, 0, 0), (1, 1, 1)):
+                continue
+            ports: list[list[int]] = [[], [], []]
+            kind = [_VACUUM_KIND] * 3
+            for k, pol in zip(photon_nodes, pols):
+                ports[op.ROUTE[(k, _POL_NAME[pol])]].append(pol)
+                kind[k] = _SINGLE_KIND + pol if combo[k] == SINGLE else _DOUBLE_KIND
+            combos.append(combo)
+            loads.append([_PORT_LOADS.index(tuple(p)) for p in ports])
+            kinds.append(kind)
+    return np.array(combos), np.array(loads), np.array(kinds)
+
+
+_BRANCH_COMBO, _BRANCH_PORT_LOAD, _BRANCH_MEMORY_KIND = _branch_structure()
+
+
 @dataclass(frozen=True)
 class _Branches:
     """The incoherent write branches of one config, one row per branch:
@@ -207,93 +259,112 @@ class _Branches:
 
 
 def _write_branches(cfg: ExperimentConfig) -> _Branches:
-    """Enumerate write outcomes for the three nodes and the polarization
-    collapse of every photon, skipping the two all-single assignments that
-    route one photon per port; those stay coherent and are handled jointly.
+    """The write branches of ``cfg``: each row of ``_branch_structure`` with
+    its probability, the write outcomes' product times, node by node, the
+    photon's routing chance (its Born probability for a single, 1/2 for a
+    double, 1 for vacuum).  Combinations that cannot occur are dropped.
     """
     terms = _station_terms(cfg)
-    probs, loads, kinds = [], [], []
-    for combo in itertools.product((VACUUM, SINGLE, DOUBLE), repeat=3):
-        base = math.prod(t.write_probabilities[c] for t, c in zip(terms, combo))
-        if base <= 0.0:
-            continue
-        photon_nodes = [k for k in range(3) if combo[k] != VACUUM]
-        for pols in itertools.product((0, 1), repeat=len(photon_nodes)):
-            if combo == (SINGLE, SINGLE, SINGLE) and pols in ((0, 0, 0), (1, 1, 1)):
-                continue
-            prob = base
-            ports: list[list[int]] = [[], [], []]
-            kind = [_VACUUM_KIND] * 3
-            for k, pol in zip(photon_nodes, pols):
-                ports[op.ROUTE[(k, _POL_NAME[pol])]].append(pol)
-                if combo[k] == SINGLE:
-                    prob *= terms[k].born[pol]
-                    kind[k] = _SINGLE_KIND + pol
-                else:
-                    prob *= 0.5
-                    kind[k] = _DOUBLE_KIND
-            probs.append(prob)
-            loads.append([_PORT_LOADS.index(tuple(p)) for p in ports])
-            kinds.append(kind)
-    return _Branches(terms, np.array(probs), np.array(loads), np.array(kinds))
+    write_p = np.array([t.write_probabilities for t in terms])
+    # factor by memory kind: vacuum, double, single H, single V
+    factor = np.array([[1.0, 0.5, *t.born] for t in terms])
+    base = _times_clicks(1.0, write_p, _BRANCH_COMBO)
+    prob = _times_clicks(base, factor, _BRANCH_MEMORY_KIND)
+    possible = base > 0.0
+    return _Branches(
+        terms, prob[possible], _BRANCH_PORT_LOAD[possible], _BRANCH_MEMORY_KIND[possible]
+    )
 
 
 def _times_clicks(prob: np.ndarray, clicks: np.ndarray, index) -> np.ndarray:
-    """Multiply each branch by the click probability of units 0, 1, 2 in turn."""
+    """Multiply each branch by the value (a click probability) of units 0,
+    1, 2 in turn; ``clicks`` is ``(..., 3, kinds)`` and the result
+    ``(..., B)``."""
     for unit in range(3):
-        prob = prob * clicks[unit, index[:, unit]]
+        prob = prob * clicks[..., unit, index[:, unit]]
     return prob
 
 
+def _outer_product(factors) -> np.ndarray:
+    """``(64, R)`` outer products of six ``(2, R)`` factors, factor 0 the
+    most significant bit, each cell multiplied left to right."""
+    out = factors[0]
+    for factor in factors[1:]:
+        out = (out[:, None, :] * factor[None, :, :]).reshape(2 * len(out), -1)
+    return out
+
+
 def _coherent_dist(
-    branch_terms: tuple[op.BranchTerm, ...], setting: SettingSpec, flip: bool
+    branch_terms: tuple[op.BranchTerm, ...],
+    ports: np.ndarray,
+    memories: np.ndarray,
+    flip: np.ndarray,
 ) -> np.ndarray:
-    """``(64,)`` distribution of the coherent sector with every memory read:
-    each term is the outer product of ``conj(P[b]) * P[b']`` per port basis
-    ``P`` and ``diag(M^dagger s M)`` per memory block ``s`` and basis ``M``.
-    ``flip`` applies the feed-forward Z to spin I's block."""
+    """``(S, 64)`` distributions of the coherent sector with every memory
+    read, one per setting of the ``(S, 3, 2, 2)`` basis stacks: each branch
+    term is the outer product of ``conj(P[b]) * P[b']`` per port basis ``P``
+    and ``diag(M^dagger s M)`` per memory block ``s`` and basis ``M``, and
+    the terms are summed in order.  ``flip`` (``(S,)``) applies the
+    feed-forward Z to spin I's block."""
+    rows = [t.row for t in branch_terms]
+    cols = [t.col for t in branch_terms]
+    blocks = np.array([t.blocks for t in branch_terms])  # (T, 3, 2, 2)
+    weights = np.array([t.weight for t in branch_terms], dtype=complex)
+    # Z s Z flips the signs of the coherences
+    z_signs = np.where(flip[:, None, None], np.array([[1.0, -1.0], [-1.0, 1.0]]), 1.0)
+    # (S, 3, T, 2) -> three (T, S, 2) port factors
+    factors = list((np.conj(ports[:, :, rows]) * ports[:, :, cols]).transpose(1, 2, 0, 3))
+    for k in range(3):
+        block = blocks[:, k, None] * z_signs if k == 0 else blocks[:, k, None]
+        m = memories[:, k]
+        factors.append(np.sum(m.conj() * (block @ m), axis=-2))
+    factors[0] = weights[:, None, None] * factors[0]
+    n_terms, n = len(branch_terms), len(ports)
+    outer = _outer_product([f.reshape(-1, 2).T for f in factors]).reshape(-1, n_terms, n)
     dist = 0.0
-    for term in branch_terms:
-        factors = [np.conj(p[term.row]) * p[term.col] for p in setting.port_bases]
-        for k, (block, m) in enumerate(zip(term.blocks, setting.memory_bases)):
-            if flip and k == 0:  # Z s Z flips the signs of the coherences
-                block = block * np.array([[1.0, -1.0], [-1.0, 1.0]])
-            factors.append(np.sum(m.conj() * (block @ m), axis=0))
-        out = term.weight
-        for factor in factors:
-            out = np.multiply.outer(out, factor)
-        dist = dist + out
-    return np.real(dist).reshape(-1)
+    for t in range(n_terms):
+        dist = dist + outer[:, t]
+    return np.ascontiguousarray(np.real(dist).T)
 
 
 def _coherent_subset_dists(
-    branch_terms: tuple[op.BranchTerm, ...], setting: SettingSpec
+    branch_terms: tuple[op.BranchTerm, ...],
+    ports: np.ndarray,
+    memories: np.ndarray,
+    feedforward: np.ndarray,
 ) -> np.ndarray:
-    """``(8, 64)`` click distributions of the coherent sector by retrieval
-    mask (bit ``k`` set when memory ``k`` returned its photon).  A memory
-    that returned none is summed out and its dark-count click filled in
-    uniformly.
+    """``(S, 8, 64)`` click distributions of the coherent sector by setting
+    and retrieval mask (bit ``k`` set when memory ``k`` returned its
+    photon), from the settings' stacked bases and feed-forward flags.  A
+    memory that returned none is summed out and its dark-count click filled
+    in uniformly.
 
     One measurement of all six qubits serves every mask, since measuring a
-    qubit and discarding the result is a partial trace.  With feed-forward
-    on, herald patterns with an odd number of outcome-1 port clicks are
-    drawn from the flipped terms; port marginals agree between the two
+    qubit and discarding the result is a partial trace.  Feed-forward
+    settings are measured a second time with spin I flipped, in the same
+    stack; their herald patterns with an odd number of outcome-1 port clicks
+    are drawn from the flipped terms.  Port marginals agree between the two
     variants, so the spliced distribution stays normalized, and the splice,
     which reads only port bits, commutes with the memory sums.
     """
-    dist = _coherent_dist(branch_terms, setting, flip=False)
-    if setting.feedforward:
-        flipped = _coherent_dist(branch_terms, setting, flip=True)
-        herald = np.arange(dist.size) >> 3
-        parity = (((herald >> 2) & 1) + ((herald >> 1) & 1) + (herald & 1)) % 2
-        dist = np.where(parity == 1, flipped, dist)
-    joint = dist.reshape([2] * 6)
-    rows = []
+    n = len(feedforward)
+    ff = np.flatnonzero(feedforward)
+    measured = _coherent_dist(
+        branch_terms,
+        np.concatenate([ports, ports[ff]]),
+        np.concatenate([memories, memories[ff]]),
+        np.arange(n + ff.size) >= n,
+    )
+    dist = measured[:n]
+    herald = np.arange(_N_OUTCOMES) >> 3
+    odd = (((herald >> 2) & 1) + ((herald >> 1) & 1) + (herald & 1)) % 2 == 1
+    dist[ff] = np.where(odd, measured[n:], dist[ff])
+    joint = dist.reshape((n,) + (2,) * 6)
+    out = np.empty((n, 8) + joint.shape[1:])
     for mask in range(8):
-        lost = tuple(3 + k for k in range(3) if not mask >> k & 1)
-        marginal = joint.sum(axis=lost, keepdims=True) * 0.5 ** len(lost)
-        rows.append(np.broadcast_to(marginal, joint.shape).reshape(-1))
-    return np.array(rows)
+        lost = tuple(4 + k for k in range(3) if not mask >> k & 1)
+        out[:, mask] = joint.sum(axis=lost, keepdims=True) * 0.5 ** len(lost)
+    return out.reshape(n, 8, _N_OUTCOMES)
 
 
 @dataclass(frozen=True)
@@ -355,16 +426,19 @@ def build_event_tables(
     settings: tuple[SettingSpec, ...] | list[SettingSpec],
     _branches: _Branches | None = None,
 ) -> list[EventTable]:
-    """Build the exact event table for each setting, sharing node terms.
+    """Build the exact event table for each setting, all settings at once.
 
-    The write branches are enumerated once per config as index arrays.  Per
-    setting, each port's and memory's click probability and distribution
-    is tabulated once, gathered onto the branches by fancy indexing, and
-    the ``(B, 6, 2)`` factor stack becomes the class distributions in one
-    outer product.  The coherent sector's branch terms are measured once per
-    setting, as outer products of per-qubit factors, and marginalized over
-    the memories that returned no photon.  Class order:
-    incoherent branches, then the coherent sector by retrieval subset.
+    The write branches are enumerated once per config, from index arrays
+    fixed at import.  The settings' bases are stacked into ``(S, 3, 2, 2)``
+    port and memory arrays; each port's and memory's click probability and
+    distribution is tabulated for every setting in one pass, gathered onto
+    the branches by fancy indexing, and the ``(S, B, 6, 2)`` factor stack
+    becomes the class distributions in one outer product.  The coherent
+    sector's branch terms are measured for every setting in one stack, as
+    outer products of per-qubit factors, and marginalized over the memories
+    that returned no photon.  Per setting only the zero-probability classes
+    are dropped.  Class order: incoherent branches, then the coherent sector
+    by retrieval subset.
     """
     branches = _write_branches(cfg) if _branches is None else _branches
     terms = branches.terms
@@ -379,34 +453,35 @@ def build_event_tables(
         real, lost = term.eta * hit_one, (1.0 - term.eta) * fill
         coherent = coherent * np.where(retrieved[:, k], real, lost)
     live = coherent > 0.0
+    if not settings:
+        return []
+    ports, memories, feedforward = _stack_bases(settings)
+    port_p, port_d = _port_outcomes(ports, dark)
+    mem_p, mem_d = _memory_outcomes(memories, terms, dark)
+    prob = _times_clicks(branches.probability, port_p, branches.port_load)
+    prob = _times_clicks(prob, mem_p, branches.memory_kind)  # (S, B)
+    factors = np.concatenate(
+        [port_d[:, units, branches.port_load], mem_d[:, units, branches.memory_kind]],
+        axis=2,
+    )  # (S, B, 6, 2), multiplied out with the S * B class rows innermost
+    factors = np.ascontiguousarray(factors.reshape(-1, 6, 2).transpose(1, 2, 0))
+    dists = _outer_product(factors).T.reshape(prob.shape + (_N_OUTCOMES,))
+    subsets = _coherent_subset_dists(branch_terms, ports, memories, feedforward)
     tables = []
-    for setting in settings:
-        port_p, port_d = _port_outcomes(setting.port_bases, dark)
-        mem_p, mem_d = _memory_outcomes(setting.memory_bases, terms, dark)
-        prob = _times_clicks(branches.probability, port_p, branches.port_load)
-        prob = _times_clicks(prob, mem_p, branches.memory_kind)
-        keep = prob > 0.0
-        factors = np.concatenate(
-            [
-                port_d[units, branches.port_load[keep]],
-                mem_d[units, branches.memory_kind[keep]],
-            ],
-            axis=1,
-        )
-        dists = factors[:, 0]
-        for j in range(1, 6):
-            dists = dists[:, :, None] * factors[:, j, None, :]
-            dists = dists.reshape(-1, 2 ** (j + 1))
-        probs = np.concatenate([prob[keep], coherent[live]])
+    for setting, p, d, sub in zip(settings, prob, dists, subsets):
+        keep = p > 0.0
+        probs = np.concatenate([p[keep], coherent[live]])
         if probs.size == 0:
             raise ValueError(
                 f"no six-fold coincidences possible for setting {setting.setting_id}"
             )
-        dists = np.concatenate(
-            [dists, _coherent_subset_dists(branch_terms, setting)[live]]
-        )
         tables.append(
-            EventTable(setting.setting_id, probs, dists, float(coherent[-1]))
+            EventTable(
+                setting.setting_id,
+                probs,
+                np.concatenate([d[keep], sub[live]]),
+                float(coherent[-1]),
+            )
         )
     return tables
 
@@ -435,7 +510,7 @@ def conditional_success_estimate(
     p_all_single = math.prod(t.write_probabilities[SINGLE] for t in terms)
     acceptance = op.routing_acceptance([t.pair for t in terms])
     numerator = p_all_single * acceptance * hit_one**3
-    port_p, _ = _port_outcomes((q.BASIS_DA, q.BASIS_DA, q.BASIS_DA), dark)
+    port_p, _ = _port_outcomes(np.array([q.BASIS_DA, q.BASIS_DA, q.BASIS_DA]), dark)
     false = _times_clicks(branches.probability, port_p, branches.port_load)
     # accumulate left to right, branch by branch after the numerator
     denom = np.add.accumulate(np.concatenate([[numerator], false]))[-1]
@@ -479,7 +554,7 @@ def raw_trial_counts(
     )
     etas = np.array([t.eta for t in terms])
     etas_dbl = np.array([t.eta_dbl for t in terms])
-    coherent_dists = _coherent_subset_dists(branch_terms, setting)
+    coherent_dists = _coherent_subset_dists(branch_terms, *_stack_bases([setting]))[0]
 
     counts = np.zeros(_N_OUTCOMES, dtype=np.int64)
     remaining = n_trials

@@ -832,15 +832,15 @@ def emit_report(report: RunReport, out_dir) -> list[str]:
     """Write report.json plus the scenario's counts/ and sweeps/ CSV files."""
     from pathlib import Path
 
+    # serialized whole before any file opens: a value JSON cannot hold
+    # raises here and leaves no truncated report.json behind
+    text = json.dumps(report.payload(), sort_keys=True, indent=2, allow_nan=False)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    written = []
     report_path = out / "report.json"
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.payload(), fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
-    written.append(str(report_path))
+        fh.write(text + "\n")
+    written = [str(report_path)]
 
     for rel, payload in report.artifacts.items():
         path = out / rel

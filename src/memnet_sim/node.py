@@ -73,9 +73,16 @@ class NodeConfig:
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name} = {val} outside [0, 1]")
-        for name in ("tau_mem_us", "tau_vis_us", "zeeman_period_us"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("tau_mem_us", "tau_vis_us"):  # infinite: no decay
+            val = getattr(self, name)
+            if not val > 0.0:
+                raise ValueError(f"{name} must be positive, not {val}")
+        if not (math.isfinite(self.zeeman_period_us) and self.zeeman_period_us > 0.0):
+            raise ValueError(
+                f"zeeman_period_us must be positive and finite, not {self.zeeman_period_us}"
+            )
+        if not math.isfinite(self.phi0):
+            raise ValueError(f"phi0 must be finite, not {self.phi0}")
         if self.excitation_order not in (1, 2):
             raise ValueError("excitation_order must be 1 or 2")
         if self.p_w + self.p_w**2 > 1.0:

@@ -96,6 +96,8 @@ class Envelope:
             raise ValueError("envelope needs a 1-D grid of at least two samples")
         if not self.step_us > 0.0:
             raise ValueError("step_us must be positive")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("envelope amplitudes must be finite")
         norm = np.trapezoid(np.abs(vals) ** 2, dx=self.step_us)
         if norm <= 0.0:
             raise ValueError("envelope has zero norm")

@@ -28,6 +28,7 @@ covariance between numerator and denominator.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -275,11 +276,19 @@ def bell_fidelity_from_visibilities(v_eigen: float, v_super: float) -> float:
     return (1.0 + v_eigen + 2.0 * v_super) / 4.0
 
 
+@functools.cache
+def _pattern_strings(n_bits: int) -> tuple[str, ...]:
+    """Every ``n_bits`` outcome pattern string, in index order."""
+    return tuple(format(i, f"0{n_bits}b") for i in range(2**n_bits))
+
+
 def pattern_table(counts: np.ndarray, n_bits: int, zeros: bool = False) -> dict[str, float]:
     """Report form of a pattern-indexed count array, ``{pattern string:
     count}``, listing zero cells only when ``zeros``."""
     return {
-        np.binary_repr(i, n_bits): float(c) for i, c in enumerate(counts.tolist()) if c or zeros
+        pat: float(c)
+        for pat, c in zip(_pattern_strings(n_bits), counts.tolist())
+        if c or zeros
     }
 
 

@@ -568,3 +568,53 @@ class TestRawAgainstTable:
             sd = np.sqrt(np.maximum(mu * (1 - mu / n), 1e-12))
             assert np.all(np.abs(raw - mu) <= 5.0 * sd + 1.0)
             assert abs(raw.sum() - mu.sum()) <= 5.0 * np.sqrt(mu.sum())
+
+
+def assert_tables_identical(got, want):
+    """Same setting ids, and every array and clean probability bit for bit."""
+    assert [t.setting_id for t in got] == [t.setting_id for t in want]
+    for a, b in zip(got, want):
+        assert a.probabilities.shape == b.probabilities.shape
+        assert a.probabilities.tobytes() == b.probabilities.tobytes()
+        assert a.distributions.shape == b.distributions.shape
+        assert a.distributions.tobytes() == b.distributions.tobytes()
+        assert a.clean_probability == b.clean_probability
+
+
+SETTING_LISTS = {
+    "ghz6": lambda: list(ev.ghz6_settings()),
+    "ghz3": lambda: list(ev.ghz3_settings()),
+    "ghz6_reversed": lambda: list(ev.ghz6_settings())[::-1],
+    "ghz3_reversed": lambda: list(ev.ghz3_settings())[::-1],
+    # feed-forward on some settings of the stack and off on others
+    "mixed": lambda: [
+        s for pair in zip(ev.ghz3_settings(), ev.ghz6_settings()) for s in pair
+    ] + list(ev.ghz6_settings()[4:]),
+}
+
+
+class TestSettingsBatch:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+    @pytest.mark.parametrize("settings", sorted(SETTING_LISTS))
+    def test_stack_equals_one_setting_at_a_time(self, name, settings):
+        cfg = ORACLE_CONFIGS[name]()
+        stack = SETTING_LISTS[settings]()
+        alone = [ev.build_event_tables(cfg, [s])[0] for s in stack]
+        assert_tables_identical(ev.build_event_tables(cfg, stack), alone)
+
+    @pytest.mark.parametrize("settings", sorted(SETTING_LISTS))
+    def test_each_stage_runs_once_per_build(self, settings, monkeypatch):
+        calls = {}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("_port_outcomes", "_memory_outcomes", "_coherent_dist"):
+            monkeypatch.setattr(ev, name, counted(getattr(ev, name)))
+        tables = ev.build_event_tables(noisy_config(), SETTING_LISTS[settings]())
+        assert len(tables) == len(SETTING_LISTS[settings]())
+        assert calls == {"_port_outcomes": 1, "_memory_outcomes": 1, "_coherent_dist": 1}

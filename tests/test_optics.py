@@ -302,6 +302,12 @@ class TestEnvelope:
         with pytest.raises(ValueError, match="zero norm"):
             optics.Envelope(0.0, 0.1, np.zeros(8))
 
+    def test_nan_csv_envelope_rejected(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("time_us,re,im\n0.0,1.0,0.0\n0.01,nan,0.0\n0.02,0.5,0.0\n")
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            optics.Envelope.from_csv(path)
+
 
 class TestAveragedSwapFidelity:
     def test_flip_is_unity_and_detuning_invariant(self):

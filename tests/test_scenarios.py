@@ -700,6 +700,14 @@ class TestReports:
         assert len(tables) == 1
         assert tables[0].N == 10_000
 
+    def test_failed_emit_leaves_no_report(self, tmp_path):
+        rep = h.run_scenario(paper_cfg(scenario="ghz3", samples=1_000, seed=0))
+        rep.body["fidelity"]["sigma"] = math.nan
+        out = tmp_path / "bundle"
+        with pytest.raises(ValueError, match="Out of range float values"):
+            h.emit_report(rep, out)
+        assert not (out / "report.json").exists()
+
 
 # ---------------------------------------------------------------------------
 # CLI
@@ -854,6 +862,10 @@ class TestCli:
                 "envelope for node 'I': width_us must be positive",
             ),
             (
+                envelope_for_node_i({**GAUSSIAN, "center_us": math.nan}),
+                "envelope for node 'I' key 'center_us' has a wrong type or value: nan",
+            ),
+            (
                 swap_params({"width_us": 0.05}),
                 "scenario_params key 'width_us' must be a non-empty list of positive",
             ),
@@ -909,6 +921,34 @@ class TestCli:
                 raman_params({"node": "IV"}),
                 "scenario_params key 'node' must be one of ['I', 'II', 'III']",
             ),
+            (set_key(("nodes", 0, "tau_mem_us"), math.nan), "tau_mem_us must be positive, not nan"),
+            (set_key(("nodes", 2, "tau_vis_us"), math.nan), "tau_vis_us must be positive, not nan"),
+            (
+                set_key(("nodes", 1, "zeeman_period_us"), math.nan),
+                "zeeman_period_us must be positive and finite, not nan",
+            ),
+            (
+                set_key(("nodes", 0, "zeeman_period_us"), math.inf),
+                "zeeman_period_us must be positive and finite, not inf",
+            ),
+            (set_key(("nodes", 0, "phi0"), math.nan), "phi0 must be finite, not nan"),
+            (set_key(("nodes", 1, "phi0"), -math.inf), "phi0 must be finite, not -inf"),
+            (
+                set_key(("read_delay_us",), math.nan),
+                "read_delay_us must be non-negative and finite, not nan",
+            ),
+            (
+                set_key(("read_delay_us",), math.inf),
+                "read_delay_us must be non-negative and finite, not inf",
+            ),
+            (
+                set_key(("timing", "trial_us"), math.nan),
+                "trial_us must be positive and finite, not nan",
+            ),
+            (
+                set_key(("timing", "cycle_ms"), math.inf),
+                "cycle_ms must be positive and finite, not inf",
+            ),
         ],
         ids=[
             "p_w_string",
@@ -925,6 +965,7 @@ class TestCli:
             "envelope_missing_key",
             "envelope_unknown_shape",
             "envelope_negative_width",
+            "envelope_center_nan",
             "swap_width_scalar",
             "swap_width_empty",
             "swap_width_nan",
@@ -939,6 +980,16 @@ class TestCli:
             "raman_delays_negative",
             "raman_delays_four",
             "raman_node_unknown",
+            "tau_mem_nan",
+            "tau_vis_nan",
+            "zeeman_period_nan",
+            "zeeman_period_inf",
+            "phi0_nan",
+            "phi0_minus_inf",
+            "read_delay_nan",
+            "read_delay_inf",
+            "trial_us_nan",
+            "cycle_ms_inf",
         ],
     )
     def test_mistyped_config_errors(self, edit, message, tmp_path, capsys):
