@@ -268,11 +268,24 @@ _PARAM_CHECKS = {
     ),
     "delta_omega_rad_per_us": (_is_number_list, "a non-empty list of finite numbers"),
     "width_us": (
-        lambda v: _is_number_list(v, positive=True),
-        "a non-empty list of positive finite numbers",
+        lambda v: _is_number_list(v, positive=True) and all(map(_gaussian_builds, v)),
+        "a non-empty list of positive finite numbers, each small enough for a Gaussian grid",
     ),
-    "point_width_us": (lambda v: _is_number(v, positive=True), "a positive finite number"),
+    "point_width_us": (
+        lambda v: _is_number(v, positive=True) and _gaussian_builds(v),
+        "a positive finite number small enough for a Gaussian grid",
+    ),
 }
+
+
+def _gaussian_builds(width_us) -> bool:
+    """Whether the swap scenario's Gaussian envelope of this width has a
+    finite grid."""
+    try:
+        Envelope.gaussian(0.0, width_us)
+    except ValueError:
+        return False
+    return True
 
 
 def _check_scenario_params(params) -> None:

@@ -617,7 +617,13 @@ def _run_two_node_swap(
             )
 
     # swap fidelities are closed-form integrals: no random stream is drawn
-    _record(telemetry, {"integrals": time.perf_counter() - started}, rng_streams=0, draws=0)
+    _record(
+        telemetry,
+        {"integrals": time.perf_counter() - started},
+        rng_streams=0,
+        draws=0,
+        integrals=2 * (1 + len(grid_rows)),  # flip and no-flip per point
+    )
     flips = np.array([r[2] for r in grid_rows])
     noflips = np.array([r[3] for r in grid_rows])
     body = {
@@ -762,8 +768,9 @@ class RunReport:
     process includes loading scipy), ``integrals`` for two_node_swap, and
     ``table_build``, ``sampling`` and ``estimate`` for ghz6/ghz3;
     ``counters.rng_streams`` counts the streams drawn, ``counters.draws``
-    the trials or heralded events drawn from them, and ghz6/ghz3 add
-    ``counters.event_classes``.
+    the trials or heralded events drawn from them, ghz6/ghz3 add
+    ``counters.event_classes`` and two_node_swap ``counters.integrals``,
+    the swap integrals it evaluated.
     ``artifacts`` maps relative output paths to payloads for ``emit_report``.
     """
 

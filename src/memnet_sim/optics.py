@@ -37,6 +37,7 @@ spins of nodes I, II, III.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -83,7 +84,10 @@ class Envelope:
 
     ``values[k]`` is the complex amplitude at ``start_us + k * step_us``.
     The squared modulus integrates to one (trapezoidal rule), so it is the
-    detection-time probability density of the photon.
+    detection-time probability density of the photon.  The grid times and
+    their trapezoidal weights are read-only arrays built once per envelope:
+    the times when it is made, refusing a grid whose times are not finite
+    and increasing, and the weights on first use.
     """
 
     start_us: float
@@ -94,8 +98,8 @@ class Envelope:
         vals = np.asarray(self.values, dtype=complex)
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("envelope needs a 1-D grid of at least two samples")
-        if not self.step_us > 0.0:
-            raise ValueError("step_us must be positive")
+        if not (math.isfinite(self.step_us) and self.step_us > 0.0):
+            raise ValueError("step_us must be positive and finite")
         if not np.all(np.isfinite(vals)):
             raise ValueError("envelope amplitudes must be finite")
         norm = np.trapezoid(np.abs(vals) ** 2, dx=self.step_us)
@@ -104,10 +108,37 @@ class Envelope:
         vals = vals / math.sqrt(norm)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        self.times_us  # built now, so a bad grid fails when the envelope is made
 
-    @property
+    @functools.cached_property
     def times_us(self) -> np.ndarray:
-        return self.start_us + self.step_us * np.arange(self.values.size)
+        n = self.values.size
+        last = self.start_us + self.step_us * (n - 1)  # t[-1], without numpy's overflow warning
+        if math.isfinite(self.start_us) and math.isfinite(last):
+            t = self.start_us + self.step_us * np.arange(n)
+            if np.all(np.diff(t) > 0.0):
+                t.setflags(write=False)
+                return t
+        raise ValueError(
+            f"grid times must be finite and increasing: {n} samples {self.step_us!r} us "
+            f"apart from {self.start_us!r} us end at {last!r} us"
+        )
+
+    @functools.cached_property
+    def trapezoid_weights(self) -> np.ndarray:
+        """Weights ``w`` with ``sum(w * y)`` the trapezoidal integral of ``y``
+        sampled on ``times_us``."""
+        w = _trapezoid_weights(self.times_us)
+        w.setflags(write=False)
+        return w
+
+    def shares_grid(self, other: "Envelope") -> bool:
+        """Whether both envelopes sample the same times."""
+        return (
+            self.start_us == other.start_us
+            and self.step_us == other.step_us
+            and self.values.size == other.values.size
+        )
 
     def values_at(self, t_us) -> np.ndarray:
         """Amplitude at arbitrary times, zero outside the grid."""
@@ -124,12 +155,7 @@ class Envelope:
         detuned by ``+delta_omega`` relative to ``other``; its modulus never
         exceeds one.
         """
-        same_grid = (
-            self.start_us == other.start_us
-            and self.step_us == other.step_us
-            and self.values.size == other.values.size
-        )
-        if same_grid:
+        if self.shares_grid(other):
             t = self.times_us
             a, b = self.values, other.values
         else:
@@ -145,10 +171,16 @@ class Envelope:
         """Gaussian intensity profile with standard deviation ``width_us``."""
         if width_us <= 0.0:
             raise ValueError("width_us must be positive")
-        start = center_us - span_widths * width_us
-        step = 2.0 * span_widths * width_us / (n - 1)
-        t = start + step * np.arange(n)
-        amp = np.exp(-((t - center_us) ** 2) / (4.0 * width_us**2))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                start = center_us - span_widths * width_us
+                step = 2.0 * span_widths * width_us / (n - 1)
+                t = start + step * np.arange(n)
+                amp = np.exp(-((t - center_us) ** 2) / (4.0 * width_us**2))
+        except (OverflowError, FloatingPointError):
+            raise ValueError(
+                f"width_us {width_us!r} is too large for a finite Gaussian grid"
+            ) from None
         return cls(start, step, amp)
 
     @classmethod
@@ -187,6 +219,14 @@ class Envelope:
         if steps.min() <= 0 or not np.allclose(steps, steps[0], rtol=1e-6, atol=0.0):
             raise ValueError("envelope CSV times must be uniformly increasing")
         return cls(float(t[0]), float(steps.mean()), rows[:, 1] + 1j * rows[:, 2])
+
+
+def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
+    half_steps = 0.5 * np.diff(t)
+    w = np.zeros(t.size)
+    w[:-1] += half_steps
+    w[1:] += half_steps
+    return w
 
 
 def _branch_coherence(envelopes, delta_omega_rad_per_us: float) -> complex:
@@ -300,11 +340,11 @@ def averaged_swap_fidelity(
     """Bell fidelity after averaging the herald over detection times.
 
     Integrates the conditional state against the joint detection-time
-    density on the union grid ``t`` of both envelopes (trapezoidal rule in
-    both times) and evaluates the result against the ideal Bell state of
-    the respective setting.  In the flip setting the conditional amplitude
-    is ``fa(t1) ga(t2)`` on ``|01>`` and ``branch`` times that on ``|10>``:
-    time independent, so the average stays at fidelity one.  Without the
+    density on a grid ``t`` (trapezoidal rule in both times) and evaluates
+    the result against the ideal Bell state of the respective setting.  In
+    the flip setting the conditional amplitude is ``fa(t1) ga(t2)`` on
+    ``|01>`` and ``branch`` times that on ``|10>``: time independent, so
+    the average stays at fidelity one.  Without the
     flip it is ``fa(t1) fa(t2)`` on ``|00>`` and ``branch ga(t1) ga(t2)``
     on ``|11>``, where ``ga`` carries the beat ``exp(-i dw t)``: the
     detection time pair dephases the herald and the average drops.
@@ -318,20 +358,25 @@ def averaged_swap_fidelity(
     is ``(A^2 + G^2 + 2 Re C^2) / (2 (A^2 + G^2))`` and the flip fidelity
     ``A G / (A G)``.
 
+    Envelopes that share a grid are taken as stored, with the grid's cached
+    weights, so a call computes only the beat and the three sums; otherwise
+    both are interpolated onto the union of their grids.
+
     ``branch`` (+1 or -1) is the sign of the target Bell state.  It
     cancels: the target and the conditional amplitude both carry it, so
     every term holds ``branch * conj(branch) = 1``.
     """
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
-    t = np.union1d(f.times_us, g.times_us)
-    fa = f.values_at(t)
-    ga = g.values_at(t) * np.exp(-1j * delta_omega_rad_per_us * t)
-    # trapezoidal weights; they also hold on a non-uniform union grid
-    half_steps = 0.5 * np.diff(t)
-    w = np.zeros(t.size)
-    w[:-1] += half_steps
-    w[1:] += half_steps
+    if f.shares_grid(g):
+        t, w = f.times_us, f.trapezoid_weights
+        fa, ga = f.values, g.values
+    else:
+        t = np.union1d(f.times_us, g.times_us)
+        # trapezoidal weights also hold on a non-uniform union grid
+        w = _trapezoid_weights(t)
+        fa, ga = f.values_at(t), g.values_at(t)
+    ga = ga * np.exp(-1j * delta_omega_rad_per_us * t)
 
     norm_f = float(np.sum(w * np.abs(fa) ** 2))  # A
     norm_g = float(np.sum(w * np.abs(ga) ** 2))  # G

@@ -79,9 +79,35 @@ def nested_trapezoid_swap_fidelity(flip, f, g, dw, branch=1):
     return float(integrate(np.abs(overlap) ** 2) / integrate(density))
 
 
-def random_envelope(rng, n):
+def union_grid_swap_fidelity(flip, f, g, dw, branch=1):
+    """The separable swap formula with both envelopes interpolated onto the
+    union of their grids and trapezoidal weights built per call: the
+    reference that the same-grid path must equal bit for bit."""
+    t = np.union1d(f.times_us, g.times_us)
+    fa = f.values_at(t)
+    ga = g.values_at(t) * np.exp(-1j * dw * t)
+    half_steps = 0.5 * np.diff(t)
+    w = np.zeros(t.size)
+    w[:-1] += half_steps
+    w[1:] += half_steps
+    norm_f = float(np.sum(w * np.abs(fa) ** 2))
+    norm_g = float(np.sum(w * np.abs(ga) ** 2))
+    if flip:
+        numerator = density = 2.0 * norm_f * norm_g
+    else:
+        cross = complex(np.sum(w * np.conj(fa) * ga))
+        density = norm_f * norm_f + norm_g * norm_g
+        numerator = 0.5 * (density + 2.0 * (cross * cross).real)
+    return numerator / density
+
+
+def random_envelope(rng, n, grid=None):
+    """Random complex envelope of ``n`` samples; ``grid`` fixes its
+    ``(start_us, step_us)``."""
     values = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return optics.Envelope(rng.uniform(-1.0, 1.0), rng.uniform(0.01, 0.5), values)
+    if grid is None:
+        grid = (rng.uniform(-1.0, 1.0), rng.uniform(0.01, 0.5))
+    return optics.Envelope(*grid, values)
 
 
 def station_enumeration_oracle(coeffs):
@@ -302,6 +328,44 @@ class TestEnvelope:
         with pytest.raises(ValueError, match="zero norm"):
             optics.Envelope(0.0, 0.1, np.zeros(8))
 
+    @pytest.mark.parametrize(
+        "start, step", [(1e308, 1e308 / 511), (-math.inf, 0.1), (0.0, math.inf)]
+    )
+    def test_grid_times_must_be_finite(self, start, step):
+        with pytest.raises(ValueError, match="finite"):
+            optics.Envelope(start, step, np.ones(512))
+
+    def test_grid_times_must_increase(self):
+        with pytest.raises(ValueError, match="grid times must be finite and increasing"):
+            optics.Envelope(1e20, 1.0, np.ones(8))
+
+    @pytest.mark.parametrize("width", [1e300, 1e154])
+    def test_huge_gaussian_width_rejected(self, width):
+        with pytest.raises(ValueError, match="width_us .* too large"):
+            optics.Envelope.gaussian(0.0, width)
+
+    def test_grid_and_weights_built_once_and_read_only(self):
+        env = optics.Envelope.gaussian(0.3, 0.2, n=64)
+        t, w = env.times_us, env.trapezoid_weights
+        assert env.times_us is t and env.trapezoid_weights is w
+        y = np.cos(t)
+        assert np.sum(w * y) == pytest.approx(np.trapezoid(y, t), rel=1e-14)
+        for cached in (t, w, env.values):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 1.0
+
+    def test_shares_grid(self):
+        rng = np.random.default_rng(5)
+        f = random_envelope(rng, 16)
+        same = random_envelope(rng, 16, grid=(f.start_us, f.step_us))
+        assert f.shares_grid(same) and same.shares_grid(f)
+        for other in (
+            random_envelope(rng, 17, grid=(f.start_us, f.step_us)),
+            random_envelope(rng, 16, grid=(f.start_us + f.step_us, f.step_us)),
+            random_envelope(rng, 16, grid=(f.start_us, 2.0 * f.step_us)),
+        ):
+            assert not f.shares_grid(other)
+
     def test_nan_csv_envelope_rejected(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("time_us,re,im\n0.0,1.0,0.0\n0.01,nan,0.0\n0.02,0.5,0.0\n")
@@ -374,6 +438,49 @@ class TestAveragedSwapFidelity:
                 want = nested_trapezoid_swap_fidelity(flip, f, g, dw)
                 got = optics.averaged_swap_fidelity(flip, f, g, dw)
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_default_grid_equals_union_formula_bit_for_bit(self):
+        # the 50 grid points of two_node_swap, as its runner passes them
+        dws = 2 * math.pi / 5.28 * np.array([0.25, 0.5, 1.0, 2.0, 4.0])
+        for width in (0.02, 0.05, 0.1, 0.2, 0.4):
+            f = optics.Envelope.gaussian(0.0, width)
+            g = optics.Envelope.gaussian(0.0, width)
+            for dw in dws:
+                for flip in (True, False):
+                    want = union_grid_swap_fidelity(flip, f, f, float(dw))
+                    assert optics.averaged_swap_fidelity(flip, f, f, float(dw)) == want
+                    assert optics.averaged_swap_fidelity(flip, f, g, float(dw)) == want
+
+    def test_same_grid_pairs_equal_union_formula_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 7, 16, 33, 512):
+            f = random_envelope(rng, n)
+            g = random_envelope(rng, n, grid=(f.start_us, f.step_us))
+            assert f.shares_grid(g)
+            dw = rng.uniform(0.0, 10.0)
+            for flip in (True, False):
+                for branch in (1, -1):
+                    want = union_grid_swap_fidelity(flip, f, g, dw, branch)
+                    assert optics.averaged_swap_fidelity(flip, f, g, dw, branch) == want
+                    swapped = union_grid_swap_fidelity(flip, g, f, dw, branch)
+                    assert optics.averaged_swap_fidelity(flip, g, f, dw, branch) == swapped
+
+    def test_both_grid_paths_match_nested_trapezoid_oracle(self):
+        rng = np.random.default_rng(13)
+        for n in (2, 5, 16, 33):
+            f = random_envelope(rng, n)
+            pairs = [
+                random_envelope(rng, n, grid=(f.start_us, f.step_us)),
+                random_envelope(rng, n, grid=(f.start_us + 0.3 * f.step_us, f.step_us)),
+                random_envelope(rng, n + 3, grid=(f.start_us, 0.7 * f.step_us)),
+            ]
+            assert [f.shares_grid(g) for g in pairs] == [True, False, False]
+            for g in pairs:
+                dw = rng.uniform(0.0, 10.0)
+                for flip in (True, False):
+                    want = nested_trapezoid_swap_fidelity(flip, f, g, dw)
+                    got = optics.averaged_swap_fidelity(flip, f, g, dw)
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_branch_sign_cancels(self):
         rng = np.random.default_rng(7)

@@ -1,0 +1,154 @@
+"""Properties over random valid configurations: lossless JSON round trip,
+and a report body that does not depend on the worker count."""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from memnet_sim import config as cf
+from memnet_sim import harness as h
+from memnet_sim.detection import DetectorConfig
+from memnet_sim.node import NodeConfig
+
+GAUSSIAN = {"shape": "gaussian", "center_us": 0.0, "width_us": 0.05}
+
+
+def unit(lo=0.0, hi=1.0):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def lifetime(lo):
+    return st.one_of(st.just(math.inf), unit(lo, 1e4))
+
+
+@st.composite
+def nodes(draw, runnable):
+    """Three node configs; ``runnable`` keeps every write outcome and the
+    herald possible, so every scenario runs to a body."""
+    out = []
+    for nid in cf.NODE_ORDER:
+        bounds = (0.2, 0.8) if runnable else (0.0, 1.0)
+        out.append(
+            NodeConfig(
+                node_id=nid,
+                p_w=draw(unit(0.005, 0.3) if runnable else unit(0.0, 0.6)),
+                eta_r0=draw(unit(0.1, 1.0) if runnable else unit()),
+                tau_mem_us=draw(lifetime(20.0 if runnable else 1e-3)),
+                tau_vis_us=draw(lifetime(20.0 if runnable else 1e-3)),
+                zeeman_period_us=draw(unit(1.0, 20.0)),
+                phi0=draw(unit(-10.0, 10.0)),
+                excitation_order=draw(st.sampled_from((1, 2))),
+                depol_weight=draw(unit(0.0, 0.3) if runnable else unit()),
+                branch_weight_down=draw(unit(*bounds)),
+            )
+        )
+    return tuple(out)
+
+
+@st.composite
+def timings(draw):
+    trial = draw(unit(0.5, 10.0))
+    window = draw(unit(0.1, 5.0))
+    loading = draw(unit(0.1, 30.0))
+    limit = math.floor(window * 1000.0 / trial)
+    return cf.TimingConfig(
+        cycle_ms=loading + window + draw(unit(0.0, 10.0)),
+        loading_ms=loading,
+        memory_window_ms=window,
+        trial_us=trial,
+        max_trials_per_load=draw(st.integers(1, max(1, limit))),
+    )
+
+
+def envelope_spec():
+    width = unit(0.01, 2.0)
+    where = unit(-5.0, 5.0)
+    n = {"n": st.integers(2, 64)}
+    shapes = {
+        "gaussian": {"center_us": where, "width_us": width},
+        "square": {"start_us": where, "width_us": width},
+        "exponential-decay": {"start_us": where, "tau_us": width},
+    }
+    return st.one_of(
+        st.fixed_dictionaries({"shape": st.just(shape), **keys}, optional=n)
+        for shape, keys in shapes.items()
+    )
+
+
+def scenario_params():
+    numbers = st.lists(unit(-10.0, 10.0), min_size=1, max_size=4)
+    widths = st.lists(unit(0.01, 1.0), min_size=1, max_size=3)
+    return st.fixed_dictionaries(
+        {},
+        optional={
+            "node": st.sampled_from(cf.NODE_ORDER),
+            "delays_us": st.lists(unit(0.0, 50.0), min_size=1, max_size=8),
+            "delta_omega_rad_per_us": numbers,
+            "width_us": widths,
+            "point_width_us": unit(0.01, 1.0),
+        },
+    )
+
+
+@st.composite
+def configs(draw):
+    """Any configuration the loader accepts."""
+    patterns = st.text("01", min_size=1, max_size=6)
+    return cf.ExperimentConfig(
+        nodes=draw(nodes(runnable=False)),
+        detector=DetectorConfig(dark_count_prob=draw(unit())),
+        timing=draw(timings()),
+        scenario=draw(st.sampled_from(cf.SCENARIO_IDS)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        samples=draw(st.integers(1, 10**9)),
+        workers=draw(st.integers(1, 64)),
+        read_delay_us=draw(unit(0.0, 100.0)),
+        interference_visibility=draw(unit()),
+        envelopes=draw(
+            st.none() | st.fixed_dictionaries(dict.fromkeys(cf.NODE_ORDER, envelope_spec()))
+        ),
+        calibration_weights=draw(
+            st.none() | st.dictionaries(patterns, unit(0.1, 10.0), max_size=4)
+        ),
+        scenario_params=draw(scenario_params()),
+        out_dir=draw(st.none() | st.text(max_size=8)),
+        calibration=draw(st.none() | st.text(max_size=8)),
+    )
+
+
+@st.composite
+def runnable_configs(draw):
+    """Small configurations every scenario turns into a body, with each
+    scenario's default parameters."""
+    return cf.ExperimentConfig(
+        nodes=draw(nodes(runnable=True)),
+        detector=DetectorConfig(dark_count_prob=draw(unit(0.0, 0.05))),
+        scenario=draw(st.sampled_from(cf.SCENARIO_IDS)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        samples=draw(st.integers(200, 5_000)),
+        read_delay_us=draw(unit(0.0, 5.0)),
+        interference_visibility=draw(unit(0.5, 1.0)),
+        envelopes=draw(st.none() | st.just(dict.fromkeys(cf.NODE_ORDER, GAUSSIAN))),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=configs())
+def test_config_survives_a_json_file_round_trip(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+        assert cf.ExperimentConfig.from_json(path) == cfg
+
+
+@settings(max_examples=10, deadline=None)
+@given(cfg=runnable_configs(), workers=st.integers(2, 8))
+def test_body_does_not_change_with_workers(cfg, workers):
+    one = h.run_scenario(cfg)
+    many = h.run_scenario(cfg.with_overrides(workers=workers))
+    assert many.meta["workers"] == workers
+    assert many.body_json() == one.body_json()

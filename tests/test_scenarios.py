@@ -523,9 +523,17 @@ class TestGhzScenarios:
             streams.append(index)
             return CountedStream(table_rng(seed, index))
 
+        integrals = []
+        swap_fidelity = h.op.averaged_swap_fidelity
+
+        def counted_integral(*args):
+            integrals.append(args)
+            return swap_fidelity(*args)
+
         monkeypatch.setattr(h, "_table_rng", counted)
+        monkeypatch.setattr(h.op, "averaged_swap_fidelity", counted_integral)
         report = h.run_scenario(cfg)
-        n_streams, n_draws = len(streams), sum(draws)
+        n_streams, n_draws, n_integrals = len(streams), sum(draws), len(integrals)
         # the runner alone, without the telemetry path, gives the same body
         body, _ = h._RUNNERS[scenario](cfg, h._table_streams(cfg.seed))
         plain = h.RunReport(
@@ -544,6 +552,9 @@ class TestGhzScenarios:
             tables = ev.build_event_tables(cfg, make_settings())
             counters["event_classes"] = sum(t.probabilities.size for t in tables)
             assert n_streams == len(tables)
+        if scenario == "two_node_swap":
+            assert n_integrals == 52  # at the default grid
+            counters["integrals"] = n_integrals
         assert report.meta["counters"] == counters
 
 
@@ -866,6 +877,16 @@ class TestCli:
                 "envelope for node 'I' key 'center_us' has a wrong type or value: nan",
             ),
             (
+                envelope_for_node_i({**GAUSSIAN, "width_us": 1e300}),
+                "envelope for node 'I': width_us 1e+300 is too large for a finite "
+                "Gaussian grid",
+            ),
+            (
+                # 512 samples from 1e308 us over 1e308 us: the last times overflow
+                envelope_for_node_i({"shape": "square", "start_us": 1e308, "width_us": 1e308}),
+                "envelope for node 'I': grid times must be finite",
+            ),
+            (
                 swap_params({"width_us": 0.05}),
                 "scenario_params key 'width_us' must be a non-empty list of positive",
             ),
@@ -880,6 +901,16 @@ class TestCli:
             (
                 swap_params({"width_us": [0.05, 0.0]}),
                 "scenario_params key 'width_us' must be a non-empty list of positive",
+            ),
+            (
+                swap_params({"width_us": [0.05, 1e300]}),
+                "scenario_params key 'width_us' must be a non-empty list of positive finite "
+                "numbers, each small enough for a Gaussian grid",
+            ),
+            (
+                swap_params({"point_width_us": 1e300}),
+                "scenario_params key 'point_width_us' must be a positive finite number small "
+                "enough for a Gaussian grid",
             ),
             (
                 swap_params({"delta_omega_rad_per_us": {"a": 1}}),
@@ -966,10 +997,14 @@ class TestCli:
             "envelope_unknown_shape",
             "envelope_negative_width",
             "envelope_center_nan",
+            "envelope_huge_width",
+            "envelope_grid_overflow",
             "swap_width_scalar",
             "swap_width_empty",
             "swap_width_nan",
             "swap_width_zero",
+            "swap_width_huge",
+            "swap_point_width_huge",
             "swap_dw_object",
             "swap_dw_bool",
             "swap_point_width_negative",
