@@ -10,6 +10,7 @@ exit nonzero.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -17,7 +18,9 @@ from . import config as cf
 from . import harness as h
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="memnet-sim",
         description=(
@@ -72,8 +75,7 @@ def _load_config(args: argparse.Namespace) -> cf.ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
         report = h.run_scenario(cfg)

@@ -5,8 +5,8 @@ Coincidences are labeled ``n_ij`` with ``i`` the write-out and ``j`` the
 read-out outcome in the circular basis; ``n_woR`` etc. are the raw singles
 of each channel and ``N`` the number of trials.  Accidental coincidences
 between uncorrelated singles are estimated as ``n_woI * n_roJ / N`` and
-subtracted cell by cell; corrected counts stay fractional on purpose since
-every downstream quantity is a count ratio.
+subtracted cell by cell, by ``pair_stack`` for a whole stack of tables;
+corrected counts stay fractional since every quantity is a count ratio.
 
 Every analyzer in the network (the write and read arms of a pair, each
 station port, each memory analyzer) uses one exact click model.  A
@@ -20,7 +20,7 @@ than unit probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,14 @@ _TOL = 1e-9
 
 CSV_HEADER = "n_RL,n_LR,n_LL,n_RR,n_woR,n_woL,n_roR,n_roL,N"
 _FIELDS = CSV_HEADER.split(",")
+
+# the pair click patterns, bits (w0, w1, r0, r1) big-endian, in each field:
+# one coincidence cell each, those where w0, w1, r0 or r1 clicked, and all
+_FIELD_CELLS = np.zeros((16, 9), dtype=np.int64)
+_FIELD_CELLS[[0b1001, 0b0110, 0b0101, 0b1010], range(4)] = 1
+_FIELD_CELLS[:, 4:8] = np.arange(16)[:, None] >> np.arange(3, -1, -1) & 1
+_FIELD_CELLS[:, 8] = 1
+_FIELD_CELLS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -156,20 +164,73 @@ def subtract_accidentals(table: CoincidenceTable) -> tuple[CoincidenceTable, boo
     return replace(table, **corrected), clamped
 
 
+@dataclass(frozen=True)
+class PairStack:
+    """Coincidence analysis of ``T`` pair tables, as ``pair_stack`` builds it."""
+
+    fields: np.ndarray  # (T, 9) in CSV_HEADER order
+    corrected: np.ndarray  # (T, 4) coincidence cells after subtract_accidentals
+    clamped: np.ndarray  # (T,) whether that clamped a cell at zero
+    # (2, T) each, for the raw (row 0) and the corrected (row 1) tables:
+    coincidences: np.ndarray
+    visibility: np.ndarray  # with its binomial sigma, both 0.0 for no coincidences
+    sigma: np.ndarray  # a zero sigma becomes 1 / coincidences
+    efficiency: np.ndarray  # coincidences per write herald (at least one)
+
+
+def pair_stack(counts) -> PairStack:
+    """Analyze a ``(T, 16)`` stack of pair click counts, cells indexed by the
+    click bits ``(w0, w1, r0, r1)`` big-endian.  Every float follows the
+    operation order of ``subtract_accidentals`` and ``visibility_raw``, so
+    it equals the scalar path's value bit for bit."""
+    fields = (np.asarray(counts) @ _FIELD_CELLS).astype(float)
+    cells, (n_woR, n_woL, n_roR, n_roL, n) = fields.T[:4], fields.T[4:]
+    if not np.all(n > 0.0):
+        raise ValueError("pair analysis needs N > 0 in every table")
+    accidentals = np.array([n_woR * n_roL, n_woL * n_roR, n_woL * n_roL, n_woR * n_roR]) / n
+    corrected = cells - accidentals
+    negative = corrected < 0.0
+    corrected[negative] = 0.0
+    rl, lr, ll, rr = np.stack([cells, corrected], axis=1)  # each (2, T): raw, corrected
+    total = rl + lr + ll + rr
+    seen = total > 0.0  # tables with coincidences
+    safe = np.where(seen, total, 1.0)
+    v = np.where(seen, (rl + lr - ll - rr) / safe, 0.0)
+    sigma = np.sqrt(np.maximum(1.0 - v * v, 0.0) / safe)
+    sigma = np.where(seen, np.where(sigma == 0.0, 1.0 / safe, sigma), 0.0)
+    efficiency = total / np.maximum(n_woR + n_woL, 1.0)
+    return PairStack(fields, corrected.T, negative.any(axis=0), total, v, sigma, efficiency)
+
+
 def csv_number(value: float) -> str:
     """CSV text of a count or measurement: integral values without a point."""
     value = float(value)
     return str(int(value)) if value.is_integer() else repr(value)
 
 
+def csv_numbers(values) -> list[str]:
+    """``csv_number`` of every entry of an array, in row-major order."""
+    values = np.asarray(values, dtype=float).ravel().tolist()
+    return [str(int(v)) if v.is_integer() else repr(v) for v in values]
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the ``header`` names, then each row of the 2-D ``rows`` as
+    ``csv_numbers`` gives it, in one piece."""
+    cells, width = csv_numbers(rows), len(header)
+    lines = [",".join(cells[i : i + width]) for i in range(0, len(cells), width)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join([",".join(header), *lines]) + "\n")
+
+
 def write_coincidence_csv(path, tables) -> None:
+    """Write a ``(T, 9)`` field stack (``PairStack.fields``), one
+    CoincidenceTable or a list of them."""
     if isinstance(tables, CoincidenceTable):
         tables = [tables]
-    lines = [CSV_HEADER]
-    for t in tables:
-        lines.append(",".join(csv_number(getattr(t, name)) for name in _FIELDS))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    if not isinstance(tables, np.ndarray):
+        tables = [astuple(t) for t in tables]
+    write_csv(path, _FIELDS, tables)
 
 
 def read_coincidence_csv(path) -> list[CoincidenceTable]:

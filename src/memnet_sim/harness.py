@@ -71,8 +71,8 @@ def _spin_super_basis(theta: float) -> np.ndarray:
 
 
 def _table_rng(seed: int, table_index: int) -> np.random.Generator:
-    key = np.array([seed, table_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    # the 128-bit key (seed, table_index), low word first
+    return np.random.Generator(np.random.Philox(key=seed + (table_index << 64)))
 
 
 def _table_streams(seed: int) -> _Streams:
@@ -106,8 +106,14 @@ def _split_budget(n: int, k: int) -> list[int]:
     return [base + (1 if i < rest else 0) for i in range(k)]
 
 
+# values JSON takes as they are, matched by exact type: np.float64 subclasses float
+_JSON_LEAVES = frozenset((float, int, str, bool, type(None)))
+
+
 def _plain(obj):
     """Recursively convert numpy scalars and arrays for JSON emission."""
+    if type(obj) in _JSON_LEAVES:
+        return obj
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -126,7 +132,7 @@ def _plain(obj):
 # lifetime_sweep). One write-read pair per trial; the full joint click
 # pattern over the four detectors is enumerated exactly with the detection
 # click model, including dark counts, double excitations and retrieval
-# failures, and then sampled with one multinomial per table.
+# failures, then sampled with one multinomial per table and analyzed as a stack.
 
 
 def _pair_trial_distribution(
@@ -179,38 +185,10 @@ def _pair_trial_distribution(
     return dist / total[..., None]
 
 
-def _counts_to_table(counts16: np.ndarray) -> det.CoincidenceTable:
-    c = counts16.reshape(2, 2, 2, 2)  # click bits (w0, w1, r0, r1)
-    return det.CoincidenceTable(
-        n_RL=float(c[1, 0, 0, 1]),
-        n_LR=float(c[0, 1, 1, 0]),
-        n_LL=float(c[0, 1, 0, 1]),
-        n_RR=float(c[1, 0, 1, 0]),
-        n_woR=float(c[1].sum()),
-        n_woL=float(c[:, 1].sum()),
-        n_roR=float(c[:, :, 1].sum()),
-        n_roL=float(c[..., 1].sum()),
-        N=float(c.sum()),
-    )
-
-
-def _sample_pair_table(
-    dist16: np.ndarray, n: int, streams: _Streams
-) -> det.CoincidenceTable:
-    return _counts_to_table(next(streams).multinomial(n, dist16))
-
-
-def _visibility(table: det.CoincidenceTable):
-    """Visibility and its binomial sigma, or ``(None, None)`` without coincidences."""
-    n_coinc = table.coincidence_sum()
-    if n_coinc <= 0.0:
-        return None, None
-    v = det.visibility_raw(table)
-    return v, math.sqrt(max(1.0 - v * v, 0.0) / n_coinc) or 1.0 / n_coinc
-
-
-def _table_dict(t: det.CoincidenceTable) -> dict:
-    return {name: getattr(t, name) for name in det.CSV_HEADER.split(",")}
+def _sample_pairs(dists, n: int, streams: _Streams) -> det.PairStack:
+    """Analyze ``n`` trials of each distribution row, each drawn with one
+    multinomial from the next stream."""
+    return det.pair_stack([next(streams).multinomial(n, dist) for dist in dists])
 
 
 # ---------------------------------------------------------------------------
@@ -278,32 +256,28 @@ def _run_pair_tomography(
         "eigen": (q.BASIS_RL, _SPIN_RL),
         "super": (q.BASIS_Z, _spin_super_basis(theta)),
     }
-    body_tables = {}
-    visibilities = {}
-    csv_tables = {}
     started = time.perf_counter()
-    for name, (wb, rb) in bases.items():
-        dist = _pair_trial_distribution(node_cfg, cfg.detector, wb, rb, dt)
-        table = _sample_pair_table(dist, cfg.samples, streams)
-        corrected, clamped = det.subtract_accidentals(table)
-        v_raw, raw_sigma = _visibility(table)
-        v_corr, corr_sigma = _visibility(corrected)
-        visibilities[name] = {
-            "raw": v_raw,
-            "raw_sigma": raw_sigma,
-            "corrected": v_corr,
-            "corrected_sigma": corr_sigma,
-            "accidentals_clamped": clamped,
-            "no_coincidences": v_raw is None,
-        }
-        body_tables[name] = _table_dict(table)
-        csv_tables[name] = table
+    dists = [
+        _pair_trial_distribution(node_cfg, cfg.detector, wb, rb, dt)
+        for wb, rb in bases.values()
+    ]
+    pairs = _sample_pairs(dists, cfg.samples, streams)
     _record(
         telemetry,
         {"tables": time.perf_counter() - started},
-        rng_streams=len(csv_tables),
-        draws=int(sum(t.N for t in csv_tables.values())),
+        rng_streams=len(dists),
+        draws=len(dists) * cfg.samples,
     )
+
+    body_tables, visibilities = {}, {}
+    for i, (name, fields) in enumerate(zip(bases, pairs.fields.tolist())):
+        body_tables[name] = dict(zip(det.CSV_HEADER.split(","), fields))
+        vis = visibilities[name] = {"accidentals_clamped": bool(pairs.clamped[i])}
+        for k, kind in enumerate(("raw", "corrected")):
+            seen = pairs.coincidences[k, i] > 0.0  # no coincidences, no visibility
+            vis[kind] = float(pairs.visibility[k, i]) if seen else None
+            vis[f"{kind}_sigma"] = float(pairs.sigma[k, i]) if seen else None
+        vis["no_coincidences"] = vis["raw"] is None
 
     clip = lambda v: min(max(v, -1.0), 1.0)
     fidelities = {}
@@ -323,8 +297,8 @@ def _run_pair_tomography(
         "bell_fidelity": fidelities,
     }
     artifacts = {
-        "counts/pair_eigen.csv": ("coincidence", [csv_tables["eigen"]]),
-        "counts/pair_super.csv": ("coincidence", [csv_tables["super"]]),
+        f"counts/pair_{name}.csv": ("coincidence", pairs.fields[i : i + 1])
+        for i, name in enumerate(bases)
     }
     return body, artifacts
 
@@ -343,27 +317,19 @@ def _run_raman_delay_sweep(
             "raman_delay_sweep needs at least 5 points in scenario_params key 'delays_us'"
         )
 
-    rows = []
     started = time.perf_counter()
     dists = _pair_trial_distribution(
         node_cfg, cfg.detector, q.BASIS_Z, _spin_super_basis(node_cfg.phi0), delays
     )
-    tables = [_sample_pair_table(dist, cfg.samples, streams) for dist in dists]
-    for dt, table in zip(delays, tables):
-        n = table.N
-        rows.append(
-            {
-                "delay_us": float(dt),
-                "ncop_parallel": (table.n_RL + table.n_LR) / n,
-                "ncop_cross": (table.n_LL + table.n_RR) / n,
-                "n_parallel": table.n_RL + table.n_LR,
-                "n_cross": table.n_LL + table.n_RR,
-                "n_trials": n,
-            }
-        )
+    pairs = _sample_pairs(dists, cfg.samples, streams)
+    n_RL, n_LR, n_LL, n_RR, *_, n = pairs.fields.T
+    parallel, cross = n_RL + n_LR, n_LL + n_RR
+    points = np.stack([delays, parallel / n, cross / n, parallel, cross, n], axis=1)
+    header = ["delay_us", "ncop_parallel", "ncop_cross", "n_parallel", "n_cross", "n_trials"]
+    rows = [dict(zip(header, point)) for point in points.tolist()]
 
     built = time.perf_counter()
-    ncop = np.array([r["ncop_parallel"] for r in rows])
+    ncop = points[:, 1]
     tau_vis = node_cfg.tau_vis_us
 
     def model(t, amp, period_fit, phase, floor):
@@ -396,8 +362,8 @@ def _run_raman_delay_sweep(
     _record(
         telemetry,
         {"tables": built - started, "fit": time.perf_counter() - built},
-        rng_streams=len(tables),
-        draws=int(sum(t.N for t in tables)),
+        rng_streams=len(dists),
+        draws=len(dists) * cfg.samples,
     )
 
     body = {
@@ -406,10 +372,9 @@ def _run_raman_delay_sweep(
         "points": rows,
         "fit": {**fit, "resolved": resolved, "configured_period_us": period},
     }
-    header = ["delay_us", "ncop_parallel", "ncop_cross", "n_parallel", "n_cross", "n_trials"]
     artifacts = {
-        "sweeps/raman_delay.csv": ("rows", header, [[r[h] for h in header] for r in rows]),
-        "counts/raman_delay_tables.csv": ("coincidence", tables),
+        "sweeps/raman_delay.csv": ("rows", header, points),
+        "counts/raman_delay_tables.csv": ("coincidence", pairs.fields),
     }
     return body, artifacts
 
@@ -428,54 +393,37 @@ def _run_lifetime_sweep(
             "lifetime_sweep needs at least 4 points in scenario_params key 'delays_us'"
         )
 
-    rows = []
     started = time.perf_counter()
     dists_e = _pair_trial_distribution(node_cfg, cfg.detector, q.BASIS_RL, _SPIN_RL, delays)
     # the superposition analyzer follows each delay's Zeeman phase
     super_bases = _spin_super_basis(nd.zeeman_phase(node_cfg, delays))
     dists_s = _pair_trial_distribution(node_cfg, cfg.detector, q.BASIS_Z, super_bases, delays)
-    eigen_tables, super_tables = [], []
-    for dt, dist_e, dist_s in zip(delays.tolist(), dists_e, dists_s):
-        # the eigen and the super table of each delay take consecutive streams
-        t_eigen = _sample_pair_table(dist_e, cfg.samples, streams)
-        t_super = _sample_pair_table(dist_s, cfg.samples, streams)
-        eigen_tables.append(t_eigen)
-        super_tables.append(t_super)
-        corr_e, _ = det.subtract_accidentals(t_eigen)
-        corr_s, _ = det.subtract_accidentals(t_super)
-        writes = corr_e.n_woR + corr_e.n_woL
-        eta_raw = t_eigen.coincidence_sum() / max(t_eigen.n_woR + t_eigen.n_woL, 1.0)
-        eta_corr = corr_e.coincidence_sum() / max(writes, 1.0)
-        v_raw = _visibility(t_super)[0] or 0.0
-        v_corr = _visibility(corr_s)[0] or 0.0
-        rows.append(
-            {
-                "delay_us": dt,
-                "eta_raw": eta_raw,
-                "eta_corrected": eta_corr,
-                "visibility_raw": v_raw,
-                "visibility_corrected": v_corr,
-                "n_write_heralds": writes,
-                "n_coincidences": corr_e.coincidence_sum(),
-                "n_super_coincidences": corr_s.coincidence_sum(),
-            }
-        )
+    # the eigen and the super table of each delay take consecutive streams
+    dists = np.stack([dists_e, dists_s], axis=1).reshape(-1, 16)
+    pairs = _sample_pairs(dists, cfg.samples, streams)
+    eigen, super_ = slice(0, None, 2), slice(1, None, 2)
+    writes = pairs.fields[eigen, 4] + pairs.fields[eigen, 5]  # n_woR + n_woL
+    header = [
+        "delay_us", "eta_raw", "eta_corrected", "visibility_raw", "visibility_corrected",
+        "n_write_heralds", "n_coincidences", "n_super_coincidences",
+    ]
+    # efficiencies from the eigen tables, visibilities from the super tables
+    columns = [*pairs.efficiency[:, eigen], *pairs.visibility[:, super_], writes]
+    corrected_sums = [pairs.coincidences[1, eigen], pairs.coincidences[1, super_]]
+    points = np.stack([delays, *columns, *corrected_sums], axis=1)
+    rows = [dict(zip(header, point)) for point in points.tolist()]
 
     built = time.perf_counter()
-    t_arr = delays
-    eta_arr = np.array([r["eta_corrected"] for r in rows])
-    eta0_fit, tau_fit, tau_sigma = _fit_lifetime(
-        t_arr, eta_arr, np.array([r["n_write_heralds"] for r in rows])
-    )
+    eta0_fit, tau_fit, tau_sigma = _fit_lifetime(delays, points[:, 2], writes)
 
     # single-parameter amplitude fit of the visibility envelope; the decay
     # constant is the calibrated tau_vis of the node
     tau_vis = node_cfg.tau_vis_us
     decay = (
-        np.exp(-t_arr / tau_vis) if math.isfinite(tau_vis) else np.ones_like(t_arr)
+        np.exp(-delays / tau_vis) if math.isfinite(tau_vis) else np.ones_like(delays)
     )
-    v_arr = np.array([r["visibility_corrected"] for r in rows])
-    n_coinc = np.array([max(r["n_super_coincidences"], 1.0) for r in rows])
+    v_arr = points[:, 4]
+    n_coinc = np.maximum(points[:, 7], 1.0)
     # each point's binomial variance (1 - v^2) / n at the model value
     # v = v0 * decay, not at its own noisy visibility, which would weigh
     # upward fluctuations more; start n-weighted, refit until v0 settles
@@ -501,8 +449,8 @@ def _run_lifetime_sweep(
     _record(
         telemetry,
         {"tables": built - started, "fit": time.perf_counter() - built},
-        rng_streams=len(eigen_tables) + len(super_tables),
-        draws=int(sum(t.N for t in eigen_tables + super_tables)),
+        rng_streams=len(dists),
+        draws=len(dists) * cfg.samples,
     )
 
     body = {
@@ -520,19 +468,11 @@ def _run_lifetime_sweep(
             "visibility_crossing_sigma_us": crossing_sigma,
         },
     }
-    header = [
-        "delay_us",
-        "eta_raw",
-        "eta_corrected",
-        "visibility_raw",
-        "visibility_corrected",
-        "n_write_heralds",
-        "n_coincidences",
-    ]
     artifacts = {
-        "sweeps/lifetime.csv": ("rows", header, [[r[h] for h in header] for r in rows]),
-        "counts/lifetime_eigen.csv": ("coincidence", eigen_tables),
-        "counts/lifetime_super.csv": ("coincidence", super_tables),
+        # every point column but n_super_coincidences
+        "sweeps/lifetime.csv": ("rows", header[:7], points[:, :7]),
+        "counts/lifetime_eigen.csv": ("coincidence", pairs.fields[eigen]),
+        "counts/lifetime_super.csv": ("coincidence", pairs.fields[super_]),
     }
     return body, artifacts
 
@@ -843,29 +783,19 @@ def emit_report(report: RunReport, out_dir) -> list[str]:
     # raises here and leaves no truncated report.json behind
     text = json.dumps(report.payload(), sort_keys=True, indent=2, allow_nan=False)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    paths = [out / rel for rel in report.artifacts]
+    for folder in dict.fromkeys([out, *(path.parent for path in paths)]):
+        folder.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.json"
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
-    written = [str(report_path)]
 
-    for rel, payload in report.artifacts.items():
-        path = out / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        kind = payload[0]
-        if kind == "coincidence":
-            det.write_coincidence_csv(path, payload[1])
-        elif kind == "settings":
-            w.write_setting_counts_csv(path, payload[1])
-        elif kind == "rows":
-            _, header, rows = payload
-            lines = [",".join(header)]
-            for row in rows:
-                lines.append(",".join(det.csv_number(v) for v in row))
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("\n".join(lines) + "\n")
-        else:
-            raise ValueError(f"unknown artifact kind {kind!r}")
-        written.append(str(path))
-    return written
+    writers = {
+        "coincidence": det.write_coincidence_csv,
+        "settings": w.write_setting_counts_csv,
+        "rows": det.write_csv,
+    }
+    for path, (kind, *data) in zip(paths, report.artifacts.values()):
+        writers[kind](path, *data)
+    return [str(report_path), *map(str, paths)]
 

@@ -102,7 +102,11 @@ class Envelope:
             raise ValueError("step_us must be positive and finite")
         if not np.all(np.isfinite(vals)):
             raise ValueError("envelope amplitudes must be finite")
-        norm = np.trapezoid(np.abs(vals) ** 2, dx=self.step_us)
+        with np.errstate(over="ignore"):
+            norm = np.trapezoid(np.abs(vals) ** 2, dx=self.step_us)
+        if not math.isfinite(norm):
+            peak = np.abs(vals.view(float)).max()  # largest real or imaginary part
+            raise ValueError(f"envelope squared norm overflows: amplitudes up to {peak:g}")
         if norm <= 0.0:
             raise ValueError("envelope has zero norm")
         vals = vals / math.sqrt(norm)

@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .detection import csv_number
+from .detection import csv_numbers
 from .quantum import PAULI_X, bits_to_index, equatorial_basis, m_observable
 
 _BIT0 = {"0", "H", "h", "d", "↓"}  # down arrow
@@ -295,12 +295,13 @@ def pattern_table(counts: np.ndarray, n_bits: int, zeros: bool = False) -> dict[
 def write_setting_counts_csv(path, tables: Mapping[str, Mapping[str, float]]) -> None:
     """CSV with header setting_id,outcome_pattern,count: one row per pattern
     of each setting's ``{pattern string: count}`` table, patterns sorted."""
+    lines = [",".join(_CSV_HEADER)]
+    for sid, table in tables.items():
+        patterns = sorted(table)
+        counts = csv_numbers([table[pat] for pat in patterns])
+        lines += [f"{sid},{pat},{count}" for pat, count in zip(patterns, counts)]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_CSV_HEADER)
-        for sid, table in tables.items():
-            for pat in sorted(table):
-                w.writerow([sid, pat, csv_number(table[pat])])
+        fh.write("\r\n".join(lines) + "\r\n")  # the csv module's line ending
 
 
 def read_setting_counts_csv(path) -> dict[str, np.ndarray]:

@@ -13,10 +13,15 @@ Run from the repository root after a change that means to move a body:
 Before it overwrites anything it prints every moved body key path with its
 old value, new value and relative change, and every CSV whose digest
 changed; name each moved key and its largest change in CHANGES.md.
+
+With ``--check`` it prints the same lines, writes nothing, and exits 1 if
+anything moved, 0 if every body and CSV matches: the one-command check of
+a change that means to leave every report byte-identical.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -81,25 +86,41 @@ def _relative(old, new) -> str:
     return "n/a"
 
 
-def report_moves(scenario: str, body: str, digests: dict[str, str], manifest) -> None:
-    """Print what regenerating ``scenario`` would move against the golden."""
+def report_moves(scenario: str, body: str, digests: dict[str, str], manifest) -> int:
+    """Print what regenerating ``scenario`` would move against the golden,
+    and return the number of lines printed."""
     path = GOLDEN_DIR / f"{scenario}.json"
     old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
-    for key, a, b in differences(old, json.loads(body)):
-        print(f"{scenario}: {key}: {a!r} -> {b!r} (relative {_relative(a, b)})")
+    moves = [
+        f"{scenario}: {key}: {a!r} -> {b!r} (relative {_relative(a, b)})"
+        for key, a, b in differences(old, json.loads(body))
+    ]
     old_digests = manifest.get("csv_sha256", {}).get(scenario, {})
-    for rel in sorted(set(old_digests) | set(digests)):
-        if old_digests.get(rel) != digests.get(rel):
-            print(f"{scenario}: {rel}: digest changed")
+    moves += [
+        f"{scenario}: {rel}: digest changed"
+        for rel in sorted(set(old_digests) | set(digests))
+        if old_digests.get(rel) != digests.get(rel)
+    ]
+    for line in moves:
+        print(line)
+    return len(moves)
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate the golden report bodies.")
+    parser.add_argument(
+        "--check", action="store_true", help="print what moved, write nothing, exit 1 if anything did"
+    )
+    check = parser.parse_args(argv).check
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8")) if MANIFEST.exists() else {}
-    runs = {}
+    runs, moved = {}, 0
     with tempfile.TemporaryDirectory() as tmp:
         for scenario in SAMPLES:
             runs[scenario] = golden_run(scenario, Path(tmp) / scenario)
-            report_moves(scenario, *runs[scenario], manifest)
+            moved += report_moves(scenario, *runs[scenario], manifest)
+    if check:
+        print(f"{moved} moved" if moved else "every body and CSV matches its golden")
+        return 1 if moved else 0
     csv_sha256 = {}
     for scenario, (body, digests) in runs.items():
         (GOLDEN_DIR / f"{scenario}.json").write_text(body + "\n", encoding="utf-8")

@@ -280,3 +280,125 @@ class TestCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="header"):
             det.read_coincidence_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# the array pair analysis against the scalar CoincidenceTable path
+
+
+def scalar_table(counts16):
+    """The coincidence table of 16 click counts, bits (w0, w1, r0, r1)."""
+    c = np.asarray(counts16).reshape(2, 2, 2, 2)
+    return det.CoincidenceTable(
+        n_RL=float(c[1, 0, 0, 1]),
+        n_LR=float(c[0, 1, 1, 0]),
+        n_LL=float(c[0, 1, 0, 1]),
+        n_RR=float(c[1, 0, 1, 0]),
+        n_woR=float(c[1].sum()),
+        n_woL=float(c[:, 1].sum()),
+        n_roR=float(c[:, :, 1].sum()),
+        n_roL=float(c[..., 1].sum()),
+        N=float(c.sum()),
+    )
+
+
+def scalar_visibility(table):
+    """Visibility and its binomial sigma, or ``(None, None)`` without coincidences."""
+    n_coinc = table.coincidence_sum()
+    if n_coinc <= 0.0:
+        return None, None
+    v = det.visibility_raw(table)
+    return v, math.sqrt(max(1.0 - v * v, 0.0) / n_coinc) or 1.0 / n_coinc
+
+
+def same_bits(got, want):
+    return [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+
+def pair_count_stacks():
+    """Count stacks of every kind the pair scenarios meet: random draws at
+    small and large budgets (clamped cells, tables without coincidences),
+    a table with no click at all, singles without coincidences, a lone
+    coincidence and perfect correlation (sigma 0, so ``1 / n``)."""
+    rng = np.random.default_rng(16)
+    stacks = []
+    for n in (1, 3, 20, 200, 20_000, 2_000_000):
+        p = rng.dirichlet(np.full(16, 0.3), size=40)
+        p[:, 0] += 20.0 * rng.random(40)  # mostly no click, as in the scenarios
+        p /= p.sum(axis=1, keepdims=True)
+        stacks.append(np.array([rng.multinomial(n, row) for row in p]))
+    special = np.zeros((5, 16), dtype=np.int64)
+    special[0, 0] = 7  # no click at all
+    special[1, [0b1000, 0b0001]] = 5  # write and read singles, no coincidence
+    special[2, [0, 0b1001]] = [9, 1]  # one coincidence, nothing else
+    special[3, [0b1001, 0b0110]] = 50  # only correlated coincidences: v = 1
+    special[4, [0b1010, 0b0101]] = 50  # only anticorrelated: v = -1
+    stacks.append(special)
+    return stacks
+
+
+class TestPairStack:
+    @pytest.mark.parametrize("counts", pair_count_stacks())
+    def test_equals_the_scalar_path_bit_for_bit(self, counts):
+        pairs = det.pair_stack(counts)
+        for i, row in enumerate(counts):
+            raw = scalar_table(row)
+            corrected, clamped = det.subtract_accidentals(raw)
+            assert det.CoincidenceTable(*pairs.fields[i]) == raw
+            fields = [getattr(raw, name) for name in det.CSV_HEADER.split(",")]
+            assert same_bits(pairs.fields[i], fields)
+            cells = [corrected.n_RL, corrected.n_LR, corrected.n_LL, corrected.n_RR]
+            assert same_bits(pairs.corrected[i], cells)
+            assert pairs.clamped[i] == clamped
+            for kind, table in enumerate((raw, corrected)):
+                total = table.coincidence_sum()
+                v, sigma = scalar_visibility(table)
+                assert (pairs.coincidences[kind, i] > 0.0) == (v is not None)
+                assert same_bits(
+                    [pairs.coincidences[kind, i], pairs.efficiency[kind, i]],
+                    [total, total / max(table.n_woR + table.n_woL, 1.0)],
+                )
+                assert same_bits(
+                    [pairs.visibility[kind, i], pairs.sigma[kind, i]],
+                    [v, sigma] if v is not None else [0.0, 0.0],
+                )
+
+    def test_stacks_cover_every_case(self):
+        counts = np.concatenate(pair_count_stacks())
+        pairs = det.pair_stack(counts)
+        assert pairs.clamped.any() and not pairs.clamped.all()
+        seen = pairs.coincidences > 0.0
+        assert not seen[0].all() and not seen[1].all()
+        assert (seen[0] & ~seen[1]).any()  # the correction removes every coincidence
+        assert (pairs.fields[:, :8] == 0).all(axis=1).any()  # a table with no click
+        assert np.isin(pairs.visibility[0], (1.0, -1.0)).any()
+
+    def test_zero_trials_errors(self):
+        with pytest.raises(ValueError, match="N > 0"):
+            det.pair_stack(np.zeros((2, 16), dtype=np.int64))
+
+
+class TestCsvNumbers:
+    VALUES = [0.0, -0.0, 0.1, 1e-300, 1e20, math.inf, -math.inf, math.nan, 3.0, -2.5]
+
+    def test_column_equals_scalar(self):
+        assert det.csv_numbers(self.VALUES) == [det.csv_number(v) for v in self.VALUES]
+
+    def test_int64_counts(self):
+        counts = np.array([[0, 1, 2**31], [2**53, 2**53 + 1, 2**62]], dtype=np.int64)
+        assert det.csv_numbers(counts) == [det.csv_number(v) for v in counts.ravel()]
+
+    def test_stack_and_tables_write_the_same_bytes(self, tmp_path):
+        counts = np.concatenate(pair_count_stacks())
+        pairs = det.pair_stack(counts)
+        det.write_coincidence_csv(tmp_path / "stack.csv", pairs.fields)
+        det.write_coincidence_csv(tmp_path / "tables.csv", [scalar_table(c) for c in counts])
+        stack = (tmp_path / "stack.csv").read_bytes()
+        assert stack == (tmp_path / "tables.csv").read_bytes()
+        assert det.read_coincidence_csv(tmp_path / "stack.csv") == [
+            scalar_table(c) for c in counts
+        ]
+
+    def test_empty_stack_writes_the_header(self, tmp_path):
+        det.write_coincidence_csv(tmp_path / "empty.csv", np.zeros((0, 9)))
+        assert (tmp_path / "empty.csv").read_text() == det.CSV_HEADER + "\n"

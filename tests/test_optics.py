@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -323,6 +324,13 @@ class TestEnvelope:
         path.write_text("t,x,y\n0,1,0\n1,1,0\n")
         with pytest.raises(ValueError, match="header"):
             optics.Envelope.from_csv(path)
+
+    @pytest.mark.parametrize("values", [np.full(4, 1e200), np.full(4, 1e160j), [1e308, 1e308]])
+    def test_overflowing_amplitudes_rejected(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="squared norm overflows: amplitudes up to 1e"):
+                optics.Envelope(0.0, 0.1, values)
 
     def test_zero_envelope_rejected(self):
         with pytest.raises(ValueError, match="zero norm"):

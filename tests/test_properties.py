@@ -1,15 +1,20 @@
 """Properties over random valid configurations: lossless JSON round trip,
-and a report body that does not depend on the worker count."""
+a report body that does not depend on the worker count, normalized event
+tables and a six-fold probability that grows with a node's ``p_w``."""
 
+import dataclasses
 import json
 import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memnet_sim import config as cf
+from memnet_sim import events as ev
 from memnet_sim import harness as h
 from memnet_sim.detection import DetectorConfig
 from memnet_sim.node import NodeConfig
@@ -152,3 +157,34 @@ def test_body_does_not_change_with_workers(cfg, workers):
     many = h.run_scenario(cfg.with_overrides(workers=workers))
     assert many.meta["workers"] == workers
     assert many.body_json() == one.body_json()
+
+
+SETTINGS = {"ghz6": ev.ghz6_settings(), "ghz3": ev.ghz3_settings()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=runnable_configs(), scenario=st.sampled_from(sorted(SETTINGS)))
+def test_event_tables_are_normalized(cfg, scenario):
+    for table in ev.build_event_tables(cfg, SETTINGS[scenario]):
+        assert 0.0 < table.p_sixfold <= 1.0
+        assert table.outcome_distribution().sum() == pytest.approx(1.0, abs=1e-12)
+        assert (table.outcome_distribution() >= 0.0).all()
+        np.testing.assert_allclose(table.distributions.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    cfg=runnable_configs(),
+    scenario=st.sampled_from(sorted(SETTINGS)),
+    node=st.integers(0, 2),
+    step=unit(0.0, 1.0),
+)
+def test_p_sixfold_does_not_fall_as_p_w_rises(cfg, scenario, node, step):
+    nodes = list(cfg.nodes)
+    p_w = nodes[node].p_w
+    nodes[node] = dataclasses.replace(nodes[node], p_w=p_w + step * (0.6 - p_w))
+    raised = cfg.with_overrides(nodes=tuple(nodes))
+    before = ev.build_event_tables(cfg, SETTINGS[scenario])
+    after = ev.build_event_tables(raised, SETTINGS[scenario])
+    for old, new in zip(before, after):
+        assert new.p_sixfold >= old.p_sixfold * (1.0 - 1e-12)

@@ -77,6 +77,11 @@ def raman_params(params):
     return edit
 
 
+def expected_table(dist, trials):
+    """The coincidence table of ``trials`` times the click distribution."""
+    return det.CoincidenceTable(*det.pair_stack([dist * trials]).fields[0])
+
+
 def envelope_for_node_i(spec):
     """Config-dict edit giving node I ``spec`` and nodes II, III ``GAUSSIAN``."""
     return set_key(("envelopes",), {"I": spec, "II": GAUSSIAN, "III": GAUSSIAN})
@@ -106,7 +111,7 @@ class TestPairTrialDistribution:
         dist = h._pair_trial_distribution(
             node, cfg.detector, q.BASIS_RL, h._SPIN_RL, 0.0
         )
-        table = h._counts_to_table(np.asarray(dist * 1e9))
+        table = expected_table(dist, 1e9)
         expected = node.p_w * node.eta_r0
         np.testing.assert_allclose(table.n_RL + table.n_LR, expected * 1e9, rtol=1e-9)
         assert table.n_RR == pytest.approx(0.0, abs=1e-3)
@@ -119,7 +124,7 @@ class TestPairTrialDistribution:
         dist = h._pair_trial_distribution(
             node, cfg.detector, q.BASIS_RL, h._SPIN_RL, 0.0
         )
-        table = h._counts_to_table(np.asarray(dist * 1e9))
+        table = expected_table(dist, 1e9)
         # the down branch carries the R write photon
         ratio = table.n_RL / (table.n_RL + table.n_LR)
         assert ratio == pytest.approx(0.3, abs=1e-9)
@@ -133,7 +138,7 @@ class TestPairTrialDistribution:
             dist = h._pair_trial_distribution(
                 node, cfg.detector, q.BASIS_Z, h._spin_super_basis(theta), dt
             )
-            table = h._counts_to_table(np.asarray(dist * 1e12))
+            table = expected_table(dist, 1e12)
             corr, _ = det.subtract_accidentals(table)
             return det.visibility_raw(corr)
 
@@ -149,7 +154,7 @@ class TestPairTrialDistribution:
         node = cfg.node("I")
         dark = det.DetectorConfig(dark_count_prob=0.002)
         dist = h._pair_trial_distribution(node, dark, q.BASIS_RL, h._SPIN_RL, 0.0)
-        table = h._counts_to_table(np.asarray(dist * 1e9))
+        table = expected_table(dist, 1e9)
         assert table.n_RR > 0.0
         assert table.n_LL > 0.0
         assert det.visibility_raw(table) < 1.0
@@ -172,6 +177,16 @@ class TestDeterminism:
         assert not np.array_equal(draws[0], draws[1])
         assert not np.array_equal(draws[1], draws[2])
         assert not np.array_equal(draws[0], h._table_rng(8, 0).random(4))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize("index", [0, 1, 2**32])
+    def test_int_key_draws_as_the_two_word_key(self, seed, index):
+        key = np.array([seed, index], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key))
+        got = h._table_rng(seed, index)
+        np.testing.assert_array_equal(got.random(8), want.random(8))
+        dist = np.full(16, 1.0 / 16)
+        np.testing.assert_array_equal(got.multinomial(10_000, dist), want.multinomial(10_000, dist))
 
     def test_pair_table_holds_odd_budget(self):
         rep = h.run_scenario(paper_cfg(scenario="pair_tomography", samples=1041))
@@ -724,7 +739,60 @@ class TestReports:
 # CLI
 
 
+def bundle_files(out):
+    """The report body and every CSV of a bundle, keyed by relative path."""
+    files = {
+        path.relative_to(out).as_posix(): path.read_bytes()
+        for path in sorted(out.rglob("*.csv"))
+    }
+    files["body"] = json.loads((out / "report.json").read_text())["body"]
+    return files
+
+
 class TestCli:
+    def test_repeated_main_matches_a_fresh_process(self, tmp_path, capsys):
+        argv = ["--preset", "paper", "--scenario", "pair_tomography", "--samples", "3000"]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "memnet_sim.cli", *argv, "--out", str(tmp_path / "fresh")],
+            capture_output=True,
+            text=True,
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        assert cli.main([*argv, "--out", str(tmp_path / "first")]) == 0
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["--samples", "many"])
+        assert usage.value.code == 2
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as shown:
+            cli.main(["--help"])
+        assert shown.value.code == 0
+        help_text = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        assert capsys.readouterr().out == help_text
+        assert cli.main([*argv, "--out", str(tmp_path / "again")]) == 0
+        want = bundle_files(tmp_path / "fresh")
+        assert len(want) == 3
+        assert bundle_files(tmp_path / "first") == want
+        assert bundle_files(tmp_path / "again") == want
+
+    def test_overflowing_csv_envelope_errors_once(self, tmp_path, capsys):
+        envelope = tmp_path / "loud.csv"
+        envelope.write_text("time_us,re,im\n0.0,1e200,0\n0.1,1e200,0\n0.2,1e200,0\n")
+        data = paper_cfg(scenario="ghz3", samples=100).to_dict()
+        data["envelopes"] = {"I": {"csv": str(envelope)}, "II": GAUSSIAN, "III": GAUSSIAN}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["--config", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "memnet-sim: error: envelope squared norm overflows: amplitudes up to 1e+200"
+        )
+        assert err.count("\n") == 1
+
     def test_preset_run_writes_bundle(self, tmp_path):
         rc = cli.main(
             [
