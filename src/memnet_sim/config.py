@@ -108,8 +108,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"seed must be an integer in [0, 2**64), not {self.seed!r}"
             )
-        if not _is_int(self.samples) or self.samples < 1:
-            raise ValueError(f"samples must be an integer >= 1, not {self.samples!r}")
+        # numpy's multinomial draws at most 2**63 - 1 trials
+        if not _is_int(self.samples) or not 1 <= self.samples < 2**63:
+            raise ValueError(
+                f"samples must be an integer in [1, 2**63 - 1], not {self.samples!r}"
+            )
         if not _is_int(self.workers) or self.workers < 1:
             raise ValueError(f"workers must be an integer >= 1, not {self.workers!r}")
         if not (math.isfinite(self.read_delay_us) and self.read_delay_us >= 0.0):
@@ -123,7 +126,7 @@ class ExperimentConfig:
         _check_scenario_params(self.scenario_params)
         if self.calibration_weights is not None:
             for key, val in self.calibration_weights.items():
-                if isinstance(val, bool) or not (isinstance(val, numbers.Real) and val > 0):
+                if not _is_number(val, positive=True):
                     raise ValueError(
                         f"calibration weight {key!r} must be a positive number, not {val!r}"
                     )

@@ -59,7 +59,6 @@ from .config import ExperimentConfig, envelope_from_spec
 GHZ6_SPEC = w.GhzSpec.parse("HHH↓↓↑", "VVV↑↑↓")
 GHZ3_SPEC = w.GhzSpec.parse("↓↓↑", "↑↑↓")
 
-_UNIFORM2 = np.array([0.5, 0.5])
 _N_OUTCOMES = 64
 
 VACUUM, SINGLE, DOUBLE = 0, 1, 2
@@ -99,16 +98,6 @@ def ghz3_settings() -> tuple[SettingSpec, ...]:
         SettingSpec(sid, ports, tuple(bases[sid]), feedforward=True)
         for sid in GHZ3_SPEC.setting_ids()
     )
-
-
-def _born2(basis: np.ndarray, state) -> np.ndarray:
-    """Outcome probabilities of one qubit, or of a stack, in ``basis`` (columns
-    = kets), itself one basis or a stack."""
-    mat = np.asarray(state)
-    if mat.ndim == 1:
-        return np.abs(basis.conj().swapaxes(-1, -2) @ mat) ** 2
-    rotated = basis.conj().swapaxes(-1, -2) @ mat @ basis
-    return np.real(rotated.diagonal(0, -2, -1))
 
 
 def _station_terms(cfg: ExperimentConfig) -> list[nd.NodeTerms]:
@@ -174,7 +163,9 @@ def _port_outcomes(port_bases: np.ndarray, dark: float):
     port fires a single channel only when both Born draws coincide, which
     is impossible in the H/V basis and a coin flip in any equatorial basis.
     """
-    born_h, born_v = (_born2(port_bases, ket) for ket in np.eye(2))
+    # an H (V) photon takes each outcome with the squared modulus of the
+    # basis' first (second) row
+    born_h, born_v = np.moveaxis(np.abs(port_bases) ** 2, -2, 0)
     bunched = det.bunched_hits(born_h, born_v)
     single_h, single_v = det.photon_hits(1.0, born_h), det.photon_hits(1.0, born_v)
     empty = np.broadcast_to(det.NO_HITS, bunched.shape)
@@ -185,15 +176,11 @@ def _port_outcomes(port_bases: np.ndarray, dark: float):
 def _memory_outcomes(memory_bases: np.ndarray, terms: list[nd.NodeTerms], dark: float):
     """``_single_click`` of each memory analyzer of a ``(..., 3, 2, 2)``
     basis stack under each memory kind: ``(..., 3, 4)`` click chances and
-    ``(..., 3, 4, 2)`` distributions.
-
-    A clean memory is read in the state its photon's routing collapsed it
-    to; a spoiled memory reads out uniformly.
-    """
-    spins = np.array([t.spins for t in terms])  # (node, pol, 2, 2)
-    born = _born2(memory_bases[..., None, :, :], spins)  # (..., node, pol, outcome)
-    clean = det.photon_hits(np.array([t.eta for t in terms])[:, None], born)
-    spoiled = det.photon_hits(np.array([t.eta_dbl for t in terms]), _UNIFORM2)
+    ``(..., 3, 4, 2)`` distributions, each node's read-out from
+    ``node.readout``."""
+    reads = [nd.readout(t, memory_bases[..., k, :, :]) for k, t in enumerate(terms)]
+    clean = np.stack([c for c, _ in reads], axis=-4)  # (..., node, pol, 2, 2)
+    spoiled = np.stack([s for _, s in reads])  # (node, 2, 2)
     shape = clean.shape[:-3]
     hits = np.concatenate(
         [
@@ -209,7 +196,7 @@ def _memory_outcomes(memory_bases: np.ndarray, terms: list[nd.NodeTerms], dark: 
 def _hit_and_fill(dark: float) -> tuple[float, float]:
     """Exactly-one-click chances of a surely hit analyzer and of an empty one,
     the coherent sector's factors (its outcomes come from the branch terms)."""
-    hit_one, _ = _single_click(det.photon_hits(1.0, _UNIFORM2), dark)
+    hit_one, _ = _single_click(det.photon_hits(1.0, (0.5, 0.5)), dark)
     fill, _ = _single_click(det.NO_HITS, dark)
     return float(hit_one), float(fill)
 
@@ -486,10 +473,6 @@ def build_event_tables(
     return tables
 
 
-def build_event_table(cfg: ExperimentConfig, setting: SettingSpec) -> EventTable:
-    return build_event_tables(cfg, [setting])[0]
-
-
 def conditional_success_estimate(
     cfg: ExperimentConfig, _branches: _Branches | None = None
 ) -> float:
@@ -544,14 +527,11 @@ def raw_trial_counts(
     # chance a collapsed clean memory reads out as channel 1, by node and pol
     mem_p1 = np.array(
         [
-            [_born2(setting.memory_bases[k], t.spins[p])[1] for p in (0, 1)]
+            [nd.born2(setting.memory_bases[k], t.spins[p])[1] for p in (0, 1)]
             for k, t in enumerate(terms)
         ]
     )
-    port_p1 = np.array(
-        [[_born2(setting.port_bases[port], np.eye(2)[p])[1] for p in (0, 1)]
-         for port in range(3)]
-    )
+    port_p1 = np.abs(np.array(setting.port_bases)[:, :, 1]) ** 2  # (port, pol)
     etas = np.array([t.eta for t in terms])
     etas_dbl = np.array([t.eta_dbl for t in terms])
     coherent_dists = _coherent_subset_dists(branch_terms, *_stack_bases([setting]))[0]

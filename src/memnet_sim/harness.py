@@ -162,13 +162,12 @@ def _pair_trial_distribution(
     write_fires = [clicks(det.photon_hits(1.0, np.eye(2)[ch])) for ch in (0, 1)]
     cases = [(p_vac, no_photon, no_photon)]  # (weight, write joint, read joint)
 
-    for ch, spin in enumerate(terms.spins):
-        r_probs = np.clip(ev._born2(read_basis, spin), 0.0, 1.0)
-        read = clicks(det.photon_hits(terms.eta, r_probs))
-        cases.append((p_sng * terms.born[..., ch], write_fires[ch], read))
+    clean, spoiled = nd.readout(terms, read_basis)
+    for ch in (0, 1):
+        cases.append((p_sng * terms.born[..., ch], write_fires[ch], clicks(clean[..., ch, :, :])))
 
     if p_dbl > 0.0:
-        read_dbl = clicks(det.photon_hits(terms.eta_dbl, (0.5, 0.5)))
+        read_dbl = clicks(spoiled)
         for ch in (0, 1):
             cases.append((p_dbl * 0.5, write_fires[ch], read_dbl))
 

@@ -27,12 +27,19 @@ the diagonal, ``coherence * e^{i 2 pi dt / T}`` at ``[up, down]`` and its
 conjugate at ``[down, up]``, both from ``_storage``.
 
 ``node_terms`` is the one place a node's trial is derived: it ages the pair
-at the node, conditions the spin on the write photon's outcome and gathers
-the write and retrieval probabilities.  Given an array of delays it ages
-the pair for all of them at once, ``rho_0 * M(dt)``, and every later step
-runs over that leading delay axis.  The pair scenarios, the heralded event
-tables and the rate budget all read from it, so storage runs once per node,
-on the two-qubit pair, and never on the joint station state.
+at the node, ``rho_0 * M(dt)``, conditions the spin on the write photon's
+outcome and gathers the write and retrieval probabilities.  A scalar delay
+and an array of delays take the same path; an array adds a leading delay
+axis that every later step runs over.  ``readout`` is the one statement of
+what a memory returns to its analyzer.  The pair scenarios, the heralded
+event tables and the rate budget all read from these two, so storage runs
+once per node, on the two-qubit pair as a plain array, and never on the
+joint station state.
+
+No scenario builds a ``DensityMatrix``.  ``entangled_pair_state`` (the fresh
+pair on its labeled register) and ``storage_channel`` (storage as a
+register-layer channel) are kept as the tests' reference and as benchmark
+span targets.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import detection as det
 from . import quantum as q
 
 
@@ -95,31 +103,42 @@ def write_probabilities(cfg: NodeConfig) -> tuple[float, float, float]:
     return (1.0 - cfg.p_w - p_dbl, cfg.p_w, p_dbl)
 
 
+def _precession(cfg: NodeConfig, dt_us):
+    """Zeeman angle ``2 pi dt / zeeman_period_us`` gathered over ``dt_us`` of
+    storage, refusing a storage time whose angle overflows."""
+    with np.errstate(over="ignore"):
+        angle = 2.0 * math.pi * dt_us / cfg.zeeman_period_us
+    overflows = ~np.isfinite(angle)
+    if np.any(overflows):
+        raise ValueError(
+            f"storage time {np.extract(overflows, dt_us)[0]} us overflows the Zeeman "
+            f"phase of node {cfg.node_id} (zeeman_period_us {cfg.zeeman_period_us})"
+        )
+    return angle
+
+
 def zeeman_phase(cfg: NodeConfig, dt_us):
     """Accumulated pair phase ``phi0 + 2 pi dt / zeeman_period_us``."""
-    return cfg.phi0 + 2.0 * math.pi * dt_us / cfg.zeeman_period_us
+    return cfg.phi0 + _precession(cfg, dt_us)
 
 
-def entangled_pair_state(cfg: NodeConfig) -> q.DensityMatrix:
-    """Photon-spin pair emitted by a single write-out, before any storage.
-
-    Register order is ``(photon(node), spin(node))`` with the photon in the
-    H/V basis.
-    """
+def _fresh_pair(cfg: NodeConfig) -> np.ndarray:
+    """The ``(4, 4)`` photon-spin pair of one write-out, before any storage,
+    indexed ``(photon, spin)`` big-endian with the photon in the H/V basis."""
     a = cfg.branch_weight_down
-    phase = np.exp(1j * cfg.phi0)
-    register = (q.photon(cfg.node_id), q.spin(cfg.node_id))
-    # |R down> and |L up> branches written out in the H/V photon basis
-    amp = np.zeros(4, dtype=complex)
-    amp[q.bits_to_index((0, 0))] = math.sqrt(a) * q.KET_R[0]
-    amp[q.bits_to_index((1, 0))] = math.sqrt(a) * q.KET_R[1]
-    amp[q.bits_to_index((0, 1))] = phase * math.sqrt(1.0 - a) * q.KET_L[0]
-    amp[q.bits_to_index((1, 1))] = phase * math.sqrt(1.0 - a) * q.KET_L[1]
+    # |R down> and |L up> in the H/V photon basis, one spin per column
+    down, up = math.sqrt(a) * q.KET_R, np.exp(1j * cfg.phi0) * math.sqrt(1.0 - a) * q.KET_L
+    amp = np.stack([down, up], axis=1).reshape(4)
     rho = np.outer(amp, amp.conj())
     w = cfg.depol_weight
     if w > 0.0:
         rho = (1.0 - w) * rho + w * np.eye(4) / 4.0
-    return q.DensityMatrix(register, rho)
+    return rho
+
+
+def entangled_pair_state(cfg: NodeConfig) -> q.DensityMatrix:
+    """``_fresh_pair`` on the register ``(photon(node), spin(node))``."""
+    return q.DensityMatrix((q.photon(cfg.node_id), q.spin(cfg.node_id)), _fresh_pair(cfg))
 
 
 def _storage_time(dt_us) -> np.ndarray:
@@ -145,8 +164,7 @@ def _storage(cfg: NodeConfig, dt_us):
     coherence = memory_coherence(cfg, dt_us)
     if not np.all((coherence >= 0.0) & (coherence <= 1.0)):
         raise ValueError(f"coherence factor {coherence} outside [0, 1]")
-    dt = np.asarray(dt_us, dtype=float)
-    return np.exp(1j * (2.0 * math.pi * dt / cfg.zeeman_period_us)), coherence
+    return np.exp(1j * _precession(cfg, np.asarray(dt_us, dtype=float))), coherence
 
 
 def storage_channel(
@@ -191,20 +209,16 @@ def node_terms(cfg: NodeConfig, write_basis: np.ndarray, dt_us) -> NodeTerms:
     """Age the pair by ``dt_us``, then condition its spin on the write photon
     measured in ``write_basis`` (columns are the outcome kets).
 
-    ``dt_us`` is one storage time or a 1-D array of them.  Storage acts on
-    the spin alone, so it commutes with any measurement or post-selection
-    of the photon: aging the pair first is exact.
+    ``dt_us`` is one storage time or a 1-D array of them, aged alike by
+    ``M(dt)``.  Storage acts on the spin alone, so it commutes with any
+    measurement or post-selection of the photon: aging the pair first is exact.
     """
-    fresh = entangled_pair_state(cfg)
-    if np.ndim(dt_us) == 0:
-        rho = storage_channel(cfg, fresh, dt_us).matrix.reshape(2, 2, 2, 2)
-    else:
-        phase, coherence = _storage(cfg, dt_us)
-        factor = np.ones((len(phase), 2, 2), dtype=complex)
-        factor[:, 1, 0] = coherence * phase
-        factor[:, 0, 1] = np.conj(factor[:, 1, 0])
-        rho = fresh.matrix.reshape(2, 2, 2, 2) * factor[:, None, :, None, :]
-        q.check_density(rho.reshape(-1, 4, 4))
+    phase, coherence = _storage(cfg, dt_us)
+    factor = np.ones(np.shape(phase) + (2, 2), dtype=complex)
+    factor[..., 1, 0] = coherence * phase
+    factor[..., 0, 1] = np.conj(factor[..., 1, 0])
+    rho = _fresh_pair(cfg).reshape(2, 2, 2, 2) * factor[..., None, :, None, :]
+    q.check_density(rho.reshape(-1, 4, 4))
     rot = np.einsum("ai,...asbt,bj->...isjt", write_basis.conj(), rho, write_basis)
     blocks = np.stack([rot[..., i, :, i, :] for i in (0, 1)], axis=-3)
     born = np.real(np.trace(blocks, axis1=-2, axis2=-1))
@@ -215,3 +229,18 @@ def node_terms(cfg: NodeConfig, write_basis: np.ndarray, dt_us) -> NodeTerms:
     return NodeTerms(
         rot, born, spins, write_probabilities(cfg), eta, 1.0 - (1.0 - eta) ** 2
     )
+
+
+def born2(basis: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Outcome probabilities of a qubit's 2x2 state, or of a stack, in
+    ``basis`` (columns = kets), itself one basis or a stack."""
+    rotated = basis.conj().swapaxes(-1, -2) @ state @ basis
+    return np.real(rotated.diagonal(0, -2, -1))
+
+
+def readout(terms: NodeTerms, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hit distributions of this memory read in ``basis`` (or a stack): a clean
+    memory's per write outcome (axis -3), then a spoiled one's, read uniformly."""
+    born = born2(basis[..., None, :, :], np.stack(terms.spins, axis=-3))
+    clean = det.photon_hits(np.asarray(terms.eta)[..., None], np.clip(born, 0.0, 1.0))
+    return clean, det.photon_hits(terms.eta_dbl, (0.5, 0.5))

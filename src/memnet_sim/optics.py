@@ -30,9 +30,11 @@ Station layout and conventions, pinned once here:
 keeps the heralded state in factored form: four ``(b, b')`` branch terms,
 each a weight times the port photons' ``|b b b><b' b' b'|`` times a
 product of three 2x2 spin blocks, so no six-qubit state is needed to
-measure it.  ``connect_three`` assembles the six-qubit state from the same
-terms; its register order is port photons ``photon("S", 0..2)`` then memory
-spins of nodes I, II, III.
+measure it.  ``connect_three`` assembles the six-qubit ``DensityMatrix``
+from the same terms; its register order is port photons
+``photon("S", 0..2)`` then memory spins of nodes I, II, III.  No scenario
+calls it: it is kept as the tests' reference and as a benchmark span
+target.
 """
 
 from __future__ import annotations

@@ -17,8 +17,11 @@ Conventions, fixed once here and relied on everywhere else:
   ``equatorial_basis(n pi/N)``.
 
 Registers never exceed 6 qubits in this package, so everything is dense
-complex128; the heralded scenarios build only two-qubit states, since the
-station keeps its output in factored form (``optics``).  Every
+complex128.  No scenario builds a ``DensityMatrix``: the node ages its
+pairs as plain arrays, validated with ``check_density``, and the station
+keeps its output in factored form (``optics``).  The labeled-register layer
+(``DensityMatrix``, ``apply_unitary``, ``measurement_probabilities`` and the
+rest) is kept as the tests' reference and as benchmark span targets.  Every
 ``DensityMatrix`` is validated when it is built (tolerance ``TOL``);
 measurement reads outcome probabilities without building intermediate
 states.
@@ -129,7 +132,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def check_density(m: np.ndarray) -> None:
     """Raise ``ValueError`` unless ``m``, or each matrix of a ``(..., d, d)``
-    stack, is trace-1, Hermitian and PSD within TOL."""
+    stack, is finite, trace-1, Hermitian and PSD within TOL."""
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has entries that are not finite")
     trace, adjoint = m.trace(0, -2, -1), m.conj().swapaxes(-1, -2)
     if (abs(trace - 1.0) > TOL).any():
         raise ValueError(f"trace {trace} deviates from 1 beyond {TOL}")

@@ -1,5 +1,6 @@
 """Tests for experiment configuration, serialization, and presets."""
 
+import json
 import math
 
 import numpy as np
@@ -73,6 +74,11 @@ class TestExperimentConfigValidation:
         with pytest.raises(ValueError, match="workers"):
             cf.ExperimentConfig(workers=2.0)
 
+    def test_samples_fit_one_multinomial(self):
+        assert cf.ExperimentConfig(samples=2**63 - 1).samples == 2**63 - 1
+        with pytest.raises(ValueError, match="^samples must be"):
+            cf.ExperimentConfig(samples=2**63)
+
     def test_bad_read_delay(self):
         with pytest.raises(ValueError):
             cf.ExperimentConfig(read_delay_us=-0.1)
@@ -86,6 +92,17 @@ class TestExperimentConfigValidation:
         cf.ExperimentConfig(calibration_weights={"0": 1.1, "1": 0.9})
         with pytest.raises(ValueError):
             cf.ExperimentConfig(calibration_weights={"0": 0.0})
+
+    @pytest.mark.parametrize("weight", [math.inf, math.nan])
+    def test_calibration_weights_finite(self, weight):
+        with pytest.raises(ValueError, match="calibration weight '01'"):
+            cf.ExperimentConfig(calibration_weights={"00": 1.0, "01": weight})
+
+    def test_infinite_calibration_weight_refused_at_load(self):
+        data = json.loads(cf.preset("paper").to_json())
+        data["calibration_weights"] = json.loads('{"000": Infinity}')
+        with pytest.raises(ValueError, match="calibration weight '000'"):
+            cf.ExperimentConfig.from_dict(data)
 
     def test_unknown_node_id(self):
         cfg = cf.ExperimentConfig()

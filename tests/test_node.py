@@ -138,6 +138,16 @@ class TestStorageAndRetrieval:
         with pytest.raises(ValueError):
             node.retrieval_efficiency(cfg, -1.0)
 
+    @pytest.mark.parametrize("dt", [1e308, np.array([0.0, 1e308])])
+    def test_overflowing_zeeman_phase_refused(self, dt):
+        cfg = node.NodeConfig()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="storage time 1e\\+308 us overflows"):
+                node.node_terms(cfg, q.BASIS_RL, dt)
+            with pytest.raises(ValueError, match="storage time 1e\\+308 us overflows"):
+                node.zeeman_phase(cfg, dt)
+
     def test_infinite_lifetime(self):
         cfg = node.NodeConfig(eta_r0=0.25)
         assert node.retrieval_efficiency(cfg, 1e6) == pytest.approx(0.25)
@@ -259,14 +269,35 @@ class TestNodeTerms:
         np.testing.assert_allclose(terms.born, born, rtol=0, atol=1e-15)
         for got, want in zip(terms.spins, spins):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
-        aged = node.storage_channel(cfg, node.entangled_pair_state(cfg), dt)
-        rot = np.einsum(
-            "ai,asbt,bj->isjt", basis.conj(), aged.matrix.reshape(2, 2, 2, 2), basis
-        )
-        np.testing.assert_array_equal(terms.pair, rot)
+
+        def reference_pair(dt_us):
+            aged = node.storage_channel(cfg, node.entangled_pair_state(cfg), dt_us)
+            return np.einsum(
+                "ai,asbt,bj->isjt", basis.conj(), aged.matrix.reshape(2, 2, 2, 2), basis
+            )
+
+        # M(dt) and the register channel round differently once dt > 0
+        np.testing.assert_allclose(terms.pair, reference_pair(dt), rtol=0, atol=1e-15)
+        fresh = node.node_terms(cfg, basis, 0.0)
+        np.testing.assert_array_equal(fresh.pair, reference_pair(0.0))
         assert terms.write_probabilities == node.write_probabilities(cfg)
         assert terms.eta == node.retrieval_efficiency(cfg, dt)
         assert terms.eta_dbl == pytest.approx(1.0 - (1.0 - terms.eta) ** 2, abs=0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scalar_delay_is_a_one_entry_array(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        cfg = random_node(rng)
+        basis = random_basis(rng)
+        dt = rng.uniform(0.0, 50.0)
+        scalar = node.node_terms(cfg, basis, dt)
+        row = node.node_terms(cfg, basis, np.array([dt]))
+        np.testing.assert_array_equal(scalar.pair, row.pair[0])
+        np.testing.assert_array_equal(scalar.born, row.born[0])
+        for got, want in zip(scalar.spins, row.spins):
+            np.testing.assert_array_equal(got, want[0])
+        assert scalar.write_probabilities == row.write_probabilities
+        assert scalar.eta == row.eta[0] and scalar.eta_dbl == row.eta_dbl[0]
 
     @pytest.mark.parametrize("weight", [0.0, 1.0])
     def test_impossible_outcome_leaves_spin_maximally_mixed(self, weight):

@@ -56,6 +56,12 @@ class TestLabelsAndStates:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             q.DensityMatrix(reg, np.array([[1.2, 0], [0, -0.2]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_refused_before_eigvalsh(self, bad):
+        m = np.array([[bad, 0.0], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="not finite"):
+            q.check_density(m)
+
     def test_big_endian_indexing(self):
         # |0>|1> must sit at index 0b01 = 1
         rho = pure(REG2, np.kron(q.KET_H, q.KET_UP))

@@ -793,6 +793,32 @@ class TestCli:
         )
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "scenario, override",
+        [
+            ("pair_tomography", {"read_delay_us": 1e308}),
+            ("ghz3", {"read_delay_us": 1e308}),
+            ("lifetime_sweep", {"scenario_params": {"delays_us": [0.0, 1.0, 2.0, 1e308]}}),
+        ],
+    )
+    def test_overflowing_storage_time_errors_once(self, scenario, override, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(paper_cfg(scenario=scenario, samples=100, **override).to_json())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["--config", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("memnet-sim: error: storage time 1e+308 us overflows")
+        assert err.count("\n") == 1
+
+    def test_too_many_samples_errors_once(self, capsys):
+        argv = ["--preset", "ideal", "--scenario", "pair_tomography", "--samples"]
+        assert cli.main([*argv, str(2**63)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("memnet-sim: error: samples must be")
+        assert err.count("\n") == 1
+
     def test_preset_run_writes_bundle(self, tmp_path):
         rc = cli.main(
             [
