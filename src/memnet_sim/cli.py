@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import config as cf
@@ -84,7 +83,7 @@ def main(argv=None) -> int:
             for path in written:
                 print(path)
         else:
-            print(json.dumps(report.payload(), sort_keys=True, indent=2, allow_nan=False))
+            print(h.report_json(report.payload()))
     except (OSError, ValueError, KeyError) as exc:
         print(f"memnet-sim: error: {exc}", file=sys.stderr)
         return 1

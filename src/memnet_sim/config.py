@@ -23,15 +23,6 @@ from .detection import DetectorConfig
 from .node import NodeConfig
 from .optics import Envelope
 
-SCENARIO_IDS = (
-    "pair_tomography",
-    "raman_delay_sweep",
-    "lifetime_sweep",
-    "two_node_swap",
-    "ghz6",
-    "ghz3",
-)
-
 NODE_ORDER = ("I", "II", "III")
 
 # scenario -> the scenario_params keys it takes
@@ -44,7 +35,22 @@ SCENARIO_PARAMS = {
     "ghz3": (),
 }
 
+SCENARIO_IDS = tuple(SCENARIO_PARAMS)
+
 SCHEMA_VERSION = 1
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """``math.isfinite``, false instead of an OverflowError for an integer
+    beyond the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -58,7 +64,7 @@ class TimingConfig:
     def __post_init__(self) -> None:
         for name in ("cycle_ms", "loading_ms", "memory_window_ms", "trial_us"):
             val = getattr(self, name)
-            if not (math.isfinite(val) and val > 0.0):
+            if not (_is_finite(val) and val > 0.0):
                 raise ValueError(f"{name} must be positive and finite, not {val}")
         if self.loading_ms + self.memory_window_ms > self.cycle_ms + 1e-9:
             raise ValueError("loading plus memory window exceeds the cycle")
@@ -115,7 +121,7 @@ class ExperimentConfig:
             )
         if not _is_int(self.workers) or self.workers < 1:
             raise ValueError(f"workers must be an integer >= 1, not {self.workers!r}")
-        if not (math.isfinite(self.read_delay_us) and self.read_delay_us >= 0.0):
+        if not (_is_finite(self.read_delay_us) and self.read_delay_us >= 0.0):
             raise ValueError(
                 f"read_delay_us must be non-negative and finite, not {self.read_delay_us}"
             )
@@ -162,7 +168,7 @@ class ExperimentConfig:
         _check_section("config", data, cls, extra=("schema_version",))
         version = data.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
-            raise ValueError(f"unsupported config schema version {version}")
+            raise ValueError(f"unsupported config schema version {version!r}")
         nodes = data.get("nodes")
         if not isinstance(nodes, list):
             raise ValueError(f"config key 'nodes' must be a list, not {nodes!r}")
@@ -199,10 +205,6 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 _INF_IF_NULL = ("tau_mem_us", "tau_vis_us")
 
 # JSON type each field annotation's leading type accepts; a bool is none
@@ -219,7 +221,7 @@ def _check_section(section: str, data, cls, extra=()) -> dict:
     ``cls`` (or ``extra``) and whose values have the fields' JSON types.
 
     A field annotated ``X | None`` also takes null; a lifetime takes null
-    as infinity.
+    as infinity.  A float field refuses an integer beyond the float range.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{section} must be a JSON object, not {data!r}")
@@ -241,6 +243,8 @@ def _check_section(section: str, data, cls, extra=()) -> dict:
             raise ValueError(
                 f"{section} key {f.name!r} must be {what}, not {value!r}"
             )
+        if kind == "float" and _is_int(value) and not _is_finite(value):
+            raise ValueError(f"{section} key {f.name!r} lies beyond the float range")
     return data
 
 
@@ -248,7 +252,7 @@ def _is_number(value, positive: bool = False) -> bool:
     return (
         isinstance(value, numbers.Real)
         and not isinstance(value, bool)
-        and math.isfinite(value)
+        and _is_finite(value)
         and (value > 0.0 or not positive)
     )
 
@@ -364,7 +368,7 @@ def _check_envelopes(envelopes: dict) -> None:
                 isinstance(val, bool)
                 or not isinstance(val, types[key])
                 or (key == "n" and val < 2)
-                or (isinstance(val, numbers.Real) and not math.isfinite(val))
+                or (isinstance(val, numbers.Real) and not _is_finite(val))
             ):
                 raise ValueError(f"{where} key {key!r} has a wrong type or value: {val!r}")
         if "shape" in spec:

@@ -20,7 +20,7 @@ than unit probability.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -223,14 +223,9 @@ def write_csv(path, header, rows) -> None:
         fh.write("\n".join([",".join(header), *lines]) + "\n")
 
 
-def write_coincidence_csv(path, tables) -> None:
-    """Write a ``(T, 9)`` field stack (``PairStack.fields``), one
-    CoincidenceTable or a list of them."""
-    if isinstance(tables, CoincidenceTable):
-        tables = [tables]
-    if not isinstance(tables, np.ndarray):
-        tables = [astuple(t) for t in tables]
-    write_csv(path, _FIELDS, tables)
+def write_coincidence_csv(path, fields: np.ndarray) -> None:
+    """Write a ``(T, 9)`` field stack (``PairStack.fields``)."""
+    write_csv(path, _FIELDS, fields)
 
 
 def read_coincidence_csv(path) -> list[CoincidenceTable]:

@@ -502,12 +502,15 @@ def conditional_success_estimate(
     return numerator / denom
 
 
+# trials per array pass of raw_trial_counts; the chunking fixes its draw order
+_RAW_CHUNK = 100_000
+
+
 def raw_trial_counts(
     cfg: ExperimentConfig,
     setting: SettingSpec,
     n_trials: int,
     rng: np.random.Generator,
-    chunk_size: int = 100_000,
 ) -> np.ndarray:
     """Brute-force unconditional trials; returns 64 six-fold pattern counts.
 
@@ -539,7 +542,7 @@ def raw_trial_counts(
     counts = np.zeros(_N_OUTCOMES, dtype=np.int64)
     remaining = n_trials
     while remaining > 0:
-        n = min(chunk_size, remaining)
+        n = min(_RAW_CHUNK, remaining)
         remaining -= n
         u = rng.random((n, 3))
         writes = (u > write_p[None, :, 0]).astype(np.int8) + (

@@ -9,7 +9,9 @@ Two contracts shape the code:
 * Determinism.  Each sampled table (a pair table or a heralded event
   table) draws all its counts with one multinomial from its own
   counter-based Philox stream, keyed by ``(master seed, table index)``;
-  table indices are allocated in a fixed code order.  A sum of independent
+  ``_TableStreams`` hands the streams out in the fixed order the runners
+  take them, and counts the streams and the draws that the report's meta
+  block records.  A sum of independent
   multinomials over one probability vector is itself that multinomial, so
   one draw per table has the statistics of any split into smaller draws.
   The report body is therefore a pure function of (config, seed); wall time
@@ -29,12 +31,10 @@ use ``cfg.samples`` raw trials per sweep point; pair_tomography uses
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import time
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,9 +47,6 @@ from . import node as nd
 from . import optics as op
 from . import quantum as q
 from . import witness as w
-
-# per-table random streams, see _table_streams
-_Streams = Iterator[np.random.Generator]
 
 # Spin analyzer bases, columns ordered so that channel 0 corresponds to the
 # read photon's R channel (up -> R, down -> L under retrieval). With this
@@ -75,9 +72,21 @@ def _table_rng(seed: int, table_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed + (table_index << 64)))
 
 
-def _table_streams(seed: int) -> _Streams:
-    """One stream per sampled table, indexed in the order tables take them."""
-    return (_table_rng(seed, index) for index in itertools.count())
+class _TableStreams:
+    """One stream per sampled table, indexed in the order tables take them;
+    counts the streams ``taken`` and the trials or heralded events ``draws``."""
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        self.taken = 0
+        self.draws = 0
+
+    def take(self, n: int) -> np.random.Generator:
+        """The next table's stream, for a table of ``n`` draws."""
+        rng = _table_rng(self.seed, self.taken)
+        self.taken += 1
+        self.draws += int(n)
+        return rng
 
 
 def curve_fit(*args, **kwargs):
@@ -95,7 +104,7 @@ def curve_fit(*args, **kwargs):
 
 
 def _record(telemetry: dict | None, stage_s: dict, **counters) -> None:
-    """Put a run's stage wall times and counters into ``telemetry``, if given."""
+    """Put a runner's stage wall times and own counters into ``telemetry``, if given."""
     if telemetry is not None:
         telemetry["stage_s"] = stage_s
         telemetry["counters"] = counters
@@ -184,10 +193,10 @@ def _pair_trial_distribution(
     return dist / total[..., None]
 
 
-def _sample_pairs(dists, n: int, streams: _Streams) -> det.PairStack:
+def _sample_pairs(dists, n: int, streams: _TableStreams) -> det.PairStack:
     """Analyze ``n`` trials of each distribution row, each drawn with one
     multinomial from the next stream."""
-    return det.pair_stack([next(streams).multinomial(n, dist) for dist in dists])
+    return det.pair_stack([streams.take(n).multinomial(n, dist) for dist in dists])
 
 
 # ---------------------------------------------------------------------------
@@ -227,26 +236,13 @@ def rate_arithmetic(
 # ---------------------------------------------------------------------------
 # Scenario runners. Each returns (body_dict, artifacts) where artifacts maps
 # a relative output path to a payload emit_report knows how to write.
-
-
-def _scenario_params(cfg: cf.ExperimentConfig) -> dict:
-    """The scenario's parameters, after rejecting keys it does not take;
-    the config has already checked each value."""
-    params = dict(cfg.scenario_params)
-    allowed = cf.SCENARIO_PARAMS[cfg.scenario]
-    unknown = set(params) - set(allowed)
-    if unknown:
-        raise ValueError(
-            f"unknown scenario_params {sorted(unknown)} for {cfg.scenario}; "
-            f"allowed: {sorted(allowed)}"
-        )
-    return params
+# run_scenario has checked the scenario_params keys before a runner starts.
 
 
 def _run_pair_tomography(
-    cfg: cf.ExperimentConfig, streams: _Streams, telemetry: dict | None = None
+    cfg: cf.ExperimentConfig, streams: _TableStreams, telemetry: dict | None = None
 ):
-    params = _scenario_params(cfg)
+    params = cfg.scenario_params
     node_cfg = cfg.node(params.get("node", "I"))
     dt = cfg.read_delay_us
     theta = nd.zeeman_phase(node_cfg, dt)
@@ -261,12 +257,7 @@ def _run_pair_tomography(
         for wb, rb in bases.values()
     ]
     pairs = _sample_pairs(dists, cfg.samples, streams)
-    _record(
-        telemetry,
-        {"tables": time.perf_counter() - started},
-        rng_streams=len(dists),
-        draws=len(dists) * cfg.samples,
-    )
+    _record(telemetry, {"tables": time.perf_counter() - started})
 
     body_tables, visibilities = {}, {}
     for i, (name, fields) in enumerate(zip(bases, pairs.fields.tolist())):
@@ -303,9 +294,9 @@ def _run_pair_tomography(
 
 
 def _run_raman_delay_sweep(
-    cfg: cf.ExperimentConfig, streams: _Streams, telemetry: dict | None = None
+    cfg: cf.ExperimentConfig, streams: _TableStreams, telemetry: dict | None = None
 ):
-    params = _scenario_params(cfg)
+    params = cfg.scenario_params
     node_cfg = cfg.node(params.get("node", "I"))
     period = node_cfg.zeeman_period_us
     delays = np.asarray(
@@ -329,10 +320,10 @@ def _run_raman_delay_sweep(
 
     built = time.perf_counter()
     ncop = points[:, 1]
-    tau_vis = node_cfg.tau_vis_us
+    # the fit evaluates the model at the delays only
+    envelope = nd.memory_coherence(node_cfg, delays)
 
     def model(t, amp, period_fit, phase, floor):
-        envelope = np.exp(-t / tau_vis) if math.isfinite(tau_vis) else 1.0
         return amp * envelope * np.cos(2.0 * np.pi * t / period_fit + phase) + floor
 
     p0 = [0.5 * (ncop.max() - ncop.min()), period, 0.0, float(ncop.mean())]
@@ -358,12 +349,7 @@ def _run_raman_delay_sweep(
             phase_rad=float(popt[2]),
             floor=float(popt[3]),
         )
-    _record(
-        telemetry,
-        {"tables": built - started, "fit": time.perf_counter() - built},
-        rng_streams=len(dists),
-        draws=len(dists) * cfg.samples,
-    )
+    _record(telemetry, {"tables": built - started, "fit": time.perf_counter() - built})
 
     body = {
         "node": node_cfg.node_id,
@@ -379,9 +365,9 @@ def _run_raman_delay_sweep(
 
 
 def _run_lifetime_sweep(
-    cfg: cf.ExperimentConfig, streams: _Streams, telemetry: dict | None = None
+    cfg: cf.ExperimentConfig, streams: _TableStreams, telemetry: dict | None = None
 ):
-    params = _scenario_params(cfg)
+    params = cfg.scenario_params
     node_cfg = cfg.node(params.get("node", "I"))
     period = node_cfg.zeeman_period_us
     delays = np.asarray(
@@ -418,9 +404,7 @@ def _run_lifetime_sweep(
     # single-parameter amplitude fit of the visibility envelope; the decay
     # constant is the calibrated tau_vis of the node
     tau_vis = node_cfg.tau_vis_us
-    decay = (
-        np.exp(-delays / tau_vis) if math.isfinite(tau_vis) else np.ones_like(delays)
-    )
+    decay = nd.memory_coherence(node_cfg, delays)
     v_arr = points[:, 4]
     n_coinc = np.maximum(points[:, 7], 1.0)
     # each point's binomial variance (1 - v^2) / n at the model value
@@ -445,12 +429,7 @@ def _run_lifetime_sweep(
     else:
         crossing = None
         crossing_sigma = None
-    _record(
-        telemetry,
-        {"tables": built - started, "fit": time.perf_counter() - built},
-        rng_streams=len(dists),
-        draws=len(dists) * cfg.samples,
-    )
+    _record(telemetry, {"tables": built - started, "fit": time.perf_counter() - built})
 
     body = {
         "node": node_cfg.node_id,
@@ -513,9 +492,9 @@ def _fit_lifetime(t_arr, eta_arr, n_writes):
 
 
 def _run_two_node_swap(
-    cfg: cf.ExperimentConfig, streams: _Streams, telemetry: dict | None = None
+    cfg: cf.ExperimentConfig, streams: _TableStreams, telemetry: dict | None = None
 ):
-    params = _scenario_params(cfg)
+    params = cfg.scenario_params
     node_cfg = cfg.node("I")
     dw0 = 2.0 * math.pi / node_cfg.zeeman_period_us
     dws = np.asarray(
@@ -529,29 +508,26 @@ def _run_two_node_swap(
     )
     point_width = float(params.get("point_width_us", 0.05))
 
-    def envelopes(width: float):
-        f = op.Envelope.gaussian(0.0, width)
-        return f, f
-
+    # both nodes emit the same Gaussian mode
     started = time.perf_counter()
-    f, g = envelopes(point_width)
+    f = op.Envelope.gaussian(0.0, point_width)
     point = {
         "delta_omega_rad_per_us": dw0,
         "width_us": point_width,
-        "fidelity_flip": op.averaged_swap_fidelity(True, f, g, dw0),
-        "fidelity_noflip": op.averaged_swap_fidelity(False, f, g, dw0),
+        "fidelity_flip": op.averaged_swap_fidelity(True, f, f, dw0),
+        "fidelity_noflip": op.averaged_swap_fidelity(False, f, f, dw0),
     }
 
     grid_rows = []
     for width in widths:
-        f, g = envelopes(float(width))
+        f = op.Envelope.gaussian(0.0, float(width))
         for dw in dws:
             grid_rows.append(
                 [
                     float(dw),
                     float(width),
-                    op.averaged_swap_fidelity(True, f, g, float(dw)),
-                    op.averaged_swap_fidelity(False, f, g, float(dw)),
+                    op.averaged_swap_fidelity(True, f, f, float(dw)),
+                    op.averaged_swap_fidelity(False, f, f, float(dw)),
                 ]
             )
 
@@ -559,8 +535,6 @@ def _run_two_node_swap(
     _record(
         telemetry,
         {"integrals": time.perf_counter() - started},
-        rng_streams=0,
-        draws=0,
         integrals=2 * (1 + len(grid_rows)),  # flip and no-flip per point
     )
     flips = np.array([r[2] for r in grid_rows])
@@ -579,9 +553,9 @@ def _run_two_node_swap(
     return body, artifacts
 
 
-def _sample_event_tables(cfg, tables, streams: _Streams) -> list[np.ndarray]:
+def _sample_event_tables(cfg, tables, streams: _TableStreams) -> list[np.ndarray]:
     budgets = _split_budget(cfg.samples, len(tables))
-    return [table.sample(n, next(streams)) for table, n in zip(tables, budgets)]
+    return [table.sample(n, streams.take(n)) for table, n in zip(tables, budgets)]
 
 
 def _memory_marginal(counts: np.ndarray) -> np.ndarray:
@@ -591,7 +565,7 @@ def _memory_marginal(counts: np.ndarray) -> np.ndarray:
 
 def _run_ghz(
     cfg: cf.ExperimentConfig,
-    streams: _Streams,
+    streams: _TableStreams,
     spec: w.GhzSpec,
     make_settings,
     reducer=None,
@@ -602,9 +576,9 @@ def _run_ghz(
     ``make_settings`` builds the witness settings.  ``reducer`` maps each
     setting's 64 pattern counts onto the qubits of ``spec``; when it drops
     the station ports (ghz3), their herald patterns are reported as well.
-    ``telemetry``, when given, receives the stage wall times and counters.
+    ``telemetry``, when given, receives the stage wall times and the
+    event-class count.
     """
-    _scenario_params(cfg)
     weights = w.weight_array(spec, cfg.calibration_weights)
     settings = make_settings()
     started = time.perf_counter()
@@ -661,8 +635,6 @@ def _run_ghz(
             "estimate": time.perf_counter() - sampled_at,
         },
         event_classes=sum(t.probabilities.size for t in tables),
-        rng_streams=len(counts),
-        draws=int(sum(arr.sum() for arr in counts)),
     )
     artifacts = {f"counts/{cfg.scenario}_settings.csv": ("settings", setting_counts)}
     if reducer is not None:
@@ -706,8 +678,8 @@ class RunReport:
     ``tables`` plus ``fit`` for the pair scenarios (the first fit of a
     process includes loading scipy), ``integrals`` for two_node_swap, and
     ``table_build``, ``sampling`` and ``estimate`` for ghz6/ghz3;
-    ``counters.rng_streams`` counts the streams drawn, ``counters.draws``
-    the trials or heralded events drawn from them, ghz6/ghz3 add
+    ``counters.rng_streams`` and ``counters.draws`` are the run's
+    ``_TableStreams`` counts, ghz6/ghz3 add
     ``counters.event_classes`` and two_node_swap ``counters.integrals``,
     the swap integrals it evaluated.
     ``artifacts`` maps relative output paths to payloads for ``emit_report``.
@@ -720,7 +692,7 @@ class RunReport:
     artifacts: dict = field(default_factory=dict, repr=False)
 
     def body_json(self) -> str:
-        return json.dumps(self.body, sort_keys=True, indent=2, allow_nan=False)
+        return report_json(self.body)
 
     def payload(self) -> dict:
         """The report as report.json and stdout carry it."""
@@ -740,13 +712,18 @@ def run_scenario(cfg: cf.ExperimentConfig) -> RunReport:
     number of heralded events, split round-robin over witness settings;
     sweep scenarios use it per sweep point and pair_tomography per basis.
     """
-    if cfg.scenario not in _RUNNERS:
-        raise ValueError(f"unknown scenario {cfg.scenario!r}")
+    allowed = cf.SCENARIO_PARAMS[cfg.scenario]
+    unknown = set(cfg.scenario_params) - set(allowed)
+    if unknown:
+        raise ValueError(
+            f"unknown scenario_params {sorted(unknown)} for {cfg.scenario}; "
+            f"allowed: {sorted(allowed)}"
+        )
     started = time.perf_counter()
+    streams = _TableStreams(cfg.seed)
     telemetry: dict = {}  # the runner's stage times and counters
-    body, artifacts = _RUNNERS[cfg.scenario](
-        cfg, _table_streams(cfg.seed), telemetry=telemetry
-    )
+    body, artifacts = _RUNNERS[cfg.scenario](cfg, streams, telemetry=telemetry)
+    telemetry["counters"].update(rng_streams=streams.taken, draws=streams.draws)
 
     config_echo = cfg.to_dict()
     # execution details must not influence the deterministic body
@@ -774,13 +751,19 @@ def run_scenario(cfg: cf.ExperimentConfig) -> RunReport:
     )
 
 
+def report_json(obj) -> str:
+    """A report or report body as JSON text: sorted keys, two-space indent,
+    and no NaN or infinity."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
 def emit_report(report: RunReport, out_dir) -> list[str]:
     """Write report.json plus the scenario's counts/ and sweeps/ CSV files."""
     from pathlib import Path
 
     # serialized whole before any file opens: a value JSON cannot hold
     # raises here and leaves no truncated report.json behind
-    text = json.dumps(report.payload(), sort_keys=True, indent=2, allow_nan=False)
+    text = report_json(report.payload())
     out = Path(out_dir)
     paths = [out / rel for rel in report.artifacts]
     for folder in dict.fromkeys([out, *(path.parent for path in paths)]):

@@ -161,26 +161,20 @@ class Envelope:
         detuned by ``+delta_omega`` relative to ``other``; its modulus never
         exceeds one.
         """
-        if self.shares_grid(other):
-            t = self.times_us
-            a, b = self.values, other.values
-        else:
-            t = np.union1d(self.times_us, other.times_us)
-            a, b = self.values_at(t), other.values_at(t)
+        t, _, a, b = _common_grid(self, other)
         integrand = np.conj(b) * a * np.exp(1j * delta_omega_rad_per_us * t)
         return complex(np.trapezoid(integrand, t))
 
     @classmethod
-    def gaussian(
-        cls, center_us: float, width_us: float, n: int = 512, span_widths: float = 4.0
-    ) -> "Envelope":
-        """Gaussian intensity profile with standard deviation ``width_us``."""
+    def gaussian(cls, center_us: float, width_us: float, n: int = 512) -> "Envelope":
+        """Gaussian intensity profile with standard deviation ``width_us``,
+        sampled over four widths on each side of its center."""
         if width_us <= 0.0:
             raise ValueError("width_us must be positive")
         try:
             with np.errstate(over="raise", invalid="raise"):
-                start = center_us - span_widths * width_us
-                step = 2.0 * span_widths * width_us / (n - 1)
+                start = center_us - 4.0 * width_us
+                step = 8.0 * width_us / (n - 1)
                 t = start + step * np.arange(n)
                 amp = np.exp(-((t - center_us) ** 2) / (4.0 * width_us**2))
         except (OverflowError, FloatingPointError):
@@ -197,13 +191,12 @@ class Envelope:
         return cls(start_us, step, np.ones(n))
 
     @classmethod
-    def exponential_decay(
-        cls, start_us: float, tau_us: float, n: int = 512, span_taus: float = 8.0
-    ) -> "Envelope":
-        """One-sided decay with intensity lifetime ``tau_us``."""
+    def exponential_decay(cls, start_us: float, tau_us: float, n: int = 512) -> "Envelope":
+        """One-sided decay with intensity lifetime ``tau_us``, sampled over
+        eight lifetimes."""
         if tau_us <= 0.0:
             raise ValueError("tau_us must be positive")
-        step = span_taus * tau_us / (n - 1)
+        step = 8.0 * tau_us / (n - 1)
         t = step * np.arange(n)
         return cls(start_us, step, np.exp(-t / (2.0 * tau_us)))
 
@@ -233,6 +226,17 @@ def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
     w[:-1] += half_steps
     w[1:] += half_steps
     return w
+
+
+def _common_grid(f: Envelope, g: Envelope):
+    """Grid times, trapezoidal weights and the amplitudes of ``f`` and ``g``
+    on one grid: their own, with its cached weights, when they share it;
+    else the union of both grids, with both interpolated onto it."""
+    if f.shares_grid(g):
+        return f.times_us, f.trapezoid_weights, f.values, g.values
+    t = np.union1d(f.times_us, g.times_us)
+    # trapezoidal weights also hold on a non-uniform union grid
+    return t, _trapezoid_weights(t), f.values_at(t), g.values_at(t)
 
 
 def _branch_coherence(envelopes, delta_omega_rad_per_us: float) -> complex:
@@ -337,11 +341,7 @@ def connect_three(
 
 
 def averaged_swap_fidelity(
-    flip: bool,
-    f: Envelope,
-    g: Envelope,
-    delta_omega_rad_per_us: float,
-    branch: int = 1,
+    flip: bool, f: Envelope, g: Envelope, delta_omega_rad_per_us: float
 ) -> float:
     """Bell fidelity after averaging the herald over detection times.
 
@@ -349,11 +349,11 @@ def averaged_swap_fidelity(
     density on a grid ``t`` (trapezoidal rule in both times) and evaluates
     the result against the ideal Bell state of the respective setting.  In
     the flip setting the conditional amplitude is ``fa(t1) ga(t2)`` on
-    ``|01>`` and ``branch`` times that on ``|10>``: time independent, so
-    the average stays at fidelity one.  Without the
-    flip it is ``fa(t1) fa(t2)`` on ``|00>`` and ``branch ga(t1) ga(t2)``
-    on ``|11>``, where ``ga`` carries the beat ``exp(-i dw t)``: the
-    detection time pair dephases the herald and the average drops.
+    both ``|01>`` and ``|10>``: time independent, so the average stays at
+    fidelity one.  Without the flip it is ``fa(t1) fa(t2)`` on ``|00>`` and
+    ``ga(t1) ga(t2)`` on ``|11>``, where ``ga`` carries the beat
+    ``exp(-i dw t)``: the detection time pair dephases the herald and the
+    average drops.
 
     On a tensor grid the 2-D trapezoidal rule of an integrand sampled as
     the matrix ``M`` is ``w^T M w``, with ``w`` the 1-D trapezoidal weights
@@ -368,26 +368,17 @@ def averaged_swap_fidelity(
     weights, so a call computes only the beat and the three sums; otherwise
     both are interpolated onto the union of their grids.
 
-    ``branch`` (+1 or -1) is the sign of the target Bell state.  It
-    cancels: the target and the conditional amplitude both carry it, so
-    every term holds ``branch * conj(branch) = 1``.
+    The target Bell state is taken with a + sign.  The other sign cancels:
+    the target and the conditional amplitude both carry it, so every term
+    holds ``sign * conj(sign) = 1``.
     """
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    if f.shares_grid(g):
-        t, w = f.times_us, f.trapezoid_weights
-        fa, ga = f.values, g.values
-    else:
-        t = np.union1d(f.times_us, g.times_us)
-        # trapezoidal weights also hold on a non-uniform union grid
-        w = _trapezoid_weights(t)
-        fa, ga = f.values_at(t), g.values_at(t)
+    t, w, fa, ga = _common_grid(f, g)
     ga = ga * np.exp(-1j * delta_omega_rad_per_us * t)
 
     norm_f = float(np.sum(w * np.abs(fa) ** 2))  # A
     norm_g = float(np.sum(w * np.abs(ga) ** 2))  # G
     if flip:
-        # numerator |1 + branch^2|^2 / 2 * A G, density (1 + branch^2) A G
+        # numerator |1 + 1|^2 / 2 * A G, density 2 A G
         numerator = density = 2.0 * norm_f * norm_g
     else:
         cross = complex(np.sum(w * np.conj(fa) * ga))  # C

@@ -17,12 +17,20 @@ changed; name each moved key and its largest change in CHANGES.md.
 With ``--check`` it prints the same lines, writes nothing, and exits 1 if
 anything moved, 0 if every body and CSV matches: the one-command check of
 a change that means to leave every report byte-identical.
+
+With ``--digest`` it writes nothing and prints one SHA-256 per bundle,
+over the body, every CSV and ``meta.counters``, for every scenario at the
+``paper`` and ``ideal`` presets, seeds 0-2, at the sample budgets of
+``perfbench/workloads.py``.  Run it on both sides of a change and diff:
+
+    PYTHONPATH=src python tests/golden/regen.py --digest > after.txt
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import sys
 import tempfile
@@ -48,12 +56,13 @@ SAMPLES = {
 }
 
 
-def golden_run(scenario: str, out_dir) -> tuple[str, dict[str, str]]:
-    """The scenario's ``body_json()`` and the SHA-256 of each CSV it emits,
-    keyed by the CSV's path relative to ``out_dir``."""
-    cfg = cf.preset("paper").with_overrides(
-        scenario=scenario, seed=SEED, samples=SAMPLES[scenario]
-    )
+DIGEST_PRESETS = ("paper", "ideal")
+DIGEST_SEEDS = (0, 1, 2)
+
+
+def run_bundle(cfg: cf.ExperimentConfig, out_dir) -> tuple[h.RunReport, dict[str, str]]:
+    """Run ``cfg`` and emit its bundle into ``out_dir``; return the report and
+    the SHA-256 of each CSV, keyed by the CSV's path relative to ``out_dir``."""
     report = h.run_scenario(cfg)
     out = Path(out_dir)
     digests = {}
@@ -61,7 +70,51 @@ def golden_run(scenario: str, out_dir) -> tuple[str, dict[str, str]]:
         rel = Path(path).relative_to(out).as_posix()
         if rel != "report.json":
             digests[rel] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return report, digests
+
+
+def golden_run(scenario: str, out_dir) -> tuple[str, dict[str, str]]:
+    """The scenario's ``body_json()`` and the SHA-256 of each CSV it emits,
+    keyed by the CSV's path relative to ``out_dir``."""
+    cfg = cf.preset("paper").with_overrides(
+        scenario=scenario, seed=SEED, samples=SAMPLES[scenario]
+    )
+    report, digests = run_bundle(cfg, out_dir)
     return report.body_json(), digests
+
+
+def workload_samples() -> dict[str, int | None]:
+    """Each scenario's sample budget in the benchmark's workloads; None
+    keeps the preset's."""
+    path = GOLDEN_DIR.parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {s.scenario: s.samples for wl in module.WORKLOADS.values() for s in wl.scenarios}
+
+
+def bundle_digest(cfg: cf.ExperimentConfig, out_dir) -> str:
+    """One SHA-256 over the body, each CSV and ``meta.counters`` of a run."""
+    report, digests = run_bundle(cfg, out_dir)
+    parts = (
+        report.body_json(),
+        json.dumps(digests, sort_keys=True),
+        json.dumps(report.meta["counters"], sort_keys=True),
+    )
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def print_digests() -> None:
+    samples = workload_samples()
+    with tempfile.TemporaryDirectory() as tmp:
+        for preset in DIGEST_PRESETS:
+            for scenario in SAMPLES:
+                for seed in DIGEST_SEEDS:
+                    cfg = cf.preset(preset).with_overrides(scenario=scenario, seed=seed)
+                    if samples[scenario] is not None:
+                        cfg = cfg.with_overrides(samples=samples[scenario])
+                    out = Path(tmp) / f"{preset}-{scenario}-{seed}"
+                    print(f"{preset} {scenario} seed {seed} {bundle_digest(cfg, out)}")
 
 
 def differences(old, new, path="body"):
@@ -108,10 +161,18 @@ def report_moves(scenario: str, body: str, digests: dict[str, str], manifest) ->
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Regenerate the golden report bodies.")
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--check", action="store_true", help="print what moved, write nothing, exit 1 if anything did"
     )
-    check = parser.parse_args(argv).check
+    mode.add_argument(
+        "--digest", action="store_true", help="print one SHA-256 per bundle, write nothing"
+    )
+    args = parser.parse_args(argv)
+    if args.digest:
+        print_digests()
+        return 0
+    check = args.check
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8")) if MANIFEST.exists() else {}
     runs, moved = {}, 0
     with tempfile.TemporaryDirectory() as tmp:

@@ -152,6 +152,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="schema"):
             cf.ExperimentConfig.from_dict(d)
 
+    def test_schema_version_string_is_shown_as_a_string(self):
+        d = cf.ExperimentConfig().to_dict()
+        d["schema_version"] = "1"
+        with pytest.raises(ValueError) as err:
+            cf.ExperimentConfig.from_dict(d)
+        assert str(err.value) == "unsupported config schema version '1'"
+
     @pytest.mark.parametrize("section", ["detector", "timing"])
     def test_unknown_section_key_named(self, section):
         d = cf.ExperimentConfig().to_dict()

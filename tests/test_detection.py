@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -264,16 +265,10 @@ class TestCsv:
             det.CoincidenceTable(n_RL=0.25, n_woR=1, n_roL=1, N=8),
         ]
         path = tmp_path / "pair.csv"
-        det.write_coincidence_csv(path, tables)
+        det.write_coincidence_csv(path, np.array([astuple(t) for t in tables]))
         assert path.read_text().splitlines()[0] == det.CSV_HEADER
         back = det.read_coincidence_csv(path)
         assert back == tables
-
-    def test_single_table_convenience(self, tmp_path):
-        t = det.CoincidenceTable(n_RL=3, n_woR=3, n_roL=3, N=10)
-        path = tmp_path / "one.csv"
-        det.write_coincidence_csv(path, t)
-        assert det.read_coincidence_csv(path) == [t]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -392,7 +387,8 @@ class TestCsvNumbers:
         counts = np.concatenate(pair_count_stacks())
         pairs = det.pair_stack(counts)
         det.write_coincidence_csv(tmp_path / "stack.csv", pairs.fields)
-        det.write_coincidence_csv(tmp_path / "tables.csv", [scalar_table(c) for c in counts])
+        tables = np.array([astuple(scalar_table(c)) for c in counts])
+        det.write_coincidence_csv(tmp_path / "tables.csv", tables)
         stack = (tmp_path / "stack.csv").read_bytes()
         assert stack == (tmp_path / "tables.csv").read_bytes()
         assert det.read_coincidence_csv(tmp_path / "stack.csv") == [

@@ -1,10 +1,13 @@
 """Node model: write statistics, pair state, storage evolution, retrieval."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from memnet_sim import config, harness, node, optics
 from memnet_sim import quantum as q
@@ -152,6 +155,15 @@ class TestStorageAndRetrieval:
         cfg = node.NodeConfig(eta_r0=0.25)
         assert node.retrieval_efficiency(cfg, 1e6) == pytest.approx(0.25)
         assert node.memory_coherence(cfg, 1e6) == pytest.approx(1.0)
+
+    @given(st.floats(min_value=0.0, allow_infinity=False))
+    @example(0.0)
+    @example(sys.float_info.max)
+    def test_infinite_coherence_time_keeps_coherence_exactly(self, dt):
+        # the ideal preset's Raman and lifetime fits rely on this identity
+        cfg = node.NodeConfig(tau_vis_us=math.inf)
+        assert node.memory_coherence(cfg, dt) == 1.0
+        np.testing.assert_array_equal(node.memory_coherence(cfg, [0.0, dt]), 1.0)
 
     def test_storage_matches_aged_creation(self):
         # evolving a fresh pair must equal the pure pair created with the

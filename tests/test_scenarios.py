@@ -38,6 +38,8 @@ def strict_json(text):
 
 
 GAUSSIAN = {"shape": "gaussian", "center_us": 0.0, "width_us": 0.05}
+# a JSON integer beyond the float range
+HUGE = 10**400
 
 # the stages each scenario times in report.meta
 TELEMETRY_STAGES = {
@@ -171,8 +173,9 @@ class TestDeterminism:
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_tables_get_distinct_streams(self):
-        streams = h._table_streams(7)
-        draws = [next(streams).random(4) for _ in range(3)]
+        streams = h._TableStreams(7)
+        draws = [streams.take(5).random(4) for _ in range(3)]
+        assert (streams.taken, streams.draws) == (3, 15)
         np.testing.assert_array_equal(draws[1], h._table_rng(7, 1).random(4))
         assert not np.array_equal(draws[0], draws[1])
         assert not np.array_equal(draws[1], draws[2])
@@ -496,7 +499,7 @@ class TestGhzScenarios:
         runner = h._RUNNERS["ghz3"].func
         body, _ = runner(
             paper_cfg(scenario="ghz3", samples=3),
-            h._table_streams(0),
+            h._TableStreams(0),
             spec=ev.GHZ3_SPEC,
             make_settings=lambda: ev.ghz3_settings()[::-1],
             reducer=h._memory_marginal,
@@ -550,7 +553,7 @@ class TestGhzScenarios:
         report = h.run_scenario(cfg)
         n_streams, n_draws, n_integrals = len(streams), sum(draws), len(integrals)
         # the runner alone, without the telemetry path, gives the same body
-        body, _ = h._RUNNERS[scenario](cfg, h._table_streams(cfg.seed))
+        body, _ = h._RUNNERS[scenario](cfg, h._TableStreams(cfg.seed))
         plain = h.RunReport(
             scenario, cfg.seed, {**report.body, **h._plain(body)}, meta={}
         )
@@ -1129,6 +1132,36 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"memnet-sim: error: {message}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (set_key(("read_delay_us",), HUGE), "read_delay_us"),
+            (set_key(("calibration_weights",), {"population": HUGE}), "population"),
+            (set_key(("nodes", 0, "zeeman_period_us"), HUGE), "zeeman_period_us"),
+            (set_key(("nodes", 1, "tau_mem_us"), HUGE), "tau_mem_us"),
+            (set_key(("nodes", 2, "tau_vis_us"), HUGE), "tau_vis_us"),
+            (set_key(("nodes", 0, "phi0"), HUGE), "phi0"),
+            (set_key(("timing", "trial_us"), HUGE), "trial_us"),
+            (set_key(("timing", "cycle_ms"), HUGE), "cycle_ms"),
+            (raman_params({"delays_us": [0.0, 1.0, 2.0, 3.0, HUGE]}), "delays_us"),
+            (swap_params({"width_us": [0.05, HUGE]}), "width_us"),
+            (swap_params({"delta_omega_rad_per_us": [1.0, HUGE]}), "delta_omega_rad_per_us"),
+            (swap_params({"point_width_us": HUGE}), "point_width_us"),
+            (envelope_for_node_i({**GAUSSIAN, "center_us": HUGE}), "center_us"),
+            (envelope_for_node_i({**GAUSSIAN, "n": HUGE}), "n"),
+        ],
+    )
+    def test_integer_beyond_float_range_errors_once(self, edit, key, tmp_path, capsys):
+        data = edit(paper_cfg(scenario="two_node_swap").to_dict())
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        rc = cli.main(["--config", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("memnet-sim: error: ")
+        assert f"'{key}'" in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
