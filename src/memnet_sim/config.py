@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from .detection import DetectorConfig
 from .node import NodeConfig
 from .optics import Envelope
+from .quantum import is_finite
 
 NODE_ORDER = ("I", "II", "III")
 
@@ -44,15 +45,6 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _is_finite(value) -> bool:
-    """``math.isfinite``, false instead of an OverflowError for an integer
-    beyond the float range."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 @dataclass(frozen=True)
 class TimingConfig:
     cycle_ms: float = 21.0
@@ -64,7 +56,7 @@ class TimingConfig:
     def __post_init__(self) -> None:
         for name in ("cycle_ms", "loading_ms", "memory_window_ms", "trial_us"):
             val = getattr(self, name)
-            if not (_is_finite(val) and val > 0.0):
+            if not (is_finite(val) and val > 0.0):
                 raise ValueError(f"{name} must be positive and finite, not {val}")
         if self.loading_ms + self.memory_window_ms > self.cycle_ms + 1e-9:
             raise ValueError("loading plus memory window exceeds the cycle")
@@ -121,7 +113,7 @@ class ExperimentConfig:
             )
         if not _is_int(self.workers) or self.workers < 1:
             raise ValueError(f"workers must be an integer >= 1, not {self.workers!r}")
-        if not (_is_finite(self.read_delay_us) and self.read_delay_us >= 0.0):
+        if not (is_finite(self.read_delay_us) and self.read_delay_us >= 0.0):
             raise ValueError(
                 f"read_delay_us must be non-negative and finite, not {self.read_delay_us}"
             )
@@ -243,7 +235,7 @@ def _check_section(section: str, data, cls, extra=()) -> dict:
             raise ValueError(
                 f"{section} key {f.name!r} must be {what}, not {value!r}"
             )
-        if kind == "float" and _is_int(value) and not _is_finite(value):
+        if kind == "float" and _is_int(value) and not is_finite(value):
             raise ValueError(f"{section} key {f.name!r} lies beyond the float range")
     return data
 
@@ -252,7 +244,7 @@ def _is_number(value, positive: bool = False) -> bool:
     return (
         isinstance(value, numbers.Real)
         and not isinstance(value, bool)
-        and _is_finite(value)
+        and is_finite(value)
         and (value > 0.0 or not positive)
     )
 
@@ -309,6 +301,11 @@ def _check_scenario_params(params) -> None:
             if not valid(value):
                 raise ValueError(f"scenario_params key {key!r} must be {what}, not {value!r}")
 
+
+# largest sample count of a named envelope: 2048 times the default 512, far
+# finer than any mode here needs, and each envelope is built at load, so a
+# larger count would allocate its whole grid (16 bytes a sample) there
+MAX_ENVELOPE_SAMPLES = 2**20
 
 # envelope shape -> (constructor, the spec keys it takes in argument order)
 _ENVELOPE_SHAPES = {
@@ -368,9 +365,11 @@ def _check_envelopes(envelopes: dict) -> None:
                 isinstance(val, bool)
                 or not isinstance(val, types[key])
                 or (key == "n" and val < 2)
-                or (isinstance(val, numbers.Real) and not _is_finite(val))
+                or (isinstance(val, numbers.Real) and not is_finite(val))
             ):
                 raise ValueError(f"{where} key {key!r} has a wrong type or value: {val!r}")
+            if key == "n" and val > MAX_ENVELOPE_SAMPLES:
+                raise ValueError(f"{where} key 'n' exceeds {MAX_ENVELOPE_SAMPLES} samples: {val}")
         if "shape" in spec:
             try:
                 envelope_from_spec(spec)

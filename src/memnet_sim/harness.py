@@ -103,13 +103,6 @@ def curve_fit(*args, **kwargs):
         return scipy_curve_fit(*args, **kwargs)
 
 
-def _record(telemetry: dict | None, stage_s: dict, **counters) -> None:
-    """Put a runner's stage wall times and own counters into ``telemetry``, if given."""
-    if telemetry is not None:
-        telemetry["stage_s"] = stage_s
-        telemetry["counters"] = counters
-
-
 def _split_budget(n: int, k: int) -> list[int]:
     base, rest = divmod(int(n), k)
     return [base + (1 if i < rest else 0) for i in range(k)]
@@ -174,11 +167,9 @@ def _pair_trial_distribution(
     clean, spoiled = nd.readout(terms, read_basis)
     for ch in (0, 1):
         cases.append((p_sng * terms.born[..., ch], write_fires[ch], clicks(clean[..., ch, :, :])))
-
-    if p_dbl > 0.0:
-        read_dbl = clicks(spoiled)
-        for ch in (0, 1):
-            cases.append((p_dbl * 0.5, write_fires[ch], read_dbl))
+    read_dbl = clicks(spoiled)  # a zero weight adds exact zeros
+    for ch in (0, 1):
+        cases.append((p_dbl * 0.5, write_fires[ch], read_dbl))
 
     rows = np.shape(dt_us)
     dist = np.zeros(rows + (2, 2, 2, 2))
@@ -234,31 +225,34 @@ def rate_arithmetic(
 
 
 # ---------------------------------------------------------------------------
-# Scenario runners. Each returns (body_dict, artifacts) where artifacts maps
-# a relative output path to a payload emit_report knows how to write.
+# Scenario runners. Each takes the config and the run's table streams and
+# returns (body, artifacts, stage_s, counters): artifacts maps a relative
+# output path to a payload emit_report knows how to write, stage_s the
+# runner's stage wall times and counters its own counts beyond the streams.
 # run_scenario has checked the scenario_params keys before a runner starts.
 
 
-def _run_pair_tomography(
-    cfg: cf.ExperimentConfig, streams: _TableStreams, telemetry: dict | None = None
-):
-    params = cfg.scenario_params
-    node_cfg = cfg.node(params.get("node", "I"))
-    dt = cfg.read_delay_us
-    theta = nd.zeeman_phase(node_cfg, dt)
+def _sample_eigen_super(
+    cfg: cf.ExperimentConfig, node_cfg: nd.NodeConfig, delays: np.ndarray, streams: _TableStreams
+) -> det.PairStack:
+    """The two-basis pair tables at each delay: eigen (rows ``0::2``), write
+    photon and spin read in R/L, then super (rows ``1::2``), write photon in
+    H/V and the spin on the equator at that delay's Zeeman phase; the two
+    tables of a delay take consecutive streams."""
+    dists_e = _pair_trial_distribution(node_cfg, cfg.detector, q.BASIS_RL, _SPIN_RL, delays)
+    super_bases = _spin_super_basis(nd.zeeman_phase(node_cfg, delays))
+    dists_s = _pair_trial_distribution(node_cfg, cfg.detector, q.BASIS_Z, super_bases, delays)
+    dists = np.stack([dists_e, dists_s], axis=1).reshape(-1, 16)
+    return _sample_pairs(dists, cfg.samples, streams)
 
-    bases = {
-        "eigen": (q.BASIS_RL, _SPIN_RL),
-        "super": (q.BASIS_Z, _spin_super_basis(theta)),
-    }
+
+def _run_pair_tomography(cfg: cf.ExperimentConfig, streams: _TableStreams):
+    node_cfg = cfg.node(cfg.scenario_params.get("node", "I"))
     started = time.perf_counter()
-    dists = [
-        _pair_trial_distribution(node_cfg, cfg.detector, wb, rb, dt)
-        for wb, rb in bases.values()
-    ]
-    pairs = _sample_pairs(dists, cfg.samples, streams)
-    _record(telemetry, {"tables": time.perf_counter() - started})
+    pairs = _sample_eigen_super(cfg, node_cfg, np.array([cfg.read_delay_us]), streams)
+    stage_s = {"tables": time.perf_counter() - started}
 
+    bases = ("eigen", "super")
     body_tables, visibilities = {}, {}
     for i, (name, fields) in enumerate(zip(bases, pairs.fields.tolist())):
         body_tables[name] = dict(zip(det.CSV_HEADER.split(","), fields))
@@ -290,12 +284,10 @@ def _run_pair_tomography(
         f"counts/pair_{name}.csv": ("coincidence", pairs.fields[i : i + 1])
         for i, name in enumerate(bases)
     }
-    return body, artifacts
+    return body, artifacts, stage_s, {}
 
 
-def _run_raman_delay_sweep(
-    cfg: cf.ExperimentConfig, streams: _TableStreams, telemetry: dict | None = None
-):
+def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
     params = cfg.scenario_params
     node_cfg = cfg.node(params.get("node", "I"))
     period = node_cfg.zeeman_period_us
@@ -349,7 +341,7 @@ def _run_raman_delay_sweep(
             phase_rad=float(popt[2]),
             floor=float(popt[3]),
         )
-    _record(telemetry, {"tables": built - started, "fit": time.perf_counter() - built})
+    stage_s = {"tables": built - started, "fit": time.perf_counter() - built}
 
     body = {
         "node": node_cfg.node_id,
@@ -361,12 +353,10 @@ def _run_raman_delay_sweep(
         "sweeps/raman_delay.csv": ("rows", header, points),
         "counts/raman_delay_tables.csv": ("coincidence", pairs.fields),
     }
-    return body, artifacts
+    return body, artifacts, stage_s, {}
 
 
-def _run_lifetime_sweep(
-    cfg: cf.ExperimentConfig, streams: _TableStreams, telemetry: dict | None = None
-):
+def _run_lifetime_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
     params = cfg.scenario_params
     node_cfg = cfg.node(params.get("node", "I"))
     period = node_cfg.zeeman_period_us
@@ -379,13 +369,7 @@ def _run_lifetime_sweep(
         )
 
     started = time.perf_counter()
-    dists_e = _pair_trial_distribution(node_cfg, cfg.detector, q.BASIS_RL, _SPIN_RL, delays)
-    # the superposition analyzer follows each delay's Zeeman phase
-    super_bases = _spin_super_basis(nd.zeeman_phase(node_cfg, delays))
-    dists_s = _pair_trial_distribution(node_cfg, cfg.detector, q.BASIS_Z, super_bases, delays)
-    # the eigen and the super table of each delay take consecutive streams
-    dists = np.stack([dists_e, dists_s], axis=1).reshape(-1, 16)
-    pairs = _sample_pairs(dists, cfg.samples, streams)
+    pairs = _sample_eigen_super(cfg, node_cfg, delays, streams)
     eigen, super_ = slice(0, None, 2), slice(1, None, 2)
     writes = pairs.fields[eigen, 4] + pairs.fields[eigen, 5]  # n_woR + n_woL
     header = [
@@ -429,7 +413,7 @@ def _run_lifetime_sweep(
     else:
         crossing = None
         crossing_sigma = None
-    _record(telemetry, {"tables": built - started, "fit": time.perf_counter() - built})
+    stage_s = {"tables": built - started, "fit": time.perf_counter() - built}
 
     body = {
         "node": node_cfg.node_id,
@@ -452,7 +436,7 @@ def _run_lifetime_sweep(
         "counts/lifetime_eigen.csv": ("coincidence", pairs.fields[eigen]),
         "counts/lifetime_super.csv": ("coincidence", pairs.fields[super_]),
     }
-    return body, artifacts
+    return body, artifacts, stage_s, {}
 
 
 def _fit_lifetime(t_arr, eta_arr, n_writes):
@@ -491,56 +475,31 @@ def _fit_lifetime(t_arr, eta_arr, n_writes):
     return float(popt[0]), 1.0 / k, k_sigma / (k * k)
 
 
-def _run_two_node_swap(
-    cfg: cf.ExperimentConfig, streams: _TableStreams, telemetry: dict | None = None
-):
+def _run_two_node_swap(cfg: cf.ExperimentConfig, streams: _TableStreams):
     params = cfg.scenario_params
     node_cfg = cfg.node("I")
     dw0 = 2.0 * math.pi / node_cfg.zeeman_period_us
-    dws = np.asarray(
-        params.get(
-            "delta_omega_rad_per_us", dw0 * np.array([0.25, 0.5, 1.0, 2.0, 4.0])
-        ),
-        dtype=float,
-    )
-    widths = np.asarray(
-        params.get("width_us", [0.02, 0.05, 0.1, 0.2, 0.4]), dtype=float
-    )
+    dws = params.get("delta_omega_rad_per_us", dw0 * np.array([0.25, 0.5, 1.0, 2.0, 4.0]))
+    dws = np.asarray(dws, dtype=float).tolist()
+    widths = np.asarray(params.get("width_us", [0.02, 0.05, 0.1, 0.2, 0.4]), dtype=float).tolist()
     point_width = float(params.get("point_width_us", 0.05))
+    header = ["delta_omega_rad_per_us", "width_us", "fidelity_flip", "fidelity_noflip"]
 
-    # both nodes emit the same Gaussian mode
+    def rows(width, detunings):
+        f = op.Envelope.gaussian(0.0, width)  # both nodes emit the same Gaussian mode
+        return [
+            [dw, width, *(op.averaged_swap_fidelity(flip, f, f, dw) for flip in (True, False))]
+            for dw in detunings
+        ]
+
     started = time.perf_counter()
-    f = op.Envelope.gaussian(0.0, point_width)
-    point = {
-        "delta_omega_rad_per_us": dw0,
-        "width_us": point_width,
-        "fidelity_flip": op.averaged_swap_fidelity(True, f, f, dw0),
-        "fidelity_noflip": op.averaged_swap_fidelity(False, f, f, dw0),
-    }
-
-    grid_rows = []
-    for width in widths:
-        f = op.Envelope.gaussian(0.0, float(width))
-        for dw in dws:
-            grid_rows.append(
-                [
-                    float(dw),
-                    float(width),
-                    op.averaged_swap_fidelity(True, f, f, float(dw)),
-                    op.averaged_swap_fidelity(False, f, f, float(dw)),
-                ]
-            )
-
+    [point_row] = rows(point_width, [dw0])
+    grid_rows = [row for width in widths for row in rows(width, dws)]
     # swap fidelities are closed-form integrals: no random stream is drawn
-    _record(
-        telemetry,
-        {"integrals": time.perf_counter() - started},
-        integrals=2 * (1 + len(grid_rows)),  # flip and no-flip per point
-    )
-    flips = np.array([r[2] for r in grid_rows])
-    noflips = np.array([r[3] for r in grid_rows])
+    stage_s = {"integrals": time.perf_counter() - started}
+    *_, flips, noflips = np.array(grid_rows).T
     body = {
-        "point": point,
+        "point": dict(zip(header, point_row)),
         "grid": grid_rows,
         "flip_min": float(flips.min()),
         "flip_max": float(flips.max()),
@@ -548,19 +507,9 @@ def _run_two_node_swap(
         "noflip_max": float(noflips.max()),
         "ordering_holds": bool(np.all(noflips < flips)),
     }
-    header = ["delta_omega_rad_per_us", "width_us", "fidelity_flip", "fidelity_noflip"]
     artifacts = {"sweeps/two_node_swap.csv": ("rows", header, grid_rows)}
-    return body, artifacts
-
-
-def _sample_event_tables(cfg, tables, streams: _TableStreams) -> list[np.ndarray]:
-    budgets = _split_budget(cfg.samples, len(tables))
-    return [table.sample(n, streams.take(n)) for table, n in zip(tables, budgets)]
-
-
-def _memory_marginal(counts: np.ndarray) -> np.ndarray:
-    """Sum 64 port+memory pattern counts over the three station port bits."""
-    return counts.reshape(8, 8).sum(axis=0)
+    integrals = 2 * (1 + len(grid_rows))  # flip and no-flip per row
+    return body, artifacts, stage_s, {"integrals": integrals}
 
 
 def _run_ghz(
@@ -568,16 +517,12 @@ def _run_ghz(
     streams: _TableStreams,
     spec: w.GhzSpec,
     make_settings,
-    reducer=None,
-    telemetry: dict | None = None,
 ):
     """Heralded GHZ witness: sample each setting's event table, then estimate.
 
-    ``make_settings`` builds the witness settings.  ``reducer`` maps each
-    setting's 64 pattern counts onto the qubits of ``spec``; when it drops
-    the station ports (ghz3), their herald patterns are reported as well.
-    ``telemetry``, when given, receives the stage wall times and the
-    event-class count.
+    ``make_settings`` builds the witness settings.  A witness on the three
+    memories alone (ghz3) sums each setting's 64 pattern counts over the
+    station port bits and reports the herald patterns those bits carry.
     """
     weights = w.weight_array(spec, cfg.calibration_weights)
     settings = make_settings()
@@ -585,10 +530,15 @@ def _run_ghz(
     branches = ev._write_branches(cfg)
     tables = ev.build_event_tables(cfg, settings, _branches=branches)
     built = time.perf_counter()
-    counts = _sample_event_tables(cfg, tables, streams)
+    budgets = _split_budget(cfg.samples, len(tables))
+    counts = [table.sample(n, streams.take(n)) for table, n in zip(tables, budgets)]
     sampled_at = time.perf_counter()
 
-    keep = reducer if reducer is not None else (lambda arr: arr)
+    memories_only = spec.n_qubits == 3
+
+    def keep(arr):  # (ports, memories) bits -> the bits the witness reads
+        return arr.reshape(8, 8).sum(axis=0) if memories_only else arr
+
     sampled = {s.setting_id: keep(arr) for s, arr in zip(settings, counts)}
     # a budget below the setting count leaves tables empty, and an empty
     # table leaves its ratio estimate undefined: report null, not an error
@@ -627,17 +577,13 @@ def _run_ghz(
         ),
         "rate": rate_arithmetic(cfg, _terms=branches.terms),
     }
-    _record(
-        telemetry,
-        {
-            "table_build": built - started,
-            "sampling": sampled_at - built,
-            "estimate": time.perf_counter() - sampled_at,
-        },
-        event_classes=sum(t.probabilities.size for t in tables),
-    )
+    stage_s = {
+        "table_build": built - started,
+        "sampling": sampled_at - built,
+        "estimate": time.perf_counter() - sampled_at,
+    }
     artifacts = {f"counts/{cfg.scenario}_settings.csv": ("settings", setting_counts)}
-    if reducer is not None:
+    if memories_only:
         herald_counts = np.sum(
             [arr.reshape(8, 8).sum(axis=1) for arr in counts], axis=0
         )
@@ -647,7 +593,8 @@ def _run_ghz(
             "settings",
             {"herald_patterns": heralds},
         )
-    return body, artifacts
+    event_classes = sum(t.probabilities.size for t in tables)
+    return body, artifacts, stage_s, {"event_classes": event_classes}
 
 
 _RUNNERS = {
@@ -659,10 +606,7 @@ _RUNNERS = {
         _run_ghz, spec=ev.GHZ6_SPEC, make_settings=ev.ghz6_settings
     ),
     "ghz3": functools.partial(
-        _run_ghz,
-        spec=ev.GHZ3_SPEC,
-        make_settings=ev.ghz3_settings,
-        reducer=_memory_marginal,
+        _run_ghz, spec=ev.GHZ3_SPEC, make_settings=ev.ghz3_settings
     ),
 }
 
@@ -721,9 +665,7 @@ def run_scenario(cfg: cf.ExperimentConfig) -> RunReport:
         )
     started = time.perf_counter()
     streams = _TableStreams(cfg.seed)
-    telemetry: dict = {}  # the runner's stage times and counters
-    body, artifacts = _RUNNERS[cfg.scenario](cfg, streams, telemetry=telemetry)
-    telemetry["counters"].update(rng_streams=streams.taken, draws=streams.draws)
+    body, artifacts, stage_s, counters = _RUNNERS[cfg.scenario](cfg, streams)
 
     config_echo = cfg.to_dict()
     # execution details must not influence the deterministic body
@@ -740,7 +682,8 @@ def run_scenario(cfg: cf.ExperimentConfig) -> RunReport:
         "version": __version__,
         "wall_time_s": time.perf_counter() - started,
         "workers": cfg.workers,
-        **telemetry,
+        "stage_s": stage_s,
+        "counters": {**counters, "rng_streams": streams.taken, "draws": streams.draws},
     }
     return RunReport(
         scenario=cfg.scenario,

@@ -85,11 +85,13 @@ class NodeConfig:
             val = getattr(self, name)
             if not val > 0.0:
                 raise ValueError(f"{name} must be positive, not {val}")
-        if not (math.isfinite(self.zeeman_period_us) and self.zeeman_period_us > 0.0):
+            if not (val == math.inf or q.is_finite(val)):
+                raise ValueError(f"{name} lies beyond the float range")
+        if not (q.is_finite(self.zeeman_period_us) and self.zeeman_period_us > 0.0):
             raise ValueError(
                 f"zeeman_period_us must be positive and finite, not {self.zeeman_period_us}"
             )
-        if not math.isfinite(self.phi0):
+        if not q.is_finite(self.phi0):
             raise ValueError(f"phi0 must be finite, not {self.phi0}")
         if self.excitation_order not in (1, 2):
             raise ValueError("excitation_order must be 1 or 2")

@@ -100,7 +100,9 @@ class Envelope:
         vals = np.asarray(self.values, dtype=complex)
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("envelope needs a 1-D grid of at least two samples")
-        if not (math.isfinite(self.step_us) and self.step_us > 0.0):
+        if not q.is_finite(self.start_us):
+            raise ValueError("start_us must be finite")
+        if not (q.is_finite(self.step_us) and self.step_us > 0.0):
             raise ValueError("step_us must be positive and finite")
         if not np.all(np.isfinite(vals)):
             raise ValueError("envelope amplitudes must be finite")
@@ -120,7 +122,7 @@ class Envelope:
     def times_us(self) -> np.ndarray:
         n = self.values.size
         last = self.start_us + self.step_us * (n - 1)  # t[-1], without numpy's overflow warning
-        if math.isfinite(self.start_us) and math.isfinite(last):
+        if math.isfinite(last):
             t = self.start_us + self.step_us * np.arange(n)
             if np.all(np.diff(t) > 0.0):
                 t.setflags(write=False)
@@ -169,6 +171,8 @@ class Envelope:
     def gaussian(cls, center_us: float, width_us: float, n: int = 512) -> "Envelope":
         """Gaussian intensity profile with standard deviation ``width_us``,
         sampled over four widths on each side of its center."""
+        if not q.is_finite(center_us):
+            raise ValueError("center_us must be finite")
         if width_us <= 0.0:
             raise ValueError("width_us must be positive")
         try:
@@ -185,8 +189,8 @@ class Envelope:
 
     @classmethod
     def square(cls, start_us: float, width_us: float, n: int = 512) -> "Envelope":
-        if width_us <= 0.0:
-            raise ValueError("width_us must be positive")
+        if not (q.is_finite(width_us) and width_us > 0.0):
+            raise ValueError("width_us must be positive and finite")
         step = width_us / (n - 1)
         return cls(start_us, step, np.ones(n))
 
@@ -194,8 +198,8 @@ class Envelope:
     def exponential_decay(cls, start_us: float, tau_us: float, n: int = 512) -> "Envelope":
         """One-sided decay with intensity lifetime ``tau_us``, sampled over
         eight lifetimes."""
-        if tau_us <= 0.0:
-            raise ValueError("tau_us must be positive")
+        if not (q.is_finite(tau_us) and tau_us > 0.0):
+            raise ValueError("tau_us must be positive and finite")
         step = 8.0 * tau_us / (n - 1)
         t = step * np.arange(n)
         return cls(start_us, step, np.exp(-t / (2.0 * tau_us)))

@@ -29,6 +29,7 @@ states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -61,6 +62,15 @@ BASIS_Z = np.eye(2, dtype=complex)
 BASIS_X = np.column_stack([KET_D, KET_A])
 BASIS_DA = BASIS_X  # alias: D/A analysis of a polarization qubit
 BASIS_RL = np.column_stack([KET_R, KET_L])
+
+
+def is_finite(value) -> bool:
+    """``math.isfinite``, false instead of an OverflowError for an integer
+    beyond the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def equatorial_basis(theta) -> np.ndarray:

@@ -20,8 +20,11 @@ a change that means to leave every report byte-identical.
 
 With ``--digest`` it writes nothing and prints one SHA-256 per bundle,
 over the body, every CSV and ``meta.counters``, for every scenario at the
-``paper`` and ``ideal`` presets, seeds 0-2, at the sample budgets of
-``perfbench/workloads.py``.  Run it on both sides of a change and diff:
+``paper`` and ``ideal`` presets and at ``paper`` with ``read_delay_us``
+7.3, seeds 0-2, at the sample budgets of ``perfbench/workloads.py``.  The
+delay ages every pair and lies off the 5.28 us Zeeman grid, so the
+superposition analyzer leaves ``phi0``.  Run it on both sides of a change
+and diff:
 
     PYTHONPATH=src python tests/golden/regen.py --digest > after.txt
 """
@@ -56,7 +59,8 @@ SAMPLES = {
 }
 
 
-DIGEST_PRESETS = ("paper", "ideal")
+# (preset, read_delay_us); a bundle off zero delay is labeled "preset@delay"
+DIGEST_POINTS = (("paper", 0.0), ("ideal", 0.0), ("paper", 7.3))
 DIGEST_SEEDS = (0, 1, 2)
 
 
@@ -107,14 +111,17 @@ def bundle_digest(cfg: cf.ExperimentConfig, out_dir) -> str:
 def print_digests() -> None:
     samples = workload_samples()
     with tempfile.TemporaryDirectory() as tmp:
-        for preset in DIGEST_PRESETS:
+        for preset, delay in DIGEST_POINTS:
+            label = f"{preset}@{delay}" if delay else preset
             for scenario in SAMPLES:
                 for seed in DIGEST_SEEDS:
-                    cfg = cf.preset(preset).with_overrides(scenario=scenario, seed=seed)
+                    cfg = cf.preset(preset).with_overrides(
+                        scenario=scenario, seed=seed, read_delay_us=delay
+                    )
                     if samples[scenario] is not None:
                         cfg = cfg.with_overrides(samples=samples[scenario])
-                    out = Path(tmp) / f"{preset}-{scenario}-{seed}"
-                    print(f"{preset} {scenario} seed {seed} {bundle_digest(cfg, out)}")
+                    out = Path(tmp) / f"{label}-{scenario}-{seed}"
+                    print(f"{label} {scenario} seed {seed} {bundle_digest(cfg, out)}")
 
 
 def differences(old, new, path="body"):

@@ -185,17 +185,21 @@ def test_pair_scenario_tables_are_the_per_delay_draws(seed):
     node_cfg, detector = cfg.node("I"), cfg.detector
 
     tomo = cfg.with_overrides(scenario="pair_tomography", samples=PAIR_TOMOGRAPHY_TRIALS)
-    _, artifacts = h._run_pair_tomography(tomo, h._TableStreams(seed))
-    dt = cfg.read_delay_us
-    theta = nd.zeeman_phase(node_cfg, dt)
-    bases = [(q.BASIS_RL, h._SPIN_RL), (q.BASIS_Z, h._spin_super_basis(theta))]
-    for index, (name, (wb, rb)) in enumerate(zip(("eigen", "super"), bases)):
-        dist = reference_distribution(node_cfg, detector, wb, rb, dt)
-        [table] = artifacts[f"counts/pair_{name}.csv"][1]
-        np.testing.assert_array_equal(table, table_draw(seed, index, PAIR_TOMOGRAPHY_TRIALS, dist))
+    # a stored pair at 7.3 us, off the 5.28 us Zeeman grid, has aged and
+    # needs a superposition analyzer away from phi0
+    for dt in (cfg.read_delay_us, 7.3):
+        run = tomo.with_overrides(read_delay_us=dt)
+        _, artifacts, _, _ = h._run_pair_tomography(run, h._TableStreams(seed))
+        theta = nd.zeeman_phase(node_cfg, dt)
+        bases = [(q.BASIS_RL, h._SPIN_RL), (q.BASIS_Z, h._spin_super_basis(theta))]
+        for index, (name, (wb, rb)) in enumerate(zip(("eigen", "super"), bases)):
+            dist = reference_distribution(node_cfg, detector, wb, rb, dt)
+            [table] = artifacts[f"counts/pair_{name}.csv"][1]
+            draw = table_draw(seed, index, PAIR_TOMOGRAPHY_TRIALS, dist)
+            np.testing.assert_array_equal(table, draw)
 
     raman = cfg.with_overrides(scenario="raman_delay_sweep", samples=RAMAN_TRIALS)
-    body, artifacts = h._run_raman_delay_sweep(raman, h._TableStreams(seed))
+    body, artifacts, _, _ = h._run_raman_delay_sweep(raman, h._TableStreams(seed))
     tables = artifacts["counts/raman_delay_tables.csv"][1]
     read = h._spin_super_basis(node_cfg.phi0)
     assert len(tables) == len(body["points"]) == 33
@@ -208,7 +212,7 @@ def test_pair_scenario_tables_are_the_per_delay_draws(seed):
     # same superposition analyzer; the delays of the second grid are not
     for params, n_points in [({}, 23), ({"delays_us": [0.0, 1.7, 4.1, 9.9, 33.3]}, 5)]:
         run = lifetime.with_overrides(scenario_params=params)
-        body, artifacts = h._run_lifetime_sweep(run, h._TableStreams(seed))
+        body, artifacts, _, _ = h._run_lifetime_sweep(run, h._TableStreams(seed))
         check_lifetime_tables(seed, node_cfg, detector, body, artifacts, n_points)
 
 

@@ -16,6 +16,7 @@ from memnet_sim import detection as det
 from memnet_sim import events as ev
 from memnet_sim import harness as h
 from memnet_sim import node as nd
+from memnet_sim import optics as op
 from memnet_sim import quantum as q
 from memnet_sim import witness as w
 
@@ -497,12 +498,11 @@ class TestGhzScenarios:
     def test_empty_population_setting_reports_null_populations(self):
         # the budget split fills the population table first, so list it last
         runner = h._RUNNERS["ghz3"].func
-        body, _ = runner(
+        body, *_ = runner(
             paper_cfg(scenario="ghz3", samples=3),
             h._TableStreams(0),
             spec=ev.GHZ3_SPEC,
             make_settings=lambda: ev.ghz3_settings()[::-1],
-            reducer=h._memory_marginal,
         )
         assert body["empty_settings"] == [w.POPULATION_SETTING]
         assert body["populations"] is None
@@ -552,8 +552,8 @@ class TestGhzScenarios:
         monkeypatch.setattr(h.op, "averaged_swap_fidelity", counted_integral)
         report = h.run_scenario(cfg)
         n_streams, n_draws, n_integrals = len(streams), sum(draws), len(integrals)
-        # the runner alone, without the telemetry path, gives the same body
-        body, _ = h._RUNNERS[scenario](cfg, h._TableStreams(cfg.seed))
+        # the runner alone, outside run_scenario, gives the same body
+        body, *_ = h._RUNNERS[scenario](cfg, h._TableStreams(cfg.seed))
         plain = h.RunReport(
             scenario, cfg.seed, {**report.body, **h._plain(body)}, meta={}
         )
@@ -1077,6 +1077,11 @@ class TestCli:
                 set_key(("timing", "cycle_ms"), math.inf),
                 "cycle_ms must be positive and finite, not inf",
             ),
+            (
+                # refused before any grid is built: 10**12 samples are 16 TB
+                envelope_for_node_i({**GAUSSIAN, "n": 10**12}),
+                "envelope for node 'I' key 'n' exceeds 1048576 samples: 1000000000000",
+            ),
         ],
         ids=[
             "p_w_string",
@@ -1122,6 +1127,7 @@ class TestCli:
             "read_delay_inf",
             "trial_us_nan",
             "cycle_ms_inf",
+            "envelope_n_above_cap",
         ],
     )
     def test_mistyped_config_errors(self, edit, message, tmp_path, capsys):
@@ -1163,6 +1169,35 @@ class TestCli:
         assert err.startswith("memnet-sim: error: ")
         assert f"'{key}'" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "build, key",
+        [
+            pytest.param(lambda: nd.NodeConfig(phi0=HUGE), "phi0", id="phi0"),
+            pytest.param(
+                lambda: nd.NodeConfig(zeeman_period_us=HUGE), "zeeman_period_us", id="zeeman"
+            ),
+            pytest.param(lambda: nd.NodeConfig(tau_mem_us=HUGE), "tau_mem_us", id="tau_mem"),
+            pytest.param(lambda: nd.NodeConfig(tau_vis_us=HUGE), "tau_vis_us", id="tau_vis"),
+            pytest.param(lambda: op.Envelope(HUGE, 1.0, [1, 1]), "start_us", id="start"),
+            pytest.param(lambda: op.Envelope(0.0, HUGE, [1, 1]), "step_us", id="step"),
+            pytest.param(lambda: op.Envelope.square(HUGE, 1.0), "start_us", id="square"),
+            pytest.param(
+                lambda: op.Envelope.exponential_decay(HUGE, 1.0), "start_us", id="decay"
+            ),
+            pytest.param(lambda: op.Envelope.gaussian(HUGE, 1.0), "center_us", id="gaussian"),
+            pytest.param(lambda: op.Envelope.square(0.0, HUGE), "width_us", id="square_width"),
+            pytest.param(
+                lambda: op.Envelope.exponential_decay(0.0, HUGE), "tau_us", id="decay_tau"
+            ),
+        ],
+    )
+    def test_integer_beyond_float_range_from_python_errors_once(self, build, key):
+        with pytest.raises(ValueError) as exc:
+            build()
+        message = str(exc.value)
+        assert message.startswith(f"{key} ")
+        assert "\n" not in message
 
     @pytest.mark.parametrize(
         "scenario, key, bits", [("ghz3", "0101", 3), ("ghz6", "001", 6)]
