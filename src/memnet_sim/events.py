@@ -27,18 +27,21 @@ importance weight attached to every conditionally drawn sample; one
 multinomial over the table's mixed outcome distribution is exact
 conditional sampling.  The structure of the write branches (which ports
 each branch loads, which kind of memory it leaves) is enumerated once at
-import as index arrays; per config only their probabilities are formed.
-All settings of one build are handled together: their bases are stacked
-into ``(S, 3, 2, 2)`` port and memory arrays, per-port and per-memory click
-tables are computed for every setting at once and gathered onto the
-branches, and one outer product over the ``(S, B, 6, 2)`` factor stack
-gives every class distribution.  The coherent sector is measured term by
-term for the whole stack, each term an outer product of six per-qubit
-factors, so no six-qubit state is ever built, and then marginalized over
-the memories whose retrieval failed.  The brute-force
-path (`raw_trial_counts`) simulates unconditional trials with per-trial
-Bernoulli draws and exists to validate the table at excitation
-probabilities high enough for six-folds to show up in reasonable time.
+import as index arrays; everything per config is one ``HeraldModel``
+(node terms, branch probabilities, routing acceptance, coherent sector by
+retrieval mask), which the tables, the success estimate, the rate budget
+and the raw trials all read.  All settings of one build are handled
+together: their bases are stacked into ``(S, 3, 2, 2)`` port and memory
+arrays, per-port and per-memory click tables are computed for every
+setting at once and gathered onto the branches, and one outer product
+over the ``(S, B, 6, 2)`` factor stack gives every class distribution.
+The coherent sector is measured term by term for the whole stack, each
+term an outer product of six per-qubit factors, so no six-qubit state is
+ever built, and then marginalized over the memories whose retrieval
+failed.  The brute-force path (`raw_trial_counts`) simulates
+unconditional trials with per-trial Bernoulli draws and exists to
+validate the table at excitation probabilities high enough for six-folds
+to show up in reasonable time.
 """
 
 from __future__ import annotations
@@ -100,33 +103,6 @@ def ghz3_settings() -> tuple[SettingSpec, ...]:
     )
 
 
-def _station_terms(cfg: ExperimentConfig) -> list[nd.NodeTerms]:
-    """Node terms at the read delay, each write photon measured in the H/V
-    frame it leaves its waveplate in (``born[0]`` routes as H, ``born[1]``
-    as V)."""
-    return [
-        nd.node_terms(n, op.polarization_map(n.node_id).conj().T, cfg.read_delay_us)
-        for n in cfg.nodes
-    ]
-
-
-def _coherent_sector(
-    cfg: ExperimentConfig, terms: list[nd.NodeTerms]
-) -> tuple[float, tuple[op.BranchTerm, ...]]:
-    """The all-single HHH/VVV sector: its probability, P(all nodes single)
-    times P(one photon per port), and the station's branch terms of the
-    heralded state, memories already aged."""
-    envelopes = {nid: envelope_from_spec(s) for nid, s in (cfg.envelopes or {}).items()}
-    success, branch_terms = op.station_branches(
-        [t.pair for t in terms],
-        envelopes=envelopes or None,
-        delta_omega_rad_per_us=2.0 * math.pi / cfg.nodes[0].zeeman_period_us,
-        extra_coherence=cfg.interference_visibility,
-    )
-    p_all_single = math.prod(t.write_probabilities[SINGLE] for t in terms)
-    return p_all_single * success, branch_terms
-
-
 def _single_click(hits: np.ndarray, dark: float):
     """(probability of exactly one click, outcome distribution given that)
     of one 2x2 hit distribution, or of each in a ``(..., 2, 2)`` stack."""
@@ -173,7 +149,7 @@ def _port_outcomes(port_bases: np.ndarray, dark: float):
     return _single_click(hits, dark)
 
 
-def _memory_outcomes(memory_bases: np.ndarray, terms: list[nd.NodeTerms], dark: float):
+def _memory_outcomes(memory_bases: np.ndarray, terms, dark: float):
     """``_single_click`` of each memory analyzer of a ``(..., 3, 2, 2)``
     basis stack under each memory kind: ``(..., 3, 4)`` click chances and
     ``(..., 3, 4, 2)`` distributions, each node's read-out from
@@ -191,14 +167,6 @@ def _memory_outcomes(memory_bases: np.ndarray, terms: list[nd.NodeTerms], dark: 
         axis=-3,
     )
     return _single_click(hits, dark)
-
-
-def _hit_and_fill(dark: float) -> tuple[float, float]:
-    """Exactly-one-click chances of a surely hit analyzer and of an empty one,
-    the coherent sector's factors (its outcomes come from the branch terms)."""
-    hit_one, _ = _single_click(det.photon_hits(1.0, (0.5, 0.5)), dark)
-    fill, _ = _single_click(det.NO_HITS, dark)
-    return float(hit_one), float(fill)
 
 
 _POL_NAME = ("H", "V")
@@ -233,36 +201,6 @@ def _branch_structure() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _BRANCH_COMBO, _BRANCH_PORT_LOAD, _BRANCH_MEMORY_KIND = _branch_structure()
 
 
-@dataclass(frozen=True)
-class _Branches:
-    """The incoherent write branches of one config, one row per branch:
-    its probability, its ``_PORT_LOADS`` index per port and its memory kind
-    per node, with the node terms they came from."""
-
-    terms: list[nd.NodeTerms]
-    probability: np.ndarray  # (B,)
-    port_load: np.ndarray  # (B, 3)
-    memory_kind: np.ndarray  # (B, 3)
-
-
-def _write_branches(cfg: ExperimentConfig) -> _Branches:
-    """The write branches of ``cfg``: each row of ``_branch_structure`` with
-    its probability, the write outcomes' product times, node by node, the
-    photon's routing chance (its Born probability for a single, 1/2 for a
-    double, 1 for vacuum).  Combinations that cannot occur are dropped.
-    """
-    terms = _station_terms(cfg)
-    write_p = np.array([t.write_probabilities for t in terms])
-    # factor by memory kind: vacuum, double, single H, single V
-    factor = np.array([[1.0, 0.5, *t.born] for t in terms])
-    base = _times_clicks(1.0, write_p, _BRANCH_COMBO)
-    prob = _times_clicks(base, factor, _BRANCH_MEMORY_KIND)
-    possible = base > 0.0
-    return _Branches(
-        terms, prob[possible], _BRANCH_PORT_LOAD[possible], _BRANCH_MEMORY_KIND[possible]
-    )
-
-
 def _times_clicks(prob: np.ndarray, clicks: np.ndarray, index) -> np.ndarray:
     """Multiply each branch by the value (a click probability) of units 0,
     1, 2 in turn; ``clicks`` is ``(..., 3, kinds)`` and the result
@@ -270,6 +208,70 @@ def _times_clicks(prob: np.ndarray, clicks: np.ndarray, index) -> np.ndarray:
     for unit in range(3):
         prob = prob * clicks[..., unit, index[:, unit]]
     return prob
+
+
+@dataclass(frozen=True, eq=False)
+class HeraldModel:
+    """The per-config part of the heralded six-fold model, each piece once:
+    the dark-count chance; the node terms at the read delay, write photons
+    in their waveplates' H/V frame (``born[0]`` routes as H); the
+    incoherent write branches, one row each; ``acceptance``, the chance of
+    one photon per port; ``herald``, the chance the coherent all-single
+    HHH/VVV sector clicks once on every port; and ``coherent``, its
+    six-fold probability by retrieval mask (bit ``k``: memory ``k`` read)."""
+
+    dark: float
+    terms: tuple[nd.NodeTerms, ...]
+    branch_probability: np.ndarray  # (B,)
+    branch_port_load: np.ndarray  # (B, 3)
+    branch_memory_kind: np.ndarray  # (B, 3)
+    acceptance: float
+    herald: float
+    coherent: np.ndarray  # (8,)
+
+
+def herald_model(cfg: ExperimentConfig) -> HeraldModel:
+    """The herald model of ``cfg``.  A write branch's probability is the
+    write outcomes' product times each photon's routing chance (Born for a
+    single, 1/2 for a double); impossible branches are dropped.  The
+    coherent sector is P(all single) times the acceptance times a sure hit
+    per port, then per memory a retrieval (a hit) or a loss (a dark fill)."""
+    terms = tuple(
+        nd.node_terms(n, op.polarization_map(n.node_id).conj().T, cfg.read_delay_us)
+        for n in cfg.nodes
+    )
+    write_p = np.array([t.write_probabilities for t in terms])
+    # factor by memory kind: vacuum, double, single H, single V
+    factor = np.array([[1.0, 0.5, *t.born] for t in terms])
+    base = _times_clicks(1.0, write_p, _BRANCH_COMBO)
+    prob = _times_clicks(base, factor, _BRANCH_MEMORY_KIND)
+    dark = cfg.detector.dark_count_prob
+    hit_one = float(_single_click(det.photon_hits(1.0, (0.5, 0.5)), dark)[0])
+    fill = float(_single_click(det.NO_HITS, dark)[0])
+    acceptance = float(op.routing_acceptance([t.pair for t in terms]))
+    p_all_single = math.prod(t.write_probabilities[SINGLE] for t in terms)
+    herald = p_all_single * acceptance * hit_one**3
+    retrieved = (np.arange(8)[:, None] >> np.arange(3)) & 1 == 1
+    coherent = np.full(8, herald)
+    for k, term in enumerate(terms):
+        real, lost = term.eta * hit_one, (1.0 - term.eta) * fill
+        coherent = coherent * np.where(retrieved[:, k], real, lost)
+    possible = base > 0.0
+    branches = prob[possible], _BRANCH_PORT_LOAD[possible], _BRANCH_MEMORY_KIND[possible]
+    return HeraldModel(dark, terms, *branches, acceptance, herald, coherent)
+
+
+def _station_branch_terms(cfg: ExperimentConfig, terms) -> tuple[op.BranchTerm, ...]:
+    """The station's branch terms of the heralded state, memories already
+    aged; raises ValueError when the post-selection has zero probability."""
+    envelopes = {nid: envelope_from_spec(s) for nid, s in (cfg.envelopes or {}).items()}
+    _, branch_terms = op.station_branches(
+        [t.pair for t in terms],
+        envelopes=envelopes or None,
+        delta_omega_rad_per_us=2.0 * math.pi / cfg.nodes[0].zeeman_period_us,
+        extra_coherence=cfg.interference_visibility,
+    )
+    return branch_terms
 
 
 def _outer_product(factors) -> np.ndarray:
@@ -411,15 +413,19 @@ class EventTable:
 def build_event_tables(
     cfg: ExperimentConfig,
     settings: tuple[SettingSpec, ...] | list[SettingSpec],
-    _branches: _Branches | None = None,
+    model: HeraldModel | None = None,
 ) -> list[EventTable]:
     """Build the exact event table for each setting, all settings at once.
 
-    The write branches are enumerated once per config, from index arrays
-    fixed at import.  The settings' bases are stacked into ``(S, 3, 2, 2)``
-    port and memory arrays; each port's and memory's click probability and
-    distribution is tabulated for every setting in one pass, gathered onto
-    the branches by fancy indexing, and the ``(S, B, 6, 2)`` factor stack
+    ``model`` is ``herald_model(cfg)``, made here when not given: callers
+    that only want tables pass the config alone, and a heralded run, which
+    also reads the success estimate and rate budget off the model, passes
+    the one it built.  The station's branch terms are worked out only here,
+    so a config whose post-selection has zero probability fails here.
+    The settings' bases are stacked into ``(S, 3, 2, 2)`` port and memory
+    arrays; each port's and memory's click probability and distribution is
+    tabulated for every setting in one pass, gathered onto the model's
+    write branches by fancy indexing, and the ``(S, B, 6, 2)`` factor stack
     becomes the class distributions in one outer product.  The coherent
     sector's branch terms are measured for every setting in one stack, as
     outer products of per-qubit factors, and marginalized over the memories
@@ -427,37 +433,27 @@ def build_event_tables(
     are dropped.  Class order: incoherent branches, then the coherent sector
     by retrieval subset.
     """
-    branches = _write_branches(cfg) if _branches is None else _branches
-    terms = branches.terms
-    p_coherent, branch_terms = _coherent_sector(cfg, terms)
-    dark = cfg.detector.dark_count_prob
-    hit_one, fill = _hit_and_fill(dark)
-    units = np.arange(3)
-    # the coherent sector by retrieval mask, as in _coherent_subset_dists
-    retrieved = (np.arange(8)[:, None] >> units) & 1 == 1
-    coherent = np.full(8, p_coherent * hit_one**3)
-    for k, term in enumerate(terms):
-        real, lost = term.eta * hit_one, (1.0 - term.eta) * fill
-        coherent = coherent * np.where(retrieved[:, k], real, lost)
-    live = coherent > 0.0
+    model = herald_model(cfg) if model is None else model
+    branch_terms = _station_branch_terms(cfg, model.terms)
     if not settings:
         return []
+    live = model.coherent > 0.0
+    units = np.arange(3)
     ports, memories, feedforward = _stack_bases(settings)
-    port_p, port_d = _port_outcomes(ports, dark)
-    mem_p, mem_d = _memory_outcomes(memories, terms, dark)
-    prob = _times_clicks(branches.probability, port_p, branches.port_load)
-    prob = _times_clicks(prob, mem_p, branches.memory_kind)  # (S, B)
-    factors = np.concatenate(
-        [port_d[:, units, branches.port_load], mem_d[:, units, branches.memory_kind]],
-        axis=2,
-    )  # (S, B, 6, 2), multiplied out with the S * B class rows innermost
+    port_p, port_d = _port_outcomes(ports, model.dark)
+    mem_p, mem_d = _memory_outcomes(memories, model.terms, model.dark)
+    loads, kinds = model.branch_port_load, model.branch_memory_kind
+    prob = _times_clicks(model.branch_probability, port_p, loads)
+    prob = _times_clicks(prob, mem_p, kinds)  # (S, B)
+    # (S, B, 6, 2), multiplied out with the S * B class rows innermost
+    factors = np.concatenate([port_d[:, units, loads], mem_d[:, units, kinds]], axis=2)
     factors = np.ascontiguousarray(factors.reshape(-1, 6, 2).transpose(1, 2, 0))
     dists = _outer_product(factors).T.reshape(prob.shape + (_N_OUTCOMES,))
     subsets = _coherent_subset_dists(branch_terms, ports, memories, feedforward)
     tables = []
     for setting, p, d, sub in zip(settings, prob, dists, subsets):
         keep = p > 0.0
-        probs = np.concatenate([p[keep], coherent[live]])
+        probs = np.concatenate([p[keep], model.coherent[live]])
         if probs.size == 0:
             raise ValueError(
                 f"no six-fold coincidences possible for setting {setting.setting_id}"
@@ -467,39 +463,29 @@ def build_event_tables(
                 setting.setting_id,
                 probs,
                 np.concatenate([d[keep], sub[live]]),
-                float(coherent[-1]),
+                float(model.coherent[-1]),
             )
         )
     return tables
 
 
-def conditional_success_estimate(
-    cfg: ExperimentConfig, _branches: _Branches | None = None
-) -> float:
+def conditional_success_estimate(model: HeraldModel) -> float:
     """Chance that a station herald left all three memories truly entangled.
 
     Conditioned on exactly one click per station port under D/A analysis,
     this is the probability that every node holds a single excitation and
     the photons interfered one-per-port, excluding double-excitation and
-    dark-count false heralds.  Computed in closed form from the event
-    classes; no sampling error.  ``_branches`` reuses the write branches a
-    table build already enumerated.  Raises ValueError when no station
-    herald is possible at all.
+    dark-count false heralds.  Computed in closed form from the herald
+    model of ``herald_model``; no sampling error.  Raises ValueError when
+    no station herald is possible at all.
     """
-    branches = _write_branches(cfg) if _branches is None else _branches
-    terms = branches.terms
-    dark = cfg.detector.dark_count_prob
-    hit_one, _ = _hit_and_fill(dark)
-    p_all_single = math.prod(t.write_probabilities[SINGLE] for t in terms)
-    acceptance = op.routing_acceptance([t.pair for t in terms])
-    numerator = p_all_single * acceptance * hit_one**3
-    port_p, _ = _port_outcomes(np.array([q.BASIS_DA, q.BASIS_DA, q.BASIS_DA]), dark)
-    false = _times_clicks(branches.probability, port_p, branches.port_load)
-    # accumulate left to right, branch by branch after the numerator
-    denom = np.add.accumulate(np.concatenate([[numerator], false]))[-1]
+    port_p, _ = _port_outcomes(np.array([q.BASIS_DA, q.BASIS_DA, q.BASIS_DA]), model.dark)
+    false = _times_clicks(model.branch_probability, port_p, model.branch_port_load)
+    # accumulate left to right, branch by branch after the coherent herald
+    denom = np.add.accumulate(np.concatenate([[model.herald], false]))[-1]
     if denom <= 0.0:
         raise ValueError("no station heralds possible for the success estimate")
-    return numerator / denom
+    return model.herald / denom
 
 
 # trials per array pass of raw_trial_counts; the chunking fixes its draw order
@@ -522,9 +508,9 @@ def raw_trial_counts(
     what makes this a meaningful cross-check of `build_event_tables`.
     Single-threaded; intended for validation, not production sampling.
     """
-    terms = _station_terms(cfg)
-    _, branch_terms = _coherent_sector(cfg, terms)
-    dark = cfg.detector.dark_count_prob
+    model = herald_model(cfg)
+    terms, dark = model.terms, model.dark
+    branch_terms = _station_branch_terms(cfg, terms)
     write_p = np.array([t.write_probabilities for t in terms])  # (3, 3)
     pol_p1 = np.array([t.born[1] for t in terms])
     # chance a collapsed clean memory reads out as channel 1, by node and pol

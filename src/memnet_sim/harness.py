@@ -194,9 +194,7 @@ def _sample_pairs(dists, n: int, streams: _TableStreams) -> det.PairStack:
 # Rate arithmetic
 
 
-def rate_arithmetic(
-    cfg: cf.ExperimentConfig, _terms: list[nd.NodeTerms] | None = None
-) -> dict:
+def rate_arithmetic(cfg: cf.ExperimentConfig) -> dict:
     """Closed-form efficiency budget for the six-fold coincidence rate.
 
     ``joint_write_read`` is the bare product of the per-node overall
@@ -205,12 +203,14 @@ def rate_arithmetic(
     photons leave one per station port: 1/4 for balanced pairs), which is
     the per-trial probability of a six-fold coincidence with ideal
     detectors; the published counting rate corresponds to this value.
-    ``_terms`` reuses the station node terms a table build already derived.
     """
-    terms = ev._station_terms(cfg) if _terms is None else _terms
+    return _rate_budget(cfg, ev.herald_model(cfg).acceptance)
+
+
+def _rate_budget(cfg: cf.ExperimentConfig, acceptance: float) -> dict:
+    """``rate_arithmetic`` at a given routing acceptance."""
     p_nodes = [node.p_w * node.eta_r0 for node in cfg.nodes]
     joint = float(np.prod(p_nodes))
-    acceptance = float(op.routing_acceptance([t.pair for t in terms]))
     sixfold = joint * acceptance
     tps = cfg.timing.trials_per_second
     return {
@@ -527,8 +527,8 @@ def _run_ghz(
     weights = w.weight_array(spec, cfg.calibration_weights)
     settings = make_settings()
     started = time.perf_counter()
-    branches = ev._write_branches(cfg)
-    tables = ev.build_event_tables(cfg, settings, _branches=branches)
+    model = ev.herald_model(cfg)
+    tables = ev.build_event_tables(cfg, settings, model)
     built = time.perf_counter()
     budgets = _split_budget(cfg.samples, len(tables))
     counts = [table.sample(n, streams.take(n)) for table, n in zip(tables, budgets)]
@@ -572,10 +572,8 @@ def _run_ghz(
             }
             for t in tables
         },
-        "conditional_success_estimate": ev.conditional_success_estimate(
-            cfg, _branches=branches
-        ),
-        "rate": rate_arithmetic(cfg, _terms=branches.terms),
+        "conditional_success_estimate": ev.conditional_success_estimate(model),
+        "rate": _rate_budget(cfg, model.acceptance),
     }
     stage_s = {
         "table_build": built - started,

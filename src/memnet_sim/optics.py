@@ -80,6 +80,16 @@ def polarization_map(node_id: str) -> np.ndarray:
     raise ValueError(f"unknown node_id {node_id!r}")
 
 
+_TOO_FEW_SAMPLES = "envelope needs a 1-D grid of at least two samples"
+
+
+def _grid_step(span_us: float, n: int) -> float:
+    """Spacing of ``n`` grid times spanning ``span_us``; refuses ``n < 2``."""
+    if n < 2:
+        raise ValueError(_TOO_FEW_SAMPLES)
+    return span_us / (n - 1)
+
+
 @dataclass(frozen=True)
 class Envelope:
     """Temporal amplitude profile on a uniform grid, unit squared-norm.
@@ -97,9 +107,12 @@ class Envelope:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=complex)
+        try:
+            vals = np.asarray(self.values, dtype=complex)
+        except OverflowError:  # an int beyond the float range
+            raise ValueError("envelope amplitudes must be finite") from None
         if vals.ndim != 1 or vals.size < 2:
-            raise ValueError("envelope needs a 1-D grid of at least two samples")
+            raise ValueError(_TOO_FEW_SAMPLES)
         if not q.is_finite(self.start_us):
             raise ValueError("start_us must be finite")
         if not (q.is_finite(self.step_us) and self.step_us > 0.0):
@@ -178,7 +191,7 @@ class Envelope:
         try:
             with np.errstate(over="raise", invalid="raise"):
                 start = center_us - 4.0 * width_us
-                step = 8.0 * width_us / (n - 1)
+                step = _grid_step(8.0 * width_us, n)
                 t = start + step * np.arange(n)
                 amp = np.exp(-((t - center_us) ** 2) / (4.0 * width_us**2))
         except (OverflowError, FloatingPointError):
@@ -191,8 +204,7 @@ class Envelope:
     def square(cls, start_us: float, width_us: float, n: int = 512) -> "Envelope":
         if not (q.is_finite(width_us) and width_us > 0.0):
             raise ValueError("width_us must be positive and finite")
-        step = width_us / (n - 1)
-        return cls(start_us, step, np.ones(n))
+        return cls(start_us, _grid_step(width_us, n), np.ones(n))
 
     @classmethod
     def exponential_decay(cls, start_us: float, tau_us: float, n: int = 512) -> "Envelope":
@@ -200,7 +212,7 @@ class Envelope:
         eight lifetimes."""
         if not (q.is_finite(tau_us) and tau_us > 0.0):
             raise ValueError("tau_us must be positive and finite")
-        step = 8.0 * tau_us / (n - 1)
+        step = _grid_step(8.0 * tau_us, n)
         t = step * np.arange(n)
         return cls(start_us, step, np.exp(-t / (2.0 * tau_us)))
 

@@ -178,7 +178,7 @@ def loop_event_tables(cfg, settings):
     """Reference tables: one event class at a time, its distribution the
     Kronecker product of its six factors, and one measurement of the
     coherent sector's six-qubit state per retrieval subset."""
-    terms = ev._station_terms(cfg)
+    terms = ev.herald_model(cfg).terms
     states = reference_station_state(cfg)
     p_coherent = math.prod(t.write_probabilities[ev.SINGLE] for t in terms) * (
         math.prod(t.born[0] for t in terms) + math.prod(t.born[1] for t in terms)
@@ -229,7 +229,7 @@ def loop_event_tables(cfg, settings):
 
 def loop_conditional_success(cfg):
     """Reference: the false-herald sum accumulated branch by branch."""
-    terms = ev._station_terms(cfg)
+    terms = ev.herald_model(cfg).terms
     dark = cfg.detector.dark_count_prob
     hit_one, _ = loop_single_click(det.photon_hits(1.0, (0.5, 0.5)), dark)
     p_all_single = math.prod(t.write_probabilities[ev.SINGLE] for t in terms)
@@ -266,6 +266,10 @@ ORACLE_CONFIGS = {
         for seed in (101, 102, 103)
     },
 }
+
+
+def success_estimate(cfg):
+    return ev.conditional_success_estimate(ev.herald_model(cfg))
 
 
 def table_distributions(tables):
@@ -419,17 +423,17 @@ class TestSampler:
 
 class TestConditionalSuccess:
     def test_ideal_is_exactly_one(self):
-        assert ev.conditional_success_estimate(cf.preset("ideal")) == pytest.approx(
+        assert success_estimate(cf.preset("ideal")) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_no_dark_limit_approaches_one(self):
         cfg = cf.ExperimentConfig()  # order 2, zero dark counts
-        assert ev.conditional_success_estimate(cfg) > 0.93
+        assert success_estimate(cfg) > 0.93
         tiny = tuple(
             NodeConfig(nid, p_w=1e-4, excitation_order=2) for nid in ("I", "II", "III")
         )
-        est = ev.conditional_success_estimate(cf.ExperimentConfig(nodes=tiny))
+        est = success_estimate(cf.ExperimentConfig(nodes=tiny))
         assert est > 0.999
 
     def test_doubling_p_w_decreases_without_darks(self):
@@ -438,14 +442,14 @@ class TestConditionalSuccess:
                 NodeConfig(nid, p_w=p, excitation_order=2)
                 for nid in ("I", "II", "III")
             )
-            return ev.conditional_success_estimate(cf.ExperimentConfig(nodes=nodes))
+            return success_estimate(cf.ExperimentConfig(nodes=nodes))
 
         assert est(0.2) < est(0.1) < est(0.05)
 
     def test_dark_counts_lower_the_estimate(self):
         base = cf.ExperimentConfig()
         dark = base.with_overrides(detector=DetectorConfig(dark_count_prob=0.01))
-        assert ev.conditional_success_estimate(dark) < ev.conditional_success_estimate(
+        assert success_estimate(dark) < success_estimate(
             base
         )
 
@@ -455,7 +459,7 @@ class TestConditionalSuccess:
             detector=DetectorConfig(dark_count_prob=1.0)
         )
         with pytest.raises(ValueError, match="no station heralds possible"):
-            ev.conditional_success_estimate(cfg)
+            success_estimate(cfg)
 
 
 class TestCoherentSector:
@@ -466,7 +470,7 @@ class TestCoherentSector:
         cfg = ORACLE_CONFIGS[name]()
         aged = [
             q.DensityMatrix((q.photon(n.node_id), q.spin(n.node_id)), t.pair.reshape(4, 4))
-            for n, t in zip(cfg.nodes, ev._station_terms(cfg))
+            for n, t in zip(cfg.nodes, ev.herald_model(cfg).terms)
         ]
         got, _ = op.connect_three(aged, extra_coherence=cfg.interference_visibility)
         pairs = [
@@ -519,9 +523,7 @@ class TestLoopOracle:
     def test_conditional_success_matches_loop(self, name):
         cfg = ORACLE_CONFIGS[name]()
         want = loop_conditional_success(cfg)
-        assert ev.conditional_success_estimate(cfg) == want
-        shared = ev._write_branches(cfg)
-        assert ev.conditional_success_estimate(cfg, _branches=shared) == want
+        assert success_estimate(cfg) == want
 
 
 class TestRawAgainstTable:

@@ -383,6 +383,19 @@ class TestEnvelope:
         ):
             assert not f.shares_grid(other)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: optics.Envelope.gaussian(0.0, 0.1, n=n),
+            lambda n: optics.Envelope.square(0.0, 0.1, n=n),
+            lambda n: optics.Envelope.exponential_decay(0.0, 0.1, n=n),
+        ],
+    )
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_constructors_refuse_fewer_than_two_samples(self, make, n):
+        with pytest.raises(ValueError, match="at least two samples"):
+            make(n)
+
     def test_nan_csv_envelope_rejected(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("time_us,re,im\n0.0,1.0,0.0\n0.01,nan,0.0\n0.02,0.5,0.0\n")
