@@ -3,8 +3,8 @@
 ``memnet-sim`` loads a configuration (JSON file or named preset), applies
 flag overrides, runs one scenario and either writes the report bundle to
 ``--out`` or prints the report JSON to stdout.  Exit status is 0 on
-success; configuration and runtime errors print a diagnostic to stderr and
-exit nonzero.
+success; 1 on any configuration or runtime error, after a one-line
+diagnostic on stderr; and 2 on a usage error, which argparse reports.
 """
 
 from __future__ import annotations
@@ -61,16 +61,9 @@ def _load_config(args: argparse.Namespace) -> cf.ExperimentConfig:
         cfg = cf.ExperimentConfig.from_json(args.config)
     else:
         cfg = cf.preset(args.preset or "paper")
-    overrides = {}
-    for name in ("scenario", "seed", "samples", "workers"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if overrides:
-        cfg = cfg.with_overrides(**overrides)
-    return cfg
+    flags = {name: getattr(args, name) for name in ("scenario", "seed", "samples", "workers")}
+    overrides = {k: v for k, v in {**flags, "out_dir": args.out}.items() if v is not None}
+    return cfg.with_overrides(**overrides) if overrides else cfg
 
 
 def main(argv=None) -> int:

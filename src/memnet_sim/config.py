@@ -14,15 +14,15 @@ write trials of ``trial_us`` each are attempted.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-import numbers
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
+from . import quantum as q
 from .detection import DetectorConfig
 from .node import NodeConfig
-from .optics import Envelope
-from .quantum import is_finite
+from .optics import ENVELOPE_RULES, GAUSSIAN_WIDTH, Envelope
 
 NODE_ORDER = ("I", "II", "III")
 
@@ -39,273 +39,6 @@ SCENARIO_PARAMS = {
 SCENARIO_IDS = tuple(SCENARIO_PARAMS)
 
 SCHEMA_VERSION = 1
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-@dataclass(frozen=True)
-class TimingConfig:
-    cycle_ms: float = 21.0
-    loading_ms: float = 18.0
-    memory_window_ms: float = 3.0
-    trial_us: float = 4.7
-    max_trials_per_load: int = 622
-
-    def __post_init__(self) -> None:
-        for name in ("cycle_ms", "loading_ms", "memory_window_ms", "trial_us"):
-            val = getattr(self, name)
-            if not (is_finite(val) and val > 0.0):
-                raise ValueError(f"{name} must be positive and finite, not {val}")
-        if self.loading_ms + self.memory_window_ms > self.cycle_ms + 1e-9:
-            raise ValueError("loading plus memory window exceeds the cycle")
-        limit = math.floor(self.memory_window_ms * 1000.0 / self.trial_us)
-        if not 1 <= self.max_trials_per_load <= limit:
-            raise ValueError(
-                f"max_trials_per_load must lie in [1, {limit}] "
-                f"for a {self.memory_window_ms} ms window of {self.trial_us} us trials"
-            )
-
-    @property
-    def trials_per_second(self) -> float:
-        """Write trials per wall-clock second, loading overhead included."""
-        return self.max_trials_per_load / (self.cycle_ms * 1e-3)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    nodes: tuple[NodeConfig, NodeConfig, NodeConfig] = tuple(
-        NodeConfig(node_id=nid) for nid in NODE_ORDER
-    )
-    detector: DetectorConfig = DetectorConfig()
-    timing: TimingConfig = TimingConfig()
-    scenario: str = "ghz3"
-    seed: int = 0
-    samples: int = 10_000
-    workers: int = 1
-    read_delay_us: float = 0.0
-    interference_visibility: float = 1.0
-    envelopes: dict | None = None
-    calibration_weights: dict | None = None
-    scenario_params: dict = field(default_factory=dict)
-    out_dir: str | None = None
-    calibration: str | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.nodes) != 3:
-            raise ValueError("exactly three node configs required")
-        for cfg, nid in zip(self.nodes, NODE_ORDER):
-            if cfg.node_id != nid:
-                raise ValueError(f"nodes must be ordered {NODE_ORDER}")
-        if self.scenario not in SCENARIO_IDS:
-            raise ValueError(
-                f"unknown scenario {self.scenario!r}; choose from {SCENARIO_IDS}"
-            )
-        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
-            raise ValueError(
-                f"seed must be an integer in [0, 2**64), not {self.seed!r}"
-            )
-        # numpy's multinomial draws at most 2**63 - 1 trials
-        if not _is_int(self.samples) or not 1 <= self.samples < 2**63:
-            raise ValueError(
-                f"samples must be an integer in [1, 2**63 - 1], not {self.samples!r}"
-            )
-        if not _is_int(self.workers) or self.workers < 1:
-            raise ValueError(f"workers must be an integer >= 1, not {self.workers!r}")
-        if not (is_finite(self.read_delay_us) and self.read_delay_us >= 0.0):
-            raise ValueError(
-                f"read_delay_us must be non-negative and finite, not {self.read_delay_us}"
-            )
-        if not 0.0 <= self.interference_visibility <= 1.0:
-            raise ValueError("interference_visibility must lie in [0, 1]")
-        if self.envelopes is not None:
-            _check_envelopes(self.envelopes)
-        _check_scenario_params(self.scenario_params)
-        if self.calibration_weights is not None:
-            for key, val in self.calibration_weights.items():
-                if not _is_number(val, positive=True):
-                    raise ValueError(
-                        f"calibration weight {key!r} must be a positive number, not {val!r}"
-                    )
-                if not (isinstance(key, str) and key and set(key) <= {"0", "1"}):
-                    raise ValueError(
-                        f"calibration weight key {key!r} must be an outcome pattern of 0s and 1s"
-                    )
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-
-    def node(self, node_id: str) -> NodeConfig:
-        if node_id not in NODE_ORDER:
-            raise KeyError(f"unknown node {node_id!r}")
-        return self.nodes[NODE_ORDER.index(node_id)]
-
-    def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        return replace(self, **kwargs)
-
-    def to_dict(self) -> dict:
-        """Every field as a JSON value, nested configs as objects and an
-        infinite lifetime as null, under the schema version."""
-        data = asdict(self)
-        data["nodes"] = [
-            {
-                key: None if key in _INF_IF_NULL and math.isinf(val) else val
-                for key, val in nd.items()
-            }
-            for nd in data["nodes"]
-        ]
-        return {"schema_version": SCHEMA_VERSION, **data}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        _check_section("config", data, cls, extra=("schema_version",))
-        version = data.get("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
-            raise ValueError(f"unsupported config schema version {version!r}")
-        nodes = data.get("nodes")
-        if not isinstance(nodes, list):
-            raise ValueError(f"config key 'nodes' must be a list, not {nodes!r}")
-        # a null lifetime is an infinite one
-        nodes = [
-            {
-                key: math.inf if key in _INF_IF_NULL and val is None else val
-                for key, val in _check_section("node", nd, NodeConfig).items()
-            }
-            for nd in nodes
-        ]
-        detector = _check_section("detector", data.get("detector", {}), DetectorConfig)
-        timing = _check_section("timing", data.get("timing", {}), TimingConfig)
-        nested = ("schema_version", "nodes", "detector", "timing", "scenario_params")
-        kwargs = {key: val for key, val in data.items() if key not in nested}
-        return cls(
-            nodes=tuple(NodeConfig(**nd) for nd in nodes),
-            detector=DetectorConfig(**detector),
-            timing=TimingConfig(**timing),
-            scenario_params=dict(data.get("scenario_params", {})),
-            **kwargs,
-        )
-
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        return text
-
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-
-_INF_IF_NULL = ("tau_mem_us", "tau_vis_us")
-
-# JSON type each field annotation's leading type accepts; a bool is none
-_JSON_TYPES = {
-    "float": (numbers.Real, "a number"),
-    "int": (numbers.Integral, "an integer"),
-    "str": (str, "a string"),
-    "dict": (dict, "an object"),
-}
-
-
-def _check_section(section: str, data, cls, extra=()) -> dict:
-    """Return ``data`` once it is a JSON object whose keys are fields of
-    ``cls`` (or ``extra``) and whose values have the fields' JSON types.
-
-    A field annotated ``X | None`` also takes null; a lifetime takes null
-    as infinity.  A float field refuses an integer beyond the float range.
-    """
-    if not isinstance(data, dict):
-        raise ValueError(f"{section} must be a JSON object, not {data!r}")
-    allowed = {f.name for f in fields(cls)} | set(extra)
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ValueError(
-            f"unknown {section} key(s) {unknown}; allowed: {sorted(allowed)}"
-        )
-    for f in fields(cls):
-        kind, _, rest = f.type.partition(" | ")
-        if f.name not in data or kind not in _JSON_TYPES:
-            continue
-        value = data[f.name]
-        if value is None and (rest == "None" or f.name in _INF_IF_NULL):
-            continue
-        types, what = _JSON_TYPES[kind]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ValueError(
-                f"{section} key {f.name!r} must be {what}, not {value!r}"
-            )
-        if kind == "float" and _is_int(value) and not is_finite(value):
-            raise ValueError(f"{section} key {f.name!r} lies beyond the float range")
-    return data
-
-
-def _is_number(value, positive: bool = False) -> bool:
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and is_finite(value)
-        and (value > 0.0 or not positive)
-    )
-
-
-def _is_number_list(value, positive: bool = False) -> bool:
-    return (
-        isinstance(value, (list, tuple))
-        and len(value) > 0
-        and all(_is_number(x, positive) for x in value)
-    )
-
-
-# scenario_params key -> (check of its value, what the value must be)
-_PARAM_CHECKS = {
-    "node": (lambda v: isinstance(v, str) and v in NODE_ORDER, f"one of {list(NODE_ORDER)}"),
-    # delays are storage times
-    "delays_us": (
-        lambda v: _is_number_list(v) and min(v) >= 0.0,
-        "a non-empty list of non-negative finite numbers",
-    ),
-    "delta_omega_rad_per_us": (_is_number_list, "a non-empty list of finite numbers"),
-    "width_us": (
-        lambda v: _is_number_list(v, positive=True) and all(map(_gaussian_builds, v)),
-        "a non-empty list of positive finite numbers, each small enough for a Gaussian grid",
-    ),
-    "point_width_us": (
-        lambda v: _is_number(v, positive=True) and _gaussian_builds(v),
-        "a positive finite number small enough for a Gaussian grid",
-    ),
-}
-
-
-def _gaussian_builds(width_us) -> bool:
-    """Whether the swap scenario's Gaussian envelope of this width has a
-    finite grid."""
-    try:
-        Envelope.gaussian(0.0, width_us)
-    except ValueError:
-        return False
-    return True
-
-
-def _check_scenario_params(params) -> None:
-    """Check the type and range of every scenario parameter a scenario knows.
-
-    Which keys the configured scenario takes, and how many delay points a
-    sweep needs, is checked when the scenario starts.
-    """
-    if not isinstance(params, dict):
-        raise ValueError(f"scenario_params must be an object, not {params!r}")
-    for key, value in params.items():
-        if key in _PARAM_CHECKS:
-            valid, what = _PARAM_CHECKS[key]
-            if not valid(value):
-                raise ValueError(f"scenario_params key {key!r} must be {what}, not {value!r}")
-
-
-# largest sample count of a named envelope: 2048 times the default 512, far
-# finer than any mode here needs, and each envelope is built at load, so a
-# larger count would allocate its whole grid (16 bytes a sample) there
-MAX_ENVELOPE_SAMPLES = 2**20
 
 # envelope shape -> (constructor, the spec keys it takes in argument order)
 _ENVELOPE_SHAPES = {
@@ -329,52 +62,242 @@ def envelope_from_spec(spec) -> Envelope:
     if spec.get("shape") not in _ENVELOPE_SHAPES:
         raise ValueError(f"unknown envelope spec {spec!r}")
     build, keys = _ENVELOPE_SHAPES[spec["shape"]]
-    extra = {"n": spec["n"]} if "n" in spec else {}
-    return build(*(spec[key] for key in keys), **extra)
+    return build(**{key: spec[key] for key in (*keys, "n") if key in spec})
 
 
-def _check_envelopes(envelopes: dict) -> None:
-    """Check one envelope spec per node without reading any CSV file.
-
-    A named shape is built once here, so a bad value fails at load with its
-    node instead of when (or whether) a scenario uses it.
-    """
-    if sorted(envelopes) != list(NODE_ORDER):
-        raise ValueError(
-            f"envelopes keys must be exactly {list(NODE_ORDER)}, not {sorted(envelopes)}"
-        )
+def _check_envelopes(envelopes: dict, _) -> bool:
+    """Check one envelope spec per node, reading no CSV file: the kinds of its
+    values first, so that no grid too large for memory is built, then a named
+    shape is built, so a bad value fails at load instead of in a scenario."""
+    keys = sorted(envelopes, key=str)
+    if keys != list(NODE_ORDER):
+        raise ValueError(f"envelopes keys must be exactly {list(NODE_ORDER)}, not {keys}")
     for nid, spec in envelopes.items():
         where = f"envelope for node {nid!r}"
         if not isinstance(spec, dict):
             raise ValueError(f"{where} must be an object, not {spec!r}")
+        for key, val in spec.items():
+            if key in ENVELOPE_RULES:
+                q.check(f"{where} key {key!r}", val, ENVELOPE_RULES[key], kind_only=True)
         if "csv" in spec:
-            types = {"csv": str}
+            required, allowed = {"csv"}, {"csv"}
         elif spec.get("shape") in _ENVELOPE_SHAPES:
-            keys = _ENVELOPE_SHAPES[spec["shape"]][1]
-            types = {"shape": str, "n": numbers.Integral, **dict.fromkeys(keys, numbers.Real)}
+            required = {"shape", *_ENVELOPE_SHAPES[spec["shape"]][1]}
+            allowed = required | {"n"}
         else:
             raise ValueError(
                 f"{where} needs a 'csv' path or a 'shape' among {sorted(_ENVELOPE_SHAPES)}"
             )
-        missing = sorted(set(types) - set(spec) - {"n"})
-        unknown = sorted(set(spec) - set(types))
+        missing = sorted(required - set(spec))
+        unknown = sorted(set(spec) - allowed)
         if missing or unknown:
             raise ValueError(f"{where}: missing key(s) {missing}, unknown key(s) {unknown}")
-        for key, val in spec.items():
-            if (
-                isinstance(val, bool)
-                or not isinstance(val, types[key])
-                or (key == "n" and val < 2)
-                or (isinstance(val, numbers.Real) and not is_finite(val))
-            ):
-                raise ValueError(f"{where} key {key!r} has a wrong type or value: {val!r}")
-            if key == "n" and val > MAX_ENVELOPE_SAMPLES:
-                raise ValueError(f"{where} key 'n' exceeds {MAX_ENVELOPE_SAMPLES} samples: {val}")
         if "shape" in spec:
             try:
                 envelope_from_spec(spec)
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
+    return True
+
+
+_FITS_CYCLE = (
+    lambda window, t: t.loading_ms + window <= t.cycle_ms + 1e-9,
+    "loading plus memory window exceeds the cycle: {name} {value!r}",
+)
+# the trial limit memory_window_ms * 1000 / trial_us, unrounded: n <= floor(x) is n <= x
+_LIMIT_FINITE = (
+    lambda trial, t: math.isfinite(t.memory_window_ms * 1000.0 / trial),
+    "{name} {value!r} overflows the trial limit memory_window_ms * 1000 / trial_us",
+)
+_FITS_WINDOW = (
+    lambda n, t: 1 <= n <= t.memory_window_ms * 1000.0 / t.trial_us,
+    "{name} must lie in [1, memory_window_ms * 1000 / trial_us], not {value!r}",
+)
+
+
+@dataclass(frozen=True)
+class TimingConfig:
+    cycle_ms: float = q.ruled(q.NUMBER, q.POSITIVE_FINITE, default=21.0)
+    loading_ms: float = q.ruled(q.NUMBER, q.POSITIVE_FINITE, default=18.0)
+    memory_window_ms: float = q.ruled(q.NUMBER, q.POSITIVE_FINITE, _FITS_CYCLE, default=3.0)
+    trial_us: float = q.ruled(q.NUMBER, q.POSITIVE_FINITE, _LIMIT_FINITE, default=4.7)
+    max_trials_per_load: int = q.ruled(q.INTEGER, _FITS_WINDOW, default=622)
+
+    def __post_init__(self) -> None:
+        q.check_fields(self)
+
+    @property
+    def trials_per_second(self) -> float:
+        """Write trials per wall-clock second, loading overhead included."""
+        return self.max_trials_per_load / (self.cycle_ms * 1e-3)
+
+
+def _at_least(low: float):
+    """A test for a finite number of at least ``low``."""
+    return lambda v: q.is_real(v) and q.is_finite(v) and v >= low
+
+
+def _gaussian(width_us) -> bool:  # the swap's modes are Gaussians
+    return all(test(width_us, None) for test, _ in GAUSSIAN_WIDTH.kind + GAUSSIAN_WIDTH.checks)
+
+
+def _list_of(item, what: str) -> q.Rule:
+    """A non-empty list whose every item passes ``item``."""
+    is_list = lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(item, v))
+    return q.Rule((), (q.must(is_list, "a non-empty list of " + what),))
+
+
+_GAUSSIAN = "small enough for a Gaussian grid"
+
+# scenario_params key -> its rule; which keys the configured scenario takes,
+# and how many delay points a sweep needs, is checked when the scenario starts
+PARAM_RULES = {
+    "node": q.Rule((), (q.must(lambda v: v in NODE_ORDER, f"one of {list(NODE_ORDER)}"),)),
+    "delays_us": _list_of(_at_least(0.0), "non-negative finite numbers"),  # storage times
+    "delta_omega_rad_per_us": _list_of(_at_least(-math.inf), "finite numbers"),
+    "width_us": _list_of(_gaussian, f"positive finite numbers, each {_GAUSSIAN}"),
+    "point_width_us": q.Rule((), (q.must(_gaussian, f"a positive finite number {_GAUSSIAN}"),)),
+}
+
+
+def _check_params(params: dict, _) -> bool:
+    for key, value in params.items():
+        if key in PARAM_RULES:
+            q.check(f"scenario_params key {key!r}", value, PARAM_RULES[key])
+    return True
+
+
+def _is_pattern(key) -> bool:
+    return isinstance(key, str) and len(key) > 0 and set(key) <= {"0", "1"}
+
+
+_WEIGHT = q.Rule((), (q.must(lambda v: _at_least(0.0)(v) and v > 0.0, "a positive number"),))
+_PATTERN = q.Rule((), (q.must(_is_pattern, "an outcome pattern of 0s and 1s"),))
+
+
+def _check_weights(weights: dict, _) -> bool:
+    for key, value in weights.items():
+        q.check(f"calibration weight {key!r}", value, _WEIGHT)
+        q.check(f"calibration weight key {key!r}", key, _PATTERN)
+    return True
+
+
+def _instance_of(cls) -> tuple:
+    return q.must(lambda v: isinstance(v, cls), f"a {cls.__name__}")
+
+
+def _three_in_order(nodes) -> bool:
+    return [nd.node_id if isinstance(nd, NodeConfig) else None for nd in nodes] == [*NODE_ORDER]
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    nodes: tuple[NodeConfig, NodeConfig, NodeConfig] = q.ruled(
+        (q.must(lambda v: isinstance(v, (list, tuple)), "a list"),),
+        q.must(_three_in_order, f"three NodeConfigs ordered {NODE_ORDER}"),
+        default=tuple(NodeConfig(node_id=nid) for nid in NODE_ORDER),
+    )
+    detector: DetectorConfig = q.ruled((), _instance_of(DetectorConfig), default=DetectorConfig())
+    timing: TimingConfig = q.ruled((), _instance_of(TimingConfig), default=TimingConfig())
+    scenario: str = q.ruled(
+        q.STRING, q.must(lambda v: v in SCENARIO_IDS, f"one of {SCENARIO_IDS}"), default="ghz3"
+    )
+    seed: int = q.ruled(
+        q.INTEGER, q.must(lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)"), default=0
+    )
+    # numpy's multinomial draws at most 2**63 - 1 trials
+    samples: int = q.ruled(
+        q.INTEGER, q.must(lambda v: 1 <= v < 2**63, "an integer in [1, 2**63 - 1]"), default=10_000
+    )
+    workers: int = q.ruled(q.INTEGER, q.must(lambda v: v >= 1, "an integer >= 1"), default=1)
+    read_delay_us: float = q.ruled(
+        q.NUMBER, q.must(_at_least(0.0), "non-negative and finite"), default=0.0
+    )
+    interference_visibility: float = q.ruled(q.NUMBER, q.UNIT, default=1.0)
+    envelopes: dict | None = q.ruled(q.OBJECT, (_check_envelopes, ""), optional=True, default=None)
+    calibration_weights: dict | None = q.ruled(
+        q.OBJECT, (_check_weights, ""), optional=True, default=None
+    )
+    scenario_params: dict = q.ruled(q.OBJECT, (_check_params, ""), default_factory=dict)
+    out_dir: str | None = q.ruled(q.STRING, optional=True, default=None)
+    calibration: str | None = q.ruled(q.STRING, optional=True, default=None)
+
+    def __post_init__(self) -> None:
+        q.check_fields(self)
+        object.__setattr__(self, "nodes", tuple(self.nodes))
+
+    def node(self, node_id: str) -> NodeConfig:
+        if node_id not in NODE_ORDER:
+            raise KeyError(f"unknown node {node_id!r}")
+        return self.nodes[NODE_ORDER.index(node_id)]
+
+    def with_overrides(self, **kwargs) -> "ExperimentConfig":
+        return replace(self, **kwargs)
+
+    def to_dict(self) -> dict:
+        """Every field as a JSON value, nested configs as objects and an
+        infinite lifetime as null, under the schema version."""
+        data = _field_values(self)
+        data.update({key: _field_values(data[key]) for key in ("detector", "timing")})
+        # copies: editing the dict leaves the config as it is
+        data.update({key: copy.deepcopy(data[key]) for key in _CONTAINERS})
+        data["nodes"] = [_field_values(nd) for nd in self.nodes]
+        for nd in data["nodes"]:
+            nd.update({key: None for key in _INF_IF_NULL if math.isinf(nd[key])})
+        return {"schema_version": SCHEMA_VERSION, **data}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ExperimentConfig":
+        data = _check_section("config", data, cls, extra=("schema_version",))
+        version = data.pop("schema_version", SCHEMA_VERSION)
+        if version != SCHEMA_VERSION:
+            raise ValueError(f"unsupported config schema version {version!r}")
+        sections = {
+            "nodes": lambda nodes: tuple(
+                NodeConfig(**_check_section("node", nd, NodeConfig)) for nd in nodes
+            ),
+            "detector": lambda d: DetectorConfig(**_check_section("detector", d, DetectorConfig)),
+            "timing": lambda t: TimingConfig(**_check_section("timing", t, TimingConfig)),
+            "scenario_params": dict,
+        }
+        return cls(**{key: sections[key](v) if key in sections else v for key, v in data.items()})
+
+    def to_json(self, path=None) -> str:
+        text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        if path is not None:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        return text
+
+    @classmethod
+    def from_json(cls, path) -> "ExperimentConfig":
+        with open(path, encoding="utf-8") as fh:
+            return cls.from_dict(json.load(fh))
+
+
+_INF_IF_NULL = ("tau_mem_us", "tau_vis_us")
+_CONTAINERS = ("envelopes", "calibration_weights", "scenario_params")
+
+
+def _field_values(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def _check_section(section: str, data, cls, extra=()) -> dict:
+    """A copy of ``data`` once it is a JSON object whose keys are fields of
+    ``cls`` (or ``extra``) and whose values are of the kinds the fields'
+    rules ask, with a null lifetime read as infinity."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{section} must be a JSON object, not {data!r}")
+    allowed = {f.name for f in fields(cls)} | set(extra)
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        raise ValueError(f"unknown {section} key(s) {unknown}; allowed: {sorted(allowed)}")
+    data = {k: math.inf if k in _INF_IF_NULL and v is None else v for k, v in data.items()}
+    for f in fields(cls):
+        if f.name in data:
+            q.check(f"{section} key {f.name!r}", data[f.name], f.metadata["rule"], kind_only=True)
+    return data
 
 
 def _nodes(**kwargs) -> tuple[NodeConfig, NodeConfig, NodeConfig]:

@@ -24,6 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import quantum as q
+
 _TOL = 1e-9
 
 CSV_HEADER = "n_RL,n_LR,n_LL,n_RR,n_woR,n_woL,n_roR,n_roL,N"
@@ -42,11 +44,10 @@ _FIELD_CELLS.setflags(write=False)
 class DetectorConfig:
     """Per-channel dark-count probability in one detection window."""
 
-    dark_count_prob: float = 0.0
+    dark_count_prob: float = q.ruled(q.NUMBER, q.UNIT, default=0.0)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.dark_count_prob <= 1.0:
-            raise ValueError(f"dark_count_prob {self.dark_count_prob} outside [0, 1]")
+        q.check_fields(self)
 
 
 @dataclass(frozen=True)

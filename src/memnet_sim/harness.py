@@ -94,11 +94,12 @@ def curve_fit(*args, **kwargs):
 
     scipy is imported on the first call, so only the scenarios that fit a
     curve pay for loading it.  A fit without a covariance estimate comes
-    back with an infinite one, which the callers treat as unresolved.
+    back with an infinite one, as does one whose covariance overflows: the
+    callers treat either as unresolved.
     """
     from scipy.optimize import OptimizeWarning, curve_fit as scipy_curve_fit
 
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
         warnings.simplefilter("ignore", OptimizeWarning)
         return scipy_curve_fit(*args, **kwargs)
 
@@ -249,7 +250,7 @@ def _sample_eigen_super(
 def _run_pair_tomography(cfg: cf.ExperimentConfig, streams: _TableStreams):
     node_cfg = cfg.node(cfg.scenario_params.get("node", "I"))
     started = time.perf_counter()
-    pairs = _sample_eigen_super(cfg, node_cfg, np.array([cfg.read_delay_us]), streams)
+    pairs = _sample_eigen_super(cfg, node_cfg, np.array([cfg.read_delay_us], dtype=float), streams)
     stage_s = {"tables": time.perf_counter() - started}
 
     bases = ("eigen", "super")
@@ -291,9 +292,9 @@ def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
     params = cfg.scenario_params
     node_cfg = cfg.node(params.get("node", "I"))
     period = node_cfg.zeeman_period_us
-    delays = np.asarray(
-        params.get("delays_us", np.linspace(0.0, 3.0 * period, 33)), dtype=float
-    )
+    # the default delays, finite by the zeeman_period_us rule, are built only when needed
+    default = None if "delays_us" in params else np.linspace(0.0, 3.0 * period, 33)
+    delays = np.asarray(params.get("delays_us", default), dtype=float)
     if delays.size < 5:
         raise ValueError(
             "raman_delay_sweep needs at least 5 points in scenario_params key 'delays_us'"
@@ -359,10 +360,8 @@ def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
 def _run_lifetime_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
     params = cfg.scenario_params
     node_cfg = cfg.node(params.get("node", "I"))
-    period = node_cfg.zeeman_period_us
-    delays = np.asarray(
-        params.get("delays_us", period * np.arange(23)), dtype=float
-    )
+    default = None if "delays_us" in params else node_cfg.zeeman_period_us * np.arange(23)
+    delays = np.asarray(params.get("delays_us", default), dtype=float)
     if delays.size < 4:
         raise ValueError(
             "lifetime_sweep needs at least 4 points in scenario_params key 'delays_us'"
@@ -453,7 +452,9 @@ def _fit_lifetime(t_arr, eta_arr, n_writes):
     ok = n_writes > 0
     t, eta, n = t_arr[ok], eta_arr[ok], n_writes[ok]
     unresolved = (float(np.mean(eta_arr)), None, None)
-    if t.size < 3 or np.ptp(t) <= 0.0:
+    span = float(np.ptp(t)) if t.size >= 3 else 0.0
+    # a span so short that the starting decay rate 1 / span overflows resolves none
+    if not (span > 0.0 and math.isfinite(1.0 / span)):
         return unresolved
     p = np.clip(eta, 0.5 / n, 1.0 - 0.5 / n)
     sigma = np.sqrt(p * (1.0 - p) / n)
@@ -462,7 +463,7 @@ def _fit_lifetime(t_arr, eta_arr, n_writes):
             lambda t, eta0, k: eta0 * np.exp(-k * t),
             t,
             eta,
-            p0=[max(eta[0], 1e-3), 1.0 / np.ptp(t)],
+            p0=[max(eta[0], 1e-3), 1.0 / span],
             sigma=sigma,
             absolute_sigma=True,
             maxfev=20000,

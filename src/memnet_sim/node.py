@@ -53,6 +53,15 @@ from . import detection as det
 from . import quantum as q
 
 
+# the write outcome probabilities are 1 - p_w - p_w**2, p_w and p_w**2
+_P_W = q.must(lambda v: v >= 0.0 and v + v * v <= 1.0, "non-negative with p_w + p_w**2 <= 1")
+# the sweeps' default delays reach 22 periods, the swap's default detunings 4 * 2 pi / period
+_PERIOD_FEEDS = q.must(
+    lambda v: math.isfinite(22.0 * v) and math.isfinite(8.0 * math.pi / v),
+    "a period whose 22 periods and 8 pi / period are finite",
+)
+
+
 @dataclass(frozen=True)
 class NodeConfig:
     """Static parameters of one memory node.
@@ -63,40 +72,21 @@ class NodeConfig:
     are in microseconds; ``math.inf`` disables the corresponding decay.
     """
 
-    node_id: str = "I"
-    p_w: float = 0.015
-    eta_r0: float = 0.40
-    tau_mem_us: float = math.inf
-    tau_vis_us: float = math.inf
-    zeeman_period_us: float = 5.28
-    phi0: float = 0.0
-    excitation_order: int = 2
-    depol_weight: float = 0.0
-    branch_weight_down: float = 0.5
+    node_id: str = q.ruled(
+        q.STRING, q.must(lambda v: v in ("I", "II", "III"), "I, II or III"), default="I"
+    )
+    p_w: float = q.ruled(q.NUMBER, _P_W, default=0.015)
+    eta_r0: float = q.ruled(q.NUMBER, q.UNIT, default=0.40)
+    tau_mem_us: float = q.ruled(q.NUMBER, q.POSITIVE, default=math.inf)  # inf: no decay
+    tau_vis_us: float = q.ruled(q.NUMBER, q.POSITIVE, default=math.inf)
+    zeeman_period_us: float = q.ruled(q.NUMBER, q.POSITIVE_FINITE, _PERIOD_FEEDS, default=5.28)
+    phi0: float = q.ruled(q.NUMBER, q.must(q.is_finite, "finite"), default=0.0)
+    excitation_order: int = q.ruled(q.INTEGER, q.must(lambda v: v in (1, 2), "1 or 2"), default=2)
+    depol_weight: float = q.ruled(q.NUMBER, q.UNIT, default=0.0)
+    branch_weight_down: float = q.ruled(q.NUMBER, q.UNIT, default=0.5)
 
     def __post_init__(self) -> None:
-        if self.node_id not in ("I", "II", "III"):
-            raise ValueError(f"unknown node_id {self.node_id!r}")
-        for name in ("p_w", "eta_r0", "depol_weight", "branch_weight_down"):
-            val = getattr(self, name)
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(f"{name} = {val} outside [0, 1]")
-        for name in ("tau_mem_us", "tau_vis_us"):  # infinite: no decay
-            val = getattr(self, name)
-            if not val > 0.0:
-                raise ValueError(f"{name} must be positive, not {val}")
-            if not (val == math.inf or q.is_finite(val)):
-                raise ValueError(f"{name} lies beyond the float range")
-        if not (q.is_finite(self.zeeman_period_us) and self.zeeman_period_us > 0.0):
-            raise ValueError(
-                f"zeeman_period_us must be positive and finite, not {self.zeeman_period_us}"
-            )
-        if not q.is_finite(self.phi0):
-            raise ValueError(f"phi0 must be finite, not {self.phi0}")
-        if self.excitation_order not in (1, 2):
-            raise ValueError("excitation_order must be 1 or 2")
-        if self.p_w + self.p_w**2 > 1.0:
-            raise ValueError("p_w too large: outcome probabilities exceed 1")
+        q.check_fields(self)
 
 
 def write_probabilities(cfg: NodeConfig) -> tuple[float, float, float]:
@@ -143,22 +133,24 @@ def entangled_pair_state(cfg: NodeConfig) -> q.DensityMatrix:
     return q.DensityMatrix((q.photon(cfg.node_id), q.spin(cfg.node_id)), _fresh_pair(cfg))
 
 
-def _storage_time(dt_us) -> np.ndarray:
-    """Storage times as a float array, refusing any negative or NaN entry."""
+def _decay(dt_us, tau_us: float):
+    """``exp(-dt / tau)`` over storage times ``dt_us``, refusing any negative or
+    NaN one; a ratio that overflows, as with a tiny lifetime, gives its limit 0."""
     dt = np.asarray(dt_us, dtype=float)
     if not np.all(dt >= 0.0):
         raise ValueError("storage time must be non-negative")
-    return dt
+    with np.errstate(over="ignore"):
+        return np.exp(-dt / tau_us)
 
 
 def retrieval_efficiency(cfg: NodeConfig, dt_us=0.0):
     """Probability that a read pulse at storage time ``dt_us`` yields a photon."""
-    return cfg.eta_r0 * np.exp(-_storage_time(dt_us) / cfg.tau_mem_us)
+    return cfg.eta_r0 * _decay(dt_us, cfg.tau_mem_us)
 
 
 def memory_coherence(cfg: NodeConfig, dt_us=0.0):
     """Residual spin coherence factor after ``dt_us`` of storage."""
-    return np.exp(-_storage_time(dt_us) / cfg.tau_vis_us)
+    return _decay(dt_us, cfg.tau_vis_us)
 
 
 def _storage(cfg: NodeConfig, dt_us):

@@ -80,14 +80,47 @@ def polarization_map(node_id: str) -> np.ndarray:
     raise ValueError(f"unknown node_id {node_id!r}")
 
 
-_TOO_FEW_SAMPLES = "envelope needs a 1-D grid of at least two samples"
+# largest sample count of an envelope grid: 2048 times the default 512, far
+# finer than any mode here needs; a config's envelopes are built when it
+# loads, so a larger count would allocate its whole grid (16 bytes a sample)
+MAX_ENVELOPE_SAMPLES = 2**20
+
+# a finite time, in the words a config file's loader has long used for it
+_NOT_A_TIME = "{name} has a wrong type or value: {value!r} is not a finite number"
+_TIME = ((lambda v, _: q.is_real(v) and q.is_finite(v), _NOT_A_TIME),)
+_FITS = (
+    lambda n, _: n <= MAX_ENVELOPE_SAMPLES,
+    f"{{name}} exceeds {MAX_ENVELOPE_SAMPLES} samples: {{value}}",
+)
+_EIGHT_FINITE = q.must(lambda v: math.isfinite(8.0 * v), "small enough that 8 tau_us is finite")
+
+# the keys of a config's envelope spec: a shape name or a CSV path, and the
+# arguments of the named constructors, which check them by the same rules
+ENVELOPE_RULES = {
+    "shape": q.Rule(q.STRING),
+    "csv": q.Rule(q.STRING),
+    "n": q.Rule((*q.INTEGER, _FITS), (q.must(lambda n: n > 1, "a grid of at least two samples"),)),
+    "center_us": q.Rule(_TIME),
+    "start_us": q.Rule(_TIME),
+    "width_us": q.Rule(_TIME, (q.POSITIVE,)),
+    "tau_us": q.Rule(_TIME, (q.POSITIVE, _EIGHT_FINITE)),  # a decay grid spans eight lifetimes
+}
+# a Gaussian's grid squares offsets up to four widths and divides them by 4 w**2, so
+# that 32 w**2 must be finite and 4 w**2, computed as the constructor does, nonzero
+_GAUSSIAN_GRID = "{name} {value!r} is too %s for a finite Gaussian grid"
+GAUSSIAN_WIDTH = q.Rule(
+    _TIME,
+    (
+        q.POSITIVE,
+        (lambda w, _: math.isfinite(32.0 * float(w) * float(w)), _GAUSSIAN_GRID % "large"),
+        (lambda w, _: 4.0 * w**2 > 0.0, _GAUSSIAN_GRID % "small"),
+    ),
+)
 
 
-def _grid_step(span_us: float, n: int) -> float:
-    """Spacing of ``n`` grid times spanning ``span_us``; refuses ``n < 2``."""
-    if n < 2:
-        raise ValueError(_TOO_FEW_SAMPLES)
-    return span_us / (n - 1)
+def _check_arguments(**arguments) -> None:
+    for name, value in arguments.items():
+        q.check(name, value, ENVELOPE_RULES[name])
 
 
 @dataclass(frozen=True)
@@ -112,11 +145,9 @@ class Envelope:
         except OverflowError:  # an int beyond the float range
             raise ValueError("envelope amplitudes must be finite") from None
         if vals.ndim != 1 or vals.size < 2:
-            raise ValueError(_TOO_FEW_SAMPLES)
-        if not q.is_finite(self.start_us):
-            raise ValueError("start_us must be finite")
-        if not (q.is_finite(self.step_us) and self.step_us > 0.0):
-            raise ValueError("step_us must be positive and finite")
+            raise ValueError("envelope needs a 1-D grid of at least two samples")
+        q.check("start_us", self.start_us, ENVELOPE_RULES["start_us"])
+        q.check("step_us", self.step_us, q.Rule(q.NUMBER, (q.POSITIVE_FINITE,)))
         if not np.all(np.isfinite(vals)):
             raise ValueError("envelope amplitudes must be finite")
         with np.errstate(over="ignore"):
@@ -134,7 +165,7 @@ class Envelope:
     @functools.cached_property
     def times_us(self) -> np.ndarray:
         n = self.values.size
-        last = self.start_us + self.step_us * (n - 1)  # t[-1], without numpy's overflow warning
+        last = float(self.start_us) + float(self.step_us) * (n - 1)  # t[-1], warning-free
         if math.isfinite(last):
             t = self.start_us + self.step_us * np.arange(n)
             if np.all(np.diff(t) > 0.0):
@@ -177,6 +208,7 @@ class Envelope:
         exceeds one.
         """
         t, _, a, b = _common_grid(self, other)
+        _check_beat(t, delta_omega_rad_per_us)
         integrand = np.conj(b) * a * np.exp(1j * delta_omega_rad_per_us * t)
         return complex(np.trapezoid(integrand, t))
 
@@ -184,35 +216,24 @@ class Envelope:
     def gaussian(cls, center_us: float, width_us: float, n: int = 512) -> "Envelope":
         """Gaussian intensity profile with standard deviation ``width_us``,
         sampled over four widths on each side of its center."""
-        if not q.is_finite(center_us):
-            raise ValueError("center_us must be finite")
-        if width_us <= 0.0:
-            raise ValueError("width_us must be positive")
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                start = center_us - 4.0 * width_us
-                step = _grid_step(8.0 * width_us, n)
-                t = start + step * np.arange(n)
-                amp = np.exp(-((t - center_us) ** 2) / (4.0 * width_us**2))
-        except (OverflowError, FloatingPointError):
-            raise ValueError(
-                f"width_us {width_us!r} is too large for a finite Gaussian grid"
-            ) from None
-        return cls(start, step, amp)
+        _check_arguments(center_us=center_us, n=n)
+        q.check("width_us", width_us, GAUSSIAN_WIDTH)
+        start = center_us - 4.0 * width_us
+        step = 8.0 * width_us / (n - 1)
+        t = start + step * np.arange(n)
+        return cls(start, step, np.exp(-((t - center_us) ** 2) / (4.0 * width_us**2)))
 
     @classmethod
     def square(cls, start_us: float, width_us: float, n: int = 512) -> "Envelope":
-        if not (q.is_finite(width_us) and width_us > 0.0):
-            raise ValueError("width_us must be positive and finite")
-        return cls(start_us, _grid_step(width_us, n), np.ones(n))
+        _check_arguments(start_us=start_us, width_us=width_us, n=n)
+        return cls(start_us, width_us / (n - 1), np.ones(n))
 
     @classmethod
     def exponential_decay(cls, start_us: float, tau_us: float, n: int = 512) -> "Envelope":
         """One-sided decay with intensity lifetime ``tau_us``, sampled over
         eight lifetimes."""
-        if not (q.is_finite(tau_us) and tau_us > 0.0):
-            raise ValueError("tau_us must be positive and finite")
-        step = _grid_step(8.0 * tau_us, n)
+        _check_arguments(start_us=start_us, tau_us=tau_us, n=n)
+        step = 8.0 * tau_us / (n - 1)
         t = step * np.arange(n)
         return cls(start_us, step, np.exp(-t / (2.0 * tau_us)))
 
@@ -253,6 +274,13 @@ def _common_grid(f: Envelope, g: Envelope):
     t = np.union1d(f.times_us, g.times_us)
     # trapezoidal weights also hold on a non-uniform union grid
     return t, _trapezoid_weights(t), f.values_at(t), g.values_at(t)
+
+
+def _check_beat(t: np.ndarray, dw: float) -> None:
+    """Refuse a detuning ``dw`` whose beat phase ``dw t`` overflows on the grid ``t``."""
+    if not all(math.isfinite(float(dw) * float(x)) for x in (t[0], t[-1])):
+        span = f"[{float(t[0])!r}, {float(t[-1])!r}]"
+        raise ValueError(f"detuning {dw!r} rad/us overflows the beat phase over {span} us")
 
 
 def _branch_coherence(envelopes, delta_omega_rad_per_us: float) -> complex:
@@ -389,6 +417,7 @@ def averaged_swap_fidelity(
     holds ``sign * conj(sign) = 1``.
     """
     t, w, fa, ga = _common_grid(f, g)
+    _check_beat(t, delta_omega_rad_per_us)
     ga = ga * np.exp(-1j * delta_omega_rad_per_us * t)
 
     norm_f = float(np.sum(w * np.abs(fa) ** 2))  # A

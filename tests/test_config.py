@@ -1,5 +1,6 @@
 """Tests for experiment configuration, serialization, and presets."""
 
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 from memnet_sim import config as cf
+from memnet_sim import optics as op
+from memnet_sim import quantum as q
 from memnet_sim.detection import DetectorConfig
 from memnet_sim.node import NodeConfig
 
@@ -228,6 +231,11 @@ class TestEnvelopeSpecs:
         with pytest.raises(ValueError, match="envelope"):
             cf.envelope_from_spec({"shape": "triangle"})
 
+    def test_envelope_keys_of_mixed_types_refused(self):
+        spec = {"shape": "gaussian", "center_us": 0.0, "width_us": 0.05}
+        with pytest.raises(ValueError, match=r"^envelopes keys must be .*, not \[1, 'I'\]"):
+            cf.ExperimentConfig(envelopes={1: spec, "I": spec})
+
     def test_csv_spec_not_read_at_load(self, tmp_path):
         missing = {"csv": str(tmp_path / "absent.csv")}
         cfg = cf.ExperimentConfig(envelopes={nid: missing for nid in cf.NODE_ORDER})
@@ -238,3 +246,43 @@ class TestEnvelopeSpecs:
 def test_detector_config_reexport_compatible():
     cfg = cf.ExperimentConfig(detector=DetectorConfig(dark_count_prob=0.01))
     assert cfg.detector.dark_count_prob == 0.01
+
+
+class TestRules:
+    def test_every_config_field_and_key_has_one_rule(self):
+        for cls in (NodeConfig, DetectorConfig, cf.TimingConfig, cf.ExperimentConfig):
+            for f in dataclasses.fields(cls):
+                assert isinstance(f.metadata.get("rule"), q.Rule), f"{cls.__name__}.{f.name}"
+        param_keys = {key for keys in cf.SCENARIO_PARAMS.values() for key in keys}
+        assert set(cf.PARAM_RULES) == param_keys
+        spec_keys = {"shape", "csv", "n"}
+        spec_keys |= {key for _, keys in cf._ENVELOPE_SHAPES.values() for key in keys}
+        assert set(op.ENVELOPE_RULES) == spec_keys
+
+    @pytest.mark.parametrize(
+        "section, key, value, build",
+        [
+            ("node", "excitation_order", 1.0, lambda v: NodeConfig(excitation_order=v)),
+            ("node", "p_w", "0.1", lambda v: NodeConfig(p_w=v)),
+            ("node", "p_w", True, lambda v: NodeConfig(p_w=v)),
+            ("detector", "dark_count_prob", "0.1", lambda v: DetectorConfig(dark_count_prob=v)),
+            ("config", "calibration", 5, lambda v: cf.ExperimentConfig(calibration=v)),
+            ("config", "out_dir", 5, lambda v: cf.ExperimentConfig(out_dir=v)),
+            ("config", "nodes", None, lambda v: cf.ExperimentConfig(nodes=v)),
+        ],
+        ids=["order_float", "p_w_string", "p_w_bool", "dark_string", "calibration_int",
+             "out_dir_int", "nodes_null"],
+    )
+    def test_file_and_python_refuse_alike(self, section, key, value, build, tmp_path):
+        data = cf.preset("paper").to_dict()
+        target = {"config": data, "node": data["nodes"][0], "detector": data["detector"]}[section]
+        target[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError) as from_file:
+            cf.ExperimentConfig.from_json(path)
+        with pytest.raises(ValueError) as from_python:
+            build(value)
+        said = str(from_python.value)
+        assert said.startswith(f"{key} must be ")
+        assert str(from_file.value) == f"{section} key {key!r}{said[len(key):]}"

@@ -151,6 +151,13 @@ class TestStorageAndRetrieval:
             with pytest.raises(ValueError, match="storage time 1e\\+308 us overflows"):
                 node.zeeman_phase(cfg, dt)
 
+    def test_tiny_lifetime_decays_to_zero_without_warning(self):
+        cfg = node.NodeConfig(eta_r0=0.4, tau_mem_us=1e-320, tau_vis_us=1e-320)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(node.memory_coherence(cfg, np.array([0.0, 1.0])), [1, 0])
+            assert node.retrieval_efficiency(cfg, 1.0) == 0.0
+
     def test_infinite_lifetime(self):
         cfg = node.NodeConfig(eta_r0=0.25)
         assert node.retrieval_efficiency(cfg, 1e6) == pytest.approx(0.25)

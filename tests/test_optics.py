@@ -396,6 +396,22 @@ class TestEnvelope:
         with pytest.raises(ValueError, match="at least two samples"):
             make(n)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: optics.Envelope.gaussian(0.0, 0.1, n=n),
+            lambda n: optics.Envelope.square(0.0, 0.1, n=n),
+            lambda n: optics.Envelope.exponential_decay(0.0, 0.1, n=n),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "n, message",
+        [(2.5, "n must be an integer"), (True, "n must be an integer"), (2**20 + 1, "n exceeds")],
+    )
+    def test_constructors_refuse_a_sample_count_the_loader_refuses(self, make, n, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            make(n)
+
     def test_nan_csv_envelope_rejected(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("time_us,re,im\n0.0,1.0,0.0\n0.01,nan,0.0\n0.02,0.5,0.0\n")

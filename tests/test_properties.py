@@ -1,8 +1,12 @@
 """Properties over random valid configurations: lossless JSON round trip,
 a report body that does not depend on the worker count, normalized event
-tables and a six-fold probability that grows with a node's ``p_w``."""
+tables and a six-fold probability that grows with a node's ``p_w``; and
+over configurations with junk in them: a run ends in a report or in one
+line of error."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import tempfile
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memnet_sim import cli
 from memnet_sim import config as cf
 from memnet_sim import events as ev
 from memnet_sim import harness as h
@@ -188,3 +193,51 @@ def test_p_sixfold_does_not_fall_as_p_w_rises(cfg, scenario, node, step):
     after = ev.build_event_tables(raised, SETTINGS[scenario])
     for old, new in zip(before, after):
         assert new.p_sixfold >= old.p_sixfold * (1.0 - 1e-12)
+
+
+def leaves(data, path=()):
+    """Paths to every value of a config dict that is no non-empty object or
+    list."""
+    if isinstance(data, (dict, list)) and data:
+        for key, value in data.items() if isinstance(data, dict) else enumerate(data):
+            yield from leaves(value, (*path, key))
+    else:
+        yield path
+
+
+PAPER = cf.preset("paper").to_dict()
+# node I stands for all three nodes (the sweeps read it); out_dir is left
+# alone, since a string there writes a bundle instead of printing the report
+PAPER_LEAVES = [
+    path for path in leaves(PAPER) if path[:2] not in (("nodes", 1), ("nodes", 2), ("out_dir",))
+]
+JUNK = st.sampled_from(
+    ["0.1", True, None, 10**400, 1e308, -1e308, 1e-320, math.nan, math.inf, -math.inf, [], {}]
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    scenario=st.sampled_from(cf.SCENARIO_IDS),
+    edits=st.lists(st.tuples(st.sampled_from(PAPER_LEAVES), JUNK), min_size=1, max_size=3),
+)
+def test_junk_in_a_config_ends_in_a_report_or_one_error_line(scenario, edits):
+    data = json.loads(json.dumps({**PAPER, "scenario": scenario, "samples": 20}))
+    for path, value in edits:
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        # a warning that escapes fails here: Tier-1 turns warnings into errors
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["--config", str(path)])
+    assert rc in (0, 1)
+    if rc:
+        assert err.getvalue().startswith("memnet-sim: error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert json.loads(out.getvalue())["scenario"] == data["scenario"]

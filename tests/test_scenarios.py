@@ -66,6 +66,11 @@ def set_key(path, value):
     return edit
 
 
+def node_i(key, value):
+    """Config-dict edit setting node I's ``key``."""
+    return set_key(("nodes", 0, key), value)
+
+
 def swap_params(params):
     """Config-dict edit giving the two_node_swap scenario ``params``."""
     return set_key(("scenario_params",), params)
@@ -1210,6 +1215,79 @@ class TestCli:
         assert err.startswith("memnet-sim: error: ")
         assert f"'{key}'" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "scenario, edit, key",
+        [
+            # the trial limit memory_window_ms * 1000 / trial_us overflows
+            ("ghz3", set_key(("timing", "trial_us"), 1e-320), "trial_us"),
+            ("ghz3", set_key(("timing", "trial_us"), 1e-310), "trial_us"),
+            # the sweeps' default delays reach 22 periods, the swap's detunings 8 pi / period
+            ("lifetime_sweep", node_i("zeeman_period_us", 1e308), "zeeman_period_us"),
+            ("lifetime_sweep", node_i("zeeman_period_us", 1e307), "zeeman_period_us"),
+            ("lifetime_sweep", node_i("zeeman_period_us", 1e-320), "zeeman_period_us"),
+            ("raman_delay_sweep", node_i("zeeman_period_us", 1e308), "zeeman_period_us"),
+            ("two_node_swap", node_i("zeeman_period_us", 1e-307), "zeeman_period_us"),
+            # a decay grid spans eight lifetimes
+            (
+                "ghz3",
+                envelope_for_node_i(
+                    {"shape": "exponential-decay", "start_us": 0.0, "tau_us": 1e308}
+                ),
+                "tau_us",
+            ),
+            ("ghz3", envelope_for_node_i({"shape": []}), "shape"),
+            # the beat phase 1e308 * 4 us over a grid of four widths of 1 us
+            (
+                "two_node_swap",
+                swap_params({"delta_omega_rad_per_us": [1e308], "width_us": [1.0]}),
+                "detuning",
+            ),
+        ],
+        ids=[
+            "trial_us_1e-320", "trial_us_1e-310", "lifetime_period_1e308",
+            "lifetime_period_1e307", "lifetime_period_1e-320", "raman_period_1e308",
+            "swap_period_1e-307", "decay_tau_1e308", "shape_list", "swap_detuning_1e308",
+        ],
+    )
+    def test_derived_quantity_overflow_errors_once(self, scenario, edit, key, tmp_path, capsys):
+        data = edit(paper_cfg(scenario=scenario, samples=100).to_dict())
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["--config", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("memnet-sim: error: ")
+        assert key in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "scenario, edit",
+        [
+            ("lifetime_sweep", node_i("tau_vis_us", 1e-320)),
+            ("lifetime_sweep", node_i("tau_mem_us", 1e-320)),
+            ("raman_delay_sweep", node_i("tau_mem_us", 1e-320)),
+            # the starting decay rate 1 / span of the lifetime fit overflows
+            (
+                "lifetime_sweep",
+                set_key(("scenario_params",), {"delays_us": [0.0, 1e-320, 2e-320, 3e-320]}),
+            ),
+            ("pair_tomography", set_key(("read_delay_us",), 2**64)),
+        ],
+        ids=["tau_vis_tiny", "tau_mem_tiny", "raman_tau_mem_tiny", "subnormal_span", "int_delay"],
+    )
+    def test_tiny_lifetimes_and_spans_run_clean(self, scenario, edit, tmp_path, capsys):
+        data = edit(paper_cfg(scenario=scenario, samples=100).to_dict())
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["--config", str(path)])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        assert strict_json(out)["scenario"] == scenario
 
     @pytest.mark.parametrize(
         "build, key",
