@@ -171,13 +171,27 @@ def _is_pattern(key) -> bool:
     return isinstance(key, str) and len(key) > 0 and set(key) <= {"0", "1"}
 
 
-_WEIGHT = q.Rule((), (q.must(lambda v: _at_least(0.0)(v) and v > 0.0, "a positive number"),))
+def _witness_bounded(weight, cfg) -> bool:
+    """The witness variance sums ``w**2 n (a - r)**2`` over counts ``n`` of
+    at most ``samples``, with ``(a - r)**2`` at most 4, and divides by the
+    squared weighted total, at most ``(w samples)**2``: all must stay finite."""
+    total = float(weight) * cfg.samples
+    return math.isfinite(4.0 * total * total)
+
+
+_WEIGHT = q.Rule(
+    (),
+    (
+        q.must(lambda v: _at_least(0.0)(v) and v > 0.0, "a positive number"),
+        (_witness_bounded, "{name} {value!r} overflows the witness variance at this sample count"),
+    ),
+)
 _PATTERN = q.Rule((), (q.must(_is_pattern, "an outcome pattern of 0s and 1s"),))
 
 
-def _check_weights(weights: dict, _) -> bool:
+def _check_weights(weights: dict, cfg) -> bool:
     for key, value in weights.items():
-        q.check(f"calibration weight {key!r}", value, _WEIGHT)
+        q.check(f"calibration weight {key!r}", value, _WEIGHT, cfg)
         q.check(f"calibration weight key {key!r}", key, _PATTERN)
     return True
 

@@ -34,8 +34,8 @@ import functools
 import json
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,19 +89,127 @@ class _TableStreams:
         return rng
 
 
-def curve_fit(*args, **kwargs):
-    """``scipy.optimize.curve_fit`` with ``OptimizeWarning`` ignored.
+class Fit(NamedTuple):
+    """A least-squares optimum: ``pcov`` is the unscaled covariance, the
+    inverse normal matrix of the weighted Jacobian, infinite where the
+    Jacobian is rank-deficient or no degree of freedom is left; ``reduced_chi2`` is the
+    weighted residual sum of squares per degree of freedom (infinite with
+    none), by which a caller with relative weights scales ``pcov``;
+    ``iterations`` counts the Jacobians evaluated."""
 
-    scipy is imported on the first call, so only the scenarios that fit a
-    curve pay for loading it.  A fit without a covariance estimate comes
-    back with an infinite one, as does one whose covariance overflows: the
-    callers treat either as unresolved.
+    popt: np.ndarray
+    pcov: np.ndarray
+    reduced_chi2: float
+    iterations: int
+
+
+# Jacobian evaluations before a fit is given up as not converging
+_FIT_ITERATIONS = 200
+# MINPACK's default ftol: a fit is done once an accepted step was predicted
+# to lower the cost by no more than this fraction of it
+_FIT_FTOL = 1.5e-8
+# the damping's floor, far above rounding, keeps the damped matrix invertible;
+# past its ceiling no step has lowered the cost, so none can
+_MIN_DAMPING, _MAX_DAMPING = 1e-12, 1e16
+
+
+def curve_fit(model, jacobian, x, y, p0, sigma=None) -> Fit:
+    """Fit ``model(x, *p)`` to ``y`` by Marquardt's method (J. SIAM 11, 431,
+    1963), weighting each residual by ``1 / sigma``.
+
+    ``jacobian(x, *p)`` is the model's derivative, one row of ``len(y)``
+    values per parameter.  Each step solves ``(A + damping * D) step = b``
+    for the weighted normal matrix ``A``, the gradient ``b`` and MINPACK's
+    scale ``D``, the running maximum of ``diag(A)`` (1 for a row that starts
+    at 0).  A step whose cost is not finite and lower is refused and the
+    damping raised ten-fold; an accepted one lowers it ten-fold.  The fit is
+    done after an accepted step which, damped and at the damping's floor
+    alike, is predicted to lower the cost by at most ``_FIT_FTOL`` of it, or
+    when no step lowers it.  It raises RuntimeError at a Jacobian that is
+    not finite and after ``_FIT_ITERATIONS`` Jacobians without being done.
+    The covariance comes from the SVD of the last weighted Jacobian, with
+    scipy's rank threshold.
     """
-    from scipy.optimize import OptimizeWarning, curve_fit as scipy_curve_fit
+    y = np.asarray(y, dtype=float)
+    weight = 1.0 if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
+    p = np.asarray(p0, dtype=float)
+    with np.errstate(all="ignore"):
+        r = weight * (model(x, *p) - y)
+        cost = float(r @ r)
+        if not math.isfinite(cost):
+            raise RuntimeError("the fit's starting cost is not finite")
+        damping, scale = 1e-3, None
+        for iteration in range(1, _FIT_ITERATIONS + 1):
+            jac = jacobian(x, *p) * weight
+            normal = jac @ jac.T
+            # the diagonal holds the rows' squared norms: an inf or nan shows there
+            if not math.isfinite(normal.trace()):
+                raise RuntimeError("the fit's Jacobian is not finite")
+            rows = normal.diagonal()
+            scale = np.where(rows > 0.0, rows, 1.0) if scale is None else np.maximum(scale, rows)
+            gradient = jac @ r
+            while True:
+                step = _damped_step(normal, gradient, damping * scale)
+                trial = p - step
+                r_trial = weight * (model(x, *trial) - y)
+                cost_trial = float(r_trial @ r_trial)
+                if cost_trial < cost:  # false for nan
+                    # a damped step predicts less than an undamped one: both must be small
+                    limit = _FIT_FTOL * cost
+                    done = gradient @ step <= limit and (
+                        gradient @ _damped_step(normal, gradient, _MIN_DAMPING * scale) <= limit
+                    )
+                    p, r, cost = trial, r_trial, cost_trial
+                    damping = max(damping / 10.0, _MIN_DAMPING)
+                    break
+                damping *= 10.0
+                done = damping > _MAX_DAMPING
+                if done:
+                    break
+            if done:
+                dof = y.size - p.size
+                return Fit(p, _covariance(jac), cost / dof if dof > 0 else math.inf, iteration)
+    raise RuntimeError(f"the fit did not converge in {_FIT_ITERATIONS} iterations")
 
-    with warnings.catch_warnings(), np.errstate(over="ignore"):
-        warnings.simplefilter("ignore", OptimizeWarning)
-        return scipy_curve_fit(*args, **kwargs)
+
+def _damped_step(normal: np.ndarray, gradient: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    return np.linalg.solve(normal + np.diag(diagonal), gradient)
+
+
+def _covariance(jac: np.ndarray) -> np.ndarray:
+    """The inverse normal matrix of the weighted Jacobian's rows ``jac``, from
+    their SVD; infinite where a singular value falls below scipy's threshold
+    or no degree of freedom is left."""
+    n, m = jac.shape
+    u, s, _ = np.linalg.svd(jac, full_matrices=False)
+    if m <= n or s[-1] <= np.finfo(float).eps * m * s[0]:
+        return np.full((n, n), math.inf)
+    return (u / (s * s)) @ u.T
+
+
+def _raman_model(x, amp, period, phase, floor):
+    """The Raman precession ``amp * env * cos(2 pi t / period + phase) + floor``
+    at the delays and memory coherences ``x = (t, env)``."""
+    t, envelope = x
+    return amp * envelope * np.cos(2.0 * np.pi / period * t + phase) + floor
+
+
+def _raman_jacobian(x, amp, period, phase, floor):
+    t, envelope = x
+    turns = 2.0 * np.pi / period * t
+    swing = amp * envelope * np.sin(turns + phase)
+    dperiod = swing * turns / period
+    return np.array([envelope * np.cos(turns + phase), dperiod, -swing, np.ones_like(t)])
+
+
+def _decay_model(t, eta0, k):
+    """The retrieval efficiency ``eta0 * exp(-k t)`` after storage ``t``."""
+    return eta0 * np.exp(-k * t)
+
+
+def _decay_jacobian(t, eta0, k):
+    decay = np.exp(-k * t)
+    return np.array([decay, -t * eta0 * decay])
 
 
 def _split_budget(n: int, k: int) -> list[int]:
@@ -227,9 +335,10 @@ def _rate_budget(cfg: cf.ExperimentConfig, acceptance: float) -> dict:
 
 # ---------------------------------------------------------------------------
 # Scenario runners. Each takes the config and the run's table streams and
-# returns (body, artifacts, stage_s, counters): artifacts maps a relative
-# output path to a payload emit_report knows how to write, stage_s the
-# runner's stage wall times and counters its own counts beyond the streams.
+# returns (body, artifacts, stage_s, meta): artifacts maps a relative output
+# path to a payload emit_report knows how to write, stage_s the runner's
+# stage wall times and meta its other report meta entries: its own counts
+# beyond the streams (counters) and a fitted scenario's diagnostics (fit).
 # run_scenario has checked the scenario_params keys before a runner starts.
 
 
@@ -314,30 +423,28 @@ def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
     built = time.perf_counter()
     ncop = points[:, 1]
     # the fit evaluates the model at the delays only
-    envelope = nd.memory_coherence(node_cfg, delays)
-
-    def model(t, amp, period_fit, phase, floor):
-        return amp * envelope * np.cos(2.0 * np.pi * t / period_fit + phase) + floor
-
+    x = np.stack([delays, nd.memory_coherence(node_cfg, delays)])
     p0 = [0.5 * (ncop.max() - ncop.min()), period, 0.0, float(ncop.mean())]
     fit = dict.fromkeys(
         ("period_us", "period_sigma_us", "amplitude", "phase_rad", "floor")
     )
     try:
-        popt, pcov = curve_fit(model, delays, ncop, p0=p0, maxfev=20000)
+        result = curve_fit(_raman_model, _raman_jacobian, x, ncop, p0)
     except RuntimeError:
-        popt, pcov = None, None
+        result = None
+    sigmas = amplitude_z = None
+    if result is not None and np.all(np.isfinite(result.pcov)):
+        # the points are unweighted, so the covariance scales by the residual variance
+        sigmas = np.sqrt(np.diag(result.pcov) * result.reduced_chi2).tolist()
+        amplitude_z = _z_score(abs(float(result.popt[0])), sigmas[0])
     # too few counts, or no spin coherence, leave the oscillation
     # unresolved: report nulls, not a period fitted to noise
-    resolved = (
-        pcov is not None
-        and bool(np.all(np.isfinite(pcov)))
-        and abs(float(popt[0])) >= _AMPLITUDE_Z * math.sqrt(max(pcov[0, 0], 0.0))
-    )
+    resolved = sigmas is not None and abs(float(result.popt[0])) >= _AMPLITUDE_Z * sigmas[0]
     if resolved:
+        popt = result.popt
         fit.update(
             period_us=float(abs(popt[1])),
-            period_sigma_us=float(math.sqrt(max(pcov[1, 1], 0.0))),
+            period_sigma_us=sigmas[1],
             amplitude=float(popt[0]),
             phase_rad=float(popt[2]),
             floor=float(popt[3]),
@@ -354,7 +461,7 @@ def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
         "sweeps/raman_delay.csv": ("rows", header, points),
         "counts/raman_delay_tables.csv": ("coincidence", pairs.fields),
     }
-    return body, artifacts, stage_s, {}
+    return body, artifacts, stage_s, {"fit": _fit_meta(result, amplitude_z=amplitude_z)}
 
 
 def _run_lifetime_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
@@ -382,7 +489,7 @@ def _run_lifetime_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
     rows = [dict(zip(header, point)) for point in points.tolist()]
 
     built = time.perf_counter()
-    eta0_fit, tau_fit, tau_sigma = _fit_lifetime(delays, points[:, 2], writes)
+    (eta0_fit, tau_fit, tau_sigma), diagnostics = _fit_lifetime(delays, points[:, 2], writes)
 
     # single-parameter amplitude fit of the visibility envelope; the decay
     # constant is the calibrated tau_vis of the node
@@ -435,11 +542,12 @@ def _run_lifetime_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
         "counts/lifetime_eigen.csv": ("coincidence", pairs.fields[eigen]),
         "counts/lifetime_super.csv": ("coincidence", pairs.fields[super_]),
     }
-    return body, artifacts, stage_s, {}
+    return body, artifacts, stage_s, {"fit": diagnostics}
 
 
 def _fit_lifetime(t_arr, eta_arr, n_writes):
-    """Fit ``eta0 * exp(-k t)`` and return ``(eta0, tau, tau_sigma)``.
+    """Fit ``eta0 * exp(-k t)``; return ``(eta0, tau, tau_sigma)`` and the
+    fit's ``meta.fit`` diagnostics.
 
     Each point carries its binomial error ``sqrt(eta (1 - eta) / n)`` over
     its ``n`` write heralds, with ``eta`` kept ``1/(2n)`` from 0 and 1 so
@@ -455,25 +563,40 @@ def _fit_lifetime(t_arr, eta_arr, n_writes):
     span = float(np.ptp(t)) if t.size >= 3 else 0.0
     # a span so short that the starting decay rate 1 / span overflows resolves none
     if not (span > 0.0 and math.isfinite(1.0 / span)):
-        return unresolved
+        return unresolved, _fit_meta(None, decay_z=None)
     p = np.clip(eta, 0.5 / n, 1.0 - 0.5 / n)
     sigma = np.sqrt(p * (1.0 - p) / n)
+    p0 = [max(eta[0], 1e-3), 1.0 / span]
     try:
-        popt, pcov = curve_fit(
-            lambda t, eta0, k: eta0 * np.exp(-k * t),
-            t,
-            eta,
-            p0=[max(eta[0], 1e-3), 1.0 / span],
-            sigma=sigma,
-            absolute_sigma=True,
-            maxfev=20000,
-        )
+        result = curve_fit(_decay_model, _decay_jacobian, t, eta, p0, sigma)
     except RuntimeError:
-        return unresolved
-    k, k_sigma = float(popt[1]), float(math.sqrt(max(pcov[1, 1], 0.0)))
+        return unresolved, _fit_meta(None, decay_z=None)
+    k, k_sigma = float(result.popt[1]), math.sqrt(max(result.pcov[1, 1], 0.0))
+    diagnostics = _fit_meta(result, decay_z=_z_score(k, k_sigma))
     if not (math.isfinite(k_sigma) and k_sigma > 0.0 and k >= _DECAY_Z * k_sigma):
-        return unresolved
-    return float(popt[0]), 1.0 / k, k_sigma / (k * k)
+        return unresolved, diagnostics
+    return (float(result.popt[0]), 1.0 / k, k_sigma / (k * k)), diagnostics
+
+
+def _z_score(value: float, sigma: float) -> float | None:
+    """``value`` in standard errors, or None where the fit gave no finite,
+    nonzero standard error."""
+    if not 0.0 < sigma < math.inf:
+        return None
+    z = value / sigma
+    return z if math.isfinite(z) else None
+
+
+def _fit_meta(result: Fit | None, **z) -> dict:
+    """A fitted scenario's ``meta.fit``: the fit's iterations and reduced
+    chi-square, None where it failed or has no degree of freedom, and the z
+    value its gate tested."""
+    chi2 = math.inf if result is None else result.reduced_chi2
+    return {
+        "iterations": None if result is None else result.iterations,
+        "reduced_chi2": chi2 if math.isfinite(chi2) else None,
+        **z,
+    }
 
 
 def _run_two_node_swap(cfg: cf.ExperimentConfig, streams: _TableStreams):
@@ -510,7 +633,7 @@ def _run_two_node_swap(cfg: cf.ExperimentConfig, streams: _TableStreams):
     }
     artifacts = {"sweeps/two_node_swap.csv": ("rows", header, grid_rows)}
     integrals = 2 * (1 + len(grid_rows))  # flip and no-flip per row
-    return body, artifacts, stage_s, {"integrals": integrals}
+    return body, artifacts, stage_s, {"counters": {"integrals": integrals}}
 
 
 def _run_ghz(
@@ -593,7 +716,7 @@ def _run_ghz(
             {"herald_patterns": heralds},
         )
     event_classes = sum(t.probabilities.size for t in tables)
-    return body, artifacts, stage_s, {"event_classes": event_classes}
+    return body, artifacts, stage_s, {"counters": {"event_classes": event_classes}}
 
 
 _RUNNERS = {
@@ -618,13 +741,15 @@ class RunReport:
     byte-exact serialization the determinism contract applies to.  Wall
     time, worker count and software version live in ``meta``, as do every
     scenario's stage wall times (``stage_s``) and counters (``counters``):
-    ``tables`` plus ``fit`` for the pair scenarios (the first fit of a
-    process includes loading scipy), ``integrals`` for two_node_swap, and
-    ``table_build``, ``sampling`` and ``estimate`` for ghz6/ghz3;
-    ``counters.rng_streams`` and ``counters.draws`` are the run's
-    ``_TableStreams`` counts, ghz6/ghz3 add
+    ``tables`` plus ``fit`` for the pair scenarios, ``integrals`` for
+    two_node_swap, and ``table_build``, ``sampling`` and ``estimate`` for
+    ghz6/ghz3; ``counters.rng_streams`` and ``counters.draws`` are the
+    run's ``_TableStreams`` counts, ghz6/ghz3 add
     ``counters.event_classes`` and two_node_swap ``counters.integrals``,
-    the swap integrals it evaluated.
+    the swap integrals it evaluated.  The two fitted scenarios add
+    ``fit``: the fit's ``iterations`` and ``reduced_chi2`` and the z value
+    its gate tested (``amplitude_z`` for raman_delay_sweep, ``decay_z``
+    for lifetime_sweep), each null where the fit failed.
     ``artifacts`` maps relative output paths to payloads for ``emit_report``.
     """
 
@@ -664,7 +789,7 @@ def run_scenario(cfg: cf.ExperimentConfig) -> RunReport:
         )
     started = time.perf_counter()
     streams = _TableStreams(cfg.seed)
-    body, artifacts, stage_s, counters = _RUNNERS[cfg.scenario](cfg, streams)
+    body, artifacts, stage_s, own_meta = _RUNNERS[cfg.scenario](cfg, streams)
 
     config_echo = cfg.to_dict()
     # execution details must not influence the deterministic body
@@ -682,7 +807,12 @@ def run_scenario(cfg: cf.ExperimentConfig) -> RunReport:
         "wall_time_s": time.perf_counter() - started,
         "workers": cfg.workers,
         "stage_s": stage_s,
-        "counters": {**counters, "rng_streams": streams.taken, "draws": streams.draws},
+        **own_meta,
+        "counters": {
+            **own_meta.get("counters", {}),
+            "rng_streams": streams.taken,
+            "draws": streams.draws,
+        },
     }
     return RunReport(
         scenario=cfg.scenario,

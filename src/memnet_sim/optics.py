@@ -218,6 +218,8 @@ class Envelope:
         sampled over four widths on each side of its center."""
         _check_arguments(center_us=center_us, n=n)
         q.check("width_us", width_us, GAUSSIAN_WIDTH)
+        # checked in float64, so built in it: a float32 width would overflow
+        center_us, width_us = float(center_us), float(width_us)
         start = center_us - 4.0 * width_us
         step = 8.0 * width_us / (n - 1)
         t = start + step * np.arange(n)
@@ -226,13 +228,14 @@ class Envelope:
     @classmethod
     def square(cls, start_us: float, width_us: float, n: int = 512) -> "Envelope":
         _check_arguments(start_us=start_us, width_us=width_us, n=n)
-        return cls(start_us, width_us / (n - 1), np.ones(n))
+        return cls(float(start_us), float(width_us) / (n - 1), np.ones(n))
 
     @classmethod
     def exponential_decay(cls, start_us: float, tau_us: float, n: int = 512) -> "Envelope":
         """One-sided decay with intensity lifetime ``tau_us``, sampled over
         eight lifetimes."""
         _check_arguments(start_us=start_us, tau_us=tau_us, n=n)
+        start_us, tau_us = float(start_us), float(tau_us)
         step = 8.0 * tau_us / (n - 1)
         t = step * np.arange(n)
         return cls(start_us, step, np.exp(-t / (2.0 * tau_us)))

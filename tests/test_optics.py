@@ -361,6 +361,26 @@ class TestEnvelope:
         with pytest.raises(ValueError, match="width_us .* too large"):
             optics.Envelope.gaussian(0.0, width)
 
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (optics.Envelope.gaussian, (0.0, 1e38)),
+            (optics.Envelope.square, (-1e38, 1e38)),
+            (optics.Envelope.exponential_decay, (1e38, 1e37)),
+        ],
+        ids=["gaussian", "square", "exponential_decay"],
+    )
+    def test_float32_arguments_build_the_float64_envelope(self, build, args):
+        # checked in float64, the grid must be built in it too: in float32
+        # the Gaussian's offsets and squares overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            narrow = build(*map(np.float32, args))
+            wide = build(*(float(np.float32(a)) for a in args))
+        assert (narrow.start_us, narrow.step_us) == (wide.start_us, wide.step_us)
+        assert type(narrow.start_us) is float and type(narrow.step_us) is float
+        np.testing.assert_array_equal(narrow.values, wide.values)
+
     def test_grid_and_weights_built_once_and_read_only(self):
         env = optics.Envelope.gaussian(0.3, 0.2, n=64)
         t, w = env.times_us, env.trapezoid_weights

@@ -51,6 +51,8 @@ TELEMETRY_STAGES = {
     "lifetime_sweep": {"tables", "fit"},
     "two_node_swap": {"integrals"},
 }
+# the z value each fitted scenario's gate tests, which meta.fit reports
+FIT_Z = {"raman_delay_sweep": "amplitude_z", "lifetime_sweep": "decay_z"}
 
 
 def set_key(path, value):
@@ -597,9 +599,15 @@ class TestGhzScenarios:
         assert report.body_json() == plain.body_json()
         envelope = {"scenario", "seed", "samples", "config"}
         assert set(report.body) == set(body) | envelope
+        fitted = {"fit"} if scenario in FIT_Z else set()
         assert set(report.meta) == {
-            "version", "wall_time_s", "workers", "stage_s", "counters"
+            "version", "wall_time_s", "workers", "stage_s", "counters", *fitted
         }
+        if fitted:
+            fit = report.meta["fit"]
+            assert set(fit) == {"iterations", "reduced_chi2", FIT_Z[scenario]}
+            assert fit["iterations"] >= 1 and fit["reduced_chi2"] >= 0.0
+            assert fit[FIT_Z[scenario]] > 0.0
         assert set(report.meta["stage_s"]) == TELEMETRY_STAGES[scenario]
         assert all(v >= 0.0 for v in report.meta["stage_s"].values())
         counters = {"rng_streams": n_streams, "draws": n_draws}
@@ -667,7 +675,7 @@ class TestRateArithmetic:
 
 
 # ---------------------------------------------------------------------------
-# cold start: scipy is loaded only by the scenarios that fit a curve
+# cold start: no scenario loads scipy, the fitted ones included
 
 COLD_START = """
 import contextlib, io, json, sys
@@ -702,25 +710,19 @@ def run_fresh(tmp_path, samples, seed, *scenarios):
 
 
 class TestColdStart:
-    def test_only_fitted_scenarios_load_scipy(self, tmp_path):
-        unfitted = ("ghz6", "ghz3", "pair_tomography", "two_node_swap")
-        loaded, _ = run_fresh(tmp_path, 1000, 0, *unfitted, "raman_delay_sweep")
+    def test_no_scenario_loads_scipy(self, tmp_path):
+        loaded, _ = run_fresh(tmp_path, 1000, 0, *TELEMETRY_STAGES)
         assert loaded["import"] == []
-        for scenario in unfitted:
+        for scenario in TELEMETRY_STAGES:
             assert loaded[scenario] == [0, []], scenario
-        rc, modules = loaded["raman_delay_sweep"]
-        assert rc == 0
-        assert "scipy.optimize" in modules
 
     def test_sparse_lifetime_fit_stays_silent(self, tmp_path):
-        # at seed 13 five trials per point leave the decay fit without a
-        # covariance estimate, so scipy warns; the warning must not reach
-        # stderr (TestRamanDelaySweep::test_unresolved_fit_reports_null
-        # checks the same for the Raman fit)
+        # at seed 13 five trials per point leave a decay fit that does not
+        # converge; nothing about it may reach stderr
+        # (TestRamanDelaySweep::test_unresolved_fit_reports_null checks the
+        # same for the Raman fit)
         loaded, stderr = run_fresh(tmp_path, 5, 13, "lifetime_sweep")
-        rc, modules = loaded["lifetime_sweep"]
-        assert rc == 0
-        assert "scipy.optimize" in modules
+        assert loaded["lifetime_sweep"] == [0, []]
         assert stderr == ""
 
 
@@ -1336,6 +1338,22 @@ class TestCli:
         assert err == (
             f"memnet-sim: error: calibration_weights keys ['{key}'] are not "
             f"{bits}-bit patterns of 0 and 1\n"
+        )
+
+    def test_calibration_weight_overflowing_the_witness_errors_once(self, tmp_path, capsys):
+        # the witness variance squares each weighted count: 1e308 overflows
+        # it, where the weight alone is a finite positive number
+        data = paper_cfg(scenario="ghz3").to_dict()
+        data["calibration_weights"] = {"000": 1e308}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["--config", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "memnet-sim: error: calibration weight '000' 1e+308 overflows the "
+            "witness variance at this sample count\n"
         )
 
     def test_calibration_weights_move_the_ghz3_estimate(self):
