@@ -21,10 +21,8 @@ from dataclasses import dataclass, fields, replace
 
 from . import quantum as q
 from .detection import DetectorConfig
-from .node import NodeConfig
-from .optics import ENVELOPE_RULES, GAUSSIAN_WIDTH, Envelope
-
-NODE_ORDER = ("I", "II", "III")
+from .node import IS_NODE_ID, NodeConfig
+from .optics import ENVELOPE_RULES, GAUSSIAN_WIDTH, NODE_IDS, Envelope
 
 # scenario -> the scenario_params keys it takes
 SCENARIO_PARAMS = {
@@ -70,8 +68,8 @@ def _check_envelopes(envelopes: dict, _) -> bool:
     values first, so that no grid too large for memory is built, then a named
     shape is built, so a bad value fails at load instead of in a scenario."""
     keys = sorted(envelopes, key=str)
-    if keys != list(NODE_ORDER):
-        raise ValueError(f"envelopes keys must be exactly {list(NODE_ORDER)}, not {keys}")
+    if keys != list(NODE_IDS):
+        raise ValueError(f"envelopes keys must be exactly {list(NODE_IDS)}, not {keys}")
     for nid, spec in envelopes.items():
         where = f"envelope for node {nid!r}"
         if not isinstance(spec, dict):
@@ -152,7 +150,7 @@ _GAUSSIAN = "small enough for a Gaussian grid"
 # scenario_params key -> its rule; which keys the configured scenario takes,
 # and how many delay points a sweep needs, is checked when the scenario starts
 PARAM_RULES = {
-    "node": q.Rule((), (q.must(lambda v: v in NODE_ORDER, f"one of {list(NODE_ORDER)}"),)),
+    "node": q.Rule((), (IS_NODE_ID,)),
     "delays_us": _list_of(_at_least(0.0), "non-negative finite numbers"),  # storage times
     "delta_omega_rad_per_us": _list_of(_at_least(-math.inf), "finite numbers"),
     "width_us": _list_of(_gaussian, f"positive finite numbers, each {_GAUSSIAN}"),
@@ -201,15 +199,15 @@ def _instance_of(cls) -> tuple:
 
 
 def _three_in_order(nodes) -> bool:
-    return [nd.node_id if isinstance(nd, NodeConfig) else None for nd in nodes] == [*NODE_ORDER]
+    return [nd.node_id if isinstance(nd, NodeConfig) else None for nd in nodes] == [*NODE_IDS]
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     nodes: tuple[NodeConfig, NodeConfig, NodeConfig] = q.ruled(
         (q.must(lambda v: isinstance(v, (list, tuple)), "a list"),),
-        q.must(_three_in_order, f"three NodeConfigs ordered {NODE_ORDER}"),
-        default=tuple(NodeConfig(node_id=nid) for nid in NODE_ORDER),
+        q.must(_three_in_order, f"three NodeConfigs ordered {NODE_IDS}"),
+        default=tuple(NodeConfig(node_id=nid) for nid in NODE_IDS),
     )
     detector: DetectorConfig = q.ruled((), _instance_of(DetectorConfig), default=DetectorConfig())
     timing: TimingConfig = q.ruled((), _instance_of(TimingConfig), default=TimingConfig())
@@ -241,9 +239,9 @@ class ExperimentConfig:
         object.__setattr__(self, "nodes", tuple(self.nodes))
 
     def node(self, node_id: str) -> NodeConfig:
-        if node_id not in NODE_ORDER:
+        if node_id not in NODE_IDS:
             raise KeyError(f"unknown node {node_id!r}")
-        return self.nodes[NODE_ORDER.index(node_id)]
+        return self.nodes[NODE_IDS.index(node_id)]
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **kwargs)
@@ -315,7 +313,7 @@ def _check_section(section: str, data, cls, extra=()) -> dict:
 
 
 def _nodes(**kwargs) -> tuple[NodeConfig, NodeConfig, NodeConfig]:
-    return tuple(NodeConfig(node_id=nid, **kwargs) for nid in NODE_ORDER)
+    return tuple(NodeConfig(node_id=nid, **kwargs) for nid in NODE_IDS)
 
 
 def preset(name: str) -> ExperimentConfig:

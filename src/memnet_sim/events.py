@@ -22,26 +22,25 @@ Instead it enumerates the finite set of event classes exactly:
   ports fake single clicks in equatorial analysis bases.
 
 Each event class contributes (probability, outcome distribution over the
-64 click patterns).  Summing gives the herald probability per trial, the
-importance weight attached to every conditionally drawn sample; one
-multinomial over the table's mixed outcome distribution is exact
-conditional sampling.  The structure of the write branches (which ports
-each branch loads, which kind of memory it leaves) is enumerated once at
-import as index arrays; everything per config is one ``HeraldModel``
-(node terms, branch probabilities, routing acceptance, coherent sector by
-retrieval mask), which the tables, the success estimate, the rate budget
-and the raw trials all read.  All settings of one build are handled
-together: their bases are stacked into ``(S, 3, 2, 2)`` port and memory
-arrays, per-port and per-memory click tables are computed for every
-setting at once and gathered onto the branches, and one outer product
-over the ``(S, B, 6, 2)`` factor stack gives every class distribution.
-The coherent sector is measured term by term for the whole stack, each
-term an outer product of six per-qubit factors, so no six-qubit state is
-ever built, and then marginalized over the memories whose retrieval
-failed.  The brute-force path (`raw_trial_counts`) simulates
-unconditional trials with per-trial Bernoulli draws and exists to
-validate the table at excitation probabilities high enough for six-folds
-to show up in reasonable time.
+``4**N`` click patterns, N the station's node count).  Summing gives the
+herald probability per trial, the importance weight attached to every
+conditionally drawn sample; one multinomial over the table's mixed outcome
+distribution is exact conditional sampling.  The structure of the write
+branches (which ports each branch loads, which kind of memory it leaves) is
+enumerated once at import as index arrays; everything per config is one
+``HeraldModel`` (node terms, branch probabilities, routing acceptance,
+coherent sector by retrieval mask), which the tables, the success estimate,
+the rate budget and the raw trials all read.  All settings of one build are
+handled together: their bases are stacked into ``(S, N, 2, 2)`` port and
+memory arrays, per-port and per-memory click tables are computed for every
+setting at once and gathered onto the branches, and one outer product over
+the ``(S, B, 2N, 2)`` factor stack gives every class distribution.  The
+coherent sector is measured term by term for the whole stack, each term an
+outer product of 2N per-qubit factors, so no joint state is ever built, and
+then marginalized over the memories whose retrieval failed.  The
+brute-force path (`raw_trial_counts`) simulates unconditional trials with
+per-trial Bernoulli draws and exists to validate the table at excitation
+probabilities high enough for six-folds to show up in reasonable time.
 """
 
 from __future__ import annotations
@@ -59,10 +58,17 @@ from . import quantum as q
 from . import witness as w
 from .config import ExperimentConfig, envelope_from_spec
 
-GHZ6_SPEC = w.GhzSpec.parse("HHH↓↓↑", "VVV↑↑↓")
-GHZ3_SPEC = w.GhzSpec.parse("↓↓↑", "↑↑↓")
+# the station's nodes, which are also its ports; a click pattern holds a
+# bit per port and per memory
+_N = len(op.NODE_IDS)
+_N_MASKS = 2**_N  # retrieval masks: bit k set when memory k returned its photon
+_N_OUTCOMES = 4**_N
 
-_N_OUTCOMES = 64
+GHZ6_SPEC = w.GhzSpec.parse("HHH↓↓↑", "VVV↑↑↓")
+# the memory half of GHZ6_SPEC: the state a station herald leaves in the memories
+GHZ3_SPEC = w.GhzSpec(_N, GHZ6_SPEC.pattern0[_N:], GHZ6_SPEC.pattern1[_N:])
+# the station's herald analysis: D/A on every port
+_HERALD_PORTS = (q.BASIS_DA,) * _N
 
 VACUUM, SINGLE, DOUBLE = 0, 1, 2
 
@@ -78,27 +84,25 @@ class SettingSpec:
     """
 
     setting_id: str
-    port_bases: tuple[np.ndarray, np.ndarray, np.ndarray]
-    memory_bases: tuple[np.ndarray, np.ndarray, np.ndarray]
+    port_bases: tuple[np.ndarray, ...]
+    memory_bases: tuple[np.ndarray, ...]
     feedforward: bool = False
 
 
 def ghz6_settings() -> tuple[SettingSpec, ...]:
     """Seven joint photon+memory settings for the six-qubit witness."""
     bases = w.setting_bases(GHZ6_SPEC)
-    out = []
-    for sid in GHZ6_SPEC.setting_ids():
-        mats = bases[sid]
-        out.append(SettingSpec(sid, tuple(mats[:3]), tuple(mats[3:])))
-    return tuple(out)
+    return tuple(
+        SettingSpec(sid, tuple(bases[sid][:_N]), tuple(bases[sid][_N:]))
+        for sid in GHZ6_SPEC.setting_ids()
+    )
 
 
 def ghz3_settings() -> tuple[SettingSpec, ...]:
     """Four memory settings with fixed D/A station analysis and feed-forward."""
     bases = w.setting_bases(GHZ3_SPEC)
-    ports = (q.BASIS_DA, q.BASIS_DA, q.BASIS_DA)
     return tuple(
-        SettingSpec(sid, ports, tuple(bases[sid]), feedforward=True)
+        SettingSpec(sid, _HERALD_PORTS, tuple(bases[sid]), feedforward=True)
         for sid in GHZ3_SPEC.setting_ids()
     )
 
@@ -114,7 +118,7 @@ def _single_click(hits: np.ndarray, dark: float):
 
 
 def _stack_bases(settings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The settings' ``(S, 3, 2, 2)`` port and memory basis stacks and their
+    """The settings' ``(S, N, 2, 2)`` port and memory basis stacks and their
     ``(S,)`` feed-forward flags."""
     return (
         np.array([s.port_bases for s in settings], dtype=complex),
@@ -131,9 +135,9 @@ _VACUUM_KIND, _DOUBLE_KIND, _SINGLE_KIND = 0, 1, 2
 
 
 def _port_outcomes(port_bases: np.ndarray, dark: float):
-    """``_single_click`` of each station port of a ``(..., 3, 2, 2)`` basis
-    stack under each of ``_PORT_LOADS``: ``(..., 3, 5)`` click chances and
-    ``(..., 3, 5, 2)`` distributions.
+    """``_single_click`` of each station port of a ``(..., N, 2, 2)`` basis
+    stack under each of ``_PORT_LOADS``: ``(..., N, 5)`` click chances and
+    ``(..., N, 5, 2)`` distributions.
 
     Colliding photons always carry opposite polarizations, so a bunched
     port fires a single channel only when both Born draws coincide, which
@@ -150,9 +154,9 @@ def _port_outcomes(port_bases: np.ndarray, dark: float):
 
 
 def _memory_outcomes(memory_bases: np.ndarray, terms, dark: float):
-    """``_single_click`` of each memory analyzer of a ``(..., 3, 2, 2)``
-    basis stack under each memory kind: ``(..., 3, 4)`` click chances and
-    ``(..., 3, 4, 2)`` distributions, each node's read-out from
+    """``_single_click`` of each memory analyzer of a ``(..., N, 2, 2)``
+    basis stack under each memory kind: ``(..., N, 4)`` click chances and
+    ``(..., N, 4, 2)`` distributions, each node's read-out from
     ``node.readout``."""
     reads = [nd.readout(t, memory_bases[..., k, :, :]) for k, t in enumerate(terms)]
     clean = np.stack([c for c, _ in reads], axis=-4)  # (..., node, pol, 2, 2)
@@ -169,28 +173,23 @@ def _memory_outcomes(memory_bases: np.ndarray, terms, dark: float):
     return _single_click(hits, dark)
 
 
-_POL_NAME = ("H", "V")
-_ROUTE_H = np.array([op.ROUTE[(k, "H")] for k in range(3)])
-_ROUTE_V = np.array([op.ROUTE[(k, "V")] for k in range(3)])
-
-
 def _branch_structure() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every incoherent write branch of three nodes, one row each: the write
+    """Every incoherent write branch of the nodes, one row each: the write
     outcome per node, the ``_PORT_LOADS`` index per port and the memory kind
     per node, which also picks the node's factor in the branch probability.
     The two all-single assignments that route one photon per port are
     skipped; they stay coherent and are handled jointly.
     """
     combos, loads, kinds = [], [], []
-    for combo in itertools.product((VACUUM, SINGLE, DOUBLE), repeat=3):
-        photon_nodes = [k for k in range(3) if combo[k] != VACUUM]
+    for combo in itertools.product((VACUUM, SINGLE, DOUBLE), repeat=_N):
+        photon_nodes = [k for k in range(_N) if combo[k] != VACUUM]
         for pols in itertools.product((0, 1), repeat=len(photon_nodes)):
-            if combo == (SINGLE, SINGLE, SINGLE) and pols in ((0, 0, 0), (1, 1, 1)):
+            if combo == (SINGLE,) * _N and len(set(pols)) == 1:
                 continue
-            ports: list[list[int]] = [[], [], []]
-            kind = [_VACUUM_KIND] * 3
+            ports: list[list[int]] = [[] for _ in range(_N)]
+            kind = [_VACUUM_KIND] * _N
             for k, pol in zip(photon_nodes, pols):
-                ports[op.ROUTE[(k, _POL_NAME[pol])]].append(pol)
+                ports[op.ROUTE[(k, "HV"[pol])]].append(pol)
                 kind[k] = _SINGLE_KIND + pol if combo[k] == SINGLE else _DOUBLE_KIND
             combos.append(combo)
             loads.append([_PORT_LOADS.index(tuple(p)) for p in ports])
@@ -203,9 +202,9 @@ _BRANCH_COMBO, _BRANCH_PORT_LOAD, _BRANCH_MEMORY_KIND = _branch_structure()
 
 def _times_clicks(prob: np.ndarray, clicks: np.ndarray, index) -> np.ndarray:
     """Multiply each branch by the value (a click probability) of units 0,
-    1, 2 in turn; ``clicks`` is ``(..., 3, kinds)`` and the result
+    1, ... in turn; ``clicks`` is ``(..., N, kinds)`` and the result
     ``(..., B)``."""
-    for unit in range(3):
+    for unit in range(_N):
         prob = prob * clicks[..., unit, index[:, unit]]
     return prob
 
@@ -223,11 +222,11 @@ class HeraldModel:
     dark: float
     terms: tuple[nd.NodeTerms, ...]
     branch_probability: np.ndarray  # (B,)
-    branch_port_load: np.ndarray  # (B, 3)
-    branch_memory_kind: np.ndarray  # (B, 3)
+    branch_port_load: np.ndarray  # (B, N)
+    branch_memory_kind: np.ndarray  # (B, N)
     acceptance: float
     herald: float
-    coherent: np.ndarray  # (8,)
+    coherent: np.ndarray  # (_N_MASKS,)
 
 
 def herald_model(cfg: ExperimentConfig) -> HeraldModel:
@@ -250,9 +249,9 @@ def herald_model(cfg: ExperimentConfig) -> HeraldModel:
     fill = float(_single_click(det.NO_HITS, dark)[0])
     acceptance = float(op.routing_acceptance([t.pair for t in terms]))
     p_all_single = math.prod(t.write_probabilities[SINGLE] for t in terms)
-    herald = p_all_single * acceptance * hit_one**3
-    retrieved = (np.arange(8)[:, None] >> np.arange(3)) & 1 == 1
-    coherent = np.full(8, herald)
+    herald = p_all_single * acceptance * hit_one**_N
+    retrieved = (np.arange(_N_MASKS)[:, None] >> np.arange(_N)) & 1 == 1
+    coherent = np.full(_N_MASKS, herald)
     for k, term in enumerate(terms):
         real, lost = term.eta * hit_one, (1.0 - term.eta) * fill
         coherent = coherent * np.where(retrieved[:, k], real, lost)
@@ -275,7 +274,7 @@ def _station_branch_terms(cfg: ExperimentConfig, terms) -> tuple[op.BranchTerm, 
 
 
 def _outer_product(factors) -> np.ndarray:
-    """``(64, R)`` outer products of six ``(2, R)`` factors, factor 0 the
+    """``(2**F, R)`` outer products of F ``(2, R)`` factors, factor 0 the
     most significant bit, each cell multiplied left to right."""
     out = factors[0]
     for factor in factors[1:]:
@@ -289,21 +288,21 @@ def _coherent_dist(
     memories: np.ndarray,
     flip: np.ndarray,
 ) -> np.ndarray:
-    """``(S, 64)`` distributions of the coherent sector with every memory
-    read, one per setting of the ``(S, 3, 2, 2)`` basis stacks: each branch
+    """``(S, _N_OUTCOMES)`` distributions of the coherent sector with every memory
+    read, one per setting of the ``(S, N, 2, 2)`` basis stacks: each branch
     term is the outer product of ``conj(P[b]) * P[b']`` per port basis ``P``
     and ``diag(M^dagger s M)`` per memory block ``s`` and basis ``M``, and
     the terms are summed in order.  ``flip`` (``(S,)``) applies the
     feed-forward Z to spin I's block."""
     rows = [t.row for t in branch_terms]
     cols = [t.col for t in branch_terms]
-    blocks = np.array([t.blocks for t in branch_terms])  # (T, 3, 2, 2)
+    blocks = np.array([t.blocks for t in branch_terms])  # (T, N, 2, 2)
     weights = np.array([t.weight for t in branch_terms], dtype=complex)
     # Z s Z flips the signs of the coherences
     z_signs = np.where(flip[:, None, None], np.array([[1.0, -1.0], [-1.0, 1.0]]), 1.0)
-    # (S, 3, T, 2) -> three (T, S, 2) port factors
+    # (S, N, T, 2) -> N (T, S, 2) port factors
     factors = list((np.conj(ports[:, :, rows]) * ports[:, :, cols]).transpose(1, 2, 0, 3))
-    for k in range(3):
+    for k in range(_N):
         block = blocks[:, k, None] * z_signs if k == 0 else blocks[:, k, None]
         m = memories[:, k]
         factors.append(np.sum(m.conj() * (block @ m), axis=-2))
@@ -322,7 +321,7 @@ def _coherent_subset_dists(
     memories: np.ndarray,
     feedforward: np.ndarray,
 ) -> np.ndarray:
-    """``(S, 8, 64)`` click distributions of the coherent sector by setting
+    """``(S, _N_MASKS, _N_OUTCOMES)`` click distributions of the coherent sector by setting
     and retrieval mask (bit ``k`` set when memory ``k`` returned its
     photon), from the settings' stacked bases and feed-forward flags.  A
     memory that returned none is summed out and its dark-count click filled
@@ -345,15 +344,15 @@ def _coherent_subset_dists(
         np.arange(n + ff.size) >= n,
     )
     dist = measured[:n]
-    herald = np.arange(_N_OUTCOMES) >> 3
-    odd = (((herald >> 2) & 1) + ((herald >> 1) & 1) + (herald & 1)) % 2 == 1
+    herald = np.arange(_N_OUTCOMES) >> _N
+    odd = sum((herald >> bit) & 1 for bit in range(_N)) % 2 == 1
     dist[ff] = np.where(odd, measured[n:], dist[ff])
-    joint = dist.reshape((n,) + (2,) * 6)
-    out = np.empty((n, 8) + joint.shape[1:])
-    for mask in range(8):
-        lost = tuple(4 + k for k in range(3) if not mask >> k & 1)
+    joint = dist.reshape((n,) + (2,) * (2 * _N))
+    out = np.empty((n, _N_MASKS) + joint.shape[1:])
+    for mask in range(_N_MASKS):
+        lost = tuple(1 + _N + k for k in range(_N) if not mask >> k & 1)
         out[:, mask] = joint.sum(axis=lost, keepdims=True) * 0.5 ** len(lost)
-    return out.reshape(n, 8, _N_OUTCOMES)
+    return out.reshape(n, _N_MASKS, _N_OUTCOMES)
 
 
 @dataclass(frozen=True)
@@ -362,8 +361,8 @@ class EventTable:
 
     ``probabilities[i]`` is the per-trial chance of a six-fold coincidence
     through event class ``i``; ``distributions[i]`` is that class's outcome
-    distribution over the 64 click patterns (3 port bits then 3 memory
-    bits, big-endian).  ``clean_probability`` is the slice flowing through
+    distribution over the ``_N_OUTCOMES`` click patterns (the port bits
+    then the memory bits, big-endian).  ``clean_probability`` is the slice flowing through
     the coherent all-single sector with every retrieval real.
     """
 
@@ -390,7 +389,7 @@ class EventTable:
         return float(self.probabilities.sum())
 
     def outcome_distribution(self) -> np.ndarray:
-        """P(click pattern | six-fold), length 64."""
+        """P(click pattern | six-fold), one entry per click pattern."""
         return self.probabilities @ self.distributions / self.p_sixfold
 
     def expected_counts(self, n_trials: float) -> np.ndarray:
@@ -398,11 +397,11 @@ class EventTable:
         return n_trials * (self.probabilities @ self.distributions)
 
     def sample(self, n_heralds: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``n_heralds`` heralded outcomes; returns 64 pattern counts.
+        """Draw ``n_heralds`` heralded outcomes; returns the pattern counts.
 
         One multinomial over ``outcome_distribution()``.  Drawing the event
         class first and then the pattern within it is a mixture whose
-        marginal over the 64 patterns is exactly that distribution, so this
+        marginal over the patterns is exactly that distribution, so this
         is exact sampling from the conditional distribution, not an
         approximation.
         """
@@ -422,10 +421,10 @@ def build_event_tables(
     also reads the success estimate and rate budget off the model, passes
     the one it built.  The station's branch terms are worked out only here,
     so a config whose post-selection has zero probability fails here.
-    The settings' bases are stacked into ``(S, 3, 2, 2)`` port and memory
+    The settings' bases are stacked into ``(S, N, 2, 2)`` port and memory
     arrays; each port's and memory's click probability and distribution is
     tabulated for every setting in one pass, gathered onto the model's
-    write branches by fancy indexing, and the ``(S, B, 6, 2)`` factor stack
+    write branches by fancy indexing, and the ``(S, B, 2N, 2)`` factor stack
     becomes the class distributions in one outer product.  The coherent
     sector's branch terms are measured for every setting in one stack, as
     outer products of per-qubit factors, and marginalized over the memories
@@ -438,16 +437,16 @@ def build_event_tables(
     if not settings:
         return []
     live = model.coherent > 0.0
-    units = np.arange(3)
+    units = np.arange(_N)
     ports, memories, feedforward = _stack_bases(settings)
     port_p, port_d = _port_outcomes(ports, model.dark)
     mem_p, mem_d = _memory_outcomes(memories, model.terms, model.dark)
     loads, kinds = model.branch_port_load, model.branch_memory_kind
     prob = _times_clicks(model.branch_probability, port_p, loads)
     prob = _times_clicks(prob, mem_p, kinds)  # (S, B)
-    # (S, B, 6, 2), multiplied out with the S * B class rows innermost
+    # (S, B, 2N, 2), multiplied out with the S * B class rows innermost
     factors = np.concatenate([port_d[:, units, loads], mem_d[:, units, kinds]], axis=2)
-    factors = np.ascontiguousarray(factors.reshape(-1, 6, 2).transpose(1, 2, 0))
+    factors = np.ascontiguousarray(factors.reshape(-1, 2 * _N, 2).transpose(1, 2, 0))
     dists = _outer_product(factors).T.reshape(prob.shape + (_N_OUTCOMES,))
     subsets = _coherent_subset_dists(branch_terms, ports, memories, feedforward)
     tables = []
@@ -479,7 +478,7 @@ def conditional_success_estimate(model: HeraldModel) -> float:
     model of ``herald_model``; no sampling error.  Raises ValueError when
     no station herald is possible at all.
     """
-    port_p, _ = _port_outcomes(np.array([q.BASIS_DA, q.BASIS_DA, q.BASIS_DA]), model.dark)
+    port_p, _ = _port_outcomes(np.array(_HERALD_PORTS), model.dark)
     false = _times_clicks(model.branch_probability, port_p, model.branch_port_load)
     # accumulate left to right, branch by branch after the coherent herald
     denom = np.add.accumulate(np.concatenate([[model.herald], false]))[-1]
@@ -498,7 +497,7 @@ def raw_trial_counts(
     n_trials: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Brute-force unconditional trials; returns 64 six-fold pattern counts.
+    """Brute-force unconditional trials; returns the six-fold pattern counts.
 
     Every stochastic element is drawn per trial: write outcomes, photon
     polarizations, Born routing of each detector, dark counts on every
@@ -511,7 +510,7 @@ def raw_trial_counts(
     model = herald_model(cfg)
     terms, dark = model.terms, model.dark
     branch_terms = _station_branch_terms(cfg, terms)
-    write_p = np.array([t.write_probabilities for t in terms])  # (3, 3)
+    write_p = np.array([t.write_probabilities for t in terms])  # (node, outcome)
     pol_p1 = np.array([t.born[1] for t in terms])
     # chance a collapsed clean memory reads out as channel 1, by node and pol
     mem_p1 = np.array(
@@ -530,7 +529,7 @@ def raw_trial_counts(
     while remaining > 0:
         n = min(_RAW_CHUNK, remaining)
         remaining -= n
-        u = rng.random((n, 3))
+        u = rng.random((n, _N))
         writes = (u > write_p[None, :, 0]).astype(np.int8) + (
             u > write_p[None, :, 0] + write_p[None, :, 1]
         ).astype(np.int8)
@@ -538,27 +537,25 @@ def raw_trial_counts(
         has_photon = writes != VACUUM
         pols = np.where(
             writes == SINGLE,
-            (rng.random((n, 3)) < pol_p1[None, :]).astype(np.int8),
-            (rng.random((n, 3)) < 0.5).astype(np.int8),
+            (rng.random((n, _N)) < pol_p1[None, :]).astype(np.int8),
+            (rng.random((n, _N)) < 0.5).astype(np.int8),
         )
         all_single = (writes == SINGLE).all(axis=1)
         # pairs are independent across nodes, so the all-H/all-V chance of
         # these marginal draws equals the coherent-sector weight exactly
         coherent = all_single & (pols == pols[:, :1]).all(axis=1)
 
-        photon_hits = np.zeros((n, 3, 2), dtype=bool)
+        photon_hits = np.zeros((n, _N, 2), dtype=bool)
         rows = np.arange(n)
-        for k in range(3):
-            port = np.where(pols[:, k] == 0, _ROUTE_H[k], _ROUTE_V[k])
-            ch = (
-                rng.random(n) < port_p1[port, pols[:, k]]
-            ).astype(np.int8)
+        for k in range(_N):
+            port = np.where(pols[:, k] == 0, op.ROUTE[(k, "H")], op.ROUTE[(k, "V")])
+            ch = (rng.random(n) < port_p1[port, pols[:, k]]).astype(np.int8)
             mask = has_photon[:, k] & ~coherent
             photon_hits[rows[mask], port[mask], ch[mask]] = True
 
-        mem_hits = np.zeros((n, 3, 2), dtype=bool)
-        real_mask = np.zeros((n, 3), dtype=bool)
-        for k in range(3):
+        mem_hits = np.zeros((n, _N, 2), dtype=bool)
+        real_mask = np.zeros((n, _N), dtype=bool)
+        for k in range(_N):
             r = rng.random(n)
             real = np.where(writes[:, k] == DOUBLE, r < etas_dbl[k], r < etas[k])
             real &= writes[:, k] != VACUUM
@@ -574,24 +571,24 @@ def raw_trial_counts(
         # coherent trials: port channels and real-memory outcomes are drawn
         # jointly from the station state, grouped by which retrievals fired;
         # a memory that returned no photon leaves its analyzer to dark counts
-        retrieved = real_mask @ (1 << np.arange(3))
+        retrieved = real_mask @ (1 << np.arange(_N))
         for mask in np.unique(retrieved[coherent]):
             sel = np.nonzero(coherent & (retrieved == mask))[0]
             dist = coherent_dists[mask]
             draws = rng.choice(_N_OUTCOMES, size=sel.size, p=dist / dist.sum())
-            for k in range(3):
-                photon_hits[sel, k, (draws >> (5 - k)) & 1] = True
+            for k in range(_N):
+                photon_hits[sel, k, (draws >> (2 * _N - 1 - k)) & 1] = True
                 if mask >> k & 1:
-                    mem_hits[sel, k, (draws >> (2 - k)) & 1] = True
+                    mem_hits[sel, k, (draws >> (_N - 1 - k)) & 1] = True
 
-        clicks_w = photon_hits | (rng.random((n, 3, 2)) < dark)
-        clicks_r = mem_hits | (rng.random((n, 3, 2)) < dark)
+        clicks_w = photon_hits | (rng.random((n, _N, 2)) < dark)
+        clicks_r = mem_hits | (rng.random((n, _N, 2)) < dark)
         ok = (clicks_w.sum(axis=2) == 1).all(axis=1)
         ok &= (clicks_r.sum(axis=2) == 1).all(axis=1)
         if not ok.any():
             continue
-        # channel-1 bits of ports 0-2 then memories 0-2, big-endian
+        # channel-1 bits of the ports then the memories, big-endian
         bits = np.concatenate([clicks_w[ok], clicks_r[ok]], axis=1)[:, :, 1]
-        pattern = bits @ (1 << np.arange(5, -1, -1))
+        pattern = bits @ (1 << np.arange(2 * _N - 1, -1, -1))
         counts += np.bincount(pattern, minlength=_N_OUTCOMES)
     return counts

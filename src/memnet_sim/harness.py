@@ -397,17 +397,23 @@ def _run_pair_tomography(cfg: cf.ExperimentConfig, streams: _TableStreams):
     return body, artifacts, stage_s, {}
 
 
-def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
+def _sweep_delays(cfg: cf.ExperimentConfig, default, minimum: int) -> np.ndarray:
+    """A sweep's storage times: scenario_params key 'delays_us', else
+    ``default()``, built only then (finite by the zeeman_period_us rule);
+    fewer than ``minimum`` points are refused."""
     params = cfg.scenario_params
-    node_cfg = cfg.node(params.get("node", "I"))
-    period = node_cfg.zeeman_period_us
-    # the default delays, finite by the zeeman_period_us rule, are built only when needed
-    default = None if "delays_us" in params else np.linspace(0.0, 3.0 * period, 33)
-    delays = np.asarray(params.get("delays_us", default), dtype=float)
-    if delays.size < 5:
+    delays = np.asarray(params["delays_us"] if "delays_us" in params else default(), dtype=float)
+    if delays.size < minimum:
         raise ValueError(
-            "raman_delay_sweep needs at least 5 points in scenario_params key 'delays_us'"
+            f"{cfg.scenario} needs at least {minimum} points in scenario_params key 'delays_us'"
         )
+    return delays
+
+
+def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
+    node_cfg = cfg.node(cfg.scenario_params.get("node", "I"))
+    period = node_cfg.zeeman_period_us
+    delays = _sweep_delays(cfg, lambda: np.linspace(0.0, 3.0 * period, 33), 5)
 
     started = time.perf_counter()
     dists = _pair_trial_distribution(
@@ -465,14 +471,8 @@ def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
 
 
 def _run_lifetime_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
-    params = cfg.scenario_params
-    node_cfg = cfg.node(params.get("node", "I"))
-    default = None if "delays_us" in params else node_cfg.zeeman_period_us * np.arange(23)
-    delays = np.asarray(params.get("delays_us", default), dtype=float)
-    if delays.size < 4:
-        raise ValueError(
-            "lifetime_sweep needs at least 4 points in scenario_params key 'delays_us'"
-        )
+    node_cfg = cfg.node(cfg.scenario_params.get("node", "I"))
+    delays = _sweep_delays(cfg, lambda: node_cfg.zeeman_period_us * np.arange(23), 4)
 
     started = time.perf_counter()
     pairs = _sample_eigen_super(cfg, node_cfg, delays, streams)
@@ -644,8 +644,8 @@ def _run_ghz(
 ):
     """Heralded GHZ witness: sample each setting's event table, then estimate.
 
-    ``make_settings`` builds the witness settings.  A witness on the three
-    memories alone (ghz3) sums each setting's 64 pattern counts over the
+    ``make_settings`` builds the witness settings.  A witness on the
+    memories alone (ghz3) sums each setting's pattern counts over the
     station port bits and reports the herald patterns those bits carry.
     """
     weights = w.weight_array(spec, cfg.calibration_weights)
@@ -658,10 +658,11 @@ def _run_ghz(
     counts = [table.sample(n, streams.take(n)) for table, n in zip(tables, budgets)]
     sampled_at = time.perf_counter()
 
-    memories_only = spec.n_qubits == 3
+    nodes = len(op.NODE_IDS)  # station ports, and memories
+    memories_only = spec.n_qubits == nodes
 
     def keep(arr):  # (ports, memories) bits -> the bits the witness reads
-        return arr.reshape(8, 8).sum(axis=0) if memories_only else arr
+        return arr.reshape(2**nodes, -1).sum(axis=0) if memories_only else arr
 
     sampled = {s.setting_id: keep(arr) for s, arr in zip(settings, counts)}
     # a budget below the setting count leaves tables empty, and an empty
@@ -706,10 +707,8 @@ def _run_ghz(
     }
     artifacts = {f"counts/{cfg.scenario}_settings.csv": ("settings", setting_counts)}
     if memories_only:
-        herald_counts = np.sum(
-            [arr.reshape(8, 8).sum(axis=1) for arr in counts], axis=0
-        )
-        heralds = w.pattern_table(herald_counts, 3, zeros=True)
+        herald_counts = np.sum([arr.reshape(2**nodes, -1).sum(axis=1) for arr in counts], axis=0)
+        heralds = w.pattern_table(herald_counts, nodes, zeros=True)
         body["herald_pattern_counts"] = heralds
         artifacts[f"counts/{cfg.scenario}_heralds.csv"] = (
             "settings",

@@ -51,8 +51,11 @@ import numpy as np
 
 from . import detection as det
 from . import quantum as q
+from .optics import NODE_IDS
 
 
+# a node's id, also a pair scenario's scenario_params key 'node'
+IS_NODE_ID = q.must(lambda v: v in NODE_IDS, f"one of {list(NODE_IDS)}")
 # the write outcome probabilities are 1 - p_w - p_w**2, p_w and p_w**2
 _P_W = q.must(lambda v: v >= 0.0 and v + v * v <= 1.0, "non-negative with p_w + p_w**2 <= 1")
 # the sweeps' default delays reach 22 periods, the swap's default detunings 4 * 2 pi / period
@@ -72,9 +75,7 @@ class NodeConfig:
     are in microseconds; ``math.inf`` disables the corresponding decay.
     """
 
-    node_id: str = q.ruled(
-        q.STRING, q.must(lambda v: v in ("I", "II", "III"), "I, II or III"), default="I"
-    )
+    node_id: str = q.ruled(q.STRING, IS_NODE_ID, default="I")
     p_w: float = q.ruled(q.NUMBER, _P_W, default=0.015)
     eta_r0: float = q.ruled(q.NUMBER, q.UNIT, default=0.40)
     tau_mem_us: float = q.ruled(q.NUMBER, q.POSITIVE, default=math.inf)  # inf: no decay

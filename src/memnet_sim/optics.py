@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,7 +49,12 @@ import numpy as np
 
 from . import quantum as q
 
-NODE_IDS = ("I", "II", "III")
+_MAP_CIRCULAR_TO_H = np.array([[1, -1j], [1, 1j]], dtype=complex) / math.sqrt(2)
+_MAP_CIRCULAR_TO_V = np.array([[1, 1j], [1, -1j]], dtype=complex) / math.sqrt(2)
+
+# node id -> the waveplate before its station input, in station order
+_WAVEPLATES = {"I": _MAP_CIRCULAR_TO_H, "II": _MAP_CIRCULAR_TO_H, "III": _MAP_CIRCULAR_TO_V}
+NODE_IDS = tuple(_WAVEPLATES)
 
 # (input index, linear polarization) -> station output port
 ROUTE = {
@@ -60,24 +66,15 @@ ROUTE = {
     (2, "V"): 1,
 }
 
-_MAP_CIRCULAR_TO_H = np.array([[1, -1j], [1, 1j]], dtype=complex) / math.sqrt(2)
-_MAP_CIRCULAR_TO_V = np.array([[1, 1j], [1, -1j]], dtype=complex) / math.sqrt(2)
-
-STATION_PORTS = tuple(q.photon("S", k) for k in range(3))
+STATION_PORTS = tuple(q.photon("S", k) for k in range(len(NODE_IDS)))
 MEMORY_SPINS = tuple(q.spin(nid) for nid in NODE_IDS)
 
 
 def polarization_map(node_id: str) -> np.ndarray:
-    """Waveplate unitary applied to a node's write-out photon.
-
-    Nodes I and II send ``sigma+`` to H; node III sends ``sigma+`` to V,
-    which makes the two heralded branches all-H and all-V.
-    """
-    if node_id in ("I", "II"):
-        return _MAP_CIRCULAR_TO_H.copy()
-    if node_id == "III":
-        return _MAP_CIRCULAR_TO_V.copy()
-    raise ValueError(f"unknown node_id {node_id!r}")
+    """Waveplate unitary applied to a node's write-out photon."""
+    if node_id not in _WAVEPLATES:
+        raise ValueError(f"unknown node_id {node_id!r}")
+    return _WAVEPLATES[node_id].copy()
 
 
 # largest sample count of an envelope grid: 2048 times the default 512, far
@@ -250,9 +247,13 @@ class Envelope:
             header = fh.readline().strip()
             if header != "time_us,re,im":
                 raise ValueError(f"bad envelope CSV header {header!r}")
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if rows.shape[1] != 3 or rows.shape[0] < 2:
-            raise ValueError("envelope CSV needs columns time_us,re,im")
+            with warnings.catch_warnings():  # numpy warns of no rows, refused below
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if rows.shape[0] < 2:
+            raise ValueError(f"envelope CSV {path} needs at least two rows, has {rows.shape[0]}")
+        if rows.shape[1] != 3:
+            raise ValueError(f"envelope CSV {path} needs columns time_us,re,im")
         t = rows[:, 0]
         steps = np.diff(t)
         if steps.min() <= 0 or not np.allclose(steps, steps[0], rtol=1e-6, atol=0.0):

@@ -12,9 +12,10 @@ Conventions, fixed once here and relied on everywhere else:
   and the diagonal ones |D> = (|H> + |V>)/sqrt2, |A> = (|H> - |V>)/sqrt2.
 * Atomic-spin qubits: index 0 = |down>, index 1 = |up>.
 * sigma_z is +1 on index 0.  The equatorial observable
-  ``m_observable(n, N) = cos(n pi/N) sigma_x + sin(n pi/N) sigma_y`` has
-  +1 eigenvector (|0> + e^{i n pi/N} |1>)/sqrt2, which is column 0 of
-  ``equatorial_basis(n pi/N)``.
+  ``cos(theta) sigma_x + sin(theta) sigma_y`` has +1 eigenvector
+  (|0> + e^{i theta} |1>)/sqrt2, which is column 0 of
+  ``equatorial_basis(theta)``; the witness measures its coherence
+  settings in these bases (``witness.setting_bases``).
 
 Registers never exceed 6 qubits in this package, so everything is dense
 complex128.  No scenario builds a ``DensityMatrix``: the node ages its
@@ -146,14 +147,6 @@ def equatorial_basis(theta) -> np.ndarray:
     basis[..., 1, 0] = phase
     basis[..., 1, 1] = -phase
     return basis / np.sqrt(2)
-
-
-def m_observable(n: int, n_qubits: int) -> np.ndarray:
-    """Equatorial Pauli combination cos(n pi/N) sigma_x + sin(n pi/N) sigma_y."""
-    if not 0 <= n < n_qubits:
-        raise ValueError(f"coherence index n={n} outside [0, {n_qubits})")
-    theta = n * np.pi / n_qubits
-    return np.cos(theta) * PAULI_X + np.sin(theta) * PAULI_Y
 
 
 @dataclass(frozen=True, order=True)

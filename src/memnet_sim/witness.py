@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .detection import csv_numbers
-from .quantum import PAULI_X, bits_to_index, equatorial_basis, m_observable
+from .quantum import PAULI_Z, bits_to_index, equatorial_basis
 
 _BIT0 = {"0", "H", "h", "d", "↓"}  # down arrow
 _BIT1 = {"1", "V", "v", "u", "↑"}  # up arrow
@@ -108,29 +108,24 @@ class DecompositionTerm:
 
 
 def decompose(spec: GhzSpec) -> list[DecompositionTerm]:
-    """Projector as 2 population terms (coeff 1/2) and N coherence terms (+-1/(2N))."""
+    """Projector as 2 population terms (coeff 1/2) and N coherence terms (+-1/(2N)).
+
+    Each factor is read off the basis ``B`` its setting measures in
+    (``setting_bases``): a population factor is the projector onto the
+    branch pattern's outcome ket, a coherence factor ``B Z B^dagger``, the
+    observable that is +1 on outcome 0 and -1 on outcome 1.
+    """
     n = spec.n_qubits
-    proj0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    proj1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    terms = [
-        DecompositionTerm(
-            POPULATION_SETTING,
-            0.5,
-            tuple(proj1 if b else proj0 for b in spec.pattern0),
-        ),
-        DecompositionTerm(
-            POPULATION_SETTING,
-            0.5,
-            tuple(proj1 if b else proj0 for b in spec.pattern1),
-        ),
+    bases = setting_bases(spec)
+    projectors = [
+        tuple(np.outer(b[:, x], b[:, x].conj()) for b, x in zip(bases[POPULATION_SETTING], p))
+        for p in (spec.pattern0, spec.pattern1)
     ]
+    terms = [DecompositionTerm(POPULATION_SETTING, 0.5, factors) for factors in projectors]
     for k in range(n):
-        m = m_observable(k, n)
-        factors = tuple(
-            PAULI_X @ m @ PAULI_X if b else m for b in spec.pattern0
-        )
-        coeff = spec.phase * (-1) ** k / (2 * n)
-        terms.append(DecompositionTerm(coherence_setting_id(k), coeff, factors))
+        sid = coherence_setting_id(k)
+        factors = tuple(b @ PAULI_Z @ b.conj().T for b in bases[sid])
+        terms.append(DecompositionTerm(sid, spec.phase * (-1) ** k / (2 * n), factors))
     return terms
 
 

@@ -23,8 +23,11 @@ over the body, every CSV and ``meta.counters``, for every scenario at the
 ``paper`` and ``ideal`` presets and at ``paper`` with ``read_delay_us``
 7.3, seeds 0-2, at the sample budgets of ``perfbench/workloads.py``.  The
 delay ages every pair and lies off the 5.28 us Zeeman grid, so the
-superposition analyzer leaves ``phi0``.  Run it on both sides of a change
-and diff:
+superposition analyzer leaves ``phi0``.  It adds ghz6 and ghz3 at ``paper``
+with a different temporal mode per node (``ENVELOPES``, labeled
+``paper+envelopes``), seeds 0-2: three grids, so the branch coherence is
+taken on union grids, with the Zeeman beat on port 0.  Run it on both sides
+of a change and diff:
 
     PYTHONPATH=src python tests/golden/regen.py --digest > after.txt
 """
@@ -62,6 +65,14 @@ SAMPLES = {
 # (preset, read_delay_us); a bundle off zero delay is labeled "preset@delay"
 DIGEST_POINTS = (("paper", 0.0), ("ideal", 0.0), ("paper", 7.3))
 DIGEST_SEEDS = (0, 1, 2)
+# a Gaussian, a square and an exponential decay, each on its own grid and
+# wide enough against the 5.28 us Zeeman period that the beat turns the
+# branch coherence complex
+ENVELOPES = {
+    "I": {"shape": "gaussian", "center_us": 0.0, "width_us": 0.4},
+    "II": {"shape": "square", "start_us": -0.5, "width_us": 2.0},
+    "III": {"shape": "exponential-decay", "start_us": -0.3, "tau_us": 0.5},
+}
 
 
 def run_bundle(cfg: cf.ExperimentConfig, out_dir) -> tuple[h.RunReport, dict[str, str]]:
@@ -108,20 +119,26 @@ def bundle_digest(cfg: cf.ExperimentConfig, out_dir) -> str:
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
+def digest_points():
+    """``(label, scenario, base config)`` of every digested bundle, seeds aside."""
+    for preset, delay in DIGEST_POINTS:
+        label = f"{preset}@{delay}" if delay else preset
+        for scenario in SAMPLES:
+            yield label, scenario, cf.preset(preset).with_overrides(read_delay_us=delay)
+    for scenario in ("ghz6", "ghz3"):
+        yield "paper+envelopes", scenario, cf.preset("paper").with_overrides(envelopes=ENVELOPES)
+
+
 def print_digests() -> None:
     samples = workload_samples()
     with tempfile.TemporaryDirectory() as tmp:
-        for preset, delay in DIGEST_POINTS:
-            label = f"{preset}@{delay}" if delay else preset
-            for scenario in SAMPLES:
-                for seed in DIGEST_SEEDS:
-                    cfg = cf.preset(preset).with_overrides(
-                        scenario=scenario, seed=seed, read_delay_us=delay
-                    )
-                    if samples[scenario] is not None:
-                        cfg = cfg.with_overrides(samples=samples[scenario])
-                    out = Path(tmp) / f"{label}-{scenario}-{seed}"
-                    print(f"{label} {scenario} seed {seed} {bundle_digest(cfg, out)}")
+        for label, scenario, base in digest_points():
+            for seed in DIGEST_SEEDS:
+                cfg = base.with_overrides(scenario=scenario, seed=seed)
+                if samples[scenario] is not None:
+                    cfg = cfg.with_overrides(samples=samples[scenario])
+                out = Path(tmp) / f"{label}-{scenario}-{seed}"
+                print(f"{label} {scenario} seed {seed} {bundle_digest(cfg, out)}")
 
 
 def differences(old, new, path="body"):

@@ -238,7 +238,7 @@ class TestEnvelopeSpecs:
 
     def test_csv_spec_not_read_at_load(self, tmp_path):
         missing = {"csv": str(tmp_path / "absent.csv")}
-        cfg = cf.ExperimentConfig(envelopes={nid: missing for nid in cf.NODE_ORDER})
+        cfg = cf.ExperimentConfig(envelopes={nid: missing for nid in op.NODE_IDS})
         with pytest.raises(OSError):
             cf.envelope_from_spec(cfg.envelopes["I"])
 

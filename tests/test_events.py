@@ -421,6 +421,39 @@ class TestSampler:
         np.testing.assert_array_equal(a, b)
 
 
+class TestStationLayout:
+    """What events derives from the station's node table (optics.NODE_IDS)."""
+
+    def test_write_branches(self):
+        # per node: vacuum, or a single or double photon routed H or V; the
+        # all-H and all-V singles are the coherent sector
+        assert op.NODE_IDS == ("I", "II", "III")
+        assert ev.herald_model(cf.preset("paper")).branch_probability.size == 5**3 - 2 == 123
+        # without double excitations: vacuum, or a single routed H or V
+        assert ev.herald_model(cf.preset("ideal")).branch_probability.size == 3**3 - 2
+
+    def test_pattern_and_mask_counts(self):
+        cfg = cf.preset("paper")
+        model = ev.herald_model(cfg)
+        assert model.coherent.shape == (8,)
+        for table in ev.build_event_tables(cfg, ev.ghz6_settings(), model):
+            assert table.distributions.shape[1] == 64
+            assert table.outcome_distribution().shape == (64,)
+
+    def test_ghz3_heralds_in_the_success_estimate_bases(self):
+        cfg = noisy_config()
+        model = ev.herald_model(cfg)
+        want = success_estimate(cfg)
+        for s in ev.ghz3_settings():
+            ports = loop_port_outcomes(s.port_bases, cfg.detector.dark_count_prob)
+            false = 0.0
+            for prob, photon_pol, _ in loop_write_branches(model.terms):
+                for port, load in enumerate(loop_port_loads(photon_pol)):
+                    prob = prob * ports[port, load][0]
+                false += prob
+            assert model.herald / (model.herald + false) == pytest.approx(want, rel=1e-12)
+
+
 class TestConditionalSuccess:
     def test_ideal_is_exactly_one(self):
         assert success_estimate(cf.preset("ideal")) == pytest.approx(

@@ -23,6 +23,7 @@ from memnet_sim import events as ev
 from memnet_sim import harness as h
 from memnet_sim.detection import DetectorConfig
 from memnet_sim.node import NodeConfig
+from memnet_sim.optics import NODE_IDS
 
 GAUSSIAN = {"shape": "gaussian", "center_us": 0.0, "width_us": 0.05}
 
@@ -40,7 +41,7 @@ def nodes(draw, runnable):
     """Three node configs; ``runnable`` keeps every write outcome and the
     herald possible, so every scenario runs to a body."""
     out = []
-    for nid in cf.NODE_ORDER:
+    for nid in NODE_IDS:
         bounds = (0.2, 0.8) if runnable else (0.0, 1.0)
         out.append(
             NodeConfig(
@@ -95,7 +96,7 @@ def scenario_params():
     return st.fixed_dictionaries(
         {},
         optional={
-            "node": st.sampled_from(cf.NODE_ORDER),
+            "node": st.sampled_from(NODE_IDS),
             "delays_us": st.lists(unit(0.0, 50.0), min_size=1, max_size=8),
             "delta_omega_rad_per_us": numbers,
             "width_us": widths,
@@ -119,7 +120,7 @@ def configs(draw):
         read_delay_us=draw(unit(0.0, 100.0)),
         interference_visibility=draw(unit()),
         envelopes=draw(
-            st.none() | st.fixed_dictionaries(dict.fromkeys(cf.NODE_ORDER, envelope_spec()))
+            st.none() | st.fixed_dictionaries(dict.fromkeys(NODE_IDS, envelope_spec()))
         ),
         calibration_weights=draw(
             st.none() | st.dictionaries(patterns, unit(0.1, 10.0), max_size=4)
@@ -142,7 +143,7 @@ def runnable_configs(draw):
         samples=draw(st.integers(200, 5_000)),
         read_delay_us=draw(unit(0.0, 5.0)),
         interference_visibility=draw(unit(0.5, 1.0)),
-        envelopes=draw(st.none() | st.just(dict.fromkeys(cf.NODE_ORDER, GAUSSIAN))),
+        envelopes=draw(st.none() | st.just(dict.fromkeys(NODE_IDS, GAUSSIAN))),
     )
 
 

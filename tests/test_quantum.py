@@ -138,18 +138,11 @@ class TestMeasurement:
 
     def test_equatorial_basis_diagonalizes_m(self):
         for n, nq in [(0, 6), (3, 6), (2, 3), (5, 6)]:
-            m = q.m_observable(n, nq)
-            b = q.equatorial_basis(n * np.pi / nq)
+            theta = n * np.pi / nq
+            m = np.cos(theta) * q.PAULI_X + np.sin(theta) * q.PAULI_Y
+            b = q.equatorial_basis(theta)
             d = b.conj().T @ m @ b
             np.testing.assert_allclose(d, np.diag([1, -1]), atol=1e-12)
-
-    def test_m_observable_examples(self):
-        np.testing.assert_allclose(q.m_observable(0, 6), q.PAULI_X, atol=1e-12)
-        np.testing.assert_allclose(q.m_observable(3, 6), q.PAULI_Y, atol=1e-12)
-        with pytest.raises(ValueError):
-            q.m_observable(6, 6)
-        with pytest.raises(ValueError):
-            q.m_observable(-1, 6)
 
 
 class TestExpectationFidelity:

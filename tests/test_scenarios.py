@@ -844,6 +844,25 @@ class TestCli:
         )
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("rows", ["", "0.0,1.0,0.0\n"])
+    def test_short_csv_envelope_errors_once(self, rows, tmp_path):
+        envelope = tmp_path / "short.csv"
+        envelope.write_text("time_us,re,im\n" + rows)
+        data = paper_cfg(scenario="ghz3", samples=100).to_dict()
+        data["envelopes"] = {"I": {"csv": str(envelope)}, "II": GAUSSIAN, "III": GAUSSIAN}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        run = subprocess.run(
+            [sys.executable, "-m", "memnet_sim.cli", "--config", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        n_rows = rows.count("\n")
+        assert run.returncode == 1
+        assert run.stderr == (
+            f"memnet-sim: error: envelope CSV {envelope} needs at least two rows, has {n_rows}\n"
+        )
+
     @pytest.mark.parametrize(
         "scenario, override",
         [
