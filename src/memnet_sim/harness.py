@@ -1,8 +1,10 @@
 """Scenario orchestration: trial schedules, samplers, reports.
 
 Everything in this module is glue.  The physics lives in the node, optics,
-events and witness modules; the harness turns a validated ExperimentConfig
-into count tables and derived estimates and serializes them.
+events and witness modules, the fits in ``fit``; the harness turns a
+validated ExperimentConfig into count tables and derived estimates and
+serializes them.  The runners call ``fit.curve_fit`` as ``curve_fit``:
+``harness.curve_fit`` is the name the benchmark's fit span wraps.
 
 Two contracts shape the code:
 
@@ -35,7 +37,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,23 +44,18 @@ from . import __version__
 from . import config as cf
 from . import detection as det
 from . import events as ev
+from . import fit as ft
 from . import node as nd
 from . import optics as op
 from . import quantum as q
 from . import witness as w
+from .fit import curve_fit
 
 # Spin analyzer bases, columns ordered so that channel 0 corresponds to the
 # read photon's R channel (up -> R, down -> L under retrieval). With this
 # ordering the correlated coincidences land in the cross-labeled cells,
 # matching the sign convention of detection.visibility_raw.
 _SPIN_RL = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-# standard errors by which the fitted decay rate must exceed zero before
-# lifetime_sweep reports a memory lifetime
-_DECAY_Z = 3.0
-# standard errors by which the fitted oscillation amplitude must exceed zero
-# before raman_delay_sweep reports its period
-_AMPLITUDE_Z = 5.0
 
 
 def _spin_super_basis(theta: float) -> np.ndarray:
@@ -87,129 +83,6 @@ class _TableStreams:
         self.taken += 1
         self.draws += int(n)
         return rng
-
-
-class Fit(NamedTuple):
-    """A least-squares optimum: ``pcov`` is the unscaled covariance, the
-    inverse normal matrix of the weighted Jacobian, infinite where the
-    Jacobian is rank-deficient or no degree of freedom is left; ``reduced_chi2`` is the
-    weighted residual sum of squares per degree of freedom (infinite with
-    none), by which a caller with relative weights scales ``pcov``;
-    ``iterations`` counts the Jacobians evaluated."""
-
-    popt: np.ndarray
-    pcov: np.ndarray
-    reduced_chi2: float
-    iterations: int
-
-
-# Jacobian evaluations before a fit is given up as not converging
-_FIT_ITERATIONS = 200
-# MINPACK's default ftol: a fit is done once an accepted step was predicted
-# to lower the cost by no more than this fraction of it
-_FIT_FTOL = 1.5e-8
-# the damping's floor, far above rounding, keeps the damped matrix invertible;
-# past its ceiling no step has lowered the cost, so none can
-_MIN_DAMPING, _MAX_DAMPING = 1e-12, 1e16
-
-
-def curve_fit(model, jacobian, x, y, p0, sigma=None) -> Fit:
-    """Fit ``model(x, *p)`` to ``y`` by Marquardt's method (J. SIAM 11, 431,
-    1963), weighting each residual by ``1 / sigma``.
-
-    ``jacobian(x, *p)`` is the model's derivative, one row of ``len(y)``
-    values per parameter.  Each step solves ``(A + damping * D) step = b``
-    for the weighted normal matrix ``A``, the gradient ``b`` and MINPACK's
-    scale ``D``, the running maximum of ``diag(A)`` (1 for a row that starts
-    at 0).  A step whose cost is not finite and lower is refused and the
-    damping raised ten-fold; an accepted one lowers it ten-fold.  The fit is
-    done after an accepted step which, damped and at the damping's floor
-    alike, is predicted to lower the cost by at most ``_FIT_FTOL`` of it, or
-    when no step lowers it.  It raises RuntimeError at a Jacobian that is
-    not finite and after ``_FIT_ITERATIONS`` Jacobians without being done.
-    The covariance comes from the SVD of the last weighted Jacobian, with
-    scipy's rank threshold.
-    """
-    y = np.asarray(y, dtype=float)
-    weight = 1.0 if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
-    p = np.asarray(p0, dtype=float)
-    with np.errstate(all="ignore"):
-        r = weight * (model(x, *p) - y)
-        cost = float(r @ r)
-        if not math.isfinite(cost):
-            raise RuntimeError("the fit's starting cost is not finite")
-        damping, scale = 1e-3, None
-        for iteration in range(1, _FIT_ITERATIONS + 1):
-            jac = jacobian(x, *p) * weight
-            normal = jac @ jac.T
-            # the diagonal holds the rows' squared norms: an inf or nan shows there
-            if not math.isfinite(normal.trace()):
-                raise RuntimeError("the fit's Jacobian is not finite")
-            rows = normal.diagonal()
-            scale = np.where(rows > 0.0, rows, 1.0) if scale is None else np.maximum(scale, rows)
-            gradient = jac @ r
-            while True:
-                step = _damped_step(normal, gradient, damping * scale)
-                trial = p - step
-                r_trial = weight * (model(x, *trial) - y)
-                cost_trial = float(r_trial @ r_trial)
-                if cost_trial < cost:  # false for nan
-                    # a damped step predicts less than an undamped one: both must be small
-                    limit = _FIT_FTOL * cost
-                    done = gradient @ step <= limit and (
-                        gradient @ _damped_step(normal, gradient, _MIN_DAMPING * scale) <= limit
-                    )
-                    p, r, cost = trial, r_trial, cost_trial
-                    damping = max(damping / 10.0, _MIN_DAMPING)
-                    break
-                damping *= 10.0
-                done = damping > _MAX_DAMPING
-                if done:
-                    break
-            if done:
-                dof = y.size - p.size
-                return Fit(p, _covariance(jac), cost / dof if dof > 0 else math.inf, iteration)
-    raise RuntimeError(f"the fit did not converge in {_FIT_ITERATIONS} iterations")
-
-
-def _damped_step(normal: np.ndarray, gradient: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-    return np.linalg.solve(normal + np.diag(diagonal), gradient)
-
-
-def _covariance(jac: np.ndarray) -> np.ndarray:
-    """The inverse normal matrix of the weighted Jacobian's rows ``jac``, from
-    their SVD; infinite where a singular value falls below scipy's threshold
-    or no degree of freedom is left."""
-    n, m = jac.shape
-    u, s, _ = np.linalg.svd(jac, full_matrices=False)
-    if m <= n or s[-1] <= np.finfo(float).eps * m * s[0]:
-        return np.full((n, n), math.inf)
-    return (u / (s * s)) @ u.T
-
-
-def _raman_model(x, amp, period, phase, floor):
-    """The Raman precession ``amp * env * cos(2 pi t / period + phase) + floor``
-    at the delays and memory coherences ``x = (t, env)``."""
-    t, envelope = x
-    return amp * envelope * np.cos(2.0 * np.pi / period * t + phase) + floor
-
-
-def _raman_jacobian(x, amp, period, phase, floor):
-    t, envelope = x
-    turns = 2.0 * np.pi / period * t
-    swing = amp * envelope * np.sin(turns + phase)
-    dperiod = swing * turns / period
-    return np.array([envelope * np.cos(turns + phase), dperiod, -swing, np.ones_like(t)])
-
-
-def _decay_model(t, eta0, k):
-    """The retrieval efficiency ``eta0 * exp(-k t)`` after storage ``t``."""
-    return eta0 * np.exp(-k * t)
-
-
-def _decay_jacobian(t, eta0, k):
-    decay = np.exp(-k * t)
-    return np.array([decay, -t * eta0 * decay])
 
 
 def _split_budget(n: int, k: int) -> list[int]:
@@ -431,43 +304,34 @@ def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
     # the fit evaluates the model at the delays only
     x = np.stack([delays, nd.memory_coherence(node_cfg, delays)])
     p0 = [0.5 * (ncop.max() - ncop.min()), period, 0.0, float(ncop.mean())]
-    fit = dict.fromkeys(
-        ("period_us", "period_sigma_us", "amplitude", "phase_rad", "floor")
-    )
+    estimate = dict.fromkeys(("period_us", "period_sigma_us", "amplitude", "phase_rad", "floor"))
     try:
-        result = curve_fit(_raman_model, _raman_jacobian, x, ncop, p0)
+        result = curve_fit(ft.raman_model, ft.raman_jacobian, x, ncop, p0)
     except RuntimeError:
         result = None
-    sigmas = amplitude_z = None
-    if result is not None and np.all(np.isfinite(result.pcov)):
-        # the points are unweighted, so the covariance scales by the residual variance
-        sigmas = np.sqrt(np.diag(result.pcov) * result.reduced_chi2).tolist()
-        amplitude_z = _z_score(abs(float(result.popt[0])), sigmas[0])
     # too few counts, or no spin coherence, leave the oscillation
     # unresolved: report nulls, not a period fitted to noise
-    resolved = sigmas is not None and abs(float(result.popt[0])) >= _AMPLITUDE_Z * sigmas[0]
+    amplitude_z, resolved = None, False
+    if result is not None:
+        sigmas = np.sqrt(np.diag(result.pcov)).tolist()
+        amplitude_z, resolved = ft.gate(abs(float(result.popt[0])), sigmas[0], ft.AMPLITUDE_Z)
     if resolved:
-        popt = result.popt
-        fit.update(
-            period_us=float(abs(popt[1])),
-            period_sigma_us=sigmas[1],
-            amplitude=float(popt[0]),
-            phase_rad=float(popt[2]),
-            floor=float(popt[3]),
-        )
+        amplitude, period_fit, phase, floor = result.popt.tolist()
+        estimate.update(period_us=abs(period_fit), period_sigma_us=sigmas[1], amplitude=amplitude)
+        estimate.update(phase_rad=phase, floor=floor)
     stage_s = {"tables": built - started, "fit": time.perf_counter() - built}
 
     body = {
         "node": node_cfg.node_id,
         "samples_per_point": cfg.samples,
         "points": rows,
-        "fit": {**fit, "resolved": resolved, "configured_period_us": period},
+        "fit": {**estimate, "resolved": resolved, "configured_period_us": period},
     }
     artifacts = {
         "sweeps/raman_delay.csv": ("rows", header, points),
         "counts/raman_delay_tables.csv": ("coincidence", pairs.fields),
     }
-    return body, artifacts, stage_s, {"fit": _fit_meta(result, amplitude_z=amplitude_z)}
+    return body, artifacts, stage_s, {"fit": ft.diagnostics(result, amplitude_z=amplitude_z)}
 
 
 def _run_lifetime_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
@@ -489,36 +353,30 @@ def _run_lifetime_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
     rows = [dict(zip(header, point)) for point in points.tolist()]
 
     built = time.perf_counter()
-    (eta0_fit, tau_fit, tau_sigma), diagnostics = _fit_lifetime(delays, points[:, 2], writes)
+    problem = ft.decay_problem(delays, points[:, 2], writes)
+    try:
+        result = None if problem is None else curve_fit(ft.decay_model, ft.decay_jacobian, *problem)
+    except RuntimeError:
+        result = None
+    # an unresolved decay (e.g. an ideal memory): no lifetime, eta0 the mean
+    eta0_fit, tau_fit, tau_sigma = float(np.mean(points[:, 2])), None, None
+    decay_z, resolved = None, False
+    if result is not None:
+        k, k_sigma = float(result.popt[1]), math.sqrt(result.pcov[1, 1])
+        decay_z, resolved = ft.gate(k, k_sigma, ft.DECAY_Z)
+    if resolved:
+        eta0_fit, tau_fit, tau_sigma = float(result.popt[0]), 1.0 / k, k_sigma / (k * k)
 
     # single-parameter amplitude fit of the visibility envelope; the decay
     # constant is the calibrated tau_vis of the node
     tau_vis = node_cfg.tau_vis_us
-    decay = nd.memory_coherence(node_cfg, delays)
-    v_arr = points[:, 4]
-    n_coinc = np.maximum(points[:, 7], 1.0)
-    # each point's binomial variance (1 - v^2) / n at the model value
-    # v = v0 * decay, not at its own noisy visibility, which would weigh
-    # upward fluctuations more; start n-weighted, refit until v0 settles
-    weights, v0 = n_coinc, None
-    for _ in range(50):
-        denom = float(np.sum(weights * decay * decay))
-        v0, previous = float(np.sum(weights * decay * v_arr) / denom), v0
-        if previous is not None and abs(v0 - previous) <= 1e-12 * abs(v0):
-            break
-        weights = n_coinc / np.clip(1.0 - (v0 * decay) ** 2, 1e-6, 1.0)
-    v0_sigma = float(1.0 / math.sqrt(denom))
-    # accidental subtraction adds noise beyond the binomial term the weights
-    # assume, so calibrate the quoted sigma against the residual scatter
-    if len(v_arr) > 1:
-        chi2 = float(np.sum(weights * (v_arr - v0 * decay) ** 2))
-        v0_sigma *= math.sqrt(max(chi2 / (len(v_arr) - 1), 1.0))
+    v0, v0_sigma = ft.visibility_amplitude(
+        points[:, 4], nd.memory_coherence(node_cfg, delays), points[:, 7]
+    )
+    crossing = crossing_sigma = None
     if math.isfinite(tau_vis) and v0 * math.sqrt(2.0) > 1.0:
         crossing = tau_vis * math.log(v0 * math.sqrt(2.0))
         crossing_sigma = tau_vis * v0_sigma / v0
-    else:
-        crossing = None
-        crossing_sigma = None
     stage_s = {"tables": built - started, "fit": time.perf_counter() - built}
 
     body = {
@@ -542,61 +400,7 @@ def _run_lifetime_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
         "counts/lifetime_eigen.csv": ("coincidence", pairs.fields[eigen]),
         "counts/lifetime_super.csv": ("coincidence", pairs.fields[super_]),
     }
-    return body, artifacts, stage_s, {"fit": diagnostics}
-
-
-def _fit_lifetime(t_arr, eta_arr, n_writes):
-    """Fit ``eta0 * exp(-k t)``; return ``(eta0, tau, tau_sigma)`` and the
-    fit's ``meta.fit`` diagnostics.
-
-    Each point carries its binomial error ``sqrt(eta (1 - eta) / n)`` over
-    its ``n`` write heralds, with ``eta`` kept ``1/(2n)`` from 0 and 1 so
-    that a point of exact efficiency still has a nonzero error.  The
-    lifetime ``tau = 1/k`` is reported only when the data resolves a decay,
-    that is when ``k`` lies at least ``_DECAY_Z`` standard errors above
-    zero; otherwise (e.g. an ideal memory) ``tau`` and its sigma are None
-    and ``eta0`` is the mean efficiency.
-    """
-    ok = n_writes > 0
-    t, eta, n = t_arr[ok], eta_arr[ok], n_writes[ok]
-    unresolved = (float(np.mean(eta_arr)), None, None)
-    span = float(np.ptp(t)) if t.size >= 3 else 0.0
-    # a span so short that the starting decay rate 1 / span overflows resolves none
-    if not (span > 0.0 and math.isfinite(1.0 / span)):
-        return unresolved, _fit_meta(None, decay_z=None)
-    p = np.clip(eta, 0.5 / n, 1.0 - 0.5 / n)
-    sigma = np.sqrt(p * (1.0 - p) / n)
-    p0 = [max(eta[0], 1e-3), 1.0 / span]
-    try:
-        result = curve_fit(_decay_model, _decay_jacobian, t, eta, p0, sigma)
-    except RuntimeError:
-        return unresolved, _fit_meta(None, decay_z=None)
-    k, k_sigma = float(result.popt[1]), math.sqrt(max(result.pcov[1, 1], 0.0))
-    diagnostics = _fit_meta(result, decay_z=_z_score(k, k_sigma))
-    if not (math.isfinite(k_sigma) and k_sigma > 0.0 and k >= _DECAY_Z * k_sigma):
-        return unresolved, diagnostics
-    return (float(result.popt[0]), 1.0 / k, k_sigma / (k * k)), diagnostics
-
-
-def _z_score(value: float, sigma: float) -> float | None:
-    """``value`` in standard errors, or None where the fit gave no finite,
-    nonzero standard error."""
-    if not 0.0 < sigma < math.inf:
-        return None
-    z = value / sigma
-    return z if math.isfinite(z) else None
-
-
-def _fit_meta(result: Fit | None, **z) -> dict:
-    """A fitted scenario's ``meta.fit``: the fit's iterations and reduced
-    chi-square, None where it failed or has no degree of freedom, and the z
-    value its gate tested."""
-    chi2 = math.inf if result is None else result.reduced_chi2
-    return {
-        "iterations": None if result is None else result.iterations,
-        "reduced_chi2": chi2 if math.isfinite(chi2) else None,
-        **z,
-    }
+    return body, artifacts, stage_s, {"fit": ft.diagnostics(result, decay_z=decay_z)}
 
 
 def _run_two_node_swap(cfg: cf.ExperimentConfig, streams: _TableStreams):
@@ -746,9 +550,8 @@ class RunReport:
     run's ``_TableStreams`` counts, ghz6/ghz3 add
     ``counters.event_classes`` and two_node_swap ``counters.integrals``,
     the swap integrals it evaluated.  The two fitted scenarios add
-    ``fit``: the fit's ``iterations`` and ``reduced_chi2`` and the z value
-    its gate tested (``amplitude_z`` for raman_delay_sweep, ``decay_z``
-    for lifetime_sweep), each null where the fit failed.
+    ``fit`` (``fit.diagnostics``), with ``amplitude_z`` for
+    raman_delay_sweep and ``decay_z`` for lifetime_sweep.
     ``artifacts`` maps relative output paths to payloads for ``emit_report``.
     """
 

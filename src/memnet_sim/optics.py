@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -243,22 +242,34 @@ class Envelope:
 
     @classmethod
     def from_csv(cls, path) -> "Envelope":
+        """Read what ``to_csv`` writes, skipping blank lines and ``#``
+        comments; every error is one line that names ``path``."""
+        where = f"envelope CSV {path}"
+        rows = []
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != "time_us,re,im":
-                raise ValueError(f"bad envelope CSV header {header!r}")
-            with warnings.catch_warnings():  # numpy warns of no rows, refused below
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if rows.shape[0] < 2:
-            raise ValueError(f"envelope CSV {path} needs at least two rows, has {rows.shape[0]}")
-        if rows.shape[1] != 3:
-            raise ValueError(f"envelope CSV {path} needs columns time_us,re,im")
-        t = rows[:, 0]
+                raise ValueError(f"{where} has header {header!r}, not 'time_us,re,im'")
+            for line_no, line in enumerate(fh, 2):
+                text = line.split("#", 1)[0]
+                if not text.strip():
+                    continue
+                try:
+                    t, re, im = map(float, text.split(","))
+                except ValueError:  # not three fields, or one that is no number
+                    message = f"{where} line {line_no} is not three numbers: {line.strip()!r}"
+                    raise ValueError(message) from None
+                rows.append((t, re, im))
+        if len(rows) < 2:
+            raise ValueError(f"{where} needs at least two rows, has {len(rows)}")
+        t, re, im = np.array(rows).T
         steps = np.diff(t)
         if steps.min() <= 0 or not np.allclose(steps, steps[0], rtol=1e-6, atol=0.0):
-            raise ValueError("envelope CSV times must be uniformly increasing")
-        return cls(float(t[0]), float(steps.mean()), rows[:, 1] + 1j * rows[:, 2])
+            raise ValueError(f"{where} times must be uniformly increasing")
+        try:
+            return cls(float(t[0]), float(steps.mean()), re + 1j * im)
+        except ValueError as exc:
+            raise ValueError(f"{exc} ({where})") from None
 
 
 def _trapezoid_weights(t: np.ndarray) -> np.ndarray:

@@ -334,6 +334,29 @@ class TestEnvelope:
         with pytest.raises(ValueError, match="header"):
             optics.Envelope.from_csv(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "t,x,y\n0,1,0\n1,1,0\n",  # header
+            "time_us,re,im\n0,1,0\n1,1,0\n3,1,0\n",  # non-uniform times
+            "time_us,re,im\n0,1,0\n1,inf,0\n",  # the constructor's amplitude rule
+            "time_us,re,im\n0,1,0\n\n1,1,0,\n",  # a fourth field, on file line 4
+        ],
+    )
+    def test_csv_errors_are_one_line_naming_the_file(self, text, tmp_path):
+        path = tmp_path / "env.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            optics.Envelope.from_csv(path)
+        message = str(info.value)
+        assert f"envelope CSV {path}" in message and "\n" not in message
+
+    def test_csv_skips_blank_lines_and_comments(self, tmp_path):
+        path = tmp_path / "env.csv"
+        path.write_text("time_us,re,im\n# two samples\n0.0,1.0,0.0\n\n0.5,1.0,0.0  # last\n")
+        env = optics.Envelope.from_csv(path)
+        assert (env.start_us, env.step_us, env.values.size) == (0.0, 0.5, 2)
+
     @pytest.mark.parametrize("values", [np.full(4, 1e200), np.full(4, 1e160j), [1e308, 1e308]])
     def test_overflowing_amplitudes_rejected(self, values):
         with warnings.catch_warnings():

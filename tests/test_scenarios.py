@@ -864,6 +864,22 @@ class TestCli:
         )
 
     @pytest.mark.parametrize(
+        "row, problem",
+        [("0.1,x,0.0\n", "'0.1,x,0.0'"), ("0.1,1.0\n", "'0.1,1.0'")],
+    )
+    def test_malformed_csv_envelope_row_names_file_and_line(self, row, problem, tmp_path, capsys):
+        envelope = tmp_path / "malformed.csv"
+        envelope.write_text("time_us,re,im\n0.0,1.0,0.0\n" + row + "0.2,1.0,0.0\n")
+        data = paper_cfg(scenario="ghz3", samples=100).to_dict()
+        data["envelopes"] = {"I": {"csv": str(envelope)}, "II": GAUSSIAN, "III": GAUSSIAN}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"memnet-sim: error: envelope CSV {envelope} line 3 is not three numbers: {problem}\n"
+        )
+
+    @pytest.mark.parametrize(
         "scenario, override",
         [
             ("pair_tomography", {"read_delay_us": 1e308}),
