@@ -10,11 +10,12 @@ Two contracts shape the code:
 
 * Determinism.  Each sampled table (a pair table or a heralded event
   table) draws all its counts with one multinomial from its own
-  counter-based Philox stream, keyed by ``(master seed, table index)``;
+  counter-based Philox stream, keyed by ``(master seed, table index)``.
   ``_TableStreams`` hands the streams out in the fixed order the runners
-  take them, and counts the streams and the draws that the report's meta
-  block records.  A sum of independent
-  multinomials over one probability vector is itself that multinomial, so
+  take them, from one generator per run re-keyed for each table, the same
+  streams as a new generator per table, and counts the streams and draws
+  the report's meta block records.  A sum of independent multinomials
+  over one probability vector is itself that multinomial, so
   one draw per table has the statistics of any split into smaller draws.
   The report body is therefore a pure function of (config, seed); wall time
   and the ``workers`` setting, which changes neither results nor threading,
@@ -63,11 +64,6 @@ def _spin_super_basis(theta: float) -> np.ndarray:
     return q.equatorial_basis(theta + math.pi)
 
 
-def _table_rng(seed: int, table_index: int) -> np.random.Generator:
-    # the 128-bit key (seed, table_index), low word first
-    return np.random.Generator(np.random.Philox(key=seed + (table_index << 64)))
-
-
 class _TableStreams:
     """One stream per sampled table, indexed in the order tables take them;
     counts the streams ``taken`` and the trials or heralded events ``draws``."""
@@ -76,13 +72,21 @@ class _TableStreams:
         self.seed = seed
         self.taken = 0
         self.draws = 0
+        self._rng = self._fresh = None
 
     def take(self, n: int) -> np.random.Generator:
-        """The next table's stream, for a table of ``n`` draws."""
-        rng = _table_rng(self.seed, self.taken)
+        """The next table's stream, for a table of ``n`` draws: the run's one
+        Philox generator, built on first use, re-keyed to ``(seed, table
+        index)`` at counter 0 with an empty buffer, so that it draws as a new
+        ``Philox(key=seed + (index << 64))``.  Valid until the next ``take``."""
+        if self._rng is None:
+            self._rng = np.random.Generator(np.random.Philox(key=self.seed))
+            self._fresh = self._rng.bit_generator.state  # key [seed, 0], nothing drawn
+        self._fresh["state"]["key"][1] = self.taken
+        self._rng.bit_generator.state = self._fresh
         self.taken += 1
         self.draws += int(n)
-        return rng
+        return self._rng
 
 
 def _split_budget(n: int, k: int) -> list[int]:
@@ -133,27 +137,23 @@ def _pair_trial_distribution(
     write-conditioned memory aged by ``dt_us``), double excitation reduced
     to one unpolarized write photon plus a contaminated memory retrieved
     with ``1 - (1 - eta)^2`` and a uniform outcome.  A delay array gives
-    one row per delay, read in ``read_basis`` or in a ``(D, 2, 2)`` stack.
+    one row per delay, read in ``read_basis`` or in a ``(D, 2, 2)`` stack;
+    a stack of write bases adds axes that broadcast against the delay axes.
     """
     dark = detector.dark_count_prob
     terms = nd.node_terms(node_cfg, write_basis, dt_us)
     p_vac, p_sng, p_dbl = terms.write_probabilities
 
-    def clicks(hits):
-        return det.analyzer_clicks(hits, dark)
-
-    no_photon = clicks(det.NO_HITS)
-    write_fires = [clicks(det.photon_hits(1.0, np.eye(2)[ch])) for ch in (0, 1)]
-    cases = [(p_vac, no_photon, no_photon)]  # (weight, write joint, read joint)
-
+    no_photon = det.analyzer_clicks(det.NO_HITS, dark)
+    fires = det.analyzer_clicks(det.photon_hits(1.0, np.eye(2)), dark)  # per channel
     clean, spoiled = nd.readout(terms, read_basis)
-    for ch in (0, 1):
-        cases.append((p_sng * terms.born[..., ch], write_fires[ch], clicks(clean[..., ch, :, :])))
-    read_dbl = clicks(spoiled)  # a zero weight adds exact zeros
-    for ch in (0, 1):
-        cases.append((p_dbl * 0.5, write_fires[ch], read_dbl))
+    read_clean, read_dbl = det.analyzer_clicks(clean, dark), det.analyzer_clicks(spoiled, dark)
+    # (weight, write joint, read joint); a zero weight adds exact zeros
+    cases = [(p_vac, no_photon, no_photon)]
+    cases += [(p_sng * terms.born[..., c], fires[c], read_clean[..., c, :, :]) for c in (0, 1)]
+    cases += [(p_dbl * 0.5, fires[c], read_dbl) for c in (0, 1)]
 
-    rows = np.shape(dt_us)
+    rows = terms.born.shape[:-1]
     dist = np.zeros(rows + (2, 2, 2, 2))
     for weight, jw, jr in cases:
         weight = np.reshape(weight, np.shape(weight) + (1, 1, 1, 1))
@@ -215,24 +215,24 @@ def _rate_budget(cfg: cf.ExperimentConfig, acceptance: float) -> dict:
 # run_scenario has checked the scenario_params keys before a runner starts.
 
 
-def _sample_eigen_super(
-    cfg: cf.ExperimentConfig, node_cfg: nd.NodeConfig, delays: np.ndarray, streams: _TableStreams
-) -> det.PairStack:
-    """The two-basis pair tables at each delay: eigen (rows ``0::2``), write
-    photon and spin read in R/L, then super (rows ``1::2``), write photon in
-    H/V and the spin on the equator at that delay's Zeeman phase; the two
-    tables of a delay take consecutive streams."""
-    dists_e = _pair_trial_distribution(node_cfg, cfg.detector, q.BASIS_RL, _SPIN_RL, delays)
+def _eigen_super(node_cfg: nd.NodeConfig, detector: det.DetectorConfig, delays: np.ndarray):
+    """The two-basis pair distributions at each delay: eigen (rows ``0::2``),
+    write photon and spin read in R/L, then super (rows ``1::2``), write
+    photon in H/V and the spin on the equator at that delay's Zeeman phase,
+    so that the two tables of a delay take consecutive streams.  Both come
+    from one ``(D, 2)`` distribution stack: each delay ages the pair once."""
     super_bases = _spin_super_basis(nd.zeeman_phase(node_cfg, delays))
-    dists_s = _pair_trial_distribution(node_cfg, cfg.detector, q.BASIS_Z, super_bases, delays)
-    dists = np.stack([dists_e, dists_s], axis=1).reshape(-1, 16)
-    return _sample_pairs(dists, cfg.samples, streams)
+    reads = np.stack([np.broadcast_to(_SPIN_RL, super_bases.shape), super_bases], axis=1)
+    writes = np.stack([q.BASIS_RL, q.BASIS_Z])
+    dists = _pair_trial_distribution(node_cfg, detector, writes, reads, delays[:, None])
+    return dists.reshape(-1, 16)
 
 
 def _run_pair_tomography(cfg: cf.ExperimentConfig, streams: _TableStreams):
     node_cfg = cfg.node(cfg.scenario_params.get("node", "I"))
     started = time.perf_counter()
-    pairs = _sample_eigen_super(cfg, node_cfg, np.array([cfg.read_delay_us], dtype=float), streams)
+    delay = np.array([cfg.read_delay_us], dtype=float)
+    pairs = _sample_pairs(_eigen_super(node_cfg, cfg.detector, delay), cfg.samples, streams)
     stage_s = {"tables": time.perf_counter() - started}
 
     bases = ("eigen", "super")
@@ -339,7 +339,7 @@ def _run_lifetime_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
     delays = _sweep_delays(cfg, lambda: node_cfg.zeeman_period_us * np.arange(23), 4)
 
     started = time.perf_counter()
-    pairs = _sample_eigen_super(cfg, node_cfg, delays, streams)
+    pairs = _sample_pairs(_eigen_super(node_cfg, cfg.detector, delays), cfg.samples, streams)
     eigen, super_ = slice(0, None, 2), slice(1, None, 2)
     writes = pairs.fields[eigen, 4] + pairs.fields[eigen, 5]  # n_woR + n_woL
     header = [
@@ -440,12 +440,7 @@ def _run_two_node_swap(cfg: cf.ExperimentConfig, streams: _TableStreams):
     return body, artifacts, stage_s, {"counters": {"integrals": integrals}}
 
 
-def _run_ghz(
-    cfg: cf.ExperimentConfig,
-    streams: _TableStreams,
-    spec: w.GhzSpec,
-    make_settings,
-):
+def _run_ghz(cfg: cf.ExperimentConfig, streams: _TableStreams, spec: w.GhzSpec, make_settings):
     """Heralded GHZ witness: sample each setting's event table, then estimate.
 
     ``make_settings`` builds the witness settings.  A witness on the
@@ -476,16 +471,12 @@ def _run_ghz(
     if not empty:
         fid, sigma = w.fidelity_from_counts(spec, sampled, weights)
     if w.POPULATION_SETTING not in empty:
-        p0, p1 = w.populations_from_counts(
-            spec, sampled[w.POPULATION_SETTING], weights
-        )
+        p0, p1 = w.populations_from_counts(spec, sampled[w.POPULATION_SETTING], weights)
         populations = {"pattern0": p0, "pattern1": p1}
     fid_exact = w.fidelity_from_distributions(
         spec, {t.setting_id: keep(t.outcome_distribution()) for t in tables}
     )
-    setting_counts = {
-        sid: w.pattern_table(arr, spec.n_qubits) for sid, arr in sampled.items()
-    }
+    setting_counts = {sid: w.pattern_table(arr, spec.n_qubits) for sid, arr in sampled.items()}
 
     body = {
         "heralded_samples": cfg.samples,
@@ -514,10 +505,7 @@ def _run_ghz(
         herald_counts = np.sum([arr.reshape(2**nodes, -1).sum(axis=1) for arr in counts], axis=0)
         heralds = w.pattern_table(herald_counts, nodes, zeros=True)
         body["herald_pattern_counts"] = heralds
-        artifacts[f"counts/{cfg.scenario}_heralds.csv"] = (
-            "settings",
-            {"herald_patterns": heralds},
-        )
+        artifacts[f"counts/{cfg.scenario}_heralds.csv"] = ("settings", {"herald_patterns": heralds})
     event_classes = sum(t.probabilities.size for t in tables)
     return body, artifacts, stage_s, {"counters": {"event_classes": event_classes}}
 
@@ -527,12 +515,8 @@ _RUNNERS = {
     "raman_delay_sweep": _run_raman_delay_sweep,
     "lifetime_sweep": _run_lifetime_sweep,
     "two_node_swap": _run_two_node_swap,
-    "ghz6": functools.partial(
-        _run_ghz, spec=ev.GHZ6_SPEC, make_settings=ev.ghz6_settings
-    ),
-    "ghz3": functools.partial(
-        _run_ghz, spec=ev.GHZ3_SPEC, make_settings=ev.ghz3_settings
-    ),
+    "ghz6": functools.partial(_run_ghz, spec=ev.GHZ6_SPEC, make_settings=ev.ghz6_settings),
+    "ghz3": functools.partial(_run_ghz, spec=ev.GHZ3_SPEC, make_settings=ev.ghz3_settings),
 }
 
 

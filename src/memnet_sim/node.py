@@ -188,8 +188,8 @@ class NodeTerms:
     maximally mixed when that outcome cannot occur.  ``eta_dbl`` is the
     retrieval probability of a spoiled memory holding two excitations.
     ``pair`` is the aged pair with its photon in the write basis, indexed
-    ``(photon, spin, photon, spin)``.  A delay array adds a leading delay
-    axis to every array.
+    ``(photon, spin, photon, spin)``.  A delay array, and a stack of write
+    bases, add their leading axes to every array.
     """
 
     pair: np.ndarray  # (..., 2, 2, 2, 2)
@@ -204,9 +204,11 @@ def node_terms(cfg: NodeConfig, write_basis: np.ndarray, dt_us) -> NodeTerms:
     """Age the pair by ``dt_us``, then condition its spin on the write photon
     measured in ``write_basis`` (columns are the outcome kets).
 
-    ``dt_us`` is one storage time or a 1-D array of them, aged alike by
-    ``M(dt)``.  Storage acts on the spin alone, so it commutes with any
-    measurement or post-selection of the photon: aging the pair first is exact.
+    ``dt_us`` is one storage time or an array of them, aged alike by
+    ``M(dt)``; a stack of write bases broadcasts against it, so ``(D, 1)``
+    delays age each pair once for two bases.  Storage acts on the spin alone,
+    so it commutes with any measurement or post-selection of the photon:
+    aging the pair first is exact.
     """
     phase, coherence = _storage(cfg, dt_us)
     factor = np.ones(np.shape(phase) + (2, 2), dtype=complex)
@@ -214,7 +216,7 @@ def node_terms(cfg: NodeConfig, write_basis: np.ndarray, dt_us) -> NodeTerms:
     factor[..., 0, 1] = np.conj(factor[..., 1, 0])
     rho = _fresh_pair(cfg).reshape(2, 2, 2, 2) * factor[..., None, :, None, :]
     q.check_density(rho.reshape(-1, 4, 4))
-    rot = np.einsum("ai,...asbt,bj->...isjt", write_basis.conj(), rho, write_basis)
+    rot = np.einsum("...ai,...asbt,...bj->...isjt", write_basis.conj(), rho, write_basis)
     blocks = np.stack([rot[..., i, :, i, :] for i in (0, 1)], axis=-3)
     born = np.real(np.trace(blocks, axis1=-2, axis2=-1))
     occurs = (born > 1e-300)[..., None, None]

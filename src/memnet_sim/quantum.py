@@ -115,12 +115,17 @@ def check(name: str, value, rule: Rule, owner=None, kind_only: bool = False) -> 
     """Raise a one-line ValueError about ``name`` at the first check of ``rule``
     (of its kind alone with ``kind_only``) that ``value`` fails.  A test works
     out what the value feeds to see whether it overflows, so numpy need not warn."""
+    with np.errstate(all="ignore"):
+        _check(name, value, rule, owner, kind_only)
+
+
+def _check(name: str, value, rule: Rule, owner=None, kind_only: bool = False) -> None:
+    # check, under the caller's np.errstate
     if value is None and rule.optional:
         return
-    with np.errstate(all="ignore"):
-        for test, message in rule.kind if kind_only else rule.kind + rule.checks:
-            if not test(value, owner):
-                raise ValueError(message.format(name=name, value=value))
+    for test, message in rule.kind if kind_only else rule.kind + rule.checks:
+        if not test(value, owner):
+            raise ValueError(message.format(name=name, value=value))
 
 
 def ruled(kind=(), *checks, optional: bool = False, **field):
@@ -129,9 +134,11 @@ def ruled(kind=(), *checks, optional: bool = False, **field):
 
 
 def check_fields(obj) -> None:
-    """Check a dataclass's fields by their rules, in order: a rule may read the ones before."""
-    for f in dataclasses.fields(obj):
-        check(f.name, getattr(obj, f.name), f.metadata["rule"], obj)
+    """Check a dataclass's fields by their rules, in order: a rule may read the
+    ones before.  One ``np.errstate`` covers the whole loop."""
+    with np.errstate(all="ignore"):
+        for f in dataclasses.fields(obj):
+            _check(f.name, getattr(obj, f.name), f.metadata["rule"], obj)
 
 
 def equatorial_basis(theta) -> np.ndarray:

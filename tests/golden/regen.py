@@ -26,7 +26,9 @@ delay ages every pair and lies off the 5.28 us Zeeman grid, so the
 superposition analyzer leaves ``phi0``.  It adds ghz6 and ghz3 at ``paper``
 with a different temporal mode per node (``ENVELOPES``, labeled
 ``paper+envelopes``), seeds 0-2: three grids, so the branch coherence is
-taken on union grids, with the Zeeman beat on port 0.  Run it on both sides
+taken on union grids, with the Zeeman beat on port 0.  Last come the three
+pair scenarios and ghz6 at ``paper`` with the largest seed, ``2**64 - 1``,
+the edge of the ``(seed, table index)`` stream key.  Run it on both sides
 of a change and diff:
 
     PYTHONPATH=src python tests/golden/regen.py --digest > after.txt
@@ -65,6 +67,9 @@ SAMPLES = {
 # (preset, read_delay_us); a bundle off zero delay is labeled "preset@delay"
 DIGEST_POINTS = (("paper", 0.0), ("ideal", 0.0), ("paper", 7.3))
 DIGEST_SEEDS = (0, 1, 2)
+# the largest seed fills the low word of the uint64 stream key
+MAX_SEED = 2**64 - 1
+MAX_SEED_SCENARIOS = ("pair_tomography", "raman_delay_sweep", "lifetime_sweep", "ghz6")
 # a Gaussian, a square and an exponential decay, each on its own grid and
 # wide enough against the 5.28 us Zeeman period that the beat turns the
 # branch coherence complex
@@ -120,20 +125,24 @@ def bundle_digest(cfg: cf.ExperimentConfig, out_dir) -> str:
 
 
 def digest_points():
-    """``(label, scenario, base config)`` of every digested bundle, seeds aside."""
+    """``(label, scenario, base config, seeds)`` of every digested bundle."""
     for preset, delay in DIGEST_POINTS:
         label = f"{preset}@{delay}" if delay else preset
         for scenario in SAMPLES:
-            yield label, scenario, cf.preset(preset).with_overrides(read_delay_us=delay)
+            base = cf.preset(preset).with_overrides(read_delay_us=delay)
+            yield label, scenario, base, DIGEST_SEEDS
     for scenario in ("ghz6", "ghz3"):
-        yield "paper+envelopes", scenario, cf.preset("paper").with_overrides(envelopes=ENVELOPES)
+        base = cf.preset("paper").with_overrides(envelopes=ENVELOPES)
+        yield "paper+envelopes", scenario, base, DIGEST_SEEDS
+    for scenario in MAX_SEED_SCENARIOS:
+        yield "paper", scenario, cf.preset("paper"), (MAX_SEED,)
 
 
 def print_digests() -> None:
     samples = workload_samples()
     with tempfile.TemporaryDirectory() as tmp:
-        for label, scenario, base in digest_points():
-            for seed in DIGEST_SEEDS:
+        for label, scenario, base, seeds in digest_points():
+            for seed in seeds:
                 cfg = base.with_overrides(scenario=scenario, seed=seed)
                 if samples[scenario] is not None:
                     cfg = cfg.with_overrides(samples=samples[scenario])

@@ -174,9 +174,14 @@ def test_impossible_outcome_rows_hold_the_maximally_mixed_spin():
 # the per-delay distribution
 
 
+def philox_stream(seed, index):
+    """Stream ``index`` of ``seed`` built on its own: the Philox key ``(seed, index)``."""
+    return np.random.Generator(np.random.Philox(key=seed + (index << 64)))
+
+
 def table_draw(seed, index, n, dist):
     """Coincidence fields of ``n`` trials drawn from stream ``index`` of ``seed``."""
-    return det.pair_stack([h._table_rng(seed, index).multinomial(n, dist)]).fields[0]
+    return det.pair_stack([philox_stream(seed, index).multinomial(n, dist)]).fields[0]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -228,6 +233,31 @@ def check_lifetime_tables(seed, node_cfg, detector, body, artifacts, n_points):
         # eigen and super tables interleave per delay
         np.testing.assert_array_equal(eigen[k], table_draw(seed, 2 * k, LIFETIME_TRIALS, dist_e))
         np.testing.assert_array_equal(super_[k], table_draw(seed, 2 * k + 1, LIFETIME_TRIALS, dist_s))
+
+
+# ---------------------------------------------------------------------------
+# the eigen and super tables of every delay come from one stacked call
+
+
+@pytest.mark.parametrize(
+    "preset, read_delay_us", [("paper", 0.0), ("ideal", 0.0), ("paper", 7.3)]
+)
+@pytest.mark.parametrize(
+    "delays",
+    [None, [0.0, 5.28, 10.56, 116.16], [0.0, 1.7, 4.1, 9.9, 33.3]],
+    ids=["read-delay", "on-zeeman-grid", "off-zeeman-grid"],
+)
+def test_stacked_eigen_super_is_the_two_single_basis_distributions(preset, read_delay_us, delays):
+    cfg = cf.preset(preset).with_overrides(read_delay_us=read_delay_us)
+    node_cfg, detector = cfg.node("I"), cfg.detector
+    delays = np.array([read_delay_us] if delays is None else delays, dtype=float)
+    stacked = h._eigen_super(node_cfg, detector, delays)
+    eigen = h._pair_trial_distribution(node_cfg, detector, q.BASIS_RL, h._SPIN_RL, delays)
+    read = h._spin_super_basis(nd.zeeman_phase(node_cfg, delays))
+    super_ = h._pair_trial_distribution(node_cfg, detector, q.BASIS_Z, read, delays)
+    assert stacked.shape == (2 * len(delays), 16)
+    assert np.array_equal(stacked[0::2], eigen)
+    assert np.array_equal(stacked[1::2], super_)
 
 
 # ---------------------------------------------------------------------------

@@ -207,23 +207,56 @@ def leaves(data, path=()):
 
 
 PAPER = cf.preset("paper").to_dict()
-# node I stands for all three nodes (the sweeps read it); out_dir is left
-# alone, since a string there writes a bundle instead of printing the report
-PAPER_LEAVES = [
-    path for path in leaves(PAPER) if path[:2] not in (("nodes", 1), ("nodes", 2), ("out_dir",))
-]
+# a Gaussian, a square and an exponential decay, one with its grid size
+ENVELOPES = {
+    "I": {"shape": "gaussian", "center_us": 0.0, "width_us": 0.4},
+    "II": {"shape": "square", "start_us": -0.5, "width_us": 2.0},
+    "III": {"shape": "exponential-decay", "start_us": -0.3, "tau_us": 0.5, "n": 64},
+}
+SCENARIO_PARAMS = {
+    "pair_tomography": {"node": "I"},
+    "raman_delay_sweep": {"node": "I", "delays_us": [0.0, 1.3, 2.6, 3.9, 5.2]},
+    "lifetime_sweep": {"node": "I", "delays_us": [0.0, 5.28, 10.56, 21.12]},
+    "two_node_swap": {"delta_omega_rad_per_us": [0.6, 2.4], "width_us": [0.05], "point_width_us": 0.1},
+    "ghz6": {},
+    "ghz3": {},
+}
+
+
+def rich(scenario):
+    """The ``paper`` config of ``scenario`` with envelopes, calibration weights
+    (on ghz3's memory patterns or six-bit ones) and scenario_params."""
+    weights = {"110": 1.2, "001": 0.8} if scenario == "ghz3" else {"110001": 1.2, "001110": 0.8}
+    params = SCENARIO_PARAMS[scenario]
+    return {**PAPER, "envelopes": ENVELOPES, "calibration_weights": weights, "scenario_params": params}
+
+
+def fuzzed_leaves(data):
+    """The leaves a junk edit may hit: node I stands for all three nodes (the
+    sweeps read it), and out_dir is left alone, since a string there writes a
+    bundle instead of printing the report."""
+    skip = (("nodes", 1), ("nodes", 2), ("out_dir",))
+    return [path for path in leaves(data) if path[:2] not in skip]
+
+
+# (scenario, base config): every scenario at paper and with the optional sections
+BASES = [(s, base) for s in cf.SCENARIO_IDS for base in (PAPER, rich(s))]
 JUNK = st.sampled_from(
     ["0.1", True, None, 10**400, 1e308, -1e308, 1e-320, math.nan, math.inf, -math.inf, [], {}]
 )
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(
-    scenario=st.sampled_from(cf.SCENARIO_IDS),
-    edits=st.lists(st.tuples(st.sampled_from(PAPER_LEAVES), JUNK), min_size=1, max_size=3),
-)
-def test_junk_in_a_config_ends_in_a_report_or_one_error_line(scenario, edits):
-    data = json.loads(json.dumps({**PAPER, "scenario": scenario, "samples": 20}))
+def junk_edits(case):
+    scenario, base = case
+    edit = st.tuples(st.sampled_from(fuzzed_leaves(base)), JUNK)
+    return st.tuples(st.just(scenario), st.just(base), st.lists(edit, min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=st.sampled_from(BASES).flatmap(junk_edits))
+def test_junk_in_a_config_ends_in_a_report_or_one_error_line(case):
+    scenario, base, edits = case
+    data = json.loads(json.dumps({**base, "scenario": scenario, "samples": 20}))
     for path, value in edits:
         target = data
         for key in path[:-1]:

@@ -174,30 +174,70 @@ class TestPairTrialDistribution:
 # deterministic per-table sampling
 
 
+def philox_stream(seed, index):
+    """Stream ``index`` of ``seed`` built on its own: the Philox key ``(seed, index)``."""
+    return np.random.Generator(np.random.Philox(key=seed + (index << 64)))
+
+
 class TestDeterminism:
     def test_table_rng_stream_is_stable(self):
-        a = h._table_rng(7, 3).random(4)
-        b = h._table_rng(7, 3).random(4)
-        np.testing.assert_array_equal(a, b)
+        a = [h._TableStreams(7).take(1).random(4) for _ in range(2)]
+        np.testing.assert_array_equal(a[0], a[1])
+        np.testing.assert_array_equal(a[0], philox_stream(7, 0).random(4))
 
     def test_distinct_tables_get_distinct_streams(self):
         streams = h._TableStreams(7)
         draws = [streams.take(5).random(4) for _ in range(3)]
         assert (streams.taken, streams.draws) == (3, 15)
-        np.testing.assert_array_equal(draws[1], h._table_rng(7, 1).random(4))
+        np.testing.assert_array_equal(draws[1], philox_stream(7, 1).random(4))
         assert not np.array_equal(draws[0], draws[1])
         assert not np.array_equal(draws[1], draws[2])
-        assert not np.array_equal(draws[0], h._table_rng(8, 0).random(4))
+        assert not np.array_equal(draws[0], philox_stream(8, 0).random(4))
 
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     @pytest.mark.parametrize("index", [0, 1, 2**32])
     def test_int_key_draws_as_the_two_word_key(self, seed, index):
         key = np.array([seed, index], dtype=np.uint64)
         want = np.random.Generator(np.random.Philox(key=key))
-        got = h._table_rng(seed, index)
+        streams = h._TableStreams(seed)
+        streams.taken = index  # the stream the table at ``index`` takes
+        got = streams.take(0)
         np.testing.assert_array_equal(got.random(8), want.random(8))
         dist = np.full(16, 1.0 / 16)
         np.testing.assert_array_equal(got.multinomial(10_000, dist), want.multinomial(10_000, dist))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_each_take_starts_its_stream_afresh(self, seed):
+        """A stream left mid-buffer, with a half word cached, leaves nothing
+        behind in the next: each take draws as a newly built stream."""
+        streams = h._TableStreams(seed)
+        rngs = []
+        for index in range(4):
+            got, want = streams.take(10 + index), philox_stream(seed, index)
+            rngs.append(got)
+            for draw in (lambda g: g.integers(2**32, dtype=np.uint32), lambda g: g.random(3)):
+                np.testing.assert_array_equal(draw(got), draw(want))
+            got.random(2)
+            state = got.bit_generator.state
+            assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+        assert (streams.taken, streams.draws) == (4, 10 + 11 + 12 + 13)
+        assert all(rng is rngs[0] for rng in rngs)  # one generator per run
+
+    @pytest.mark.parametrize(
+        "scenario, built, tables",
+        [("pair_tomography", 1, 2), ("lifetime_sweep", 1, 46), ("ghz3", 1, 4), ("two_node_swap", 0, 0)],
+    )
+    def test_one_philox_per_run_and_none_without_tables(self, scenario, built, tables, monkeypatch):
+        philox, made = np.random.Philox, []
+
+        def counted(*args, **kwargs):
+            made.append(kwargs)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        report = h.run_scenario(paper_cfg(scenario=scenario, samples=1000))
+        assert len(made) == built
+        assert report.meta["counters"]["rng_streams"] == tables
 
     def test_pair_table_holds_odd_budget(self):
         rep = h.run_scenario(paper_cfg(scenario="pair_tomography", samples=1041))
@@ -564,7 +604,7 @@ class TestGhzScenarios:
         cfg = paper_cfg(scenario=scenario, samples=20_000, seed=4)
         streams = []
         draws = []
-        table_rng = h._table_rng
+        take = h._TableStreams.take
 
         class CountedStream:
             """A table stream that records the size of every multinomial."""
@@ -576,9 +616,9 @@ class TestGhzScenarios:
                 draws.append(n)
                 return self.rng.multinomial(n, pvals)
 
-        def counted(seed, index):
-            streams.append(index)
-            return CountedStream(table_rng(seed, index))
+        def counted(self, n):
+            streams.append(self.taken)
+            return CountedStream(take(self, n))
 
         integrals = []
         swap_fidelity = h.op.averaged_swap_fidelity
@@ -587,7 +627,7 @@ class TestGhzScenarios:
             integrals.append(args)
             return swap_fidelity(*args)
 
-        monkeypatch.setattr(h, "_table_rng", counted)
+        monkeypatch.setattr(h._TableStreams, "take", counted)
         monkeypatch.setattr(h.op, "averaged_swap_fidelity", counted_integral)
         report = h.run_scenario(cfg)
         n_streams, n_draws, n_integrals = len(streams), sum(draws), len(integrals)
