@@ -30,15 +30,9 @@ branches (which ports each branch loads, which kind of memory it leaves) is
 enumerated once at import as index arrays; everything per config is one
 ``HeraldModel`` (node terms, branch probabilities, routing acceptance,
 coherent sector by retrieval mask), which the tables, the success estimate,
-the rate budget and the raw trials all read.  All settings of one build are
-handled together: their bases are stacked into ``(S, N, 2, 2)`` port and
-memory arrays, per-port and per-memory click tables are computed for every
-setting at once and gathered onto the branches, and one outer product over
-the ``(S, B, 2N, 2)`` factor stack gives every class distribution.  The
-coherent sector is measured term by term for the whole stack, each term an
-outer product of 2N per-qubit factors, so no joint state is ever built, and
-then marginalized over the memories whose retrieval failed.  The
-brute-force path (`raw_trial_counts`) simulates unconditional trials with
+the rate budget and the raw trials all read.  ``build_event_tables``
+handles all settings of one build together, as one stack, and never builds
+a joint state.  The brute-force path (`raw_trial_counts`) simulates unconditional trials with
 per-trial Bernoulli draws and exists to validate the table at excitation
 probabilities high enough for six-folds to show up in reasonable time.
 """
@@ -177,14 +171,15 @@ def _branch_structure() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every incoherent write branch of the nodes, one row each: the write
     outcome per node, the ``_PORT_LOADS`` index per port and the memory kind
     per node, which also picks the node's factor in the branch probability.
-    The two all-single assignments that route one photon per port are
-    skipped; they stay coherent and are handled jointly.
+    The all-single assignments that route one photon per port
+    (``optics.ONE_PER_PORT``) are skipped; they stay coherent and are
+    handled jointly.
     """
     combos, loads, kinds = [], [], []
     for combo in itertools.product((VACUUM, SINGLE, DOUBLE), repeat=_N):
         photon_nodes = [k for k in range(_N) if combo[k] != VACUUM]
         for pols in itertools.product((0, 1), repeat=len(photon_nodes)):
-            if combo == (SINGLE,) * _N and len(set(pols)) == 1:
+            if combo == (SINGLE,) * _N and pols in op.ONE_PER_PORT:
                 continue
             ports: list[list[int]] = [[] for _ in range(_N)]
             kind = [_VACUUM_KIND] * _N
@@ -282,39 +277,6 @@ def _outer_product(factors) -> np.ndarray:
     return out
 
 
-def _coherent_dist(
-    branch_terms: tuple[op.BranchTerm, ...],
-    ports: np.ndarray,
-    memories: np.ndarray,
-    flip: np.ndarray,
-) -> np.ndarray:
-    """``(S, _N_OUTCOMES)`` distributions of the coherent sector with every memory
-    read, one per setting of the ``(S, N, 2, 2)`` basis stacks: each branch
-    term is the outer product of ``conj(P[b]) * P[b']`` per port basis ``P``
-    and ``diag(M^dagger s M)`` per memory block ``s`` and basis ``M``, and
-    the terms are summed in order.  ``flip`` (``(S,)``) applies the
-    feed-forward Z to spin I's block."""
-    rows = [t.row for t in branch_terms]
-    cols = [t.col for t in branch_terms]
-    blocks = np.array([t.blocks for t in branch_terms])  # (T, N, 2, 2)
-    weights = np.array([t.weight for t in branch_terms], dtype=complex)
-    # Z s Z flips the signs of the coherences
-    z_signs = np.where(flip[:, None, None], np.array([[1.0, -1.0], [-1.0, 1.0]]), 1.0)
-    # (S, N, T, 2) -> N (T, S, 2) port factors
-    factors = list((np.conj(ports[:, :, rows]) * ports[:, :, cols]).transpose(1, 2, 0, 3))
-    for k in range(_N):
-        block = blocks[:, k, None] * z_signs if k == 0 else blocks[:, k, None]
-        m = memories[:, k]
-        factors.append(np.sum(m.conj() * (block @ m), axis=-2))
-    factors[0] = weights[:, None, None] * factors[0]
-    n_terms, n = len(branch_terms), len(ports)
-    outer = _outer_product([f.reshape(-1, 2).T for f in factors]).reshape(-1, n_terms, n)
-    dist = 0.0
-    for t in range(n_terms):
-        dist = dist + outer[:, t]
-    return np.ascontiguousarray(np.real(dist).T)
-
-
 def _coherent_subset_dists(
     branch_terms: tuple[op.BranchTerm, ...],
     ports: np.ndarray,
@@ -328,21 +290,38 @@ def _coherent_subset_dists(
     in uniformly.
 
     One measurement of all six qubits serves every mask, since measuring a
-    qubit and discarding the result is a partial trace.  Feed-forward
-    settings are measured a second time with spin I flipped, in the same
-    stack; their herald patterns with an odd number of outcome-1 port clicks
-    are drawn from the flipped terms.  Port marginals agree between the two
-    variants, so the spliced distribution stays normalized, and the splice,
-    which reads only port bits, commutes with the memory sums.
+    qubit and discarding the result is a partial trace: each branch term is
+    the outer product of ``conj(P[b]) * P[b']`` per port basis ``P`` and
+    ``diag(M^dagger s M)`` per memory block ``s`` and basis ``M``, summed in
+    order.  Feed-forward settings are measured again in the same stack with
+    memory I's basis taken as ``Z M``, which measures the state its Z flip
+    leaves, for their herald patterns with an odd number of outcome-1 port
+    clicks.  Port marginals agree between the two, so the splice stays
+    normalized, and it reads only port bits, so it commutes with the memory
+    sums.
     """
     n = len(feedforward)
     ff = np.flatnonzero(feedforward)
-    measured = _coherent_dist(
-        branch_terms,
-        np.concatenate([ports, ports[ff]]),
-        np.concatenate([memories, memories[ff]]),
-        np.arange(n + ff.size) >= n,
-    )
+    flipped = memories[ff].copy()
+    flipped[:, 0] = q.PAULI_Z @ flipped[:, 0]
+    ports = np.concatenate([ports, ports[ff]])
+    memories = np.concatenate([memories, flipped])
+    rows = [t.row for t in branch_terms]
+    cols = [t.col for t in branch_terms]
+    blocks = np.array([t.blocks for t in branch_terms])  # (T, N, 2, 2)
+    weights = np.array([t.weight for t in branch_terms], dtype=complex)
+    # (S, N, T, 2) -> N (T, S, 2) port factors
+    factors = list((np.conj(ports[:, :, rows]) * ports[:, :, cols]).transpose(1, 2, 0, 3))
+    for k in range(_N):
+        m = memories[:, k]
+        factors.append(np.sum(m.conj() * (blocks[:, k, None] @ m), axis=-2))
+    factors[0] = weights[:, None, None] * factors[0]
+    n_terms = len(branch_terms)
+    outer = _outer_product([f.reshape(-1, 2).T for f in factors]).reshape(-1, n_terms, len(ports))
+    measured = 0.0
+    for t in range(n_terms):
+        measured = measured + outer[:, t]
+    measured = np.ascontiguousarray(np.real(measured).T)
     dist = measured[:n]
     herald = np.arange(_N_OUTCOMES) >> _N
     odd = sum((herald >> bit) & 1 for bit in range(_N)) % 2 == 1

@@ -164,12 +164,17 @@ def decay_problem(t_arr, eta_arr, n_writes):
     return t, eta, [max(eta[0], 1e-3), 1.0 / span], np.sqrt(p * (1.0 - p) / n)
 
 
-def visibility_amplitude(v, decay, n_coinc) -> tuple[float, float]:
-    """``(v0, v0_sigma)`` of ``v = v0 * decay``, each point weighed by its
-    binomial variance ``(1 - v^2) / n`` over ``n_coinc`` (at least one) at
-    the model value, not at its noisy own, which favours upward swings:
-    n-weighted first, then refitted, up to 50 passes, until ``v0`` settles."""
-    n = np.maximum(n_coinc, 1.0)
+def visibility_amplitude(v, decay, n_coinc) -> tuple[float | None, float | None]:
+    """``(v0, v0_sigma)`` of ``v = v0 * decay`` over the points with
+    coincidences (one without reads as ``v = 0``), or None where none has.
+    Each point is weighed by its binomial variance ``(1 - v^2) / n`` over
+    ``n_coinc`` (at least one) at the model value, not at its noisy own,
+    which favours upward swings: n-weighted first, then refitted, up to 50
+    passes, until ``v0`` settles."""
+    seen = n_coinc > 0.0
+    if not seen.any():
+        return None, None
+    v, decay, n = v[seen], decay[seen], np.maximum(n_coinc[seen], 1.0)
     weights, v0 = n, None
     for _ in range(50):
         denom = float(np.sum(weights * decay * decay))

@@ -374,7 +374,7 @@ def _run_lifetime_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
         points[:, 4], nd.memory_coherence(node_cfg, delays), points[:, 7]
     )
     crossing = crossing_sigma = None
-    if math.isfinite(tau_vis) and v0 * math.sqrt(2.0) > 1.0:
+    if v0 is not None and math.isfinite(tau_vis) and v0 * math.sqrt(2.0) > 1.0:
         crossing = tau_vis * math.log(v0 * math.sqrt(2.0))
         crossing_sigma = tau_vis * v0_sigma / v0
     stage_s = {"tables": built - started, "fit": time.perf_counter() - built}

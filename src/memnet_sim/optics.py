@@ -6,9 +6,10 @@ Station layout and conventions, pinned once here:
   correlated to the spin.  Before the station each photon passes a
   quarter-wave plate implementing ``polarization_map``: nodes I and II map
   ``sigma+ -> H``, node III maps ``sigma+ -> V``.
-* Every polarizing beamsplitter transmits H and reflects V.  The cascade of
-  beamsplitters acts as a pure mode permutation from (input node, linear
-  polarization) to output port::
+* The beamsplitters form a ring, and every one transmits H and reflects V,
+  so node ``k``'s H photon leaves by port ``k`` and its V photon by port
+  ``k - 1`` (modulo the node count).  The ring is a pure mode permutation
+  from (input node, linear polarization) to output port, ``ROUTE``::
 
       node I:   H -> port 0    V -> port 2
       node II:  H -> port 1    V -> port 0
@@ -16,15 +17,15 @@ Station layout and conventions, pinned once here:
 
   Ports 0, 1, 2 are the three analysis arms (the primed modes of the
   station).  Only the all-H and all-V input patterns put one photon in each
-  port, so a threefold coincidence post-selects exactly those two branches.
-  Photons that collide in a port always carry opposite polarizations, so no
-  two-photon bunching amplitudes arise anywhere in the cascade.
-* The two surviving branches can carry different frequency tags.  A node's
+  port (``ONE_PER_PORT``), so a threefold coincidence post-selects exactly
+  those two branches.  Photons that collide in a port always carry
+  opposite polarizations, so no two-photon bunching amplitudes arise
+  anywhere in the ring.
+* The two surviving branches can carry different frequency tags: a node's
   ``sigma+`` photon is detuned by +dw/2 and ``sigma-`` by -dw/2 (Zeeman
-  splitting dw).  Tracing over unresolved detection times then multiplies
-  the branch coherence by temporal-overlap integrals; with one envelope per
-  node only port 0 mixes different frequencies and contributes a beat factor
-  ``integral(conj(e_II) e_I exp(i dw t) dt)``.
+  splitting dw).  Tracing over unresolved detection times multiplies the
+  branch coherence by one overlap per port, of the photons it takes in the
+  two branches, beating at the difference of their detunings.
 
 ``station_branches`` is the one statement of this post-selection.  It
 keeps the heralded state in factored form: four ``(b, b')`` branch terms,
@@ -55,15 +56,16 @@ _MAP_CIRCULAR_TO_V = np.array([[1, 1j], [1, -1j]], dtype=complex) / math.sqrt(2)
 _WAVEPLATES = {"I": _MAP_CIRCULAR_TO_H, "II": _MAP_CIRCULAR_TO_H, "III": _MAP_CIRCULAR_TO_V}
 NODE_IDS = tuple(_WAVEPLATES)
 
-# (input index, linear polarization) -> station output port
+# (input index, linear polarization) -> station output port, by the ring rule
 ROUTE = {
-    (0, "H"): 0,
-    (0, "V"): 2,
-    (1, "H"): 1,
-    (1, "V"): 0,
-    (2, "H"): 2,
-    (2, "V"): 1,
+    (k, pol): (k - p) % len(NODE_IDS) for k in range(len(NODE_IDS)) for p, pol in enumerate("HV")
 }
+# the polarization assignments (0 H, 1 V, per node) that load every port once
+ONE_PER_PORT = tuple(
+    pols
+    for pols in np.ndindex((2,) * len(NODE_IDS))
+    if sorted(ROUTE[k, "HV"[p]] for k, p in enumerate(pols)) == list(range(len(NODE_IDS)))
+)
 
 STATION_PORTS = tuple(q.photon("S", k) for k in range(len(NODE_IDS)))
 MEMORY_SPINS = tuple(q.spin(nid) for nid in NODE_IDS)
@@ -245,21 +247,27 @@ class Envelope:
         """Read what ``to_csv`` writes, skipping blank lines and ``#``
         comments; every error is one line that names ``path``."""
         where = f"envelope CSV {path}"
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start : exc.end]
+            message = f"{where} is not UTF-8 text: {exc.reason} {bad!r} at byte {exc.start}"
+            raise ValueError(message) from None
+        header = lines[0].strip()
+        if header != "time_us,re,im":
+            raise ValueError(f"{where} has header {header!r}, not 'time_us,re,im'")
         rows = []
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "time_us,re,im":
-                raise ValueError(f"{where} has header {header!r}, not 'time_us,re,im'")
-            for line_no, line in enumerate(fh, 2):
-                text = line.split("#", 1)[0]
-                if not text.strip():
-                    continue
-                try:
-                    t, re, im = map(float, text.split(","))
-                except ValueError:  # not three fields, or one that is no number
-                    message = f"{where} line {line_no} is not three numbers: {line.strip()!r}"
-                    raise ValueError(message) from None
-                rows.append((t, re, im))
+        for line_no, line in enumerate(lines[1:], 2):
+            text = line.split("#", 1)[0]
+            if not text.strip():
+                continue
+            try:
+                t, re, im = map(float, text.split(","))
+            except ValueError:  # not three fields, or one that is no number
+                message = f"{where} line {line_no} is not three numbers: {line.strip()!r}"
+                raise ValueError(message) from None
+            rows.append((t, re, im))
         if len(rows) < 2:
             raise ValueError(f"{where} needs at least two rows, has {len(rows)}")
         t, re, im = np.array(rows).T
@@ -299,19 +307,23 @@ def _check_beat(t: np.ndarray, dw: float) -> None:
 
 
 def _branch_coherence(envelopes, delta_omega_rad_per_us: float) -> complex:
-    """Temporal-mode overlap factor between the all-H and all-V branches.
-
-    Port 0 receives node I's sigma+ photon in one branch and node II's
-    sigma- photon in the other, hence the beat at ``delta_omega``; ports 1
-    and 2 mix equal frequencies.
-    """
+    """Temporal-mode overlap factor between the all-H and all-V branches:
+    per port, the overlap of the photons it takes in the two, each detuned
+    by +dw/2 if its node emitted it sigma+ and by -dw/2 if sigma-."""
     if envelopes is None:
         return 1.0
-    env = [envelopes[nid] for nid in NODE_IDS]
-    kappa0 = env[0].overlap(env[1], delta_omega_rad_per_us)
-    kappa1 = env[1].overlap(env[2])
-    kappa2 = env[2].overlap(env[0])
-    return kappa0 * kappa1 * kappa2
+    half = 0.5 * delta_omega_rad_per_us
+    # the polarization each node's sigma+ photon leaves its waveplate as
+    sigma_plus = [np.argmax(np.abs(plate @ q.KET_R)) for plate in _WAVEPLATES.values()]
+    arrivals = []  # per branch, each port's photon: (envelope, detuning)
+    for pols in ONE_PER_PORT:
+        photons = {
+            ROUTE[k, "HV"[pol]]: (envelopes[nid], half if pol == sigma_plus[k] else -half)
+            for k, (nid, pol) in enumerate(zip(NODE_IDS, pols))
+        }
+        arrivals.append([photons[port] for port in sorted(photons)])
+    kappas = [f.overlap(g, df - dg) for (f, df), (g, dg) in zip(*arrivals)]
+    return math.prod(kappas[1:], start=kappas[0])
 
 
 class BranchTerm(NamedTuple):
@@ -325,10 +337,10 @@ class BranchTerm(NamedTuple):
 
 
 def routing_acceptance(pairs) -> float:
-    """Chance that the photons of three ``(2, 2, 2, 2)`` pairs (H/V frame)
-    leave one per station port: all H or all V."""
+    """Chance that the photons of the nodes' ``(2, 2, 2, 2)`` pairs (H/V
+    frame) leave one per station port, by one of ``ONE_PER_PORT``."""
     born = [[np.real(np.trace(p[b, :, b, :])) for b in (0, 1)] for p in pairs]
-    return math.prod(h for h, _ in born) + math.prod(v for _, v in born)
+    return sum(math.prod(b[pol] for b, pol in zip(born, pols)) for pols in ONE_PER_PORT)
 
 
 def station_branches(
@@ -376,7 +388,7 @@ def connect_three(
     heralded state over ``(port photons 0..2, spins I..III)``; returns it
     with the success probability, whose complement is discarded."""
     pairs = tuple(pairs)
-    if len(pairs) != 3:
+    if len(pairs) != len(NODE_IDS):
         raise ValueError(f"connect_three needs exactly three pairs, got {len(pairs)}")
     for nid, pair in zip(NODE_IDS, pairs):
         expected = (q.photon(nid), q.spin(nid))
@@ -391,12 +403,13 @@ def connect_three(
         delta_omega_rad_per_us=delta_omega_rad_per_us,
         extra_coherence=extra_coherence,
     )
-    out = np.zeros((8, 8, 8, 8), dtype=complex)
-    for t in terms:  # all-H ports sit at index 0, all-V at 7
-        spins = np.kron(np.kron(t.blocks[0], t.blocks[1]), t.blocks[2])
-        out[7 * t.row, :, 7 * t.col, :] = t.weight * spins
+    dim = 2 ** len(pairs)
+    out = np.zeros((dim,) * 4, dtype=complex)
+    for t in terms:  # all-H ports sit at index 0, all-V at dim - 1
+        spins = functools.reduce(np.kron, t.blocks)
+        out[(dim - 1) * t.row, :, (dim - 1) * t.col, :] = t.weight * spins
     register = STATION_PORTS + MEMORY_SPINS
-    return q.DensityMatrix(register, out.reshape(64, 64)), success
+    return q.DensityMatrix(register, out.reshape(dim * dim, dim * dim)), success
 
 
 def averaged_swap_fidelity(

@@ -1,10 +1,13 @@
 """Regenerate the golden report bodies that ``tests/test_golden.py`` checks.
 
-Each scenario runs at the ``paper`` preset, seed 0, with ``SAMPLES`` of its
-budget.  ``<scenario>.json`` holds the report's ``body_json()`` and
-``manifest.json`` the SHA-256 of every CSV ``emit_report`` writes, plus the
-numpy version the files were made with: the Philox streams and
-``Generator.multinomial`` draw the same counts only within one numpy build.
+Each golden in ``GOLDENS`` runs its scenario at the ``paper`` preset, seed
+0, with ``SAMPLES`` of its budget: every scenario as the preset has it, and
+ghz6 and ghz3 again with a different temporal mode per node (``ENVELOPES``),
+so that the branch coherence and its beat are checked too.
+``<golden>.json`` holds the report's ``body_json()`` and ``manifest.json``
+the SHA-256 of every CSV ``emit_report`` writes, plus the numpy version the
+files were made with: the Philox streams and ``Generator.multinomial`` draw
+the same counts only within one numpy build.
 
 Run from the repository root after a change that means to move a body:
 
@@ -78,6 +81,12 @@ ENVELOPES = {
     "II": {"shape": "square", "start_us": -0.5, "width_us": 2.0},
     "III": {"shape": "exponential-decay", "start_us": -0.3, "tau_us": 0.5},
 }
+# golden name -> (scenario, overrides of the paper preset)
+GOLDENS = {
+    **{scenario: (scenario, {}) for scenario in SAMPLES},
+    "ghz6_envelopes": ("ghz6", {"envelopes": ENVELOPES}),
+    "ghz3_envelopes": ("ghz3", {"envelopes": ENVELOPES}),
+}
 
 
 def run_bundle(cfg: cf.ExperimentConfig, out_dir) -> tuple[h.RunReport, dict[str, str]]:
@@ -93,11 +102,12 @@ def run_bundle(cfg: cf.ExperimentConfig, out_dir) -> tuple[h.RunReport, dict[str
     return report, digests
 
 
-def golden_run(scenario: str, out_dir) -> tuple[str, dict[str, str]]:
-    """The scenario's ``body_json()`` and the SHA-256 of each CSV it emits,
-    keyed by the CSV's path relative to ``out_dir``."""
+def golden_run(name: str, out_dir) -> tuple[str, dict[str, str]]:
+    """The ``body_json()`` of golden ``name``'s run and the SHA-256 of each
+    CSV it emits, keyed by the CSV's path relative to ``out_dir``."""
+    scenario, overrides = GOLDENS[name]
     cfg = cf.preset("paper").with_overrides(
-        scenario=scenario, seed=SEED, samples=SAMPLES[scenario]
+        scenario=scenario, seed=SEED, samples=SAMPLES[scenario], **overrides
     )
     report, digests = run_bundle(cfg, out_dir)
     return report.body_json(), digests
@@ -172,18 +182,18 @@ def _relative(old, new) -> str:
     return "n/a"
 
 
-def report_moves(scenario: str, body: str, digests: dict[str, str], manifest) -> int:
-    """Print what regenerating ``scenario`` would move against the golden,
+def report_moves(name: str, body: str, digests: dict[str, str], manifest) -> int:
+    """Print what regenerating golden ``name`` would move against its file,
     and return the number of lines printed."""
-    path = GOLDEN_DIR / f"{scenario}.json"
+    path = GOLDEN_DIR / f"{name}.json"
     old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
     moves = [
-        f"{scenario}: {key}: {a!r} -> {b!r} (relative {_relative(a, b)})"
+        f"{name}: {key}: {a!r} -> {b!r} (relative {_relative(a, b)})"
         for key, a, b in differences(old, json.loads(body))
     ]
-    old_digests = manifest.get("csv_sha256", {}).get(scenario, {})
+    old_digests = manifest.get("csv_sha256", {}).get(name, {})
     moves += [
-        f"{scenario}: {rel}: digest changed"
+        f"{name}: {rel}: digest changed"
         for rel in sorted(set(old_digests) | set(digests))
         if old_digests.get(rel) != digests.get(rel)
     ]
@@ -209,16 +219,16 @@ def main(argv=None) -> int:
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8")) if MANIFEST.exists() else {}
     runs, moved = {}, 0
     with tempfile.TemporaryDirectory() as tmp:
-        for scenario in SAMPLES:
-            runs[scenario] = golden_run(scenario, Path(tmp) / scenario)
-            moved += report_moves(scenario, *runs[scenario], manifest)
+        for name in GOLDENS:
+            runs[name] = golden_run(name, Path(tmp) / name)
+            moved += report_moves(name, *runs[name], manifest)
     if check:
         print(f"{moved} moved" if moved else "every body and CSV matches its golden")
         return 1 if moved else 0
     csv_sha256 = {}
-    for scenario, (body, digests) in runs.items():
-        (GOLDEN_DIR / f"{scenario}.json").write_text(body + "\n", encoding="utf-8")
-        csv_sha256[scenario] = digests
+    for name, (body, digests) in runs.items():
+        (GOLDEN_DIR / f"{name}.json").write_text(body + "\n", encoding="utf-8")
+        csv_sha256[name] = digests
     manifest = {
         "numpy": np.__version__,
         "preset": "paper",
@@ -227,7 +237,7 @@ def main(argv=None) -> int:
         "csv_sha256": csv_sha256,
     }
     MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(SAMPLES)} bodies and {MANIFEST.name} (numpy {np.__version__})")
+    print(f"wrote {len(GOLDENS)} bodies and {MANIFEST.name} (numpy {np.__version__})")
     return 0
 
 

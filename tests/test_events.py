@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -432,6 +433,15 @@ class TestStationLayout:
         # without double excitations: vacuum, or a single routed H or V
         assert ev.herald_model(cf.preset("ideal")).branch_probability.size == 3**3 - 2
 
+    def test_branch_structure_skips_only_the_uniform_all_single_assignments(self):
+        combos, _, kinds = ev._branch_structure()
+        # per node: vacuum, or a single or double photon routed H or V
+        assert len(combos) == 5**3 - 2
+        all_single = (combos == ev.SINGLE).all(axis=1)
+        pols = {tuple(k) for k in kinds[all_single] - ev._SINGLE_KIND}
+        assert len(pols) == all_single.sum() == 6
+        assert pols == set(itertools.product((0, 1), repeat=3)) - {(0, 0, 0), (1, 1, 1)}
+
     def test_pattern_and_mask_counts(self):
         cfg = cf.preset("paper")
         model = ev.herald_model(cfg)
@@ -518,6 +528,34 @@ class TestCoherentSector:
         for n in cfg.nodes:
             state = nd.storage_channel(n, state, cfg.read_delay_us)
         np.testing.assert_allclose(got.matrix, state.matrix, rtol=0, atol=1e-12)
+
+
+class TestFeedForward:
+    """Feed-forward flips memory I by Z on odd-parity heralds, which swaps
+    its outcome in an equatorial basis and leaves a Z measurement alone."""
+
+    @staticmethod
+    def tables(feedforward):
+        cfg = cf.preset("paper").with_overrides(read_delay_us=3.1)
+        settings = [replace(s, feedforward=feedforward) for s in ev.ghz3_settings()]
+        return {t.setting_id: t for t in ev.build_event_tables(cfg, settings)}
+
+    def test_coherence_settings_swap_memory_i_on_odd_heralds(self):
+        with_ff, without = self.tables(True), self.tables(False)
+        n = len(op.NODE_IDS)
+        pattern = np.arange(4**n)
+        odd = np.array([bin(p >> n).count("1") % 2 == 1 for p in pattern])
+        swapped = np.where(odd, pattern ^ (1 << (n - 1)), pattern)  # memory I's bit
+        for sid in ev.GHZ3_SPEC.setting_ids()[1:]:
+            np.testing.assert_array_equal(with_ff[sid].probabilities, without[sid].probabilities)
+            want = without[sid].distributions[:, swapped]
+            np.testing.assert_allclose(with_ff[sid].distributions, want, rtol=0, atol=1e-15)
+
+    def test_population_setting_is_unchanged(self):
+        got = self.tables(True)[w.POPULATION_SETTING]
+        want = self.tables(False)[w.POPULATION_SETTING]
+        np.testing.assert_array_equal(got.probabilities, want.probabilities)
+        np.testing.assert_array_equal(got.distributions, want.distributions)
 
 
 class TestNoSixQubitState:
@@ -641,8 +679,8 @@ class TestSettingsBatch:
 
             return wrapper
 
-        for name in ("_port_outcomes", "_memory_outcomes", "_coherent_dist"):
+        for name in ("_port_outcomes", "_memory_outcomes", "_coherent_subset_dists"):
             monkeypatch.setattr(ev, name, counted(getattr(ev, name)))
         tables = ev.build_event_tables(noisy_config(), SETTING_LISTS[settings]())
         assert len(tables) == len(SETTING_LISTS[settings]())
-        assert calls == {"_port_outcomes": 1, "_memory_outcomes": 1, "_coherent_dist": 1}
+        assert calls == {"_port_outcomes": 1, "_memory_outcomes": 1, "_coherent_subset_dists": 1}

@@ -172,6 +172,17 @@ def test_gate_resolves_a_value_at_its_threshold():
     assert fit.gate(-1.5, 0.5, 3.0) == (-3.0, False)
 
 
+def test_visibility_amplitude_leaves_out_points_without_coincidences():
+    v = np.array([0.9, 0.0, 0.7, 0.0])
+    decay = np.array([1.0, 0.9, 0.8, 0.7])
+    n = np.array([40.0, 0.0, 25.0, 0.0])
+    kept = [0, 2]
+    assert fit.visibility_amplitude(v, decay, n) == fit.visibility_amplitude(
+        v[kept], decay[kept], n[kept]
+    )
+    assert fit.visibility_amplitude(v, decay, np.zeros(4)) == (None, None)
+
+
 @pytest.mark.parametrize("scenario", ["raman_delay_sweep", "lifetime_sweep"])
 def test_runner_fits_once_through_the_harness_name(scenario, monkeypatch):
     # the benchmark's harness.curve_fit span wraps this name: a fitted

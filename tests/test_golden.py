@@ -28,16 +28,16 @@ def first_difference(want, got):
     return None
 
 
-@pytest.mark.parametrize("scenario", sorted(regen.SAMPLES))
-def test_body_and_csvs_match_golden(scenario, tmp_path):
+@pytest.mark.parametrize("name", sorted(regen.GOLDENS))
+def test_body_and_csvs_match_golden(name, tmp_path):
     if MANIFEST["numpy"] != np.__version__:
         pytest.skip(
             f"goldens were made with numpy {MANIFEST['numpy']}, this is numpy "
             f"{np.__version__}; draws agree only within one numpy build"
         )
-    body, digests = regen.golden_run(scenario, tmp_path)
-    golden = (GOLDEN_DIR / f"{scenario}.json").read_text(encoding="utf-8")
+    body, digests = regen.golden_run(name, tmp_path)
+    golden = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
     if body + "\n" != golden:
         where = first_difference(json.loads(golden), json.loads(body))
-        pytest.fail(f"{scenario} body differs from its golden at {where or 'serialization'}")
-    assert digests == MANIFEST["csv_sha256"][scenario], f"{scenario} CSV bytes differ"
+        pytest.fail(f"{name} body differs from its golden at {where or 'serialization'}")
+    assert digests == MANIFEST["csv_sha256"][name], f"{name} CSV bytes differ"

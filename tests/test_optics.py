@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -161,6 +162,17 @@ class TestPolarizationMap:
 
 
 class TestStationRouting:
+    def test_route_is_the_docstring_table(self):
+        rows = re.findall(r"node (\w+): +H -> port (\d) +V -> port (\d)", optics.__doc__)
+        assert [nid for nid, _, _ in rows] == list(optics.NODE_IDS)
+        table = {}
+        for k, (_, h_port, v_port) in enumerate(rows):
+            table[k, "H"], table[k, "V"] = int(h_port), int(v_port)
+        assert optics.ROUTE == table
+
+    def test_only_all_h_and_all_v_load_every_port_once(self):
+        assert optics.ONE_PER_PORT == ((0, 0, 0), (1, 1, 1))
+
     def test_each_port_takes_one_h_and_one_v(self):
         # photons sharing a port always carry opposite polarizations, the
         # premise of detection.bunched_hits

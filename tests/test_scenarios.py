@@ -391,20 +391,36 @@ class TestLifetimeSweep:
 
     def test_visibility0_mean_matches_large_budget(self):
         # a point weighted by its own noisy visibility counts for more the
-        # higher it fluctuates, so small budgets pulled visibility0 above 1
+        # higher it fluctuates, so small budgets pulled visibility0 above 1;
+        # at 200 samples some points have no super coincidences, and read
+        # as v = 0 they pulled it far below
         reference = h.run_scenario(
             paper_cfg(scenario="lifetime_sweep", samples=2_000_000, seed=0)
         ).body["fit"]["visibility0"]
-        values = np.array(
-            [
-                h.run_scenario(
-                    paper_cfg(scenario="lifetime_sweep", samples=2_000, seed=seed)
-                ).body["fit"]["visibility0"]
-                for seed in range(16)
-            ]
+        for samples in (2_000, 200):
+            values = np.array(
+                [
+                    h.run_scenario(
+                        paper_cfg(scenario="lifetime_sweep", samples=samples, seed=seed)
+                    ).body["fit"]["visibility0"]
+                    for seed in range(16)
+                ]
+            )
+            stderr = values.std(ddof=1) / math.sqrt(values.size)
+            assert abs(values.mean() - reference) <= 3.0 * stderr, samples
+
+    def test_no_super_coincidences_leave_visibility0_null(self):
+        rep = h.run_scenario(paper_cfg(scenario="lifetime_sweep", samples=5, seed=0))
+        assert all(p["n_super_coincidences"] == 0.0 for p in rep.body["points"])
+        fit = rep.body["fit"]
+        keys = (
+            "visibility0",
+            "visibility0_sigma",
+            "visibility_crossing_us",
+            "visibility_crossing_sigma_us",
         )
-        stderr = values.std(ddof=1) / math.sqrt(values.size)
-        assert abs(values.mean() - reference) <= 3.0 * stderr
+        assert [fit[key] for key in keys] == [None] * len(keys)
+        strict_json(rep.body_json())
 
     def test_ideal_memory_has_no_crossing(self):
         # infinite coherence time: visibility never decays through 1/sqrt(2)
@@ -917,6 +933,19 @@ class TestCli:
         assert cli.main(["--config", str(path)]) == 1
         assert capsys.readouterr().err == (
             f"memnet-sim: error: envelope CSV {envelope} line 3 is not three numbers: {problem}\n"
+        )
+
+    def test_csv_envelope_that_is_not_utf8_names_file(self, tmp_path, capsys):
+        envelope = tmp_path / "latin.csv"
+        envelope.write_bytes(b"time_us,re,im\n\xff0.0,1.0,0.0\n0.1,1.0,0.0\n")
+        data = paper_cfg(scenario="ghz3", samples=100).to_dict()
+        data["envelopes"] = {"I": {"csv": str(envelope)}, "II": GAUSSIAN, "III": GAUSSIAN}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"memnet-sim: error: envelope CSV {envelope} is not UTF-8 text: "
+            "invalid start byte b'\\xff' at byte 14\n"
         )
 
     @pytest.mark.parametrize(
