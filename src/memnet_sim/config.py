@@ -4,7 +4,8 @@ A run is fully described by one ``ExperimentConfig``: the three node
 parameter sets, the detector model, the trial schedule, a scenario id and
 the sampling/reporting knobs.  Reports are a pure function of
 ``(config, seed)``, so configs are value types and serialize losslessly to
-JSON.
+JSON.  ``report_json`` is the package's one JSON writer, for configs and
+reports alike.
 
 The trial schedule follows the experiment's clock: each cycle of
 ``cycle_ms`` spends ``loading_ms`` preparing the ensembles and leaves a
@@ -15,6 +16,8 @@ write trials of ``trial_us`` each are attempted.
 from __future__ import annotations
 
 import copy
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -275,9 +278,11 @@ class ExperimentConfig:
         return cls(**{key: sections[key](v) if key in sections else v for key, v in data.items()})
 
     def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """The config as ``report_json`` text, also written to ``path`` with a
+        closing newline; a value JSON cannot hold raises before any file opens."""
+        text = report_json(self.to_dict())
         if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text + "\n")
         return text
 
@@ -285,6 +290,92 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def report_json(obj) -> str:
+    """A report, report body or config as JSON text: exactly
+    ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``.
+
+    That call takes the pure-Python encoder, as ``indent`` is set.  Here
+    each container that holds no container is one call of the C encoder,
+    whose item separator carries the line break and indent of its level,
+    and only the nesting above is joined in Python.  What this does not
+    cover (a key that is not a str in a nested dict, a container subclass)
+    and every error (NaN, a type JSON cannot hold, a cycle) goes to that
+    call, which returns or raises as it would alone.
+    """
+    if json.encoder.c_make_encoder is not None and type(obj) in _NESTING:
+        try:
+            return _layout(obj, 0)
+        except (TypeError, ValueError, RecursionError):
+            pass
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+_LEAVES = frozenset((str, int, float, bool, type(None)))
+_NESTING = frozenset((dict, list, tuple))
+_STR = frozenset((str,))
+
+
+def _refuse(obj):
+    """The C encoder's ``default``: a type JSON cannot hold is left to the stdlib."""
+    raise TypeError(type(obj).__name__)
+
+
+@functools.cache
+def _level(depth: int) -> tuple:
+    """The C encoder for the items of a container at ``depth``, and the
+    line breaks before its closing bracket and before each of its items."""
+    breaks = ["\n" + "  " * d for d in (depth, depth + 1)]
+    enc = json.encoder.c_make_encoder(
+        None, _refuse, json.encoder.encode_basestring_ascii, None,
+        ": ", "," + breaks[1], True, False, False,
+    )
+    return enc, *breaks
+
+
+def _layout(obj, depth: int) -> str:
+    """A dict, list or tuple as ``json.dumps(..., indent=2)`` writes it at
+    ``depth``; TypeError where that text is left to the stdlib."""
+    enc, outer, inner = _level(depth)
+    values = obj.values() if type(obj) is dict else obj
+    if not _LEAVES.issuperset(map(type, values)):
+        kinds = set(map(type, values))
+        if kinds - _LEAVES <= _NESTING:
+            return _nested(obj, depth, kinds)
+        if any(issubclass(k, (dict, list, tuple)) for k in kinds):
+            raise TypeError("a container the stdlib lays out")
+    # leaves only, which the C encoder writes or refuses
+    text = "".join(enc(obj, 0))
+    return text if len(text) == 2 else f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}"
+
+
+def _nested(obj, depth: int, kinds: set) -> str:
+    """A container at ``depth`` holding values of ``kinds``, some containers."""
+    enc, outer, inner = _level(depth)
+    if type(obj) is dict:
+        if not _STR.issuperset(map(type, obj)):
+            raise TypeError("a key the stdlib converts")
+        key = json.encoder.encode_basestring_ascii
+        rows = [
+            key(k) + ": " + (_layout(v, depth + 1) if type(v) in _NESTING else "".join(enc(v, 0)))
+            for k, v in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(rows) + outer + "}"
+    if len(kinds) == 1 and all(obj):
+        # non-empty containers of one kind, if all flat, in one call: no
+        # string holds a raw line break, so each "},<break>{" (or "],<break>[")
+        # is a boundary between two of them
+        items = itertools.chain.from_iterable(map(dict.values, obj) if dict in kinds else obj)
+        if _LEAVES.issuperset(map(type, items)):
+            items_enc, _, deeper = _level(depth + 1)
+            text = "".join(items_enc(obj, 0))
+            first, last = text[1], text[-2]
+            boundary = inner + last + "," + inner + first + deeper
+            siblings = text[2:-2].replace(last + "," + deeper + first, boundary)
+            return "[" + inner + first + deeper + siblings + inner + last + outer + "]"
+    rows = [_layout(v, depth + 1) if type(v) in _NESTING else "".join(enc(v, 0)) for v in obj]
+    return "[" + inner + ("," + inner).join(rows) + outer + "]"
 
 
 _INF_IF_NULL = ("tau_mem_us", "tau_vis_us")

@@ -34,7 +34,6 @@ use ``cfg.samples`` raw trials per sweep point; pair_tomography uses
 from __future__ import annotations
 
 import functools
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -50,6 +49,7 @@ from . import node as nd
 from . import optics as op
 from . import quantum as q
 from . import witness as w
+from .config import report_json
 from .fit import curve_fit
 
 # Spin analyzer bases, columns ordered so that channel 0 corresponds to the
@@ -607,12 +607,6 @@ def run_scenario(cfg: cf.ExperimentConfig) -> RunReport:
         meta=meta,
         artifacts=artifacts,
     )
-
-
-def report_json(obj) -> str:
-    """A report or report body as JSON text: sorted keys, two-space indent,
-    and no NaN or infinity."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
 
 
 def emit_report(report: RunReport, out_dir) -> list[str]:

@@ -149,6 +149,27 @@ class TestSerialization:
         cfg.to_json(p)
         assert cf.ExperimentConfig.from_json(p) == cfg
 
+    def test_file_holds_the_report_json_text(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        gaussian = {"shape": "gaussian", "center_us": 0.0, "width_us": 0.05}
+        cfg = cf.preset("paper").with_overrides(
+            envelopes={nid: gaussian for nid in op.NODE_IDS},
+            calibration_weights={"000": 1.2},
+            scenario_params={"node": "II", "delays_us": [0.0, 1.0]},
+        )
+        text = cfg.to_json(p)
+        assert text == json.dumps(cfg.to_dict(), sort_keys=True, indent=2, allow_nan=False)
+        assert p.read_bytes() == (text + "\n").encode()
+
+    def test_nan_refused_before_any_file_opens(self, tmp_path):
+        # scenario_params keys are checked when a run starts, not here
+        p = tmp_path / "cfg.json"
+        cfg = cf.preset("paper").with_overrides(scenario_params={"foo": math.nan})
+        with pytest.raises(ValueError) as err:
+            cfg.to_json(p)
+        assert str(err.value) == "Out of range float values are not JSON compliant: nan"
+        assert not p.exists()
+
     def test_schema_version_checked(self):
         d = cf.ExperimentConfig().to_dict()
         d["schema_version"] = 99
@@ -286,3 +307,45 @@ class TestRules:
         said = str(from_python.value)
         assert said.startswith(f"{key} must be ")
         assert str(from_file.value) == f"{section} key {key!r}{said[len(key):]}"
+
+
+def _cycle(kind):
+    inner = {}
+    outer = [1.0, {"a": inner}] if kind is list else {"a": [inner]}
+    inner["b"] = outer
+    return outer
+
+
+# payload -> (error type, message) of json.dumps(sort_keys=True, indent=2, allow_nan=False)
+NAN = "^Out of range float values are not JSON compliant: "
+BAD_PAYLOADS = {
+    "nan deep in a list": ({"a": [{"b": [1.0, math.nan]}]}, ValueError, NAN + "nan$"),
+    "inf at the top": ([math.inf], ValueError, NAN + "inf$"),
+    "-inf in a nested dict": ({"a": {"b": -math.inf, "c": {}}}, ValueError, NAN + "-inf$"),
+    "np.int64": ({"a": [np.int64(3)]}, TypeError, "^Object of type int64 is not JSON"),
+    "set": ({"a": {"b": {1, 2}}}, TypeError, "^Object of type set is not JSON serializable$"),
+    "complex": ([[1j], {"a": 1}], TypeError, "^Object of type complex is not JSON"),
+    "cyclic list": (_cycle(list), ValueError, "^Circular reference detected$"),
+    "cyclic dict": (_cycle(dict), ValueError, "^Circular reference detected$"),
+    "mixed keys, flat": ({"a": {1: 2.0, "b": 3.0}}, TypeError, "not supported between"),
+    "mixed keys, nested": ({None: [1], "b": {}}, TypeError, "not supported between"),
+}
+
+
+class TestReportJson:
+    """``report_json`` fails as the stdlib call it stands for fails."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_PAYLOADS))
+    def test_error_matches_the_stdlib(self, name):
+        obj, kind, message = BAD_PAYLOADS[name]
+        with pytest.raises(kind, match=message) as want:
+            json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+        with pytest.raises(kind) as got:
+            cf.report_json(obj)
+        assert str(got.value) == str(want.value)
+
+    def test_without_the_c_encoder(self, monkeypatch):
+        obj = cf.preset("paper").to_dict()
+        want = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        assert cf.report_json(obj) == want

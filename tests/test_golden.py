@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from memnet_sim import cli
+
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 _spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN_DIR / "regen.py")
@@ -41,3 +43,43 @@ def test_body_and_csvs_match_golden(name, tmp_path):
         where = first_difference(json.loads(golden), json.loads(body))
         pytest.fail(f"{name} body differs from its golden at {where or 'serialization'}")
     assert digests == MANIFEST["csv_sha256"][name], f"{name} CSV bytes differ"
+
+
+def _bundle_configs():
+    """Every golden run, and every scenario at ``ideal`` on the same budgets."""
+    for name, (scenario, overrides) in regen.GOLDENS.items():
+        base = regen.cf.preset("paper").with_overrides(**overrides)
+        yield name, base.with_overrides(scenario=scenario)
+    for scenario in regen.SAMPLES:
+        yield f"ideal {scenario}", regen.cf.preset("ideal").with_overrides(scenario=scenario)
+
+
+BUNDLES = {
+    name: cfg.with_overrides(seed=regen.SEED, samples=regen.SAMPLES[cfg.scenario])
+    for name, cfg in _bundle_configs()
+}
+
+
+def stdlib_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLES))
+def test_report_json_is_the_stdlib_text(name, tmp_path, monkeypatch, capsys):
+    """report.json and the CLI's stdout hold the stdlib's text of the whole
+    payload, meta included, written without the stdlib's pure-Python path."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("report_json left a report to json.dumps")
+
+    report = regen.h.run_scenario(BUNDLES[name])
+    want = stdlib_json(report.payload()) + "\n"
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "dumps", refuse)
+        regen.h.emit_report(report, tmp_path)
+    assert (tmp_path / "report.json").read_bytes() == want.encode()
+
+    BUNDLES[name].to_json(tmp_path / "cfg.json")
+    assert cli.main(["--config", str(tmp_path / "cfg.json")]) == 0
+    out = capsys.readouterr().out
+    assert out == stdlib_json(json.loads(out)) + "\n"

@@ -275,3 +275,61 @@ def test_junk_in_a_config_ends_in_a_report_or_one_error_line(case):
         assert err.getvalue().count("\n") == 1
     else:
         assert json.loads(out.getvalue())["scenario"] == data["scenario"]
+
+
+def stdlib_json(obj):
+    """The reference text of ``report_json``, or the error it raises."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def writer_json(obj):
+    try:
+        return cf.report_json(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# escapes, a raw line break, non-ASCII, lone surrogates and text that looks
+# like a boundary between two laid-out siblings
+AWKWARD = st.sampled_from(['"', "\\", "\n", "é中", "\ud800", "\udfff", "},\n    {", "],\n  ["])
+TEXT = st.lists(st.one_of(st.text(max_size=3), AWKWARD), max_size=3).map("".join)
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e308, 1e-05, 1e22, math.nan, -math.inf]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([0, 1]), st.integers(-(2**70), 2**70), FLOATS, TEXT
+)
+# mostly one kind of key per dict, as reports have; a dict of mixed keys
+# sorts as the stdlib sorts it or fails as it fails
+KEYS = st.sampled_from(
+    [TEXT, TEXT, TEXT, st.integers(-5, 5), FLOATS, st.booleans(), st.none(), TEXT | st.integers()]
+)
+
+
+def dicts(values, min_size=0):
+    return KEYS.flatmap(lambda keys: st.dictionaries(keys, values, min_size=min_size, max_size=4))
+
+
+def containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        dicts(children),
+        # flat siblings of one kind and unequal lengths, as sweep points are
+        st.lists(dicts(SCALARS, min_size=1), min_size=1, max_size=3),
+        st.lists(st.lists(SCALARS, min_size=1, max_size=3), min_size=1, max_size=3),
+    )
+
+
+PAYLOADS = st.recursive(SCALARS, containers, max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(obj=PAYLOADS)
+def test_report_json_is_the_stdlib_text_byte_for_byte(obj):
+    assert writer_json(obj) == stdlib_json(obj)
