@@ -288,8 +288,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """The config in file ``path``; a file that is not UTF-8 JSON raises
+        one line that names it, with json's line and column."""
+        where = f"config {path}"
+        try:
+            data = json.loads(q.read_text(path, where))
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+            raise ValueError(f"{where} is not JSON: {exc}") from None
+        return cls.from_dict(data)
 
 
 def report_json(obj) -> str:

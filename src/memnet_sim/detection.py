@@ -70,8 +70,8 @@ class CoincidenceTable:
 
     def __post_init__(self) -> None:
         for name in _FIELDS:
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and non-negative")
         pairings = [
             ("n_woR", self.n_RL + self.n_RR),
             ("n_woL", self.n_LL + self.n_LR),
@@ -230,19 +230,21 @@ def write_coincidence_csv(path, fields: np.ndarray) -> None:
 
 
 def read_coincidence_csv(path) -> list[CoincidenceTable]:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"bad coincidence CSV header {header!r}")
-        tables = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    """Read what ``write_coincidence_csv`` writes, skipping blank lines; every
+    error is one line that names ``path`` and the line or byte at fault."""
+    where = f"coincidence CSV {path}"
+    header, *lines = (line.strip() for line in q.read_text(path, where).split("\n"))
+    if header != CSV_HEADER:
+        raise ValueError(f"{where} line 1: bad header {header!r}")
+    tables = []
+    for line_no, line in enumerate(lines, 2):
+        if not line:
+            continue
+        try:
             values = line.split(",")
             if len(values) != len(_FIELDS):
-                raise ValueError(f"bad coincidence CSV row {line!r}")
-            tables.append(
-                CoincidenceTable(**dict(zip(_FIELDS, map(float, values))))
-            )
+                raise ValueError(f"expected {len(_FIELDS)} fields, got {line!r}")
+            tables.append(CoincidenceTable(**dict(zip(_FIELDS, map(float, values)))))
+        except ValueError as exc:
+            raise ValueError(f"{where} line {line_no}: {exc}") from None
     return tables

@@ -7,10 +7,9 @@ realistic excitation probabilities such events occur at ~1e-8 per trial,
 so the simulator never loops over trials for the entangling scenarios.
 Instead it enumerates the finite set of event classes exactly:
 
-* per node, the write attempt leaves vacuum, a single excitation with its
-  photon, or a double excitation (one stray photon, a spoiled memory);
-  ``node.node_terms`` supplies each node's pair, already aged by the read
-  delay, with its H/V routing probabilities and conditional spins;
+* per node, the write attempt branches as ``node.WRITE_BRANCHES`` states
+  it; ``node.node_terms`` supplies each node's pair, already aged by the
+  read delay, with its H/V routing probabilities and conditional spins;
 * photons route through the polarization network by their H/V component,
   which collapses every branch except the all-single HHH/VVV sector, the
   only pair of polarization triples that land one photon on each port;
@@ -25,16 +24,16 @@ Each event class contributes (probability, outcome distribution over the
 ``4**N`` click patterns, N the station's node count).  Summing gives the
 herald probability per trial, the importance weight attached to every
 conditionally drawn sample; one multinomial over the table's mixed outcome
-distribution is exact conditional sampling.  The structure of the write
-branches (which ports each branch loads, which kind of memory it leaves) is
-enumerated once at import as index arrays; everything per config is one
-``HeraldModel`` (node terms, branch probabilities, routing acceptance,
-coherent sector by retrieval mask), which the tables, the success estimate,
-the rate budget and the raw trials all read.  ``build_event_tables``
-handles all settings of one build together, as one stack, and never builds
-a joint state.  The brute-force path (`raw_trial_counts`) simulates unconditional trials with
-per-trial Bernoulli draws and exists to validate the table at excitation
-probabilities high enough for six-folds to show up in reasonable time.
+distribution is exact conditional sampling.  The write branches (the ports
+each loads, the memory kind each leaves) are enumerated once at import as
+index arrays; everything per config is one ``HeraldModel`` (node terms,
+branch probabilities, routing acceptance, coherent sector by retrieval mask),
+which the tables, the success estimate, the rate budget and the raw trials
+all read.  ``build_event_tables`` handles all settings of one build together,
+as one stack, and never builds a joint state.  The brute-force path
+(``raw_trial_counts``) simulates unconditional trials with per-trial
+Bernoulli draws to validate the table at excitation probabilities high
+enough for six-folds to show up in reasonable time.
 """
 
 from __future__ import annotations
@@ -63,8 +62,6 @@ GHZ6_SPEC = w.GhzSpec.parse("HHH↓↓↑", "VVV↑↑↓")
 GHZ3_SPEC = w.GhzSpec(_N, GHZ6_SPEC.pattern0[_N:], GHZ6_SPEC.pattern1[_N:])
 # the station's herald analysis: D/A on every port
 _HERALD_PORTS = (q.BASIS_DA,) * _N
-
-VACUUM, SINGLE, DOUBLE = 0, 1, 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,9 +120,6 @@ def _stack_bases(settings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # port loads: the H(0)/V(1) photons routed to one station port, in node order
 _PORT_LOADS = ((), (0,), (1,), (0, 1), (1, 0))
-# memory kinds: vacuum, spoiled (double), then a clean memory collapsed by
-# its photon's H or V routing at _SINGLE_KIND + pol
-_VACUUM_KIND, _DOUBLE_KIND, _SINGLE_KIND = 0, 1, 2
 
 
 def _port_outcomes(port_bases: np.ndarray, dark: float):
@@ -150,45 +144,31 @@ def _port_outcomes(port_bases: np.ndarray, dark: float):
 def _memory_outcomes(memory_bases: np.ndarray, terms, dark: float):
     """``_single_click`` of each memory analyzer of a ``(..., N, 2, 2)``
     basis stack under each memory kind: ``(..., N, 4)`` click chances and
-    ``(..., N, 4, 2)`` distributions, each node's read-out from
-    ``node.readout``."""
+    ``(..., N, 4, 2)`` distributions, from the nodes' ``node.readout``."""
     reads = [nd.readout(t, memory_bases[..., k, :, :]) for k, t in enumerate(terms)]
-    clean = np.stack([c for c, _ in reads], axis=-4)  # (..., node, pol, 2, 2)
-    spoiled = np.stack([s for _, s in reads])  # (node, 2, 2)
-    shape = clean.shape[:-3]
-    hits = np.concatenate(
-        [
-            np.broadcast_to(det.NO_HITS, shape + (1, 2, 2)),
-            np.broadcast_to(spoiled[:, None], shape + (1, 2, 2)),
-            clean,
-        ],
-        axis=-3,
-    )
-    return _single_click(hits, dark)
+    return _single_click(np.stack(reads, axis=-4), dark)
 
 
 def _branch_structure() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every incoherent write branch of the nodes, one row each: the write
-    outcome per node, the ``_PORT_LOADS`` index per port and the memory kind
-    per node, which also picks the node's factor in the branch probability.
-    The all-single assignments that route one photon per port
-    (``optics.ONE_PER_PORT``) are skipped; they stay coherent and are
-    handled jointly.
-    """
+    """Every incoherent write branch of the nodes, one row each, in the order
+    of ``node.WRITE_BRANCHES`` taken node by node: the write outcome per
+    node, the ``_PORT_LOADS`` index per port and the memory kind per node,
+    which also picks the node's photon chance.  The all-single assignments
+    that route one photon per port (``optics.ONE_PER_PORT``) stay coherent
+    and are skipped here."""
     combos, loads, kinds = [], [], []
-    for combo in itertools.product((VACUUM, SINGLE, DOUBLE), repeat=_N):
-        photon_nodes = [k for k in range(_N) if combo[k] != VACUUM]
-        for pols in itertools.product((0, 1), repeat=len(photon_nodes)):
-            if combo == (SINGLE,) * _N and pols in op.ONE_PER_PORT:
+    for combo in itertools.product(range(len(nd.WRITE_BRANCHES)), repeat=_N):
+        for branch in itertools.product(*(nd.WRITE_BRANCHES[c] for c in combo)):
+            pols = tuple(pol for pol, _ in branch)
+            if combo == (nd.SINGLE,) * _N and pols in op.ONE_PER_PORT:
                 continue
             ports: list[list[int]] = [[] for _ in range(_N)]
-            kind = [_VACUUM_KIND] * _N
-            for k, pol in zip(photon_nodes, pols):
-                ports[op.ROUTE[(k, "HV"[pol])]].append(pol)
-                kind[k] = _SINGLE_KIND + pol if combo[k] == SINGLE else _DOUBLE_KIND
+            for k, pol in enumerate(pols):
+                if pol is not None:
+                    ports[op.ROUTE[(k, "HV"[pol])]].append(pol)
             combos.append(combo)
             loads.append([_PORT_LOADS.index(tuple(p)) for p in ports])
-            kinds.append(kind)
+            kinds.append([kind for _, kind in branch])
     return np.array(combos), np.array(loads), np.array(kinds)
 
 
@@ -226,24 +206,21 @@ class HeraldModel:
 
 def herald_model(cfg: ExperimentConfig) -> HeraldModel:
     """The herald model of ``cfg``.  A write branch's probability is the
-    write outcomes' product times each photon's routing chance (Born for a
-    single, 1/2 for a double); impossible branches are dropped.  The
-    coherent sector is P(all single) times the acceptance times a sure hit
-    per port, then per memory a retrieval (a hit) or a loss (a dark fill)."""
+    write outcomes' product times each node's ``photon_chances`` at its
+    memory kind; impossible branches are dropped.  The coherent sector is
+    P(all single) times the acceptance times a sure hit per port, then per
+    memory a retrieval (a hit) or a loss (a dark fill)."""
     terms = tuple(
         nd.node_terms(n, op.polarization_map(n.node_id).conj().T, cfg.read_delay_us)
         for n in cfg.nodes
     )
-    write_p = np.array([t.write_probabilities for t in terms])
-    # factor by memory kind: vacuum, double, single H, single V
-    factor = np.array([[1.0, 0.5, *t.born] for t in terms])
-    base = _times_clicks(1.0, write_p, _BRANCH_COMBO)
-    prob = _times_clicks(base, factor, _BRANCH_MEMORY_KIND)
+    base = _times_clicks(1.0, np.array([t.write_probabilities for t in terms]), _BRANCH_COMBO)
+    prob = _times_clicks(base, np.array([t.photon_chances for t in terms]), _BRANCH_MEMORY_KIND)
     dark = cfg.detector.dark_count_prob
     hit_one = float(_single_click(det.photon_hits(1.0, (0.5, 0.5)), dark)[0])
     fill = float(_single_click(det.NO_HITS, dark)[0])
     acceptance = float(op.routing_acceptance([t.pair for t in terms]))
-    p_all_single = math.prod(t.write_probabilities[SINGLE] for t in terms)
+    p_all_single = math.prod(t.write_probabilities[nd.SINGLE] for t in terms)
     herald = p_all_single * acceptance * hit_one**_N
     retrieved = (np.arange(_N_MASKS)[:, None] >> np.arange(_N)) & 1 == 1
     coherent = np.full(_N_MASKS, herald)
@@ -513,13 +490,13 @@ def raw_trial_counts(
             u > write_p[None, :, 0] + write_p[None, :, 1]
         ).astype(np.int8)
         # 0 vacuum, 1 single, 2 double
-        has_photon = writes != VACUUM
+        has_photon = writes != nd.VACUUM
         pols = np.where(
-            writes == SINGLE,
+            writes == nd.SINGLE,
             (rng.random((n, _N)) < pol_p1[None, :]).astype(np.int8),
             (rng.random((n, _N)) < 0.5).astype(np.int8),
         )
-        all_single = (writes == SINGLE).all(axis=1)
+        all_single = (writes == nd.SINGLE).all(axis=1)
         # pairs are independent across nodes, so the all-H/all-V chance of
         # these marginal draws equals the coherent-sector weight exactly
         coherent = all_single & (pols == pols[:, :1]).all(axis=1)
@@ -536,11 +513,11 @@ def raw_trial_counts(
         real_mask = np.zeros((n, _N), dtype=bool)
         for k in range(_N):
             r = rng.random(n)
-            real = np.where(writes[:, k] == DOUBLE, r < etas_dbl[k], r < etas[k])
-            real &= writes[:, k] != VACUUM
+            real = np.where(writes[:, k] == nd.DOUBLE, r < etas_dbl[k], r < etas[k])
+            real &= writes[:, k] != nd.VACUUM
             real_mask[:, k] = real
             ch = np.where(
-                writes[:, k] == DOUBLE,
+                writes[:, k] == nd.DOUBLE,
                 rng.random(n) < 0.5,
                 rng.random(n) < mem_p1[k, pols[:, k]],
             ).astype(np.int8)

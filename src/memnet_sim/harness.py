@@ -117,10 +117,9 @@ def _plain(obj):
 
 # ---------------------------------------------------------------------------
 # Pair coincidence machinery (pair_tomography, raman_delay_sweep,
-# lifetime_sweep). One write-read pair per trial; the full joint click
-# pattern over the four detectors is enumerated exactly with the detection
-# click model, including dark counts, double excitations and retrieval
-# failures, then sampled with one multinomial per table and analyzed as a stack.
+# lifetime_sweep). One write-read pair per trial, its click pattern over the
+# four detectors enumerated exactly, then sampled with one multinomial per
+# table and analyzed as a stack.
 
 
 def _pair_trial_distribution(
@@ -130,34 +129,27 @@ def _pair_trial_distribution(
     read_basis: np.ndarray,
     dt_us,
 ) -> np.ndarray:
-    """Exact 16-cell click distribution of one write-read trial.
+    """Exact 16-cell click distribution of one write-read trial, memory aged
+    by ``dt_us``: a term per branch of ``node.WRITE_BRANCHES``.
 
-    Cell index packs the four click bits ``(w0, w1, r0, r1)`` big-endian.
-    Write branches: vacuum (dark-only), single excitation (pair state,
-    write-conditioned memory aged by ``dt_us``), double excitation reduced
-    to one unpolarized write photon plus a contaminated memory retrieved
-    with ``1 - (1 - eta)^2`` and a uniform outcome.  A delay array gives
-    one row per delay, read in ``read_basis`` or in a ``(D, 2, 2)`` stack;
-    a stack of write bases adds axes that broadcast against the delay axes.
+    Cell index packs the four click bits ``(w0, w1, r0, r1)`` big-endian.  A
+    delay array gives one row per delay, read in ``read_basis`` or in a
+    ``(D, 2, 2)`` stack; a stack of write bases adds axes that broadcast
+    against the delay axes.
     """
     dark = detector.dark_count_prob
     terms = nd.node_terms(node_cfg, write_basis, dt_us)
-    p_vac, p_sng, p_dbl = terms.write_probabilities
-
     no_photon = det.analyzer_clicks(det.NO_HITS, dark)
     fires = det.analyzer_clicks(det.photon_hits(1.0, np.eye(2)), dark)  # per channel
-    clean, spoiled = nd.readout(terms, read_basis)
-    read_clean, read_dbl = det.analyzer_clicks(clean, dark), det.analyzer_clicks(spoiled, dark)
-    # (weight, write joint, read joint); a zero weight adds exact zeros
-    cases = [(p_vac, no_photon, no_photon)]
-    cases += [(p_sng * terms.born[..., c], fires[c], read_clean[..., c, :, :]) for c in (0, 1)]
-    cases += [(p_dbl * 0.5, fires[c], read_dbl) for c in (0, 1)]
-
+    reads = det.analyzer_clicks(nd.readout(terms, read_basis), dark)  # per memory kind
+    chances = terms.photon_chances
     rows = terms.born.shape[:-1]
     dist = np.zeros(rows + (2, 2, 2, 2))
-    for weight, jw, jr in cases:
-        weight = np.reshape(weight, np.shape(weight) + (1, 1, 1, 1))
-        dist += weight * np.einsum("ab,...cd->...abcd", jw, jr)
+    for p_write, branches in zip(terms.write_probabilities, nd.WRITE_BRANCHES):
+        for outcome, kind in branches:
+            weight = (p_write * chances[..., kind])[..., None, None, None, None]
+            jw = no_photon if outcome is None else fires[outcome]
+            dist += weight * np.einsum("ab,...cd->...abcd", jw, reads[..., kind, :, :])
     dist = dist.reshape(rows + (16,))
     total = dist.sum(axis=-1)
     bad = np.flatnonzero(~(np.abs(total - 1.0) <= 1e-9))

@@ -12,10 +12,14 @@ the two spin states.  An imperfect pair is modeled as the pure state mixed
 with the maximally mixed two-qubit state (weight ``depol_weight``), which
 caps every interference visibility at ``1 - depol_weight``.
 
-The write process is probabilistic.  Per attempt the detected outcome is
-vacuum, a single pair (probability ``p_w``), or a double excitation
-(probability ``p_w ** 2`` to second order; suppressed entirely when
-``excitation_order == 1``).
+The write attempt is stated once, in ``WRITE_BRANCHES``: it leaves vacuum,
+a single pair (probability ``p_w``) or a double excitation (``p_w ** 2`` to
+second order; none when ``excitation_order == 1``).  Vacuum sends no photon
+and leaves the memory empty; a single's photon takes outcome 0 or 1 by its
+Born chance and leaves a clean memory conditioned on it; a double's stray
+photon takes either with chance 1/2 and leaves a spoiled memory, retrieved
+with ``1 - (1 - eta)^2`` and read uniformly.  By memory kind,
+``NodeTerms.photon_chances`` gives that chance and ``readout`` the hits.
 
 Retrieval converts the spin back to a photon (``down -> L``, ``up -> R``) with
 efficiency ``eta_r0 * exp(-dt / tau_mem_us)``; the stored coherence decays as
@@ -30,11 +34,10 @@ conjugate at ``[down, up]``, both from ``_storage``.
 at the node, ``rho_0 * M(dt)``, conditions the spin on the write photon's
 outcome and gathers the write and retrieval probabilities.  A scalar delay
 and an array of delays take the same path; an array adds a leading delay
-axis that every later step runs over.  ``readout`` is the one statement of
-what a memory returns to its analyzer.  The pair scenarios, the heralded
-event tables and the rate budget all read from these two, so storage runs
-once per node, on the two-qubit pair as a plain array, and never on the
-joint station state.
+axis that every later step runs over.  The pair scenarios, the heralded
+event tables and the rate budget all read ``node_terms``, ``readout`` and
+the branch table, so storage runs once per node, on the two-qubit pair as a
+plain array, and never on the joint station state.
 
 No scenario builds a ``DensityMatrix``.  ``entangled_pair_state`` (the fresh
 pair on its labeled register) and ``storage_channel`` (storage as a
@@ -88,6 +91,14 @@ class NodeConfig:
 
     def __post_init__(self) -> None:
         q.check_fields(self)
+
+
+# write outcomes in write_probabilities' order; memory kinds in readout's,
+# clean after photon outcome c at CLEAN + c
+VACUUM, SINGLE, DOUBLE = 0, 1, 2
+EMPTY, SPOILED, CLEAN = 0, 1, 2
+# each write outcome's branches: (photon outcome or None, memory kind)
+WRITE_BRANCHES = (((None, EMPTY),), ((0, CLEAN), (1, CLEAN + 1)), ((0, SPOILED), (1, SPOILED)))
 
 
 def write_probabilities(cfg: NodeConfig) -> tuple[float, float, float]:
@@ -199,6 +210,11 @@ class NodeTerms:
     eta: float | np.ndarray
     eta_dbl: float | np.ndarray
 
+    @property
+    def photon_chances(self) -> np.ndarray:
+        """The photon outcome's chance by memory kind, last axis: 1, 1/2, ``born``."""
+        return np.concatenate([np.broadcast_to((1.0, 0.5), self.born.shape), self.born], axis=-1)
+
 
 def node_terms(cfg: NodeConfig, write_basis: np.ndarray, dt_us) -> NodeTerms:
     """Age the pair by ``dt_us``, then condition its spin on the write photon
@@ -235,9 +251,11 @@ def born2(basis: np.ndarray, state: np.ndarray) -> np.ndarray:
     return np.real(rotated.diagonal(0, -2, -1))
 
 
-def readout(terms: NodeTerms, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hit distributions of this memory read in ``basis`` (or a stack): a clean
-    memory's per write outcome (axis -3), then a spoiled one's, read uniformly."""
+def readout(terms: NodeTerms, basis: np.ndarray) -> np.ndarray:
+    """Hit distributions of this memory read in ``basis`` (or a stack), one
+    per memory kind (axis -3)."""
     born = born2(basis[..., None, :, :], np.stack(terms.spins, axis=-3))
     clean = det.photon_hits(np.asarray(terms.eta)[..., None], np.clip(born, 0.0, 1.0))
-    return clean, det.photon_hits(terms.eta_dbl, (0.5, 0.5))
+    shape = clean.shape[:-3] + (1, 2, 2)
+    spoiled = np.broadcast_to(det.photon_hits(terms.eta_dbl, (0.5, 0.5))[..., None, :, :], shape)
+    return np.concatenate([np.broadcast_to(det.NO_HITS, shape), spoiled, clean], axis=-3)

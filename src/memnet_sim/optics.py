@@ -247,13 +247,7 @@ class Envelope:
         """Read what ``to_csv`` writes, skipping blank lines and ``#``
         comments; every error is one line that names ``path``."""
         where = f"envelope CSV {path}"
-        try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.read().split("\n")
-        except UnicodeDecodeError as exc:
-            bad = exc.object[exc.start : exc.end]
-            message = f"{where} is not UTF-8 text: {exc.reason} {bad!r} at byte {exc.start}"
-            raise ValueError(message) from None
+        lines = q.read_text(path, where).split("\n")
         header = lines[0].strip()
         if header != "time_us,re,im":
             raise ValueError(f"{where} has header {header!r}, not 'time_us,re,im'")

@@ -141,6 +141,18 @@ def check_fields(obj) -> None:
             _check(f.name, getattr(obj, f.name), f.metadata["rule"], obj)
 
 
+def read_text(path, where: str) -> str:
+    """The text of the UTF-8 file ``path``, with universal newlines; a file
+    that is not UTF-8 raises one line naming ``where`` and the first bad byte."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start : exc.end]
+        message = f"{where} is not UTF-8 text: {exc.reason} {bad!r} at byte {exc.start}"
+        raise ValueError(message) from None
+
+
 def equatorial_basis(theta) -> np.ndarray:
     """Basis diagonalizing cos(theta) sigma_x + sin(theta) sigma_y.
 

@@ -17,9 +17,10 @@ Before it overwrites anything it prints every moved body key path with its
 old value, new value and relative change, and every CSV whose digest
 changed; name each moved key and its largest change in CHANGES.md.
 
-With ``--check`` it prints the same lines, writes nothing, and exits 1 if
-anything moved, 0 if every body and CSV matches: the one-command check of
-a change that means to leave every report byte-identical.
+With ``--check`` it prints the same lines, and every bundle digest (see
+below) that differs from ``digests.txt``, writes nothing, and exits 1 if
+anything moved, 0 if every body, CSV and digest matches: the one-command
+check of a change that means to leave every report byte-identical.
 
 With ``--digest`` it writes nothing and prints one SHA-256 per bundle,
 over the body, every CSV and ``meta.counters``, for every scenario at the
@@ -35,6 +36,10 @@ the edge of the ``(seed, table index)`` stream key.  Run it on both sides
 of a change and diff:
 
     PYTHONPATH=src python tests/golden/regen.py --digest > after.txt
+
+``digests.txt`` holds these lines as the goldens were made; a plain run
+rewrites it with the bodies, and ``tests/test_golden.py`` compares a fresh
+run with it.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from memnet_sim import harness as h
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 MANIFEST = GOLDEN_DIR / "manifest.json"
+DIGESTS = GOLDEN_DIR / "digests.txt"
 SEED = 0
 # raw pair trials per point or basis for the pair scenarios, heralded events
 # for ghz6/ghz3; two_node_swap draws nothing and only echoes it
@@ -148,8 +154,10 @@ def digest_points():
         yield "paper", scenario, cf.preset("paper"), (MAX_SEED,)
 
 
-def print_digests() -> None:
+def digest_lines() -> list[str]:
+    """One ``<label> <scenario> seed <seed> <SHA-256>`` line per digested bundle."""
     samples = workload_samples()
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for label, scenario, base, seeds in digest_points():
             for seed in seeds:
@@ -157,7 +165,16 @@ def print_digests() -> None:
                 if samples[scenario] is not None:
                     cfg = cfg.with_overrides(samples=samples[scenario])
                 out = Path(tmp) / f"{label}-{scenario}-{seed}"
-                print(f"{label} {scenario} seed {seed} {bundle_digest(cfg, out)}")
+                lines.append(f"{label} {scenario} seed {seed} {bundle_digest(cfg, out)}")
+    return lines
+
+
+def digest_moves(lines: list[str]) -> list[str]:
+    """``digests.txt``'s lines that ``lines`` lacks (``-``) and the lines of
+    ``lines`` that it lacks (``+``)."""
+    old = DIGESTS.read_text(encoding="utf-8").splitlines() if DIGESTS.exists() else []
+    gone = [f"digest: - {line}" for line in old if line not in lines]
+    return gone + [f"digest: + {line}" for line in lines if line not in old]
 
 
 def differences(old, new, path="body"):
@@ -213,7 +230,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     if args.digest:
-        print_digests()
+        print("\n".join(digest_lines()))
         return 0
     check = args.check
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8")) if MANIFEST.exists() else {}
@@ -222,8 +239,12 @@ def main(argv=None) -> int:
         for name in GOLDENS:
             runs[name] = golden_run(name, Path(tmp) / name)
             moved += report_moves(name, *runs[name], manifest)
+    bundle_digests = digest_lines()
+    for line in digest_moves(bundle_digests):
+        print(line)
+        moved += 1
     if check:
-        print(f"{moved} moved" if moved else "every body and CSV matches its golden")
+        print(f"{moved} moved" if moved else "every body, CSV and digest matches its golden")
         return 1 if moved else 0
     csv_sha256 = {}
     for name, (body, digests) in runs.items():
@@ -237,7 +258,11 @@ def main(argv=None) -> int:
         "csv_sha256": csv_sha256,
     }
     MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(GOLDENS)} bodies and {MANIFEST.name} (numpy {np.__version__})")
+    DIGESTS.write_text("\n".join(bundle_digests) + "\n", encoding="utf-8")
+    print(
+        f"wrote {len(GOLDENS)} bodies, {MANIFEST.name} and {len(bundle_digests)} lines of "
+        f"{DIGESTS.name} (numpy {np.__version__})"
+    )
     return 0
 
 

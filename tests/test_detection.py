@@ -276,6 +276,35 @@ class TestCsv:
         with pytest.raises(ValueError, match="header"):
             det.read_coincidence_csv(path)
 
+    @pytest.mark.parametrize(
+        "content, where, problem",
+        [
+            (b"a,b\n1,2\n", "line 1", "bad header 'a,b'"),
+            (b"%s\n\n1,2,3\n", "line 3", "expected 9 fields, got '1,2,3'"),
+            (b"%s\n0,0,0,0,0,0,0,0,1\nx,0,0,0,0,0,0,0,1\n", "line 3", "'x'"),
+            (
+                b"%s\n4,0,0,0,1,0,0,4,10\n",
+                "line 2",
+                "n_woR smaller than the coincidences it participates in",
+            ),
+            (b"%s\n\xff,0\n", "is not UTF-8 text", "at byte 46"),
+            (b"%s\nnan,0,0,0,0,0,0,0,1\n", "line 2", "n_RL must be finite and non-negative"),
+            (b"%s\n0,0,0,0,0,0,0,0,inf\n", "line 2", "N must be finite and non-negative"),
+        ],
+        ids=[
+            "header", "short_row", "not_a_number", "singles_undercut", "not_utf8", "nan", "inf",
+        ],
+    )
+    def test_errors_name_file_and_line(self, content, where, problem, tmp_path):
+        path = tmp_path / "pair.csv"
+        path.write_bytes(content.replace(b"%s", det.CSV_HEADER.encode()))
+        with pytest.raises(ValueError) as err:
+            det.read_coincidence_csv(path)
+        message = str(err.value)
+        assert message.startswith(f"coincidence CSV {path} {where}")
+        assert problem in message
+        assert "\n" not in message
+
 
 # ---------------------------------------------------------------------------
 # the array pair analysis against the scalar CoincidenceTable path

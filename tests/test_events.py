@@ -66,25 +66,25 @@ def random_config(rng, p_w=(0.02, 0.45), dark=(0.0, 0.1)):
 def loop_write_branches(terms):
     """Yield (probability, photon pol per node or None, memory kind per node)
     for every incoherent write branch, one at a time."""
-    for combo in itertools.product((ev.VACUUM, ev.SINGLE, ev.DOUBLE), repeat=3):
+    for combo in itertools.product((nd.VACUUM, nd.SINGLE, nd.DOUBLE), repeat=3):
         base = math.prod(t.write_probabilities[c] for t, c in zip(terms, combo))
         if base <= 0.0:
             continue
-        photon_nodes = [k for k in range(3) if combo[k] != ev.VACUUM]
+        photon_nodes = [k for k in range(3) if combo[k] != nd.VACUUM]
         for pols in itertools.product((0, 1), repeat=len(photon_nodes)):
-            if combo == (ev.SINGLE,) * 3 and pols in ((0, 0, 0), (1, 1, 1)):
+            if combo == (nd.SINGLE,) * 3 and pols in ((0, 0, 0), (1, 1, 1)):
                 continue
             prob = base
             photon_pol = [None, None, None]
-            kinds = [ev.VACUUM, ev.VACUUM, ev.VACUUM]
+            kinds = [nd.VACUUM, nd.VACUUM, nd.VACUUM]
             for k, pol in zip(photon_nodes, pols):
                 photon_pol[k] = pol
-                if combo[k] == ev.SINGLE:
+                if combo[k] == nd.SINGLE:
                     prob *= terms[k].born[pol]
                     kinds[k] = ("single", pol)
                 else:
                     prob *= 0.5
-                    kinds[k] = ev.DOUBLE
+                    kinds[k] = nd.DOUBLE
             yield prob, photon_pol, kinds
 
 
@@ -124,8 +124,8 @@ def loop_memory_outcomes(memory_bases, terms, dark):
     out = {}
     for k, (term, basis) in enumerate(zip(terms, memory_bases)):
         hits = {
-            ev.VACUUM: det.NO_HITS,
-            ev.DOUBLE: det.photon_hits(term.eta_dbl, (0.5, 0.5)),
+            nd.VACUUM: det.NO_HITS,
+            nd.DOUBLE: det.photon_hits(term.eta_dbl, (0.5, 0.5)),
         }
         for pol in (0, 1):
             born = nd.born2(basis, term.spins[pol])
@@ -181,7 +181,7 @@ def loop_event_tables(cfg, settings):
     coherent sector's six-qubit state per retrieval subset."""
     terms = ev.herald_model(cfg).terms
     states = reference_station_state(cfg)
-    p_coherent = math.prod(t.write_probabilities[ev.SINGLE] for t in terms) * (
+    p_coherent = math.prod(t.write_probabilities[nd.SINGLE] for t in terms) * (
         math.prod(t.born[0] for t in terms) + math.prod(t.born[1] for t in terms)
     )
     dark = cfg.detector.dark_count_prob
@@ -233,7 +233,7 @@ def loop_conditional_success(cfg):
     terms = ev.herald_model(cfg).terms
     dark = cfg.detector.dark_count_prob
     hit_one, _ = loop_single_click(det.photon_hits(1.0, (0.5, 0.5)), dark)
-    p_all_single = math.prod(t.write_probabilities[ev.SINGLE] for t in terms)
+    p_all_single = math.prod(t.write_probabilities[nd.SINGLE] for t in terms)
     success = math.prod(t.born[0] for t in terms) + math.prod(
         t.born[1] for t in terms
     )
@@ -437,8 +437,8 @@ class TestStationLayout:
         combos, _, kinds = ev._branch_structure()
         # per node: vacuum, or a single or double photon routed H or V
         assert len(combos) == 5**3 - 2
-        all_single = (combos == ev.SINGLE).all(axis=1)
-        pols = {tuple(k) for k in kinds[all_single] - ev._SINGLE_KIND}
+        all_single = (combos == nd.SINGLE).all(axis=1)
+        pols = {tuple(k) for k in kinds[all_single] - nd.CLEAN}
         assert len(pols) == all_single.sum() == 6
         assert pols == set(itertools.product((0, 1), repeat=3)) - {(0, 0, 0), (1, 1, 1)}
 

@@ -2,7 +2,9 @@
 
 The goldens in ``tests/golden`` are made by ``tests/golden/regen.py``.  A
 change that means to move a body regenerates them and names the moved keys
-in CHANGES.md; any other difference is a regression.
+in CHANGES.md; any other difference is a regression.  ``digests.txt`` adds
+one SHA-256 per bundle over the grid of ``regen.py --digest`` (both presets,
+an aged read-out delay, envelopes, seeds 0-2 and the largest seed).
 """
 
 import importlib.util
@@ -30,19 +32,30 @@ def first_difference(want, got):
     return None
 
 
-@pytest.mark.parametrize("name", sorted(regen.GOLDENS))
-def test_body_and_csvs_match_golden(name, tmp_path):
+def skip_on_another_numpy():
     if MANIFEST["numpy"] != np.__version__:
         pytest.skip(
             f"goldens were made with numpy {MANIFEST['numpy']}, this is numpy "
             f"{np.__version__}; draws agree only within one numpy build"
         )
+
+
+@pytest.mark.parametrize("name", sorted(regen.GOLDENS))
+def test_body_and_csvs_match_golden(name, tmp_path):
+    skip_on_another_numpy()
     body, digests = regen.golden_run(name, tmp_path)
     golden = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
     if body + "\n" != golden:
         where = first_difference(json.loads(golden), json.loads(body))
         pytest.fail(f"{name} body differs from its golden at {where or 'serialization'}")
     assert digests == MANIFEST["csv_sha256"][name], f"{name} CSV bytes differ"
+
+
+def test_bundle_digests_match_file():
+    skip_on_another_numpy()
+    lines = regen.digest_lines()
+    assert len(lines) == 64
+    assert regen.digest_moves(lines) == []
 
 
 def _bundle_configs():

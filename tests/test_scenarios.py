@@ -883,6 +883,26 @@ class TestCli:
         assert bundle_files(tmp_path / "first") == want
         assert bundle_files(tmp_path / "again") == want
 
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            (b"", "Expecting value: line 1 column 1 (char 0)"),
+            (b'{"seed": 1,', "Expecting property name enclosed in double quotes: line 1 column 12"),
+            (b"\xff\xfe{}", "is not UTF-8 text: invalid start byte b'\\xff' at byte 0"),
+            (b"[" * 100_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["empty", "truncated", "not_utf8", "nested_too_deep"],
+    )
+    def test_config_that_is_not_json_errors_once(self, content, problem, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_bytes(content)
+        assert cli.main(["--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"memnet-sim: error: config {path} ")
+        assert problem in line
+
     def test_overflowing_csv_envelope_errors_once(self, tmp_path, capsys):
         envelope = tmp_path / "loud.csv"
         envelope.write_text("time_us,re,im\n0.0,1e200,0\n0.1,1e200,0\n0.2,1e200,0\n")

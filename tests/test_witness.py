@@ -294,6 +294,15 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="header"):
             w.read_setting_counts_csv(path)
 
+    def test_file_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_bytes(b"setting_id,outcome_pattern,count\nm0,\xff01,3\n")
+        with pytest.raises(ValueError) as err:
+            w.read_setting_counts_csv(path)
+        assert str(err.value) == (
+            f"counts CSV {path} is not UTF-8 text: invalid start byte b'\\xff' at byte 36"
+        )
+
     @pytest.mark.parametrize(
         "rows, message",
         [
