@@ -3,10 +3,13 @@
 Two-channel polarization analysis of the write-out/read-out photon pair.
 Coincidences are labeled ``n_ij`` with ``i`` the write-out and ``j`` the
 read-out outcome in the circular basis; ``n_woR`` etc. are the raw singles
-of each channel and ``N`` the number of trials.  Accidental coincidences
-between uncorrelated singles are estimated as ``n_woI * n_roJ / N`` and
-subtracted cell by cell, by ``pair_stack`` for a whole stack of tables;
-corrected counts stay fractional since every quantity is a count ratio.
+of each channel and ``N`` the number of trials.  These nine fields, in
+``CSV_HEADER`` order, are a table's coincidence CSV row and the input of
+``pair_stack``, the one place the analysis is computed: accidentals between
+uncorrelated singles, ``n_woI * n_roJ / N``, subtracted cell by cell (so
+corrected counts are fractional), and the visibilities with their sigmas.
+The scalar ``subtract_accidentals`` and ``visibility_raw`` are its one-row
+calls on a ``CoincidenceTable``.
 
 Every analyzer in the network (the write and read arms of a pair, each
 station port, each memory analyzer) uses one exact click model.  A
@@ -20,7 +23,7 @@ than unit probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -79,10 +82,11 @@ class CoincidenceTable:
             ("n_roL", self.n_RL + self.n_LL),
         ]
         for name, used in pairings:
-            if getattr(self, name) < used - _TOL:
-                raise ValueError(
-                    f"{name} smaller than the coincidences it participates in"
-                )
+            single = getattr(self, name)
+            if single < used - _TOL:
+                raise ValueError(f"{name} smaller than the coincidences it participates in")
+            if single > self.N + _TOL:  # a channel clicks at most once per trial
+                raise ValueError(f"{name} larger than the trial count N")
 
     def coincidence_sum(self) -> float:
         return self.n_RL + self.n_LR + self.n_LL + self.n_RR
@@ -136,42 +140,13 @@ def analyzer_clicks(hits: np.ndarray, dark: float) -> np.ndarray:
     return t.T @ hits @ t
 
 
-def visibility_raw(table: CoincidenceTable) -> float:
-    """Polarization correlation visibility of the four coincidence counts."""
-    total = table.coincidence_sum()
-    if total <= 0.0:
-        raise ValueError("visibility undefined: no coincidences")
-    return (table.n_RL + table.n_LR - table.n_LL - table.n_RR) / total
-
-
-def subtract_accidentals(table: CoincidenceTable) -> tuple[CoincidenceTable, bool]:
-    """Remove the uncorrelated-singles floor from each coincidence cell.
-
-    Each cell loses the accidental estimate ``n_wo(i) * n_ro(j) / N``.  The
-    singles and trial count pass through unchanged.  Returns the corrected
-    table and a flag that is True when any cell went negative and was
-    clamped to zero.
-    """
-    if table.N <= 0.0:
-        raise ValueError("subtract_accidentals needs N > 0")
-    corrected = {
-        "n_RL": table.n_RL - table.n_woR * table.n_roL / table.N,
-        "n_LR": table.n_LR - table.n_woL * table.n_roR / table.N,
-        "n_LL": table.n_LL - table.n_woL * table.n_roL / table.N,
-        "n_RR": table.n_RR - table.n_woR * table.n_roR / table.N,
-    }
-    clamped = any(v < 0.0 for v in corrected.values())
-    corrected = {k: max(v, 0.0) for k, v in corrected.items()}
-    return replace(table, **corrected), clamped
-
-
 @dataclass(frozen=True)
 class PairStack:
     """Coincidence analysis of ``T`` pair tables, as ``pair_stack`` builds it."""
 
     fields: np.ndarray  # (T, 9) in CSV_HEADER order
-    corrected: np.ndarray  # (T, 4) coincidence cells after subtract_accidentals
-    clamped: np.ndarray  # (T,) whether that clamped a cell at zero
+    corrected: np.ndarray  # (T, 4) coincidence cells less their accidentals
+    clamped: np.ndarray  # (T,) whether a corrected cell was clamped at zero
     # (2, T) each, for the raw (row 0) and the corrected (row 1) tables:
     coincidences: np.ndarray
     visibility: np.ndarray  # with its binomial sigma, both 0.0 for no coincidences
@@ -179,12 +154,18 @@ class PairStack:
     efficiency: np.ndarray  # coincidences per write herald (at least one)
 
 
-def pair_stack(counts) -> PairStack:
-    """Analyze a ``(T, 16)`` stack of pair click counts, cells indexed by the
-    click bits ``(w0, w1, r0, r1)`` big-endian.  Every float follows the
-    operation order of ``subtract_accidentals`` and ``visibility_raw``, so
-    it equals the scalar path's value bit for bit."""
-    fields = (np.asarray(counts) @ _FIELD_CELLS).astype(float)
+def pair_fields(counts) -> np.ndarray:
+    """The ``(T, 9)`` field rows of a ``(T, 16)`` stack of pair click
+    counts, cells indexed by the click bits ``(w0, w1, r0, r1)`` big-endian."""
+    return (np.asarray(counts) @ _FIELD_CELLS).astype(float)
+
+
+def pair_stack(fields) -> PairStack:
+    """Analyze ``T`` pair tables given as ``(T, 9)`` field rows in
+    ``CSV_HEADER`` order.  Each coincidence cell loses the accidental
+    estimate ``n_wo(i) * n_ro(j) / N``; a cell that goes negative is
+    clamped to zero and flags its table."""
+    fields = np.asarray(fields, dtype=float)
     cells, (n_woR, n_woL, n_roR, n_roL, n) = fields.T[:4], fields.T[4:]
     if not np.all(n > 0.0):
         raise ValueError("pair analysis needs N > 0 in every table")
@@ -201,6 +182,24 @@ def pair_stack(counts) -> PairStack:
     sigma = np.where(seen, np.where(sigma == 0.0, 1.0 / safe, sigma), 0.0)
     efficiency = total / np.maximum(n_woR + n_woL, 1.0)
     return PairStack(fields, corrected.T, negative.any(axis=0), total, v, sigma, efficiency)
+
+
+def visibility_raw(table: CoincidenceTable) -> float:
+    """Polarization correlation visibility of the four coincidence counts."""
+    if table.coincidence_sum() <= 0.0:
+        raise ValueError("visibility undefined: no coincidences")
+    return float(pair_stack([astuple(table)]).visibility[0, 0])
+
+
+def subtract_accidentals(table: CoincidenceTable) -> tuple[CoincidenceTable, bool]:
+    """Remove the uncorrelated-singles floor from each coincidence cell, as
+    ``pair_stack`` does, singles and trial count unchanged.  Returns the
+    corrected table and whether a cell went negative and was clamped to zero."""
+    if table.N <= 0.0:
+        raise ValueError("subtract_accidentals needs N > 0")
+    pairs = pair_stack([astuple(table)])
+    corrected = dict(zip(_FIELDS[:4], pairs.corrected[0].tolist()))
+    return replace(table, **corrected), bool(pairs.clamped[0])
 
 
 def csv_number(value: float) -> str:
@@ -227,24 +226,3 @@ def write_csv(path, header, rows) -> None:
 def write_coincidence_csv(path, fields: np.ndarray) -> None:
     """Write a ``(T, 9)`` field stack (``PairStack.fields``)."""
     write_csv(path, _FIELDS, fields)
-
-
-def read_coincidence_csv(path) -> list[CoincidenceTable]:
-    """Read what ``write_coincidence_csv`` writes, skipping blank lines; every
-    error is one line that names ``path`` and the line or byte at fault."""
-    where = f"coincidence CSV {path}"
-    header, *lines = (line.strip() for line in q.read_text(path, where).split("\n"))
-    if header != CSV_HEADER:
-        raise ValueError(f"{where} line 1: bad header {header!r}")
-    tables = []
-    for line_no, line in enumerate(lines, 2):
-        if not line:
-            continue
-        try:
-            values = line.split(",")
-            if len(values) != len(_FIELDS):
-                raise ValueError(f"expected {len(_FIELDS)} fields, got {line!r}")
-            tables.append(CoincidenceTable(**dict(zip(_FIELDS, map(float, values)))))
-        except ValueError as exc:
-            raise ValueError(f"{where} line {line_no}: {exc}") from None
-    return tables

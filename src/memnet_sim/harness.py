@@ -74,14 +74,19 @@ class _TableStreams:
         self.draws = 0
         self._rng = self._fresh = None
 
-    def take(self, n: int) -> np.random.Generator:
-        """The next table's stream, for a table of ``n`` draws: the run's one
-        Philox generator, built on first use, re-keyed to ``(seed, table
-        index)`` at counter 0 with an empty buffer, so that it draws as a new
-        ``Philox(key=seed + (index << 64))``.  Valid until the next ``take``."""
+    def open(self) -> None:
+        """Build the run's one Philox generator, as a drawing runner does before
+        its first stage timer: a process's first ``np.random`` lookup imports."""
         if self._rng is None:
             self._rng = np.random.Generator(np.random.Philox(key=self.seed))
             self._fresh = self._rng.bit_generator.state  # key [seed, 0], nothing drawn
+
+    def take(self, n: int) -> np.random.Generator:
+        """The next table's stream, for a table of ``n`` draws: the run's one
+        Philox generator (``open``), re-keyed to ``(seed, table index)`` at
+        counter 0 with an empty buffer, so that it draws as a new
+        ``Philox(key=seed + (index << 64))``.  Valid until the next ``take``."""
+        self.open()
         self._fresh["state"]["key"][1] = self.taken
         self._rng.bit_generator.state = self._fresh
         self.taken += 1
@@ -161,7 +166,7 @@ def _pair_trial_distribution(
 def _sample_pairs(dists, n: int, streams: _TableStreams) -> det.PairStack:
     """Analyze ``n`` trials of each distribution row, each drawn with one
     multinomial from the next stream."""
-    return det.pair_stack([streams.take(n).multinomial(n, dist) for dist in dists])
+    return det.pair_stack(det.pair_fields([streams.take(n).multinomial(n, dist) for dist in dists]))
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +227,7 @@ def _eigen_super(node_cfg: nd.NodeConfig, detector: det.DetectorConfig, delays: 
 
 def _run_pair_tomography(cfg: cf.ExperimentConfig, streams: _TableStreams):
     node_cfg = cfg.node(cfg.scenario_params.get("node", "I"))
+    streams.open()
     started = time.perf_counter()
     delay = np.array([cfg.read_delay_us], dtype=float)
     pairs = _sample_pairs(_eigen_super(node_cfg, cfg.detector, delay), cfg.samples, streams)
@@ -280,6 +286,7 @@ def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
     period = node_cfg.zeeman_period_us
     delays = _sweep_delays(cfg, lambda: np.linspace(0.0, 3.0 * period, 33), 5)
 
+    streams.open()
     started = time.perf_counter()
     dists = _pair_trial_distribution(
         node_cfg, cfg.detector, q.BASIS_Z, _spin_super_basis(node_cfg.phi0), delays
@@ -330,6 +337,7 @@ def _run_lifetime_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
     node_cfg = cfg.node(cfg.scenario_params.get("node", "I"))
     delays = _sweep_delays(cfg, lambda: node_cfg.zeeman_period_us * np.arange(23), 4)
 
+    streams.open()
     started = time.perf_counter()
     pairs = _sample_pairs(_eigen_super(node_cfg, cfg.detector, delays), cfg.samples, streams)
     eigen, super_ = slice(0, None, 2), slice(1, None, 2)
@@ -441,6 +449,7 @@ def _run_ghz(cfg: cf.ExperimentConfig, streams: _TableStreams, spec: w.GhzSpec, 
     """
     weights = w.weight_array(spec, cfg.calibration_weights)
     settings = make_settings()
+    streams.open()
     started = time.perf_counter()
     model = ev.herald_model(cfg)
     tables = ev.build_event_tables(cfg, settings, model)

@@ -27,7 +27,6 @@ covariance between numerator and denominator.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -35,7 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .detection import csv_numbers
-from .quantum import PAULI_Z, bits_to_index, equatorial_basis, read_text
+from .quantum import PAULI_Z, bits_to_index, equatorial_basis
 
 _BIT0 = {"0", "H", "h", "d", "↓"}  # down arrow
 _BIT1 = {"1", "V", "v", "u", "↑"}  # up arrow
@@ -164,8 +163,9 @@ def fidelity_from_distributions(
     spec: GhzSpec, distributions: Mapping[str, np.ndarray]
 ) -> float:
     """The fidelity of exact outcome distributions, one per setting, indexed
-    by pattern and each normalized by its own sum: the value the count
-    estimate tends to."""
+    by pattern and each normalized by its own sum.  It takes no calibration
+    weights: it is the unweighted fidelity of the distributions, which is
+    the limit of ``fidelity_from_counts`` only when no weights are set."""
     pop = distributions[POPULATION_SETTING] / distributions[POPULATION_SETTING].sum()
     p0, p1 = (float(pop[bits_to_index(p)]) for p in (spec.pattern0, spec.pattern1))
     signs = _parity_signs(spec.n_qubits)
@@ -297,31 +297,3 @@ def write_setting_counts_csv(path, tables: Mapping[str, Mapping[str, float]]) ->
         lines += [f"{sid},{pat},{count}" for pat, count in zip(patterns, counts)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")  # the csv module's line ending
-
-
-def read_setting_counts_csv(path) -> dict[str, np.ndarray]:
-    """Each setting's counts, summed over repeated rows, as an array indexed
-    by pattern.  All patterns must have one length; a malformed row raises a
-    one-line ValueError naming its line, a file that is not UTF-8 its byte."""
-    rows = []
-    reader = csv.reader(read_text(path, f"counts CSV {path}").split("\n"))
-    header = next(reader)
-    if [h.strip() for h in header] != _CSV_HEADER:
-        raise ValueError(f"bad counts CSV header in {path}: {header}")
-    for row in filter(None, reader):
-        try:
-            if len(row) != 3:
-                raise ValueError(f"expected {','.join(_CSV_HEADER)}, got {row}")
-            sid, pat, text = row
-            bits, count = _parse_pattern(pat), float(text)
-            if rows and len(bits) != len(rows[0][1]):
-                raise ValueError("outcome patterns have inconsistent lengths")
-            if not (np.isfinite(count) and count >= 0):
-                raise ValueError(f"count for {pat} must be finite and non-negative")
-        except ValueError as exc:
-            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
-        rows.append((sid, bits, count))
-    out: dict[str, np.ndarray] = {}
-    for sid, bits, count in rows:
-        out.setdefault(sid, np.zeros(2 ** len(bits)))[bits_to_index(bits)] += count
-    return out

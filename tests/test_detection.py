@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -48,6 +48,28 @@ class TestConfigAndTable:
     def test_singles_must_cover_coincidences(self):
         with pytest.raises(ValueError, match="n_woR"):
             det.CoincidenceTable(n_RL=5, n_RR=5, n_woR=8, n_roL=5, n_roR=5, N=10)
+
+    @pytest.mark.parametrize(
+        "fields, single",
+        [
+            (dict(n_RL=1, n_woR=5, n_roL=5, N=1), "n_woR"),  # 25 accidentals in 1 coincidence
+            (dict(n_RL=5, n_woR=5, n_roL=5, N=0), "n_woR"),  # coincidences without trials
+            (dict(n_woL=11, N=10), "n_woL"),
+            (dict(n_roR=11, N=10), "n_roR"),
+            (dict(n_roL=11, N=10), "n_roL"),
+        ],
+    )
+    def test_singles_must_fit_in_the_trials(self, fields, single):
+        # a channel clicks at most once per trial
+        with pytest.raises(ValueError) as err:
+            det.CoincidenceTable(**fields)
+        assert str(err.value) == f"{single} larger than the trial count N"
+
+    @pytest.mark.parametrize("name, value", [("n_RL", math.nan), ("N", math.inf)])
+    def test_non_finite_counts_rejected(self, name, value):
+        with pytest.raises(ValueError) as err:
+            det.CoincidenceTable(**{name: value})
+        assert str(err.value) == f"{name} must be finite and non-negative"
 
 
 def born(basis, ket):
@@ -255,59 +277,8 @@ class TestSubtractAccidentals:
             assert det.visibility_raw(corrected) >= det.visibility_raw(t) - 1e-12
 
 
-class TestCsv:
-    def test_round_trip(self, tmp_path):
-        tables = [
-            det.CoincidenceTable(
-                n_RL=40, n_LR=35, n_LL=12, n_RR=9,
-                n_woR=100, n_woL=90, n_roR=80, n_roL=70, N=1000,
-            ),
-            det.CoincidenceTable(n_RL=0.25, n_woR=1, n_roL=1, N=8),
-        ]
-        path = tmp_path / "pair.csv"
-        det.write_coincidence_csv(path, np.array([astuple(t) for t in tables]))
-        assert path.read_text().splitlines()[0] == det.CSV_HEADER
-        back = det.read_coincidence_csv(path)
-        assert back == tables
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="header"):
-            det.read_coincidence_csv(path)
-
-    @pytest.mark.parametrize(
-        "content, where, problem",
-        [
-            (b"a,b\n1,2\n", "line 1", "bad header 'a,b'"),
-            (b"%s\n\n1,2,3\n", "line 3", "expected 9 fields, got '1,2,3'"),
-            (b"%s\n0,0,0,0,0,0,0,0,1\nx,0,0,0,0,0,0,0,1\n", "line 3", "'x'"),
-            (
-                b"%s\n4,0,0,0,1,0,0,4,10\n",
-                "line 2",
-                "n_woR smaller than the coincidences it participates in",
-            ),
-            (b"%s\n\xff,0\n", "is not UTF-8 text", "at byte 46"),
-            (b"%s\nnan,0,0,0,0,0,0,0,1\n", "line 2", "n_RL must be finite and non-negative"),
-            (b"%s\n0,0,0,0,0,0,0,0,inf\n", "line 2", "N must be finite and non-negative"),
-        ],
-        ids=[
-            "header", "short_row", "not_a_number", "singles_undercut", "not_utf8", "nan", "inf",
-        ],
-    )
-    def test_errors_name_file_and_line(self, content, where, problem, tmp_path):
-        path = tmp_path / "pair.csv"
-        path.write_bytes(content.replace(b"%s", det.CSV_HEADER.encode()))
-        with pytest.raises(ValueError) as err:
-            det.read_coincidence_csv(path)
-        message = str(err.value)
-        assert message.startswith(f"coincidence CSV {path} {where}")
-        assert problem in message
-        assert "\n" not in message
-
-
 # ---------------------------------------------------------------------------
-# the array pair analysis against the scalar CoincidenceTable path
+# the pair analysis against per-cell scalar formulas of its own
 
 
 def scalar_table(counts16):
@@ -326,12 +297,26 @@ def scalar_table(counts16):
     )
 
 
+def scalar_subtract(table):
+    """The accidental-corrected table and its clamp flag, cell by cell: each
+    cell less ``n_wo(i) * n_ro(j) / N``, a negative cell set to zero."""
+    corrected = {
+        "n_RL": table.n_RL - table.n_woR * table.n_roL / table.N,
+        "n_LR": table.n_LR - table.n_woL * table.n_roR / table.N,
+        "n_LL": table.n_LL - table.n_woL * table.n_roL / table.N,
+        "n_RR": table.n_RR - table.n_woR * table.n_roR / table.N,
+    }
+    clamped = any(v < 0.0 for v in corrected.values())
+    corrected = {k: max(v, 0.0) for k, v in corrected.items()}
+    return replace(table, **corrected), clamped
+
+
 def scalar_visibility(table):
     """Visibility and its binomial sigma, or ``(None, None)`` without coincidences."""
-    n_coinc = table.coincidence_sum()
+    n_coinc = table.n_RL + table.n_LR + table.n_LL + table.n_RR
     if n_coinc <= 0.0:
         return None, None
-    v = det.visibility_raw(table)
+    v = (table.n_RL + table.n_LR - table.n_LL - table.n_RR) / n_coinc
     return v, math.sqrt(max(1.0 - v * v, 0.0) / n_coinc) or 1.0 / n_coinc
 
 
@@ -364,16 +349,19 @@ def pair_count_stacks():
 class TestPairStack:
     @pytest.mark.parametrize("counts", pair_count_stacks())
     def test_equals_the_scalar_path_bit_for_bit(self, counts):
-        pairs = det.pair_stack(counts)
+        pairs = det.pair_stack(det.pair_fields(counts))
         for i, row in enumerate(counts):
             raw = scalar_table(row)
-            corrected, clamped = det.subtract_accidentals(raw)
+            corrected, clamped = scalar_subtract(raw)
             assert det.CoincidenceTable(*pairs.fields[i]) == raw
             fields = [getattr(raw, name) for name in det.CSV_HEADER.split(",")]
             assert same_bits(pairs.fields[i], fields)
             cells = [corrected.n_RL, corrected.n_LR, corrected.n_LL, corrected.n_RR]
             assert same_bits(pairs.corrected[i], cells)
             assert pairs.clamped[i] == clamped
+            view, view_clamped = det.subtract_accidentals(raw)
+            assert same_bits(astuple(view), astuple(corrected))
+            assert view_clamped == clamped
             for kind, table in enumerate((raw, corrected)):
                 total = table.coincidence_sum()
                 v, sigma = scalar_visibility(table)
@@ -386,10 +374,12 @@ class TestPairStack:
                     [pairs.visibility[kind, i], pairs.sigma[kind, i]],
                     [v, sigma] if v is not None else [0.0, 0.0],
                 )
+                if v is not None:
+                    assert same_bits([det.visibility_raw(table)], [v])
 
     def test_stacks_cover_every_case(self):
         counts = np.concatenate(pair_count_stacks())
-        pairs = det.pair_stack(counts)
+        pairs = det.pair_stack(det.pair_fields(counts))
         assert pairs.clamped.any() and not pairs.clamped.all()
         seen = pairs.coincidences > 0.0
         assert not seen[0].all() and not seen[1].all()
@@ -399,7 +389,14 @@ class TestPairStack:
 
     def test_zero_trials_errors(self):
         with pytest.raises(ValueError, match="N > 0"):
-            det.pair_stack(np.zeros((2, 16), dtype=np.int64))
+            det.pair_stack(np.zeros((2, 9)))
+
+    def test_perfect_correlation_keeps_a_nonzero_sigma(self):
+        # v = +-1 zeroes the binomial sigma; the error bar becomes 1 / n instead
+        fields = [[50, 50, 0, 0, 50, 50, 50, 50, 100], [0, 0, 1, 0, 0, 1, 0, 1, 1]]
+        pairs = det.pair_stack(fields)
+        np.testing.assert_array_equal(pairs.visibility[0], [1.0, -1.0])
+        np.testing.assert_array_equal(pairs.sigma[0], [1.0 / 100, 1.0])
 
 
 class TestCsvNumbers:
@@ -414,15 +411,26 @@ class TestCsvNumbers:
 
     def test_stack_and_tables_write_the_same_bytes(self, tmp_path):
         counts = np.concatenate(pair_count_stacks())
-        pairs = det.pair_stack(counts)
+        pairs = det.pair_stack(det.pair_fields(counts))
         det.write_coincidence_csv(tmp_path / "stack.csv", pairs.fields)
         tables = np.array([astuple(scalar_table(c)) for c in counts])
         det.write_coincidence_csv(tmp_path / "tables.csv", tables)
         stack = (tmp_path / "stack.csv").read_bytes()
         assert stack == (tmp_path / "tables.csv").read_bytes()
-        assert det.read_coincidence_csv(tmp_path / "stack.csv") == [
-            scalar_table(c) for c in counts
+
+    def test_coincidence_rows_follow_the_header(self, tmp_path):
+        tables = [
+            det.CoincidenceTable(
+                n_RL=40, n_LR=35, n_LL=12, n_RR=9,
+                n_woR=100, n_woL=90, n_roR=80, n_roL=70, N=1000,
+            ),
+            det.CoincidenceTable(n_RL=0.25, n_woR=1, n_roL=1, N=8),
         ]
+        path = tmp_path / "pair.csv"
+        det.write_coincidence_csv(path, np.array([astuple(t) for t in tables]))
+        assert path.read_bytes() == (
+            f"{det.CSV_HEADER}\n40,35,12,9,100,90,80,70,1000\n0.25,0,0,0,1,0,0,1,8\n"
+        ).encode()
 
     def test_empty_stack_writes_the_header(self, tmp_path):
         det.write_coincidence_csv(tmp_path / "empty.csv", np.zeros((0, 9)))

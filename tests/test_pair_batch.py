@@ -181,7 +181,7 @@ def philox_stream(seed, index):
 
 def table_draw(seed, index, n, dist):
     """Coincidence fields of ``n`` trials drawn from stream ``index`` of ``seed``."""
-    return det.pair_stack([philox_stream(seed, index).multinomial(n, dist)]).fields[0]
+    return det.pair_fields([philox_stream(seed, index).multinomial(n, dist)])[0]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

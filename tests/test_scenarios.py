@@ -1,5 +1,6 @@
 """Harness and CLI tests: determinism, report artifacts, scenario outputs."""
 
+import csv
 import json
 import math
 import subprocess
@@ -89,7 +90,7 @@ def raman_params(params):
 
 def expected_table(dist, trials):
     """The coincidence table of ``trials`` times the click distribution."""
-    return det.CoincidenceTable(*det.pair_stack([dist * trials]).fields[0])
+    return det.CoincidenceTable(*det.pair_fields([dist * trials])[0])
 
 
 def envelope_for_node_i(spec):
@@ -781,6 +782,26 @@ class TestColdStart:
         assert loaded["lifetime_sweep"] == [0, []]
         assert stderr == ""
 
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy imports numpy.random on its first lookup; the package and the
+        # preset must not make it, or every start pays for it
+        code = "import sys, memnet_sim.cli as cli\ncli.cf.preset('paper')\n"
+        code += "print('numpy.random' in sys.modules)\n"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+
+    def test_first_sampling_stage_times_no_import(self):
+        # the first run of a process imports numpy.random before any stage
+        # timer opens, so sampling 1,000 events stays below the table build
+        code = "import json, memnet_sim.cli as cli\n"
+        code += "cfg = cli.cf.preset('paper').with_overrides(scenario='ghz3', samples=1000, seed=0)\n"
+        code += "print(json.dumps(cli.h.run_scenario(cfg).meta['stage_s']))\n"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        stage_s = json.loads(proc.stdout)
+        assert stage_s["sampling"] < stage_s["table_build"], stage_s
+
 
 # ---------------------------------------------------------------------------
 # reports and emission
@@ -805,17 +826,24 @@ class TestReports:
         assert data["body"]["fidelity"]["estimate"] == rep.body["fidelity"]["estimate"]
 
     def test_emitted_setting_counts_roundtrip(self, tmp_path):
-        rep = h.run_scenario(paper_cfg(scenario="ghz6", samples=2_000, seed=4))
-        h.emit_report(rep, tmp_path)
-        by_id = w.read_setting_counts_csv(tmp_path / "counts" / "ghz6_settings.csv")
-        assert set(by_id) == set(rep.body["setting_counts"])
-        for sid, counts in rep.body["setting_counts"].items():
-            expected = np.zeros(64)
-            for pat, c in counts.items():
-                expected[int(pat, 2)] = c
-            np.testing.assert_array_equal(by_id[sid], expected)
-        fid, _ = w.fidelity_from_counts(ev.GHZ6_SPEC, by_id)
-        assert fid == rep.body["fidelity"]["estimate"]
+        # the setting counts re-derive the body's estimates bit for bit, with
+        # the weights from the config echo
+        runs = [("ghz6", ev.GHZ6_SPEC, None), ("ghz3", ev.GHZ3_SPEC, {"001": 2.0})]
+        for scenario, spec, weights in runs:
+            cfg = paper_cfg(scenario=scenario, samples=2_000, seed=4, calibration_weights=weights)
+            body = emitted_body(cfg, tmp_path / scenario)
+            counts = setting_count_arrays(tmp_path / scenario / f"counts/{scenario}_settings.csv")
+            tables = {sid: w.pattern_table(arr, spec.n_qubits) for sid, arr in counts.items()}
+            assert tables == body["setting_counts"]
+            weight = w.weight_array(spec, body["config"]["calibration_weights"])
+            fidelity = dict(zip(("estimate", "sigma"), w.fidelity_from_counts(spec, counts, weight)))
+            assert fidelity == {k: body["fidelity"][k] for k in fidelity}
+            p0, p1 = w.populations_from_counts(spec, counts[w.POPULATION_SETTING], weight)
+            assert body["populations"] == {"pattern0": p0, "pattern1": p1}
+        heralds = setting_count_arrays(tmp_path / "ghz3" / "counts/ghz3_heralds.csv")
+        assert w.pattern_table(heralds["herald_patterns"], 3, zeros=True) == (
+            body["herald_pattern_counts"]
+        )
 
     def test_emitted_sweep_csv_has_header_and_rows(self, tmp_path):
         cfg = paper_cfg(scenario="raman_delay_sweep", samples=5_000, seed=0)
@@ -826,12 +854,48 @@ class TestReports:
         assert len(lines) == 1 + len(rep.body["points"])
 
     def test_emitted_coincidence_csv_roundtrip(self, tmp_path):
+        # the coincidence rows re-derive each pair body's table-level
+        # numbers bit for bit through pair_stack
         cfg = paper_cfg(scenario="pair_tomography", samples=10_000, seed=6)
-        rep = h.run_scenario(cfg)
-        h.emit_report(rep, tmp_path)
-        tables = det.read_coincidence_csv(tmp_path / "counts" / "pair_eigen.csv")
-        assert len(tables) == 1
-        assert tables[0].N == 10_000
+        body = emitted_body(cfg, tmp_path / "tomo")
+        bases = ("eigen", "super")
+        rows = [coincidence_rows(tmp_path / "tomo" / f"counts/pair_{b}.csv") for b in bases]
+        assert [len(r) for r in rows] == [1, 1] and rows[0][0, -1] == 10_000
+        pairs = det.pair_stack(np.concatenate(rows))
+        for i, basis in enumerate(bases):
+            assert body["tables"][basis] == dict(zip(det.CSV_HEADER.split(","), pairs.fields[i]))
+            vis = body["visibilities"][basis]
+            assert vis["accidentals_clamped"] == pairs.clamped[i]
+            for k, kind in enumerate(("raw", "corrected")):
+                assert [vis[kind], vis[f"{kind}_sigma"]] == [pairs.visibility[k, i], pairs.sigma[k, i]]
+        for k, kind in enumerate(("raw", "corrected")):
+            v_e, v_s = np.clip(pairs.visibility[k], -1.0, 1.0)
+            assert body["bell_fidelity"][kind] == w.bell_fidelity_from_visibilities(v_e, v_s)
+
+        cfg = paper_cfg(scenario="raman_delay_sweep", samples=2_000, seed=6)
+        body = emitted_body(cfg, tmp_path / "raman")
+        pairs = det.pair_stack(coincidence_rows(tmp_path / "raman" / "counts/raman_delay_tables.csv"))
+        n_RL, n_LR, n_LL, n_RR, *_, n = pairs.fields.T
+        parallel, cross = n_RL + n_LR, n_LL + n_RR
+        columns = [parallel / n, cross / n, parallel, cross, n]
+        names = ["ncop_parallel", "ncop_cross", "n_parallel", "n_cross", "n_trials"]
+        assert [[p[name] for name in names] for p in body["points"]] == np.transpose(columns).tolist()
+
+        cfg = paper_cfg(scenario="lifetime_sweep", samples=2_000, seed=6)
+        body = emitted_body(cfg, tmp_path / "life")
+        eigen, super_ = (
+            det.pair_stack(coincidence_rows(tmp_path / "life" / f"counts/lifetime_{b}.csv"))
+            for b in bases
+        )
+        columns = [
+            *eigen.efficiency, *super_.visibility, eigen.fields[:, 4] + eigen.fields[:, 5],
+            eigen.coincidences[1], super_.coincidences[1],
+        ]
+        names = [
+            "eta_raw", "eta_corrected", "visibility_raw", "visibility_corrected",
+            "n_write_heralds", "n_coincidences", "n_super_coincidences",
+        ]
+        assert [[p[name] for name in names] for p in body["points"]] == np.transpose(columns).tolist()
 
     def test_failed_emit_leaves_no_report(self, tmp_path):
         rep = h.run_scenario(paper_cfg(scenario="ghz3", samples=1_000, seed=0))
@@ -840,6 +904,30 @@ class TestReports:
         with pytest.raises(ValueError, match="Out of range float values"):
             h.emit_report(rep, out)
         assert not (out / "report.json").exists()
+
+
+def emitted_body(cfg, out):
+    """The body of the report ``cfg`` runs to, as its emitted report.json holds it."""
+    h.emit_report(h.run_scenario(cfg), out)
+    return json.loads((out / "report.json").read_text())["body"]
+
+
+def coincidence_rows(path):
+    """The ``(T, 9)`` field rows of an emitted coincidence CSV."""
+    assert path.read_text().split("\n", 1)[0] == det.CSV_HEADER
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def setting_count_arrays(path):
+    """Each setting's counts in an emitted setting-count CSV, as an array
+    indexed by pattern."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["setting_id", "outcome_pattern", "count"]
+    counts = {}
+    for sid, pattern, count in rows:
+        counts.setdefault(sid, np.zeros(2 ** len(pattern)))[int(pattern, 2)] = float(count)
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,10 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match="phase"):
             w.GhzSpec(2, (0, 0), (1, 1), phase=2)
 
+    def test_unknown_symbol_rejected(self):
+        with pytest.raises(ValueError, match="cannot read pattern symbol 'x'"):
+            w.GhzSpec.parse("0x1", "101")
+
 
 class TestDecomposition:
     @pytest.mark.parametrize(
@@ -270,54 +274,12 @@ class TestBellFidelity:
             w.bell_fidelity_from_visibilities(1.2, 0.5)
 
 
-class TestCsvRoundTrip:
-    def test_round_trip(self, tmp_path):
-        tables = {"population": {"000": 12, "111": 30}, "m0": {"010": 7, "101": 1}}
+class TestSettingCountsCsv:
+    def test_writes_sorted_patterns_per_setting(self, tmp_path):
+        tables = {"population": {"111": 30, "000": 12}, "m0": {"010": 7, "101": 0.5}}
         path = tmp_path / "counts.csv"
         w.write_setting_counts_csv(path, tables)
-        back = w.read_setting_counts_csv(path)
-        assert set(back) == set(tables)
-        for sid, counts in tables.items():
-            np.testing.assert_array_equal(back[sid], pattern_array(counts))
-        header = path.read_text().splitlines()[0]
-        assert header == "setting_id,outcome_pattern,count"
-
-    def test_repeated_rows_add_and_symbols_read_as_bits(self, tmp_path):
-        path = tmp_path / "counts.csv"
-        path.write_text("setting_id,outcome_pattern,count\nm0,HV↑,3\nm0,011,2.5\n")
-        back = w.read_setting_counts_csv(path)
-        np.testing.assert_array_equal(back["m0"], pattern_array({"011": 5.5}))
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("id,pattern,n\npopulation,000,3\n")
-        with pytest.raises(ValueError, match="header"):
-            w.read_setting_counts_csv(path)
-
-    def test_file_that_is_not_utf8_is_named(self, tmp_path):
-        path = tmp_path / "counts.csv"
-        path.write_bytes(b"setting_id,outcome_pattern,count\nm0,\xff01,3\n")
-        with pytest.raises(ValueError) as err:
-            w.read_setting_counts_csv(path)
-        assert str(err.value) == (
-            f"counts CSV {path} is not UTF-8 text: invalid start byte b'\\xff' at byte 36"
+        assert path.read_bytes() == (
+            b"setting_id,outcome_pattern,count\r\n"
+            b"population,000,12\r\npopulation,111,30\r\nm0,010,7\r\nm0,101,0.5\r\n"
         )
-
-    @pytest.mark.parametrize(
-        "rows, message",
-        [
-            ("m0,001,-3", "line 2: count for 001 must be finite and non-negative"),
-            ("m0,001,nan", "line 2: count for 001 must be finite and non-negative"),
-            ("m0,0x1,3", "line 2: cannot read pattern symbol 'x'"),
-            ("m0,001,3\nm1,0011,3", "line 3: outcome patterns have inconsistent lengths"),
-            ("m0,001", "line 2: expected setting_id,outcome_pattern,count, got"),
-        ],
-        ids=["negative", "nan", "unknown_symbol", "mixed_lengths", "short_row"],
-    )
-    def test_malformed_rows_rejected_on_one_line(self, rows, message, tmp_path):
-        path = tmp_path / "counts.csv"
-        path.write_text("setting_id,outcome_pattern,count\n" + rows + "\n")
-        with pytest.raises(ValueError) as err:
-            w.read_setting_counts_csv(path)
-        assert message in str(err.value)
-        assert "\n" not in str(err.value)
