@@ -31,8 +31,9 @@ class Fit(NamedTuple):
 # Jacobian evaluations before a fit is given up as not converging
 _FIT_ITERATIONS = 200
 # MINPACK's default ftol: a fit is done once an accepted step was predicted
-# to lower the cost by no more than this fraction of it
-_FIT_FTOL = 1.5e-8
+# to lower the cost by no more than this fraction of it; and its xtol: a fit
+# no step lowers is done once the floor's step is this small beside ``p``
+_FIT_FTOL = _FIT_XTOL = 1.5e-8
 # the damping's floor, far above rounding, keeps the damped matrix invertible;
 # past its ceiling no damped step lowers the cost
 _MIN_DAMPING, _MAX_DAMPING = 1e-12, 1e16
@@ -48,13 +49,15 @@ def curve_fit(model, jacobian, x, y, p0, sigma=None) -> Fit:
     finite and lower is refused and the damping raised ten-fold; an
     accepted one lowers it ten-fold.  The fit is done when the step at
     the damping's floor, and the accepted step if any, predict a cost drop
-    of at most ``_FIT_FTOL`` of the cost; it raises RuntimeError where no
-    step below the damping's ceiling lowers a cost the floor's step predicts
-    to fall (a plateau), at a Jacobian that is not finite and after
-    ``_FIT_ITERATIONS`` Jacobians.  The covariance is the inverse normal
-    matrix of the last weighted Jacobian, from its SVD, infinite below
-    scipy's rank threshold or with no degree of freedom left; scaled by
-    ``reduced_chi2`` without ``sigma``, as it is with relative weights.
+    of at most ``_FIT_FTOL`` of the cost, or, where no step lowers a cost of
+    rounding, the floor's step is ``_FIT_XTOL`` of ``p`` in the scale ``D``;
+    it raises RuntimeError where no step below the damping's ceiling lowers
+    a cost the floor's larger step predicts to fall (a plateau), at a
+    Jacobian that is not finite and after ``_FIT_ITERATIONS`` Jacobians.
+    The covariance is the inverse normal matrix of the last weighted
+    Jacobian, from its SVD, infinite below scipy's rank threshold or with no
+    degree of freedom left; scaled by ``reduced_chi2`` without ``sigma``, as
+    it is with relative weights.
     """
     y = np.asarray(y, dtype=float)
     weight = 1.0 if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
@@ -90,7 +93,9 @@ def curve_fit(model, jacobian, x, y, p0, sigma=None) -> Fit:
                 damping *= 10.0
                 if damping > _MAX_DAMPING:
                     # on a plateau the linear model asks for a step no damping shortens enough
-                    if gradient @ step_at(_MIN_DAMPING) > limit:
+                    step, root = step_at(_MIN_DAMPING), np.sqrt(scale)
+                    tiny = np.linalg.norm(root * step) <= _FIT_XTOL * np.linalg.norm(root * p)
+                    if gradient @ step > limit and not tiny:
                         raise RuntimeError("the fit stalled: no step lowers its cost")
                     done = True
                     break

@@ -29,6 +29,14 @@ Sample budgets: the heralded scenarios (ghz6, ghz3) split ``cfg.samples``
 heralded events round-robin over the witness settings; the sweep scenarios
 use ``cfg.samples`` raw trials per sweep point; pair_tomography uses
 ``cfg.samples`` raw trials per basis.
+
+Limits: each sampled runner runs its estimators, through the same code, on
+the drawn counts and on the exact distributions they were drawn from, and
+reports the second as the body's ``limit``.  Ratio estimates (ghz) take the
+distributions as they are; the pair estimators see table size only through
+floors and clips (``pair_stack``'s one write herald, ``decay_problem``'s
+``1/(2n)``, ``visibility_amplitude``'s one coincidence), so they take
+``LIMIT_TRIALS`` times them, which leaves those below rounding.
 """
 
 from __future__ import annotations
@@ -163,10 +171,15 @@ def _pair_trial_distribution(
     return dist / total[..., None]
 
 
-def _sample_pairs(dists, n: int, streams: _TableStreams) -> det.PairStack:
-    """Analyze ``n`` trials of each distribution row, each drawn with one
-    multinomial from the next stream."""
-    return det.pair_stack(det.pair_fields([streams.take(n).multinomial(n, dist) for dist in dists]))
+# trials per table of a pair limit (see the module docstring)
+LIMIT_TRIALS = 2**40
+
+
+def _sample_pairs(dists, n: int, streams: _TableStreams) -> tuple[det.PairStack, det.PairStack]:
+    """Analyze ``n`` trials of each distribution row, each drawn with one multinomial
+    from the next stream, and, for the limits, ``LIMIT_TRIALS`` at its expected counts."""
+    drawn = det.pair_fields([streams.take(n).multinomial(n, dist) for dist in dists])
+    return det.pair_stack(drawn), det.pair_stack(det.pair_fields(dists) * LIMIT_TRIALS)
 
 
 # ---------------------------------------------------------------------------
@@ -225,41 +238,50 @@ def _eigen_super(node_cfg: nd.NodeConfig, detector: det.DetectorConfig, delays: 
     return dists.reshape(-1, 16)
 
 
-def _run_pair_tomography(cfg: cf.ExperimentConfig, streams: _TableStreams):
-    node_cfg = cfg.node(cfg.scenario_params.get("node", "I"))
-    streams.open()
-    started = time.perf_counter()
-    delay = np.array([cfg.read_delay_us], dtype=float)
-    pairs = _sample_pairs(_eigen_super(node_cfg, cfg.detector, delay), cfg.samples, streams)
-    stage_s = {"tables": time.perf_counter() - started}
-
-    bases = ("eigen", "super")
-    body_tables, visibilities = {}, {}
-    for i, (name, fields) in enumerate(zip(bases, pairs.fields.tolist())):
-        body_tables[name] = dict(zip(det.CSV_HEADER.split(","), fields))
+def _pair_estimates(pairs: det.PairStack) -> tuple[dict, dict]:
+    """The visibilities, with sigmas and flags, and Bell fidelities of an eigen/super pair."""
+    visibilities = {}
+    for i, name in enumerate(("eigen", "super")):
         vis = visibilities[name] = {"accidentals_clamped": bool(pairs.clamped[i])}
         for k, kind in enumerate(("raw", "corrected")):
             seen = pairs.coincidences[k, i] > 0.0  # no coincidences, no visibility
             vis[kind] = float(pairs.visibility[k, i]) if seen else None
             vis[f"{kind}_sigma"] = float(pairs.sigma[k, i]) if seen else None
         vis["no_coincidences"] = vis["raw"] is None
-
     clip = lambda v: min(max(v, -1.0), 1.0)
-    fidelities = {}
-    for kind in ("raw", "corrected"):
+    fidelities = dict.fromkeys(("raw", "corrected"))
+    for kind in fidelities:
         v_e, v_s = visibilities["eigen"][kind], visibilities["super"][kind]
         # a basis without coincidences leaves the fidelity undefined
-        fidelities[kind] = (
-            None
-            if v_e is None or v_s is None
-            else w.bell_fidelity_from_visibilities(clip(v_e), clip(v_s))
-        )
+        if v_e is not None and v_s is not None:
+            fidelities[kind] = w.bell_fidelity_from_visibilities(clip(v_e), clip(v_s))
+    return visibilities, fidelities
+
+
+def _run_pair_tomography(cfg: cf.ExperimentConfig, streams: _TableStreams):
+    node_cfg = cfg.node(cfg.scenario_params.get("node", "I"))
+    streams.open()
+    started = time.perf_counter()
+    dists = _eigen_super(node_cfg, cfg.detector, np.array([cfg.read_delay_us], dtype=float))
+    pairs, exact = _sample_pairs(dists, cfg.samples, streams)
+    stage_s = {"tables": time.perf_counter() - started}
+
+    bases = ("eigen", "super")
+    header = det.CSV_HEADER.split(",")
+    body_tables = {name: dict(zip(header, row)) for name, row in zip(bases, pairs.fields.tolist())}
+    visibilities, fidelities = _pair_estimates(pairs)
+    limit_visibilities, limit_fidelities = _pair_estimates(exact)
+    limit_visibilities = {
+        name: {kind: vis[kind] for kind in ("raw", "corrected")}
+        for name, vis in limit_visibilities.items()
+    }
     body = {
         "node": node_cfg.node_id,
         "trials_per_basis": cfg.samples,
         "tables": body_tables,
         "visibilities": visibilities,
         "bell_fidelity": fidelities,
+        "limit": {"visibilities": limit_visibilities, "bell_fidelity": limit_fidelities},
     }
     artifacts = {
         f"counts/pair_{name}.csv": ("coincidence", pairs.fields[i : i + 1])
@@ -281,24 +303,13 @@ def _sweep_delays(cfg: cf.ExperimentConfig, default, minimum: int) -> np.ndarray
     return delays
 
 
-def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
-    node_cfg = cfg.node(cfg.scenario_params.get("node", "I"))
+def _raman_fit(node_cfg: nd.NodeConfig, delays: np.ndarray, pairs: det.PairStack):
+    """raman_delay_sweep's points and its body's ``fit`` from its pair stack,
+    with the fit and its gate's z for ``meta.fit``."""
     period = node_cfg.zeeman_period_us
-    delays = _sweep_delays(cfg, lambda: np.linspace(0.0, 3.0 * period, 33), 5)
-
-    streams.open()
-    started = time.perf_counter()
-    dists = _pair_trial_distribution(
-        node_cfg, cfg.detector, q.BASIS_Z, _spin_super_basis(node_cfg.phi0), delays
-    )
-    pairs = _sample_pairs(dists, cfg.samples, streams)
     n_RL, n_LR, n_LL, n_RR, *_, n = pairs.fields.T
     parallel, cross = n_RL + n_LR, n_LL + n_RR
     points = np.stack([delays, parallel / n, cross / n, parallel, cross, n], axis=1)
-    header = ["delay_us", "ncop_parallel", "ncop_cross", "n_parallel", "n_cross", "n_trials"]
-    rows = [dict(zip(header, point)) for point in points.tolist()]
-
-    built = time.perf_counter()
     ncop = points[:, 1]
     # the fit evaluates the model at the delays only
     x = np.stack([delays, nd.memory_coherence(node_cfg, delays)])
@@ -318,13 +329,32 @@ def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
         amplitude, period_fit, phase, floor = result.popt.tolist()
         estimate.update(period_us=abs(period_fit), period_sigma_us=sigmas[1], amplitude=amplitude)
         estimate.update(phase_rad=phase, floor=floor)
+    fit = {**estimate, "resolved": resolved, "configured_period_us": period}
+    return points, fit, result, amplitude_z
+
+
+def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
+    node_cfg = cfg.node(cfg.scenario_params.get("node", "I"))
+    delays = _sweep_delays(cfg, lambda: np.linspace(0.0, 3.0 * node_cfg.zeeman_period_us, 33), 5)
+
+    streams.open()
+    started = time.perf_counter()
+    dists = _pair_trial_distribution(
+        node_cfg, cfg.detector, q.BASIS_Z, _spin_super_basis(node_cfg.phi0), delays
+    )
+    pairs, exact = _sample_pairs(dists, cfg.samples, streams)
+    built = time.perf_counter()
+    points, fit, result, amplitude_z = _raman_fit(node_cfg, delays, pairs)
+    limit = _raman_fit(node_cfg, delays, exact)[1]
     stage_s = {"tables": built - started, "fit": time.perf_counter() - built}
 
+    header = ["delay_us", "ncop_parallel", "ncop_cross", "n_parallel", "n_cross", "n_trials"]
     body = {
         "node": node_cfg.node_id,
         "samples_per_point": cfg.samples,
-        "points": rows,
-        "fit": {**estimate, "resolved": resolved, "configured_period_us": period},
+        "points": [dict(zip(header, point)) for point in points.tolist()],
+        "fit": fit,
+        "limit": {"fit": {k: limit[k] for k in ("period_us", "amplitude", "phase_rad", "floor")}},
     }
     artifacts = {
         "sweeps/raman_delay.csv": ("rows", header, points),
@@ -333,26 +363,22 @@ def _run_raman_delay_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
     return body, artifacts, stage_s, {"fit": ft.diagnostics(result, amplitude_z=amplitude_z)}
 
 
-def _run_lifetime_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
-    node_cfg = cfg.node(cfg.scenario_params.get("node", "I"))
-    delays = _sweep_delays(cfg, lambda: node_cfg.zeeman_period_us * np.arange(23), 4)
+_LIFETIME_HEADER = [
+    "delay_us", "eta_raw", "eta_corrected", "visibility_raw", "visibility_corrected",
+    "n_write_heralds", "n_coincidences", "n_super_coincidences",
+]
 
-    streams.open()
-    started = time.perf_counter()
-    pairs = _sample_pairs(_eigen_super(node_cfg, cfg.detector, delays), cfg.samples, streams)
+
+def _lifetime_fit(node_cfg: nd.NodeConfig, delays: np.ndarray, pairs: det.PairStack):
+    """lifetime_sweep's points (``_LIFETIME_HEADER``) and its body's ``fit`` from
+    its eigen/super pair stack, with the decay fit and its gate's z for ``meta.fit``."""
     eigen, super_ = slice(0, None, 2), slice(1, None, 2)
     writes = pairs.fields[eigen, 4] + pairs.fields[eigen, 5]  # n_woR + n_woL
-    header = [
-        "delay_us", "eta_raw", "eta_corrected", "visibility_raw", "visibility_corrected",
-        "n_write_heralds", "n_coincidences", "n_super_coincidences",
-    ]
     # efficiencies from the eigen tables, visibilities from the super tables
     columns = [*pairs.efficiency[:, eigen], *pairs.visibility[:, super_], writes]
     corrected_sums = [pairs.coincidences[1, eigen], pairs.coincidences[1, super_]]
     points = np.stack([delays, *columns, *corrected_sums], axis=1)
-    rows = [dict(zip(header, point)) for point in points.tolist()]
 
-    built = time.perf_counter()
     problem = ft.decay_problem(delays, points[:, 2], writes)
     try:
         result = None if problem is None else curve_fit(ft.decay_model, ft.decay_jacobian, *problem)
@@ -377,28 +403,45 @@ def _run_lifetime_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
     if v0 is not None and math.isfinite(tau_vis) and v0 * math.sqrt(2.0) > 1.0:
         crossing = tau_vis * math.log(v0 * math.sqrt(2.0))
         crossing_sigma = tau_vis * v0_sigma / v0
+    fit = {
+        "lifetime_us": tau_fit,
+        "lifetime_sigma_us": tau_sigma,
+        "eta0": eta0_fit,
+        "visibility0": v0,
+        "visibility0_sigma": v0_sigma,
+        "tau_vis_us": tau_vis if math.isfinite(tau_vis) else None,
+        "visibility_crossing_us": crossing,
+        "visibility_crossing_sigma_us": crossing_sigma,
+    }
+    return points, fit, result, decay_z
+
+
+def _run_lifetime_sweep(cfg: cf.ExperimentConfig, streams: _TableStreams):
+    node_cfg = cfg.node(cfg.scenario_params.get("node", "I"))
+    delays = _sweep_delays(cfg, lambda: node_cfg.zeeman_period_us * np.arange(23), 4)
+
+    streams.open()
+    started = time.perf_counter()
+    dists = _eigen_super(node_cfg, cfg.detector, delays)
+    pairs, exact = _sample_pairs(dists, cfg.samples, streams)
+    built = time.perf_counter()
+    points, fit, result, decay_z = _lifetime_fit(node_cfg, delays, pairs)
+    limit = _lifetime_fit(node_cfg, delays, exact)[1]
     stage_s = {"tables": built - started, "fit": time.perf_counter() - built}
 
+    estimates = ("lifetime_us", "eta0", "visibility0", "visibility_crossing_us")
     body = {
         "node": node_cfg.node_id,
         "samples_per_point": cfg.samples,
-        "points": rows,
-        "fit": {
-            "lifetime_us": tau_fit,
-            "lifetime_sigma_us": tau_sigma,
-            "eta0": eta0_fit,
-            "visibility0": v0,
-            "visibility0_sigma": v0_sigma,
-            "tau_vis_us": tau_vis if math.isfinite(tau_vis) else None,
-            "visibility_crossing_us": crossing,
-            "visibility_crossing_sigma_us": crossing_sigma,
-        },
+        "points": [dict(zip(_LIFETIME_HEADER, point)) for point in points.tolist()],
+        "fit": fit,
+        "limit": {"fit": {key: limit[key] for key in estimates}},
     }
     artifacts = {
         # every point column but n_super_coincidences
-        "sweeps/lifetime.csv": ("rows", header[:7], points[:, :7]),
-        "counts/lifetime_eigen.csv": ("coincidence", pairs.fields[eigen]),
-        "counts/lifetime_super.csv": ("coincidence", pairs.fields[super_]),
+        "sweeps/lifetime.csv": ("rows", _LIFETIME_HEADER[:7], points[:, :7]),
+        "counts/lifetime_eigen.csv": ("coincidence", pairs.fields[0::2]),
+        "counts/lifetime_super.csv": ("coincidence", pairs.fields[1::2]),
     }
     return body, artifacts, stage_s, {"fit": ft.diagnostics(result, decay_z=decay_z)}
 
@@ -464,19 +507,18 @@ def _run_ghz(cfg: cf.ExperimentConfig, streams: _TableStreams, spec: w.GhzSpec, 
     def keep(arr):  # (ports, memories) bits -> the bits the witness reads
         return arr.reshape(2**nodes, -1).sum(axis=0) if memories_only else arr
 
+    def populations(tables):
+        p0, p1 = w.populations_from_counts(spec, tables[w.POPULATION_SETTING], weights)
+        return {"pattern0": p0, "pattern1": p1}
+
     sampled = {s.setting_id: keep(arr) for s, arr in zip(settings, counts)}
     # a budget below the setting count leaves tables empty, and an empty
     # table leaves its ratio estimate undefined: report null, not an error
     empty = [sid for sid, arr in sampled.items() if not arr.any()]
-    fid = sigma = populations = None
-    if not empty:
-        fid, sigma = w.fidelity_from_counts(spec, sampled, weights)
-    if w.POPULATION_SETTING not in empty:
-        p0, p1 = w.populations_from_counts(spec, sampled[w.POPULATION_SETTING], weights)
-        populations = {"pattern0": p0, "pattern1": p1}
-    fid_exact = w.fidelity_from_distributions(
-        spec, {t.setting_id: keep(t.outcome_distribution()) for t in tables}
-    )
+    fid, sigma = (None, None) if empty else w.fidelity_from_counts(spec, sampled, weights)
+    # the estimators on the exact distributions: weighted, the limits (see witness)
+    exact = {t.setting_id: keep(t.outcome_distribution()) for t in tables}
+    fid_exact = w.fidelity_from_counts(spec, exact)[0]  # unweighted
     setting_counts = {sid: w.pattern_table(arr, spec.n_qubits) for sid, arr in sampled.items()}
 
     body = {
@@ -484,7 +526,11 @@ def _run_ghz(cfg: cf.ExperimentConfig, streams: _TableStreams, spec: w.GhzSpec, 
         "setting_counts": setting_counts,
         "empty_settings": empty,
         "fidelity": {"estimate": fid, "sigma": sigma, "exact": fid_exact},
-        "populations": populations,
+        "populations": None if w.POPULATION_SETTING in empty else populations(sampled),
+        "limit": {
+            "fidelity": w.fidelity_from_counts(spec, exact, weights)[0],
+            "populations": populations(exact),
+        },
         "event_tables": {
             t.setting_id: {
                 "p_sixfold": t.p_sixfold,

@@ -19,7 +19,10 @@ strings exist only at the edge: calibration-weight keys, `pattern_table`
 for the report body, and counts CSVs.
 
 Count tables are normalized per setting by their own sum (the populations of
-interest are coincidence probabilities that sum to 1 within a setting).  The
+interest are coincidence probabilities that sum to 1 within a setting), so
+the estimators take a setting's exact outcome distribution as they take its
+counts: the harness reads each estimate's limit off them, and
+``fidelity.exact``, the unweighted fidelity of the detected state.  The
 statistical sigma treats every raw count as an independent Poisson variable
 and propagates first order through the ratio estimators, including the
 covariance between numerator and denominator.
@@ -157,21 +160,6 @@ def fidelity_from_expectations(
             raise ValueError(f"{name}={v} outside [0, 1]")
     coh = sum((-1) ** n * m for n, m in enumerate(coherence_expectations))
     return 0.5 * (p0 + p1) + spec.phase * coh / (2 * spec.n_qubits)
-
-
-def fidelity_from_distributions(
-    spec: GhzSpec, distributions: Mapping[str, np.ndarray]
-) -> float:
-    """The fidelity of exact outcome distributions, one per setting, indexed
-    by pattern and each normalized by its own sum.  It takes no calibration
-    weights: it is the unweighted fidelity of the distributions, which is
-    the limit of ``fidelity_from_counts`` only when no weights are set."""
-    pop = distributions[POPULATION_SETTING] / distributions[POPULATION_SETTING].sum()
-    p0, p1 = (float(pop[bits_to_index(p)]) for p in (spec.pattern0, spec.pattern1))
-    signs = _parity_signs(spec.n_qubits)
-    dists = [distributions[coherence_setting_id(k)] for k in range(spec.n_qubits)]
-    coherences = [float(signs @ dist / dist.sum()) for dist in dists]
-    return fidelity_from_expectations(spec, p0, p1, coherences)
 
 
 def weight_array(spec: GhzSpec, weights: Mapping[str, float] | None) -> np.ndarray:

@@ -14,13 +14,15 @@ Run from the repository root after a change that means to move a body:
     PYTHONPATH=src python tests/golden/regen.py
 
 Before it overwrites anything it prints every moved body key path with its
-old value, new value and relative change, and every CSV whose digest
-changed; name each moved key and its largest change in CHANGES.md.
+old value, new value and relative change, every added key path as
+``added`` with its value, and every CSV whose digest changed; name each
+moved key and its largest change, and each added key, in CHANGES.md.
 
 With ``--check`` it prints the same lines, and every bundle digest (see
 below) that differs from ``digests.txt``, writes nothing, and exits 1 if
-anything moved, 0 if every body, CSV and digest matches: the one-command
-check of a change that means to leave every report byte-identical.
+anything moved or was added, 0 if every body, CSV and digest matches: the
+one-command check of a change that means to leave every report
+byte-identical.
 
 With ``--digest`` it writes nothing and prints one SHA-256 per bundle,
 over the body, every CSV and ``meta.counters``, for every scenario at the
@@ -177,16 +179,28 @@ def digest_moves(lines: list[str]) -> list[str]:
     return gone + [f"digest: + {line}" for line in lines if line not in old]
 
 
+class _Absent:
+    """A key or list entry that one side of a comparison lacks."""
+
+    def __repr__(self) -> str:
+        return "absent"
+
+
+ABSENT = _Absent()
+
+
 def differences(old, new, path="body"):
     """Yield ``(key path, old value, new value)`` for every place two parsed
-    JSON values differ; a missing key or list entry reads as ``None``."""
-    if isinstance(old, dict) and isinstance(new, dict):
+    JSON values differ; a missing key or list entry reads as ``ABSENT``, and
+    an object on one side only yields each of its key paths."""
+    if {type(old), type(new)} <= {dict, _Absent}:
+        old, new = (value if isinstance(value, dict) else {} for value in (old, new))
         for key in sorted(set(old) | set(new)):
-            yield from differences(old.get(key), new.get(key), f"{path}.{key}")
+            yield from differences(old.get(key, ABSENT), new.get(key, ABSENT), f"{path}.{key}")
     elif isinstance(old, list) and isinstance(new, list):
         for i in range(max(len(old), len(new))):
-            a = old[i] if i < len(old) else None
-            b = new[i] if i < len(new) else None
+            a = old[i] if i < len(old) else ABSENT
+            b = new[i] if i < len(new) else ABSENT
             yield from differences(a, b, f"{path}[{i}]")
     elif type(old) is not type(new) or old != new:
         yield path, old, new
@@ -200,12 +214,14 @@ def _relative(old, new) -> str:
 
 
 def report_moves(name: str, body: str, digests: dict[str, str], manifest) -> int:
-    """Print what regenerating golden ``name`` would move against its file,
-    and return the number of lines printed."""
+    """Print what regenerating golden ``name`` would move or add against its
+    file, and return the number of lines printed."""
     path = GOLDEN_DIR / f"{name}.json"
     old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
     moves = [
-        f"{name}: {key}: {a!r} -> {b!r} (relative {_relative(a, b)})"
+        f"{name}: {key}: added {b!r}"
+        if a is ABSENT
+        else f"{name}: {key}: {a!r} -> {b!r} (relative {_relative(a, b)})"
         for key, a, b in differences(old, json.loads(body))
     ]
     old_digests = manifest.get("csv_sha256", {}).get(name, {})
@@ -223,7 +239,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Regenerate the golden report bodies.")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument(
-        "--check", action="store_true", help="print what moved, write nothing, exit 1 if anything did"
+        "--check",
+        action="store_true",
+        help="print what moved or was added, write nothing, exit 1 if anything did",
     )
     mode.add_argument(
         "--digest", action="store_true", help="print one SHA-256 per bundle, write nothing"
@@ -244,7 +262,7 @@ def main(argv=None) -> int:
         print(line)
         moved += 1
     if check:
-        print(f"{moved} moved" if moved else "every body, CSV and digest matches its golden")
+        print(f"{moved} moved or added" if moved else "every body, CSV and digest matches its golden")
         return 1 if moved else 0
     csv_sha256 = {}
     for name, (body, digests) in runs.items():

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from memnet_sim import config as cf
+from memnet_sim import detection as det
 from memnet_sim import fit
 from memnet_sim import harness as h
 from memnet_sim import node as nd
+from memnet_sim import quantum as q
 
 NODE = cf.preset("paper").node("I")
 PERIOD = NODE.zeeman_period_us
@@ -161,6 +163,24 @@ def test_fit_stalled_on_a_plateau_raises():
     assert result.popt == pytest.approx([0.5199454, 0.0322173], rel=1e-5)
 
 
+def test_fit_at_an_optimum_of_rounding_cost_converges():
+    # the ideal memory's Raman points, evaluated exactly as raman_delay_sweep's
+    # limit is: the fit reaches cost ~2e-34, where no step lowers the cost
+    # though the floor's step predicts a drop above ftol times it
+    cfg = cf.preset("ideal")
+    node = cfg.node("I")
+    t = np.linspace(0.0, 3.0 * node.zeeman_period_us, 33)
+    read = h._spin_super_basis(node.phi0)
+    dists = h._pair_trial_distribution(node, cfg.detector, q.BASIS_Z, read, t)
+    n_RL, n_LR, *_, n = (det.pair_fields(dists) * h.LIMIT_TRIALS).T
+    y = (n_RL + n_LR) / n
+    p0 = [0.5 * (y.max() - y.min()), node.zeeman_period_us, 0.0, float(y.mean())]
+    x = np.stack([t, nd.memory_coherence(node, t)])
+    result = fit.curve_fit(fit.raman_model, fit.raman_jacobian, x, y, p0)
+    assert result.popt[1] == pytest.approx(node.zeeman_period_us, abs=1e-12)
+    assert result.popt[[0, 3]] == pytest.approx([0.003, 0.003], abs=1e-15)
+
+
 @pytest.mark.parametrize("sigma", [0.0, math.inf, math.nan])
 def test_gate_needs_a_finite_positive_sigma(sigma):
     assert fit.gate(1.0, sigma, 3.0) == (None, False)
@@ -184,9 +204,10 @@ def test_visibility_amplitude_leaves_out_points_without_coincidences():
 
 
 @pytest.mark.parametrize("scenario", ["raman_delay_sweep", "lifetime_sweep"])
-def test_runner_fits_once_through_the_harness_name(scenario, monkeypatch):
+def test_runner_fits_through_the_harness_name(scenario, monkeypatch):
     # the benchmark's harness.curve_fit span wraps this name: a fitted
-    # scenario that stopped calling it would leave the span reading 0
+    # scenario that stopped calling it would leave the span reading 0.  It
+    # fits twice, the sampled points and then the exact ones of its limit
     calls = []
 
     def counting(*args, **kwargs):
@@ -196,5 +217,5 @@ def test_runner_fits_once_through_the_harness_name(scenario, monkeypatch):
     monkeypatch.setattr(h, "curve_fit", counting)
     cfg = cf.preset("paper").with_overrides(scenario=scenario, samples=20_000)
     report = h.run_scenario(cfg)
-    assert len(calls) == 1
+    assert len(calls) == 2 and calls[0] is calls[1]
     assert report.meta["fit"]["iterations"] >= 1

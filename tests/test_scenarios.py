@@ -679,6 +679,98 @@ class TestGhzScenarios:
 
 
 # ---------------------------------------------------------------------------
+# limits: each sampled body's estimators on its exact distributions
+
+SAMPLED = ("pair_tomography", "raman_delay_sweep", "lifetime_sweep", "ghz6", "ghz3")
+GHZ3_WEIGHTS = {"000": 1.5, "111": 0.7}
+GHZ6_WEIGHTS = {"000000": 1.5, "111111": 0.7, "101010": 2.0}
+
+
+def leaves(value, path=""):
+    """``{key path: number or None}`` of a parsed JSON object."""
+    if isinstance(value, dict):
+        return {k: v for key in value for k, v in leaves(value[key], f"{path}.{key}").items()}
+    return {path: value}
+
+
+class TestLimits:
+    @pytest.mark.parametrize("scenario", SAMPLED)
+    def test_limits_are_draw_free(self, scenario):
+        # no draw enters a limit, and nor does the budget: the pair limits
+        # are taken at the fixed LIMIT_TRIALS, whatever the samples
+        limits = {
+            h.report_json(h.run_scenario(paper_cfg(scenario=scenario, samples=n, seed=s)).body["limit"])
+            for n in (200, 20_000)
+            for s in (0, 5)
+        }
+        assert len(limits) == 1
+
+    def test_two_node_swap_has_no_limit(self):
+        assert "limit" not in h.run_scenario(paper_cfg(scenario="two_node_swap")).body
+
+    def test_ideal_limits_hit_their_closed_forms(self):
+        run = lambda scenario: h.run_scenario(ideal_cfg(scenario=scenario, samples=100)).body
+        pair = leaves(run("pair_tomography")["limit"])
+        assert len(pair) == 6
+        assert all(v == pytest.approx(1.0, abs=1e-12) for v in pair.values()), pair
+        for scenario in ("ghz6", "ghz3"):
+            limit = run(scenario)["limit"]
+            assert limit["fidelity"] == pytest.approx(1.0, abs=1e-12)
+            halves = {"pattern0": 0.5, "pattern1": 0.5}
+            assert limit["populations"] == pytest.approx(halves, abs=1e-12)
+        raman = run("raman_delay_sweep")
+        assert raman["limit"]["fit"]["period_us"] == pytest.approx(
+            raman["fit"]["configured_period_us"], abs=1e-12
+        )
+        assert run("lifetime_sweep")["limit"]["fit"]["lifetime_us"] is None
+
+    @pytest.mark.parametrize("scenario", SAMPLED[:3])
+    def test_pair_limits_do_not_move_with_the_scale(self, scenario, monkeypatch):
+        cfg = paper_cfg(scenario=scenario, samples=100)
+        limit = leaves(h.run_scenario(cfg).body["limit"])
+        monkeypatch.setattr(h, "LIMIT_TRIALS", 2**50)
+        larger = leaves(h.run_scenario(cfg).body["limit"])
+        assert larger == pytest.approx(limit, rel=1e-12, abs=1e-15)
+
+    def test_exact_is_the_unweighted_limit(self):
+        # fidelity.exact reads no weights: it is the limit of an unweighted run
+        cfg = paper_cfg(scenario="ghz3", samples=100)
+        plain = h.run_scenario(cfg).body
+        weighted = h.run_scenario(cfg.with_overrides(calibration_weights=GHZ3_WEIGHTS)).body
+        assert plain["fidelity"]["exact"] == plain["limit"]["fidelity"]
+        assert weighted["fidelity"]["exact"] == plain["limit"]["fidelity"]
+        assert weighted["limit"]["fidelity"] > plain["limit"]["fidelity"] + 0.005
+
+    @pytest.mark.parametrize("scenario, weights", [("ghz3", GHZ3_WEIGHTS), ("ghz6", GHZ6_WEIGHTS)])
+    def test_weighted_estimate_sits_on_its_limit(self, scenario, weights):
+        # the weighted ghz3 estimate lies 21.7 sigma from fidelity.exact here
+        cfg = paper_cfg(scenario=scenario, samples=2_000_000, seed=3, calibration_weights=weights)
+        body = h.run_scenario(cfg).body
+        fidelity = body["fidelity"]
+        assert abs(fidelity["estimate"] - body["limit"]["fidelity"]) < 5.0 * fidelity["sigma"]
+
+    def test_pair_estimates_sit_on_their_limits(self):
+        # raw and corrected lie some 30 sigma apart at this budget
+        cfg = paper_cfg(scenario="pair_tomography", samples=20_000_000, seed=3)
+        body = h.run_scenario(cfg).body
+        for basis, limit in body["limit"]["visibilities"].items():
+            vis = body["visibilities"][basis]
+            for kind in ("raw", "corrected"):
+                assert abs(vis[kind] - limit[kind]) < 5.0 * vis[f"{kind}_sigma"], (basis, kind)
+
+    def test_lifetime_fit_sits_on_its_limit(self):
+        cfg = paper_cfg(scenario="lifetime_sweep", samples=2_000_000, seed=3)
+        body = h.run_scenario(cfg).body
+        fit, limit = body["fit"], body["limit"]["fit"]
+        for key, sigma in (
+            ("lifetime_us", "lifetime_sigma_us"),
+            ("visibility0", "visibility0_sigma"),
+            ("visibility_crossing_us", "visibility_crossing_sigma_us"),
+        ):
+            assert abs(fit[key] - limit[key]) < 5.0 * fit[sigma], key
+
+
+# ---------------------------------------------------------------------------
 # rate arithmetic
 
 
