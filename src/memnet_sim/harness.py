@@ -1,10 +1,10 @@
 """Scenario orchestration: trial schedules, samplers, reports.
 
-Everything in this module is glue.  The physics lives in the node, optics,
-events and witness modules, the fits in ``fit``; the harness turns a
-validated ExperimentConfig into count tables and derived estimates and
-serializes them.  The runners call ``fit.curve_fit`` as ``curve_fit``:
-``harness.curve_fit`` is the name the benchmark's fit span wraps.
+Most of this module is glue from a validated ExperimentConfig to count
+tables, estimates and their serialization.  Two parts are physics: the
+exact clicks of one write-read trial (``_pair_trial_distribution``) and the
+six-fold rate budget (``_rate_budget``).  The runners call ``fit.curve_fit``
+as ``curve_fit``, the name the benchmark's fit span wraps.
 
 Two contracts shape the code:
 

@@ -21,8 +21,10 @@ Registers never exceed 6 qubits in this package, so everything is dense
 complex128.  No scenario builds a ``DensityMatrix``: the node ages its
 pairs as plain arrays, validated with ``check_density``, and the station
 keeps its output in factored form (``optics``).  The labeled-register layer
-(``DensityMatrix``, ``apply_unitary``, ``measurement_probabilities`` and the
-rest) is kept as the tests' reference and as benchmark span targets.  Every
+is what the benchmark's spans wrap, and what those need: ``DensityMatrix``,
+``apply_unitary`` and ``measurement_probabilities`` are span targets; the
+labels (``QubitLabel``, ``photon``, ``spin``) name their registers, and
+``dephase`` serves ``node.storage_channel``, a span target too.  Every
 ``DensityMatrix`` is validated when it is built (tolerance ``TOL``);
 measurement reads outcome probabilities without building intermediate
 states.
@@ -34,7 +36,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,8 +64,7 @@ KET_UP = np.array([0, 1], dtype=complex)
 #: Measurement bases as 2x2 matrices whose COLUMNS are the basis kets.
 #: Outcome bit 0 always means column 0.
 BASIS_Z = np.eye(2, dtype=complex)
-BASIS_X = np.column_stack([KET_D, KET_A])
-BASIS_DA = BASIS_X  # alias: D/A analysis of a polarization qubit
+BASIS_DA = np.column_stack([KET_D, KET_A])
 BASIS_RL = np.column_stack([KET_R, KET_L])
 
 
@@ -197,21 +198,6 @@ def spin(node_id: str, mode_id: int = 0) -> QubitLabel:
     return QubitLabel(SPIN, node_id, mode_id)
 
 
-def _check_register(register: Sequence[QubitLabel]) -> tuple[QubitLabel, ...]:
-    reg = tuple(register)
-    if not reg:
-        raise ValueError("register must contain at least one qubit")
-    if len(set(reg)) != len(reg):
-        raise ValueError(f"duplicate labels in register {tuple(str(q) for q in reg)}")
-    return reg
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=complex)
-    a.setflags(write=False)
-    return a
-
-
 def check_density(m: np.ndarray) -> None:
     """Raise ``ValueError`` unless ``m``, or each matrix of a ``(..., d, d)``
     stack, is finite, trace-1, Hermitian and PSD within TOL."""
@@ -235,14 +221,20 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        reg = _check_register(self.register)
+        reg = tuple(self.register)
+        if not reg:
+            raise ValueError("register must contain at least one qubit")
+        if len(set(reg)) != len(reg):
+            raise ValueError(f"duplicate labels in register {tuple(str(q) for q in reg)}")
         dim = 2 ** len(reg)
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} does not match register of {len(reg)} qubits")
         check_density(m)
+        m = np.ascontiguousarray(m)
+        m.setflags(write=False)
         object.__setattr__(self, "register", reg)
-        object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "matrix", m)
 
     @property
     def n_qubits(self) -> int:
@@ -255,50 +247,6 @@ class DensityMatrix:
             raise ValueError(f"label {label} not in register") from None
 
 
-@dataclass(frozen=True)
-class Observable:
-    """Tensor product of per-qubit 2x2 Hermitian factors over part of a register."""
-
-    factors: tuple[tuple[QubitLabel, np.ndarray], ...]
-
-    def __post_init__(self) -> None:
-        if not self.factors:
-            raise ValueError("observable needs at least one factor")
-        labels = [lab for lab, _ in self.factors]
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate labels among observable factors")
-        checked = []
-        for lab, f in self.factors:
-            f = np.asarray(f, dtype=complex)
-            if f.shape != (2, 2):
-                raise ValueError(f"factor for {lab} is not 2x2")
-            if np.max(np.abs(f - f.conj().T)) > TOL:
-                raise ValueError(f"factor for {lab} is not Hermitian")
-            checked.append((lab, _frozen(f)))
-        object.__setattr__(self, "factors", tuple(checked))
-
-
-def ghz_state(
-    register: Sequence[QubitLabel],
-    pattern0: Sequence[int] | None = None,
-    pattern1: Sequence[int] | None = None,
-    phase: complex = 1.0,
-) -> DensityMatrix:
-    """(|pattern0> + phase |pattern1>)/sqrt2; defaults to |0..0>, |1..1>."""
-    reg = _check_register(register)
-    n = len(reg)
-    p0 = tuple(pattern0) if pattern0 is not None else (0,) * n
-    p1 = tuple(pattern1) if pattern1 is not None else (1,) * n
-    if len(p0) != n or len(p1) != n:
-        raise ValueError("patterns must match register length")
-    if abs(abs(phase) - 1.0) > TOL:
-        raise ValueError("phase must be unimodular")
-    amps = np.zeros(2**n, dtype=complex)
-    amps[bits_to_index(p0)] = 1 / np.sqrt(2)
-    amps[bits_to_index(p1)] += phase / np.sqrt(2)
-    return DensityMatrix(reg, np.outer(amps, amps.conj()))
-
-
 def bits_to_index(bits: Sequence[int]) -> int:
     idx = 0
     for b in bits:
@@ -306,10 +254,6 @@ def bits_to_index(bits: Sequence[int]) -> int:
             raise ValueError(f"bit pattern entries must be 0/1, got {b!r}")
         idx = (idx << 1) | b
     return idx
-
-
-def index_to_bits(idx: int, n_qubits: int) -> tuple[int, ...]:
-    return tuple((idx >> (n_qubits - 1 - i)) & 1 for i in range(n_qubits))
 
 
 def _target_positions(state: DensityMatrix, targets: Sequence[QubitLabel]) -> list[int]:
@@ -383,51 +327,6 @@ def measurement_probabilities(
     ascending = sorted(pos)
     probs = np.transpose(probs, axes=[ascending.index(p) for p in pos])
     return np.clip(probs.reshape(-1).real, 0.0, None)
-
-
-def expectation(state: DensityMatrix, observable: Observable) -> float:
-    """<O> for a tensor-product observable embedded in the register."""
-    by_label = {lab: f for lab, f in observable.factors}
-    missing = [lab for lab in by_label if lab not in state.register]
-    if missing:
-        raise ValueError(f"observable labels {[str(m) for m in missing]} not in register")
-    op = np.array([[1.0 + 0j]])
-    for q in state.register:
-        op = np.kron(op, by_label.get(q, ID2))
-    val = np.trace(state.matrix @ op)
-    if abs(val.imag) > 1e-7:
-        raise ValueError(f"expectation has residual imaginary part {val.imag}")
-    return float(val.real)
-
-
-def pure_state_fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Fidelity ``Re Tr(a b)`` against a pure reference (either argument)."""
-    if a.register != b.register:
-        raise ValueError("registers differ (same labels in the same order required)")
-    # Tr rho^2 is the squared Frobenius norm of a Hermitian rho
-    if max(np.sum(np.abs(s.matrix) ** 2) for s in (a, b)) < 1.0 - TOL:
-        raise ValueError("at least one argument must be a pure state (Tr rho^2 = 1)")
-    return float(np.real(np.sum(a.matrix * b.matrix.T)))
-
-
-def partial_trace(state: DensityMatrix, drop: Iterable[QubitLabel]) -> DensityMatrix:
-    """Trace out the listed qubits, keeping the rest in register order."""
-    drop_set = set(drop)
-    for lab in drop_set:
-        state.index_of(lab)
-    keep = [q for q in state.register if q not in drop_set]
-    if not keep:
-        raise ValueError("cannot trace out the whole register")
-    n = state.n_qubits
-    t = state.matrix.reshape([2] * (2 * n))
-    remaining = list(state.register)
-    for lab in sorted(drop_set, key=state.register.index, reverse=True):
-        ax = remaining.index(lab)
-        r = len(remaining)
-        t = np.trace(t, axis1=ax, axis2=ax + r)
-        remaining.pop(ax)
-    dim = 2 ** len(keep)
-    return DensityMatrix(tuple(keep), t.reshape(dim, dim))
 
 
 def dephase(state: DensityMatrix, target: QubitLabel, coherence: float) -> DensityMatrix:

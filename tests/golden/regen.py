@@ -110,14 +110,18 @@ def run_bundle(cfg: cf.ExperimentConfig, out_dir) -> tuple[h.RunReport, dict[str
     return report, digests
 
 
+def golden_config(name: str) -> cf.ExperimentConfig:
+    """The config golden ``name`` runs."""
+    scenario, overrides = GOLDENS[name]
+    return cf.preset("paper").with_overrides(
+        scenario=scenario, seed=SEED, samples=SAMPLES[scenario], **overrides
+    )
+
+
 def golden_run(name: str, out_dir) -> tuple[str, dict[str, str]]:
     """The ``body_json()`` of golden ``name``'s run and the SHA-256 of each
     CSV it emits, keyed by the CSV's path relative to ``out_dir``."""
-    scenario, overrides = GOLDENS[name]
-    cfg = cf.preset("paper").with_overrides(
-        scenario=scenario, seed=SEED, samples=SAMPLES[scenario], **overrides
-    )
-    report, digests = run_bundle(cfg, out_dir)
+    report, digests = run_bundle(golden_config(name), out_dir)
     return report.body_json(), digests
 
 

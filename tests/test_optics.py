@@ -11,9 +11,23 @@ import pytest
 from memnet_sim import node, optics
 from memnet_sim import quantum as q
 
-GHZ6_REGISTER = optics.STATION_PORTS + optics.MEMORY_SPINS
-GHZ6_TARGET = q.ghz_state(GHZ6_REGISTER, (0, 0, 0, 0, 0, 1), (1, 1, 1, 1, 1, 0))
-GHZ3_TARGET = q.ghz_state(optics.MEMORY_SPINS, (0, 0, 1), (1, 1, 0))
+
+def ghz_ket(pattern0, pattern1, phase=1.0) -> np.ndarray:
+    """(|pattern0> + phase |pattern1>)/sqrt2 as a plain ket."""
+    ket = np.zeros(2 ** len(pattern0), dtype=complex)
+    ket[q.bits_to_index(pattern0)] = 1 / np.sqrt(2)
+    ket[q.bits_to_index(pattern1)] = phase / np.sqrt(2)
+    return ket
+
+
+def fidelity(ket, state) -> float:
+    """<ket| rho |ket>."""
+    return float(np.real(ket.conj() @ state.matrix @ ket))
+
+
+# ports then spins I..III, the order connect_three assembles
+GHZ6_TARGET = ghz_ket((0, 0, 0, 0, 0, 1), (1, 1, 1, 1, 1, 0))
+GHZ3_TARGET = ghz_ket((0, 0, 1), (1, 1, 0))
 
 
 def mapped_pairs(**node_kwargs):
@@ -185,7 +199,8 @@ class TestConnectThree:
     def test_ideal_pairs_give_ghz6(self):
         rho6, success = optics.connect_three(mapped_pairs())
         assert success == pytest.approx(0.25, abs=1e-12)
-        assert q.pure_state_fidelity(GHZ6_TARGET, rho6) == pytest.approx(
+        assert rho6.register == optics.STATION_PORTS + optics.MEMORY_SPINS
+        assert fidelity(GHZ6_TARGET, rho6) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -232,7 +247,7 @@ class TestConnectThree:
 
     def test_extra_coherence_scales_fidelity(self):
         rho6, _ = optics.connect_three(mapped_pairs(), extra_coherence=0.9)
-        f = q.pure_state_fidelity(GHZ6_TARGET, rho6)
+        f = fidelity(GHZ6_TARGET, rho6)
         assert f == pytest.approx(0.5 * (1 + 0.9), abs=1e-12)
 
     def test_envelope_beat_reduces_coherence(self):
@@ -243,7 +258,7 @@ class TestConnectThree:
             envelopes={"I": env, "II": env, "III": env},
             delta_omega_rad_per_us=dw,
         )
-        f = q.pure_state_fidelity(GHZ6_TARGET, rho6)
+        f = fidelity(GHZ6_TARGET, rho6)
         assert f == pytest.approx(0.5 * (1 + math.exp(-(dw * sigma) ** 2 / 2)), abs=1e-4)
 
     def test_distinct_envelopes_use_all_three_overlaps(self):
@@ -257,8 +272,42 @@ class TestConnectThree:
         xi = (
             e1.overlap(e1, dw) * e1.overlap(e3) * e3.overlap(e1)
         )
-        f = q.pure_state_fidelity(GHZ6_TARGET, rho6)
+        f = fidelity(GHZ6_TARGET, rho6)
         assert f == pytest.approx(0.5 * (1 + xi.real), abs=1e-12)
+
+    def test_branch_coherence_is_the_overlap_of_v_with_h_modes(self):
+        # The all-H/all-V coherence is prod over ports of <m_V|m_H>, the
+        # overlap of the photon the port takes in the all-V branch with the
+        # one it takes in the all-H branch.  A sigma+/- photon's mode is
+        # f(t) exp(+/- i dw/2 t); nodes I and II send sigma+ as H, node III
+        # as V; node k's H leaves by port k and its V by port k - 1.  The
+        # imaginary part pins which off-diagonal term carries xi.
+        n, start, step = 801, -1.0, 0.01
+        t = start + step * np.arange(n)
+        raw = {
+            "I": np.exp(-((t - 0.2) ** 2) / (4 * 0.4**2)),
+            "II": ((t >= -0.5) & (t <= 1.5)).astype(float),
+            "III": np.where(t >= -0.3, np.exp(-(t + 0.3) / (2 * 0.5)), 0.0),
+        }
+        envs = {nid: optics.Envelope(start, step, f) for nid, f in raw.items()}
+        dw = 2 * np.pi / 5.28
+
+        def mode(nid, sign):
+            f = raw[nid] / np.sqrt(np.trapezoid(np.abs(raw[nid]) ** 2, t))
+            return f * np.exp(sign * 0.5j * dw * t)
+
+        all_h = [mode("I", +1), mode("II", +1), mode("III", -1)]  # ports 0, 1, 2
+        all_v = [mode("II", -1), mode("III", +1), mode("I", -1)]
+        xi = np.prod([np.trapezoid(np.conj(v) * h, t) for h, v in zip(all_h, all_v)])
+        assert abs(xi.imag) > 0.05
+
+        pairs = [p.matrix.reshape(2, 2, 2, 2) for p in mapped_pairs()]
+        success, terms = optics.station_branches(
+            pairs, envelopes=envs, delta_omega_rad_per_us=dw
+        )
+        weights = {(term.row, term.col): term.weight for term in terms}
+        assert weights[0, 1] * success == pytest.approx(xi, abs=1e-12)
+        assert weights[1, 0] == np.conj(weights[0, 1])
 
     def test_wrong_pair_count(self):
         with pytest.raises(ValueError, match="three pairs"):
@@ -281,20 +330,20 @@ class TestProjectAndFeedforward:
         probs = q.measurement_probabilities(rho6, q.BASIS_DA, list(optics.STATION_PORTS))
         np.testing.assert_allclose(probs, np.full(8, 0.125), atol=1e-12)
 
-    @pytest.mark.parametrize("pattern", [q.index_to_bits(i, 3) for i in range(8)])
+    @pytest.mark.parametrize("pattern", list(itertools.product((0, 1), repeat=3)))
     def test_every_pattern_yields_ghz3_plus(self, pattern):
         rho6, _ = optics.connect_three(mapped_pairs())
         memories = herald_memories(rho6, pattern)
-        assert q.pure_state_fidelity(GHZ3_TARGET, memories) == pytest.approx(
+        assert fidelity(GHZ3_TARGET, memories) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_odd_patterns_precorrection_minus_branch(self):
         rho6, _ = optics.connect_three(mapped_pairs())
-        minus = q.ghz_state(optics.MEMORY_SPINS, (0, 0, 1), (1, 1, 0), phase=-1)
+        minus = ghz_ket((0, 0, 1), (1, 1, 0), phase=-1)
         memories = herald_memories(rho6, (1, 1, 1))
         undone = q.apply_unitary(memories, q.PAULI_Z, [q.spin("I")])
-        assert q.pure_state_fidelity(minus, undone) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(minus, undone) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEnvelope:
