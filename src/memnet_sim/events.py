@@ -8,8 +8,8 @@ so the simulator never loops over trials for the entangling scenarios.
 Instead it enumerates the finite set of event classes exactly:
 
 * per node, the write attempt branches as ``node.WRITE_BRANCHES`` states
-  it; ``node.node_terms`` supplies each node's pair, already aged by the
-  read delay, with its H/V routing probabilities and conditional spins;
+  it; one ``node.node_terms`` call supplies every node's aged pair, H/V
+  routing chances and conditional spins, the node the leading axis;
 * photons route through the polarization network by their H/V component,
   which collapses every branch except the all-single HHH/VVV sector, the
   only pair of polarization triples that land one photon on each port;
@@ -26,11 +26,11 @@ herald probability per trial, the importance weight attached to every
 conditionally drawn sample; one multinomial over the table's mixed outcome
 distribution is exact conditional sampling.  The write branches (the ports
 each loads, the memory kind each leaves) are enumerated once at import as
-index arrays; everything per config is one ``HeraldModel`` (node terms,
-branch probabilities, routing acceptance, coherent sector by retrieval mask),
-which the tables, the success estimate, the rate budget and the raw trials
-all read.  ``build_event_tables`` handles all settings of one build together,
-as one stack, and never builds a joint state.  The brute-force path
+index arrays; everything per config is one ``HeraldModel`` (node terms at
+the read delay, branch probabilities, routing acceptance, coherent sector by
+retrieval mask), which the tables, the success estimate, the rate budget and
+the raw trials all read.  ``build_event_tables`` reads a build's settings
+as one stack and builds no joint state.  The brute-force path
 (``raw_trial_counts``) simulates unconditional trials with per-trial
 Bernoulli draws to validate the table at excitation probabilities high
 enough for six-folds to show up in reasonable time.
@@ -62,6 +62,8 @@ GHZ6_SPEC = w.GhzSpec.parse("HHH↓↓↑", "VVV↑↑↓")
 GHZ3_SPEC = w.GhzSpec(_N, GHZ6_SPEC.pattern0[_N:], GHZ6_SPEC.pattern1[_N:])
 # the station's herald analysis: D/A on every port
 _HERALD_PORTS = (q.BASIS_DA,) * _N
+# (N, 2, 2): each node's write basis, its waveplate's H/V frame
+_WRITE_FRAMES = np.array([op.polarization_map(nid).conj().T for nid in op.NODE_IDS])
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,12 +143,12 @@ def _port_outcomes(port_bases: np.ndarray, dark: float):
     return _single_click(hits, dark)
 
 
-def _memory_outcomes(memory_bases: np.ndarray, terms, dark: float):
+def _memory_outcomes(memory_bases: np.ndarray, terms: nd.NodeTerms, dark: float):
     """``_single_click`` of each memory analyzer of a ``(..., N, 2, 2)``
     basis stack under each memory kind: ``(..., N, 4)`` click chances and
-    ``(..., N, 4, 2)`` distributions, from the nodes' ``node.readout``."""
-    reads = [nd.readout(t, memory_bases[..., k, :, :]) for k, t in enumerate(terms)]
-    return _single_click(np.stack(reads, axis=-4), dark)
+    ``(..., N, 4, 2)`` distributions, from one ``node.readout`` of the
+    nodes' terms."""
+    return _single_click(nd.readout(terms, memory_bases), dark)
 
 
 def _branch_structure() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -173,6 +175,7 @@ def _branch_structure() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _BRANCH_COMBO, _BRANCH_PORT_LOAD, _BRANCH_MEMORY_KIND = _branch_structure()
+_MASK_BITS = (np.arange(_N_MASKS)[:, None] >> np.arange(_N)) & 1
 
 
 def _times_clicks(prob: np.ndarray, clicks: np.ndarray, index) -> np.ndarray:
@@ -187,15 +190,16 @@ def _times_clicks(prob: np.ndarray, clicks: np.ndarray, index) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class HeraldModel:
     """The per-config part of the heralded six-fold model, each piece once:
-    the dark-count chance; the node terms at the read delay, write photons
-    in their waveplates' H/V frame (``born[0]`` routes as H); the
+    the dark-count chance; the node terms at the read delay, one
+    ``NodeTerms`` whose leading axis is the node, write photons in their
+    waveplates' H/V frame (``born[k, 0]``: node k's photon routes as H); the
     incoherent write branches, one row each; ``acceptance``, the chance of
     one photon per port; ``herald``, the chance the coherent all-single
     HHH/VVV sector clicks once on every port; and ``coherent``, its
     six-fold probability by retrieval mask (bit ``k``: memory ``k`` read)."""
 
     dark: float
-    terms: tuple[nd.NodeTerms, ...]
+    terms: nd.NodeTerms  # node axis leading
     branch_probability: np.ndarray  # (B,)
     branch_port_load: np.ndarray  # (B, N)
     branch_memory_kind: np.ndarray  # (B, N)
@@ -210,23 +214,18 @@ def herald_model(cfg: ExperimentConfig) -> HeraldModel:
     memory kind; impossible branches are dropped.  The coherent sector is
     P(all single) times the acceptance times a sure hit per port, then per
     memory a retrieval (a hit) or a loss (a dark fill)."""
-    terms = tuple(
-        nd.node_terms(n, op.polarization_map(n.node_id).conj().T, cfg.read_delay_us)
-        for n in cfg.nodes
-    )
-    base = _times_clicks(1.0, np.array([t.write_probabilities for t in terms]), _BRANCH_COMBO)
-    prob = _times_clicks(base, np.array([t.photon_chances for t in terms]), _BRANCH_MEMORY_KIND)
+    terms = nd.node_terms(cfg.nodes, _WRITE_FRAMES, cfg.read_delay_us)
+    base = _times_clicks(1.0, terms.write_probabilities, _BRANCH_COMBO)
+    prob = _times_clicks(base, terms.photon_chances, _BRANCH_MEMORY_KIND)
     dark = cfg.detector.dark_count_prob
     hit_one = float(_single_click(det.photon_hits(1.0, (0.5, 0.5)), dark)[0])
     fill = float(_single_click(det.NO_HITS, dark)[0])
-    acceptance = float(op.routing_acceptance([t.pair for t in terms]))
-    p_all_single = math.prod(t.write_probabilities[nd.SINGLE] for t in terms)
+    acceptance = float(op.routing_acceptance(terms.pair))
+    p_all_single = math.prod(terms.write_probabilities[:, nd.SINGLE])
     herald = p_all_single * acceptance * hit_one**_N
-    retrieved = (np.arange(_N_MASKS)[:, None] >> np.arange(_N)) & 1 == 1
-    coherent = np.full(_N_MASKS, herald)
-    for k, term in enumerate(terms):
-        real, lost = term.eta * hit_one, (1.0 - term.eta) * fill
-        coherent = coherent * np.where(retrieved[:, k], real, lost)
+    # memory k lost (column 0) or read (column 1), as bit k of each mask says
+    fates = np.stack([(1.0 - terms.eta) * fill, terms.eta * hit_one], axis=-1)
+    coherent = _times_clicks(np.full(_N_MASKS, herald), fates, _MASK_BITS)
     possible = base > 0.0
     branches = prob[possible], _BRANCH_PORT_LOAD[possible], _BRANCH_MEMORY_KIND[possible]
     return HeraldModel(dark, terms, *branches, acceptance, herald, coherent)
@@ -237,7 +236,7 @@ def _station_branch_terms(cfg: ExperimentConfig, terms) -> tuple[op.BranchTerm, 
     aged; raises ValueError when the post-selection has zero probability."""
     envelopes = {nid: envelope_from_spec(s) for nid, s in (cfg.envelopes or {}).items()}
     _, branch_terms = op.station_branches(
-        [t.pair for t in terms],
+        terms.pair,
         envelopes=envelopes or None,
         delta_omega_rad_per_us=2.0 * math.pi / cfg.nodes[0].zeeman_period_us,
         extra_coherence=cfg.interference_visibility,
@@ -466,18 +465,12 @@ def raw_trial_counts(
     model = herald_model(cfg)
     terms, dark = model.terms, model.dark
     branch_terms = _station_branch_terms(cfg, terms)
-    write_p = np.array([t.write_probabilities for t in terms])  # (node, outcome)
-    pol_p1 = np.array([t.born[1] for t in terms])
+    write_p = terms.write_probabilities  # (node, outcome)
     # chance a collapsed clean memory reads out as channel 1, by node and pol
-    mem_p1 = np.array(
-        [
-            [nd.born2(setting.memory_bases[k], t.spins[p])[1] for p in (0, 1)]
-            for k, t in enumerate(terms)
-        ]
-    )
+    mem_p1 = nd.born2(
+        np.array(setting.memory_bases)[:, None], np.stack(terms.spins, axis=-3)
+    )[..., 1]
     port_p1 = np.abs(np.array(setting.port_bases)[:, :, 1]) ** 2  # (port, pol)
-    etas = np.array([t.eta for t in terms])
-    etas_dbl = np.array([t.eta_dbl for t in terms])
     coherent_dists = _coherent_subset_dists(branch_terms, *_stack_bases([setting]))[0]
 
     counts = np.zeros(_N_OUTCOMES, dtype=np.int64)
@@ -493,7 +486,7 @@ def raw_trial_counts(
         has_photon = writes != nd.VACUUM
         pols = np.where(
             writes == nd.SINGLE,
-            (rng.random((n, _N)) < pol_p1[None, :]).astype(np.int8),
+            (rng.random((n, _N)) < terms.born[None, :, 1]).astype(np.int8),
             (rng.random((n, _N)) < 0.5).astype(np.int8),
         )
         all_single = (writes == nd.SINGLE).all(axis=1)
@@ -513,7 +506,7 @@ def raw_trial_counts(
         real_mask = np.zeros((n, _N), dtype=bool)
         for k in range(_N):
             r = rng.random(n)
-            real = np.where(writes[:, k] == nd.DOUBLE, r < etas_dbl[k], r < etas[k])
+            real = np.where(writes[:, k] == nd.DOUBLE, r < terms.eta_dbl[k], r < terms.eta[k])
             real &= writes[:, k] != nd.VACUUM
             real_mask[:, k] = real
             ch = np.where(

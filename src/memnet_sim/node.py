@@ -32,12 +32,12 @@ conjugate at ``[down, up]``, both from ``_storage``.
 
 ``node_terms`` is the one place a node's trial is derived: it ages the pair
 at the node, ``rho_0 * M(dt)``, conditions the spin on the write photon's
-outcome and gathers the write and retrieval probabilities.  A scalar delay
-and an array of delays take the same path; an array adds a leading delay
-axis that every later step runs over.  The pair scenarios, the heralded
-event tables and the rate budget all read ``node_terms``, ``readout`` and
-the branch table, so storage runs once per node, on the two-qubit pair as a
-plain array, and never on the joint station state.
+outcome and gathers the write and retrieval probabilities.  One path takes
+one node or a node sequence (a leading node axis) and one delay or an array
+(delay axes after it); ``readout`` runs over them too.  The pair scenarios,
+the heralded event tables and the rate budget all read ``node_terms``,
+``readout`` and the branch table, so storage runs once per node, on the
+two-qubit pair as a plain array, and never on the joint station state.
 
 No scenario builds a ``DensityMatrix``.  ``entangled_pair_state`` (the fresh
 pair on its labeled register) and ``storage_channel`` (storage as a
@@ -48,7 +48,8 @@ span targets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -101,9 +102,18 @@ EMPTY, SPOILED, CLEAN = 0, 1, 2
 WRITE_BRANCHES = (((None, EMPTY),), ((0, CLEAN), (1, CLEAN + 1)), ((0, SPOILED), (1, SPOILED)))
 
 
+def _gathered(nodes, delay_axes: int):
+    """One ``NodeConfig`` as is, or a sequence's fields as ``(N, 1, ...)`` arrays."""
+    if isinstance(nodes, NodeConfig):
+        return nodes
+    shape, names = (-1,) + (1,) * delay_axes, [f.name for f in fields(NodeConfig)]
+    columns = zip(*([getattr(n, name) for name in names] for n in nodes))
+    return SimpleNamespace(**{name: np.array(c).reshape(shape) for name, c in zip(names, columns)})
+
+
 def write_probabilities(cfg: NodeConfig) -> tuple[float, float, float]:
-    """Per-attempt probabilities ``(vacuum, single, double)``."""
-    p_dbl = cfg.p_w**2 if cfg.excitation_order == 2 else 0.0
+    """Per-attempt ``(vacuum, single, double)`` probabilities (libm ``pow``, as ``**``)."""
+    p_dbl = np.float_power(cfg.p_w, 2) * np.equal(cfg.excitation_order, 2)
     return (1.0 - cfg.p_w - p_dbl, cfg.p_w, p_dbl)
 
 
@@ -113,10 +123,12 @@ def _precession(cfg: NodeConfig, dt_us):
     with np.errstate(over="ignore"):
         angle = 2.0 * math.pi * dt_us / cfg.zeeman_period_us
     overflows = ~np.isfinite(angle)
-    if np.any(overflows):
+    if overflows.any():
+        at = np.broadcast_arrays(dt_us, cfg.node_id, cfg.zeeman_period_us)
+        dt, node_id, period = (v[overflows][0] for v in at)
         raise ValueError(
-            f"storage time {np.extract(overflows, dt_us)[0]} us overflows the Zeeman "
-            f"phase of node {cfg.node_id} (zeeman_period_us {cfg.zeeman_period_us})"
+            f"storage time {dt} us overflows the Zeeman phase of node {node_id} "
+            f"(zeeman_period_us {period})"
         )
     return angle
 
@@ -127,17 +139,16 @@ def zeeman_phase(cfg: NodeConfig, dt_us):
 
 
 def _fresh_pair(cfg: NodeConfig) -> np.ndarray:
-    """The ``(4, 4)`` photon-spin pair of one write-out, before any storage,
-    indexed ``(photon, spin)`` big-endian with the photon in the H/V basis."""
-    a = cfg.branch_weight_down
+    """The ``(..., 4, 4)`` photon-spin pair of each write-out, before any
+    storage, indexed ``(photon, spin)`` big-endian with the photon in H/V."""
+    a = np.asarray(cfg.branch_weight_down)[..., None]
     # |R down> and |L up> in the H/V photon basis, one spin per column
-    down, up = math.sqrt(a) * q.KET_R, np.exp(1j * cfg.phi0) * math.sqrt(1.0 - a) * q.KET_L
-    amp = np.stack([down, up], axis=1).reshape(4)
-    rho = np.outer(amp, amp.conj())
-    w = cfg.depol_weight
-    if w > 0.0:
-        rho = (1.0 - w) * rho + w * np.eye(4) / 4.0
-    return rho
+    down = np.sqrt(a) * q.KET_R
+    up = np.exp(1j * np.asarray(cfg.phi0))[..., None] * np.sqrt(1.0 - a) * q.KET_L
+    amp = np.stack([down, up], axis=-1).reshape(a.shape[:-1] + (4,))
+    rho = amp[..., :, None] * amp.conj()[..., None, :]
+    w = np.asarray(cfg.depol_weight)[..., None, None]
+    return np.where(w > 0.0, (1.0 - w) * rho + w * np.eye(4) / 4.0, rho)
 
 
 def entangled_pair_state(cfg: NodeConfig) -> q.DensityMatrix:
@@ -149,7 +160,7 @@ def _decay(dt_us, tau_us: float):
     """``exp(-dt / tau)`` over storage times ``dt_us``, refusing any negative or
     NaN one; a ratio that overflows, as with a tiny lifetime, gives its limit 0."""
     dt = np.asarray(dt_us, dtype=float)
-    if not np.all(dt >= 0.0):
+    if not (dt >= 0.0).all():
         raise ValueError("storage time must be non-negative")
     with np.errstate(over="ignore"):
         return np.exp(-dt / tau_us)
@@ -168,7 +179,7 @@ def memory_coherence(cfg: NodeConfig, dt_us=0.0):
 def _storage(cfg: NodeConfig, dt_us):
     """The ``up`` amplitude's Zeeman phase factor and the coherence factor."""
     coherence = memory_coherence(cfg, dt_us)
-    if not np.all((coherence >= 0.0) & (coherence <= 1.0)):
+    if not ((coherence >= 0.0) & (coherence <= 1.0)).all():
         raise ValueError(f"coherence factor {coherence} outside [0, 1]")
     return np.exp(1j * _precession(cfg, np.asarray(dt_us, dtype=float))), coherence
 
@@ -192,21 +203,20 @@ def storage_channel(
 
 @dataclass(frozen=True)
 class NodeTerms:
-    """One node's share of a trial, its spin aged by the storage time.
+    """A node's share of a trial, its spin aged by the storage time.
 
     ``born`` holds the write photon's outcome probabilities in the write
     basis (last axis) and ``spins`` the spin conditioned on each outcome,
     maximally mixed when that outcome cannot occur.  ``eta_dbl`` is the
     retrieval probability of a spoiled memory holding two excitations.
-    ``pair`` is the aged pair with its photon in the write basis, indexed
-    ``(photon, spin, photon, spin)``.  A delay array, and a stack of write
-    bases, add their leading axes to every array.
+    ``pair`` is the aged pair, photon in the write basis, indexed ``(photon,
+    spin, photon, spin)``.  Node sequences add a leading axis, delays after.
     """
 
     pair: np.ndarray  # (..., 2, 2, 2, 2)
     born: np.ndarray
     spins: tuple[np.ndarray, np.ndarray]
-    write_probabilities: tuple[float, float, float]
+    write_probabilities: np.ndarray  # (3,), or (N, 3): no delay axes
     eta: float | np.ndarray
     eta_dbl: float | np.ndarray
 
@@ -216,21 +226,22 @@ class NodeTerms:
         return np.concatenate([np.broadcast_to((1.0, 0.5), self.born.shape), self.born], axis=-1)
 
 
-def node_terms(cfg: NodeConfig, write_basis: np.ndarray, dt_us) -> NodeTerms:
+def node_terms(nodes, write_basis: np.ndarray, dt_us) -> NodeTerms:
     """Age the pair by ``dt_us``, then condition its spin on the write photon
     measured in ``write_basis`` (columns are the outcome kets).
 
-    ``dt_us`` is one storage time or an array of them, aged alike by
-    ``M(dt)``; a stack of write bases broadcasts against it, so ``(D, 1)``
-    delays age each pair once for two bases.  Storage acts on the spin alone,
-    so it commutes with any measurement or post-selection of the photon:
-    aging the pair first is exact.
+    ``nodes`` is one ``NodeConfig`` or a sequence, each node's slice its own
+    call; ``dt_us`` one storage time or an array, aged alike by ``M(dt)``.
+    Write bases broadcast against both: ``(N, 2, 2)`` gives each node its
+    own, ``(D, 1)`` delays age each pair once for two bases.  Storage acts on
+    the spin alone, so aging the pair before any photon measurement is exact.
     """
+    cfg = _gathered(nodes, np.ndim(dt_us))
     phase, coherence = _storage(cfg, dt_us)
     factor = np.ones(np.shape(phase) + (2, 2), dtype=complex)
     factor[..., 1, 0] = coherence * phase
     factor[..., 0, 1] = np.conj(factor[..., 1, 0])
-    rho = _fresh_pair(cfg).reshape(2, 2, 2, 2) * factor[..., None, :, None, :]
+    rho = _fresh_pair(cfg).reshape(np.shape(cfg.p_w) + (2, 2, 2, 2)) * factor[..., None, :, None, :]
     q.check_density(rho.reshape(-1, 4, 4))
     rot = np.einsum("...ai,...asbt,...bj->...isjt", write_basis.conj(), rho, write_basis)
     blocks = np.stack([rot[..., i, :, i, :] for i in (0, 1)], axis=-3)
@@ -238,10 +249,9 @@ def node_terms(cfg: NodeConfig, write_basis: np.ndarray, dt_us) -> NodeTerms:
     occurs = (born > 1e-300)[..., None, None]
     spins = np.where(occurs, blocks / np.where(occurs, born[..., None, None], 1.0), np.eye(2) / 2)
     spins = (spins[..., 0, :, :], spins[..., 1, :, :])
+    writes = np.array(write_probabilities(cfg)).T.reshape(np.shape(cfg.p_w)[:1] + (3,))
     eta = retrieval_efficiency(cfg, dt_us)
-    return NodeTerms(
-        rot, born, spins, write_probabilities(cfg), eta, 1.0 - (1.0 - eta) ** 2
-    )
+    return NodeTerms(rot, born, spins, writes, eta, 1.0 - np.square(1.0 - eta))
 
 
 def born2(basis: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -252,8 +262,8 @@ def born2(basis: np.ndarray, state: np.ndarray) -> np.ndarray:
 
 
 def readout(terms: NodeTerms, basis: np.ndarray) -> np.ndarray:
-    """Hit distributions of this memory read in ``basis`` (or a stack), one
-    per memory kind (axis -3)."""
+    """Hit distributions of the memory read in ``basis`` (or a stack), one
+    per memory kind (axis -3); node-axis ``terms`` read a ``(..., N, 2, 2)`` stack."""
     born = born2(basis[..., None, :, :], np.stack(terms.spins, axis=-3))
     clean = det.photon_hits(np.asarray(terms.eta)[..., None], np.clip(born, 0.0, 1.0))
     shape = clean.shape[:-3] + (1, 2, 2)

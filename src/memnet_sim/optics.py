@@ -332,9 +332,11 @@ class BranchTerm(NamedTuple):
 
 def routing_acceptance(pairs) -> float:
     """Chance that the photons of the nodes' ``(2, 2, 2, 2)`` pairs (H/V
-    frame) leave one per station port, by one of ``ONE_PER_PORT``."""
-    born = [[np.real(np.trace(p[b, :, b, :])) for b in (0, 1)] for p in pairs]
-    return sum(math.prod(b[pol] for b, pol in zip(born, pols)) for pols in ONE_PER_PORT)
+    frame), a sequence or an ``(N, 2, 2, 2, 2)`` stack, leave one per
+    station port, by one of ``ONE_PER_PORT``."""
+    # (N, 2): each node's photon H and V chance, the trace of its spin block
+    born = np.real(np.trace(np.diagonal(pairs, axis1=1, axis2=3), axis1=1, axis2=2))
+    return sum(math.prod(born[range(len(born)), pols]) for pols in ONE_PER_PORT)
 
 
 def station_branches(

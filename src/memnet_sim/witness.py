@@ -136,17 +136,14 @@ def setting_bases(spec: GhzSpec) -> dict[str, list[np.ndarray]]:
 
     Within a coherence setting, an outcome pattern's eigenvalue product is
     (-1)**popcount(pattern), the sign vector fidelity_from_counts applies.
+    One ``equatorial_basis`` call on the ``(setting, qubit)`` angle grid.
     """
     n = spec.n_qubits
-    bases: dict[str, list[np.ndarray]] = {
-        POPULATION_SETTING: [np.eye(2, dtype=complex)] * n
+    theta = np.arange(n)[:, None] * np.pi / n
+    coherence = equatorial_basis(np.where(spec.pattern0, -theta, theta))
+    return {POPULATION_SETTING: [np.eye(2, dtype=complex)] * n} | {
+        coherence_setting_id(k): list(coherence[k]) for k in range(n)
     }
-    for k in range(n):
-        theta = k * np.pi / n
-        bases[coherence_setting_id(k)] = [
-            equatorial_basis(-theta if b else theta) for b in spec.pattern0
-        ]
-    return bases
 
 
 def fidelity_from_expectations(
@@ -185,30 +182,28 @@ def _indicator(spec: GhzSpec, patterns, value: float) -> np.ndarray:
 def _parity_signs(n_qubits: int) -> np.ndarray:
     """(-1)**popcount(pattern) over all patterns: a coherence setting's
     eigenvalue product (see setting_bases)."""
-    index = np.arange(2**n_qubits)
-    ones = sum((index >> bit) & 1 for bit in range(n_qubits))
-    return np.where(ones % 2, -1.0, 1.0)
+    return np.where(np.bitwise_count(np.arange(2**n_qubits)) % 2, -1.0, 1.0)
 
 
 def _ratio_estimate(
     counts: np.ndarray, coefficients: np.ndarray, weights: np.ndarray | None
-) -> tuple[float, float]:
-    """R = sum a_x w_x n_x / sum w_x n_x over one setting's pattern-indexed
-    counts, with its first-order Poisson variance.
+) -> tuple[np.ndarray, np.ndarray]:
+    """R = sum a_x w_x n_x / sum w_x n_x per row of pattern-indexed counts
+    and coefficients, broadcast together, with its first-order Poisson variance.
 
-    Sums run left to right over the patterns and squares use libm ``pow``,
+    Rows sum left to right over the patterns and squares use libm ``pow``,
     as Python's float ``**`` does, so results repeat the per-pattern dict
     formula (tests/test_witness_oracle.py) to the bit.
     """
     if weights is None:
-        weights = np.ones(coefficients.shape)
+        weights = np.ones(coefficients.shape[-1])
     wn = weights * counts
-    total = float(np.add.accumulate(wn)[-1])
-    if total <= 0:
+    total = np.add.accumulate(wn, axis=-1)[..., -1]
+    if (total <= 0).any():
         raise ValueError("setting has zero total counts")
-    r = float(np.add.accumulate(coefficients * wn)[-1]) / total
-    spread = np.float_power(weights, 2) * counts * np.float_power(coefficients - r, 2)
-    return r, float(np.add.accumulate(spread)[-1]) / total**2
+    r = np.add.accumulate(coefficients * wn, axis=-1)[..., -1] / total
+    spread = np.float_power(weights, 2) * counts * np.float_power(coefficients - r[..., None], 2)
+    return r, np.add.accumulate(spread, axis=-1)[..., -1] / np.float_power(total, 2)
 
 
 def fidelity_from_counts(
@@ -227,17 +222,15 @@ def fidelity_from_counts(
     if missing:
         raise ValueError(f"missing settings {missing}")
     n = spec.n_qubits
-    fidelity, variance = _ratio_estimate(
-        counts[POPULATION_SETTING],
-        _indicator(spec, (spec.pattern0, spec.pattern1), 0.5),
-        weights,
-    )
-    signs = _parity_signs(n)
+    rows = np.array([counts[sid] for sid in spec.setting_ids()])
+    coefficients = np.broadcast_to(_parity_signs(n), rows.shape).copy()
+    coefficients[0] = _indicator(spec, (spec.pattern0, spec.pattern1), 0.5)
+    ratios, variances = _ratio_estimate(rows, coefficients, weights)
+    fidelity, variance = float(ratios[0]), float(variances[0])
     for k in range(n):
-        r_k, var_k = _ratio_estimate(counts[coherence_setting_id(k)], signs, weights)
-        fidelity += spec.phase * (-1) ** k * r_k / (2 * n)
-        variance += var_k / (2 * n) ** 2
-    return float(fidelity), float(np.sqrt(variance))
+        fidelity += spec.phase * (-1) ** k * float(ratios[k + 1]) / (2 * n)
+        variance += float(variances[k + 1]) / (2 * n) ** 2
+    return fidelity, float(np.sqrt(variance))
 
 
 def populations_from_counts(
@@ -246,9 +239,10 @@ def populations_from_counts(
     weights: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Normalized populations of the two branch patterns in a population table."""
-    p0, _ = _ratio_estimate(counts, _indicator(spec, (spec.pattern0,), 1.0), weights)
-    p1, _ = _ratio_estimate(counts, _indicator(spec, (spec.pattern1,), 1.0), weights)
-    return p0, p1
+    coefficients = np.zeros((2, 2**spec.n_qubits))
+    coefficients[[0, 1], [bits_to_index(spec.pattern0), bits_to_index(spec.pattern1)]] = 1.0
+    (p0, p1), _ = _ratio_estimate(counts, coefficients, weights)
+    return float(p0), float(p1)
 
 
 def bell_fidelity_from_visibilities(v_eigen: float, v_super: float) -> float:

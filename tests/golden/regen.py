@@ -3,7 +3,9 @@
 Each golden in ``GOLDENS`` runs its scenario at the ``paper`` preset, seed
 0, with ``SAMPLES`` of its budget: every scenario as the preset has it, and
 ghz6 and ghz3 again with a different temporal mode per node (``ENVELOPES``),
-so that the branch coherence and its beat are checked too.
+so that the branch coherence and its beat are checked too, and ghz3 with
+those modes at a 7.3 us read delay, where every setting reads ``Im xi`` and
+so the sign of the coherence (``xi`` against ``conj(xi)``) is checked.
 ``<golden>.json`` holds the report's ``body_json()`` and ``manifest.json``
 the SHA-256 of every CSV ``emit_report`` writes, plus the numpy version the
 files were made with: the Philox streams and ``Generator.multinomial`` draw
@@ -94,6 +96,8 @@ GOLDENS = {
     **{scenario: (scenario, {}) for scenario in SAMPLES},
     "ghz6_envelopes": ("ghz6", {"envelopes": ENVELOPES}),
     "ghz3_envelopes": ("ghz3", {"envelopes": ENVELOPES}),
+    # aged off the Zeeman grid, so the beat leaves Im xi in every setting
+    "ghz3_envelopes_aged": ("ghz3", {"envelopes": ENVELOPES, "read_delay_us": 7.3}),
 }
 
 

@@ -65,9 +65,10 @@ def random_config(rng, p_w=(0.02, 0.45), dark=(0.0, 0.1)):
 
 def loop_write_branches(terms):
     """Yield (probability, photon pol per node or None, memory kind per node)
-    for every incoherent write branch, one at a time."""
+    for every incoherent write branch, one at a time; ``terms`` is the
+    model's node-axis ``NodeTerms``, read node by node."""
     for combo in itertools.product((nd.VACUUM, nd.SINGLE, nd.DOUBLE), repeat=3):
-        base = math.prod(t.write_probabilities[c] for t, c in zip(terms, combo))
+        base = math.prod(terms.write_probabilities[k][c] for k, c in enumerate(combo))
         if base <= 0.0:
             continue
         photon_nodes = [k for k in range(3) if combo[k] != nd.VACUUM]
@@ -80,7 +81,7 @@ def loop_write_branches(terms):
             for k, pol in zip(photon_nodes, pols):
                 photon_pol[k] = pol
                 if combo[k] == nd.SINGLE:
-                    prob *= terms[k].born[pol]
+                    prob *= terms.born[k][pol]
                     kinds[k] = ("single", pol)
                 else:
                     prob *= 0.5
@@ -122,14 +123,14 @@ def loop_port_outcomes(port_bases, dark):
 
 def loop_memory_outcomes(memory_bases, terms, dark):
     out = {}
-    for k, (term, basis) in enumerate(zip(terms, memory_bases)):
+    for k, basis in enumerate(memory_bases):
         hits = {
             nd.VACUUM: det.NO_HITS,
-            nd.DOUBLE: det.photon_hits(term.eta_dbl, (0.5, 0.5)),
+            nd.DOUBLE: det.photon_hits(terms.eta_dbl[k], (0.5, 0.5)),
         }
         for pol in (0, 1):
-            born = nd.born2(basis, term.spins[pol])
-            hits["single", pol] = det.photon_hits(term.eta, born)
+            born = nd.born2(basis, terms.spins[pol][k])
+            hits["single", pol] = det.photon_hits(terms.eta[k], born)
         out.update({(k, kind): loop_single_click(h, dark) for kind, h in hits.items()})
     return out
 
@@ -181,8 +182,9 @@ def loop_event_tables(cfg, settings):
     coherent sector's six-qubit state per retrieval subset."""
     terms = ev.herald_model(cfg).terms
     states = reference_station_state(cfg)
-    p_coherent = math.prod(t.write_probabilities[nd.SINGLE] for t in terms) * (
-        math.prod(t.born[0] for t in terms) + math.prod(t.born[1] for t in terms)
+    nodes = range(len(cfg.nodes))
+    p_coherent = math.prod(terms.write_probabilities[k][nd.SINGLE] for k in nodes) * (
+        math.prod(terms.born[k][0] for k in nodes) + math.prod(terms.born[k][1] for k in nodes)
     )
     dark = cfg.detector.dark_count_prob
     hit_one, _ = loop_single_click(det.photon_hits(1.0, (0.5, 0.5)), dark)
@@ -215,9 +217,9 @@ def loop_event_tables(cfg, settings):
             prob = p_coherent * hit_one**3
             for k in range(3):
                 if k in real:
-                    prob *= terms[k].eta * hit_one
+                    prob *= terms.eta[k] * hit_one
                 else:
-                    prob *= (1.0 - terms[k].eta) * fill
+                    prob *= (1.0 - terms.eta[k]) * fill
             if prob <= 0.0:
                 continue
             probs.append(prob)
@@ -233,9 +235,10 @@ def loop_conditional_success(cfg):
     terms = ev.herald_model(cfg).terms
     dark = cfg.detector.dark_count_prob
     hit_one, _ = loop_single_click(det.photon_hits(1.0, (0.5, 0.5)), dark)
-    p_all_single = math.prod(t.write_probabilities[nd.SINGLE] for t in terms)
-    success = math.prod(t.born[0] for t in terms) + math.prod(
-        t.born[1] for t in terms
+    nodes = range(len(cfg.nodes))
+    p_all_single = math.prod(terms.write_probabilities[k][nd.SINGLE] for k in nodes)
+    success = math.prod(terms.born[k][0] for k in nodes) + math.prod(
+        terms.born[k][1] for k in nodes
     )
     numerator = p_all_single * success * hit_one**3
     denom = numerator
@@ -512,8 +515,8 @@ class TestCoherentSector:
         # six-qubit state; the sector ages each pair before the station
         cfg = ORACLE_CONFIGS[name]()
         aged = [
-            q.DensityMatrix((q.photon(n.node_id), q.spin(n.node_id)), t.pair.reshape(4, 4))
-            for n, t in zip(cfg.nodes, ev.herald_model(cfg).terms)
+            q.DensityMatrix((q.photon(n.node_id), q.spin(n.node_id)), pair.reshape(4, 4))
+            for n, pair in zip(cfg.nodes, ev.herald_model(cfg).terms.pair)
         ]
         got, _ = op.connect_three(aged, extra_coherence=cfg.interference_visibility)
         pairs = [

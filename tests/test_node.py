@@ -4,6 +4,7 @@ import functools
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -302,7 +303,7 @@ class TestNodeTerms:
         np.testing.assert_allclose(terms.pair, reference_pair(dt), rtol=0, atol=1e-15)
         fresh = node.node_terms(cfg, basis, 0.0)
         np.testing.assert_array_equal(fresh.pair, reference_pair(0.0))
-        assert terms.write_probabilities == node.write_probabilities(cfg)
+        np.testing.assert_array_equal(terms.write_probabilities, node.write_probabilities(cfg))
         assert terms.eta == node.retrieval_efficiency(cfg, dt)
         assert terms.eta_dbl == pytest.approx(1.0 - (1.0 - terms.eta) ** 2, abs=0)
 
@@ -318,7 +319,7 @@ class TestNodeTerms:
         np.testing.assert_array_equal(scalar.born, row.born[0])
         for got, want in zip(scalar.spins, row.spins):
             np.testing.assert_array_equal(got, want[0])
-        assert scalar.write_probabilities == row.write_probabilities
+        np.testing.assert_array_equal(scalar.write_probabilities, row.write_probabilities)
         assert scalar.eta == row.eta[0] and scalar.eta_dbl == row.eta_dbl[0]
 
     @pytest.mark.parametrize("weight", [0.0, 1.0])
@@ -357,6 +358,63 @@ class TestNodeTerms:
             after = node.storage_channel(c, after, dt)
         np.testing.assert_allclose(before.matrix, after.matrix, rtol=0, atol=1e-12)
         assert p_before == pytest.approx(p_after, rel=1e-12)
+
+
+# three nodes that differ in every field; node I takes the special cases: no
+# double excitations, a pure pair and lifetimes that never decay
+DISTINCT_NODES = (
+    node.NodeConfig(
+        "I", p_w=0.02, eta_r0=0.35, tau_mem_us=math.inf, tau_vis_us=math.inf,
+        zeeman_period_us=5.28, phi0=0.0, excitation_order=1, depol_weight=0.0,
+        branch_weight_down=0.5,
+    ),
+    node.NodeConfig(
+        "II", p_w=0.13, eta_r0=0.62, tau_mem_us=41.0, tau_vis_us=88.5,
+        zeeman_period_us=4.1, phi0=1.3, excitation_order=2, depol_weight=0.07,
+        branch_weight_down=0.37,
+    ),
+    node.NodeConfig(
+        "III", p_w=0.31, eta_r0=0.9, tau_mem_us=260.0, tau_vis_us=17.2,
+        zeeman_period_us=7.7, phi0=-2.4, excitation_order=2, depol_weight=0.21,
+        branch_weight_down=0.81,
+    ),
+)
+
+
+class TestNodeAxis:
+    """A node sequence's terms are its nodes' own calls, stacked."""
+
+    PLATES = np.array([optics.polarization_map(n.node_id).conj().T for n in DISTINCT_NODES])
+
+    @pytest.mark.parametrize("dt", [0.0, 7.3, np.array([0.0, 7.3, 40.0])])
+    def test_each_node_slice_is_its_own_call(self, dt):
+        bases = self.PLATES if np.ndim(dt) == 0 else self.PLATES[:, None]
+        stacked = node.node_terms(DISTINCT_NODES, bases, dt)
+        for k, cfg in enumerate(DISTINCT_NODES):
+            one = node.node_terms(cfg, self.PLATES[k], dt)
+            for name in ("pair", "born", "write_probabilities", "eta", "eta_dbl"):
+                got, want = getattr(stacked, name)[k], getattr(one, name)
+                assert np.array_equal(got, want), (name, cfg.node_id)
+                assert np.shape(got) == np.shape(want), (name, cfg.node_id)
+            for got, want in zip(stacked.spins, one.spins):
+                assert np.array_equal(got[k], want), ("spins", cfg.node_id)
+
+    def test_readout_of_the_stack_is_each_nodes_readout(self):
+        stacked = node.node_terms(DISTINCT_NODES, self.PLATES, 7.3)
+        # (S, N, 2, 2): two read settings, a basis per node
+        reads = np.array([[q.BASIS_DA] * 3, [q.BASIS_RL, q.BASIS_DA, q.equatorial_basis(0.4)]])
+        got = node.readout(stacked, reads)
+        for k, cfg in enumerate(DISTINCT_NODES):
+            want = node.readout(node.node_terms(cfg, self.PLATES[k], 7.3), reads[:, k])
+            assert np.array_equal(got[:, k], want), cfg.node_id
+
+    def test_overflow_names_the_node(self):
+        first, second, third = DISTINCT_NODES
+        nodes = (first, replace(second, zeeman_period_us=1e-300), third)
+        for other in (first, third):
+            node.node_terms(other, np.eye(2), 1e10)  # finite on its own
+        with pytest.raises(ValueError, match="overflows the Zeeman phase of node II "):
+            node.node_terms(nodes, self.PLATES, 1e10)
 
 
 def a_eff_acceptance(cfg):

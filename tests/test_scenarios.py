@@ -518,7 +518,9 @@ class TestGhzScenarios:
     @pytest.mark.parametrize("scenario", ["ghz6", "ghz3"])
     def test_one_herald_model_per_run(self, scenario, monkeypatch):
         # tables, success estimate and rate budget read one model: the node
-        # terms, station branches and hit chances are worked out once
+        # terms (all nodes in one call), station branches and hit chances
+        # are worked out once, and the table build reads every memory out
+        # in one call
         calls = {}
 
         def count(module, name):
@@ -533,12 +535,14 @@ class TestGhzScenarios:
         count(ev, "herald_model")
         count(ev, "_single_click")
         count(nd, "node_terms")
+        count(nd, "readout")
         count(op, "station_branches")
         count(op, "routing_acceptance")
         h.run_scenario(paper_cfg(scenario=scenario, samples=2_000))
         assert calls == {
             "herald_model": 1,
-            "node_terms": 3,
+            "node_terms": 1,
+            "readout": 1,
             "station_branches": 1,
             # the model's acceptance and station_branches' own success check
             "routing_acceptance": 2,
