@@ -456,14 +456,18 @@ def _run_two_node_swap(cfg: cf.ExperimentConfig, streams: _TableStreams):
     point_width = float(params.get("point_width_us", 0.05))
     header = ["delta_omega_rad_per_us", "width_us", "fidelity_flip", "fidelity_noflip"]
 
+    started = time.perf_counter()
+    # one Gaussian per distinct width: the default point width is a grid width too
+    distinct = dict.fromkeys((point_width, *widths))
+    modes = {width: op.Envelope.gaussian(0.0, width) for width in distinct}
+
     def rows(width, detunings):
-        f = op.Envelope.gaussian(0.0, width)  # both nodes emit the same Gaussian mode
+        f = modes[width]  # both nodes emit the same Gaussian mode
         return [
             [dw, width, *(op.averaged_swap_fidelity(flip, f, f, dw) for flip in (True, False))]
             for dw in detunings
         ]
 
-    started = time.perf_counter()
     [point_row] = rows(point_width, [dw0])
     grid_rows = [row for width in widths for row in rows(width, dws)]
     # swap fidelities are closed-form integrals: no random stream is drawn

@@ -130,7 +130,9 @@ class Envelope:
     detection-time probability density of the photon.  The grid times and
     their trapezoidal weights are read-only arrays built once per envelope:
     the times when it is made, refusing a grid whose times are not finite
-    and increasing, and the weights on first use.
+    and increasing, and the weights on first use.  The squared norm and the
+    weighted conjugate amplitudes, which the swap integrals read, are also
+    built once, on first use, the latter as a read-only array.
     """
 
     start_us: float
@@ -181,6 +183,20 @@ class Envelope:
         w = _trapezoid_weights(self.times_us)
         w.setflags(write=False)
         return w
+
+    @functools.cached_property
+    def squared_norm(self) -> float:
+        """``A = sum(w * |values|**2)``, the trapezoidal integral of the
+        detection-time density: one up to rounding."""
+        return _squared_norm(self.trapezoid_weights, self.values)
+
+    @functools.cached_property
+    def weighted_conjugate(self) -> np.ndarray:
+        """``w * conj(values)``: a sum of it times ``y`` is the trapezoidal
+        integral of ``conj(values) * y``."""
+        wc = self.trapezoid_weights * np.conj(self.values)
+        wc.setflags(write=False)
+        return wc
 
     def shares_grid(self, other: "Envelope") -> bool:
         """Whether both envelopes sample the same times."""
@@ -282,6 +298,10 @@ def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
     return w
 
 
+def _squared_norm(w: np.ndarray, v: np.ndarray) -> float:
+    return float(np.sum(w * np.abs(v) ** 2))
+
+
 def _common_grid(f: Envelope, g: Envelope):
     """Grid times, trapezoidal weights and the amplitudes of ``f`` and ``g``
     on one grid: their own, with its cached weights, when they share it;
@@ -291,6 +311,20 @@ def _common_grid(f: Envelope, g: Envelope):
     t = np.union1d(f.times_us, g.times_us)
     # trapezoidal weights also hold on a non-uniform union grid
     return t, _trapezoid_weights(t), f.values_at(t), g.values_at(t)
+
+
+def _swap_terms(f: Envelope, g: Envelope):
+    """Grid times and weights, the squared norm and weighted conjugate of
+    ``f``, and the squared norm and amplitudes of ``g``, on one grid: the
+    envelopes' cached values when they share a grid, else built per call
+    on the union of their grids."""
+    if f.shares_grid(g):
+        return (
+            f.times_us, f.trapezoid_weights, f.squared_norm, f.weighted_conjugate,
+            g.squared_norm, g.values,
+        )
+    t, w, fa, ga = _common_grid(f, g)
+    return t, w, _squared_norm(w, fa), w * np.conj(fa), _squared_norm(w, ga), ga
 
 
 def _check_beat(t: np.ndarray, dw: float) -> None:
@@ -430,27 +464,32 @@ def averaged_swap_fidelity(
     integrals reduce to the O(N) weighted inner products ``A = sum w|fa|^2``,
     ``G = sum w|ga|^2`` and ``C = sum w conj(fa) ga``: the no-flip fidelity
     is ``(A^2 + G^2 + 2 Re C^2) / (2 (A^2 + G^2))`` and the flip fidelity
-    ``A G / (A G)``.
+    ``A G / (A G)``.  Both are capped at one, the bound rounding can cross.
 
-    Envelopes that share a grid are taken as stored, with the grid's cached
-    weights, so a call computes only the beat and the three sums; otherwise
-    both are interpolated onto the union of their grids.
+    Envelopes that share a grid are taken as stored, with ``A`` and
+    ``w conj(fa)`` read from the caches of ``f``.  The flip setting builds
+    no beat: ``|beat| = 1`` makes ``G`` the cached norm of ``g``, so its
+    call is two products and a division.  The no-flip setting builds the
+    beat and the sums ``G`` and ``C``.  Envelopes on different grids are
+    both interpolated onto the union of their grids, where every sum is
+    built per call.
 
     The target Bell state is taken with a + sign.  The other sign cancels:
     the target and the conditional amplitude both carry it, so every term
     holds ``sign * conj(sign) = 1``.
     """
-    t, w, fa, ga = _common_grid(f, g)
+    t, w, norm_f, weighted_f, norm_g, ga = _swap_terms(f, g)  # A, w conj(fa), G, ga
     _check_beat(t, delta_omega_rad_per_us)
-    ga = ga * np.exp(-1j * delta_omega_rad_per_us * t)
-
-    norm_f = float(np.sum(w * np.abs(fa) ** 2))  # A
-    norm_g = float(np.sum(w * np.abs(ga) ** 2))  # G
     if flip:
-        # numerator |1 + 1|^2 / 2 * A G, density 2 A G
+        # numerator |1 + 1|^2 / 2 * A G, density 2 A G, with G the norm of
+        # g itself: the beat has modulus one
         numerator = density = 2.0 * norm_f * norm_g
     else:
-        cross = complex(np.sum(w * np.conj(fa) * ga))  # C
+        ga = ga * np.exp(-1j * delta_omega_rad_per_us * t)
+        norm_g = _squared_norm(w, ga)  # G of the beating amplitude
+        cross = complex(np.sum(weighted_f * ga))  # C
         density = norm_f * norm_f + norm_g * norm_g
         numerator = 0.5 * (density + 2.0 * (cross * cross).real)
-    return numerator / density
+    # Re C^2 <= |C|^2 <= A G <= (A^2 + G^2) / 2, so the numerator never
+    # exceeds the density: a fidelity above one is rounding
+    return min(numerator / density, 1.0)

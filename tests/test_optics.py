@@ -468,10 +468,15 @@ class TestEnvelope:
     def test_grid_and_weights_built_once_and_read_only(self):
         env = optics.Envelope.gaussian(0.3, 0.2, n=64)
         t, w = env.times_us, env.trapezoid_weights
+        norm, weighted = env.squared_norm, env.weighted_conjugate
         assert env.times_us is t and env.trapezoid_weights is w
+        assert env.squared_norm is norm and env.weighted_conjugate is weighted
         y = np.cos(t)
         assert np.sum(w * y) == pytest.approx(np.trapezoid(y, t), rel=1e-14)
-        for cached in (t, w, env.values):
+        assert norm == np.sum(w * np.abs(env.values) ** 2)
+        assert type(norm) is float
+        assert weighted.tobytes() == (w * np.conj(env.values)).tobytes()
+        for cached in (t, w, env.values, weighted):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 1.0
 
@@ -561,10 +566,23 @@ class TestAveragedSwapFidelity:
                 assert diff >= -1e-12
 
     def test_zero_detuning_equal_envelopes_unity(self):
-        env = optics.Envelope.exponential_decay(0.0, 0.3)
-        for flip in (True, False):
-            got = optics.averaged_swap_fidelity(flip, env, env, 0.0)
-            assert got == pytest.approx(1.0, abs=1e-9)
+        # rounding alone takes the uncapped no-flip ratio to 1.0000000000000002 on both
+        for env in (
+            optics.Envelope.exponential_decay(0.0, 0.3),
+            optics.Envelope.gaussian(0.0, 0.05),
+        ):
+            for flip in (True, False):
+                assert optics.averaged_swap_fidelity(flip, env, env, 0.0) == 1.0
+
+    @pytest.mark.parametrize("flip", [True, False])
+    def test_overflowing_beat_phase_refused(self, flip):
+        # the flip setting builds no beat, yet refuses the detuning too:
+        # 1e308 rad/us times the grid's end at 4 us overflows
+        env = optics.Envelope.gaussian(0.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows the beat phase"):
+                optics.averaged_swap_fidelity(flip, env, env, 1e308)
 
     def test_matches_nested_trapezoid_oracle(self):
         # different starts, steps and lengths make the union grid non-uniform

@@ -475,6 +475,15 @@ class TestTwoNodeSwap:
         assert b["ordering_holds"] is True
         assert b["noflip_max"] < 1.0
 
+    def test_point_equals_its_grid_twin(self):
+        # the point (width 0.05, detuning 2 pi / T) shares its envelope with
+        # the grid row of the same width and detuning, and changes nothing
+        body = h.run_scenario(paper_cfg(scenario="two_node_swap")).body
+        point = list(body["point"].values())
+        twins = [row for row in body["grid"] if row[:2] == point[:2]]
+        assert point[:2] == [2.0 * math.pi / cf.preset("paper").node("I").zeeman_period_us, 0.05]
+        assert twins == [point]
+
     def test_grid_dimensions_follow_params(self):
         cfg = paper_cfg(
             scenario="two_node_swap",
