@@ -57,12 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> cf.ExperimentConfig:
-    if args.config is not None:
-        cfg = cf.ExperimentConfig.from_json(args.config)
-    else:
-        cfg = cf.preset(args.preset or "paper")
+    """The config from ``--config`` or ``--preset`` with the flags applied;
+    a preset takes them in its one construction."""
     flags = {name: getattr(args, name) for name in ("scenario", "seed", "samples", "workers")}
     overrides = {k: v for k, v in {**flags, "out_dir": args.out}.items() if v is not None}
+    if args.config is None:
+        return cf.preset(args.preset or "paper", **overrides)
+    cfg = cf.ExperimentConfig.from_json(args.config)
     return cfg.with_overrides(**overrides) if overrides else cfg
 
 

@@ -15,12 +15,13 @@ write trials of ``trial_us`` each are attempted.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 from . import quantum as q
 from .detection import DetectorConfig
@@ -255,7 +256,7 @@ class ExperimentConfig:
         data = _field_values(self)
         data.update({key: _field_values(data[key]) for key in ("detector", "timing")})
         # copies: editing the dict leaves the config as it is
-        data.update({key: copy.deepcopy(data[key]) for key in _CONTAINERS})
+        data.update({key: _json_copy(data[key]) for key in _CONTAINERS})
         data["nodes"] = [_field_values(nd) for nd in self.nodes]
         for nd in data["nodes"]:
             nd.update({key: None for key in _INF_IF_NULL if math.isinf(nd[key])})
@@ -392,6 +393,16 @@ def _field_values(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
+def _json_copy(value):
+    """A copy of a config container in JSON values: each tuple a list and each
+    numpy scalar the Python number it holds, both of which its rules take."""
+    if isinstance(value, dict):
+        return {key: _json_copy(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_copy(item) for item in value]
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _check_section(section: str, data, cls, extra=()) -> dict:
     """A copy of ``data`` once it is a JSON object whose keys are fields of
     ``cls`` (or ``extra``) and whose values are of the kinds the fields'
@@ -413,20 +424,21 @@ def _nodes(**kwargs) -> tuple[NodeConfig, NodeConfig, NodeConfig]:
     return tuple(NodeConfig(node_id=nid, **kwargs) for nid in NODE_IDS)
 
 
-def preset(name: str) -> ExperimentConfig:
+def preset(name: str, **overrides) -> ExperimentConfig:
     """Named configurations: ``ideal`` (no noise) and ``paper`` (calibrated).
 
     The ``paper`` preset reproduces the published operating point; its noise
     split between dark counts, pair asymmetry and interference contrast is a
     calibration (flagged ``fitted`` in reports), not a measured decomposition.
+    ``overrides`` (field values, as ``with_overrides`` takes them) go into
+    the preset's one ``ExperimentConfig`` construction, so the config is
+    built and validated once and equals
+    ``preset(name).with_overrides(**overrides)``.
     """
     if name == "ideal":
-        return ExperimentConfig(
-            nodes=_nodes(excitation_order=1),
-            detector=DetectorConfig(),
-        )
-    if name == "paper":
-        return ExperimentConfig(
+        base = dict(nodes=_nodes(excitation_order=1), detector=DetectorConfig())
+    elif name == "paper":
+        base = dict(
             nodes=_nodes(
                 p_w=0.015,
                 eta_r0=0.40,
@@ -440,4 +452,6 @@ def preset(name: str) -> ExperimentConfig:
             interference_visibility=1.0,
             calibration="fitted",
         )
-    raise ValueError(f"unknown preset {name!r}; choose from ('ideal', 'paper')")
+    else:
+        raise ValueError(f"unknown preset {name!r}; choose from ('ideal', 'paper')")
+    return ExperimentConfig(**{**base, **overrides})

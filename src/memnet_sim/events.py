@@ -38,6 +38,7 @@ enough for six-folds to show up in reasonable time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -60,8 +61,9 @@ _N_OUTCOMES = 4**_N
 GHZ6_SPEC = w.GhzSpec.parse("HHH↓↓↑", "VVV↑↑↓")
 # the memory half of GHZ6_SPEC: the state a station herald leaves in the memories
 GHZ3_SPEC = w.GhzSpec(_N, GHZ6_SPEC.pattern0[_N:], GHZ6_SPEC.pattern1[_N:])
-# the station's herald analysis: D/A on every port
+# the station's herald analysis: D/A on every port, and as one (N, 2, 2) stack
 _HERALD_PORTS = (q.BASIS_DA,) * _N
+_HERALD_PORT_STACK = np.array(_HERALD_PORTS)
 # (N, 2, 2): each node's write basis, its waveplate's H/V frame
 _WRITE_FRAMES = np.array([op.polarization_map(nid).conj().T for nid in op.NODE_IDS])
 
@@ -318,7 +320,9 @@ class EventTable:
     through event class ``i``; ``distributions[i]`` is that class's outcome
     distribution over the ``_N_OUTCOMES`` click patterns (the port bits
     then the memory bits, big-endian).  ``clean_probability`` is the slice flowing through
-    the coherent all-single sector with every retrieval real.
+    the coherent all-single sector with every retrieval real.  The herald
+    probability and the mixed outcome distribution are each computed once,
+    on first use, and kept on the table.
     """
 
     setting_id: str
@@ -331,21 +335,30 @@ class EventTable:
         d = np.asarray(self.distributions, dtype=float)
         if p.ndim != 1 or d.shape != (p.size, _N_OUTCOMES):
             raise ValueError("mismatched table shapes")
-        if np.any(p < 0.0) or np.any(d < -1e-12):
+        # one reduction per check; a NaN passes, as a comparison with it is
+        # false, and an empty table reaches the normalization check's max
+        if p.min(initial=0.0) < 0.0 or d.min(initial=0.0) < -1e-12:
             raise ValueError("negative probabilities in event table")
-        if np.max(np.abs(d.sum(axis=1) - 1.0)) > 1e-9:
+        if np.abs(d.sum(axis=1) - 1.0).max() > 1e-9:
             raise ValueError("event-class distributions must be normalized")
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "distributions", np.clip(d, 0.0, None))
 
-    @property
+    @functools.cached_property
     def p_sixfold(self) -> float:
         """Herald probability per trial: the importance weight."""
         return float(self.probabilities.sum())
 
+    @functools.cached_property
+    def _mixture(self) -> np.ndarray:
+        mixture = self.probabilities @ self.distributions / self.p_sixfold
+        mixture.flags.writeable = False
+        return mixture
+
     def outcome_distribution(self) -> np.ndarray:
-        """P(click pattern | six-fold), one entry per click pattern."""
-        return self.probabilities @ self.distributions / self.p_sixfold
+        """P(click pattern | six-fold), one entry per click pattern; the
+        table's one read-only array."""
+        return self._mixture
 
     def expected_counts(self, n_trials: float) -> np.ndarray:
         """Mean unconditional pattern counts after ``n_trials`` raw trials."""
@@ -433,13 +446,13 @@ def conditional_success_estimate(model: HeraldModel) -> float:
     model of ``herald_model``; no sampling error.  Raises ValueError when
     no station herald is possible at all.
     """
-    port_p, _ = _port_outcomes(np.array(_HERALD_PORTS), model.dark)
+    port_p, _ = _port_outcomes(_HERALD_PORT_STACK, model.dark)
     false = _times_clicks(model.branch_probability, port_p, model.branch_port_load)
     # accumulate left to right, branch by branch after the coherent herald
     denom = np.add.accumulate(np.concatenate([[model.herald], false]))[-1]
     if denom <= 0.0:
         raise ValueError("no station heralds possible for the success estimate")
-    return model.herald / denom
+    return float(model.herald / denom)
 
 
 # trials per array pass of raw_trial_counts; the chunking fixes its draw order

@@ -107,27 +107,6 @@ def _split_budget(n: int, k: int) -> list[int]:
     return [base + (1 if i < rest else 0) for i in range(k)]
 
 
-# values JSON takes as they are, matched by exact type: np.float64 subclasses float
-_JSON_LEAVES = frozenset((float, int, str, bool, type(None)))
-
-
-def _plain(obj):
-    """Recursively convert numpy scalars and arrays for JSON emission."""
-    if type(obj) in _JSON_LEAVES:
-        return obj
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # Pair coincidence machinery (pair_tomography, raman_delay_sweep,
 # lifetime_sweep). One write-read pair per trial, its click pattern over the
@@ -523,6 +502,10 @@ def _run_ghz(cfg: cf.ExperimentConfig, streams: _TableStreams, spec: w.GhzSpec, 
     # the estimators on the exact distributions: weighted, the limits (see witness)
     exact = {t.setting_id: keep(t.outcome_distribution()) for t in tables}
     fid_exact = w.fidelity_from_counts(spec, exact)[0]  # unweighted
+    # weights of 1.0 multiply exactly: without calibration weights the limit is fid_exact
+    fid_limit = fid_exact
+    if cfg.calibration_weights:
+        fid_limit = w.fidelity_from_counts(spec, exact, weights)[0]
     setting_counts = {sid: w.pattern_table(arr, spec.n_qubits) for sid, arr in sampled.items()}
 
     body = {
@@ -532,7 +515,7 @@ def _run_ghz(cfg: cf.ExperimentConfig, streams: _TableStreams, spec: w.GhzSpec, 
         "fidelity": {"estimate": fid, "sigma": sigma, "exact": fid_exact},
         "populations": None if w.POPULATION_SETTING in empty else populations(sampled),
         "limit": {
-            "fidelity": w.fidelity_from_counts(spec, exact, weights)[0],
+            "fidelity": fid_limit,
             "populations": populations(exact),
         },
         "event_tables": {
@@ -652,11 +635,7 @@ def run_scenario(cfg: cf.ExperimentConfig) -> RunReport:
         },
     }
     return RunReport(
-        scenario=cfg.scenario,
-        seed=cfg.seed,
-        body=_plain(full_body),
-        meta=meta,
-        artifacts=artifacts,
+        scenario=cfg.scenario, seed=cfg.seed, body=full_body, meta=meta, artifacts=artifacts
     )
 
 

@@ -136,10 +136,15 @@ def ruled(kind=(), *checks, optional: bool = False, **field):
 
 def check_fields(obj) -> None:
     """Check a dataclass's fields by their rules, in order: a rule may read the
-    ones before.  One ``np.errstate`` covers the whole loop."""
+    ones before.  One ``np.errstate`` covers the whole loop.  A numpy scalar
+    that passes is stored as the Python number it holds, so that the config
+    and the report bodies that echo its fields hold JSON values only."""
     with np.errstate(all="ignore"):
         for f in dataclasses.fields(obj):
-            _check(f.name, getattr(obj, f.name), f.metadata["rule"], obj)
+            value = getattr(obj, f.name)
+            _check(f.name, value, f.metadata["rule"], obj)
+            if isinstance(value, np.generic):
+                object.__setattr__(obj, f.name, value.item())
 
 
 def read_text(path, where: str) -> str:

@@ -223,6 +223,30 @@ class TestPresets:
         with pytest.raises(ValueError, match="preset"):
             cf.preset("bogus")
 
+    @pytest.mark.parametrize("name", ["ideal", "paper"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"scenario": "ghz6", "seed": 7, "samples": 1_234, "workers": 2, "out_dir": "out"},
+            {"read_delay_us": 7.3, "calibration_weights": {"000": 1.5}, "calibration": None},
+        ],
+    )
+    def test_overrides_equal_with_overrides(self, name, overrides):
+        built = cf.preset(name, **overrides)
+        assert built.to_dict() == cf.preset(name).with_overrides(**overrides).to_dict()
+
+    def test_bad_override_refused_as_with_overrides(self):
+        with pytest.raises(ValueError) as once:
+            cf.preset("paper", samples=0)
+        with pytest.raises(ValueError) as twice:
+            cf.preset("paper").with_overrides(samples=0)
+        assert str(once.value) == str(twice.value)
+
+    def test_unknown_preset_refused_before_its_overrides(self):
+        with pytest.raises(ValueError, match="unknown preset 'bogus'"):
+            cf.preset("bogus", samples=0)
+
 
 class TestEnvelopeSpecs:
     def test_gaussian_spec(self):

@@ -425,6 +425,84 @@ class TestSampler:
         np.testing.assert_array_equal(a, b)
 
 
+def one_class_table(p=1e-8, dist=None):
+    """A one-class table over the click patterns, uniform unless ``dist``."""
+    dist = np.full(4**3, 1.0 / 4**3) if dist is None else dist
+    return ev.EventTable("s", np.array([p]), dist[None, :], 0.0)
+
+
+class TestEventTableChecks:
+    def test_negative_probability_refused(self):
+        with pytest.raises(ValueError, match="^negative probabilities in event table$"):
+            one_class_table(p=-1e-20)
+
+    def test_negative_distribution_refused(self):
+        dist = np.full(64, 1.0 / 64)
+        dist[6] += dist[5] + 2e-12  # still normalized: only the sign is wrong
+        dist[5] = -2e-12
+        with pytest.raises(ValueError, match="^negative probabilities in event table$"):
+            one_class_table(dist=dist)
+
+    def test_rounding_below_zero_is_clipped(self):
+        dist = np.full(64, 1.0 / 64)
+        dist[6] += dist[5] + 5e-13
+        dist[5] = -5e-13
+        table = one_class_table(dist=dist)
+        assert table.distributions[0, 5] == 0.0
+
+    def test_unnormalized_distribution_refused(self):
+        dist = np.full(64, 1.0 / 64)
+        dist[0] += 2e-9
+        message = "^event-class distributions must be normalized$"
+        with pytest.raises(ValueError, match=message):
+            one_class_table(dist=dist)
+
+    def test_mismatched_shapes_refused(self):
+        with pytest.raises(ValueError, match="^mismatched table shapes$"):
+            ev.EventTable("s", np.array([1e-8, 1e-8]), np.full((1, 64), 1.0 / 64), 0.0)
+
+    def test_nan_passes_the_checks(self):
+        # a comparison with NaN is false, so no check refuses it
+        table = ev.EventTable("s", np.array([np.nan]), np.full((1, 64), np.nan), 0.0)
+        assert math.isnan(table.p_sixfold)
+        table = one_class_table(p=np.nan)
+        assert math.isnan(table.p_sixfold)
+
+    def test_empty_table_fails_at_the_normalization_max(self):
+        with pytest.raises(ValueError, match="^zero-size array to reduction operation maximum"):
+            ev.EventTable("s", np.zeros(0), np.zeros((0, 64)), 0.0)
+
+
+class TestEventTableCache:
+    def test_sum_and_mixture_repeat_bit_for_bit(self):
+        table = ev.build_event_tables(noisy_config(), [ev.ghz6_settings()[2]])[0]
+        p = table.p_sixfold
+        mixture = table.outcome_distribution()
+        assert type(p) is float
+        assert p == float(table.probabilities.sum())
+        assert table.p_sixfold == p
+        np.testing.assert_array_equal(mixture, table.probabilities @ table.distributions / p)
+        again = table.outcome_distribution()
+        assert again is mixture
+        assert again.tobytes() == mixture.tobytes()
+
+    def test_mixture_is_read_only(self):
+        table = ev.build_event_tables(noisy_config(), [ev.ghz3_settings()[1]])[0]
+        mixture = table.outcome_distribution()
+        assert not mixture.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mixture[0] = 0.0
+
+    def test_sample_draws_from_the_cached_mixture(self):
+        table = ev.build_event_tables(noisy_config(), [ev.ghz3_settings()[1]])[0]
+        rng = lambda: np.random.Generator(np.random.Philox(key=7))
+        dist = table.probabilities @ table.distributions / table.p_sixfold
+        np.testing.assert_array_equal(
+            table.sample(10_000, rng()), rng().multinomial(10_000, dist / dist.sum())
+        )
+        assert table.outcome_distribution().tobytes() == dist.tobytes()
+
+
 class TestStationLayout:
     """What events derives from the station's node table (optics.NODE_IDS)."""
 

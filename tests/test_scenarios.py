@@ -663,9 +663,7 @@ class TestGhzScenarios:
         n_streams, n_draws, n_integrals = len(streams), sum(draws), len(integrals)
         # the runner alone, outside run_scenario, gives the same body
         body, *_ = h._RUNNERS[scenario](cfg, h._TableStreams(cfg.seed))
-        plain = h.RunReport(
-            scenario, cfg.seed, {**report.body, **h._plain(body)}, meta={}
-        )
+        plain = h.RunReport(scenario, cfg.seed, {**report.body, **body}, meta={})
         assert report.body_json() == plain.body_json()
         envelope = {"scenario", "seed", "samples", "config"}
         assert set(report.body) == set(body) | envelope
@@ -753,6 +751,34 @@ class TestLimits:
         assert plain["fidelity"]["exact"] == plain["limit"]["fidelity"]
         assert weighted["fidelity"]["exact"] == plain["limit"]["fidelity"]
         assert weighted["limit"]["fidelity"] > plain["limit"]["fidelity"] + 0.005
+
+    @pytest.mark.parametrize("scenario, weights", [("ghz3", GHZ3_WEIGHTS), ("ghz6", GHZ6_WEIGHTS)])
+    def test_exact_fidelity_estimated_once_without_weights(self, scenario, weights, monkeypatch):
+        estimate = w.fidelity_from_counts
+        calls = []
+        monkeypatch.setattr(h.w, "fidelity_from_counts", lambda *a: calls.append(a) or estimate(*a))
+        cfg = paper_cfg(scenario=scenario, samples=1_000, seed=2)
+        plain = h.run_scenario(cfg).body
+        # the drawn counts, then the exact distributions once for both keys
+        assert len(calls) == 2
+        assert plain["fidelity"]["exact"].hex() == plain["limit"]["fidelity"].hex()
+
+        calls.clear()
+        weighted = h.run_scenario(cfg.with_overrides(calibration_weights=weights)).body
+        assert len(calls) == 3
+        # exact stays the unweighted estimate on the exact distributions
+        spec, settings = (
+            (ev.GHZ6_SPEC, ev.ghz6_settings()) if scenario == "ghz6"
+            else (ev.GHZ3_SPEC, ev.ghz3_settings())
+        )
+        exact = {
+            t.setting_id: t.outcome_distribution().reshape(-1, 2**spec.n_qubits).sum(axis=0)
+            for t in ev.build_event_tables(cfg, settings)
+        }
+        assert weighted["fidelity"]["exact"].hex() == estimate(spec, exact)[0].hex()
+        assert weighted["fidelity"]["exact"].hex() == plain["fidelity"]["exact"].hex()
+        limit = estimate(spec, exact, w.weight_array(spec, weights))[0]
+        assert weighted["limit"]["fidelity"].hex() == limit.hex()
 
     @pytest.mark.parametrize("scenario, weights", [("ghz3", GHZ3_WEIGHTS), ("ghz6", GHZ6_WEIGHTS)])
     def test_weighted_estimate_sits_on_its_limit(self, scenario, weights):
@@ -912,6 +938,30 @@ class TestColdStart:
 # reports and emission
 
 
+# the types a body holds as built, with each key a str
+PLAIN_JSON = frozenset((dict, list, str, int, float, bool, type(None)))
+# a different temporal mode per node
+MIXED_ENVELOPES = {
+    "I": GAUSSIAN,
+    "II": {"shape": "square", "start_us": -0.5, "width_us": 2.0},
+    "III": {"shape": "exponential-decay", "start_us": -0.3, "tau_us": 0.5},
+}
+
+
+def json_kinds(value, path=""):
+    """``(key path, exact type)`` of ``value`` and of everything it holds;
+    a dict key that is not a str is reported as its own path."""
+    yield path, type(value)
+    if type(value) is dict:
+        for key, item in value.items():
+            if type(key) is not str:
+                yield f"{path}.<key {key!r}>", type(key)
+            yield from json_kinds(item, f"{path}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from json_kinds(item, f"{path}[{i}]")
+
+
 class TestReports:
     def test_body_is_json_clean(self):
         rep = h.run_scenario(paper_cfg(scenario="ghz3", samples=1_000, seed=0))
@@ -919,6 +969,49 @@ class TestReports:
         assert parsed["scenario"] == "ghz3"
         assert "workers" not in parsed["config"]
         assert "out_dir" not in parsed["config"]
+
+    @pytest.mark.parametrize(
+        "scenario, overrides",
+        [
+            *((scenario, {}) for scenario in cf.SCENARIO_IDS),
+            ("ghz6", {"envelopes": MIXED_ENVELOPES}),
+            ("ghz3", {"envelopes": MIXED_ENVELOPES}),
+            ("ghz6", {"calibration_weights": {"000000": 1.5, "111111": 0.7}}),
+            ("ghz3", {"calibration_weights": {"000": 1.5, "111": 0.7}}),
+        ],
+    )
+    def test_body_is_plain_json_as_built(self, scenario, overrides):
+        # run_scenario keeps the body the runner built: every value is
+        # already a JSON type, with no numpy scalar, array or tuple left
+        body = h.run_scenario(paper_cfg(scenario=scenario, samples=2_000, **overrides)).body
+        stray = {path: kind for path, kind in json_kinds(body) if kind not in PLAIN_JSON}
+        assert stray == {}
+
+    @pytest.mark.parametrize(
+        "scenario, given, python",
+        [
+            (
+                "ghz3",
+                {"samples": np.int64(2_000), "seed": np.uint64(3), "read_delay_us": np.float32(1.5),
+                 "calibration_weights": {"000": np.float32(1.5)}},
+                {"seed": 3, "read_delay_us": 1.5, "calibration_weights": {"000": 1.5}},
+            ),
+            (
+                "lifetime_sweep",
+                {"scenario_params": {"delays_us": (np.float64(0.0), 5.28, np.float32(10.5), 16)}},
+                {"scenario_params": {"delays_us": [0.0, 5.28, 10.5, 16]}},
+            ),
+        ],
+    )
+    def test_numpy_numbers_and_tuples_in_a_config_give_a_plain_body(self, scenario, given, python):
+        # the config's rules take them; the body and the config JSON hold
+        # the Python numbers and lists they stand for
+        cfg = paper_cfg(**{"scenario": scenario, "samples": 2_000, **given})
+        plain = paper_cfg(scenario=scenario, samples=2_000, **python)
+        body = h.run_scenario(cfg).body
+        assert {path: kind for path, kind in json_kinds(body) if kind not in PLAIN_JSON} == {}
+        assert h.report_json(body) == h.run_scenario(plain).body_json()
+        assert cfg.to_json() == plain.to_json()
 
     def test_emit_writes_bundle(self, tmp_path):
         rep = h.run_scenario(paper_cfg(scenario="ghz6", samples=1_000, seed=0))
