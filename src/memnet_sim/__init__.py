@@ -7,13 +7,6 @@ witness / visibility / rate analysis."""
 __version__ = "0.1.0"
 
 __all__ = [
-    "cli",
-    "config",
-    "detection",
-    "events",
-    "harness",
-    "node",
-    "optics",
-    "quantum",
-    "witness",
+    "cli", "config", "detection", "events", "fit", "harness",
+    "node", "optics", "quantum", "rules", "witness",
 ]

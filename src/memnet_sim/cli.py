@@ -57,14 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> cf.ExperimentConfig:
-    """The config from ``--config`` or ``--preset`` with the flags applied;
-    a preset takes them in its one construction."""
+    """The config from ``--config`` or ``--preset``, the flags applied in
+    its one construction."""
     flags = {name: getattr(args, name) for name in ("scenario", "seed", "samples", "workers")}
     overrides = {k: v for k, v in {**flags, "out_dir": args.out}.items() if v is not None}
     if args.config is None:
         return cf.preset(args.preset or "paper", **overrides)
-    cfg = cf.ExperimentConfig.from_json(args.config)
-    return cfg.with_overrides(**overrides) if overrides else cfg
+    return cf.ExperimentConfig.from_json(args.config, **overrides)
 
 
 def main(argv=None) -> int:

@@ -1,11 +1,13 @@
-"""Experiment configuration: timing schedule, presets, JSON (de)serialization.
+"""Experiment configuration: config classes, presets, JSON (de)serialization.
 
 A run is fully described by one ``ExperimentConfig``: the three node
-parameter sets, the detector model, the trial schedule, a scenario id and
-the sampling/reporting knobs.  Reports are a pure function of
-``(config, seed)``, so configs are value types and serialize losslessly to
-JSON.  ``report_json`` is the package's one JSON writer, for configs and
-reports alike.
+parameter sets (``NodeConfig``), the detector model (``DetectorConfig``),
+the trial schedule (``TimingConfig``), a scenario id and the
+sampling/reporting knobs.  Every config class and its rules live here, on
+the checker in ``rules``; the envelope argument rules live in ``optics``,
+whose constructors check them.  Reports are a pure function of ``(config,
+seed)``, so configs are value types and serialize losslessly to JSON.
+``report_json`` is the package's one JSON writer, for configs and reports.
 
 The trial schedule follows the experiment's clock: each cycle of
 ``cycle_ms`` spends ``loading_ms`` preparing the ensembles and leaves a
@@ -23,9 +25,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import quantum as q
-from .detection import DetectorConfig
-from .node import IS_NODE_ID, NodeConfig
+from . import rules as r
 from .optics import ENVELOPE_RULES, GAUSSIAN_WIDTH, NODE_IDS, Envelope
 
 # scenario -> the scenario_params keys it takes
@@ -80,7 +80,7 @@ def _check_envelopes(envelopes: dict, _) -> bool:
             raise ValueError(f"{where} must be an object, not {spec!r}")
         for key, val in spec.items():
             if key in ENVELOPE_RULES:
-                q.check(f"{where} key {key!r}", val, ENVELOPE_RULES[key], kind_only=True)
+                r.check(f"{where} key {key!r}", val, ENVELOPE_RULES[key], kind_only=True)
         if "csv" in spec:
             required, allowed = {"csv"}, {"csv"}
         elif spec.get("shape") in _ENVELOPE_SHAPES:
@@ -102,6 +102,52 @@ def _check_envelopes(envelopes: dict, _) -> bool:
     return True
 
 
+# a node's id, also a pair scenario's scenario_params key 'node'
+IS_NODE_ID = r.must(lambda v: v in NODE_IDS, f"one of {list(NODE_IDS)}")
+# the write outcome probabilities are 1 - p_w - p_w**2, p_w and p_w**2
+_P_W = r.must(lambda v: v >= 0.0 and v + v * v <= 1.0, "non-negative with p_w + p_w**2 <= 1")
+# the sweeps' default delays reach 22 periods, the swap's default detunings 4 * 2 pi / period
+_PERIOD_FEEDS = r.must(
+    lambda v: math.isfinite(22.0 * v) and math.isfinite(8.0 * math.pi / v),
+    "a period whose 22 periods and 8 pi / period are finite",
+)
+
+
+@dataclass(frozen=True)
+class NodeConfig:
+    """Static parameters of one memory node.
+
+    ``p_w`` is the detected write-out probability per attempt (source
+    efficiency times write-arm transmission and detection), ``eta_r0`` the
+    zero-delay retrieval efficiency including the read arm.  Time constants
+    are in microseconds; ``math.inf`` disables the corresponding decay.
+    """
+
+    node_id: str = r.ruled(r.STRING, IS_NODE_ID, default="I")
+    p_w: float = r.ruled(r.NUMBER, _P_W, default=0.015)
+    eta_r0: float = r.ruled(r.NUMBER, r.UNIT, default=0.40)
+    tau_mem_us: float = r.ruled(r.NUMBER, r.POSITIVE, default=math.inf)  # inf: no decay
+    tau_vis_us: float = r.ruled(r.NUMBER, r.POSITIVE, default=math.inf)
+    zeeman_period_us: float = r.ruled(r.NUMBER, r.POSITIVE_FINITE, _PERIOD_FEEDS, default=5.28)
+    phi0: float = r.ruled(r.NUMBER, r.must(r.is_finite, "finite"), default=0.0)
+    excitation_order: int = r.ruled(r.INTEGER, r.must(lambda v: v in (1, 2), "1 or 2"), default=2)
+    depol_weight: float = r.ruled(r.NUMBER, r.UNIT, default=0.0)
+    branch_weight_down: float = r.ruled(r.NUMBER, r.UNIT, default=0.5)
+
+    def __post_init__(self) -> None:
+        r.check_fields(self)
+
+
+@dataclass(frozen=True)
+class DetectorConfig:
+    """Per-channel dark-count probability in one detection window."""
+
+    dark_count_prob: float = r.ruled(r.NUMBER, r.UNIT, default=0.0)
+
+    def __post_init__(self) -> None:
+        r.check_fields(self)
+
+
 _FITS_CYCLE = (
     lambda window, t: t.loading_ms + window <= t.cycle_ms + 1e-9,
     "loading plus memory window exceeds the cycle: {name} {value!r}",
@@ -119,14 +165,14 @@ _FITS_WINDOW = (
 
 @dataclass(frozen=True)
 class TimingConfig:
-    cycle_ms: float = q.ruled(q.NUMBER, q.POSITIVE_FINITE, default=21.0)
-    loading_ms: float = q.ruled(q.NUMBER, q.POSITIVE_FINITE, default=18.0)
-    memory_window_ms: float = q.ruled(q.NUMBER, q.POSITIVE_FINITE, _FITS_CYCLE, default=3.0)
-    trial_us: float = q.ruled(q.NUMBER, q.POSITIVE_FINITE, _LIMIT_FINITE, default=4.7)
-    max_trials_per_load: int = q.ruled(q.INTEGER, _FITS_WINDOW, default=622)
+    cycle_ms: float = r.ruled(r.NUMBER, r.POSITIVE_FINITE, default=21.0)
+    loading_ms: float = r.ruled(r.NUMBER, r.POSITIVE_FINITE, default=18.0)
+    memory_window_ms: float = r.ruled(r.NUMBER, r.POSITIVE_FINITE, _FITS_CYCLE, default=3.0)
+    trial_us: float = r.ruled(r.NUMBER, r.POSITIVE_FINITE, _LIMIT_FINITE, default=4.7)
+    max_trials_per_load: int = r.ruled(r.INTEGER, _FITS_WINDOW, default=622)
 
     def __post_init__(self) -> None:
-        q.check_fields(self)
+        r.check_fields(self)
 
     @property
     def trials_per_second(self) -> float:
@@ -136,17 +182,17 @@ class TimingConfig:
 
 def _at_least(low: float):
     """A test for a finite number of at least ``low``."""
-    return lambda v: q.is_real(v) and q.is_finite(v) and v >= low
+    return lambda v: r.is_real(v) and r.is_finite(v) and v >= low
 
 
 def _gaussian(width_us) -> bool:  # the swap's modes are Gaussians
     return all(test(width_us, None) for test, _ in GAUSSIAN_WIDTH.kind + GAUSSIAN_WIDTH.checks)
 
 
-def _list_of(item, what: str) -> q.Rule:
+def _list_of(item, what: str) -> r.Rule:
     """A non-empty list whose every item passes ``item``."""
     is_list = lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(item, v))
-    return q.Rule((), (q.must(is_list, "a non-empty list of " + what),))
+    return r.Rule((), (r.must(is_list, "a non-empty list of " + what),))
 
 
 _GAUSSIAN = "small enough for a Gaussian grid"
@@ -154,18 +200,18 @@ _GAUSSIAN = "small enough for a Gaussian grid"
 # scenario_params key -> its rule; which keys the configured scenario takes,
 # and how many delay points a sweep needs, is checked when the scenario starts
 PARAM_RULES = {
-    "node": q.Rule((), (IS_NODE_ID,)),
+    "node": r.Rule((), (IS_NODE_ID,)),
     "delays_us": _list_of(_at_least(0.0), "non-negative finite numbers"),  # storage times
     "delta_omega_rad_per_us": _list_of(_at_least(-math.inf), "finite numbers"),
     "width_us": _list_of(_gaussian, f"positive finite numbers, each {_GAUSSIAN}"),
-    "point_width_us": q.Rule((), (q.must(_gaussian, f"a positive finite number {_GAUSSIAN}"),)),
+    "point_width_us": r.Rule((), (r.must(_gaussian, f"a positive finite number {_GAUSSIAN}"),)),
 }
 
 
 def _check_params(params: dict, _) -> bool:
     for key, value in params.items():
         if key in PARAM_RULES:
-            q.check(f"scenario_params key {key!r}", value, PARAM_RULES[key])
+            r.check(f"scenario_params key {key!r}", value, PARAM_RULES[key])
     return True
 
 
@@ -181,25 +227,25 @@ def _witness_bounded(weight, cfg) -> bool:
     return math.isfinite(4.0 * total * total)
 
 
-_WEIGHT = q.Rule(
+_WEIGHT = r.Rule(
     (),
     (
-        q.must(lambda v: _at_least(0.0)(v) and v > 0.0, "a positive number"),
+        r.must(lambda v: _at_least(0.0)(v) and v > 0.0, "a positive number"),
         (_witness_bounded, "{name} {value!r} overflows the witness variance at this sample count"),
     ),
 )
-_PATTERN = q.Rule((), (q.must(_is_pattern, "an outcome pattern of 0s and 1s"),))
+_PATTERN = r.Rule((), (r.must(_is_pattern, "an outcome pattern of 0s and 1s"),))
 
 
 def _check_weights(weights: dict, cfg) -> bool:
     for key, value in weights.items():
-        q.check(f"calibration weight {key!r}", value, _WEIGHT, cfg)
-        q.check(f"calibration weight key {key!r}", key, _PATTERN)
+        r.check(f"calibration weight {key!r}", value, _WEIGHT, cfg)
+        r.check(f"calibration weight key {key!r}", key, _PATTERN)
     return True
 
 
 def _instance_of(cls) -> tuple:
-    return q.must(lambda v: isinstance(v, cls), f"a {cls.__name__}")
+    return r.must(lambda v: isinstance(v, cls), f"a {cls.__name__}")
 
 
 def _three_in_order(nodes) -> bool:
@@ -208,38 +254,38 @@ def _three_in_order(nodes) -> bool:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    nodes: tuple[NodeConfig, NodeConfig, NodeConfig] = q.ruled(
-        (q.must(lambda v: isinstance(v, (list, tuple)), "a list"),),
-        q.must(_three_in_order, f"three NodeConfigs ordered {NODE_IDS}"),
+    nodes: tuple[NodeConfig, NodeConfig, NodeConfig] = r.ruled(
+        (r.must(lambda v: isinstance(v, (list, tuple)), "a list"),),
+        r.must(_three_in_order, f"three NodeConfigs ordered {NODE_IDS}"),
         default=tuple(NodeConfig(node_id=nid) for nid in NODE_IDS),
     )
-    detector: DetectorConfig = q.ruled((), _instance_of(DetectorConfig), default=DetectorConfig())
-    timing: TimingConfig = q.ruled((), _instance_of(TimingConfig), default=TimingConfig())
-    scenario: str = q.ruled(
-        q.STRING, q.must(lambda v: v in SCENARIO_IDS, f"one of {SCENARIO_IDS}"), default="ghz3"
+    detector: DetectorConfig = r.ruled((), _instance_of(DetectorConfig), default=DetectorConfig())
+    timing: TimingConfig = r.ruled((), _instance_of(TimingConfig), default=TimingConfig())
+    scenario: str = r.ruled(
+        r.STRING, r.must(lambda v: v in SCENARIO_IDS, f"one of {SCENARIO_IDS}"), default="ghz3"
     )
-    seed: int = q.ruled(
-        q.INTEGER, q.must(lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)"), default=0
+    seed: int = r.ruled(
+        r.INTEGER, r.must(lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)"), default=0
     )
     # numpy's multinomial draws at most 2**63 - 1 trials
-    samples: int = q.ruled(
-        q.INTEGER, q.must(lambda v: 1 <= v < 2**63, "an integer in [1, 2**63 - 1]"), default=10_000
+    samples: int = r.ruled(
+        r.INTEGER, r.must(lambda v: 1 <= v < 2**63, "an integer in [1, 2**63 - 1]"), default=10_000
     )
-    workers: int = q.ruled(q.INTEGER, q.must(lambda v: v >= 1, "an integer >= 1"), default=1)
-    read_delay_us: float = q.ruled(
-        q.NUMBER, q.must(_at_least(0.0), "non-negative and finite"), default=0.0
+    workers: int = r.ruled(r.INTEGER, r.must(lambda v: v >= 1, "an integer >= 1"), default=1)
+    read_delay_us: float = r.ruled(
+        r.NUMBER, r.must(_at_least(0.0), "non-negative and finite"), default=0.0
     )
-    interference_visibility: float = q.ruled(q.NUMBER, q.UNIT, default=1.0)
-    envelopes: dict | None = q.ruled(q.OBJECT, (_check_envelopes, ""), optional=True, default=None)
-    calibration_weights: dict | None = q.ruled(
-        q.OBJECT, (_check_weights, ""), optional=True, default=None
+    interference_visibility: float = r.ruled(r.NUMBER, r.UNIT, default=1.0)
+    envelopes: dict | None = r.ruled(r.OBJECT, (_check_envelopes, ""), optional=True, default=None)
+    calibration_weights: dict | None = r.ruled(
+        r.OBJECT, (_check_weights, ""), optional=True, default=None
     )
-    scenario_params: dict = q.ruled(q.OBJECT, (_check_params, ""), default_factory=dict)
-    out_dir: str | None = q.ruled(q.STRING, optional=True, default=None)
-    calibration: str | None = q.ruled(q.STRING, optional=True, default=None)
+    scenario_params: dict = r.ruled(r.OBJECT, (_check_params, ""), default_factory=dict)
+    out_dir: str | None = r.ruled(r.STRING, optional=True, default=None)
+    calibration: str | None = r.ruled(r.STRING, optional=True, default=None)
 
     def __post_init__(self) -> None:
-        q.check_fields(self)
+        r.check_fields(self)
         object.__setattr__(self, "nodes", tuple(self.nodes))
 
     def node(self, node_id: str) -> NodeConfig:
@@ -263,7 +309,8 @@ class ExperimentConfig:
         return {"schema_version": SCHEMA_VERSION, **data}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
+    def from_dict(cls, data: dict, **overrides) -> "ExperimentConfig":
+        """The config ``data`` holds, ``overrides`` (as ``preset`` takes them) built in."""
         data = _check_section("config", data, cls, extra=("schema_version",))
         version = data.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
@@ -276,7 +323,8 @@ class ExperimentConfig:
             "timing": lambda t: TimingConfig(**_check_section("timing", t, TimingConfig)),
             "scenario_params": dict,
         }
-        return cls(**{key: sections[key](v) if key in sections else v for key, v in data.items()})
+        built = {key: sections[key](v) if key in sections else v for key, v in data.items()}
+        return cls(**{**built, **overrides})
 
     def to_json(self, path=None) -> str:
         """The config as ``report_json`` text, also written to ``path`` with a
@@ -288,15 +336,15 @@ class ExperimentConfig:
         return text
 
     @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        """The config in file ``path``; a file that is not UTF-8 JSON raises
-        one line that names it, with json's line and column."""
+    def from_json(cls, path, **overrides) -> "ExperimentConfig":
+        """The config in file ``path``, ``overrides`` built in; a file that is not
+        UTF-8 JSON raises one line that names it, with json's line and column."""
         where = f"config {path}"
         try:
-            data = json.loads(q.read_text(path, where))
+            data = json.loads(r.read_text(path, where))
         except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ValueError(f"{where} is not JSON: {exc}") from None
-        return cls.from_dict(data)
+        return cls.from_dict(data, **overrides)
 
 
 def report_json(obj) -> str:
@@ -416,7 +464,7 @@ def _check_section(section: str, data, cls, extra=()) -> dict:
     data = {k: math.inf if k in _INF_IF_NULL and v is None else v for k, v in data.items()}
     for f in fields(cls):
         if f.name in data:
-            q.check(f"{section} key {f.name!r}", data[f.name], f.metadata["rule"], kind_only=True)
+            r.check(f"{section} key {f.name!r}", data[f.name], f.metadata["rule"], kind_only=True)
     return data
 
 

@@ -27,8 +27,6 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from . import quantum as q
-
 _TOL = 1e-9
 
 CSV_HEADER = "n_RL,n_LR,n_LL,n_RR,n_woR,n_woL,n_roR,n_roL,N"
@@ -41,16 +39,6 @@ _FIELD_CELLS[[0b1001, 0b0110, 0b0101, 0b1010], range(4)] = 1
 _FIELD_CELLS[:, 4:8] = np.arange(16)[:, None] >> np.arange(3, -1, -1) & 1
 _FIELD_CELLS[:, 8] = 1
 _FIELD_CELLS.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Per-channel dark-count probability in one detection window."""
-
-    dark_count_prob: float = q.ruled(q.NUMBER, q.UNIT, default=0.0)
-
-    def __post_init__(self) -> None:
-        q.check_fields(self)
 
 
 @dataclass(frozen=True)

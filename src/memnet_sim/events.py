@@ -145,14 +145,6 @@ def _port_outcomes(port_bases: np.ndarray, dark: float):
     return _single_click(hits, dark)
 
 
-def _memory_outcomes(memory_bases: np.ndarray, terms: nd.NodeTerms, dark: float):
-    """``_single_click`` of each memory analyzer of a ``(..., N, 2, 2)``
-    basis stack under each memory kind: ``(..., N, 4)`` click chances and
-    ``(..., N, 4, 2)`` distributions, from one ``node.readout`` of the
-    nodes' terms."""
-    return _single_click(nd.readout(terms, memory_bases), dark)
-
-
 def _branch_structure() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every incoherent write branch of the nodes, one row each, in the order
     of ``node.WRITE_BRANCHES`` taken node by node: the write outcome per
@@ -408,7 +400,7 @@ def build_event_tables(
     units = np.arange(_N)
     ports, memories, feedforward = _stack_bases(settings)
     port_p, port_d = _port_outcomes(ports, model.dark)
-    mem_p, mem_d = _memory_outcomes(memories, model.terms, model.dark)
+    mem_p, mem_d = _single_click(nd.readout(model.terms, memories), model.dark)  # by kind
     loads, kinds = model.branch_port_load, model.branch_memory_kind
     prob = _times_clicks(model.branch_probability, port_p, loads)
     prob = _times_clicks(prob, mem_p, kinds)  # (S, B)

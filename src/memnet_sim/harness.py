@@ -115,8 +115,8 @@ def _split_budget(n: int, k: int) -> list[int]:
 
 
 def _pair_trial_distribution(
-    node_cfg: nd.NodeConfig,
-    detector: det.DetectorConfig,
+    node_cfg: cf.NodeConfig,
+    detector: cf.DetectorConfig,
     write_basis: np.ndarray,
     read_basis: np.ndarray,
     dt_us,
@@ -204,7 +204,7 @@ def _rate_budget(cfg: cf.ExperimentConfig, acceptance: float) -> dict:
 # run_scenario has checked the scenario_params keys before a runner starts.
 
 
-def _eigen_super(node_cfg: nd.NodeConfig, detector: det.DetectorConfig, delays: np.ndarray):
+def _eigen_super(node_cfg: cf.NodeConfig, detector: cf.DetectorConfig, delays: np.ndarray):
     """The two-basis pair distributions at each delay: eigen (rows ``0::2``),
     write photon and spin read in R/L, then super (rows ``1::2``), write
     photon in H/V and the spin on the equator at that delay's Zeeman phase,
@@ -282,7 +282,7 @@ def _sweep_delays(cfg: cf.ExperimentConfig, default, minimum: int) -> np.ndarray
     return delays
 
 
-def _raman_fit(node_cfg: nd.NodeConfig, delays: np.ndarray, pairs: det.PairStack):
+def _raman_fit(node_cfg: cf.NodeConfig, delays: np.ndarray, pairs: det.PairStack):
     """raman_delay_sweep's points and its body's ``fit`` from its pair stack,
     with the fit and its gate's z for ``meta.fit``."""
     period = node_cfg.zeeman_period_us
@@ -348,7 +348,7 @@ _LIFETIME_HEADER = [
 ]
 
 
-def _lifetime_fit(node_cfg: nd.NodeConfig, delays: np.ndarray, pairs: det.PairStack):
+def _lifetime_fit(node_cfg: cf.NodeConfig, delays: np.ndarray, pairs: det.PairStack):
     """lifetime_sweep's points (``_LIFETIME_HEADER``) and its body's ``fit`` from
     its eigen/super pair stack, with the decay fit and its gate's z for ``meta.fit``."""
     eigen, super_ = slice(0, None, 2), slice(1, None, 2)

@@ -55,43 +55,7 @@ import numpy as np
 
 from . import detection as det
 from . import quantum as q
-from .optics import NODE_IDS
-
-
-# a node's id, also a pair scenario's scenario_params key 'node'
-IS_NODE_ID = q.must(lambda v: v in NODE_IDS, f"one of {list(NODE_IDS)}")
-# the write outcome probabilities are 1 - p_w - p_w**2, p_w and p_w**2
-_P_W = q.must(lambda v: v >= 0.0 and v + v * v <= 1.0, "non-negative with p_w + p_w**2 <= 1")
-# the sweeps' default delays reach 22 periods, the swap's default detunings 4 * 2 pi / period
-_PERIOD_FEEDS = q.must(
-    lambda v: math.isfinite(22.0 * v) and math.isfinite(8.0 * math.pi / v),
-    "a period whose 22 periods and 8 pi / period are finite",
-)
-
-
-@dataclass(frozen=True)
-class NodeConfig:
-    """Static parameters of one memory node.
-
-    ``p_w`` is the detected write-out probability per attempt (source
-    efficiency times write-arm transmission and detection), ``eta_r0`` the
-    zero-delay retrieval efficiency including the read arm.  Time constants
-    are in microseconds; ``math.inf`` disables the corresponding decay.
-    """
-
-    node_id: str = q.ruled(q.STRING, IS_NODE_ID, default="I")
-    p_w: float = q.ruled(q.NUMBER, _P_W, default=0.015)
-    eta_r0: float = q.ruled(q.NUMBER, q.UNIT, default=0.40)
-    tau_mem_us: float = q.ruled(q.NUMBER, q.POSITIVE, default=math.inf)  # inf: no decay
-    tau_vis_us: float = q.ruled(q.NUMBER, q.POSITIVE, default=math.inf)
-    zeeman_period_us: float = q.ruled(q.NUMBER, q.POSITIVE_FINITE, _PERIOD_FEEDS, default=5.28)
-    phi0: float = q.ruled(q.NUMBER, q.must(q.is_finite, "finite"), default=0.0)
-    excitation_order: int = q.ruled(q.INTEGER, q.must(lambda v: v in (1, 2), "1 or 2"), default=2)
-    depol_weight: float = q.ruled(q.NUMBER, q.UNIT, default=0.0)
-    branch_weight_down: float = q.ruled(q.NUMBER, q.UNIT, default=0.5)
-
-    def __post_init__(self) -> None:
-        q.check_fields(self)
+from .config import NodeConfig
 
 
 # write outcomes in write_probabilities' order; memory kinds in readout's,

@@ -48,6 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import quantum as q
+from . import rules as r
 
 _MAP_CIRCULAR_TO_H = np.array([[1, -1j], [1, 1j]], dtype=complex) / math.sqrt(2)
 _MAP_CIRCULAR_TO_V = np.array([[1, 1j], [1, -1j]], dtype=complex) / math.sqrt(2)
@@ -85,31 +86,31 @@ MAX_ENVELOPE_SAMPLES = 2**20
 
 # a finite time, in the words a config file's loader has long used for it
 _NOT_A_TIME = "{name} has a wrong type or value: {value!r} is not a finite number"
-_TIME = ((lambda v, _: q.is_real(v) and q.is_finite(v), _NOT_A_TIME),)
+_TIME = ((lambda v, _: r.is_real(v) and r.is_finite(v), _NOT_A_TIME),)
 _FITS = (
     lambda n, _: n <= MAX_ENVELOPE_SAMPLES,
     f"{{name}} exceeds {MAX_ENVELOPE_SAMPLES} samples: {{value}}",
 )
-_EIGHT_FINITE = q.must(lambda v: math.isfinite(8.0 * v), "small enough that 8 tau_us is finite")
+_EIGHT_FINITE = r.must(lambda v: math.isfinite(8.0 * v), "small enough that 8 tau_us is finite")
 
 # the keys of a config's envelope spec: a shape name or a CSV path, and the
 # arguments of the named constructors, which check them by the same rules
 ENVELOPE_RULES = {
-    "shape": q.Rule(q.STRING),
-    "csv": q.Rule(q.STRING),
-    "n": q.Rule((*q.INTEGER, _FITS), (q.must(lambda n: n > 1, "a grid of at least two samples"),)),
-    "center_us": q.Rule(_TIME),
-    "start_us": q.Rule(_TIME),
-    "width_us": q.Rule(_TIME, (q.POSITIVE,)),
-    "tau_us": q.Rule(_TIME, (q.POSITIVE, _EIGHT_FINITE)),  # a decay grid spans eight lifetimes
+    "shape": r.Rule(r.STRING),
+    "csv": r.Rule(r.STRING),
+    "n": r.Rule((*r.INTEGER, _FITS), (r.must(lambda n: n > 1, "a grid of at least two samples"),)),
+    "center_us": r.Rule(_TIME),
+    "start_us": r.Rule(_TIME),
+    "width_us": r.Rule(_TIME, (r.POSITIVE,)),
+    "tau_us": r.Rule(_TIME, (r.POSITIVE, _EIGHT_FINITE)),  # a decay grid spans eight lifetimes
 }
 # a Gaussian's grid squares offsets up to four widths and divides them by 4 w**2, so
 # that 32 w**2 must be finite and 4 w**2, computed as the constructor does, nonzero
 _GAUSSIAN_GRID = "{name} {value!r} is too %s for a finite Gaussian grid"
-GAUSSIAN_WIDTH = q.Rule(
+GAUSSIAN_WIDTH = r.Rule(
     _TIME,
     (
-        q.POSITIVE,
+        r.POSITIVE,
         (lambda w, _: math.isfinite(32.0 * float(w) * float(w)), _GAUSSIAN_GRID % "large"),
         (lambda w, _: 4.0 * w**2 > 0.0, _GAUSSIAN_GRID % "small"),
     ),
@@ -118,7 +119,7 @@ GAUSSIAN_WIDTH = q.Rule(
 
 def _check_arguments(**arguments) -> None:
     for name, value in arguments.items():
-        q.check(name, value, ENVELOPE_RULES[name])
+        r.check(name, value, ENVELOPE_RULES[name])
 
 
 @dataclass(frozen=True)
@@ -146,8 +147,8 @@ class Envelope:
             raise ValueError("envelope amplitudes must be finite") from None
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("envelope needs a 1-D grid of at least two samples")
-        q.check("start_us", self.start_us, ENVELOPE_RULES["start_us"])
-        q.check("step_us", self.step_us, q.Rule(q.NUMBER, (q.POSITIVE_FINITE,)))
+        r.check("start_us", self.start_us, ENVELOPE_RULES["start_us"])
+        r.check("step_us", self.step_us, r.Rule(r.NUMBER, (r.POSITIVE_FINITE,)))
         if not np.all(np.isfinite(vals)):
             raise ValueError("envelope amplitudes must be finite")
         with np.errstate(over="ignore"):
@@ -231,7 +232,7 @@ class Envelope:
         """Gaussian intensity profile with standard deviation ``width_us``,
         sampled over four widths on each side of its center."""
         _check_arguments(center_us=center_us, n=n)
-        q.check("width_us", width_us, GAUSSIAN_WIDTH)
+        r.check("width_us", width_us, GAUSSIAN_WIDTH)
         # checked in float64, so built in it: a float32 width would overflow
         center_us, width_us = float(center_us), float(width_us)
         start = center_us - 4.0 * width_us
@@ -263,7 +264,7 @@ class Envelope:
         """Read what ``to_csv`` writes, skipping blank lines and ``#``
         comments; every error is one line that names ``path``."""
         where = f"envelope CSV {path}"
-        lines = q.read_text(path, where).split("\n")
+        lines = r.read_text(path, where).split("\n")
         header = lines[0].strip()
         if header != "time_us,re,im":
             raise ValueError(f"{where} has header {header!r}, not 'time_us,re,im'")

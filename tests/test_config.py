@@ -9,9 +9,8 @@ import pytest
 
 from memnet_sim import config as cf
 from memnet_sim import optics as op
-from memnet_sim import quantum as q
-from memnet_sim.detection import DetectorConfig
-from memnet_sim.node import NodeConfig
+from memnet_sim import rules
+from memnet_sim.config import DetectorConfig, NodeConfig
 
 
 class TestTimingConfig:
@@ -297,7 +296,7 @@ class TestRules:
     def test_every_config_field_and_key_has_one_rule(self):
         for cls in (NodeConfig, DetectorConfig, cf.TimingConfig, cf.ExperimentConfig):
             for f in dataclasses.fields(cls):
-                assert isinstance(f.metadata.get("rule"), q.Rule), f"{cls.__name__}.{f.name}"
+                assert isinstance(f.metadata.get("rule"), rules.Rule), f"{cls.__name__}.{f.name}"
         param_keys = {key for keys in cf.SCENARIO_PARAMS.values() for key in keys}
         assert set(cf.PARAM_RULES) == param_keys
         spec_keys = {"shape", "csv", "n"}

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from memnet_sim import config as cf
 from memnet_sim import detection as det
 from memnet_sim import quantum as q
 
@@ -37,9 +38,9 @@ def synthetic_table(signal, true_vis, accidental, n_trials):
 
 class TestConfigAndTable:
     def test_detector_config_validation(self):
-        det.DetectorConfig()
+        cf.DetectorConfig()
         with pytest.raises(ValueError):
-            det.DetectorConfig(dark_count_prob=-0.1)
+            cf.DetectorConfig(dark_count_prob=-0.1)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):

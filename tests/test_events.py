@@ -15,8 +15,7 @@ from memnet_sim import node as nd
 from memnet_sim import optics as op
 from memnet_sim import quantum as q
 from memnet_sim import witness as w
-from memnet_sim.detection import DetectorConfig
-from memnet_sim.node import NodeConfig
+from memnet_sim.config import DetectorConfig, NodeConfig
 
 
 def noisy_config(p_w=0.3, dark=0.05, **node_kwargs):
@@ -760,8 +759,9 @@ class TestSettingsBatch:
 
             return wrapper
 
-        for name in ("_port_outcomes", "_memory_outcomes", "_coherent_subset_dists"):
+        for name in ("_port_outcomes", "_coherent_subset_dists"):
             monkeypatch.setattr(ev, name, counted(getattr(ev, name)))
+        monkeypatch.setattr(nd, "readout", counted(nd.readout))  # the memories' stage
         tables = ev.build_event_tables(noisy_config(), SETTING_LISTS[settings]())
         assert len(tables) == len(SETTING_LISTS[settings]())
-        assert calls == {"_port_outcomes": 1, "_memory_outcomes": 1, "_coherent_subset_dists": 1}
+        assert calls == {"_port_outcomes": 1, "readout": 1, "_coherent_subset_dists": 1}

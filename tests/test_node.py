@@ -38,7 +38,7 @@ def pair_in_circular_frame(cfg, dt_us=0.0):
 
 class TestConfigValidation:
     def test_defaults_ok(self):
-        node.NodeConfig()
+        config.NodeConfig()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -54,31 +54,31 @@ class TestConfigValidation:
     )
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            node.NodeConfig(**kwargs)
+            config.NodeConfig(**kwargs)
 
 
 class TestWriteProcess:
     def test_second_order_probabilities(self):
-        cfg = node.NodeConfig(p_w=0.015)
+        cfg = config.NodeConfig(p_w=0.015)
         p = node.write_probabilities(cfg)
         assert p == pytest.approx((1 - 0.015 - 0.015**2, 0.015, 0.015**2))
         assert sum(p) == pytest.approx(1.0)
 
     def test_first_order_suppresses_doubles(self):
-        cfg = node.NodeConfig(p_w=0.3, excitation_order=1)
+        cfg = config.NodeConfig(p_w=0.3, excitation_order=1)
         assert node.write_probabilities(cfg) == pytest.approx((0.7, 0.3, 0.0))
 
 
 class TestPairState:
     def test_reduced_states_maximally_mixed(self):
-        cfg = node.NodeConfig(branch_weight_down=0.5)
+        cfg = config.NodeConfig(branch_weight_down=0.5)
         state = node.entangled_pair_state(cfg)
         rho = state.matrix.reshape(2, 2, 2, 2)  # (photon, spin, photon, spin)
         for reduced in (np.einsum("asbs->ab", rho), np.einsum("sasb->ab", rho)):
             np.testing.assert_allclose(reduced, np.eye(2) / 2, atol=1e-12)
 
     def test_branch_weights_in_circular_frame(self):
-        cfg = node.NodeConfig(branch_weight_down=0.3)
+        cfg = config.NodeConfig(branch_weight_down=0.3)
         state = pair_in_circular_frame(cfg)
         probs = q.measurement_probabilities(
             state, [q.BASIS_Z, q.BASIS_Z], [q.photon("I"), q.spin("I")]
@@ -87,7 +87,7 @@ class TestPairState:
         np.testing.assert_allclose(probs, [0.3, 0.0, 0.0, 0.7], atol=1e-12)
 
     def test_circular_populations_ignore_phase(self):
-        cfg = node.NodeConfig(branch_weight_down=0.4, phi0=0.8)
+        cfg = config.NodeConfig(branch_weight_down=0.4, phi0=0.8)
         ref = q.measurement_probabilities(
             pair_in_circular_frame(cfg, 0.0),
             [q.BASIS_Z, q.BASIS_Z],
@@ -102,7 +102,7 @@ class TestPairState:
             np.testing.assert_allclose(probs, ref, atol=1e-12)
 
     def test_equatorial_correlation_tracks_zeeman_phase(self):
-        cfg = node.NodeConfig(phi0=0.3)
+        cfg = config.NodeConfig(phi0=0.3)
         labels = [q.photon("I"), q.spin("I")]
         for dt in (0.0, 1.1, 2.64, 5.0):
             phi = node.zeeman_phase(cfg, dt)
@@ -113,7 +113,7 @@ class TestPairState:
             assert e_quad == pytest.approx(0.0, abs=1e-12)
 
     def test_period_restores_correlation(self):
-        cfg = node.NodeConfig(zeeman_period_us=5.28)
+        cfg = config.NodeConfig(zeeman_period_us=5.28)
         labels = [q.photon("I"), q.spin("I")]
         e0 = equatorial_correlation(pair_in_circular_frame(cfg, 0.0), labels, [0, 0])
         e_half = equatorial_correlation(
@@ -126,20 +126,20 @@ class TestPairState:
         assert e_full == pytest.approx(e0, abs=1e-12)
 
     def test_depolarization_caps_visibility(self):
-        cfg = node.NodeConfig(depol_weight=0.2)
+        cfg = config.NodeConfig(depol_weight=0.2)
         state = pair_in_circular_frame(cfg)
         e = equatorial_correlation(state, [q.photon("I"), q.spin("I")], [0.0, 0.0])
         assert e == pytest.approx(0.8, abs=1e-12)
 
     def test_pure_when_no_depolarization(self):
-        state = node.entangled_pair_state(node.NodeConfig())
+        state = node.entangled_pair_state(config.NodeConfig())
         evals = np.linalg.eigvalsh(state.matrix)
         assert evals.max() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestStorageAndRetrieval:
     def test_efficiency_decay(self):
-        cfg = node.NodeConfig(eta_r0=0.4, tau_mem_us=75.0)
+        cfg = config.NodeConfig(eta_r0=0.4, tau_mem_us=75.0)
         assert node.retrieval_efficiency(cfg, 0.0) == pytest.approx(0.4)
         assert node.retrieval_efficiency(cfg, 75.0) == pytest.approx(0.4 / math.e)
         with pytest.raises(ValueError):
@@ -147,7 +147,7 @@ class TestStorageAndRetrieval:
 
     @pytest.mark.parametrize("dt", [1e308, np.array([0.0, 1e308])])
     def test_overflowing_zeeman_phase_refused(self, dt):
-        cfg = node.NodeConfig()
+        cfg = config.NodeConfig()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="storage time 1e\\+308 us overflows"):
@@ -156,14 +156,14 @@ class TestStorageAndRetrieval:
                 node.zeeman_phase(cfg, dt)
 
     def test_tiny_lifetime_decays_to_zero_without_warning(self):
-        cfg = node.NodeConfig(eta_r0=0.4, tau_mem_us=1e-320, tau_vis_us=1e-320)
+        cfg = config.NodeConfig(eta_r0=0.4, tau_mem_us=1e-320, tau_vis_us=1e-320)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             np.testing.assert_array_equal(node.memory_coherence(cfg, np.array([0.0, 1.0])), [1, 0])
             assert node.retrieval_efficiency(cfg, 1.0) == 0.0
 
     def test_infinite_lifetime(self):
-        cfg = node.NodeConfig(eta_r0=0.25)
+        cfg = config.NodeConfig(eta_r0=0.25)
         assert node.retrieval_efficiency(cfg, 1e6) == pytest.approx(0.25)
         assert node.memory_coherence(cfg, 1e6) == pytest.approx(1.0)
 
@@ -172,14 +172,14 @@ class TestStorageAndRetrieval:
     @example(sys.float_info.max)
     def test_infinite_coherence_time_keeps_coherence_exactly(self, dt):
         # the ideal preset's Raman and lifetime fits rely on this identity
-        cfg = node.NodeConfig(tau_vis_us=math.inf)
+        cfg = config.NodeConfig(tau_vis_us=math.inf)
         assert node.memory_coherence(cfg, dt) == 1.0
         np.testing.assert_array_equal(node.memory_coherence(cfg, [0.0, dt]), 1.0)
 
     def test_storage_matches_aged_creation(self):
         # evolving a fresh pair must equal the pure pair created with the
         # precessed phase phi0 + 2 pi dt / T baked in
-        cfg = node.NodeConfig(phi0=0.2, branch_weight_down=0.4)
+        cfg = config.NodeConfig(phi0=0.2, branch_weight_down=0.4)
         dt = 1.37
         evolved = node.storage_channel(cfg, node.entangled_pair_state(cfg), dt)
         down = np.sqrt(0.4) * np.kron(q.KET_R, q.KET_DOWN)
@@ -188,7 +188,7 @@ class TestStorageAndRetrieval:
         np.testing.assert_allclose(evolved.matrix, np.outer(ket, ket.conj()), atol=1e-12)
 
     def test_storage_dephasing(self):
-        cfg = node.NodeConfig(tau_vis_us=169.2)
+        cfg = config.NodeConfig(tau_vis_us=169.2)
         dt = 41.0
         state = node.storage_channel(cfg, node.entangled_pair_state(cfg), dt)
         phi = node.zeeman_phase(cfg, dt)
@@ -201,7 +201,7 @@ class TestStorageAndRetrieval:
     def test_read_photon_anticorrelated_circular(self):
         # write R goes with spin down, which reads out as L, and vice versa;
         # the harness analyzes the spin in that read-photon frame
-        cfg = node.NodeConfig()
+        cfg = config.NodeConfig()
         state = pair_in_circular_frame(cfg)
         probs = q.measurement_probabilities(
             state, [q.BASIS_Z, harness._SPIN_RL], [q.photon("I"), q.spin("I")]
@@ -209,7 +209,7 @@ class TestStorageAndRetrieval:
         np.testing.assert_allclose(probs, [0, 0.5, 0.5, 0], atol=1e-12)
 
     def test_half_period_storage_flips_phase(self):
-        cfg = node.NodeConfig(zeeman_period_us=5.28)
+        cfg = config.NodeConfig(zeeman_period_us=5.28)
         pair = node.entangled_pair_state(cfg)
         labels = [q.photon("I"), q.spin("I")]
         out0, out1 = (
@@ -227,7 +227,7 @@ class TestStorageAndRetrieval:
 
 
 def random_node(rng, node_id="I"):
-    return node.NodeConfig(
+    return config.NodeConfig(
         node_id,
         p_w=rng.uniform(0.01, 0.45),
         eta_r0=rng.uniform(0.2, 1.0),
@@ -324,7 +324,7 @@ class TestNodeTerms:
 
     @pytest.mark.parametrize("weight", [0.0, 1.0])
     def test_impossible_outcome_leaves_spin_maximally_mixed(self, weight):
-        cfg = node.NodeConfig(branch_weight_down=weight)
+        cfg = config.NodeConfig(branch_weight_down=weight)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             terms = node.node_terms(cfg, q.BASIS_RL, 2.0)
@@ -363,17 +363,17 @@ class TestNodeTerms:
 # three nodes that differ in every field; node I takes the special cases: no
 # double excitations, a pure pair and lifetimes that never decay
 DISTINCT_NODES = (
-    node.NodeConfig(
+    config.NodeConfig(
         "I", p_w=0.02, eta_r0=0.35, tau_mem_us=math.inf, tau_vis_us=math.inf,
         zeeman_period_us=5.28, phi0=0.0, excitation_order=1, depol_weight=0.0,
         branch_weight_down=0.5,
     ),
-    node.NodeConfig(
+    config.NodeConfig(
         "II", p_w=0.13, eta_r0=0.62, tau_mem_us=41.0, tau_vis_us=88.5,
         zeeman_period_us=4.1, phi0=1.3, excitation_order=2, depol_weight=0.07,
         branch_weight_down=0.37,
     ),
-    node.NodeConfig(
+    config.NodeConfig(
         "III", p_w=0.31, eta_r0=0.9, tau_mem_us=260.0, tau_vis_us=17.2,
         zeeman_period_us=7.7, phi0=-2.4, excitation_order=2, depol_weight=0.21,
         branch_weight_down=0.81,

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from memnet_sim import config as cf
 from memnet_sim import node, optics
 from memnet_sim import quantum as q
 
@@ -33,7 +34,7 @@ GHZ3_TARGET = ghz_ket((0, 0, 1), (1, 1, 0))
 def mapped_pairs(**node_kwargs):
     pairs = []
     for nid in optics.NODE_IDS:
-        cfg = node.NodeConfig(node_id=nid, **node_kwargs)
+        cfg = cf.NodeConfig(node_id=nid, **node_kwargs)
         pair = node.entangled_pair_state(cfg)
         pairs.append(
             q.apply_unitary(pair, optics.polarization_map(nid), [q.photon(nid)])

@@ -99,7 +99,7 @@ def random_node(rng, **fixed):
         depol_weight=rng.uniform(0.0, 0.3),
         branch_weight_down=rng.uniform(0.05, 0.95),
     )
-    return nd.NodeConfig("I", **{**kwargs, **fixed})
+    return cf.NodeConfig("I", **{**kwargs, **fixed})
 
 
 # delays with zero and repeated entries
@@ -137,7 +137,7 @@ CASES = cases()
 
 @pytest.mark.parametrize("node_cfg, dark, write_basis, read_basis, delays", CASES)
 def test_batched_rows_match_per_delay_reference(node_cfg, dark, write_basis, read_basis, delays):
-    detector = det.DetectorConfig(dark_count_prob=dark)
+    detector = cf.DetectorConfig(dark_count_prob=dark)
     if read_basis is None:
         rng = np.random.default_rng(len(delays))
         reads = np.array([random_unitary(rng) for _ in delays])
@@ -161,7 +161,7 @@ def test_batched_rows_match_per_delay_reference(node_cfg, dark, write_basis, rea
 
 
 def test_impossible_outcome_rows_hold_the_maximally_mixed_spin():
-    cfg = nd.NodeConfig(branch_weight_down=1.0, depol_weight=0.0, tau_vis_us=50.0)
+    cfg = cf.NodeConfig(branch_weight_down=1.0, depol_weight=0.0, tau_vis_us=50.0)
     terms = nd.node_terms(cfg, q.BASIS_RL, DELAYS)
     never = int(np.argmin(terms.born[0]))
     assert np.all(terms.born[:, never] == 0.0)

@@ -21,8 +21,7 @@ from memnet_sim import cli
 from memnet_sim import config as cf
 from memnet_sim import events as ev
 from memnet_sim import harness as h
-from memnet_sim.detection import DetectorConfig
-from memnet_sim.node import NodeConfig
+from memnet_sim.config import DetectorConfig, NodeConfig
 from memnet_sim.optics import NODE_IDS
 
 GAUSSIAN = {"shape": "gaussian", "center_us": 0.0, "width_us": 0.05}

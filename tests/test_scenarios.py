@@ -19,6 +19,7 @@ from memnet_sim import harness as h
 from memnet_sim import node as nd
 from memnet_sim import optics as op
 from memnet_sim import quantum as q
+from memnet_sim import rules
 from memnet_sim import witness as w
 
 
@@ -163,7 +164,7 @@ class TestPairTrialDistribution:
     def test_dark_counts_populate_anticorrelated_cells(self):
         cfg = ideal_cfg()
         node = cfg.node("I")
-        dark = det.DetectorConfig(dark_count_prob=0.002)
+        dark = cf.DetectorConfig(dark_count_prob=0.002)
         dist = h._pair_trial_distribution(node, dark, q.BASIS_RL, h._SPIN_RL, 0.0)
         table = expected_table(dist, 1e9)
         assert table.n_RR > 0.0
@@ -832,7 +833,7 @@ class TestRateArithmetic:
             cf.NodeConfig(**{**n.__dict__, "branch_weight_down": 1.0})
             for n in ideal_cfg().nodes
         )
-        cfg = ideal_cfg(nodes=nodes, detector=det.DetectorConfig(dark_count_prob=0.01))
+        cfg = ideal_cfg(nodes=nodes, detector=cf.DetectorConfig(dark_count_prob=0.01))
         assert h.rate_arithmetic(cfg)["pattern_acceptance"] == 0.0
         assert ev.conditional_success_estimate(ev.herald_model(cfg)) == 0.0
         for scenario in ("ghz6", "ghz3"):
@@ -843,7 +844,7 @@ class TestRateArithmetic:
         # the closed-form rate budget counts only first-order events, so it
         # must match the enumerated event tables exactly when double
         # excitations and dark counts are switched off
-        cfg = paper_cfg(detector=det.DetectorConfig(dark_count_prob=0.0))
+        cfg = paper_cfg(detector=cf.DetectorConfig(dark_count_prob=0.0))
         first_order = cfg.with_overrides(
             nodes=tuple(
                 cf.NodeConfig(**{**n.__dict__, "excitation_order": 1})
@@ -1318,6 +1319,29 @@ class TestCli:
         assert data["body"]["samples"] == 800
         assert data["seed"] == 3
 
+    def test_each_path_builds_its_config_once(self, tmp_path, monkeypatch, capsys):
+        # one check_fields per config object, the flags taken in the same
+        # construction: the preset's and the file's nodes, detector and config
+        data = cf.preset("paper").to_dict()
+        full, short = tmp_path / "full.json", tmp_path / "short.json"
+        full.write_text(json.dumps(data))
+        del data["timing"]  # the default, which the preset does not build
+        short.write_text(json.dumps(data))
+        checked = []
+        check_fields = rules.check_fields
+        counted = lambda obj: checked.append(obj) or check_fields(obj)
+        monkeypatch.setattr(rules, "check_fields", counted)
+        flags = ["--scenario", "ghz3", "--samples", "400", "--seed", "5", "--workers", "2"]
+        counts, bodies = [], []
+        for source in (["--preset", "paper"], ["--config", str(short)], ["--config", str(full)]):
+            checked.clear()
+            assert cli.main([*source, *flags]) == 0
+            counts.append(len(checked))
+            bodies.append(json.loads(capsys.readouterr().out)["body"])
+        assert counts == [5, 5, 6]
+        assert bodies[0] == bodies[1] == bodies[2]
+        assert bodies[0]["samples"] == 400
+
     def test_stdout_mode_prints_report(self, capsys):
         rc = cli.main(
             ["--preset", "ideal", "--scenario", "two_node_swap", "--seed", "1"]
@@ -1704,12 +1728,12 @@ class TestCli:
     @pytest.mark.parametrize(
         "build, key",
         [
-            pytest.param(lambda: nd.NodeConfig(phi0=HUGE), "phi0", id="phi0"),
+            pytest.param(lambda: cf.NodeConfig(phi0=HUGE), "phi0", id="phi0"),
             pytest.param(
-                lambda: nd.NodeConfig(zeeman_period_us=HUGE), "zeeman_period_us", id="zeeman"
+                lambda: cf.NodeConfig(zeeman_period_us=HUGE), "zeeman_period_us", id="zeeman"
             ),
-            pytest.param(lambda: nd.NodeConfig(tau_mem_us=HUGE), "tau_mem_us", id="tau_mem"),
-            pytest.param(lambda: nd.NodeConfig(tau_vis_us=HUGE), "tau_vis_us", id="tau_vis"),
+            pytest.param(lambda: cf.NodeConfig(tau_mem_us=HUGE), "tau_mem_us", id="tau_mem"),
+            pytest.param(lambda: cf.NodeConfig(tau_vis_us=HUGE), "tau_vis_us", id="tau_vis"),
             pytest.param(lambda: op.Envelope(HUGE, 1.0, [1, 1]), "start_us", id="start"),
             pytest.param(lambda: op.Envelope(0.0, HUGE, [1, 1]), "step_us", id="step"),
             # numpy's own conversion of the amplitudes overflows
