@@ -4,8 +4,9 @@ A run is fully described by one ``ExperimentConfig``: the three node
 parameter sets (``NodeConfig``), the detector model (``DetectorConfig``),
 the trial schedule (``TimingConfig``), a scenario id and the
 sampling/reporting knobs.  Every config class and its rules live here, on
-the checker in ``rules``; the envelope argument rules live in ``optics``,
-whose constructors check them.  Reports are a pure function of ``(config,
+the checker in ``rules``; the envelope argument rules, the named shapes
+and the spec reader ``Envelope.from_spec`` live in ``optics``, whose
+constructors check them.  Reports are a pure function of ``(config,
 seed)``, so configs are value types and serialize losslessly to JSON.
 ``report_json`` is the package's one JSON writer, for configs and reports.
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import rules as r
-from .optics import ENVELOPE_RULES, GAUSSIAN_WIDTH, NODE_IDS, Envelope
+from .optics import ENVELOPE_RULES, ENVELOPE_SHAPES, GAUSSIAN_WIDTH, NODE_IDS, Envelope
 
 # scenario -> the scenario_params keys it takes
 SCENARIO_PARAMS = {
@@ -41,30 +42,6 @@ SCENARIO_PARAMS = {
 SCENARIO_IDS = tuple(SCENARIO_PARAMS)
 
 SCHEMA_VERSION = 1
-
-# envelope shape -> (constructor, the spec keys it takes in argument order)
-_ENVELOPE_SHAPES = {
-    "gaussian": (Envelope.gaussian, ("center_us", "width_us")),
-    "square": (Envelope.square, ("start_us", "width_us")),
-    "exponential-decay": (Envelope.exponential_decay, ("start_us", "tau_us")),
-}
-
-
-def envelope_from_spec(spec) -> Envelope:
-    """Build a temporal envelope from its inline config description.
-
-    Named shapes: ``{"shape": "gaussian", "center_us", "width_us"}``,
-    ``{"shape": "square", "start_us", "width_us"}``,
-    ``{"shape": "exponential-decay", "start_us", "tau_us"}``, each accepting
-    an optional ``n``.  Alternatively ``{"csv": "<path>"}`` loads sampled
-    amplitudes.
-    """
-    if "csv" in spec:
-        return Envelope.from_csv(spec["csv"])
-    if spec.get("shape") not in _ENVELOPE_SHAPES:
-        raise ValueError(f"unknown envelope spec {spec!r}")
-    build, keys = _ENVELOPE_SHAPES[spec["shape"]]
-    return build(**{key: spec[key] for key in (*keys, "n") if key in spec})
 
 
 def _check_envelopes(envelopes: dict, _) -> bool:
@@ -83,12 +60,12 @@ def _check_envelopes(envelopes: dict, _) -> bool:
                 r.check(f"{where} key {key!r}", val, ENVELOPE_RULES[key], kind_only=True)
         if "csv" in spec:
             required, allowed = {"csv"}, {"csv"}
-        elif spec.get("shape") in _ENVELOPE_SHAPES:
-            required = {"shape", *_ENVELOPE_SHAPES[spec["shape"]][1]}
+        elif spec.get("shape") in ENVELOPE_SHAPES:
+            required = {"shape", *ENVELOPE_SHAPES[spec["shape"]]}
             allowed = required | {"n"}
         else:
             raise ValueError(
-                f"{where} needs a 'csv' path or a 'shape' among {sorted(_ENVELOPE_SHAPES)}"
+                f"{where} needs a 'csv' path or a 'shape' among {sorted(ENVELOPE_SHAPES)}"
             )
         missing = sorted(required - set(spec))
         unknown = sorted(set(spec) - allowed)
@@ -96,7 +73,7 @@ def _check_envelopes(envelopes: dict, _) -> bool:
             raise ValueError(f"{where}: missing key(s) {missing}, unknown key(s) {unknown}")
         if "shape" in spec:
             try:
-                envelope_from_spec(spec)
+                Envelope.from_spec(spec)
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
     return True

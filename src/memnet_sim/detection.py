@@ -190,14 +190,9 @@ def subtract_accidentals(table: CoincidenceTable) -> tuple[CoincidenceTable, boo
     return replace(table, **corrected), bool(pairs.clamped[0])
 
 
-def csv_number(value: float) -> str:
-    """CSV text of a count or measurement: integral values without a point."""
-    value = float(value)
-    return str(int(value)) if value.is_integer() else repr(value)
-
-
 def csv_numbers(values) -> list[str]:
-    """``csv_number`` of every entry of an array, in row-major order."""
+    """CSV text of every count or measurement of an array, in row-major
+    order: integral values without a point, every other value as its repr."""
     values = np.asarray(values, dtype=float).ravel().tolist()
     return [str(int(v)) if v.is_integer() else repr(v) for v in values]
 

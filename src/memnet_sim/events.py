@@ -50,7 +50,7 @@ from . import node as nd
 from . import optics as op
 from . import quantum as q
 from . import witness as w
-from .config import ExperimentConfig, envelope_from_spec
+from .config import ExperimentConfig
 
 # the station's nodes, which are also its ports; a click pattern holds a
 # bit per port and per memory
@@ -228,7 +228,7 @@ def herald_model(cfg: ExperimentConfig) -> HeraldModel:
 def _station_branch_terms(cfg: ExperimentConfig, terms) -> tuple[op.BranchTerm, ...]:
     """The station's branch terms of the heralded state, memories already
     aged; raises ValueError when the post-selection has zero probability."""
-    envelopes = {nid: envelope_from_spec(s) for nid, s in (cfg.envelopes or {}).items()}
+    envelopes = {nid: op.Envelope.from_spec(s) for nid, s in (cfg.envelopes or {}).items()}
     _, branch_terms = op.station_branches(
         terms.pair,
         envelopes=envelopes or None,

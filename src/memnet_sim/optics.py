@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -104,6 +104,13 @@ ENVELOPE_RULES = {
     "width_us": r.Rule(_TIME, (r.POSITIVE,)),
     "tau_us": r.Rule(_TIME, (r.POSITIVE, _EIGHT_FINITE)),  # a decay grid spans eight lifetimes
 }
+# envelope shape -> the spec keys its constructor, named by the shape with "_"
+# for "-", takes in argument order
+ENVELOPE_SHAPES = {
+    "gaussian": ("center_us", "width_us"),
+    "square": ("start_us", "width_us"),
+    "exponential-decay": ("start_us", "tau_us"),
+}
 # a Gaussian's grid squares offsets up to four widths and divides them by 4 w**2, so
 # that 32 w**2 must be finite and 4 w**2, computed as the constructor does, nonzero
 _GAUSSIAN_GRID = "{name} {value!r} is too %s for a finite Gaussian grid"
@@ -128,17 +135,22 @@ class Envelope:
 
     ``values[k]`` is the complex amplitude at ``start_us + k * step_us``.
     The squared modulus integrates to one (trapezoidal rule), so it is the
-    detection-time probability density of the photon.  The grid times and
-    their trapezoidal weights are read-only arrays built once per envelope:
-    the times when it is made, refusing a grid whose times are not finite
-    and increasing, and the weights on first use.  The squared norm and the
-    weighted conjugate amplitudes, which the swap integrals read, are also
-    built once, on first use, the latter as a read-only array.
+    detection-time probability density of the photon.  Everything the
+    integrals read is built once, when the envelope is made, refusing a
+    grid whose times are not finite and increasing: the read-only arrays
+    ``times_us``, ``trapezoid_weights`` (``sum(w * y)`` is the trapezoidal
+    integral of ``y`` sampled on ``times_us``) and ``weighted_conjugate``
+    (``w * conj(values)``), and ``squared_norm``, ``A = sum(w * |values|**2)``,
+    one up to rounding.
     """
 
     start_us: float
     step_us: float
     values: np.ndarray
+    times_us: np.ndarray = field(init=False, repr=False, compare=False)
+    trapezoid_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    squared_norm: float = field(init=False, repr=False, compare=False)
+    weighted_conjugate: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         try:
@@ -159,45 +171,21 @@ class Envelope:
         if norm <= 0.0:
             raise ValueError("envelope has zero norm")
         vals = vals / math.sqrt(norm)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        self.times_us  # built now, so a bad grid fails when the envelope is made
-
-    @functools.cached_property
-    def times_us(self) -> np.ndarray:
-        n = self.values.size
+        n = vals.size
         last = float(self.start_us) + float(self.step_us) * (n - 1)  # t[-1], warning-free
-        if math.isfinite(last):
-            t = self.start_us + self.step_us * np.arange(n)
-            if np.all(np.diff(t) > 0.0):
-                t.setflags(write=False)
-                return t
-        raise ValueError(
-            f"grid times must be finite and increasing: {n} samples {self.step_us!r} us "
-            f"apart from {self.start_us!r} us end at {last!r} us"
-        )
-
-    @functools.cached_property
-    def trapezoid_weights(self) -> np.ndarray:
-        """Weights ``w`` with ``sum(w * y)`` the trapezoidal integral of ``y``
-        sampled on ``times_us``."""
-        w = _trapezoid_weights(self.times_us)
-        w.setflags(write=False)
-        return w
-
-    @functools.cached_property
-    def squared_norm(self) -> float:
-        """``A = sum(w * |values|**2)``, the trapezoidal integral of the
-        detection-time density: one up to rounding."""
-        return _squared_norm(self.trapezoid_weights, self.values)
-
-    @functools.cached_property
-    def weighted_conjugate(self) -> np.ndarray:
-        """``w * conj(values)``: a sum of it times ``y`` is the trapezoidal
-        integral of ``conj(values) * y``."""
-        wc = self.trapezoid_weights * np.conj(self.values)
-        wc.setflags(write=False)
-        return wc
+        t = self.start_us + self.step_us * np.arange(n) if math.isfinite(last) else None
+        if t is None or not np.all(np.diff(t) > 0.0):
+            raise ValueError(
+                f"grid times must be finite and increasing: {n} samples {self.step_us!r} us "
+                f"apart from {self.start_us!r} us end at {last!r} us"
+            )
+        w = _trapezoid_weights(t)
+        built = {"values": vals, "times_us": t, "trapezoid_weights": w}
+        built["weighted_conjugate"] = w * np.conj(vals)
+        for name, array in built.items():
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "squared_norm", _squared_norm(w, vals))
 
     def shares_grid(self, other: "Envelope") -> bool:
         """Whether both envelopes sample the same times."""
@@ -219,8 +207,8 @@ class Envelope:
         """Mode overlap ``integral(conj(other) * self * exp(i dw t) dt)``.
 
         This is the inner product of the two temporal modes when ``self`` is
-        detuned by ``+delta_omega`` relative to ``other``; its modulus never
-        exceeds one.
+        detuned by ``+delta_omega`` relative to ``other``; its modulus does
+        not exceed one, up to rounding.
         """
         t, _, a, b = _common_grid(self, other)
         _check_beat(t, delta_omega_rad_per_us)
@@ -255,13 +243,10 @@ class Envelope:
         t = step * np.arange(n)
         return cls(start_us, step, np.exp(-t / (2.0 * tau_us)))
 
-    def to_csv(self, path) -> None:
-        rows = np.column_stack([self.times_us, self.values.real, self.values.imag])
-        np.savetxt(path, rows, delimiter=",", header="time_us,re,im", comments="")
-
     @classmethod
     def from_csv(cls, path) -> "Envelope":
-        """Read what ``to_csv`` writes, skipping blank lines and ``#``
+        """Read a ``time_us,re,im`` header, then one row of grid time, real and
+        imaginary amplitude per sample, skipping blank lines and ``#``
         comments; every error is one line that names ``path``."""
         where = f"envelope CSV {path}"
         lines = r.read_text(path, where).split("\n")
@@ -290,6 +275,24 @@ class Envelope:
         except ValueError as exc:
             raise ValueError(f"{exc} ({where})") from None
 
+    @classmethod
+    def from_spec(cls, spec) -> "Envelope":
+        """Build a temporal envelope from its inline config description.
+
+        Named shapes: ``{"shape": "gaussian", "center_us", "width_us"}``,
+        ``{"shape": "square", "start_us", "width_us"}``,
+        ``{"shape": "exponential-decay", "start_us", "tau_us"}``, each accepting
+        an optional ``n``.  Alternatively ``{"csv": "<path>"}`` loads sampled
+        amplitudes.
+        """
+        if "csv" in spec:
+            return cls.from_csv(spec["csv"])
+        if spec.get("shape") not in ENVELOPE_SHAPES:
+            raise ValueError(f"unknown envelope spec {spec!r}")
+        build = getattr(cls, spec["shape"].replace("-", "_"))
+        keys = ENVELOPE_SHAPES[spec["shape"]]
+        return build(**{key: spec[key] for key in (*keys, "n") if key in spec})
+
 
 def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
     half_steps = 0.5 * np.diff(t)
@@ -316,20 +319,18 @@ def _common_grid(f: Envelope, g: Envelope):
 
 def _swap_terms(f: Envelope, g: Envelope):
     """Grid times and weights, the squared norm and weighted conjugate of
-    ``f``, and the squared norm and amplitudes of ``g``, on one grid: the
-    envelopes' cached values when they share a grid, else built per call
-    on the union of their grids."""
+    ``f``, and the amplitudes of ``g``, on one grid: the envelopes' own
+    values when they share a grid, else built per call on the union of
+    their grids."""
     if f.shares_grid(g):
-        return (
-            f.times_us, f.trapezoid_weights, f.squared_norm, f.weighted_conjugate,
-            g.squared_norm, g.values,
-        )
+        return f.times_us, f.trapezoid_weights, f.squared_norm, f.weighted_conjugate, g.values
     t, w, fa, ga = _common_grid(f, g)
-    return t, w, _squared_norm(w, fa), w * np.conj(fa), _squared_norm(w, ga), ga
+    return t, w, _squared_norm(w, fa), w * np.conj(fa), ga
 
 
-def _check_beat(t: np.ndarray, dw: float) -> None:
-    """Refuse a detuning ``dw`` whose beat phase ``dw t`` overflows on the grid ``t``."""
+def _check_beat(t, dw: float) -> None:
+    """Refuse a detuning ``dw`` whose beat phase ``dw t`` overflows on the
+    grid ``t``, of which only the first and last times are read."""
     if not all(math.isfinite(float(dw) * float(x)) for x in (t[0], t[-1])):
         span = f"[{float(t[0])!r}, {float(t[-1])!r}]"
         raise ValueError(f"detuning {dw!r} rad/us overflows the beat phase over {span} us")
@@ -464,33 +465,34 @@ def averaged_swap_fidelity(
     of ``t1`` and one of ``t2``.  So the double
     integrals reduce to the O(N) weighted inner products ``A = sum w|fa|^2``,
     ``G = sum w|ga|^2`` and ``C = sum w conj(fa) ga``: the no-flip fidelity
-    is ``(A^2 + G^2 + 2 Re C^2) / (2 (A^2 + G^2))`` and the flip fidelity
-    ``A G / (A G)``.  Both are capped at one, the bound rounding can cross.
+    is ``(A^2 + G^2 + 2 Re C^2) / (2 (A^2 + G^2))``, capped at one, the
+    bound rounding can cross, and the flip fidelity ``2 A G / (2 A G)``,
+    which is the constant 1.0.
 
-    Envelopes that share a grid are taken as stored, with ``A`` and
-    ``w conj(fa)`` read from the caches of ``f``.  The flip setting builds
-    no beat: ``|beat| = 1`` makes ``G`` the cached norm of ``g``, so its
-    call is two products and a division.  The no-flip setting builds the
-    beat and the sums ``G`` and ``C``.  Envelopes on different grids are
-    both interpolated onto the union of their grids, where every sum is
+    Both settings first refuse a detuning whose beat phase overflows on
+    ``t``: the shared grid of ``f`` and ``g``, else the union of their
+    grids, which has the same first and last time.  That check is all a
+    flip call does.  The no-flip setting then takes envelopes that share a
+    grid as stored, with ``A`` and ``w conj(fa)`` read from ``f``, and
+    builds the beat and the sums ``G`` and ``C``; envelopes on different
+    grids are both interpolated onto the union grid, where every sum is
     built per call.
 
     The target Bell state is taken with a + sign.  The other sign cancels:
     the target and the conditional amplitude both carry it, so every term
     holds ``sign * conj(sign) = 1``.
     """
-    t, w, norm_f, weighted_f, norm_g, ga = _swap_terms(f, g)  # A, w conj(fa), G, ga
-    _check_beat(t, delta_omega_rad_per_us)
+    # the first and last times of the shared or union grid: all the check reads
+    span = (min(f.times_us[0], g.times_us[0]), max(f.times_us[-1], g.times_us[-1]))
+    _check_beat(span, delta_omega_rad_per_us)
     if flip:
-        # numerator |1 + 1|^2 / 2 * A G, density 2 A G, with G the norm of
-        # g itself: the beat has modulus one
-        numerator = density = 2.0 * norm_f * norm_g
-    else:
-        ga = ga * np.exp(-1j * delta_omega_rad_per_us * t)
-        norm_g = _squared_norm(w, ga)  # G of the beating amplitude
-        cross = complex(np.sum(weighted_f * ga))  # C
-        density = norm_f * norm_f + norm_g * norm_g
-        numerator = 0.5 * (density + 2.0 * (cross * cross).real)
+        return 1.0
+    t, w, norm_f, weighted_f, ga = _swap_terms(f, g)  # A, w conj(fa), ga
+    ga = ga * np.exp(-1j * delta_omega_rad_per_us * t)
+    norm_g = _squared_norm(w, ga)  # G
+    cross = complex(np.sum(weighted_f * ga))  # C
+    density = norm_f * norm_f + norm_g * norm_g
+    numerator = 0.5 * (density + 2.0 * (cross * cross).real)
     # Re C^2 <= |C|^2 <= A G <= (A^2 + G^2) / 2, so the numerator never
     # exceeds the density: a fidelity above one is rounding
     return min(numerator / density, 1.0)

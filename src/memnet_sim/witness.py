@@ -39,25 +39,19 @@ import numpy as np
 from .detection import csv_numbers
 from .quantum import PAULI_Z, bits_to_index, equatorial_basis
 
-_BIT0 = {"0", "H", "h", "d", "↓"}  # down arrow
-_BIT1 = {"1", "V", "v", "u", "↑"}  # up arrow
+# pattern symbol -> bit: the digits, H/V, and down/up, as d/u or as arrows
+_SYMBOLS = {**dict.fromkeys("0Hhd↓", 0), **dict.fromkeys("1Vvu↑", 1)}
 
 POPULATION_SETTING = "population"
 _CSV_HEADER = ["setting_id", "outcome_pattern", "count"]
 
 
 def _parse_pattern(pattern: Sequence[int] | str) -> tuple[int, ...]:
-    if isinstance(pattern, str):
-        bits = []
-        for ch in pattern:
-            if ch in _BIT0:
-                bits.append(0)
-            elif ch in _BIT1:
-                bits.append(1)
-            else:
-                raise ValueError(f"cannot read pattern symbol {ch!r}")
-        return tuple(bits)
-    return tuple(int(b) for b in pattern)
+    kind, bits = ("symbol", _SYMBOLS) if isinstance(pattern, str) else ("entry", {0: 0, 1: 1})
+    for b in pattern:
+        if b not in bits:
+            raise ValueError(f"cannot read pattern {kind} {b!r}")
+    return tuple(bits[b] for b in pattern)
 
 
 def coherence_setting_id(n: int) -> str:

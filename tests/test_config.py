@@ -249,7 +249,7 @@ class TestPresets:
 
 class TestEnvelopeSpecs:
     def test_gaussian_spec(self):
-        env = cf.envelope_from_spec(
+        env = op.Envelope.from_spec(
             {"shape": "gaussian", "center_us": 1.0, "width_us": 0.05}
         )
         t = env.times_us
@@ -257,23 +257,24 @@ class TestEnvelopeSpecs:
         assert peak == pytest.approx(1.0, abs=2e-3)
 
     def test_square_and_decay_specs(self):
-        sq = cf.envelope_from_spec({"shape": "square", "start_us": 0.0, "width_us": 2.0})
+        sq = op.Envelope.from_spec({"shape": "square", "start_us": 0.0, "width_us": 2.0})
         assert sq.times_us[-1] == pytest.approx(2.0)
-        ex = cf.envelope_from_spec(
+        ex = op.Envelope.from_spec(
             {"shape": "exponential-decay", "start_us": 0.0, "tau_us": 0.3, "n": 256}
         )
         assert ex.values.size == 256
 
     def test_csv_spec(self, tmp_path):
-        env = cf.envelope_from_spec({"shape": "square", "start_us": 0.0, "width_us": 1.0})
+        env = op.Envelope.from_spec({"shape": "square", "start_us": 0.0, "width_us": 1.0})
         p = tmp_path / "env.csv"
-        env.to_csv(p)
-        again = cf.envelope_from_spec({"csv": str(p)})
+        rows = np.column_stack([env.times_us, env.values.real, env.values.imag])
+        np.savetxt(p, rows, delimiter=",", header="time_us,re,im", comments="")
+        again = op.Envelope.from_spec({"csv": str(p)})
         np.testing.assert_allclose(again.values, env.values, atol=1e-12)
 
     def test_unknown_spec(self):
         with pytest.raises(ValueError, match="envelope"):
-            cf.envelope_from_spec({"shape": "triangle"})
+            op.Envelope.from_spec({"shape": "triangle"})
 
     def test_envelope_keys_of_mixed_types_refused(self):
         spec = {"shape": "gaussian", "center_us": 0.0, "width_us": 0.05}
@@ -284,7 +285,7 @@ class TestEnvelopeSpecs:
         missing = {"csv": str(tmp_path / "absent.csv")}
         cfg = cf.ExperimentConfig(envelopes={nid: missing for nid in op.NODE_IDS})
         with pytest.raises(OSError):
-            cf.envelope_from_spec(cfg.envelopes["I"])
+            op.Envelope.from_spec(cfg.envelopes["I"])
 
 
 def test_detector_config_reexport_compatible():
@@ -300,7 +301,7 @@ class TestRules:
         param_keys = {key for keys in cf.SCENARIO_PARAMS.values() for key in keys}
         assert set(cf.PARAM_RULES) == param_keys
         spec_keys = {"shape", "csv", "n"}
-        spec_keys |= {key for _, keys in cf._ENVELOPE_SHAPES.values() for key in keys}
+        spec_keys |= {key for keys in op.ENVELOPE_SHAPES.values() for key in keys}
         assert set(op.ENVELOPE_RULES) == spec_keys
 
     @pytest.mark.parametrize(

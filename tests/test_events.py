@@ -141,7 +141,7 @@ def reference_station_state(cfg):
     kwargs = {"extra_coherence": cfg.interference_visibility}
     if cfg.envelopes:
         kwargs["envelopes"] = {
-            nid: cf.envelope_from_spec(spec) for nid, spec in cfg.envelopes.items()
+            nid: op.Envelope.from_spec(spec) for nid, spec in cfg.envelopes.items()
         }
         kwargs["delta_omega_rad_per_us"] = 2 * math.pi / cfg.nodes[0].zeeman_period_us
     pairs = [

@@ -383,7 +383,8 @@ class TestEnvelope:
     def test_csv_round_trip(self, tmp_path):
         env = optics.Envelope.gaussian(0.3, 0.2, n=64)
         path = tmp_path / "env.csv"
-        env.to_csv(path)
+        rows = np.column_stack([env.times_us, env.values.real, env.values.imag])
+        np.savetxt(path, rows, delimiter=",", header="time_us,re,im", comments="")
         back = optics.Envelope.from_csv(path)
         assert back.start_us == pytest.approx(env.start_us)
         assert back.step_us == pytest.approx(env.step_us)
@@ -440,6 +441,32 @@ class TestEnvelope:
     def test_grid_times_must_increase(self):
         with pytest.raises(ValueError, match="grid times must be finite and increasing"):
             optics.Envelope(1e20, 1.0, np.ones(8))
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.zeros(8), "envelope has zero norm"),
+            (np.array([1.0, math.nan] * 4), "envelope amplitudes must be finite"),
+            (np.array([1e200, math.inf] * 4), "envelope amplitudes must be finite"),
+        ],
+    )
+    def test_amplitudes_then_norm_then_grid_checked(self, values, message):
+        # 1e20 + 1.0 rounds to 1e20, so this grid never increases (as
+        # test_grid_times_must_increase pins): amplitudes and norm are
+        # refused before it is
+        with pytest.raises(ValueError, match=f"^{message}"):
+            optics.Envelope(1e20, 1.0, values)
+
+    @pytest.mark.parametrize("center", [0.0, 0.3, 1000.0])
+    def test_self_overlap_is_one_up_to_rounding(self, center):
+        # the norm integrates on the step, the overlap on the rounded times,
+        # so at 1000 us a self-overlap can exceed one by about 1e-13
+        for width in np.geomspace(0.01, 1.0, 25):
+            for env in (
+                optics.Envelope.gaussian(center, width),
+                optics.Envelope.exponential_decay(center, width),
+            ):
+                assert abs(abs(env.overlap(env)) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("width", [1e300, 1e154])
     def test_huge_gaussian_width_rejected(self, width):
@@ -584,6 +611,24 @@ class TestAveragedSwapFidelity:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows the beat phase"):
                 optics.averaged_swap_fidelity(flip, env, env, 1e308)
+
+    def test_flip_call_is_only_the_beat_check(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        f, g = random_envelope(rng, 7), random_envelope(rng, 16)
+        assert not f.shares_grid(g)
+        # the refusal names the union grid's span, as a mode overlap's does
+        with pytest.raises(ValueError, match="overflows the beat phase") as refused:
+            f.overlap(g, 1e308)
+
+        def unused(*_):
+            raise AssertionError("a flip call builds no grid and no sum")
+
+        monkeypatch.setattr(optics, "_swap_terms", unused)
+        monkeypatch.setattr(optics, "_common_grid", unused)
+        assert optics.averaged_swap_fidelity(True, f, g, 2.0) == 1.0
+        with pytest.raises(ValueError) as flip_refused:
+            optics.averaged_swap_fidelity(True, f, g, 1e308)
+        assert str(flip_refused.value) == str(refused.value)
 
     def test_matches_nested_trapezoid_oracle(self):
         # different starts, steps and lengths make the union grid non-uniform

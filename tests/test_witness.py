@@ -44,6 +44,15 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match="cannot read pattern symbol 'x'"):
             w.GhzSpec.parse("0x1", "101")
 
+    @pytest.mark.parametrize(
+        "pattern0, pattern1, message",
+        [((0, 2), (1, 0), "entry 2"), ((0, 5), (3, 0), "entry 5"), ("02", "10", "symbol '2'")],
+    )
+    def test_entry_other_than_0_or_1_rejected(self, pattern0, pattern1, message):
+        # each pair complements entry by entry, yet 2, 5 and 3 index no basis state
+        with pytest.raises(ValueError, match=f"^cannot read pattern {message}$"):
+            w.GhzSpec(2, pattern0, pattern1)
+
 
 class TestDecomposition:
     @pytest.mark.parametrize(
