@@ -29,18 +29,6 @@ import numpy as np
 from . import rules as r
 from .optics import ENVELOPE_RULES, ENVELOPE_SHAPES, GAUSSIAN_WIDTH, NODE_IDS, Envelope
 
-# scenario -> the scenario_params keys it takes
-SCENARIO_PARAMS = {
-    "pair_tomography": ("node",),
-    "raman_delay_sweep": ("node", "delays_us"),
-    "lifetime_sweep": ("node", "delays_us"),
-    "two_node_swap": ("delta_omega_rad_per_us", "width_us", "point_width_us"),
-    "ghz6": (),
-    "ghz3": (),
-}
-
-SCENARIO_IDS = tuple(SCENARIO_PARAMS)
-
 SCHEMA_VERSION = 1
 
 
@@ -166,29 +154,46 @@ def _gaussian(width_us) -> bool:  # the swap's modes are Gaussians
     return all(test(width_us, None) for test, _ in GAUSSIAN_WIDTH.kind + GAUSSIAN_WIDTH.checks)
 
 
-def _list_of(item, what: str) -> r.Rule:
-    """A non-empty list whose every item passes ``item``."""
+def _list_of(item, what: str, *checks) -> r.Rule:
+    """A non-empty list whose every item passes ``item``, then ``checks``."""
     is_list = lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(item, v))
-    return r.Rule((), (r.must(is_list, "a non-empty list of " + what),))
+    return r.Rule((), (r.must(is_list, "a non-empty list of " + what), *checks))
+
+
+def _storage_times(scenario: str, n: int) -> r.Rule:
+    """A sweep's delays: at least ``n`` non-negative finite numbers."""
+    fewer = (lambda v, _: len(v) >= n, f"{scenario} needs at least {n} points in {{name}}")
+    return _list_of(_at_least(0.0), "non-negative finite numbers", fewer)
 
 
 _GAUSSIAN = "small enough for a Gaussian grid"
+_NODE = r.Rule((), (IS_NODE_ID,))
 
-# scenario_params key -> its rule; which keys the configured scenario takes,
-# and how many delay points a sweep needs, is checked when the scenario starts
-PARAM_RULES = {
-    "node": r.Rule((), (IS_NODE_ID,)),
-    "delays_us": _list_of(_at_least(0.0), "non-negative finite numbers"),  # storage times
-    "delta_omega_rad_per_us": _list_of(_at_least(-math.inf), "finite numbers"),
-    "width_us": _list_of(_gaussian, f"positive finite numbers, each {_GAUSSIAN}"),
-    "point_width_us": r.Rule((), (r.must(_gaussian, f"a positive finite number {_GAUSSIAN}"),)),
+# scenario -> the scenario_params keys it takes with their rules, checked as the config is built
+SCENARIO_PARAMS = {
+    "pair_tomography": {"node": _NODE},
+    "raman_delay_sweep": {"node": _NODE, "delays_us": _storage_times("raman_delay_sweep", 5)},
+    "lifetime_sweep": {"node": _NODE, "delays_us": _storage_times("lifetime_sweep", 4)},
+    "two_node_swap": {
+        "delta_omega_rad_per_us": _list_of(_at_least(-math.inf), "finite numbers"),
+        "width_us": _list_of(_gaussian, f"positive finite numbers, each {_GAUSSIAN}"),
+        "point_width_us": r.Rule((), (r.must(_gaussian, f"a positive finite number {_GAUSSIAN}"),)),
+    },
+    "ghz6": {},
+    "ghz3": {},
 }
+SCENARIO_IDS = tuple(SCENARIO_PARAMS)
 
 
-def _check_params(params: dict, _) -> bool:
+def _check_params(params: dict, cfg) -> bool:
+    allowed = SCENARIO_PARAMS[cfg.scenario]
+    unknown = sorted(set(params) - set(allowed), key=str)
+    if unknown:
+        raise ValueError(
+            f"unknown scenario_params {unknown} for {cfg.scenario}; allowed: {sorted(allowed)}"
+        )
     for key, value in params.items():
-        if key in PARAM_RULES:
-            r.check(f"scenario_params key {key!r}", value, PARAM_RULES[key])
+        r.check(f"scenario_params key {key!r}", value, allowed[key])
     return True
 
 
@@ -212,6 +217,7 @@ _WEIGHT = r.Rule(
     ),
 )
 _PATTERN = r.Rule((), (r.must(_is_pattern, "an outcome pattern of 0s and 1s"),))
+_NON_EMPTY = r.must(lambda v: v != "", "a non-empty path")  # "" would print the report
 
 
 def _check_weights(weights: dict, cfg) -> bool:
@@ -258,7 +264,7 @@ class ExperimentConfig:
         r.OBJECT, (_check_weights, ""), optional=True, default=None
     )
     scenario_params: dict = r.ruled(r.OBJECT, (_check_params, ""), default_factory=dict)
-    out_dir: str | None = r.ruled(r.STRING, optional=True, default=None)
+    out_dir: str | None = r.ruled(r.STRING, _NON_EMPTY, optional=True, default=None)
     calibration: str | None = r.ruled(r.STRING, optional=True, default=None)
 
     def __post_init__(self) -> None:

@@ -129,7 +129,7 @@ def _check_arguments(**arguments) -> None:
         r.check(name, value, ENVELOPE_RULES[name])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Envelope:
     """Temporal amplitude profile on a uniform grid, unit squared-norm.
 
@@ -141,16 +141,16 @@ class Envelope:
     ``times_us``, ``trapezoid_weights`` (``sum(w * y)`` is the trapezoidal
     integral of ``y`` sampled on ``times_us``) and ``weighted_conjugate``
     (``w * conj(values)``), and ``squared_norm``, ``A = sum(w * |values|**2)``,
-    one up to rounding.
+    one up to rounding.  Envelopes compare and hash by identity.
     """
 
     start_us: float
     step_us: float
     values: np.ndarray
-    times_us: np.ndarray = field(init=False, repr=False, compare=False)
-    trapezoid_weights: np.ndarray = field(init=False, repr=False, compare=False)
-    squared_norm: float = field(init=False, repr=False, compare=False)
-    weighted_conjugate: np.ndarray = field(init=False, repr=False, compare=False)
+    times_us: np.ndarray = field(init=False, repr=False)
+    trapezoid_weights: np.ndarray = field(init=False, repr=False)
+    squared_norm: float = field(init=False, repr=False)
+    weighted_conjugate: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         try:

@@ -138,9 +138,10 @@ class TestSerialization:
         assert math.isinf(back.nodes[0].tau_mem_us)
 
     def test_scenario_params_survive(self):
-        cfg = cf.ExperimentConfig(scenario_params={"delays_us": [0.0, 1.0]})
+        params = {"delays_us": [0.0, 1.0, 2.0, 3.0]}
+        cfg = cf.ExperimentConfig(scenario="lifetime_sweep", scenario_params=params)
         back = cf.ExperimentConfig.from_dict(cfg.to_dict())
-        assert back.scenario_params == {"delays_us": [0.0, 1.0]}
+        assert back.scenario_params == params
 
     def test_file_roundtrip(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -154,16 +155,18 @@ class TestSerialization:
         cfg = cf.preset("paper").with_overrides(
             envelopes={nid: gaussian for nid in op.NODE_IDS},
             calibration_weights={"000": 1.2},
-            scenario_params={"node": "II", "delays_us": [0.0, 1.0]},
+            scenario="lifetime_sweep",
+            scenario_params={"node": "II", "delays_us": [0.0, 1.0, 2.0, 3.0]},
         )
         text = cfg.to_json(p)
         assert text == json.dumps(cfg.to_dict(), sort_keys=True, indent=2, allow_nan=False)
         assert p.read_bytes() == (text + "\n").encode()
 
     def test_nan_refused_before_any_file_opens(self, tmp_path):
-        # scenario_params keys are checked when a run starts, not here
+        # no checked config holds a NaN, so one is forced past the checks
         p = tmp_path / "cfg.json"
-        cfg = cf.preset("paper").with_overrides(scenario_params={"foo": math.nan})
+        cfg = cf.preset("paper")
+        object.__setattr__(cfg, "scenario_params", {"foo": math.nan})
         with pytest.raises(ValueError) as err:
             cfg.to_json(p)
         assert str(err.value) == "Out of range float values are not JSON compliant: nan"
@@ -298,8 +301,10 @@ class TestRules:
         for cls in (NodeConfig, DetectorConfig, cf.TimingConfig, cf.ExperimentConfig):
             for f in dataclasses.fields(cls):
                 assert isinstance(f.metadata.get("rule"), rules.Rule), f"{cls.__name__}.{f.name}"
-        param_keys = {key for keys in cf.SCENARIO_PARAMS.values() for key in keys}
-        assert set(cf.PARAM_RULES) == param_keys
+        for scenario, params in cf.SCENARIO_PARAMS.items():
+            assert isinstance(params, dict), scenario
+            for key, rule in params.items():
+                assert isinstance(rule, rules.Rule), f"{scenario} {key}"
         spec_keys = {"shape", "csv", "n"}
         spec_keys |= {key for keys in op.ENVELOPE_SHAPES.values() for key in keys}
         assert set(op.ENVELOPE_RULES) == spec_keys
@@ -354,6 +359,87 @@ BAD_PAYLOADS = {
     "mixed keys, flat": ({"a": {1: 2.0, "b": 3.0}}, TypeError, "not supported between"),
     "mixed keys, nested": ({None: [1], "b": {}}, TypeError, "not supported between"),
 }
+
+
+# scenario -> the scenario_params keys it takes, sorted; and a value each key's rule takes
+TAKES = {
+    "pair_tomography": ["node"],
+    "raman_delay_sweep": ["delays_us", "node"],
+    "lifetime_sweep": ["delays_us", "node"],
+    "two_node_swap": ["delta_omega_rad_per_us", "point_width_us", "width_us"],
+    "ghz6": [],
+    "ghz3": [],
+}
+VALUES = {
+    "node": "II",
+    "delays_us": [0.0, 1.0, 2.0, 3.0, 4.0],
+    "delta_omega_rad_per_us": [1.0],
+    "width_us": [0.05],
+    "point_width_us": 0.05,
+}
+FOREIGN = [(s, key) for s in TAKES for key in [*VALUES, "nope"] if key not in TAKES[s]]
+MINIMUM = [("raman_delay_sweep", 5), ("lifetime_sweep", 4)]
+
+
+def build_paths(tmp_path):
+    """Each way to build a config, as a call of ``(scenario, scenario_params)``:
+    the constructor, ``preset``, ``from_dict``, ``from_json`` and ``with_overrides``."""
+
+    def from_json(scenario, params):
+        path = tmp_path / "cfg.json"
+        data = cf.ExperimentConfig().to_dict()
+        path.write_text(json.dumps({**data, "scenario": scenario, "scenario_params": params}))
+        return cf.ExperimentConfig.from_json(path)
+
+    return [
+        lambda s, p: cf.ExperimentConfig(scenario=s, scenario_params=p),
+        lambda s, p: cf.preset("paper", scenario=s, scenario_params=p),
+        lambda s, p: cf.ExperimentConfig.from_dict(
+            {**cf.ExperimentConfig().to_dict(), "scenario": s, "scenario_params": p}
+        ),
+        from_json,
+        lambda s, p: cf.preset("ideal").with_overrides(scenario=s, scenario_params=p),
+    ]
+
+
+class TestScenarioParams:
+    def test_each_scenario_takes_its_keys(self):
+        assert {s: sorted(keys) for s, keys in cf.SCENARIO_PARAMS.items()} == TAKES
+
+    @pytest.mark.parametrize("scenario", TAKES)
+    def test_every_key_a_scenario_takes_is_accepted(self, scenario):
+        params = {key: VALUES[key] for key in TAKES[scenario]}
+        cfg = cf.ExperimentConfig(scenario=scenario, scenario_params=params)
+        assert cfg.scenario_params == params
+
+    @pytest.mark.parametrize("scenario, key", FOREIGN, ids=[f"{s}-{k}" for s, k in FOREIGN])
+    def test_key_the_scenario_does_not_take_refused_when_built(self, scenario, key):
+        with pytest.raises(ValueError) as err:
+            cf.ExperimentConfig(scenario=scenario, scenario_params={key: VALUES.get(key, 1)})
+        assert str(err.value) == (
+            f"unknown scenario_params ['{key}'] for {scenario}; allowed: {TAKES[scenario]}"
+        )
+
+    def test_every_build_path_refuses(self, tmp_path):
+        expected = "unknown scenario_params ['delays_us'] for two_node_swap; allowed: "
+        for build in build_paths(tmp_path):
+            with pytest.raises(ValueError) as err:
+                build("two_node_swap", {"delays_us": VALUES["delays_us"]})
+            assert str(err.value).startswith(expected)
+            with pytest.raises(ValueError, match="needs at least 5 points"):
+                build("raman_delay_sweep", {"delays_us": [0.0, 1.0]})
+
+    @pytest.mark.parametrize("scenario, n", MINIMUM)
+    def test_sweep_needs_its_minimum_point_count(self, scenario, n):
+        short = {"delays_us": [float(k) for k in range(n - 1)]}
+        with pytest.raises(ValueError) as err:
+            cf.ExperimentConfig(scenario=scenario, scenario_params=short)
+        assert str(err.value) == (
+            f"{scenario} needs at least {n} points in scenario_params key 'delays_us'"
+        )
+        enough = {"delays_us": [float(k) for k in range(n)]}
+        cfg = cf.ExperimentConfig(scenario=scenario, scenario_params=enough)
+        assert cfg.scenario_params == enough
 
 
 class TestReportJson:

@@ -4,6 +4,8 @@ import ast
 from pathlib import Path
 
 import memnet_sim
+from memnet_sim import config as cf
+from memnet_sim import harness as h
 
 PACKAGE = Path(memnet_sim.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
@@ -70,3 +72,28 @@ def test_config_input_left_the_physics_modules():
     assert not checker & top_level_names(TREES["quantum"])
     assert package_imports(TREES["detection"]) == set()
     assert not {"node", "detection"} & package_imports(TREES["config"])
+
+
+def names_and_texts(tree) -> set[str]:
+    """Every name, attribute and string constant a module's code holds."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_scenario_input_is_checked_in_config_alone():
+    found = names_and_texts(TREES["harness"])
+    assert "SCENARIO_PARAMS" not in found
+    for text in ("unknown scenario_params", "needs at least"):
+        assert not [s for s in found if text in s], text
+    assert "SCENARIO_PARAMS" in names_and_texts(TREES["config"])
+
+
+def test_every_scenario_has_a_runner_and_a_parameter_table():
+    assert set(cf.SCENARIO_PARAMS) == set(h._RUNNERS)

@@ -348,6 +348,14 @@ class TestProjectAndFeedforward:
 
 
 class TestEnvelope:
+    def test_compares_and_hashes_by_identity(self):
+        a, b = optics.Envelope.gaussian(0.0, 0.1), optics.Envelope.gaussian(0.0, 0.1)
+        assert a == a
+        assert (a == b) is False
+        assert a != b
+        assert len({a, b}) == 2
+        assert {a: 1}[a] == 1
+
     def test_normalization(self):
         for env in (
             optics.Envelope.gaussian(1.0, 0.3),

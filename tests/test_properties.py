@@ -89,30 +89,31 @@ def envelope_spec():
     )
 
 
-def scenario_params():
+def scenario_params(scenario):
+    """Any subset of the keys ``scenario`` takes, each with a value its rule takes."""
     numbers = st.lists(unit(-10.0, 10.0), min_size=1, max_size=4)
     widths = st.lists(unit(0.01, 1.0), min_size=1, max_size=3)
-    return st.fixed_dictionaries(
-        {},
-        optional={
-            "node": st.sampled_from(NODE_IDS),
-            "delays_us": st.lists(unit(0.0, 50.0), min_size=1, max_size=8),
-            "delta_omega_rad_per_us": numbers,
-            "width_us": widths,
-            "point_width_us": unit(0.01, 1.0),
-        },
-    )
+    points = {"raman_delay_sweep": 5, "lifetime_sweep": 4}.get(scenario, 1)
+    values = {
+        "node": st.sampled_from(NODE_IDS),
+        "delays_us": st.lists(unit(0.0, 50.0), min_size=points, max_size=8),
+        "delta_omega_rad_per_us": numbers,
+        "width_us": widths,
+        "point_width_us": unit(0.01, 1.0),
+    }
+    return st.fixed_dictionaries({}, optional={k: values[k] for k in cf.SCENARIO_PARAMS[scenario]})
 
 
 @st.composite
 def configs(draw):
     """Any configuration the loader accepts."""
     patterns = st.text("01", min_size=1, max_size=6)
+    scenario = draw(st.sampled_from(cf.SCENARIO_IDS))
     return cf.ExperimentConfig(
         nodes=draw(nodes(runnable=False)),
         detector=DetectorConfig(dark_count_prob=draw(unit())),
         timing=draw(timings()),
-        scenario=draw(st.sampled_from(cf.SCENARIO_IDS)),
+        scenario=scenario,
         seed=draw(st.integers(0, 2**64 - 1)),
         samples=draw(st.integers(1, 10**9)),
         workers=draw(st.integers(1, 64)),
@@ -124,8 +125,8 @@ def configs(draw):
         calibration_weights=draw(
             st.none() | st.dictionaries(patterns, unit(0.1, 10.0), max_size=4)
         ),
-        scenario_params=draw(scenario_params()),
-        out_dir=draw(st.none() | st.text(max_size=8)),
+        scenario_params=draw(scenario_params(scenario)),
+        out_dir=draw(st.none() | st.text(min_size=1, max_size=8)),
         calibration=draw(st.none() | st.text(max_size=8)),
     )
 

@@ -310,9 +310,8 @@ class TestPairTomography:
         assert body["bell_fidelity"] == {"raw": None, "corrected": None}
 
     def test_unknown_scenario_param_rejected(self):
-        cfg = paper_cfg(scenario="pair_tomography", scenario_params={"nope": 1})
         with pytest.raises(ValueError, match="unknown scenario_params"):
-            h.run_scenario(cfg)
+            paper_cfg(scenario="pair_tomography", scenario_params={"nope": 1})
 
 
 class TestRamanDelaySweep:
@@ -374,11 +373,8 @@ class TestRamanDelaySweep:
         assert corr < -0.8
 
     def test_rejects_degenerate_grid(self):
-        cfg = paper_cfg(
-            scenario="raman_delay_sweep", scenario_params={"delays_us": [0.0, 1.0]}
-        )
         with pytest.raises(ValueError, match="at least 5"):
-            h.run_scenario(cfg)
+            paper_cfg(scenario="raman_delay_sweep", scenario_params={"delays_us": [0.0, 1.0]})
 
 
 class TestLifetimeSweep:
@@ -1399,6 +1395,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("memnet-sim: error: unknown")
         assert named in err
+
+    def test_scenario_param_refused_before_any_run(self, tmp_path, monkeypatch, capsys):
+        def entered(cfg):
+            raise AssertionError("run_scenario entered")
+
+        monkeypatch.setattr(h, "run_scenario", entered)
+        data = paper_cfg(scenario="pair_tomography").to_dict()
+        data["scenario_params"] = {"width_us": [0.05]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "memnet-sim: error: unknown scenario_params ['width_us'] for pair_tomography; "
+            "allowed: ['node']\n"
+        )
+
+    def test_empty_output_directory_refused(self, tmp_path, capsys):
+        message = "memnet-sim: error: out_dir must be a non-empty path, not ''\n"
+        assert cli.main(["--preset", "paper", "--scenario", "two_node_swap", "--out", ""]) == 1
+        assert capsys.readouterr() == ("", message)
+        path = tmp_path / "cfg.json"
+        data = paper_cfg(scenario="two_node_swap").to_dict()
+        path.write_text(json.dumps({**data, "out_dir": ""}))
+        assert cli.main(["--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", message)
 
     @pytest.mark.parametrize(
         "edit, message",
