@@ -4,11 +4,12 @@ A run is fully described by one ``ExperimentConfig``: the three node
 parameter sets (``NodeConfig``), the detector model (``DetectorConfig``),
 the trial schedule (``TimingConfig``), a scenario id and the
 sampling/reporting knobs.  Every config class and its rules live here, on
-the checker in ``rules``; the envelope argument rules, the named shapes
-and the spec reader ``Envelope.from_spec`` live in ``optics``, whose
-constructors check them.  Reports are a pure function of ``(config,
-seed)``, so configs are value types and serialize losslessly to JSON.
-``report_json`` is the package's one JSON writer, for configs and reports.
+the checker in ``rules``; the envelope spec's format, with its rules,
+named shapes and one reader ``Envelope.read_spec``, lives in ``optics``,
+and the loader calls that reader once per node.  Reports are a pure
+function of ``(config, seed)``, so configs are value types and serialize
+losslessly to JSON.  ``report_json`` is the package's one JSON writer, for
+configs and reports.
 
 The trial schedule follows the experiment's clock: each cycle of
 ``cycle_ms`` spends ``loading_ms`` preparing the ensembles and leaves a
@@ -27,41 +28,23 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import rules as r
-from .optics import ENVELOPE_RULES, ENVELOPE_SHAPES, GAUSSIAN_WIDTH, NODE_IDS, Envelope
+from .optics import GAUSSIAN_WIDTH, NODE_IDS, Envelope
 
 SCHEMA_VERSION = 1
 
 
 def _check_envelopes(envelopes: dict, _) -> bool:
-    """Check one envelope spec per node, reading no CSV file: the kinds of its
-    values first, so that no grid too large for memory is built, then a named
-    shape is built, so a bad value fails at load instead of in a scenario."""
+    """Read each node's envelope spec and build its named shape, opening no
+    CSV, so a bad value fails at load instead of in a scenario."""
     keys = sorted(envelopes, key=str)
     if keys != list(NODE_IDS):
         raise ValueError(f"envelopes keys must be exactly {list(NODE_IDS)}, not {keys}")
     for nid, spec in envelopes.items():
         where = f"envelope for node {nid!r}"
-        if not isinstance(spec, dict):
-            raise ValueError(f"{where} must be an object, not {spec!r}")
-        for key, val in spec.items():
-            if key in ENVELOPE_RULES:
-                r.check(f"{where} key {key!r}", val, ENVELOPE_RULES[key], kind_only=True)
-        if "csv" in spec:
-            required, allowed = {"csv"}, {"csv"}
-        elif spec.get("shape") in ENVELOPE_SHAPES:
-            required = {"shape", *ENVELOPE_SHAPES[spec["shape"]]}
-            allowed = required | {"n"}
-        else:
-            raise ValueError(
-                f"{where} needs a 'csv' path or a 'shape' among {sorted(ENVELOPE_SHAPES)}"
-            )
-        missing = sorted(required - set(spec))
-        unknown = sorted(set(spec) - allowed)
-        if missing or unknown:
-            raise ValueError(f"{where}: missing key(s) {missing}, unknown key(s) {unknown}")
-        if "shape" in spec:
+        build, arguments = Envelope.read_spec(spec, where)
+        if build != Envelope.from_csv:  # a CSV is read when a scenario runs
             try:
-                Envelope.from_spec(spec)
+                build(**arguments)
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
     return True

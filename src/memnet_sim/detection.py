@@ -128,7 +128,7 @@ def analyzer_clicks(hits: np.ndarray, dark: float) -> np.ndarray:
     return t.T @ hits @ t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairStack:
     """Coincidence analysis of ``T`` pair tables, as ``pair_stack`` builds it."""
 

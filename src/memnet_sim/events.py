@@ -304,7 +304,7 @@ def _coherent_subset_dists(
     return out.reshape(n, _N_MASKS, _N_OUTCOMES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventTable:
     """Exact herald decomposition for one measurement setting.
 

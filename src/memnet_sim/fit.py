@@ -171,15 +171,16 @@ def decay_problem(t_arr, eta_arr, n_writes):
 
 def visibility_amplitude(v, decay, n_coinc) -> tuple[float | None, float | None]:
     """``(v0, v0_sigma)`` of ``v = v0 * decay`` over the points with
-    coincidences (one without reads as ``v = 0``), or None where none has.
-    Each point is weighed by its binomial variance ``(1 - v^2) / n`` over
+    coincidences (one without reads as ``v = 0``), or None where none has,
+    or none keeps a coherence ``decay`` whose square is above zero.  Each
+    point is weighed by its binomial variance ``(1 - v^2) / n`` over
     ``n_coinc`` (at least one) at the model value, not at its noisy own,
     which favours upward swings: n-weighted first, then refitted, up to 50
     passes, until ``v0`` settles."""
     seen = n_coinc > 0.0
-    if not seen.any():
-        return None, None
     v, decay, n = v[seen], decay[seen], np.maximum(n_coinc[seen], 1.0)
+    if not np.sum(n * decay * decay) > 0.0:  # the first, smallest, denominator
+        return None, None
     weights, v0 = n, None
     for _ in range(50):
         denom = float(np.sum(weights * decay * decay))

@@ -165,7 +165,7 @@ def storage_channel(
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeTerms:
     """A node's share of a trial, its spin aged by the storage time.
 

@@ -276,22 +276,38 @@ class Envelope:
             raise ValueError(f"{exc} ({where})") from None
 
     @classmethod
-    def from_spec(cls, spec) -> "Envelope":
-        """Build a temporal envelope from its inline config description.
-
-        Named shapes: ``{"shape": "gaussian", "center_us", "width_us"}``,
-        ``{"shape": "square", "start_us", "width_us"}``,
-        ``{"shape": "exponential-decay", "start_us", "tau_us"}``, each accepting
-        an optional ``n``.  Alternatively ``{"csv": "<path>"}`` loads sampled
-        amplitudes.
-        """
+    def read_spec(cls, spec, where: str = "envelope spec"):
+        """The constructor and keyword arguments of a config's envelope spec,
+        ``{"csv": "<path>"}`` or a named shape of ``ENVELOPE_SHAPES`` with its
+        keys and an optional ``n``, read without opening a file or building a
+        grid: only the values' kinds are checked, so no grid too large for
+        memory is built.  Each error is one line that starts with ``where``."""
+        if not isinstance(spec, dict):
+            raise ValueError(f"{where} must be an object, not {spec!r}")
+        for key, val in spec.items():
+            if key in ENVELOPE_RULES:
+                r.check(f"{where} key {key!r}", val, ENVELOPE_RULES[key], kind_only=True)
         if "csv" in spec:
-            return cls.from_csv(spec["csv"])
-        if spec.get("shape") not in ENVELOPE_SHAPES:
-            raise ValueError(f"unknown envelope spec {spec!r}")
-        build = getattr(cls, spec["shape"].replace("-", "_"))
-        keys = ENVELOPE_SHAPES[spec["shape"]]
-        return build(**{key: spec[key] for key in (*keys, "n") if key in spec})
+            build, required, optional = cls.from_csv, {"csv"}, set()
+        elif spec.get("shape") in ENVELOPE_SHAPES:
+            build = getattr(cls, spec["shape"].replace("-", "_"))
+            required, optional = {"shape", *ENVELOPE_SHAPES[spec["shape"]]}, {"n"}
+        else:
+            shapes = sorted(ENVELOPE_SHAPES)
+            raise ValueError(f"{where} needs a 'csv' path or a 'shape' among {shapes}")
+        missing = sorted(required - set(spec))
+        unknown = sorted(set(spec) - required - optional, key=str)  # any key type
+        if missing or unknown:
+            raise ValueError(f"{where}: missing key(s) {missing}, unknown key(s) {unknown}")
+        if "csv" in spec:
+            return build, {"path": spec["csv"]}
+        return build, {key: val for key, val in spec.items() if key != "shape"}
+
+    @classmethod
+    def from_spec(cls, spec) -> "Envelope":
+        """Build a temporal envelope from its inline config spec (``read_spec``)."""
+        build, arguments = cls.read_spec(spec)
+        return build(**arguments)
 
 
 def _trapezoid_weights(t: np.ndarray) -> np.ndarray:

@@ -124,7 +124,7 @@ def check_density(m: np.ndarray) -> None:
         raise ValueError(f"matrix has negative eigenvalue {eigmin}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Mixed state over a labeled register: trace-1, Hermitian, PSD within TOL."""
 

@@ -88,7 +88,7 @@ class GhzSpec:
         return [POPULATION_SETTING] + [coherence_setting_id(n) for n in range(self.n_qubits)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompositionTerm:
     """One locally measurable term: coefficient times a product of 2x2 factors."""
 

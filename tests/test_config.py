@@ -290,6 +290,58 @@ class TestEnvelopeSpecs:
         with pytest.raises(OSError):
             op.Envelope.from_spec(cfg.envelopes["I"])
 
+    @pytest.mark.parametrize(
+        "spec, text",
+        [
+            (
+                {"shape": "gaussian", "center_us": 0.0, "width_us": 0.1, "widht_us": 3},
+                ": missing key(s) [], unknown key(s) ['widht_us']",
+            ),
+            (
+                {"shape": "gaussian", "center_us": 0.0},
+                ": missing key(s) ['width_us'], unknown key(s) []",
+            ),
+            ("spec.csv", " must be an object, not 'spec.csv'"),
+            (
+                {"csv": "spec.csv", "shape": "gaussian"},
+                ": missing key(s) [], unknown key(s) ['shape']",
+            ),
+            (
+                {"shape": "square", "start_us": 0.0, "width_us": 1.0, 1: 0.0, "a": 0.0},
+                ": missing key(s) [], unknown key(s) [1, 'a']",
+            ),
+        ],
+        ids=["misspelled_key", "missing_key", "string", "csv_and_shape", "key_of_another_type"],
+    )
+    def test_spec_refused_as_the_loader_refuses_it(self, spec, text, monkeypatch):
+        monkeypatch.setattr(op.Envelope, "from_csv", None)  # a read would fail
+        with pytest.raises(ValueError) as direct:
+            op.Envelope.from_spec(spec)
+        assert str(direct.value) == "envelope spec" + text
+        envelopes = {"I": spec, "II": spec, "III": spec}
+        with pytest.raises(ValueError) as loaded:
+            cf.ExperimentConfig(envelopes=envelopes)
+        assert str(loaded.value) == "envelope for node 'I'" + text
+
+    def test_csv_spec_read_without_opening_the_file(self, monkeypatch):
+        def no_read(cls, path):
+            raise AssertionError(f"{path} was opened")
+
+        monkeypatch.setattr(op.Envelope, "from_csv", classmethod(no_read))
+        spec = {"csv": "absent.csv"}
+        build, arguments = op.Envelope.read_spec(spec)
+        assert build == op.Envelope.from_csv
+        assert arguments == {"path": "absent.csv"}
+        cf.ExperimentConfig(envelopes=dict.fromkeys(op.NODE_IDS, spec))
+        with pytest.raises(AssertionError, match="absent.csv was opened"):
+            op.Envelope.from_spec(spec)
+
+    def test_shape_spec_read_as_its_constructor(self):
+        spec = {"shape": "exponential-decay", "start_us": 1.0, "tau_us": 0.3, "n": 64}
+        build, arguments = op.Envelope.read_spec(spec)
+        assert build == op.Envelope.exponential_decay
+        assert arguments == {"start_us": 1.0, "tau_us": 0.3, "n": 64}
+
 
 def test_detector_config_reexport_compatible():
     cfg = cf.ExperimentConfig(detector=DetectorConfig(dark_count_prob=0.01))

@@ -203,6 +203,16 @@ def test_visibility_amplitude_leaves_out_points_without_coincidences():
     assert fit.visibility_amplitude(v, decay, np.zeros(4)) == (None, None)
 
 
+@pytest.mark.parametrize("decay", [0.0, 1e-170], ids=["zero", "square_underflows"])
+def test_visibility_amplitude_none_where_no_coherence_is_left(decay):
+    v = np.array([0.01, -0.02, 0.0, 0.03])
+    n = np.array([40.0, 30.0, 0.0, 25.0])
+    decays = np.array([decay, decay, 1.0, decay])  # the point without coincidences keeps it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fit.visibility_amplitude(v, decays, n) == (None, None)
+
+
 @pytest.mark.parametrize("scenario", ["raman_delay_sweep", "lifetime_sweep"])
 def test_runner_fits_through_the_harness_name(scenario, monkeypatch):
     # the benchmark's harness.curve_fit span wraps this name: a fitted

@@ -3,9 +3,18 @@
 import ast
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import memnet_sim
 from memnet_sim import config as cf
+from memnet_sim import detection as det
+from memnet_sim import events as ev
 from memnet_sim import harness as h
+from memnet_sim import node as nd
+from memnet_sim import optics as op
+from memnet_sim import quantum as q
+from memnet_sim import witness as w
 
 PACKAGE = Path(memnet_sim.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
@@ -95,5 +104,39 @@ def test_scenario_input_is_checked_in_config_alone():
     assert "SCENARIO_PARAMS" in names_and_texts(TREES["config"])
 
 
+def test_envelope_spec_is_read_in_optics_alone():
+    imported = {
+        a.name
+        for node in ast.walk(TREES["config"])
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    assert not {"ENVELOPE_RULES", "ENVELOPE_SHAPES"} & imported
+    for text in ("needs a 'csv' path", "missing key(s)"):
+        assert not [s for s in names_and_texts(TREES["config"]) if text in s], text
+        assert [s for s in names_and_texts(TREES["optics"]) if text in s], text
+
+
 def test_every_scenario_has_a_runner_and_a_parameter_table():
     assert set(cf.SCENARIO_PARAMS) == set(h._RUNNERS)
+
+
+RECORDS = {
+    "Envelope": lambda: op.Envelope.gaussian(0.0, 0.1),
+    "HeraldModel": lambda: ev.herald_model(cf.preset("ideal")),
+    "SettingSpec": lambda: ev.ghz3_settings()[0],
+    "EventTable": lambda: ev.build_event_tables(cf.preset("ideal"), ev.ghz3_settings()[:1])[0],
+    "NodeTerms": lambda: nd.node_terms(cf.NodeConfig(), np.eye(2), 0.0),
+    "PairStack": lambda: det.pair_stack(np.ones((1, 9))),
+    "DensityMatrix": lambda: q.DensityMatrix((q.spin("I"),), np.eye(2) / 2),
+    "DecompositionTerm": lambda: w.decompose(ev.GHZ3_SPEC)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_that_hold_arrays_compare_by_identity(name):
+    a, b = RECORDS[name](), RECORDS[name]()
+    assert type(a).__name__ == name
+    assert a == a
+    assert a != b
+    assert len({a, b}) == 2

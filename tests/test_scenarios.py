@@ -1270,6 +1270,24 @@ class TestCli:
         assert err.startswith("memnet-sim: error: storage time 1e+308 us overflows")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "delays_us",
+        [[1e300, 2e300, 3e300, 4e300], [66000.0, 66100.0, 66200.0, 66300.0]],
+        ids=["coherence_zero", "coherence_squared_underflows"],
+    )
+    def test_sweep_with_no_coherence_left_reports_no_visibility(self, delays_us, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        cfg = paper_cfg(scenario="lifetime_sweep", samples=20_000, seed=1)
+        path.write_text(cfg.with_overrides(scenario_params={"delays_us": delays_us}).to_json())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["--config", str(path)])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (0, "")
+        fitted = json.loads(captured.out)["body"]["fit"]
+        for key in ("visibility0", "visibility0_sigma", "visibility_crossing_us"):
+            assert fitted[key] is None, key
+
     def test_too_many_samples_errors_once(self, capsys):
         argv = ["--preset", "ideal", "--scenario", "pair_tomography", "--samples"]
         assert cli.main([*argv, str(2**63)]) == 1
