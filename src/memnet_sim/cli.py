@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     source.add_argument(
         "--preset",
-        choices=("ideal", "paper"),
+        choices=tuple(cf.PRESETS),
         help="named built-in configuration (default: paper)",
     )
     parser.add_argument(

@@ -438,34 +438,37 @@ def _nodes(**kwargs) -> tuple[NodeConfig, NodeConfig, NodeConfig]:
     return tuple(NodeConfig(node_id=nid, **kwargs) for nid in NODE_IDS)
 
 
+# preset name -> its fields, built only when the preset is asked for
+PRESETS = {
+    "ideal": lambda: dict(nodes=_nodes(excitation_order=1), detector=DetectorConfig()),
+    "paper": lambda: dict(
+        nodes=_nodes(
+            p_w=0.015,
+            eta_r0=0.40,
+            tau_mem_us=75.0,
+            tau_vis_us=169.2,
+            depol_weight=0.086,
+            branch_weight_down=0.400,
+        ),
+        detector=DetectorConfig(dark_count_prob=0.0035),
+        read_delay_us=0.0,
+        interference_visibility=1.0,
+        calibration="fitted",
+    ),
+}
+
+
 def preset(name: str, **overrides) -> ExperimentConfig:
-    """Named configurations: ``ideal`` (no noise) and ``paper`` (calibrated).
+    """Named configurations, ``PRESETS``: ``ideal`` (no noise), ``paper`` (calibrated).
 
     The ``paper`` preset reproduces the published operating point; its noise
-    split between dark counts, pair asymmetry and interference contrast is a
+    split between dark counts, pair asymmetry and depolarization is a
     calibration (flagged ``fitted`` in reports), not a measured decomposition.
     ``overrides`` (field values, as ``with_overrides`` takes them) go into
     the preset's one ``ExperimentConfig`` construction, so the config is
     built and validated once and equals
     ``preset(name).with_overrides(**overrides)``.
     """
-    if name == "ideal":
-        base = dict(nodes=_nodes(excitation_order=1), detector=DetectorConfig())
-    elif name == "paper":
-        base = dict(
-            nodes=_nodes(
-                p_w=0.015,
-                eta_r0=0.40,
-                tau_mem_us=75.0,
-                tau_vis_us=169.2,
-                depol_weight=0.086,
-                branch_weight_down=0.400,
-            ),
-            detector=DetectorConfig(dark_count_prob=0.0035),
-            read_delay_us=0.0,
-            interference_visibility=1.0,
-            calibration="fitted",
-        )
-    else:
-        raise ValueError(f"unknown preset {name!r}; choose from ('ideal', 'paper')")
-    return ExperimentConfig(**{**base, **overrides})
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {tuple(PRESETS)}")
+    return ExperimentConfig(**{**PRESETS[name](), **overrides})

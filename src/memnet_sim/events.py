@@ -383,14 +383,14 @@ def build_event_tables(
     so a config whose post-selection has zero probability fails here.
     The settings' bases are stacked into ``(S, N, 2, 2)`` port and memory
     arrays; each port's and memory's click probability and distribution is
-    tabulated for every setting in one pass, gathered onto the model's
-    write branches by fancy indexing, and the ``(S, B, 2N, 2)`` factor stack
-    becomes the class distributions in one outer product.  The coherent
-    sector's branch terms are measured for every setting in one stack, as
-    outer products of per-qubit factors, and marginalized over the memories
-    that returned no photon.  Per setting only the zero-probability classes
-    are dropped.  Class order: incoherent branches, then the coherent sector
-    by retrieval subset.
+    tabulated for every setting in one pass and gathered onto the model's
+    write branches by fancy indexing; each setting's ``(B, 2N, 2)`` factors,
+    cut to the classes it keeps, become its class distributions in one outer
+    product.  The coherent sector's branch terms are measured for every
+    setting in one stack, as outer products of per-qubit factors, and
+    marginalized over the memories that returned no photon.  Per setting
+    only the zero-probability classes are dropped.  Class order: incoherent
+    branches, then the coherent sector by retrieval subset.
     """
     model = herald_model(cfg) if model is None else model
     branch_terms = _station_branch_terms(cfg, model.terms)
@@ -404,27 +404,22 @@ def build_event_tables(
     loads, kinds = model.branch_port_load, model.branch_memory_kind
     prob = _times_clicks(model.branch_probability, port_p, loads)
     prob = _times_clicks(prob, mem_p, kinds)  # (S, B)
-    # (S, B, 2N, 2), multiplied out with the S * B class rows innermost
+    # (S, B, 2N, 2): each class row's factors, by setting
     factors = np.concatenate([port_d[:, units, loads], mem_d[:, units, kinds]], axis=2)
-    factors = np.ascontiguousarray(factors.reshape(-1, 2 * _N, 2).transpose(1, 2, 0))
-    dists = _outer_product(factors).T.reshape(prob.shape + (_N_OUTCOMES,))
     subsets = _coherent_subset_dists(branch_terms, ports, memories, feedforward)
     tables = []
-    for setting, p, d, sub in zip(settings, prob, dists, subsets):
+    for setting, p, f, sub in zip(settings, prob, factors, subsets):
         keep = p > 0.0
         probs = np.concatenate([p[keep], model.coherent[live]])
         if probs.size == 0:
             raise ValueError(
                 f"no six-fold coincidences possible for setting {setting.setting_id}"
             )
-        tables.append(
-            EventTable(
-                setting.setting_id,
-                probs,
-                np.concatenate([d[keep], sub[live]]),
-                float(model.coherent[-1]),
-            )
-        )
+        # the kept rows' factors as one contiguous (2N, 2, K) stack: a
+        # strided stack multiplies out about three times slower
+        kept = np.ascontiguousarray(f[keep].transpose(1, 2, 0))
+        dists = np.concatenate([_outer_product(kept).T, sub[live]])
+        tables.append(EventTable(setting.setting_id, probs, dists, float(model.coherent[-1])))
     return tables
 
 

@@ -1,7 +1,7 @@
 """The fits: ``curve_fit``, a weighted Levenberg-Marquardt fitter with one
 covariance rule, the Raman and decay models it fits, one significance gate
 and ``visibility_amplitude``, the visibility envelope's reweighted fit.  The
-runners call ``curve_fit`` as ``harness.curve_fit``, which the benchmark's
+fitted analyses call ``curve_fit`` as ``harness.curve_fit``, which the benchmark's
 span wraps, so nothing here calls it for them.
 """
 

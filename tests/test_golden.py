@@ -7,12 +7,11 @@ one SHA-256 per bundle over the grid of ``regen.py --digest`` (both presets,
 an aged read-out delay, envelopes, seeds 0-2 and the largest seed).
 
 Draws agree only within one numpy build, so the byte checks run only on the
-build the goldens were made with.  What a body computes from the exact
-distributions alone (``draw_free``) is checked on every build, to within
+build the goldens were made with.  The keys no draw enters, as
+``harness.draw_free`` returns them, are checked on every build, to within
 ``DRAW_FREE_RTOL``.
 """
 
-import functools
 import importlib.util
 import json
 import math
@@ -49,11 +48,6 @@ def skip_on_another_numpy():
         )
 
 
-# body key paths computed from the exact distributions, never from the draws
-PAIR_DRAW_FREE = ("limit", "config")
-GHZ_DRAW_FREE = PAIR_DRAW_FREE + (
-    "fidelity.exact", "event_tables", "conditional_success_estimate", "rate"
-)
 # measured: reversing the summation orders of numpy's sums, integrals and
 # einsums and of the coherent and write-branch terms moved no draw-free
 # number by more than 7e-16 relative; moving a fit's start by 1e-9 moved the
@@ -61,14 +55,18 @@ GHZ_DRAW_FREE = PAIR_DRAW_FREE + (
 DRAW_FREE_RTOL = 1e-10
 
 
-def draw_free(name: str, body: dict) -> dict:
-    """The draw-free part of golden ``name``'s parsed body, by key path:
-    all of two_node_swap's, which draws nothing."""
-    scenario = regen.GOLDENS[name][0]
-    if scenario == "two_node_swap":
-        return body
-    paths = GHZ_DRAW_FREE if scenario in ("ghz6", "ghz3") else PAIR_DRAW_FREE
-    return {path: functools.reduce(dict.__getitem__, path.split("."), body) for path in paths}
+def at_paths(body: dict, like: dict) -> dict:
+    """``body`` cut to the key paths of ``like``: into each non-empty object
+    of ``like``, and any other value of ``body`` taken whole."""
+    return {
+        key: at_paths(body[key], value) if type(value) is dict and value else body[key]
+        for key, value in like.items()
+    }
+
+
+def draw_free_body(cfg) -> dict:
+    """The keys ``harness.draw_free`` returns for ``cfg``, parsed from their JSON."""
+    return json.loads(regen.h.report_json(regen.h.draw_free(cfg)[0]))
 
 
 def is_number(value) -> bool:
@@ -79,9 +77,10 @@ def draw_free_moves(name: str, body: dict, rtol: float) -> list[str]:
     """Each draw-free key path where ``body`` and golden ``name`` differ: by
     more than ``rtol`` relative for two numbers, at all for anything else."""
     golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    like = draw_free_body(regen.golden_config(name))
     return [
         f"{path}: golden {a!r}, now {b!r}"
-        for path, a, b in regen.differences(draw_free(name, golden), draw_free(name, body))
+        for path, a, b in regen.differences(at_paths(golden, like), at_paths(body, like))
         if not (is_number(a) and is_number(b) and math.isclose(a, b, rel_tol=rtol))
     ]
 
@@ -100,8 +99,20 @@ def test_body_and_csvs_match_golden(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(regen.GOLDENS))
 def test_draw_free_keys_match_golden(name):
     """Runs on every numpy build, unlike the byte checks."""
-    body = json.loads(regen.h.run_scenario(regen.golden_config(name)).body_json())
+    body = draw_free_body(regen.golden_config(name))
     assert draw_free_moves(name, body, DRAW_FREE_RTOL) == []
+
+
+@pytest.mark.parametrize("preset", ["paper", "ideal"])
+@pytest.mark.parametrize("name", sorted(regen.GOLDENS))
+def test_draw_free_keys_are_the_run_body_at_their_paths(name, preset):
+    scenario, overrides = regen.GOLDENS[name]
+    cfg = regen.cf.preset(preset).with_overrides(
+        scenario=scenario, seed=regen.SEED, samples=regen.SAMPLES[scenario], **overrides
+    )
+    fixed = regen.h.draw_free(cfg)[0]
+    body = regen.h.run_scenario(cfg).body
+    assert regen.h.report_json(at_paths(body, fixed)) == regen.h.report_json(fixed)
 
 
 def test_draw_free_check_reads_exact_keys_only(monkeypatch):

@@ -118,7 +118,7 @@ def test_envelope_spec_is_read_in_optics_alone():
 
 
 def test_every_scenario_has_a_runner_and_a_parameter_table():
-    assert set(cf.SCENARIO_PARAMS) == set(h._RUNNERS)
+    assert set(cf.SCENARIO_PARAMS) == set(h._SCENARIOS)
 
 
 RECORDS = {

@@ -601,15 +601,11 @@ class TestGhzScenarios:
         assert 0.0 < fid["exact"] < 1.0
         assert body["populations"] is not None
 
-    def test_empty_population_setting_reports_null_populations(self):
+    def test_empty_population_setting_reports_null_populations(self, monkeypatch):
         # the budget split fills the population table first, so list it last
-        runner = h._RUNNERS["ghz3"].func
-        body, *_ = runner(
-            paper_cfg(scenario="ghz3", samples=3),
-            h._TableStreams(0),
-            spec=ev.GHZ3_SPEC,
-            make_settings=lambda: ev.ghz3_settings()[::-1],
-        )
+        monkeypatch.setitem(h._GHZ, "ghz3", (ev.GHZ3_SPEC, lambda: ev.ghz3_settings()[::-1]))
+        cfg = paper_cfg(scenario="ghz3", samples=3)
+        body, *_ = h._draw_ghz(cfg, h.draw_free(cfg)[1], h._TableStreams(0))
         assert body["empty_settings"] == [w.POPULATION_SETTING]
         assert body["populations"] is None
         assert body["fidelity"]["estimate"] is None
@@ -658,12 +654,16 @@ class TestGhzScenarios:
         monkeypatch.setattr(h.op, "averaged_swap_fidelity", counted_integral)
         report = h.run_scenario(cfg)
         n_streams, n_draws, n_integrals = len(streams), sum(draws), len(integrals)
-        # the runner alone, outside run_scenario, gives the same body
-        body, *_ = h._RUNNERS[scenario](cfg, h._TableStreams(cfg.seed))
-        plain = h.RunReport(scenario, cfg.seed, {**report.body, **body}, meta={})
-        assert report.body_json() == plain.body_json()
+        # the two parts alone, outside run_scenario, give the same body, each
+        # key path from one part only
+        fixed, drawn_from = h.draw_free(cfg)
+        body, *_ = h._SCENARIOS[scenario][2](cfg, drawn_from, h._TableStreams(cfg.seed))
+        assert not leaves(fixed).keys() & leaves(body).keys()
+        plain = h.report_json({**leaves(fixed), **leaves(body)})
+        assert h.report_json(leaves(report.body)) == plain
         envelope = {"scenario", "seed", "samples", "config"}
-        assert set(report.body) == set(body) | envelope
+        assert envelope <= set(fixed)
+        assert set(report.body) == set(body) | set(fixed)
         fitted = {"fit"} if scenario in FIT_Z else set()
         assert set(report.meta) == {
             "version", "wall_time_s", "workers", "stage_s", "counters", *fitted
@@ -712,6 +712,20 @@ class TestLimits:
             for s in (0, 5)
         }
         assert len(limits) == 1
+
+    @pytest.mark.parametrize("scenario", sorted(TELEMETRY_STAGES))
+    def test_draw_free_part_takes_no_stream(self, scenario, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the draw-free part reached a table stream")
+
+        monkeypatch.setattr(h._TableStreams, "open", refuse)
+        monkeypatch.setattr(h._TableStreams, "take", refuse)
+        cfg = paper_cfg(scenario=scenario, samples=1000)
+        fixed, _ = h.draw_free(cfg)
+        assert {"scenario", "seed", "samples", "config"} <= set(fixed)
+        assert ("limit" in fixed) == (scenario in SAMPLED)
+        if scenario == "two_node_swap":  # draws nothing: its whole body
+            assert fixed == h.run_scenario(cfg).body
 
     def test_two_node_swap_has_no_limit(self):
         assert "limit" not in h.run_scenario(paper_cfg(scenario="two_node_swap")).body
@@ -978,7 +992,7 @@ class TestReports:
         ],
     )
     def test_body_is_plain_json_as_built(self, scenario, overrides):
-        # run_scenario keeps the body the runner built: every value is
+        # run_scenario keeps the body its two parts built: every value is
         # already a JSON type, with no numpy scalar, array or tuple left
         body = h.run_scenario(paper_cfg(scenario=scenario, samples=2_000, **overrides)).body
         stray = {path: kind for path, kind in json_kinds(body) if kind not in PLAIN_JSON}
